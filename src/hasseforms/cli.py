@@ -124,9 +124,9 @@ def _curve_from_args(ctx: FieldCtx, args) -> WeierstrassCurve:
 def _cmd_hasse(args):
     ctx = make_field(args.p, args.n)
     curve = _curve_from_args(ctx, args)
+    fd = point_count(curve)  # first: its size guard fails fast
     ap = hasse_invariant(curve, "p")
     aq = hasse_invariant(curve, "q")
-    fd = point_count(curve)
     ordinary = bool(ap)
     cls = unit_class_of(ap) if ordinary else None
     result = {
@@ -161,6 +161,8 @@ def _cmd_hasse(args):
 def _cmd_realizable(args):
     if args.p == 2 or not _is_prime(args.p):
         raise ValueError(f"p must be an odd prime, got {args.p}")
+    if args.n < 1:
+        raise ValueError(f"extension degree must be >= 1, got {args.n}")
     q = args.p**args.n
     hit = realizable_set(args.p, q)
     missing = sorted(set(range(1, args.p)) - hit)

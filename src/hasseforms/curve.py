@@ -12,15 +12,23 @@ Invariants follow the b-style formulas specialised to this shape:
     c4 = b2^2 - 24 b4
     j = c4^3 / disc
 
-The coefficient of x^(p-1) in (x^3 + a2 x^2 + a4 x + a6)^((p-1)/2) is the
-Hasse invariant A_p; it vanishes exactly on the supersingular curves, and
-the level-q variant A_q is the analogous coefficient of x^(q-1) in the
-((q-1)/2) power.
+The Hasse invariant A_p is the coefficient of x^(p-1) in
+(x^3 + a2 x^2 + a4 x + a6)^((p-1)/2); it vanishes exactly on the
+supersingular curves.  With a2 = 0 and m = (p-1)/2 it has the closed form
+
+    A_p = sum of m! / (i! j! k!) * a4^j * a6^k   over 3i + j = p - 1,
+                                                  i + j + k = m,
+
+about p/12 terms, and in characteristic 3 (where m = 1) A_3 = a2.  The
+level-q variant A_q, the coefficient of x^(q-1) in the ((q-1)/2) power,
+is the norm A_p^((q-1)/(p-1)).  See Silverman, The Arithmetic of Elliptic
+Curves, section V.4.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import (
     BadCongruenceError,
@@ -30,7 +38,7 @@ from .errors import (
     ZeroTwistParameterError,
 )
 from .gf import RANK_TABLE_MAX, SWEEP_MAX, FieldCtx, FieldElement
-from .poly import Polynomial, _pow_trunc_ints, _pow_trunc_tuples
+from .poly import Polynomial
 
 __all__ = [
     "WeierstrassCurve",
@@ -68,6 +76,9 @@ class WeierstrassCurve:
 
     def __setattr__(self, name, value):
         raise AttributeError("WeierstrassCurve is immutable")
+
+    def __reduce__(self):
+        return (WeierstrassCurve, (self.ctx, self.a4, self.a6, self.a2))
 
     @property
     def j_invariant(self) -> FieldElement:
@@ -218,28 +229,44 @@ def point_count(curve: WeierstrassCurve) -> FrobeniusData:
     return FrobeniusData(count=count, beta=beta, ordinary=ordinary)
 
 
+@cache
+def _hasse_terms(p: int) -> tuple[tuple[int, int, int], ...]:
+    # (j, k, m!/(i! j! k!) mod p) for every term of the closed form; all
+    # factorials stay below p, so they are invertible
+    m = (p - 1) // 2
+    fact = [1]
+    for v in range(1, m + 1):
+        fact.append(fact[-1] * v % p)
+    terms = []
+    for i in range((m + 1) // 2, (p - 1) // 3 + 1):
+        j = p - 1 - 3 * i
+        k = m - i - j
+        terms.append((j, k, fact[m] * pow(fact[i] * fact[j] * fact[k], -1, p) % p))
+    return tuple(terms)
+
+
 def hasse_invariant(curve: WeierstrassCurve, level: str = "p") -> FieldElement:
     """Coefficient of x^(p-1) in f^((p-1)/2), or of x^(q-1) at level "q".
 
-    Runs the truncated-power kernels directly on raw coefficients; tests
-    pin this against f_polynomial().pow_truncated on whole sweeps.
+    Level p sums the closed form over a table built once per prime
+    (A_3 = a2); level q is the norm A_p^((q-1)/(p-1)) (Silverman, AEC
+    section V.4).  Tests pin both against f_polynomial().pow_truncated.
     """
     ctx = curve.ctx
-    if level == "p":
-        m = ctx.p
-    elif level == "q":
-        m = ctx.q
-    else:
+    if level not in ("p", "q"):
         raise ValueError(f'level must be "p" or "q", got {level!r}')
-    cap = m - 1
-    e = (m - 1) // 2
-    if ctx.n == 1:
-        f = [curve.a6.coeffs[0], curve.a4.coeffs[0], curve.a2.coeffs[0], 1]
-        out = _pow_trunc_ints(f, e, cap, ctx.p)
-        return FieldElement(ctx, (out[cap] if len(out) > cap else 0,))
-    f = [curve.a6.coeffs, curve.a4.coeffs, curve.a2.coeffs, ctx.one.coeffs]
-    out = _pow_trunc_tuples(f, e, cap, ctx)
-    return FieldElement(ctx, out[cap] if len(out) > cap else (0,) * ctx.n)
+    p = ctx.p
+    if p == 3:
+        a = curve.a2
+    else:
+        mul, pw = ctx._mul, ctx._pow
+        a4, a6 = curve.a4.coeffs, curve.a6.coeffs
+        acc = [0] * ctx.n
+        for j, k, c in _hasse_terms(p):
+            term = mul(pw(a4, j), pw(a6, k))
+            acc = [x + c * y for x, y in zip(acc, term)]
+        a = FieldElement(ctx, tuple(x % p for x in acc))
+    return a if level == "p" else a ** ((ctx.q - 1) // (p - 1))
 
 
 def is_ordinary(curve: WeierstrassCurve) -> bool:

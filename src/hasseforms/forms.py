@@ -65,6 +65,9 @@ class UnitClass:
     def __setattr__(self, name, value):
         raise AttributeError("UnitClass is immutable")
 
+    def __reduce__(self):
+        return (UnitClass, (self.ctx, self.exp))
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, UnitClass):
             return NotImplemented
@@ -120,10 +123,11 @@ def phi(cls: UnitClass) -> FieldElement:
 def realizable_set(p: int, q: int | None = None) -> frozenset[int]:
     """Residues h mod p that occur as beta mod p for some trace beta.
 
-    Scans the signed integers beta with 0 < beta^2 < 4q and p not
-    dividing beta.  For p = 2 the answer is {1} for every q (the single
-    nontrivial residue), kept here so the formula covers the degenerate
-    prime as well.
+    The traces are the signed integers beta with 0 < beta^2 < 4q and p
+    not dividing beta.  With B = isqrt(4q - 1), every unit residue occurs
+    once B >= p - 1; below that the residues are exactly +-b mod p for
+    1 <= b <= B.  For p = 2 this gives {1} for every q (the single
+    nontrivial residue), so the formula covers the degenerate prime too.
     """
     if not _is_prime(p):
         raise NotPrimeError(f"p must be prime, got {p}")
@@ -134,10 +138,10 @@ def realizable_set(p: int, q: int | None = None) -> frozenset[int]:
         t //= p
     if t != 1 or q < p:
         raise ValueError(f"q = {q} is not a power of p = {p}")
-    if p == 2:
-        return frozenset({1})
     bound = isqrt(4 * q - 1)
-    return frozenset(b % p for b in range(-bound, bound + 1) if b % p)
+    if bound >= p - 1:
+        return frozenset(range(1, p))
+    return frozenset(r for b in range(1, bound + 1) for r in (b, p - b))
 
 
 def twist_class_action(cls: UnitClass, d: FieldElement, kind: str = "quadratic") -> UnitClass:

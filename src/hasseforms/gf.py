@@ -200,6 +200,8 @@ class FieldCtx:
         return tuple(c % p for c in conv[:n])
 
     def _pow(self, a, e: int):
+        if self.n == 1:
+            return (pow(a[0], e, self.p),)
         result = (1,) + (0,) * (self.n - 1)
         base = a
         while e:
@@ -339,6 +341,10 @@ class FieldCtx:
     def __hash__(self) -> int:
         return hash((self.p, self.n))
 
+    def __reduce__(self):
+        # rebuilt from (p, n), so lazy tables are never serialised
+        return (FieldCtx, (self.p, self.n))
+
     def modulus_str(self, var: str = "t") -> str | None:
         if self.modulus is None:
             return None
@@ -380,6 +386,9 @@ class FieldElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
+
+    def __reduce__(self):
+        return (FieldElement, (self.ctx, self.coeffs))
 
     def _coerce(self, other) -> "FieldElement | None":
         if isinstance(other, FieldElement):

@@ -1,11 +1,12 @@
 """Univariate polynomials over a FieldCtx.
 
 Coefficients are stored low degree first with trailing zeros stripped, so
-the zero polynomial has an empty coefficient tuple and degree -1.  The two
-workhorses are pow_truncated, which raises a polynomial to a power while
-discarding every coefficient above a cap (this is how curve invariants are
-extracted without ever building the full power), and factor, which is a
-fully deterministic factorisation into monic irreducibles.
+the zero polynomial has an empty coefficient tuple and degree -1.
+pow_truncated raises a polynomial to a power while discarding every
+coefficient above a cap; it is the slow reference route that tests and
+suites hold the closed-form Hasse invariant of curve.py against, not a
+sweep kernel.  factor is a fully deterministic factorisation into monic
+irreducibles.
 
 Determinism of factor: the squarefree split and the distinct-degree split
 are deterministic as written; separating several irreducible factors of
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ZeroPolynomialError
-from .gf import RANK_TABLE_MAX, FieldCtx, FieldElement, _poly_rem_ints
+from .gf import FieldCtx, FieldElement, _poly_rem_ints
 
 __all__ = [
     "Polynomial",
@@ -42,6 +43,9 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        return (Polynomial, (self.ctx, self._coeffs))
 
     @classmethod
     def x(cls, ctx: FieldCtx) -> "Polynomial":
@@ -204,26 +208,24 @@ class Polynomial:
     def pow_truncated(self, e: int, cap: int) -> "Polynomial":
         """self**e with every coefficient above degree cap dropped.
 
-        Exact on degrees 0..cap.  Picks between repeated multiplication
-        by self and truncated square-and-multiply, whichever is cheaper
-        for the given shape; both give the same answer.
+        Exact on degrees 0..cap, by truncated square-and-multiply.  This
+        is the independent reference for curve.hasse_invariant, so it
+        knows nothing about cubics or Hasse coefficients.
         """
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a nonnegative int")
         if cap < 0:
             raise ValueError("cap must be >= 0")
-        if e == 0:
-            return Polynomial(self.ctx, (1,))
-        if not self:
-            return self._wrap(())
         ctx = self.ctx
-        if ctx.n == 1:
-            f = [c.coeffs[0] for c in self._coeffs]
-            out = _pow_trunc_ints(f, e, cap, ctx.p)
-            return self._wrap(out)
-        f = [c.coeffs for c in self._coeffs]
-        out = _pow_trunc_tuples(f, e, cap, ctx)
-        return self._wrap([FieldElement(ctx, t) for t in out])
+        result = [ctx.one.coeffs]
+        base = [c.coeffs for c in self._coeffs[: cap + 1]]
+        while e:
+            if e & 1:
+                result = _mul_trunc(result, base, ctx, cap)
+            e >>= 1
+            if e:
+                base = _mul_trunc(base, base, ctx, cap)
+        return self._wrap([FieldElement(ctx, t) for t in result])
 
     def to_str(self, var: str = "x") -> str:
         if not self._coeffs:
@@ -250,179 +252,20 @@ class Polynomial:
         return f"Polynomial({self.to_str()!r} over F_{self.ctx.q})"
 
 
-# -- truncated powering kernels ----------------------------------------
-#
-# These work on raw coefficient lists for speed; they are the inner loop
-# of every exhaustive curve sweep.  The int variants are for prime
-# fields, the tuple variants for extensions.
-
-def _mul_trunc_ints(a, b, p, cap):
-    L = min(len(a) + len(b) - 1, cap + 1)
-    if len(b) > len(a):
-        a, b = b, a
-    rows = []
-    for d, c in enumerate(b):
-        if c and d < L:
-            seg = a[: L - d]
-            if c != 1:
-                seg = [v * c for v in seg]
-            rows.append([0] * d + list(seg) + [0] * (L - d - len(seg)))
-    if not rows:
+def _mul_trunc(a, b, ctx, cap):
+    # product of two coefficient-tuple lists, degrees above cap dropped
+    if not a or not b:
         return []
-    if len(rows) == 1:
-        return [v % p for v in rows[0]]
-    acc = rows[0]
-    for row in rows[1:]:
-        acc = [x + y for x, y in zip(acc, row)]
-    return [v % p for v in acc]
-
-
-def _strip_ints(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _pow_trunc_cubic_ints(f, e, cap, p):
-    # f is monic cubic: x^3 + c2 x^2 + c1 x + c0; repeated multiplication
-    # with a fully fused sliding-window pass per step
-    c0 = f[0] % p
-    c1 = f[1] % p
-    c2 = f[2] % p
-    acc = [v % p for v in f[: cap + 1]]
-    for _ in range(e - 1):
-        L = min(len(acc) + 3, cap + 1)
-        A = [0, 0, 0] + acc + [0, 0, 0]
-        w3 = A[:L]
-        w2 = A[1:L + 1]
-        w1 = A[2:L + 2]
-        w0 = A[3:L + 3]
-        if c2:
-            acc = [(x3 + c2 * x2 + c1 * x1 + c0 * x0) % p
-                   for x3, x2, x1, x0 in zip(w3, w2, w1, w0)]
-        elif c1:
-            acc = [(x3 + c1 * x1 + c0 * x0) % p
-                   for x3, x1, x0 in zip(w3, w1, w0)]
-        else:
-            acc = [(x3 + c0 * x0) % p for x3, x0 in zip(w3, w0)]
-    return _strip_ints(acc)
-
-
-def _pow_trunc_ints(f, e, cap, p):
-    f = [v % p for v in f]
-    monic_cubic = len(f) == 4 and f[3] == 1
-    if monic_cubic:
-        iter_cost = (e - 1) * (cap + 1) * 4
-        sq_cost = 2 * e.bit_length() * (cap + 1) ** 2
-        if iter_cost <= sq_cost:
-            return _pow_trunc_cubic_ints(f, e, cap, p)
-    # truncated square-and-multiply
-    result = [1]
-    base = f[: cap + 1]
-    while e:
-        if e & 1:
-            result = _mul_trunc_ints(result, base, p, cap)
-        e >>= 1
-        if e:
-            base = _mul_trunc_ints(base, base, p, cap)
-    return _strip_ints(result)
-
-
-def _mul_trunc_tuples(a, b, ctx, cap):
     L = min(len(a) + len(b) - 1, cap + 1)
-    if len(b) > len(a):
-        a, b = b, a
-    zero = (0,) * ctx.n
     mul = ctx._mul
     add = ctx._add
-    out = [zero] * L
-    for d, c in enumerate(b):
-        if any(c) and d < L:
-            for i in range(min(len(a), L - d)):
-                ai = a[i]
+    out = [ctx.zero.coeffs] * L
+    for d, c in enumerate(b[:L]):
+        if any(c):
+            for i, ai in enumerate(a[: L - d]):
                 if any(ai):
                     out[i + d] = add(out[i + d], mul(c, ai))
     return out
-
-
-def _strip_tuples(a):
-    while a and not any(a[-1]):
-        a.pop()
-    return a
-
-
-def _pow_trunc_cubic_ranks(f, e, cap, ctx):
-    # same sliding-window pass as the int kernel, but coefficients are
-    # lex ranks and arithmetic is dense table lookup
-    add, mul, _sq, _cube = ctx._rank_tables
-    ranks = [sum(c * w for c, w in zip(t, ctx._weights)) for t in f]
-    c0, c1, c2 = ranks[0], ranks[1], ranks[2]
-    m0 = mul[c0]
-    acc = ranks[: cap + 1]
-    for _ in range(e - 1):
-        L = min(len(acc) + 3, cap + 1)
-        A = [0, 0, 0] + acc + [0, 0, 0]
-        w3 = A[:L]
-        w2 = A[1:L + 1]
-        w1 = A[2:L + 2]
-        w0 = A[3:L + 3]
-        if c2:
-            m2 = mul[c2]
-            m1 = mul[c1]
-            acc = [add[add[add[x3][m2[x2]]][m1[x1]]][m0[x0]]
-                   for x3, x2, x1, x0 in zip(w3, w2, w1, w0)]
-        elif c1:
-            m1 = mul[c1]
-            acc = [add[add[x3][m1[x1]]][m0[x0]]
-                   for x3, x1, x0 in zip(w3, w1, w0)]
-        else:
-            acc = [add[x3][m0[x0]] for x3, x0 in zip(w3, w0)]
-    while acc and not acc[-1]:
-        acc.pop()
-    return [ctx._tuple_from_rank(r) for r in acc]
-
-
-def _pow_trunc_tuples(f, e, cap, ctx):
-    zero = (0,) * ctx.n
-    monic_cubic = len(f) == 4 and f[3] == (1,) + (0,) * (ctx.n - 1)
-    if monic_cubic and e > 1 and ctx.q <= RANK_TABLE_MAX:
-        iter_cost = (e - 1) * (cap + 1) * 4
-        sq_cost = 2 * e.bit_length() * (cap + 1) ** 2
-        if iter_cost <= sq_cost:
-            return _pow_trunc_cubic_ranks(f, e, cap, ctx)
-    if monic_cubic:
-        iter_cost = (e - 1) * (cap + 1) * 4
-        sq_cost = 2 * e.bit_length() * (cap + 1) ** 2
-        if iter_cost <= sq_cost:
-            mul = ctx._mul
-            add = ctx._add
-            c0, c1, c2 = f[0], f[1], f[2]
-            use2 = any(c2)
-            use1 = any(c1)
-            acc = list(f[: cap + 1])
-            for _ in range(e - 1):
-                L = min(len(acc) + 3, cap + 1)
-                A = [zero, zero, zero] + acc + [zero, zero, zero]
-                nxt = []
-                for i in range(L):
-                    v = A[i]
-                    if use2:
-                        v = add(v, mul(c2, A[i + 1]))
-                    if use1:
-                        v = add(v, mul(c1, A[i + 2]))
-                    v = add(v, mul(c0, A[i + 3]))
-                    nxt.append(v)
-                acc = nxt
-            return _strip_tuples(acc)
-    result = [(1,) + (0,) * (ctx.n - 1)]
-    base = list(f[: cap + 1])
-    while e:
-        if e & 1:
-            result = _mul_trunc_tuples(result, base, ctx, cap)
-        e >>= 1
-        if e:
-            base = _mul_trunc_tuples(base, base, ctx, cap)
-    return _strip_tuples(result)
 
 
 def poly_pow_truncated(f: Polynomial, e: int, cap: int) -> Polynomial:

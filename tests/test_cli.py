@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -173,6 +174,43 @@ def test_ptorsion_supersingular():
 def test_usage_errors_exit_two(args):
     rc, _, err = run_cli(*args)
     assert rc == 2
+
+
+def _timed_cli(*args):
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(*args)
+    return rc, out, err, time.perf_counter() - t0
+
+
+def test_hasse_large_prime_within_budget():
+    rc, out, _, elapsed = _timed_cli("hasse", "-p", "65537", "-a4", "1", "-a6", "1", "--json")
+    assert rc == 0
+    result = json.loads(out)["result"]
+    assert result["ordinary"] is True
+    assert result["phi"] == result["beta"] % 65537
+    assert elapsed < 2.0, f"hasse -p 65537 took {elapsed:.2f}s, budget 2s"
+
+
+def test_hasse_beyond_sweep_guard_fails_fast():
+    rc, _, err, elapsed = _timed_cli("hasse", "-p", "1048583", "-a4", "1", "-a6", "1")
+    assert rc == 2
+    assert "2**20" in err
+    assert elapsed < 1.0, f"hasse -p 1048583 took {elapsed:.2f}s, budget 1s"
+
+
+def test_realizable_large_degree_within_budget():
+    rc, out, _, elapsed = _timed_cli("realizable", "-p", "3", "-n", "40", "--json")
+    assert rc == 0
+    result = json.loads(out)["result"]
+    assert result["q"] == 3 ** 40 and result["realizable"] == [1, 2]
+    assert elapsed < 1.0, f"realizable -p 3 -n 40 took {elapsed:.2f}s, budget 1s"
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_realizable_rejects_bad_degree(n):
+    rc, out, err = run_cli("realizable", "-p", "5", "-n", n)
+    assert rc == 2 and out == ""
+    assert err == f"error: extension degree must be >= 1, got {n}\n"
 
 
 def test_no_subcommand_prints_help():

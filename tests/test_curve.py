@@ -113,26 +113,36 @@ def test_discriminant_two_routes(p, n):
                     assert curve.discriminant == generic
 
 
-@pytest.mark.parametrize("p,n", [(3, 2), (13, 1)])
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 1), (7, 1), (11, 1), (13, 1), (19, 1)])
 def test_hasse_invariant_two_routes(p, n):
-    """The raw coefficient kernel agrees with full truncated powering of
-    the defining cubic, at both the p and q levels."""
+    """The closed form and its norm agree with full truncated powering
+    of the defining cubic, at both the p and q levels."""
     ctx = make_field(p, n)
     q = ctx.q
     for curve in iter_curves(ctx):
         f = curve.f_polynomial()
-        assert hasse_invariant(curve, level="p") == f.pow_truncated((p - 1) // 2, p - 1)[p - 1]
+        ap = f.pow_truncated((p - 1) // 2, p - 1)[p - 1]
+        aq = ap if q == p else f.pow_truncated((q - 1) // 2, q - 1)[q - 1]
+        assert hasse_invariant(curve, level="p") == ap
+        assert hasse_invariant(curve, level="q") == aq
+
+
+def _level_q_two_routes_sample(p, n, stride):
+    ctx = make_field(p, n)
+    q = ctx.q
+    for i, curve in enumerate(iter_curves(ctx)):
+        if i % stride:
+            continue
+        f = curve.f_polynomial()
         assert hasse_invariant(curve, level="q") == f.pow_truncated((q - 1) // 2, q - 1)[q - 1]
 
 
 def test_hasse_invariant_two_routes_f25_sample():
-    ctx = make_field(5, 2)
-    q = ctx.q
-    for i, curve in enumerate(iter_curves(ctx)):
-        if i % 7:
-            continue
-        f = curve.f_polynomial()
-        assert hasse_invariant(curve, level="q") == f.pow_truncated((q - 1) // 2, q - 1)[q - 1]
+    _level_q_two_routes_sample(5, 2, 7)
+
+
+def test_hasse_invariant_two_routes_f49_sample():
+    _level_q_two_routes_sample(7, 2, 29)
 
 
 def test_trace_bound():

@@ -119,7 +119,10 @@ def test_realizable_sets_frozen():
 def test_realizable_set_matches_interval_scan():
     from math import isqrt
 
-    for p, q in ((5, 5), (19, 19), (23, 23), (19, 361)):
+    cases = [(5, 5), (19, 19), (23, 23), (19, 361)]
+    cases += [(p, p ** n) for p in (2, 3, 5, 7, 11, 13, 17, 29, 31, 37, 101)
+              for n in (1, 2, 3) if p ** n < 10 ** 5]
+    for p, q in cases:
         bound = isqrt(4 * q - 1)
         brute = {b % p for b in range(-bound, bound + 1) if b and b % p}
         assert realizable_set(p, q) == brute
