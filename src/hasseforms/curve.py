@@ -37,7 +37,7 @@ from .errors import (
     WrongJInvariantError,
     ZeroTwistParameterError,
 )
-from .gf import RANK_TABLE_MAX, SWEEP_MAX, FieldCtx, FieldElement
+from .gf import SWEEP_MAX, FieldCtx, FieldElement
 from .poly import Polynomial
 
 __all__ = [
@@ -179,14 +179,20 @@ def point_count(curve: WeierstrassCurve) -> FrobeniusData:
     """Exhaustive point count (q <= 2**20) via the quadratic character.
 
     Each affine x contributes 1 + chi(f(x)) points, plus one at infinity.
+    Over F_p, f(x) is evaluated on ints and chi read from a table.  Over
+    F_q with n > 1 the sweep runs over x = 0 and x = g^e for the
+    canonical generator g, evaluating f by Horner's rule on discrete
+    logarithms: multiplying by x adds e, adding a coefficient c is one
+    Zech logarithm, log(y + c) = log c + zech[log y - log c], and chi is
+    the parity of the final logarithm.
     """
     ctx = curve.ctx
     q = ctx.q
     if q > SWEEP_MAX:
         raise FieldTooLargeError(
             f"point counting sweeps the field and needs q <= 2**20, got {q}")
-    chi = ctx._chi_by_rank
     if ctx.n == 1:
+        chi = ctx._chi_by_rank
         p = ctx.p
         b = curve.a4.coeffs[0]
         c = curve.a6.coeffs[0]
@@ -195,29 +201,28 @@ def point_count(curve: WeierstrassCurve) -> FrobeniusData:
             s = sum(chi[(((x + a) * x + b) * x + c) % p] for x in range(p))
         else:
             s = sum(chi[(x * x * x + b * x + c) % p] for x in range(p))
-    elif q <= RANK_TABLE_MAX:
-        add, mul, sq, cube = ctx._rank_tables
-        rb = curve.a4.rank
-        rc = curve.a6.rank
-        mb = mul[rb]
-        if curve.a2:
-            ma = mul[curve.a2.rank]
-            s = sum(chi[add[add[add[cube[x]][ma[sq[x]]]][mb[x]]][rc]]
-                    for x in range(q))
-        else:
-            s = sum(chi[add[add[cube[x]][mb[x]]][rc]] for x in range(q))
     else:
-        mul_ = ctx._mul
-        add_ = ctx._add
-        weights = ctx._weights
-        a2t, a4t, a6t = curve.a2.coeffs, curve.a4.coeffs, curve.a6.coeffs
-        s = 0
-        for r in range(q):
-            x = ctx._tuple_from_rank(r)
-            v = add_(x, a2t)
-            v = add_(mul_(v, x), a4t)
-            v = add_(mul_(v, x), a6t)
-            s += chi[sum(cc * w for cc, w in zip(v, weights))]
+        _, log, zech = ctx._log_tables
+        order = q - 1
+
+        def plus(ys, c):
+            # logs of y + c for the logs ys (None stands for zero)
+            if not c:
+                return ys
+            lc = log[c.rank]
+            return [lc if y is None else
+                    None if (z := zech[(y - lc) % order]) < 0 else lc + z
+                    for y in ys]
+
+        def times_x(ys):
+            return [None if y is None else y + e for e, y in enumerate(ys)]
+
+        ys = times_x(plus(times_x(plus(range(order), curve.a2)), curve.a4))
+        ys = plus(ys, curve.a6)
+        # order is even, so the parity of an unreduced logarithm is chi
+        s = sum(0 if y is None else 1 - 2 * (y & 1) for y in ys)
+        if curve.a6:  # x = 0
+            s += 1 - 2 * (log[curve.a6.rank] & 1)
     count = 1 + q + s
     beta = q + 1 - count
     ordinary = beta % ctx.p != 0

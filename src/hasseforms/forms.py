@@ -35,7 +35,6 @@ from .gf import (
     norm_to_prime,
     primitive_element,
 )
-from .poly import Polynomial, factor
 
 __all__ = [
     "UnitClass",
@@ -229,19 +228,25 @@ class PTorsionDescription:
 
 
 def ptorsion_description(curve: WeierstrassCurve) -> PTorsionDescription:
-    """Describe E[p] by factoring y^(p-1) - A_p and taking the p-th root of j."""
+    """Describe E[p] from the class of A_p and the p-th root of j.
+
+    Frobenius acts on the roots of y^(p-1) = A by y -> y * N(A), where N
+    is the norm to F_p, an element of order d = the class order of A.  So
+    y^(p-1) - A splits into (p-1)/d irreducible factors of degree d
+    (Lidl and Niederreiter, Finite Fields, ch. 3, on binomials).  The
+    etale suite audits this against factor().
+    """
     ctx = curve.ctx
     a = hasse_invariant(curve)
     if not a:
         return PTorsionDescription(supersingular=True)
     p = ctx.p
-    coeffs = [-a] + [ctx.zero] * (p - 2) + [ctx.one]
-    fac = factor(Polynomial(ctx, coeffs))
+    cls = unit_class_of(a)
     j = curve.j_invariant
     return PTorsionDescription(
         supersingular=False,
-        hasse_class=unit_class_of(a),
+        hasse_class=cls,
         j=j,
-        etale_degrees=fac.degree_multiset,
+        etale_degrees=(cls.order,) * ((p - 1) // cls.order),
         j_p_root=j ** (p ** (ctx.n - 1)),
     )

@@ -11,15 +11,29 @@ read from the constant term down, i.e. rank(x) = sum(c_i * p**(n-1-i)).
 Enumeration, generator selection and every "first match wins" rule in the
 rest of the package build on this single ordering.
 
-Scale guard: q = p**n must stay below 2**32 at construction time.  All of
-this is plain integer arithmetic on small objects; none of it is constant
-time and none of it is meant for cryptographic use.
+Arithmetic.  Over F_p (n = 1) elements are built-in ints.  Over F_q with
+n > 1 and q <= 2**20, a product, power or inverse is one round trip
+through lazily built exp/log tables over lex ranks, indexed by the
+exponent e of the canonical generator g: exp[e] = rank(g^e), log[rank] =
+e, and the Zech logarithm zech[e] = log(1 + g^e) (Lidl and Niederreiter,
+Finite Fields, ch. 9).  Each table holds O(q) machine integers.  The
+convolution product and square-and-multiply power are the construction
+route (generator search and the exp build), the route for q > 2**20, and
+the reference the tests audit the tables against.
+
+Scale guard: q = p**n must stay below 2**32 at construction time; the
+tables, discrete logarithms and every per-element sweep need q <= 2**20.
+All of this is plain integer arithmetic on small objects; none of it is
+constant time and none of it is meant for cryptographic use.
 """
 
 from __future__ import annotations
 
-import math
+import logging
+import time
+from array import array
 from functools import cached_property
+from operator import mul
 from typing import Iterator, Sequence, Union
 
 from .errors import (
@@ -32,8 +46,9 @@ from .errors import (
 )
 
 MAX_ORDER = 2**32
-SWEEP_MAX = 2**20       # exhaustive per-element sweeps stop here
-RANK_TABLE_MAX = 1024   # dense q-by-q tables only below this order
+SWEEP_MAX = 2**20       # exhaustive per-element sweeps and log tables stop here
+
+logger = logging.getLogger("hasseforms")
 
 CoeffsLike = Union[int, Sequence[int], "FieldElement"]
 
@@ -112,6 +127,14 @@ class FieldCtx:
 
     Two contexts compare equal iff they have the same (p, n); the modulus
     is then forced to be identical by the deterministic search.
+
+    For q <= 2**20 the first product, power, inverse, discrete logarithm
+    or point count builds _log_tables, the exp/log/Zech tables over lex
+    ranks (about 12 bytes per element), from the lex-smallest generator.
+    Prime fields multiply built-in ints and use the tables only for
+    logarithms and the quadratic character.  Beyond 2**20 arithmetic
+    stays on the convolution route and table readers raise
+    FieldTooLargeError.
     """
 
     def __init__(self, p: int, n: int = 1):
@@ -180,11 +203,10 @@ class FieldCtx:
         p = self.p
         return tuple((-x) % p for x in a)
 
-    def _mul(self, a, b):
+    def _conv_mul(self, a, b):
+        # schoolbook convolution reduced by the stored rows
         p = self.p
         n = self.n
-        if n == 1:
-            return ((a[0] * b[0]) % p,)
         conv = [0] * (2 * n - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -199,24 +221,50 @@ class FieldCtx:
                     conv[i] += c * row[i]
         return tuple(c % p for c in conv[:n])
 
-    def _pow(self, a, e: int):
-        if self.n == 1:
-            return (pow(a[0], e, self.p),)
+    def _conv_pow(self, a, e: int):
         result = (1,) + (0,) * (self.n - 1)
         base = a
         while e:
             if e & 1:
-                result = self._mul(result, base)
-            base = self._mul(base, base)
+                result = self._conv_mul(result, base)
+            base = self._conv_mul(base, base)
             e >>= 1
         return result
+
+    def _rank(self, a) -> int:
+        return sum(map(mul, a, self._weights))
+
+    def _mul(self, a, b):
+        if self.n == 1:
+            return ((a[0] * b[0]) % self.p,)
+        if self.q > SWEEP_MAX:
+            return self._conv_mul(a, b)
+        exp, log, _ = self._log_tables
+        ra, rb = self._rank(a), self._rank(b)
+        if not (ra and rb):
+            return self.zero.coeffs
+        return self._tuple_from_rank(exp[(log[ra] + log[rb]) % (self.q - 1)])
+
+    def _pow(self, a, e: int):
+        if self.n == 1:
+            return (pow(a[0], e, self.p),)
+        if self.q > SWEEP_MAX:
+            return self._conv_pow(a, e)
+        exp, log, _ = self._log_tables
+        ra = self._rank(a)
+        if not ra:
+            return (self.zero if e else self.one).coeffs
+        return self._tuple_from_rank(exp[log[ra] * e % (self.q - 1)])
 
     def _inv(self, a):
         if not any(a):
             raise ZeroDivisionError(f"division by zero in {self}")
         if self.n == 1:
             return (pow(a[0], self.p - 2, self.p),)
-        return self._pow(a, self.q - 2)
+        if self.q > SWEEP_MAX:
+            return self._conv_pow(a, self.q - 2)
+        exp, log, _ = self._log_tables
+        return self._tuple_from_rank(exp[-log[self._rank(a)] % (self.q - 1)])
 
     # -- element construction and enumeration ---------------------------
 
@@ -241,7 +289,7 @@ class FieldCtx:
 
     def _tuple_from_rank(self, rank: int) -> tuple[int, ...]:
         p = self.p
-        return tuple((rank // w) % p for w in self._weights)
+        return tuple([rank // w % p for w in self._weights])
 
     def from_rank(self, rank: int) -> "FieldElement":
         if not 0 <= rank < self.q:
@@ -266,70 +314,77 @@ class FieldCtx:
         """The lex-smallest element of multiplicative order q - 1."""
         target = self.q - 1
         primes = _prime_factors(target)
-        one = self.one
+        one = self.one.coeffs
         for x in self.iter_elements():
-            if x and all(x ** (target // ell) != one for ell in primes):
+            if x and all(self._conv_pow(x.coeffs, target // ell) != one
+                         for ell in primes):
                 return x
         raise RuntimeError("no generator found")  # unreachable in a field
 
     # -- cached sweep tables --------------------------------------------
 
     @cached_property
-    def _chi_by_rank(self) -> list[int]:
-        # quadratic character indexed by lex rank: 0 at zero, else +1 / -1
-        if self.q > SWEEP_MAX:
+    def _log_tables(self) -> tuple[array, array, array]:
+        """(exp, log, zech) over lex ranks and exponents of the generator g.
+
+        exp[e] = rank(g^e) for 0 <= e < q - 1; log[rank] = e, with -1 at
+        zero; zech[e] = log(1 + g^e), with -1 where 1 + g^e = 0.
+        """
+        q = self.q
+        if q > SWEEP_MAX:
             raise FieldTooLargeError(
-                f"character table needs q <= 2**20, got q = {self.q}")
-        table = [-1] * self.q
+                f"log tables need q <= 2**20, got q = {q}")
+        t0 = time.perf_counter()
+        p, n, order = self.p, self.n, q - 1
+        g = self.generator.coeffs
+        exp = array("i", [0]) * order
+        if n == 1:
+            r, g0 = 1, g[0]
+            for e in range(order):
+                exp[e] = r
+                r = r * g0 % p
+        else:
+            # x -> g*x is F_p-linear: tabulate it on the high and the low
+            # half of the digits, so each step adds two image vectors
+            size = p ** (n // 2)
+            weights = self._weights
+            lo = [self._conv_mul(self._tuple_from_rank(r), g) for r in range(size)]
+            hi = [self._conv_mul(self._tuple_from_rank(r * size), g)
+                  for r in range(q // size)]
+            r = weights[0]
+            for e in range(order):
+                exp[e] = r
+                h, low = divmod(r, size)
+                r = sum((a + b) % p * w for a, b, w in zip(hi[h], lo[low], weights))
+        log = array("i", [0]) * q
+        log[0] = -1
+        for e, r in enumerate(exp):
+            log[r] = e
+        # the constant term is the most significant lex digit, so adding 1
+        # to an element moves its rank by one step of that digit
+        unit = self._weights[0]
+        top = (p - 1) * unit
+        zech = array("i", [log[r + unit] if r < top else log[r - top] for r in exp])
+        logger.debug("built log tables for F_%d^%d (q = %d) in %.3f s",
+                     p, n, q, time.perf_counter() - t0)
+        return exp, log, zech
+
+    @cached_property
+    def _chi_by_rank(self) -> array:
+        # quadratic character indexed by lex rank: 0 at zero, else +1 / -1
+        # by the parity of the discrete logarithm
+        _, log, _ = self._log_tables
+        t0 = time.perf_counter()
+        table = array("b", [1 - 2 * (e & 1) for e in log])
         table[0] = 0
-        weights = self._weights
-        for rank in range(1, self.q):
-            sq = self._mul(self._tuple_from_rank(rank), self._tuple_from_rank(rank))
-            table[sum(c * w for c, w in zip(sq, weights))] = 1
+        logger.debug("built character table for F_%d^%d (q = %d) in %.3f s",
+                     self.p, self.n, self.q, time.perf_counter() - t0)
         return table
 
-    @cached_property
-    def _rank_tables(self):
-        # dense add / mul / square / cube tables indexed by lex rank, used
-        # by the point-counting sweep on small extension fields
-        q = self.q
-        if q > RANK_TABLE_MAX:
-            raise FieldTooLargeError(
-                f"rank tables need q <= {RANK_TABLE_MAX}, got q = {q}")
-        tuples = [self._tuple_from_rank(r) for r in range(q)]
-        weights = self._weights
-        rank_of = {t: r for r, t in enumerate(tuples)}
-        add = [[rank_of[self._add(a, b)] for b in tuples] for a in tuples]
-        mul = [[rank_of[self._mul(a, b)] for b in tuples] for a in tuples]
-        sq = [mul[i][i] for i in range(q)]
-        cube = [mul[sq[i]][i] for i in range(q)]
-        return add, mul, sq, cube
-
-    @cached_property
-    def _gen_pows(self) -> dict:
-        return {}
-
     def gen_pow(self, e: int) -> "FieldElement":
-        """generator**e with memoisation (class representatives reuse this)."""
-        tbl = self._gen_pows
-        v = tbl.get(e)
-        if v is None:
-            v = self.generator**e
-            tbl[e] = v
-        return v
-
-    @cached_property
-    def _bsgs_table(self):
-        g = self.generator
-        order = self.q - 1
-        m = math.isqrt(order - 1) + 1 if order > 1 else 1
-        baby: dict[tuple[int, ...], int] = {}
-        cur = self.one
-        for j in range(m):
-            baby.setdefault(cur.coeffs, j)
-            cur = cur * g
-        giant = (g**m).inverse()
-        return m, baby, giant
+        """generator**e, read from the exp table (q <= 2**20)."""
+        exp, _, _ = self._log_tables
+        return FieldElement(self, self._tuple_from_rank(exp[e % (self.q - 1)]))
 
     # -- identity and printing ------------------------------------------
 
@@ -478,7 +533,7 @@ class FieldElement:
     @property
     def rank(self) -> int:
         """Position in the lex enumeration of the field (zero is 0)."""
-        return sum(c * w for c, w in zip(self.coeffs, self.ctx._weights))
+        return self.ctx._rank(self.coeffs)
 
     def __str__(self) -> str:
         if self.ctx.n == 1:
@@ -528,15 +583,9 @@ def primitive_element(ctx: FieldCtx) -> FieldElement:
 
 
 def discrete_log(x: FieldElement) -> int:
-    """Exponent e with primitive_element(ctx)**e == x, via baby-step giant-step."""
+    """Exponent e in [0, q-1) with primitive_element(ctx)**e == x, read from
+    the log table; fields beyond 2**20 raise FieldTooLargeError."""
     if not x:
         raise ZeroElementError("zero has no discrete logarithm")
-    ctx = x.ctx
-    m, baby, giant = ctx._bsgs_table
-    y = x
-    for i in range(m + 1):
-        j = baby.get(y.coeffs)
-        if j is not None:
-            return (i * m + j) % (ctx.q - 1)
-        y = y * giant
-    raise RuntimeError("discrete logarithm search exhausted")  # unreachable
+    _, log, _ = x.ctx._log_tables
+    return log[x.rank]

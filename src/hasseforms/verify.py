@@ -21,6 +21,7 @@ from .forms import (
     unit_class_of,
 )
 from .gf import FieldCtx, make_field, norm_to_prime
+from .poly import Polynomial, factor
 from .search import census, find_curve_with_class, iter_curves
 
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_suite"]
@@ -172,7 +173,11 @@ def _suite_norm(res: SuiteResult, ctx: FieldCtx) -> None:
 
 
 def _suite_etale(res: SuiteResult, ctx: FieldCtx) -> None:
-    """Degrees in the etale part of E[p] match the order of the class."""
+    """Degrees in the etale part of E[p] match the order of the class.
+
+    factor() of y^(p-1) - A_p is the independent route; ptorsion_description
+    reads the degrees off the class order instead.
+    """
     p = ctx.p
     degree_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
     for curve in iter_curves(ctx):
@@ -186,10 +191,12 @@ def _suite_etale(res: SuiteResult, ctx: FieldCtx) -> None:
             degrees = degree_cache[a.coeffs]
         else:
             desc = ptorsion_description(curve)
-            degrees = desc.etale_degrees
+            binomial = [-a] + [ctx.zero] * (p - 2) + [ctx.one]
+            degrees = factor(Polynomial(ctx, binomial)).degree_multiset
             degree_cache[a.coeffs] = degrees
-            res.check(desc.j_p_root ** p == desc.j,
-                      "%r: stored p-th root of j does not recover j", curve)
+            res.check(desc.j_p_root ** p == desc.j and desc.etale_degrees == degrees,
+                      "%r: p-th root of j or etale degrees %r disagree with factor() %r",
+                      curve, desc.etale_degrees, degrees)
         d = unit_class_of(a).order
         res.check(sum(degrees) == p - 1 and set(degrees) == {d},
                   "%r: etale degrees %r but class order %d", curve, degrees, d)

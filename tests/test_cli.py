@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 import time
@@ -204,6 +205,16 @@ def test_realizable_large_degree_within_budget():
     result = json.loads(out)["result"]
     assert result["q"] == 3 ** 40 and result["realizable"] == [1, 2]
     assert elapsed < 1.0, f"realizable -p 3 -n 40 took {elapsed:.2f}s, budget 1s"
+
+
+@pytest.mark.parametrize("p", ["211", "65537"])
+def test_ptorsion_large_prime_within_budget(p):
+    rc, out, _, elapsed = _timed_cli("ptorsion", "-p", p, "-a4", "1", "-a6", "1", "--json")
+    assert rc == 0
+    result = json.loads(out)["result"]
+    order = (int(p) - 1) // math.gcd(result["class_exp"], int(p) - 1)
+    assert result["etale_degrees"] == [order] * ((int(p) - 1) // order)
+    assert elapsed < 2.0, f"ptorsion -p {p} took {elapsed:.2f}s, budget 2s"
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])

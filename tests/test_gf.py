@@ -11,16 +11,22 @@ from hasseforms import (
     discrete_log,
     make_field,
     norm_to_prime,
+    point_count,
     primitive_element,
     quadratic_character,
 )
+from hasseforms.curve import WeierstrassCurve
 from hasseforms.errors import (
     CtxMismatchError,
     DegreeTooLargeError,
     EvenCharacteristicError,
+    FieldTooLargeError,
     NotPrimeError,
+    SingularModelError,
     ZeroElementError,
 )
+
+TABLE_FIELDS = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (5, 3)]
 
 
 @pytest.fixture(scope="module")
@@ -225,3 +231,104 @@ def test_ctx_equality_is_structural(f9):
     assert f9 == make_field(3, 2)
     assert f9 != make_field(3)
     assert hash(f9) == hash(make_field(3, 2))
+
+
+# -- exp/log/Zech tables against the convolution route -------------------
+
+def _euler_chi(ctx, t):
+    # Euler's criterion on the convolution route
+    if not any(t):
+        return 0
+    return 1 if ctx._conv_pow(t, (ctx.q - 1) // 2) == ctx.one.coeffs else -1
+
+
+@pytest.mark.parametrize("p,n", TABLE_FIELDS)
+def test_table_arithmetic_matches_convolution(p, n):
+    ctx = make_field(p, n)
+    tuples = [ctx._tuple_from_rank(r) for r in range(ctx.q)]
+    for a in tuples:
+        for b in tuples:
+            assert ctx._mul(a, b) == ctx._conv_mul(a, b)
+        for e in (0, 1, 2, 3, 7, (ctx.q - 1) // 2, ctx.q - 2, ctx.q - 1, ctx.q, 3 * ctx.q + 5):
+            assert ctx._pow(a, e) == ctx._conv_pow(a, e)
+        if any(a):
+            assert ctx._inv(a) == ctx._conv_pow(a, ctx.q - 2)
+    with pytest.raises(ZeroDivisionError):
+        ctx._inv(tuples[0])
+
+
+@pytest.mark.parametrize("p,n", TABLE_FIELDS)
+def test_log_tables_are_inverse_and_zech_matches_addition(p, n):
+    ctx = make_field(p, n)
+    exp, log, zech = ctx._log_tables
+    order = ctx.q - 1
+    assert len(exp) == len(zech) == order and len(log) == ctx.q and log[0] == -1
+    assert sorted(exp) == list(range(1, ctx.q))
+    assert all(exp[log[r]] == r for r in range(1, ctx.q))
+    assert all(log[exp[e]] == e for e in range(order))
+    g = ctx.generator.coeffs
+    x = ctx.one.coeffs
+    for e in range(order):
+        assert exp[e] == ctx._rank(x)
+        s = ctx._add(ctx.one.coeffs, x)
+        assert zech[e] == (log[ctx._rank(s)] if any(s) else -1)
+        x = ctx._conv_mul(x, g)
+
+
+@pytest.mark.parametrize("p,n", TABLE_FIELDS + [(7, 1), (101, 1)])
+def test_discrete_log_round_trips_and_chi_matches_euler(p, n):
+    ctx = make_field(p, n)
+    for e in range(ctx.q - 1):
+        assert discrete_log(ctx.gen_pow(e)) == e
+        assert ctx.gen_pow(e + 5 * (ctx.q - 1)) == ctx.gen_pow(e)
+    chi = ctx._chi_by_rank
+    for x in ctx.iter_elements():
+        if x:
+            assert ctx.gen_pow(discrete_log(x)) == x
+        assert chi[x.rank] == _euler_chi(ctx, x.coeffs)
+
+
+def _naive_count(ctx, curve, chi):
+    # every x, f(x) on the convolution route, chi by Euler's criterion
+    mul, add = ctx._conv_mul, ctx._add
+    a2, a4, a6 = curve.a2.coeffs, curve.a4.coeffs, curve.a6.coeffs
+    total = 1
+    for r in range(ctx.q):
+        x = ctx._tuple_from_rank(r)
+        v = add(mul(add(mul(add(x, a2), x), a4), x), a6)
+        total += 1 + chi[v]
+    return total
+
+
+@pytest.mark.parametrize("p,n", TABLE_FIELDS)
+def test_point_count_matches_naive_count(p, n):
+    ctx = make_field(p, n)
+    chi = {t: _euler_chi(ctx, t)
+           for t in (ctx._tuple_from_rank(r) for r in range(ctx.q))}
+    # every model up to 1000 of them, else a fixed stride through
+    # (a2, a4, a6); a2 != 0 only in characteristic 3
+    total = (ctx.q if p == 3 else 1) * ctx.q * ctx.q
+    step = 1 if total <= 1000 else total // 300 + 1
+    seen = 0
+    for idx in range(0, total, step):
+        a2, rest = divmod(idx, ctx.q * ctx.q)
+        a4, a6 = divmod(rest, ctx.q)
+        try:
+            curve = WeierstrassCurve(ctx, ctx.from_rank(a4), ctx.from_rank(a6),
+                                     a2=ctx.from_rank(a2))
+        except SingularModelError:
+            continue
+        assert point_count(curve).count == _naive_count(ctx, curve, chi)
+        seen += 1
+    assert seen > total // step // 2
+
+
+def test_tables_refused_beyond_sweep_guard():
+    ctx = make_field(1031, 2)  # q = 1062961 > 2**20
+    x, y = ctx((3, 5)), ctx((1030, 2))
+    assert x * y == ctx(ctx._conv_mul(x.coeffs, y.coeffs))
+    assert x * x.inverse() == 1 and x ** (ctx.q - 1) == 1
+    for read in (lambda: discrete_log(x), lambda: ctx.gen_pow(1),
+                 lambda: ctx._log_tables, lambda: ctx._chi_by_rank):
+        with pytest.raises(FieldTooLargeError):
+            read()

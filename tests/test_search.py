@@ -1,6 +1,7 @@
 """Curve sweeps, witness search, and the class census."""
 
 import json
+import logging
 from math import isqrt
 
 import pytest
@@ -133,6 +134,22 @@ def test_census_extension_field():
     assert report.q == 9 and report.modulus == (1, 0, 1)
     payload = json.dumps(report.to_dict())
     assert json.loads(payload)["verdict"] == "complete"
+
+
+def test_census_logs_one_table_build_per_context(caplog):
+    plain = {(p, n): json.dumps(census(make_field(p, n), workers=1).to_dict(), sort_keys=True)
+             for p, n in ((3, 2), (5, 2), (7, 2))}
+    with caplog.at_level(logging.DEBUG, logger="hasseforms"):
+        for (p, n), want in plain.items():
+            ctx = make_field(p, n)
+            for _ in range(2):  # the second census reuses the tables
+                report = census(ctx, workers=1)
+                assert json.dumps(report.to_dict(), sort_keys=True) == want
+    records = [r for r in caplog.records if r.name == "hasseforms"]
+    assert [r.levelno for r in records] == [logging.DEBUG] * len(plain)
+    for record, (p, n) in zip(records, plain):
+        text = record.getMessage()
+        assert f"F_{p}^{n} (q = {p**n})" in text and text.endswith(" s")
 
 
 def test_census_matches_per_class_search():

@@ -16,7 +16,7 @@ from hasseforms.curve import WeierstrassCurve
 
 def _ctx_with_tables():
     ctx = make_field(3, 2)
-    ctx._rank_tables
+    ctx._log_tables
     ctx._chi_by_rank
     return ctx
 
@@ -53,5 +53,5 @@ def test_value_types_round_trip(make):
         assert repr(clone) == repr(value)
     if make is _ctx_with_tables:
         clone = pickle.loads(pickle.dumps(value))
-        assert "_rank_tables" not in vars(clone) and "_chi_by_rank" not in vars(clone)
+        assert "_log_tables" not in vars(clone) and "_chi_by_rank" not in vars(clone)
         assert len(pickle.dumps(value)) < 100
