@@ -29,7 +29,7 @@ from .curve import WeierstrassCurve, hasse_invariant, point_count
 from .errors import InconsistencyError
 from .forms import phi, ptorsion_description, realizable_set, unit_class_of
 from .gf import FieldCtx, _is_prime, make_field
-from .search import describe_witness, find_curve_with_class, resolve_workers
+from .search import describe_witness, find_curve_with_class
 from .verify import SUITE_NAMES, run_suite
 
 
@@ -215,18 +215,17 @@ def _cmd_search(args):
 def _cmd_verify(args):
     ps = _parse_prime_range(args.p)
     ns = _parse_int_range(args.n)
-    workers = resolve_workers()
     results = []
     for p in ps:
         for n in ns:
-            results.append(run_suite(args.suite, p, n, workers=workers))
+            results.append(run_suite(args.suite, p, n))
     ok = all(r.ok for r in results)
     result = {"suites": [r.to_dict() for r in results], "ok": ok}
     lines = [r.summary_line() for r in results]
     for r in results:
         for failure in r.failures:
             lines.append(f"  FAIL {failure}")
-    params = {"suite": args.suite, "p": args.p, "n": args.n, "workers": workers}
+    params = {"suite": args.suite, "p": args.p, "n": args.n}
     return params, result, lines, 0 if ok else 1
 
 
@@ -367,8 +366,12 @@ def main(argv=None) -> int:
     else:
         text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

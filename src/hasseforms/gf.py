@@ -168,9 +168,10 @@ class FieldCtx:
 
     def _find_modulus(self) -> tuple[int, ...]:
         # first monic irreducible of degree n in lex order on
-        # (constant, ..., leading-1 coefficient)
+        # (constant, ..., leading-1 coefficient); ranks below p**(n-1)
+        # have constant term 0, so t divides them
         p, n = self.p, self.n
-        for rank in range(p**n):
+        for rank in range(p ** (n - 1), p**n):
             free = self._tuple_from_rank(rank)
             cand = free + (1,)
             if _is_irreducible_ints(cand, p):

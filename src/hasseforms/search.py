@@ -6,17 +6,12 @@ skipped.  A class h is "hit" by a curve when the norm-style residue of
 its Hasse invariant equals h; the first hit in enumeration order is the
 witness recorded for h.
 
-The census partitions the enumeration index space into fixed-size chunks
-and consumes per-chunk results strictly in chunk order, so the report is
-identical whether chunks are scanned inline or by a pool of worker
-threads.  The HASSE_FORMS_THREADS environment variable caps how many
-workers are used.
+The census scans the enumeration index space once, on one thread, in
+enumeration order, and stops as soon as every wanted class has a witness.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator
@@ -35,11 +30,7 @@ __all__ = [
     "ClassEntry",
     "RealizabilityReport",
     "census",
-    "resolve_workers",
 ]
-
-CHUNK = 256
-ENV_THREADS = "HASSE_FORMS_THREADS"
 
 
 def admissible_traces(q: int, h: int, p: int | None = None) -> frozenset[int]:
@@ -55,26 +46,6 @@ def admissible_traces(q: int, h: int, p: int | None = None) -> frozenset[int]:
     bound = isqrt(4 * q - 1)
     target = h % p
     return frozenset(b for b in range(-bound, bound + 1) if b and b % p == target)
-
-
-def resolve_workers(requested: int | None = None) -> int:
-    """Worker count after applying the HASSE_FORMS_THREADS cap."""
-    cap_raw = os.environ.get(ENV_THREADS)
-    cap = None
-    if cap_raw is not None:
-        try:
-            cap = int(cap_raw)
-        except ValueError:
-            raise ValueError(
-                f"{ENV_THREADS} must be a positive integer, got {cap_raw!r}")
-        if cap < 1:
-            raise ValueError(
-                f"{ENV_THREADS} must be a positive integer, got {cap_raw!r}")
-    if requested is not None and requested < 1:
-        raise ValueError(f"worker count must be >= 1, got {requested}")
-    if requested is None:
-        return cap if cap is not None else 1
-    return min(requested, cap) if cap is not None else requested
 
 
 def _index_space(ctx: FieldCtx) -> int:
@@ -204,21 +175,6 @@ class RealizabilityReport:
         }
 
 
-def _scan_chunk(ctx: FieldCtx, lo: int, hi: int, wanted: frozenset[int]) -> dict[int, int]:
-    """First curve index per wanted residue within [lo, hi)."""
-    out: dict[int, int] = {}
-    for idx in range(lo, hi):
-        curve = _curve_at(ctx, idx)
-        if curve is None:
-            continue
-        r = _hasse_residue(curve)
-        if r in wanted and r not in out:
-            out[r] = idx
-            if len(out) == len(wanted):
-                break
-    return out
-
-
 def describe_witness(curve: WeierstrassCurve, h: int) -> WitnessRecord:
     """Recompute everything about a candidate curve and cross-check it.
 
@@ -251,12 +207,13 @@ def _validate_witness(ctx: FieldCtx, idx: int, h: int) -> WitnessRecord:
     return describe_witness(curve, h)
 
 
-def census(ctx: FieldCtx, workers: int | None = None) -> RealizabilityReport:
+def census(ctx: FieldCtx) -> RealizabilityReport:
     """Find a first witness for every realizable class over ctx.
 
     Classes whose admissible trace set is empty are declared missing up
-    front; the rest are searched by a chunked sweep of the curve
-    enumeration.  Each recorded witness is revalidated from scratch, and
+    front; the rest are searched by one sweep of the curve enumeration in
+    order, keeping the first index per class and stopping once every
+    class is hit.  Each recorded witness is revalidated from scratch, and
     the final realizable set must agree with the interval formula or an
     InconsistencyError is raised.
     """
@@ -265,44 +222,18 @@ def census(ctx: FieldCtx, workers: int | None = None) -> RealizabilityReport:
         raise FieldTooLargeError(
             f"census over F_{q} exceeds the {SWEEP_MAX} guard")
     residues = range(1, p)
-    shortcut_missing = frozenset(
-        h for h in residues if not admissible_traces(q, h, p))
-    wanted = frozenset(h for h in residues if h not in shortcut_missing)
-    total = _index_space(ctx)
-    nworkers = resolve_workers(workers)
+    wanted = frozenset(h for h in residues if admissible_traces(q, h, p))
 
     found: dict[int, int] = {}
-
-    def consume(chunk_result: dict[int, int]) -> None:
-        for h, idx in chunk_result.items():
-            if h not in found:
-                found[h] = idx
-
-    starts = range(0, total, CHUNK)
-    if nworkers <= 1:
-        for lo in starts:
+    for idx in range(_index_space(ctx)):
+        curve = _curve_at(ctx, idx)
+        if curve is None:
+            continue
+        r = _hasse_residue(curve)
+        if r in wanted and r not in found:
+            found[r] = idx
             if len(found) == len(wanted):
                 break
-            consume(_scan_chunk(ctx, lo, min(lo + CHUNK, total), wanted))
-    else:
-        window = nworkers + 1
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            pending = []
-            it = iter(starts)
-            done = False
-            while pending or not done:
-                while not done and len(pending) < window:
-                    lo = next(it, None)
-                    if lo is None:
-                        done = True
-                        break
-                    pending.append(pool.submit(
-                        _scan_chunk, ctx, lo, min(lo + CHUNK, total), wanted))
-                if not pending:
-                    break
-                consume(pending.pop(0).result())
-                if len(found) == len(wanted):
-                    break
 
     entries = []
     for h in residues:
@@ -313,7 +244,7 @@ def census(ctx: FieldCtx, workers: int | None = None) -> RealizabilityReport:
     missing = tuple(h for h in residues if h not in found)
 
     formula = realizable_set(p, q)
-    swept = frozenset(h for h in residues if h in found)
+    swept = frozenset(found)
     if swept != formula:
         raise InconsistencyError(
             f"census over {ctx} found classes {sorted(swept)} but the trace "

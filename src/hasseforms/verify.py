@@ -202,11 +202,11 @@ def _suite_etale(res: SuiteResult, ctx: FieldCtx) -> None:
                   "%r: etale degrees %r but class order %d", curve, degrees, d)
 
 
-def _suite_census(res: SuiteResult, ctx: FieldCtx, workers: int | None) -> None:
+def _suite_census(res: SuiteResult, ctx: FieldCtx) -> None:
     """Full census vs the interval formula, plus a no-shortcut audit."""
     p, q = ctx.p, ctx.q
     try:
-        report = census(ctx, workers=workers)
+        report = census(ctx)
     except InconsistencyError as exc:
         res.check(False, str(exc))
         return
@@ -234,7 +234,7 @@ def _suite_census(res: SuiteResult, ctx: FieldCtx, workers: int | None) -> None:
     res.detail = report.to_dict()
 
 
-def run_suite(name: str, p: int, n: int = 1, workers: int | None = None) -> SuiteResult:
+def run_suite(name: str, p: int, n: int = 1) -> SuiteResult:
     """Run one named suite over F_{p^n} and collect its verdict."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
@@ -258,5 +258,5 @@ def run_suite(name: str, p: int, n: int = 1, workers: int | None = None) -> Suit
     elif name == "etale":
         _suite_etale(res, ctx)
     elif name == "census":
-        _suite_census(res, ctx, workers)
+        _suite_census(res, ctx)
     return res

@@ -13,7 +13,6 @@ that were derived by hand.
 """
 
 import json
-import os
 import time
 
 import pytest
@@ -232,31 +231,29 @@ def test_ac12_ordinariness_two_routes():
     _report(12, "ordinariness-two-routes", time.perf_counter() - t0, 5.0, ok)
 
 
-def test_ac13_census_determinism(tmp_path, monkeypatch):
-    """Serial and maximally parallel censuses emit byte-identical reports."""
+def test_ac13_census_determinism(tmp_path):
+    """Repeated censuses, library and CLI, emit byte-identical reports."""
     t0 = time.perf_counter()
-    ctx = make_field(19, 2)
     blobs = []
-    for workers in (1, max(2, os.cpu_count() or 2)):
-        report = census(ctx, workers=workers)
+    for _ in range(2):
+        report = census(make_field(19, 2))
         blobs.append(json.dumps(report.to_dict(), sort_keys=True,
                                 separators=(",", ":")).encode())
     ok = blobs[0] == blobs[1]
 
     envelopes = []
-    for threads in ("1", str(max(2, os.cpu_count() or 2))):
-        out = tmp_path / f"census-{threads}.json"
-        monkeypatch.setenv("HASSE_FORMS_THREADS", threads)
+    for run in range(2):
+        out = tmp_path / f"census-{run}.json"
         rc = cli_main(["verify", "--suite", "census", "-p", "19", "-n", "2",
                        "--json", "--out", str(out)])
         ok = ok and rc == 0
         payload = json.loads(out.read_text())
         payload.pop("timing-ms")
-        payload["params"].pop("workers")
+        ok = ok and set(payload["params"]) == {"suite", "p", "n"}
+        ok = ok and payload["result"]["suites"][0]["detail"] == report.to_dict()
         envelopes.append(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode())
     ok = ok and envelopes[0] == envelopes[1]
     _report(13, "census-determinism", time.perf_counter() - t0, 30.0, ok)
-
 
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-s"]))

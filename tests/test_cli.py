@@ -21,11 +21,6 @@ def run_cli(*args):
     return rc, out.getvalue(), err.getvalue()
 
 
-@pytest.fixture(autouse=True)
-def _clean_thread_env(monkeypatch):
-    monkeypatch.delenv("HASSE_FORMS_THREADS", raising=False)
-
-
 def test_hasse_json_golden():
     rc, out, err = run_cli("hasse", "-p", "5", "-a4", "1", "-a6", "1", "--json")
     assert rc == 0 and err == ""
@@ -199,6 +194,15 @@ def test_hasse_beyond_sweep_guard_fails_fast():
     assert elapsed < 1.0, f"hasse -p 1048583 took {elapsed:.2f}s, budget 1s"
 
 
+def test_hasse_large_extension_fails_fast():
+    # q = 3**16 is past the sweep guard; building the field must not stall
+    rc, _, err, elapsed = _timed_cli("hasse", "-p", "3", "-n", "16",
+                                     "-a2", "1", "-a4", "1", "-a6", "1")
+    assert rc == 2
+    assert "2**20" in err
+    assert elapsed < 2.0, f"hasse -p 3 -n 16 took {elapsed:.2f}s, budget 2s"
+
+
 def test_realizable_large_degree_within_budget():
     rc, out, _, elapsed = _timed_cli("realizable", "-p", "3", "-n", "40", "--json")
     assert rc == 0
@@ -245,6 +249,16 @@ def test_out_file_human(tmp_path):
     assert rc == 0
     assert out == ""
     assert "points: 9" in target.read_text()
+
+
+def test_out_file_unwritable(tmp_path):
+    target = tmp_path / "missing" / "out.json"
+    rc, out, err = run_cli("hasse", "-p", "5", "-a4", "1", "-a6", "1", "--json",
+                           "--out", str(target))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and str(target) in err
+    assert "Traceback" not in err
+    assert not target.exists()
 
 
 def test_module_entry_point():

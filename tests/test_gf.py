@@ -16,6 +16,7 @@ from hasseforms import (
     quadratic_character,
 )
 from hasseforms.curve import WeierstrassCurve
+from hasseforms.gf import _is_irreducible_ints, _is_prime
 from hasseforms.errors import (
     CtxMismatchError,
     DegreeTooLargeError,
@@ -27,6 +28,8 @@ from hasseforms.errors import (
 )
 
 TABLE_FIELDS = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (5, 3)]
+EXTENSION_FIELDS_TO_3000 = [(p, n) for p in range(3, 55) if _is_prime(p)
+                            for n in range(2, 8) if p**n <= 3000]
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +87,17 @@ def test_modulus_is_monic_without_roots(p, n):
         for coef in reversed(c):
             acc = (acc * x + coef) % p
         assert acc != 0
+
+
+@pytest.mark.parametrize("p,n", EXTENSION_FIELDS_TO_3000)
+def test_modulus_matches_full_lex_scan(p, n):
+    # reference: the first irreducible from lex rank 0, constant term most
+    # significant, with no block of candidates skipped
+    for rank in range(p**n):
+        cand = tuple(rank // p ** (n - 1 - i) % p for i in range(n)) + (1,)
+        if _is_irreducible_ints(cand, p):
+            break
+    assert make_field(p, n).modulus == cand
 
 
 def test_element_iteration_is_rank_order(f9, f25):

@@ -19,7 +19,6 @@ from hasseforms import (
     realizable_set,
 )
 from hasseforms.curve import WeierstrassCurve, discriminant_general
-from hasseforms.search import resolve_workers
 
 
 def test_admissible_traces_frozen():
@@ -137,13 +136,13 @@ def test_census_extension_field():
 
 
 def test_census_logs_one_table_build_per_context(caplog):
-    plain = {(p, n): json.dumps(census(make_field(p, n), workers=1).to_dict(), sort_keys=True)
+    plain = {(p, n): json.dumps(census(make_field(p, n)).to_dict(), sort_keys=True)
              for p, n in ((3, 2), (5, 2), (7, 2))}
     with caplog.at_level(logging.DEBUG, logger="hasseforms"):
         for (p, n), want in plain.items():
             ctx = make_field(p, n)
             for _ in range(2):  # the second census reuses the tables
-                report = census(ctx, workers=1)
+                report = census(ctx)
                 assert json.dumps(report.to_dict(), sort_keys=True) == want
     records = [r for r in caplog.records if r.name == "hasseforms"]
     assert [r.levelno for r in records] == [logging.DEBUG] * len(plain)
@@ -160,14 +159,6 @@ def test_census_matches_per_class_search():
         w = entry.witness
         # the witness records coefficients as little-endian tuples
         assert (ctx(tuple(w.a4)), ctx(tuple(w.a6))) == (expected.a4, expected.a6)
-
-
-def test_census_serial_parallel_identical():
-    ctx = make_field(23)
-    serial = census(ctx, workers=1)
-    parallel = census(ctx, workers=4)
-    assert json.dumps(serial.to_dict(), sort_keys=True) == json.dumps(
-        parallel.to_dict(), sort_keys=True)
 
 
 @pytest.mark.parametrize("p", [3, 7, 19, 23])
@@ -193,27 +184,3 @@ def test_sweeps_guarded_on_oversized_fields():
     with pytest.raises(FieldTooLargeError):
         find_curve_with_class(big, 1)
 
-
-def test_resolve_workers_defaults(monkeypatch):
-    monkeypatch.delenv("HASSE_FORMS_THREADS", raising=False)
-    assert resolve_workers() == 1
-    assert resolve_workers(6) == 6
-
-
-def test_resolve_workers_env_cap(monkeypatch):
-    monkeypatch.setenv("HASSE_FORMS_THREADS", "2")
-    assert resolve_workers() == 2
-    assert resolve_workers(8) == 2
-    assert resolve_workers(1) == 1
-
-
-def test_resolve_workers_rejects_bad_values(monkeypatch):
-    monkeypatch.setenv("HASSE_FORMS_THREADS", "zero")
-    with pytest.raises(ValueError):
-        resolve_workers()
-    monkeypatch.setenv("HASSE_FORMS_THREADS", "0")
-    with pytest.raises(ValueError):
-        resolve_workers()
-    monkeypatch.delenv("HASSE_FORMS_THREADS")
-    with pytest.raises(ValueError):
-        resolve_workers(0)
