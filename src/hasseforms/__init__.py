@@ -21,7 +21,6 @@ from .curve import (
 from .errors import (
     BadCongruenceError,
     CtxMismatchError,
-    DegreeTooLargeError,
     EvenCharacteristicError,
     FieldTooLargeError,
     InconsistencyError,
@@ -78,8 +77,8 @@ __all__ = [
     "admissible_traces", "iter_curves", "find_curve_with_class",
     "describe_witness", "WitnessRecord", "RealizabilityReport", "census",
     "SuiteResult", "SUITE_NAMES", "run_suite",
-    "NotPrimeError", "EvenCharacteristicError", "DegreeTooLargeError",
-    "FieldTooLargeError", "CtxMismatchError", "ZeroPolynomialError",
-    "SingularModelError", "ZeroElementError", "ZeroTwistParameterError",
-    "WrongJInvariantError", "BadCongruenceError", "InconsistencyError",
+    "NotPrimeError", "EvenCharacteristicError", "FieldTooLargeError",
+    "CtxMismatchError", "ZeroPolynomialError", "SingularModelError",
+    "ZeroElementError", "ZeroTwistParameterError", "WrongJInvariantError",
+    "BadCongruenceError", "InconsistencyError",
 ]

@@ -32,12 +32,11 @@ from functools import cache
 
 from .errors import (
     BadCongruenceError,
-    FieldTooLargeError,
     SingularModelError,
     WrongJInvariantError,
     ZeroTwistParameterError,
 )
-from .gf import SWEEP_MAX, FieldCtx, FieldElement
+from .gf import FieldCtx, FieldElement
 from .poly import Polynomial
 
 __all__ = [
@@ -98,8 +97,8 @@ class WeierstrassCurve:
                 and self.a4 == other.a4 and self.a6 == other.a6)
 
     def __hash__(self) -> int:
-        return hash((self.ctx.p, self.ctx.n, self.a2.coeffs,
-                     self.a4.coeffs, self.a6.coeffs))
+        return hash((self.ctx.p, self.ctx.n, self.a2.rank,
+                     self.a4.rank, self.a6.rank))
 
     def __repr__(self) -> str:
         return f"WeierstrassCurve(y^2 = {_rhs_str(self.a2, self.a4, self.a6)} over F_{self.ctx.q})"
@@ -116,28 +115,25 @@ def discriminant_general(a2, a4, a6) -> FieldElement:
 
 def _discriminant(a2, a4, a6) -> FieldElement:
     # the general formula with the vanishing terms dropped; this runs on
-    # every candidate model in a sweep, so it works on raw tuples.
+    # every candidate model in a sweep, so it works on raw ranks.
     # tests pin it against discriminant_general exhaustively.
     ctx = a4.ctx
     mul = ctx._mul
     sub = ctx._sub
-    p = ctx.p
-    t4, t6 = a4.coeffs, a6.coeffs
-    if p == 3:
+    r4, r6 = a4.rank, a6.rank
+    if ctx.p == 3:
         # reduces to a2^2 a4^2 - a2^3 a6 - a4^3
-        t2 = a2.coeffs
-        s2 = mul(t2, t2)
-        s4 = mul(t4, t4)
-        out = sub(sub(mul(s2, s4), mul(mul(s2, t2), t6)), mul(s4, t4))
+        r2 = a2.rank
+        s2 = mul(r2, r2)
+        s4 = mul(r4, r4)
+        out = sub(sub(mul(s2, s4), mul(mul(s2, r2), r6)), mul(s4, r4))
         return FieldElement(ctx, out)
     if a2:
         return discriminant_general(a2, a4, a6)
     # short model: -16 (4 a4^3 + 27 a6^2)
-    k4 = (-64) % p
-    k6 = (-432) % p
-    c4 = mul(mul(t4, t4), t4)
-    c6 = mul(t6, t6)
-    out = tuple((k4 * x + k6 * y) % p for x, y in zip(c4, c6))
+    k4 = ctx.element(-64).rank
+    k6 = ctx.element(-432).rank
+    out = ctx._add(mul(k4, mul(mul(r4, r4), r4)), mul(k6, mul(r6, r6)))
     return FieldElement(ctx, out)
 
 
@@ -176,7 +172,7 @@ class FrobeniusData:
 
 
 def point_count(curve: WeierstrassCurve) -> FrobeniusData:
-    """Exhaustive point count (q <= 2**20) via the quadratic character.
+    """Exhaustive point count via the quadratic character.
 
     Each affine x contributes 1 + chi(f(x)) points, plus one at infinity.
     Over F_p, f(x) is evaluated on ints and chi read from a table.  Over
@@ -188,16 +184,13 @@ def point_count(curve: WeierstrassCurve) -> FrobeniusData:
     """
     ctx = curve.ctx
     q = ctx.q
-    if q > SWEEP_MAX:
-        raise FieldTooLargeError(
-            f"point counting sweeps the field and needs q <= 2**20, got {q}")
     if ctx.n == 1:
         chi = ctx._chi_by_rank
         p = ctx.p
-        b = curve.a4.coeffs[0]
-        c = curve.a6.coeffs[0]
+        b = curve.a4.rank
+        c = curve.a6.rank
         if curve.a2:
-            a = curve.a2.coeffs[0]
+            a = curve.a2.rank
             s = sum(chi[(((x + a) * x + b) * x + c) % p] for x in range(p))
         else:
             s = sum(chi[(x * x * x + b * x + c) % p] for x in range(p))
@@ -264,13 +257,12 @@ def hasse_invariant(curve: WeierstrassCurve, level: str = "p") -> FieldElement:
     if p == 3:
         a = curve.a2
     else:
-        mul, pw = ctx._mul, ctx._pow
-        a4, a6 = curve.a4.coeffs, curve.a6.coeffs
-        acc = [0] * ctx.n
+        add, mul, pw = ctx._add, ctx._mul, ctx._pow
+        a4, a6, unit = curve.a4.rank, curve.a6.rank, ctx.one.rank
+        acc = 0
         for j, k, c in _hasse_terms(p):
-            term = mul(pw(a4, j), pw(a6, k))
-            acc = [x + c * y for x, y in zip(acc, term)]
-        a = FieldElement(ctx, tuple(x % p for x in acc))
+            acc = add(acc, mul(c * unit, mul(pw(a4, j), pw(a6, k))))
+        a = FieldElement(ctx, acc)
     return a if level == "p" else a ** ((ctx.q - 1) // (p - 1))
 
 

@@ -14,12 +14,8 @@ class EvenCharacteristicError(ValueError):
     """Characteristic 2 is outside the supported range."""
 
 
-class DegreeTooLargeError(ValueError):
-    """p**n exceeds the construction guard of 2**32."""
-
-
 class FieldTooLargeError(ValueError):
-    """The field is too big for an exhaustive sweep (guard: 2**20)."""
+    """q = p**n exceeds 2**20; raised when the field is constructed."""
 
 
 class CtxMismatchError(ValueError):

@@ -3,28 +3,28 @@
 A FieldCtx models F_{p^n} as F_p[t] modulo the lexicographically smallest
 monic irreducible polynomial of degree n, so two contexts built from the
 same (p, n) agree coefficient for coefficient, print identically and hash
-identically.  Elements are immutable coefficient vectors of length n over
-F_p, constant term first.
+identically.
 
 The lex order used throughout ranks an element by its coefficient tuple
 read from the constant term down, i.e. rank(x) = sum(c_i * p**(n-1-i)).
 Enumeration, generator selection and every "first match wins" rule in the
-rest of the package build on this single ordering.
+rest of the package build on this single ordering.  An element is stored
+as its rank alone; the coefficient tuple is derived for printing.
 
-Arithmetic.  Over F_p (n = 1) elements are built-in ints.  Over F_q with
-n > 1 and q <= 2**20, a product, power or inverse is one round trip
-through lazily built exp/log tables over lex ranks, indexed by the
-exponent e of the canonical generator g: exp[e] = rank(g^e), log[rank] =
-e, and the Zech logarithm zech[e] = log(1 + g^e) (Lidl and Niederreiter,
-Finite Fields, ch. 9).  Each table holds O(q) machine integers.  The
-convolution product and square-and-multiply power are the construction
-route (generator search and the exp build), the route for q > 2**20, and
-the reference the tests audit the tables against.
+Arithmetic.  Over F_p (n = 1) the rank is the value: built-in ints.  Over
+F_q with n > 1 it reads lazily built exp/log tables over lex ranks,
+indexed by the exponent e of the canonical generator g: exp[e] =
+rank(g^e), log[rank] = e, and the Zech logarithm zech[e] = log(1 + g^e)
+(Lidl and Niederreiter, Finite Fields, ch. 9).  Products, powers and
+inverses act on logarithms, a + b = g^(log a + zech[log b - log a]), and
+negation adds (q-1)/2 to the logarithm.  Each table holds O(q) machine
+integers.  The convolution product and power on coefficient tuples are
+the construction route (generator search, the exp build) and the
+reference the tests audit the tables against.
 
-Scale guard: q = p**n must stay below 2**32 at construction time; the
-tables, discrete logarithms and every per-element sweep need q <= 2**20.
-All of this is plain integer arithmetic on small objects; none of it is
-constant time and none of it is meant for cryptographic use.
+Scale guard: a context refuses q = p**n > 2**20 before any modulus
+search, so every field that exists has its tables.  None of this is
+constant time or meant for cryptographic use.
 """
 
 from __future__ import annotations
@@ -38,15 +38,13 @@ from typing import Iterator, Sequence, Union
 
 from .errors import (
     CtxMismatchError,
-    DegreeTooLargeError,
     EvenCharacteristicError,
     FieldTooLargeError,
     NotPrimeError,
     ZeroElementError,
 )
 
-MAX_ORDER = 2**32
-SWEEP_MAX = 2**20       # exhaustive per-element sweeps and log tables stop here
+SWEEP_MAX = 2**20       # the largest field order a context accepts
 
 logger = logging.getLogger("hasseforms")
 
@@ -128,13 +126,11 @@ class FieldCtx:
     Two contexts compare equal iff they have the same (p, n); the modulus
     is then forced to be identical by the deterministic search.
 
-    For q <= 2**20 the first product, power, inverse, discrete logarithm
-    or point count builds _log_tables, the exp/log/Zech tables over lex
-    ranks (about 12 bytes per element), from the lex-smallest generator.
-    Prime fields multiply built-in ints and use the tables only for
-    logarithms and the quadratic character.  Beyond 2**20 arithmetic
-    stays on the convolution route and table readers raise
-    FieldTooLargeError.
+    The kernels _add, _sub, _neg, _mul, _pow and _inv map lex ranks to
+    lex ranks.  The first use of _log_tables (the exp/log/Zech tables,
+    about 12 bytes per element) builds them from the lex-smallest
+    generator; prime fields read them only for logarithms and the
+    quadratic character.  q > 2**20 raises FieldTooLargeError.
     """
 
     def __init__(self, p: int, n: int = 1):
@@ -143,14 +139,17 @@ class FieldCtx:
         if p == 2:
             raise EvenCharacteristicError(
                 "characteristic 2 is not supported; use an odd prime")
-        if not _is_prime(p):
-            raise NotPrimeError(f"characteristic must be prime, got {p}")
         if n < 1:
             raise ValueError(f"extension degree must be >= 1, got {n}")
         q = p**n
-        if q > MAX_ORDER:
-            raise DegreeTooLargeError(
-                f"field order p**n = {q} exceeds the 2**32 guard")
+        # the size guard runs before the primality test, which trial-divides p
+        if p > 2 and q > SWEEP_MAX:
+            name = f"F_{p}" if n == 1 else f"F_{p}^{n}"
+            raise FieldTooLargeError(
+                f"{name} is too large: fields need q = p**n <= 2**20 "
+                "for their log tables and sweeps")
+        if not _is_prime(p):
+            raise NotPrimeError(f"characteristic must be prime, got {p}")
         self.p = p
         self.n = n
         self.q = q
@@ -190,19 +189,7 @@ class FieldCtx:
             rows.append(row)
         return tuple(rows)
 
-    # -- raw coefficient-tuple kernels ----------------------------------
-
-    def _add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def _sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def _neg(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
+    # -- construction and reference route on coefficient tuples ---------
 
     def _conv_mul(self, a, b):
         # schoolbook convolution reduced by the stored rows
@@ -235,37 +222,58 @@ class FieldCtx:
     def _rank(self, a) -> int:
         return sum(map(mul, a, self._weights))
 
-    def _mul(self, a, b):
-        if self.n == 1:
-            return ((a[0] * b[0]) % self.p,)
-        if self.q > SWEEP_MAX:
-            return self._conv_mul(a, b)
-        exp, log, _ = self._log_tables
-        ra, rb = self._rank(a), self._rank(b)
-        if not (ra and rb):
-            return self.zero.coeffs
-        return self._tuple_from_rank(exp[(log[ra] + log[rb]) % (self.q - 1)])
+    def _tuple_from_rank(self, rank: int) -> tuple[int, ...]:
+        p = self.p
+        return tuple([rank // w % p for w in self._weights])
 
-    def _pow(self, a, e: int):
-        if self.n == 1:
-            return (pow(a[0], e, self.p),)
-        if self.q > SWEEP_MAX:
-            return self._conv_pow(a, e)
-        exp, log, _ = self._log_tables
-        ra = self._rank(a)
-        if not ra:
-            return (self.zero if e else self.one).coeffs
-        return self._tuple_from_rank(exp[log[ra] * e % (self.q - 1)])
+    # -- rank kernels ----------------------------------------------------
 
-    def _inv(self, a):
-        if not any(a):
+    def _add(self, a: int, b: int) -> int:
+        if self.n == 1:
+            return (a + b) % self.p
+        if not (a and b):
+            return a or b
+        exp, log, zech = self._log_tables
+        order = self.q - 1
+        la = log[a]
+        z = zech[(log[b] - la) % order]
+        return 0 if z < 0 else exp[(la + z) % order]
+
+    def _neg(self, a: int) -> int:
+        if self.n == 1:
+            return -a % self.p
+        if not a:
+            return 0
+        exp, log, _ = self._log_tables
+        order = self.q - 1
+        return exp[(log[a] + order // 2) % order]
+
+    def _sub(self, a: int, b: int) -> int:
+        return self._add(a, self._neg(b))
+
+    def _mul(self, a: int, b: int) -> int:
+        if self.n == 1:
+            return a * b % self.p
+        if not (a and b):
+            return 0
+        exp, log, _ = self._log_tables
+        return exp[(log[a] + log[b]) % (self.q - 1)]
+
+    def _pow(self, a: int, e: int) -> int:
+        if self.n == 1:
+            return pow(a, e, self.p)
+        if not a:
+            return 0 if e else self._weights[0]
+        exp, log, _ = self._log_tables
+        return exp[log[a] * e % (self.q - 1)]
+
+    def _inv(self, a: int) -> int:
+        if not a:
             raise ZeroDivisionError(f"division by zero in {self}")
         if self.n == 1:
-            return (pow(a[0], self.p - 2, self.p),)
-        if self.q > SWEEP_MAX:
-            return self._conv_pow(a, self.q - 2)
+            return pow(a, self.p - 2, self.p)
         exp, log, _ = self._log_tables
-        return self._tuple_from_rank(exp[-log[self._rank(a)] % (self.q - 1)])
+        return exp[-log[a] % (self.q - 1)]
 
     # -- element construction and enumeration ---------------------------
 
@@ -277,38 +285,33 @@ class FieldCtx:
                     f"element of {value.ctx} used in {self}")
             return value
         if isinstance(value, int):
-            return FieldElement(self, (value % self.p,) + (0,) * (self.n - 1))
+            return FieldElement(self, value % self.p * self._weights[0])
         coeffs = [int(c) % self.p for c in value]
         if len(coeffs) > self.n:
             raise ValueError(
                 f"{len(coeffs)} coefficients given but {self} has degree {self.n}")
-        coeffs += [0] * (self.n - len(coeffs))
-        return FieldElement(self, tuple(coeffs))
+        return FieldElement(self, self._rank(coeffs))
 
     def __call__(self, value: CoeffsLike) -> "FieldElement":
         return self.element(value)
 
-    def _tuple_from_rank(self, rank: int) -> tuple[int, ...]:
-        p = self.p
-        return tuple([rank // w % p for w in self._weights])
-
     def from_rank(self, rank: int) -> "FieldElement":
         if not 0 <= rank < self.q:
             raise ValueError(f"rank {rank} out of range for {self}")
-        return FieldElement(self, self._tuple_from_rank(rank))
+        return FieldElement(self, rank)
 
     def iter_elements(self) -> Iterator["FieldElement"]:
         """All q elements in lex order, starting with zero."""
         for rank in range(self.q):
-            yield FieldElement(self, self._tuple_from_rank(rank))
+            yield FieldElement(self, rank)
 
     @cached_property
     def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.n)
+        return FieldElement(self, 0)
 
     @cached_property
     def one(self) -> "FieldElement":
-        return FieldElement(self, (1,) + (0,) * (self.n - 1))
+        return FieldElement(self, self._weights[0])
 
     @cached_property
     def generator(self) -> "FieldElement":
@@ -332,9 +335,6 @@ class FieldCtx:
         zero; zech[e] = log(1 + g^e), with -1 where 1 + g^e = 0.
         """
         q = self.q
-        if q > SWEEP_MAX:
-            raise FieldTooLargeError(
-                f"log tables need q <= 2**20, got q = {q}")
         t0 = time.perf_counter()
         p, n, order = self.p, self.n, q - 1
         g = self.generator.coeffs
@@ -383,9 +383,9 @@ class FieldCtx:
         return table
 
     def gen_pow(self, e: int) -> "FieldElement":
-        """generator**e, read from the exp table (q <= 2**20)."""
+        """generator**e, read from the exp table."""
         exp, _, _ = self._log_tables
-        return FieldElement(self, self._tuple_from_rank(exp[e % (self.q - 1)]))
+        return FieldElement(self, exp[e % (self.q - 1)])
 
     # -- identity and printing ------------------------------------------
 
@@ -426,25 +426,29 @@ class FieldCtx:
 
 
 class FieldElement:
-    """An element of a FieldCtx, stored as a reduced coefficient tuple.
+    """An element of a FieldCtx, stored as its lex rank; coeffs derives it.
 
     Arithmetic accepts plain ints on either side (coerced through the
     prime subfield) and refuses to mix distinct contexts.
     """
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "rank")
 
-    def __init__(self, ctx: FieldCtx, coeffs: tuple[int, ...]):
-        # assumes coeffs are already reduced; go through ctx.element()
-        # when normalisation is needed
+    def __init__(self, ctx: FieldCtx, rank: int):
+        # assumes 0 <= rank < q; go through ctx.element() or
+        # ctx.from_rank() when normalisation or a check is needed
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "rank", rank)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
 
     def __reduce__(self):
-        return (FieldElement, (self.ctx, self.coeffs))
+        return (FieldElement, (self.ctx, self.rank))
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        return self.ctx._tuple_from_rank(self.rank)
 
     def _coerce(self, other) -> "FieldElement | None":
         if isinstance(other, FieldElement):
@@ -462,7 +466,7 @@ class FieldElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return FieldElement(self.ctx, self.ctx._add(self.coeffs, other.coeffs))
+        return FieldElement(self.ctx, self.ctx._add(self.rank, other.rank))
 
     __radd__ = __add__
 
@@ -470,19 +474,19 @@ class FieldElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return FieldElement(self.ctx, self.ctx._sub(self.coeffs, other.coeffs))
+        return FieldElement(self.ctx, self.ctx._sub(self.rank, other.rank))
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return FieldElement(self.ctx, self.ctx._sub(other.coeffs, self.coeffs))
+        return FieldElement(self.ctx, self.ctx._sub(other.rank, self.rank))
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return FieldElement(self.ctx, self.ctx._mul(self.coeffs, other.coeffs))
+        return FieldElement(self.ctx, self.ctx._mul(self.rank, other.rank))
 
     __rmul__ = __mul__
 
@@ -490,58 +494,54 @@ class FieldElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return FieldElement(self.ctx, self.ctx._mul(self.coeffs, self.ctx._inv(other.coeffs)))
+        return FieldElement(self.ctx, self.ctx._mul(self.rank, self.ctx._inv(other.rank)))
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return FieldElement(self.ctx, self.ctx._mul(other.coeffs, self.ctx._inv(self.coeffs)))
+        return FieldElement(self.ctx, self.ctx._mul(other.rank, self.ctx._inv(self.rank)))
 
     def __neg__(self):
-        return FieldElement(self.ctx, self.ctx._neg(self.coeffs))
+        return FieldElement(self.ctx, self.ctx._neg(self.rank))
 
     def __pow__(self, e):
         if not isinstance(e, int):
             return NotImplemented
         if e < 0:
-            return FieldElement(self.ctx, self.ctx._pow(self.ctx._inv(self.coeffs), -e))
-        return FieldElement(self.ctx, self.ctx._pow(self.coeffs, e))
+            return FieldElement(self.ctx, self.ctx._pow(self.ctx._inv(self.rank), -e))
+        return FieldElement(self.ctx, self.ctx._pow(self.rank, e))
 
     def inverse(self) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx._inv(self.coeffs))
+        return FieldElement(self.ctx, self.ctx._inv(self.rank))
 
     # -- structure -------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return self.rank != 0
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldElement):
-            return self.ctx == other.ctx and self.coeffs == other.coeffs
+            return self.ctx == other.ctx and self.rank == other.rank
         if isinstance(other, int):
-            return self.coeffs == self.ctx.element(other).coeffs
+            return self.rank == self.ctx.element(other).rank
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.ctx.p, self.ctx.n, self.coeffs))
+        return hash((self.ctx.p, self.ctx.n, self.rank))
 
     def __int__(self) -> int:
-        if any(self.coeffs[1:]):
+        # the prime subfield holds the ranks c * p**(n-1)
+        c, rest = divmod(self.rank, self.ctx._weights[0])
+        if rest:
             raise ValueError(f"{self} is not in the prime subfield")
-        return self.coeffs[0]
-
-    @property
-    def rank(self) -> int:
-        """Position in the lex enumeration of the field (zero is 0)."""
-        return self.ctx._rank(self.coeffs)
+        return c
 
     def __str__(self) -> str:
         if self.ctx.n == 1:
-            return str(self.coeffs[0])
+            return str(self.rank)
         terms = []
-        for i in range(self.ctx.n - 1, -1, -1):
-            c = self.coeffs[i]
+        for i, c in reversed(list(enumerate(self.coeffs))):
             if not c:
                 continue
             if i == 0:
@@ -585,7 +585,7 @@ def primitive_element(ctx: FieldCtx) -> FieldElement:
 
 def discrete_log(x: FieldElement) -> int:
     """Exponent e in [0, q-1) with primitive_element(ctx)**e == x, read from
-    the log table; fields beyond 2**20 raise FieldTooLargeError."""
+    the log table."""
     if not x:
         raise ZeroElementError("zero has no discrete logarithm")
     _, log, _ = x.ctx._log_tables

@@ -81,7 +81,7 @@ class Polynomial:
         return self.ctx == other.ctx and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash((self.ctx.p, self.ctx.n, tuple(c.coeffs for c in self._coeffs)))
+        return hash((self.ctx.p, self.ctx.n, tuple(c.rank for c in self._coeffs)))
 
     def __getitem__(self, i: int) -> FieldElement:
         """Coefficient of x**i; zero beyond the degree."""
@@ -217,15 +217,15 @@ class Polynomial:
         if cap < 0:
             raise ValueError("cap must be >= 0")
         ctx = self.ctx
-        result = [ctx.one.coeffs]
-        base = [c.coeffs for c in self._coeffs[: cap + 1]]
+        result = [ctx.one.rank]
+        base = [c.rank for c in self._coeffs[: cap + 1]]
         while e:
             if e & 1:
                 result = _mul_trunc(result, base, ctx, cap)
             e >>= 1
             if e:
                 base = _mul_trunc(base, base, ctx, cap)
-        return self._wrap([FieldElement(ctx, t) for t in result])
+        return self._wrap([FieldElement(ctx, r) for r in result])
 
     def to_str(self, var: str = "x") -> str:
         if not self._coeffs:
@@ -253,17 +253,17 @@ class Polynomial:
 
 
 def _mul_trunc(a, b, ctx, cap):
-    # product of two coefficient-tuple lists, degrees above cap dropped
+    # product of two lists of coefficient ranks, degrees above cap dropped
     if not a or not b:
         return []
     L = min(len(a) + len(b) - 1, cap + 1)
     mul = ctx._mul
     add = ctx._add
-    out = [ctx.zero.coeffs] * L
+    out = [0] * L
     for d, c in enumerate(b[:L]):
-        if any(c):
+        if c:
             for i, ai in enumerate(a[: L - d]):
-                if any(ai):
+                if ai:
                     out[i + d] = add(out[i + d], mul(c, ai))
     return out
 
@@ -325,14 +325,14 @@ def _mul_ints_full(a, b, p):
 
 
 def _pow_mod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
-    # modular exponentiation; over prime fields this drops to raw int
-    # lists because it is the inner loop of the distinct-degree and
-    # equal-degree splits
+    # modular exponentiation; over prime fields, where a rank is the
+    # value, this drops to raw int lists because it is the inner loop of
+    # the distinct-degree and equal-degree splits
     ctx = base.ctx
     if ctx.n == 1 and mod.is_monic:
         p = ctx.p
-        m = [c.coeffs[0] for c in mod.coeffs]
-        b = _poly_rem_ints([c.coeffs[0] for c in base.coeffs], m, p)
+        m = [c.rank for c in mod.coeffs]
+        b = _poly_rem_ints([c.rank for c in base.coeffs], m, p)
         result = [1]
         while e:
             if e & 1:

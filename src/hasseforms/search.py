@@ -8,6 +8,8 @@ witness recorded for h.
 
 The census scans the enumeration index space once, on one thread, in
 enumeration order, and stops as soon as every wanted class has a witness.
+In characteristic 3, A_3 = a2 makes the residue constant on each a2 slab,
+so the census and the shortcut witness search classify one model per slab.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from math import isqrt
 from typing import Iterator
 
 from .curve import WeierstrassCurve, hasse_invariant, point_count
-from .errors import FieldTooLargeError, InconsistencyError, SingularModelError
+from .errors import InconsistencyError, SingularModelError
 from .forms import phi, realizable_set, unit_class_of
-from .gf import SWEEP_MAX, FieldCtx, norm_to_prime, smallest_prime_factor
+from .gf import FieldCtx, norm_to_prime, smallest_prime_factor
 
 __all__ = [
     "admissible_traces",
@@ -54,15 +56,12 @@ def _index_space(ctx: FieldCtx) -> int:
 
 
 def _curve_at(ctx: FieldCtx, idx: int) -> WeierstrassCurve | None:
-    q = ctx.q
+    # idx holds the ranks of (a2, a4, a6) as base-q digits; a2 = 0 unless p = 3
+    a2r, rest = divmod(idx, ctx.q * ctx.q)
+    a4r, a6r = divmod(rest, ctx.q)
     try:
-        if ctx.p == 3:
-            a2r, rest = divmod(idx, q * q)
-            a4r, a6r = divmod(rest, q)
-            return WeierstrassCurve(ctx, ctx.from_rank(a4r), ctx.from_rank(a6r),
-                                    a2=ctx.from_rank(a2r))
-        a4r, a6r = divmod(idx, q)
-        return WeierstrassCurve(ctx, ctx.from_rank(a4r), ctx.from_rank(a6r))
+        return WeierstrassCurve(ctx, ctx.from_rank(a4r), ctx.from_rank(a6r),
+                                a2=ctx.from_rank(a2r))
     except SingularModelError:
         return None
 
@@ -81,26 +80,37 @@ def _hasse_residue(curve: WeierstrassCurve) -> int:
     return int(norm_to_prime(a)) if a else 0
 
 
+def _classified(ctx: FieldCtx) -> Iterator[tuple[int, WeierstrassCurve, int]]:
+    # (index, curve, residue) of the nonsingular models in enumeration
+    # order, only the first of each a2 slab in characteristic 3
+    slab = ctx.q * ctx.q if ctx.p == 3 else 1
+    idx, end = 0, _index_space(ctx)
+    while idx < end:
+        curve = _curve_at(ctx, idx)
+        if curve is None:
+            idx += 1
+            continue
+        yield idx, curve, _hasse_residue(curve)
+        idx = (idx // slab + 1) * slab
+
+
 def find_curve_with_class(ctx: FieldCtx, h: int, *,
                           use_trace_shortcut: bool = True) -> WeierstrassCurve | None:
     """First curve in enumeration order whose kernel class maps to h.
 
     With the shortcut on, an empty admissible trace set answers None
-    without touching a single curve; the exhaustive route gives the same
-    answer and exists precisely so the shortcut can be audited.
+    without touching a single curve, and in characteristic 3 one model
+    per a2 slab is classified (A_3 = a2); the exhaustive route gives the
+    same answer and exists precisely so the shortcuts can be audited.
     """
     p = ctx.p
-    if ctx.q > SWEEP_MAX:
-        raise FieldTooLargeError(
-            f"curve sweep over F_{ctx.q} exceeds the {SWEEP_MAX} guard")
     if not isinstance(h, int) or not 1 <= h <= p - 1:
         raise ValueError(f"h must be an integer in 1..{p - 1}, got {h}")
-    if use_trace_shortcut and not admissible_traces(ctx.q, h, p):
+    if not use_trace_shortcut:
+        return next((c for c in iter_curves(ctx) if _hasse_residue(c) == h), None)
+    if not admissible_traces(ctx.q, h, p):
         return None
-    for curve in iter_curves(ctx):
-        if _hasse_residue(curve) == h:
-            return curve
-    return None
+    return next((c for _, c, r in _classified(ctx) if r == h), None)
 
 
 @dataclass(frozen=True)
@@ -213,23 +223,17 @@ def census(ctx: FieldCtx) -> RealizabilityReport:
     Classes whose admissible trace set is empty are declared missing up
     front; the rest are searched by one sweep of the curve enumeration in
     order, keeping the first index per class and stopping once every
-    class is hit.  Each recorded witness is revalidated from scratch, and
-    the final realizable set must agree with the interval formula or an
+    class is hit; in characteristic 3 it classifies one model per a2
+    slab.  Each recorded witness is revalidated from scratch, and the
+    final realizable set must agree with the interval formula or an
     InconsistencyError is raised.
     """
     p, q = ctx.p, ctx.q
-    if q > SWEEP_MAX:
-        raise FieldTooLargeError(
-            f"census over F_{q} exceeds the {SWEEP_MAX} guard")
     residues = range(1, p)
     wanted = frozenset(h for h in residues if admissible_traces(q, h, p))
 
     found: dict[int, int] = {}
-    for idx in range(_index_space(ctx)):
-        curve = _curve_at(ctx, idx)
-        if curve is None:
-            continue
-        r = _hasse_residue(curve)
+    for idx, _, r in _classified(ctx):
         if r in wanted and r not in found:
             found[r] = idx
             if len(found) == len(wanted):

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from hasseforms import describe_witness, find_curve_with_class, make_field
+from hasseforms import WeierstrassCurve, describe_witness, find_curve_with_class, make_field
 from hasseforms.cli import main
 
 
@@ -194,13 +194,29 @@ def test_hasse_beyond_sweep_guard_fails_fast():
     assert elapsed < 1.0, f"hasse -p 1048583 took {elapsed:.2f}s, budget 1s"
 
 
-def test_hasse_large_extension_fails_fast():
-    # q = 3**16 is past the sweep guard; building the field must not stall
-    rc, _, err, elapsed = _timed_cli("hasse", "-p", "3", "-n", "16",
-                                     "-a2", "1", "-a4", "1", "-a6", "1")
+@pytest.mark.parametrize("args", [
+    ("hasse", "-p", "3", "-n", "20", "-a2", "1", "-a4", "1", "-a6", "1"),
+    ("hasse", "-p", "65521", "-n", "2", "-a4", "1", "-a6", "1"),
+    ("ptorsion", "-p", "3", "-n", "13", "-a4", "1", "-a6", "1"),
+    ("search", "-p", "1031", "-n", "2", "-h", "1"),
+], ids=["hasse-3^20", "hasse-65521^2", "ptorsion-3^13", "search-1031^2"])
+def test_hasse_large_extension_fails_fast(args):
+    # q > 2**20: the field is refused before any modulus search
+    rc, _, err, elapsed = _timed_cli(*args)
     assert rc == 2
     assert "2**20" in err
-    assert elapsed < 2.0, f"hasse -p 3 -n 16 took {elapsed:.2f}s, budget 2s"
+    assert elapsed < 1.0, f"{' '.join(args)} took {elapsed:.2f}s, budget 1s"
+
+
+def test_search_char3_slab_jump_within_budget():
+    rc, out, _, elapsed = _timed_cli("search", "-p", "3", "-n", "6", "-h", "1", "--json")
+    assert rc == 0
+    assert elapsed < 2.0, f"search -p 3 -n 6 -h 1 took {elapsed:.2f}s, budget 2s"
+    witness = json.loads(out)["result"]["witness"]
+    ctx = make_field(3, 6)
+    curve = WeierstrassCurve(ctx, ctx(witness["a4"]), ctx(witness["a6"]),
+                             a2=ctx(witness["a2"]))
+    assert describe_witness(curve, 1).to_dict() == witness
 
 
 def test_realizable_large_degree_within_budget():

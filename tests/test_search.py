@@ -2,6 +2,7 @@
 
 import json
 import logging
+import time
 from math import isqrt
 
 import pytest
@@ -175,12 +176,32 @@ def test_census_consistency_against_curve_sweep(p):
     assert seen == realizable_set(p)
 
 
+def test_char3_census_within_budget():
+    # A_3 = a2: one model per a2 slab is classified, the slab 0 included
+    t0 = time.perf_counter()
+    report = census(make_field(3, 6))
+    elapsed = time.perf_counter() - t0
+    assert report.verdict == "complete"
+    assert elapsed < 2.0, f"census over F_3^6 took {elapsed:.2f}s, budget 2s"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_char3_census_witnesses_match_exhaustive_search(n):
+    ctx = make_field(3, n)
+    report = census(ctx)
+    for entry in report.entries:
+        slow = find_curve_with_class(ctx, entry.residue, use_trace_shortcut=False)
+        assert entry.witness is not None and slow is not None
+        w = entry.witness
+        assert (w.a2, w.a4, w.a6) == (slow.a2.coeffs, slow.a4.coeffs, slow.a6.coeffs)
+        assert find_curve_with_class(ctx, entry.residue) == slow
+
+
 def test_sweeps_guarded_on_oversized_fields():
     from hasseforms.errors import FieldTooLargeError
 
-    big = make_field(1048583)
+    # the oversized field is refused at construction, so no sweep can
+    # start over it
     with pytest.raises(FieldTooLargeError):
-        census(big)
-    with pytest.raises(FieldTooLargeError):
-        find_curve_with_class(big, 1)
+        make_field(1048583)
 

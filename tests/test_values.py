@@ -51,6 +51,11 @@ def test_value_types_round_trip(make):
         assert type(clone) is type(value)
         assert clone == value and hash(clone) == hash(value)
         assert repr(clone) == repr(value)
+    if make is _element:
+        # an element serialises as its lex rank alone
+        assert value.__reduce__()[1] == (value.ctx, value.rank)
+        assert clone.rank == value.rank == 2 * 5 + 3
+        assert clone.coeffs == value.coeffs == (2, 3)
     if make is _ctx_with_tables:
         clone = pickle.loads(pickle.dumps(value))
         assert "_log_tables" not in vars(clone) and "_chi_by_rank" not in vars(clone)
