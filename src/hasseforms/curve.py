@@ -128,9 +128,7 @@ def _discriminant(a2, a4, a6) -> FieldElement:
         s4 = mul(r4, r4)
         out = sub(sub(mul(s2, s4), mul(mul(s2, r2), r6)), mul(s4, r4))
         return FieldElement(ctx, out)
-    if a2:
-        return discriminant_general(a2, a4, a6)
-    # short model: -16 (4 a4^3 + 27 a6^2)
+    # short model (a2 = 0 for p >= 5): -16 (4 a4^3 + 27 a6^2)
     k4 = ctx.element(-64).rank
     k6 = ctx.element(-432).rank
     out = ctx._add(mul(k4, mul(mul(r4, r4), r4)), mul(k6, mul(r6, r6)))

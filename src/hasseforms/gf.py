@@ -280,7 +280,7 @@ class FieldCtx:
     def element(self, value: CoeffsLike) -> "FieldElement":
         """Coerce an int, a coefficient sequence or an element of self."""
         if isinstance(value, FieldElement):
-            if value.ctx != self:
+            if value.ctx is not self and value.ctx != self:
                 raise CtxMismatchError(
                     f"element of {value.ctx} used in {self}")
             return value
@@ -452,7 +452,7 @@ class FieldElement:
 
     def _coerce(self, other) -> "FieldElement | None":
         if isinstance(other, FieldElement):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise CtxMismatchError(
                     f"cannot combine elements of {self.ctx} and {other.ctx}")
             return other
@@ -522,7 +522,8 @@ class FieldElement:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldElement):
-            return self.ctx == other.ctx and self.rank == other.rank
+            return self.rank == other.rank and (
+                self.ctx is other.ctx or self.ctx == other.ctx)
         if isinstance(other, int):
             return self.rank == self.ctx.element(other).rank
         return NotImplemented

@@ -8,8 +8,9 @@ witness recorded for h.
 
 The census scans the enumeration index space once, on one thread, in
 enumeration order, and stops as soon as every wanted class has a witness.
-In characteristic 3, A_3 = a2 makes the residue constant on each a2 slab,
-so the census and the shortcut witness search classify one model per slab.
+Where the closed form for A_p has no a6 term (A_5 = 2 a4) or no term at
+all (A_3 = a2), the residue is constant on each a4 row or a2 slab, so the
+census and the shortcut witness search classify one model per row or slab.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator
 
-from .curve import WeierstrassCurve, hasse_invariant, point_count
+from .curve import WeierstrassCurve, _hasse_terms, hasse_invariant, point_count
 from .errors import InconsistencyError, SingularModelError
 from .forms import phi, realizable_set, unit_class_of
 from .gf import FieldCtx, norm_to_prime, smallest_prime_factor
@@ -51,8 +52,8 @@ def admissible_traces(q: int, h: int, p: int | None = None) -> frozenset[int]:
 
 
 def _index_space(ctx: FieldCtx) -> int:
-    q = ctx.q
-    return q * q * q if ctx.p == 3 else q * q
+    # the a2 digit moves only where WeierstrassCurve accepts a2 != 0
+    return ctx.q ** (3 if ctx.p < 5 else 2)
 
 
 def _curve_at(ctx: FieldCtx, idx: int) -> WeierstrassCurve | None:
@@ -81,9 +82,12 @@ def _hasse_residue(curve: WeierstrassCurve) -> int:
 
 
 def _classified(ctx: FieldCtx) -> Iterator[tuple[int, WeierstrassCurve, int]]:
-    # (index, curve, residue) of the nonsingular models in enumeration
-    # order, only the first of each a2 slab in characteristic 3
-    slab = ctx.q * ctx.q if ctx.p == 3 else 1
+    """(index, curve, residue) of the first nonsingular model per stride:
+    one model if some closed-form term has a power of a6, one a4 row if
+    the terms hold a4 only (A_5 = 2 a4), one a2 slab if there is no term
+    (A_3 = a2)."""
+    terms = _hasse_terms(ctx.p)
+    stride = 1 if any(k for _, k, _ in terms) else ctx.q if terms else ctx.q * ctx.q
     idx, end = 0, _index_space(ctx)
     while idx < end:
         curve = _curve_at(ctx, idx)
@@ -91,7 +95,7 @@ def _classified(ctx: FieldCtx) -> Iterator[tuple[int, WeierstrassCurve, int]]:
             idx += 1
             continue
         yield idx, curve, _hasse_residue(curve)
-        idx = (idx // slab + 1) * slab
+        idx = (idx // stride + 1) * stride
 
 
 def find_curve_with_class(ctx: FieldCtx, h: int, *,
@@ -99,9 +103,9 @@ def find_curve_with_class(ctx: FieldCtx, h: int, *,
     """First curve in enumeration order whose kernel class maps to h.
 
     With the shortcut on, an empty admissible trace set answers None
-    without touching a single curve, and in characteristic 3 one model
-    per a2 slab is classified (A_3 = a2); the exhaustive route gives the
-    same answer and exists precisely so the shortcuts can be audited.
+    without touching a single curve, and one model per stride of constant
+    A_p is classified (_classified); the exhaustive route gives the same
+    answer and exists precisely so the shortcuts can be audited.
     """
     p = ctx.p
     if not isinstance(h, int) or not 1 <= h <= p - 1:
@@ -223,8 +227,8 @@ def census(ctx: FieldCtx) -> RealizabilityReport:
     Classes whose admissible trace set is empty are declared missing up
     front; the rest are searched by one sweep of the curve enumeration in
     order, keeping the first index per class and stopping once every
-    class is hit; in characteristic 3 it classifies one model per a2
-    slab.  Each recorded witness is revalidated from scratch, and the
+    class is hit, one model per stride of constant A_p (_classified).
+    Each recorded witness is revalidated from scratch, and the
     final realizable set must agree with the interval formula or an
     InconsistencyError is raised.
     """

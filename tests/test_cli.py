@@ -163,7 +163,7 @@ def test_ptorsion_supersingular():
     ("hasse", "-p", "4", "-a4", "1", "-a6", "1"),          # composite p
     ("hasse", "-p", "5", "-a4", "x", "-a6", "1"),          # malformed coeff
     ("search", "-p", "5", "-h", "0"),                      # residue out of range
-    ("verify", "--suite", "closed-forms", "-p", "13"),     # outside closed-form domain
+    ("verify", "--suite", "closed-forms", "-p", "9"),      # composite p
     ("verify", "--suite", "bogus", "-p", "5"),             # unknown suite
     ("nonsense",),                                         # unknown subcommand
 ])
@@ -217,6 +217,17 @@ def test_search_char3_slab_jump_within_budget():
     curve = WeierstrassCurve(ctx, ctx(witness["a4"]), ctx(witness["a6"]),
                              a2=ctx(witness["a2"]))
     assert describe_witness(curve, 1).to_dict() == witness
+
+
+def test_search_char5_row_jump_within_budget():
+    # A_5 = 2 a4: one model per a4 row is classified
+    rc, out, _, elapsed = _timed_cli("search", "-p", "5", "-n", "8", "-h", "2", "--json")
+    assert rc == 0
+    assert elapsed < 5.0, f"search -p 5 -n 8 -h 2 took {elapsed:.2f}s, budget 5s"
+    witness = json.loads(out)["result"]["witness"]
+    ctx = make_field(5, 8)
+    curve = WeierstrassCurve(ctx, ctx(witness["a4"]), ctx(witness["a6"]))
+    assert describe_witness(curve, 2).to_dict() == witness
 
 
 def test_realizable_large_degree_within_budget():

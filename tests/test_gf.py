@@ -246,6 +246,19 @@ def test_ctx_equality_is_structural(f9):
     assert hash(f9) == hash(make_field(3, 2))
 
 
+def test_elements_of_equal_contexts_mix():
+    # the identity test comes first; distinct but equal contexts still mix
+    k1, k2 = make_field(7, 2), make_field(7, 2)
+    assert k1 is not k2
+    x, y = k1((3, 5)), k2((3, 5))
+    assert x == y and y == x
+    assert x + y == 2 * x and x * y == x ** 2 and x - y == 0
+    assert k1.element(y) is y
+    # binary operations across F_5 and F_7: test_cross_field_operations_rejected
+    with pytest.raises(CtxMismatchError):
+        make_field(5).element(make_field(7)(1))
+
+
 # -- rank kernels against the convolution route --------------------------
 
 def _euler_chi(ctx, t):

@@ -185,9 +185,18 @@ def test_char3_census_within_budget():
     assert elapsed < 2.0, f"census over F_3^6 took {elapsed:.2f}s, budget 2s"
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_char3_census_witnesses_match_exhaustive_search(n):
-    ctx = make_field(3, n)
+def test_char5_census_within_budget():
+    # A_5 = 2 a4: one model per a4 row is classified
+    t0 = time.perf_counter()
+    report = census(make_field(5, 6))
+    elapsed = time.perf_counter() - t0
+    assert report.verdict == "complete"
+    assert elapsed < 2.0, f"census over F_5^6 took {elapsed:.2f}s, budget 2s"
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3)])
+def test_census_witnesses_match_exhaustive_search(p, n):
+    ctx = make_field(p, n)
     report = census(ctx)
     for entry in report.entries:
         slow = find_curve_with_class(ctx, entry.residue, use_trace_shortcut=False)

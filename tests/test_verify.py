@@ -1,8 +1,10 @@
 """The named verification suites and their reporting surface."""
 
+import time
+
 import pytest
 
-from hasseforms import SUITE_NAMES, run_suite
+from hasseforms import SUITE_NAMES, iter_curves, make_field, run_suite
 from hasseforms.verify import SuiteResult
 
 
@@ -43,8 +45,8 @@ def test_suite_case_counts_golden():
         ("closed-forms", 7, 1): 42,
         ("norm", 3, 2): 1296,
         ("etale", 5, 1): 24,
-        ("census", 13, 1): 4,
-        ("census", 19, 1): 5,
+        ("census", 13, 1): 14,
+        ("census", 19, 1): 21,
     }
     for (name, p, n), cases in expected.items():
         assert run_suite(name, p, n).cases == cases
@@ -55,9 +57,18 @@ def test_run_suite_rejects_unknown_name():
         run_suite("everything", 5)
 
 
-def test_closed_forms_domain_is_guarded():
-    with pytest.raises(ValueError):
-        run_suite("closed-forms", 13)
+@pytest.mark.parametrize("p,n", [(13, 1), (3, 2), (5, 2)])
+def test_closed_forms_passes_on_any_field(p, n):
+    result = run_suite("closed-forms", p, n)
+    assert result.ok and result.cases == len(list(iter_curves(make_field(p, n))))
+
+
+def test_census_suite_audits_every_residue_within_budget():
+    t0 = time.perf_counter()
+    result = run_suite("census", 211)
+    elapsed = time.perf_counter() - t0
+    assert result.ok and result.cases == 212
+    assert elapsed < 10.0, f"census suite over F_211 took {elapsed:.2f}s, budget 10s"
 
 
 def test_census_suite_detail_carries_report():
