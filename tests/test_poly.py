@@ -5,11 +5,14 @@ computation, so they are checked against independent routes: full
 powering, brute-force reassembly, and trial division.
 """
 
+import logging
+import random
+
 import pytest
 
 from hasseforms import make_field
 from hasseforms.errors import ZeroPolynomialError
-from hasseforms.poly import Polynomial, coeff, factor, gcd, poly_pow_truncated
+from hasseforms.poly import Polynomial, _pow_mod, coeff, factor, gcd, poly_pow_truncated
 
 
 def _monic_polys(ctx, degree):
@@ -202,7 +205,9 @@ def test_factor_torsion_shapes_over_larger_fields():
 
     from hasseforms import discrete_log
 
-    for p, n in ((13, 1), (3, 2), (5, 2)):
+    # over F_17 and F_29 low-degree splitting candidates do not separate
+    # the factors of these binomials
+    for p, n in ((13, 1), (17, 1), (29, 1), (3, 2), (5, 2)):
         ctx = make_field(p, n)
         y = Polynomial.x(ctx)
         for h in ctx.iter_elements():
@@ -214,6 +219,54 @@ def test_factor_torsion_shapes_over_larger_fields():
             assert set(fac.degree_multiset) == {order}
             assert len(fac.factors) * order == p - 1
             _assert_factor_contract(ctx, y ** (p - 1) - h)
+
+
+def _pow_mod_reference(base, e, mod):
+    result = Polynomial(base.ctx, (1,))
+    base = base % mod
+    while e:
+        if e & 1:
+            result = (result * base) % mod
+        base = (base * base) % mod
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("p", [3, 13, 1009, 65537, 1048573])
+def test_pow_mod_packed_matches_plain_powering(p):
+    # the packed-int kernel against square-and-multiply on Polynomial with
+    # %, up to the widest slots: p just below 2**20, coefficients p - 1
+    ctx = make_field(p)
+    rng = random.Random(p)
+    for degree in (1, 2, 7, 23, 40):
+        top = [p - 1] * degree
+        mods = [Polynomial(ctx, top + [1]),
+                Polynomial(ctx, [rng.randrange(p) for _ in range(degree)] + [2])]
+        bases = [Polynomial(ctx, [p - 1] * degree),
+                 Polynomial(ctx, [rng.randrange(p) for _ in range(degree + 3)])]
+        for mod in mods:
+            for base in bases:
+                for e in (0, 1, 2, 5, 97):
+                    assert _pow_mod(base, e, mod) == _pow_mod_reference(base, e, mod)
+
+
+def test_factor_logs_one_record_and_keeps_output(caplog):
+    ctx = make_field(17)
+    y = Polynomial.x(ctx)
+    polys = [y ** 16 - h for h in range(1, 17)] + [y ** 6 - 1, 3 * y ** 2 + 1]
+
+    def factors():
+        return [[([c.rank for c in g.coeffs], m) for g, m in factor(f).factors] for f in polys]
+
+    plain = factors()
+    with caplog.at_level(logging.DEBUG, logger="hasseforms"):
+        assert factors() == plain
+    records = [r for r in caplog.records if r.name == "hasseforms"]
+    assert [r.levelno for r in records] == [logging.DEBUG] * len(polys)
+    for record, f in zip(records, polys):
+        text = record.getMessage()
+        assert f"degree-{f.degree} polynomial over F_17^1" in text
+        assert "splitting candidates tried" in text and text.endswith(" s")
 
 
 def test_factor_with_repeated_squarefree_parts():

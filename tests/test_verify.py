@@ -1,5 +1,7 @@
 """The named verification suites and their reporting surface."""
 
+import json
+import logging
 import time
 
 import pytest
@@ -69,6 +71,24 @@ def test_census_suite_audits_every_residue_within_budget():
     elapsed = time.perf_counter() - t0
     assert result.ok and result.cases == 212
     assert elapsed < 10.0, f"census suite over F_211 took {elapsed:.2f}s, budget 10s"
+
+
+def test_etale_suite_over_binomial_stall_within_budget():
+    # low-degree splitting candidates do not separate the factors of
+    # y^28 - A_p over F_29
+    t0 = time.perf_counter()
+    result = run_suite("etale", 29)
+    elapsed = time.perf_counter() - t0
+    assert result.ok
+    assert elapsed < 5.0, f"etale suite over F_29 took {elapsed:.2f}s, budget 5s"
+
+
+def test_etale_suite_bytes_equal_with_factor_logging(caplog):
+    plain = json.dumps(run_suite("etale", 17).to_dict(), sort_keys=True)
+    with caplog.at_level(logging.DEBUG, logger="hasseforms"):
+        logged = run_suite("etale", 17).to_dict()
+    assert json.dumps(logged, sort_keys=True) == plain
+    assert any("splitting candidates tried" in r.getMessage() for r in caplog.records)
 
 
 def test_census_suite_detail_carries_report():
