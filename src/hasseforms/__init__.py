@@ -52,7 +52,7 @@ from .gf import (
     primitive_element,
     quadratic_character,
 )
-from .poly import Factorization, Polynomial, coeff, factor, poly_pow_truncated
+from .poly import Factorization, Polynomial, factor
 from .search import (
     RealizabilityReport,
     WitnessRecord,
@@ -68,7 +68,7 @@ __all__ = [
     "__version__",
     "FieldCtx", "FieldElement", "make_field", "norm_to_prime",
     "quadratic_character", "primitive_element", "discrete_log",
-    "Polynomial", "Factorization", "factor", "poly_pow_truncated", "coeff",
+    "Polynomial", "Factorization", "factor",
     "WeierstrassCurve", "FrobeniusData", "point_count", "hasse_invariant",
     "is_ordinary", "twist",
     "UnitClass", "unit_class_of", "enumerate_classes", "phi",

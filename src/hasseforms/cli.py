@@ -28,7 +28,7 @@ from . import __version__
 from .curve import WeierstrassCurve, hasse_invariant, point_count
 from .errors import InconsistencyError
 from .forms import phi, ptorsion_description, realizable_set, unit_class_of
-from .gf import FieldCtx, _is_prime, make_field
+from .gf import SWEEP_MAX, FieldCtx, _is_prime, make_field
 from .search import describe_witness, find_curve_with_class
 from .verify import SUITE_NAMES, run_suite
 
@@ -43,51 +43,32 @@ def _parse_coeffs(text: str) -> list[int]:
         raise ValueError(f"bad coefficient list {text!r}; entries must be integers")
 
 
-def _parse_prime_range(text: str) -> list[int]:
-    if ".." in text:
-        lo_s, _, hi_s = text.partition("..")
-        try:
-            lo, hi = int(lo_s), int(hi_s)
-        except ValueError:
-            raise ValueError(f"bad range {text!r}; expected like 3..23")
-        if lo > hi:
-            raise ValueError(f"empty range {text!r}")
-        primes = [m for m in range(max(lo, 3), hi + 1) if m % 2 and _is_prime(m)]
-        if not primes:
-            raise ValueError(f"no odd primes in {text!r}")
-        return primes
-    out = []
-    for s in text.split(","):
-        try:
-            v = int(s)
-        except ValueError:
-            raise ValueError(f"bad prime list {text!r}")
-        if v == 2 or not _is_prime(v):
-            raise ValueError(f"{v} is not an odd prime")
-        out.append(v)
-    return out
-
-
-def _parse_int_range(text: str) -> list[int]:
-    if ".." in text:
-        lo_s, _, hi_s = text.partition("..")
-        try:
-            lo, hi = int(lo_s), int(hi_s)
-        except ValueError:
-            raise ValueError(f"bad range {text!r}; expected like 1..3")
-        if lo > hi or lo < 1:
-            raise ValueError(f"bad degree range {text!r}")
-        return list(range(lo, hi + 1))
-    out = []
-    for s in text.split(","):
-        try:
-            v = int(s)
-        except ValueError:
-            raise ValueError(f"bad degree list {text!r}")
-        if v < 1:
-            raise ValueError(f"degree must be >= 1, got {v}")
-        out.append(v)
-    return out
+def _parse_range(text: str, kind: str) -> list[int]:
+    # "lo..hi" keeps every odd prime (kind "prime") or every degree >= 1
+    # (kind "degree") in the interval; "a,b,c" must list only such values.
+    # A bound above 2**20 is refused before any list is built.
+    lo_s, dots, hi_s = text.partition("..")
+    try:
+        given = [int(lo_s), int(hi_s)] if dots else [int(s) for s in text.split(",")]
+    except ValueError:
+        raise ValueError(f"bad {kind} {'range' if dots else 'list'} {text!r}; "
+                         "expected like 3..13 or 3,5,7")
+    if max(given) > SWEEP_MAX:
+        raise ValueError(f"bound {max(given)} in {text!r} is above 2**20, "
+                         "the largest field order")
+    if kind == "prime":
+        valid, name = (lambda m: m > 2 and _is_prime(m)), "an odd prime"
+    else:
+        valid, name = (lambda m: m >= 1), "a degree >= 1"
+    if not dots:
+        for m in given:
+            if not valid(m):
+                raise ValueError(f"{m} is not {name}")
+        return given
+    values = [m for m in range(given[0], given[1] + 1) if valid(m)]
+    if not values:
+        raise ValueError(f"no {kind}s in {text!r}")
+    return values
 
 
 def _elt_json(x) -> list[int] | None:
@@ -124,7 +105,7 @@ def _curve_from_args(ctx: FieldCtx, args) -> WeierstrassCurve:
 def _cmd_hasse(args):
     ctx = make_field(args.p, args.n)
     curve = _curve_from_args(ctx, args)
-    fd = point_count(curve)  # first: its size guard fails fast
+    fd = point_count(curve)
     ap = hasse_invariant(curve, "p")
     aq = hasse_invariant(curve, "q")
     ordinary = bool(ap)
@@ -213,8 +194,8 @@ def _cmd_search(args):
 
 
 def _cmd_verify(args):
-    ps = _parse_prime_range(args.p)
-    ns = _parse_int_range(args.n)
+    ps = _parse_range(args.p, "prime")
+    ns = _parse_range(args.n, "degree")
     results = []
     for p in ps:
         for n in ns:

@@ -51,21 +51,6 @@ logger = logging.getLogger("hasseforms")
 CoeffsLike = Union[int, Sequence[int], "FieldElement"]
 
 
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _prime_factors(m: int) -> tuple[int, ...]:
     """Distinct prime divisors of m, ascending."""
     out = []
@@ -90,6 +75,10 @@ def smallest_prime_factor(m: int) -> int:
             return f
         f += 1 if f == 2 else 2
     return m
+
+
+def _is_prime(m: int) -> bool:
+    return m >= 2 and smallest_prime_factor(m) == m
 
 
 def _poly_rem_ints(num: Sequence[int], den: Sequence[int], p: int) -> list[int]:

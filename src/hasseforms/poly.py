@@ -1,12 +1,14 @@
 """Univariate polynomials over a FieldCtx.
 
-Coefficients are stored low degree first with trailing zeros stripped, so
-the zero polynomial has an empty coefficient tuple and degree -1.
-pow_truncated raises a polynomial to a power while discarding every
-coefficient above a cap; it is the slow reference route that tests and
-suites hold the closed-form Hasse invariant of curve.py against, not a
-sweep kernel.  factor is a fully deterministic factorisation into monic
-irreducibles.
+A polynomial stores the lex ranks of its coefficients (see gf.py), low
+degree first with trailing zeros stripped, so the zero polynomial has no
+ranks and degree -1.  Ring operations call the FieldCtx rank kernels
+directly, and _mul_trunc is the one product: full for * and **, capped
+for pow_truncated, which raises a polynomial to a power while discarding
+every coefficient above the cap.  pow_truncated is the slow reference
+route that tests and suites hold the closed-form Hasse invariant of
+curve.py against, not a sweep kernel.  factor is a fully deterministic
+factorisation into monic irreducibles.
 
 Determinism of factor: the squarefree split and the distinct-degree split
 are deterministic as written.  Separating several irreducible factors of
@@ -26,35 +28,47 @@ from array import array
 from dataclasses import dataclass
 
 from .errors import ZeroPolynomialError
-from .gf import FieldCtx, FieldElement, _poly_rem_ints
+from .gf import FieldCtx, FieldElement
 
-__all__ = [
-    "Polynomial",
-    "Factorization",
-    "poly_pow_truncated",
-    "coeff",
-    "gcd",
-    "factor",
-]
+__all__ = ["Polynomial", "Factorization", "gcd", "factor"]
 
 logger = logging.getLogger("hasseforms")
 
 
 class Polynomial:
-    __slots__ = ("ctx", "_coeffs")
+    """A polynomial over ctx, stored as the lex ranks of its coefficients.
+
+    ranks runs low degree first with trailing zeros stripped; coeffs,
+    indexing, lead and printing derive FieldElements from it.  The
+    constructor coerces ints, coefficient tuples and elements;
+    from_ranks trusts kernel output, as FieldElement(ctx, rank) does.
+    """
+
+    __slots__ = ("ctx", "ranks")
 
     def __init__(self, ctx: FieldCtx, coeffs=()):
-        norm = [ctx.element(c) for c in coeffs]
-        while norm and not norm[-1]:
-            norm.pop()
+        self._set(ctx, [ctx.element(c).rank for c in coeffs])
+
+    @classmethod
+    def from_ranks(cls, ctx: FieldCtx, ranks) -> "Polynomial":
+        # assumes every rank is in [0, q), as kernels return them
+        self = object.__new__(cls)
+        self._set(ctx, list(ranks))
+        return self
+
+    def _set(self, ctx: FieldCtx, ranks: list[int]) -> None:
+        while ranks and not ranks[-1]:
+            ranks.pop()
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "_coeffs", tuple(norm))
+        object.__setattr__(self, "ranks", tuple(ranks))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     def __reduce__(self):
-        return (Polynomial, (self.ctx, self._coeffs))
+        # not through the constructor: for n > 1 an int there is a prime
+        # field value, not a rank
+        return (Polynomial.from_ranks, (self.ctx, self.ranks))
 
     @classmethod
     def x(cls, ctx: FieldCtx) -> "Polynomial":
@@ -66,54 +80,50 @@ class Polynomial:
 
     @property
     def coeffs(self) -> tuple[FieldElement, ...]:
-        return self._coeffs
+        return tuple(FieldElement(self.ctx, r) for r in self.ranks)
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self._coeffs) - 1
+        return len(self.ranks) - 1
 
     @property
     def lead(self) -> FieldElement:
-        return self._coeffs[-1] if self._coeffs else self.ctx.zero
+        return self[self.degree] if self.ranks else self.ctx.zero
 
     @property
     def is_monic(self) -> bool:
-        return bool(self._coeffs) and self._coeffs[-1] == self.ctx.one
+        return bool(self.ranks) and self.ranks[-1] == self.ctx.one.rank
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self.ranks)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ctx == other.ctx and self._coeffs == other._coeffs
+        return self.ctx == other.ctx and self.ranks == other.ranks
 
     def __hash__(self) -> int:
-        return hash((self.ctx.p, self.ctx.n, tuple(c.rank for c in self._coeffs)))
+        return hash((self.ctx.p, self.ctx.n, self.ranks))
 
     def __getitem__(self, i: int) -> FieldElement:
         """Coefficient of x**i; zero beyond the degree."""
         if i < 0:
             raise IndexError("coefficient index must be >= 0")
-        return self._coeffs[i] if i < len(self._coeffs) else self.ctx.zero
+        return FieldElement(self.ctx, self.ranks[i] if i < len(self.ranks) else 0)
 
-    # -- ring operations -------------------------------------------------
-
-    def _wrap(self, coeffs) -> "Polynomial":
-        return Polynomial(self.ctx, coeffs)
+    # -- ring operations on ranks ----------------------------------------
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
+        a, b = self.ranks, other.ranks
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return self._wrap(out)
+        add = self.ctx._add
+        return Polynomial.from_ranks(
+            self.ctx, [add(x, y) for x, y in zip(a, b)] + list(a[len(b):]))
 
     __radd__ = __add__
 
@@ -130,7 +140,7 @@ class Polynomial:
         return other + (-self)
 
     def __neg__(self):
-        return self._wrap([-c for c in self._coeffs])
+        return Polynomial.from_ranks(self.ctx, map(self.ctx._neg, self.ranks))
 
     def _coerce(self, other) -> "Polynomial | None":
         if isinstance(other, Polynomial):
@@ -138,22 +148,15 @@ class Polynomial:
                 raise ValueError("polynomials over different contexts")
             return other
         if isinstance(other, (int, FieldElement)):
-            return Polynomial(self.ctx, (self.ctx.element(other),))
+            return Polynomial(self.ctx, (other,))
         return None
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return self._wrap(())
-        out = [self.ctx.zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = out[i + j] + ai * bj
-        return self._wrap(out)
+        ctx = self.ctx
+        return Polynomial.from_ranks(ctx, _mul_trunc(self.ranks, other.ranks, ctx))
 
     __rmul__ = __mul__
 
@@ -163,19 +166,22 @@ class Polynomial:
             return NotImplemented
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < other.degree:
-            return self._wrap(()), self
-        inv_lead = other.lead.inverse()
-        rem = list(self._coeffs)
-        quo = [self.ctx.zero] * (self.degree - other.degree + 1)
+        ctx = self.ctx
         db = other.degree
+        if self.degree < db:
+            return Polynomial(ctx), self
+        add, mul, neg = ctx._add, ctx._mul, ctx._neg
+        inv_lead = ctx._inv(other.ranks[-1])
+        rem = list(self.ranks)
+        quo = [0] * (self.degree - db + 1)
         for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i] * inv_lead
+            c = mul(rem[i], inv_lead)
             if c:
                 quo[i - db] = c
-                for j, bj in enumerate(other._coeffs):
-                    rem[i - db + j] = rem[i - db + j] - c * bj
-        return self._wrap(quo), self._wrap(rem)
+                c = neg(c)
+                for j, bj in enumerate(other.ranks, i - db):
+                    rem[j] = add(rem[j], mul(c, bj))
+        return Polynomial.from_ranks(ctx, quo), Polynomial.from_ranks(ctx, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -184,35 +190,7 @@ class Polynomial:
         return divmod(self, other)[1]
 
     def __pow__(self, e: int) -> "Polynomial":
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("polynomial exponent must be a nonnegative int")
-        result = Polynomial(self.ctx, (1,))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    # -- helpers ---------------------------------------------------------
-
-    def evaluate(self, x) -> FieldElement:
-        x = self.ctx.element(x)
-        acc = self.ctx.zero
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "Polynomial":
-        return self._wrap([i * c for i, c in enumerate(self._coeffs)][1:])
-
-    def monic(self) -> tuple[FieldElement, "Polynomial"]:
-        """Split off the leading coefficient: returns (unit, monic part)."""
-        if not self or self.is_monic:
-            return self.ctx.one, self
-        u = self.lead
-        return u, self * u.inverse()
+        return self._power(e, None)
 
     def pow_truncated(self, e: int, cap: int) -> "Polynomial":
         """self**e with every coefficient above degree cap dropped.
@@ -221,27 +199,56 @@ class Polynomial:
         is the independent reference for curve.hasse_invariant, so it
         knows nothing about cubics or Hasse coefficients.
         """
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a nonnegative int")
         if cap < 0:
             raise ValueError("cap must be >= 0")
+        return self._power(e, cap)
+
+    def _power(self, e: int, cap: int | None) -> "Polynomial":
+        # square-and-multiply; with a cap, degrees above it are dropped
+        if not isinstance(e, int) or e < 0:
+            raise ValueError("polynomial exponent must be a nonnegative int")
         ctx = self.ctx
         result = [ctx.one.rank]
-        base = [c.rank for c in self._coeffs[: cap + 1]]
+        base = self.ranks[: None if cap is None else cap + 1]
         while e:
             if e & 1:
                 result = _mul_trunc(result, base, ctx, cap)
             e >>= 1
             if e:
                 base = _mul_trunc(base, base, ctx, cap)
-        return self._wrap([FieldElement(ctx, r) for r in result])
+        return Polynomial.from_ranks(ctx, result)
+
+    # -- helpers ---------------------------------------------------------
+
+    def evaluate(self, x) -> FieldElement:
+        ctx = self.ctx
+        x = ctx.element(x).rank
+        add, mul = ctx._add, ctx._mul
+        acc = 0
+        for c in reversed(self.ranks):
+            acc = add(mul(acc, x), c)
+        return FieldElement(ctx, acc)
+
+    def derivative(self) -> "Polynomial":
+        ctx = self.ctx
+        scaled = [ctx._mul(ctx.element(i).rank, c) for i, c in enumerate(self.ranks)]
+        return Polynomial.from_ranks(ctx, scaled[1:])
+
+    def monic(self) -> tuple[FieldElement, "Polynomial"]:
+        """Split off the leading coefficient: returns (unit, monic part)."""
+        if not self or self.is_monic:
+            return self.ctx.one, self
+        ctx = self.ctx
+        inv = ctx._inv(self.ranks[-1])
+        return self.lead, Polynomial.from_ranks(
+            ctx, [ctx._mul(inv, c) for c in self.ranks])
 
     def to_str(self, var: str = "x") -> str:
-        if not self._coeffs:
+        if not self.ranks:
             return "0"
         terms = []
-        for i in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[i]
+        for i in range(self.degree, -1, -1):
+            c = self[i]
             if not c:
                 continue
             cs = str(c)
@@ -261,30 +268,23 @@ class Polynomial:
         return f"Polynomial({self.to_str()!r} over F_{self.ctx.q})"
 
 
-def _mul_trunc(a, b, ctx, cap):
-    # product of two lists of coefficient ranks, degrees above cap dropped
+def _mul_trunc(a, b, ctx, cap=None):
+    # the polynomial product on rank sequences; with a cap, degrees above
+    # it are dropped
     if not a or not b:
         return []
-    L = min(len(a) + len(b) - 1, cap + 1)
+    L = len(a) + len(b) - 1
+    if cap is not None:
+        L = min(L, cap + 1)
     mul = ctx._mul
     add = ctx._add
     out = [0] * L
     for d, c in enumerate(b[:L]):
         if c:
-            for i, ai in enumerate(a[: L - d]):
+            for i, ai in enumerate(a[: L - d], d):
                 if ai:
-                    out[i + d] = add(out[i + d], mul(c, ai))
+                    out[i] = add(out[i], mul(c, ai))
     return out
-
-
-def poly_pow_truncated(f: Polynomial, e: int, cap: int) -> Polynomial:
-    """Functional spelling of Polynomial.pow_truncated."""
-    return f.pow_truncated(e, cap)
-
-
-def coeff(f: Polynomial, i: int) -> FieldElement:
-    """Coefficient of x^i, zero beyond the degree."""
-    return f[i]
 
 
 # -- factorisation ------------------------------------------------------
@@ -356,7 +356,7 @@ def _pow_mod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
             e >>= 1
         return result
     p = ctx.p
-    m = [c.rank for c in mod.monic()[1].coeffs]
+    m = mod.monic()[1].ranks
     D = len(m) - 1
     bound = 2 * D * (p - 1) ** 2
     widths = [w for w in sorted(_SLOT_TYPECODES) if bound >> w == 0]
@@ -390,7 +390,7 @@ def _pow_mod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
                 low += c * r
         return normalize(low)
 
-    b = pack(_poly_rem_ints([c.rank for c in base.coeffs], m, p))
+    b = pack((base % mod).ranks)
     result = 1
     while e:
         if e & 1:
@@ -398,16 +398,15 @@ def _pow_mod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
         e >>= 1
         if e:
             b = mulmod(b, b)
-    return Polynomial(ctx, unpack(result, D))
+    return Polynomial.from_ranks(ctx, unpack(result, D))
 
 
 def _pth_root(f: Polynomial) -> Polynomial:
     # f has zero derivative, so only exponents divisible by p occur;
     # coefficient-wise p-th roots are c**(q/p)
     ctx = f.ctx
-    p = ctx.p
-    root_exp = p ** (ctx.n - 1)
-    return Polynomial(ctx, [f[i * p] ** root_exp for i in range(f.degree // p + 1)])
+    root_exp = ctx.p ** (ctx.n - 1)
+    return Polynomial.from_ranks(ctx, [ctx._pow(c, root_exp) for c in f.ranks[::ctx.p]])
 
 
 def _squarefree_parts(g: Polynomial) -> list[tuple[Polynomial, int]]:
@@ -464,8 +463,8 @@ def _iter_polys_below(ctx: FieldCtx, degree: int):
                 digits, r = [], rank
                 for _ in range(degree):
                     r, c = divmod(r, q)
-                    digits.append(ctx.from_rank(c))
-                yield Polynomial(ctx, digits)
+                    digits.append(c)
+                yield Polynomial.from_ranks(ctx, digits)
 
 
 def _equal_degree_split(h: Polynomial, d: int) -> tuple[list[Polynomial], int]:
@@ -522,10 +521,6 @@ def _split_squarefree(sq: Polynomial) -> tuple[list[Polynomial], int]:
     return out, tried
 
 
-def _sort_key(poly: Polynomial):
-    return (poly.degree, tuple(c.rank for c in poly.coeffs))
-
-
 def factor(f: Polynomial) -> Factorization:
     """Deterministic factorisation into monic irreducibles over F_q.
 
@@ -542,7 +537,7 @@ def factor(f: Polynomial) -> Factorization:
         factors, k = _split_squarefree(sq)
         pairs.extend((irr, mult) for irr in factors)
         tried += k
-    pairs.sort(key=lambda pm: _sort_key(pm[0]))
+    pairs.sort(key=lambda pm: (pm[0].degree, pm[0].ranks))
     total = sum(poly.degree * mult for poly, mult in pairs)
     if total != f.degree:
         raise RuntimeError("factor lost degree, this is a bug")

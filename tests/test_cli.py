@@ -199,9 +199,13 @@ def test_hasse_beyond_sweep_guard_fails_fast():
     ("hasse", "-p", "65521", "-n", "2", "-a4", "1", "-a6", "1"),
     ("ptorsion", "-p", "3", "-n", "13", "-a4", "1", "-a6", "1"),
     ("search", "-p", "1031", "-n", "2", "-h", "1"),
-], ids=["hasse-3^20", "hasse-65521^2", "ptorsion-3^13", "search-1031^2"])
+    ("verify", "--suite", "classification", "-p", "3..1000000000"),
+    ("verify", "--suite", "classification", "-p", "3", "-n", "1..1000000000000"),
+], ids=["hasse-3^20", "hasse-65521^2", "ptorsion-3^13", "search-1031^2",
+        "verify-p-range", "verify-n-range"])
 def test_hasse_large_extension_fails_fast(args):
-    # q > 2**20: the field is refused before any modulus search
+    # q > 2**20: the field is refused before any modulus search, and a
+    # verify range with a bound above 2**20 before any list is built
     rc, _, err, elapsed = _timed_cli(*args)
     assert rc == 2
     assert "2**20" in err

@@ -12,7 +12,7 @@ import pytest
 
 from hasseforms import make_field
 from hasseforms.errors import ZeroPolynomialError
-from hasseforms.poly import Polynomial, _pow_mod, coeff, factor, gcd, poly_pow_truncated
+from hasseforms.poly import Polynomial, _pow_mod, factor, gcd
 
 
 def _monic_polys(ctx, degree):
@@ -44,8 +44,6 @@ def test_coefficient_access():
     assert f[1] == 2
     assert f[3] == 1
     assert f[5] == 0
-    assert coeff(f, 1) == 2
-    assert coeff(f, 5) == 0
     with pytest.raises(IndexError):
         f[-1]
 
@@ -57,7 +55,7 @@ def test_frozen_square():
     sq = f * f
     assert sq == Polynomial(ctx, [1, 2, 1, 2, 2, 0, 1])
     assert f ** 2 == sq
-    assert coeff(sq, 4) == 2
+    assert sq[4] == 2
 
 
 def test_divmod_reconstructs():
@@ -106,7 +104,6 @@ def test_truncated_power_agrees_with_full_power(p):
             full = f ** e
             trunc = f.pow_truncated(e, cap)
             assert trunc == Polynomial(ctx, [full[i] for i in range(cap + 1)])
-            assert poly_pow_truncated(f, e, cap) == trunc
 
 
 def test_truncated_power_symbolic_rows():
@@ -116,11 +113,11 @@ def test_truncated_power_symbolic_rows():
     for a in ctx5.iter_elements():
         for b in ctx5.iter_elements():
             f = Polynomial(ctx5, [b, a, ctx5.zero, ctx5.one])
-            assert coeff(f.pow_truncated(2, 4), 4) == 2 * a
+            assert f.pow_truncated(2, 4)[4] == 2 * a
     for a in ctx7.iter_elements():
         for b in ctx7.iter_elements():
             f = Polynomial(ctx7, [b, a, ctx7.zero, ctx7.one])
-            assert coeff(f.pow_truncated(3, 6), 6) == 3 * b
+            assert f.pow_truncated(3, 6)[6] == 3 * b
 
 
 def test_truncated_power_over_extension_field():
@@ -130,6 +127,39 @@ def test_truncated_power_over_extension_field():
     for e in (1, 2, 3, 4):
         full = f ** e
         assert f.pow_truncated(e, 8) == Polynomial(ctx, [full[i] for i in range(9)])
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (3, 3), (7, 2)])
+def test_rank_kernels_against_element_arithmetic(p, n):
+    # divmod, evaluate and derivative run on coefficient ranks; the
+    # reference is FieldElement arithmetic written out here
+    ctx = make_field(p, n)
+    rng = random.Random(ctx.q)
+
+    def random_poly(degree):
+        low = [ctx.from_rank(rng.randrange(ctx.q)) for _ in range(degree)]
+        return Polynomial(ctx, low + [ctx.from_rank(rng.randrange(1, ctx.q))])
+
+    for _ in range(40):
+        a, b = random_poly(rng.randrange(12)), random_poly(rng.randrange(6))
+        quo, rem = divmod(a, b)
+        assert rem.degree < b.degree
+        total = [ctx.zero] * (len(quo.coeffs) + len(b.coeffs))
+        for i, qi in enumerate(quo.coeffs):
+            for j, bj in enumerate(b.coeffs):
+                total[i + j] = total[i + j] + qi * bj
+        for i, ri in enumerate(rem.coeffs):
+            total[i] = total[i] + ri
+        assert Polynomial(ctx, total) == a
+        x = ctx.from_rank(rng.randrange(ctx.q))
+        acc = ctx.zero
+        for c in reversed(a.coeffs):
+            acc = acc * x + c
+        assert a.evaluate(x) == acc
+        d = a.derivative()
+        assert d.degree < a.degree
+        for i in range(a.degree + 1):
+            assert d[i] == (i + 1) * a[i + 1]
 
 
 def test_factor_frozen_examples():

@@ -36,14 +36,21 @@ def _polynomial():
     return Polynomial(ctx, (3, 0, 5, 1))
 
 
+def _ext_polynomial():
+    # over F_25 a rank is not a value, so a clone rebuilt by the coercing
+    # constructor from ranks would differ
+    ctx = make_field(5, 2)
+    return Polynomial(ctx, (1, (2, 3), 0, 4))
+
+
 def _unit_class():
     return unit_class_of(make_field(5, 2)((1, 1)))
 
 
 @pytest.mark.parametrize("make", [_ctx_with_tables, _element, _curve, _polynomial,
-                                  _unit_class],
+                                  _ext_polynomial, _unit_class],
                          ids=["FieldCtx", "FieldElement", "WeierstrassCurve",
-                              "Polynomial", "UnitClass"])
+                              "Polynomial", "Polynomial-F25", "UnitClass"])
 def test_value_types_round_trip(make):
     value = make()
     for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value),
@@ -56,6 +63,9 @@ def test_value_types_round_trip(make):
         assert value.__reduce__()[1] == (value.ctx, value.rank)
         assert clone.rank == value.rank == 2 * 5 + 3
         assert clone.coeffs == value.coeffs == (2, 3)
+    if make is _ext_polynomial:
+        assert clone.coeffs == value.coeffs
+        assert value[1].coeffs == (2, 3) and value[3] == 4
     if make is _ctx_with_tables:
         clone = pickle.loads(pickle.dumps(value))
         assert "_log_tables" not in vars(clone) and "_chi_by_rank" not in vars(clone)
