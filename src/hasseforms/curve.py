@@ -113,26 +113,27 @@ def discriminant_general(a2, a4, a6) -> FieldElement:
     return -(b2 * b2) * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
 
-def _discriminant(a2, a4, a6) -> FieldElement:
-    # the general formula with the vanishing terms dropped; this runs on
-    # every candidate model in a sweep, so it works on raw ranks.
-    # tests pin it against discriminant_general exhaustively.
-    ctx = a4.ctx
+def _disc_row(ctx: FieldCtx, r2: int, r4: int) -> tuple[int, int, int]:
+    # ranks (d0, d1, d2) with disc = d0 + d1 a6 + d2 a6^2 on the (a2, a4)
+    # row: the general formula with the vanishing terms dropped, shared by
+    # the constructor and the census scan; tests pin it against
+    # discriminant_general exhaustively
     mul = ctx._mul
-    sub = ctx._sub
-    r4, r6 = a4.rank, a6.rank
+    s4 = mul(r4, r4)
     if ctx.p == 3:
-        # reduces to a2^2 a4^2 - a2^3 a6 - a4^3
-        r2 = a2.rank
+        # a4^2 (a2^2 - a4) - a2^3 a6
         s2 = mul(r2, r2)
-        s4 = mul(r4, r4)
-        out = sub(sub(mul(s2, s4), mul(mul(s2, r2), r6)), mul(s4, r4))
-        return FieldElement(ctx, out)
+        return mul(s4, ctx._sub(s2, r4)), ctx._neg(mul(s2, r2)), 0
     # short model (a2 = 0 for p >= 5): -16 (4 a4^3 + 27 a6^2)
-    k4 = ctx.element(-64).rank
-    k6 = ctx.element(-432).rank
-    out = ctx._add(mul(k4, mul(mul(r4, r4), r4)), mul(k6, mul(r6, r6)))
-    return FieldElement(ctx, out)
+    p, unit = ctx.p, ctx._weights[0]
+    return mul(-64 % p * unit, mul(s4, r4)), 0, -432 % p * unit
+
+
+def _discriminant(a2, a4, a6) -> FieldElement:
+    ctx = a4.ctx
+    d0, d1, d2 = _disc_row(ctx, a2.rank, a4.rank)
+    add, mul, r6 = ctx._add, ctx._mul, a6.rank
+    return FieldElement(ctx, add(d0, mul(add(d1, mul(d2, r6)), r6)))
 
 
 def _rhs_str(a2, a4, a6) -> str:
@@ -239,6 +240,22 @@ def _hasse_terms(p: int) -> tuple[tuple[int, int, int], ...]:
         k = m - i - j
         terms.append((j, k, fact[m] * pow(fact[i] * fact[j] * fact[k], -1, p) % p))
     return tuple(terms)
+
+
+def _hasse_row(ctx: FieldCtx, r2: int, r4: int) -> tuple[int, list[int]]:
+    # (k, ranks of P, highest power first) with A_p = a6^k P(a6^2) on the
+    # (a2, a4) row: the term of index i carries a6^(2i - m), so the powers
+    # of a6 climb by 2; zero low coefficients (a4 = 0) move into k
+    terms = _hasse_terms(ctx.p)
+    if not terms:
+        return 0, [r2] if r2 else []  # A_3 = a2
+    mul, pw, unit = ctx._mul, ctx._pow, ctx._weights[0]
+    coeffs = [mul(c * unit, pw(r4, j)) for j, _, c in reversed(terms)]
+    k = terms[0][1]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+        k += 2
+    return k, coeffs
 
 
 def hasse_invariant(curve: WeierstrassCurve, level: str = "p") -> FieldElement:

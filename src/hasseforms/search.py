@@ -8,18 +8,35 @@ witness recorded for h.
 
 The census scans the enumeration index space once, on one thread, in
 enumeration order, and stops as soon as every wanted class has a witness.
-Where the closed form for A_p has no a6 term (A_5 = 2 a4) or no term at
-all (A_3 = a2), the residue is constant on each a4 row or a2 slab, so the
-census and the shortcut witness search classify one model per row or slab.
+The scan works on lex ranks and builds no objects: per (a2, a4) row it
+tabulates the discriminant and A_p as polynomials in a6 once, then tests
+each a6 by Horner's rule, on ints over F_p and on discrete logarithms
+over F_q.  Where the closed form for A_p has no a6 term (A_5 = 2 a4) or
+no term at all (A_3 = a2), the residue is constant on each a4 row or a2
+slab, so the census and the shortcut witness search classify one model
+per row or slab.  Only the winning index of a class is decoded into a
+curve, and the census revalidates it from scratch.  iter_curves and the
+no-shortcut search build every model and are the audit of the scan.
 """
 
 from __future__ import annotations
 
+import logging
+import time
+from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from math import isqrt
 from typing import Iterator
 
-from .curve import WeierstrassCurve, _hasse_terms, hasse_invariant, point_count
+from .curve import (
+    WeierstrassCurve,
+    _disc_row,
+    _hasse_row,
+    _hasse_terms,
+    hasse_invariant,
+    point_count,
+)
 from .errors import InconsistencyError, SingularModelError
 from .forms import phi, realizable_set, unit_class_of
 from .gf import FieldCtx, norm_to_prime, smallest_prime_factor
@@ -34,6 +51,8 @@ __all__ = [
     "RealizabilityReport",
     "census",
 ]
+
+logger = logging.getLogger("hasseforms")
 
 
 def admissible_traces(q: int, h: int, p: int | None = None) -> frozenset[int]:
@@ -81,21 +100,104 @@ def _hasse_residue(curve: WeierstrassCurve) -> int:
     return int(norm_to_prime(a)) if a else 0
 
 
-def _classified(ctx: FieldCtx) -> Iterator[tuple[int, WeierstrassCurve, int]]:
-    """(index, curve, residue) of the first nonsingular model per stride:
-    one model if some closed-form term has a power of a6, one a4 row if
-    the terms hold a4 only (A_5 = 2 a4), one a2 slab if there is no term
-    (A_3 = a2)."""
+def _row_on_ints(ctx: FieldCtx, tally: Counter):
+    # over F_p ranks are values: the discriminant and P by Horner on ints,
+    # P(a6^2) once per pair +-a6, and the residue of A_p is A_p itself
+    p = ctx.p
+
+    def scan(d, k, coeffs):
+        d0, d1, d2 = d
+        values = [-1] * p
+        for x in range(p):
+            if not (d0 + (d1 + d2 * x) * x) % p:
+                tally["singular"] += 1
+                continue
+            y = x * x % p
+            v = values[y]
+            if v < 0:
+                v = 0
+                for c in coeffs:
+                    v = (v * y + c) % p
+                values[y] = v
+            yield x, v * pow(x, k, p) % p if k else v
+    return scan
+
+
+def _row_on_logs(ctx: FieldCtx, tally: Counter):
+    # over F_q with n > 1 Horner runs on discrete logarithms: times x adds
+    # log x, plus c is one Zech step, and the residue of A_p = g^e is
+    # read off g^(e (q-1)/(p-1)), which lies in F_p
+    exp, log, zech = ctx._log_tables
+    p, q, order = ctx.p, ctx.q, ctx.q - 1
+    step, unit = order // (p - 1), ctx._weights[0]
+    residue = [exp[e * step] // unit for e in range(p - 1)]
+
+    def horner(lcs, lx):
+        # log of the polynomial with coefficient logs lcs at x = g^lx;
+        # None stands for zero
+        lv = None
+        for lc in lcs:
+            if lv is not None:
+                lv += lx
+            if lc is None:
+                continue
+            if lv is None:
+                lv = lc
+            else:
+                z = zech[(lv - lc) % order]
+                lv = None if z < 0 else lc + z
+        return lv
+
+    def scan(d, k, coeffs):
+        lds = [None if r == 0 else log[r] for r in reversed(d)]
+        lcs = [log[r] for r in coeffs]
+        if not d[0]:  # x = 0
+            tally["singular"] += 1
+        else:
+            yield 0, residue[lcs[-1] % (p - 1)] if coeffs and not k else 0
+        for x in range(1, q):
+            lx = log[x]
+            if horner(lds, lx) is None:
+                tally["singular"] += 1
+                continue
+            la = horner(lcs, 2 * lx)
+            yield x, 0 if la is None else residue[(la + k * lx) % (p - 1)]
+    return scan
+
+
+def _classified(ctx: FieldCtx, tally: Counter | None = None) -> Iterator[tuple[int, int]]:
+    """(index, residue) of each nonsingular model the scan classifies, in
+    enumeration order, computed on lex ranks with no objects; the residue
+    is 0 for a supersingular model, as in _hasse_residue.
+
+    Each (a2, a4) row is tabulated once: the discriminant as a polynomial
+    of degree <= 2 in a6 (curve._disc_row) and A_p = a6^k P(a6^2) from
+    the closed-form terms (curve._hasse_row), P evaluated by Horner on
+    ints over F_p and on logarithms over F_q.  A row whose discriminant
+    is zero whatever a6 is gets skipped whole.  Where A_p has no a6 term
+    the residue is constant on the row, so its first nonsingular model
+    stands for it (A_5 = 2 a4), or for the whole a2 slab when there is no
+    term at all (A_3 = a2).  tally counts the rows tabulated and the
+    singular models skipped.
+    """
+    q = ctx.q
+    tally = Counter() if tally is None else tally
     terms = _hasse_terms(ctx.p)
-    stride = 1 if any(k for _, k, _ in terms) else ctx.q if terms else ctx.q * ctx.q
-    idx, end = 0, _index_space(ctx)
-    while idx < end:
-        curve = _curve_at(ctx, idx)
-        if curve is None:
-            idx += 1
-            continue
-        yield idx, curve, _hasse_residue(curve)
-        idx = (idx // stride + 1) * stride
+    per_row = not any(k for _, k, _ in terms)
+    scan = (_row_on_ints if ctx.n == 1 else _row_on_logs)(ctx, tally)
+    for a2r in range(_index_space(ctx) // (q * q)):
+        for a4r in range(q):
+            tally["rows"] += 1
+            d = _disc_row(ctx, a2r, a4r)
+            if not any(d):
+                tally["singular"] += q
+                continue
+            base = (a2r * q + a4r) * q
+            models = scan(d, *_hasse_row(ctx, a2r, a4r))
+            for a6r, r in islice(models, 1 if per_row else None):
+                yield base + a6r, r
+            if not terms:
+                break  # A_3 = a2: the rest of the slab has this residue
 
 
 def find_curve_with_class(ctx: FieldCtx, h: int, *,
@@ -104,7 +206,8 @@ def find_curve_with_class(ctx: FieldCtx, h: int, *,
 
     With the shortcut on, an empty admissible trace set answers None
     without touching a single curve, and one model per stride of constant
-    A_p is classified (_classified); the exhaustive route gives the same
+    A_p is classified on ranks (_classified), and only the winner is
+    built as a curve; the exhaustive route gives the same
     answer and exists precisely so the shortcuts can be audited.
     """
     p = ctx.p
@@ -114,7 +217,7 @@ def find_curve_with_class(ctx: FieldCtx, h: int, *,
         return next((c for c in iter_curves(ctx) if _hasse_residue(c) == h), None)
     if not admissible_traces(ctx.q, h, p):
         return None
-    return next((c for _, c, r in _classified(ctx) if r == h), None)
+    return next((_curve_at(ctx, i) for i, r in _classified(ctx) if r == h), None)
 
 
 @dataclass(frozen=True)
@@ -236,13 +339,19 @@ def census(ctx: FieldCtx) -> RealizabilityReport:
     residues = range(1, p)
     wanted = frozenset(h for h in residues if admissible_traces(q, h, p))
 
+    tally: Counter = Counter()
+    if ctx.n > 1:
+        ctx._log_tables  # built, and logged, before the scan clock starts
+    t0 = time.perf_counter()
     found: dict[int, int] = {}
-    for idx, _, r in _classified(ctx):
+    models = 0
+    for models, (idx, r) in enumerate(_classified(ctx, tally), 1):
         if r in wanted and r not in found:
             found[r] = idx
             if len(found) == len(wanted):
                 break
 
+    t1 = time.perf_counter()
     entries = []
     for h in residues:
         if h in found:
@@ -250,6 +359,10 @@ def census(ctx: FieldCtx) -> RealizabilityReport:
         else:
             entries.append(ClassEntry(h, None))
     missing = tuple(h for h in residues if h not in found)
+    logger.debug("census over %s: %d models tested, %d singular skipped, "
+                 "%d rows tabulated; scan %.3f s, witness validation %.3f s",
+                 ctx, models, tally["singular"], tally["rows"],
+                 t1 - t0, time.perf_counter() - t1)
 
     formula = realizable_set(p, q)
     swept = frozenset(found)

@@ -12,6 +12,7 @@ independent route (exhaustive sweeps, closed forms), or frozen constants
 that were derived by hand.
 """
 
+import hashlib
 import json
 import time
 
@@ -254,6 +255,24 @@ def test_ac13_census_determinism(tmp_path):
         envelopes.append(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode())
     ok = ok and envelopes[0] == envelopes[1]
     _report(13, "census-determinism", time.perf_counter() - t0, 30.0, ok)
+
+
+# sha256 of the compact sorted JSON of each report, frozen from the
+# term-by-term census that classified every scanned model as a curve
+LARGE_PRIME_CENSUS_SHA256 = {
+    1009: "1615498f859ccb2cf89cbee0867f1e8c114dd7ded74c10050e072da7370e385c",
+    4099: "ba9f7536471c039f3face696ffbacc1db5f84e5af9f3034a91be689a6bcc0bf1",
+}
+
+
+@pytest.mark.parametrize("p", sorted(LARGE_PRIME_CENSUS_SHA256))
+def test_ac14_large_prime_census_within_budget(p):
+    """Cold census over F_1009 and F_4099: the frozen report bytes in 5 s."""
+    t0 = time.perf_counter()
+    report = census(make_field(p))
+    blob = json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":"))
+    ok = hashlib.sha256(blob.encode()).hexdigest() == LARGE_PRIME_CENSUS_SHA256[p]
+    _report(14, f"census-{p}-digest", time.perf_counter() - t0, 5.0, ok)
 
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-s"]))

@@ -19,7 +19,8 @@ from hasseforms import (
     point_count,
     realizable_set,
 )
-from hasseforms.curve import WeierstrassCurve, discriminant_general
+from hasseforms.curve import WeierstrassCurve, _hasse_terms, discriminant_general
+from hasseforms.search import _classified, _curve_at, _hasse_residue, _index_space
 
 
 def test_admissible_traces_frozen():
@@ -146,8 +147,11 @@ def test_census_logs_one_table_build_per_context(caplog):
                 report = census(ctx)
                 assert json.dumps(report.to_dict(), sort_keys=True) == want
     records = [r for r in caplog.records if r.name == "hasseforms"]
-    assert [r.levelno for r in records] == [logging.DEBUG] * len(plain)
-    for record, (p, n) in zip(records, plain):
+    # each census adds its own record, checked in test_census_logs_one_record
+    tables = [r for r in records if not r.getMessage().startswith("census over")]
+    assert len(records) == len(tables) + 2 * len(plain)
+    assert [r.levelno for r in tables] == [logging.DEBUG] * len(plain)
+    for record, (p, n) in zip(tables, plain):
         text = record.getMessage()
         assert f"F_{p}^{n} (q = {p**n})" in text and text.endswith(" s")
 
@@ -204,6 +208,75 @@ def test_census_witnesses_match_exhaustive_search(p, n):
         w = entry.witness
         assert (w.a2, w.a4, w.a6) == (slow.a2.coeffs, slow.a4.coeffs, slow.a6.coeffs)
         assert find_curve_with_class(ctx, entry.residue) == slow
+
+
+def _classified_on_objects(ctx):
+    # the scan's rule on curves: decode every index, keep one model per
+    # stride of constant A_p (an a4 row for A_5 = 2 a4, an a2 slab for A_3 = a2)
+    terms = _hasse_terms(ctx.p)
+    stride = 1 if any(k for _, k, _ in terms) else ctx.q if terms else ctx.q ** 2
+    out, idx, end = [], 0, _index_space(ctx)
+    while idx < end:
+        curve = _curve_at(ctx, idx)
+        if curve is None:
+            idx += 1
+            continue
+        out.append((idx, _hasse_residue(curve)))
+        idx = (idx // stride + 1) * stride
+    return out
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (13, 1), (19, 1), (23, 1),
+                                 (3, 2), (3, 3), (5, 2), (7, 2), (5, 3)])
+def test_rank_scan_matches_object_route(p, n):
+    # the p = 3 slab, the p = 5 row and the full scan, over F_p and F_q
+    ctx = make_field(p, n)
+    assert list(_classified(ctx)) == _classified_on_objects(ctx)
+
+
+def _count_constructions(monkeypatch):
+    built = []
+    init = WeierstrassCurve.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(WeierstrassCurve, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("p,n", [(211, 1), (31, 2)])
+def test_census_builds_only_witnesses(monkeypatch, p, n):
+    ctx = make_field(p, n)
+    built = _count_constructions(monkeypatch)
+    report = census(ctx)
+    assert len(built) == len(report.realizable) > 0
+    built.clear()
+    assert find_curve_with_class(ctx, 2) is not None
+    assert len(built) == 1
+
+
+def test_census_logs_one_record_and_keeps_output(caplog):
+    fields = [(19, 1), (211, 1), (3, 4), (31, 2)]
+
+    def reports():
+        return [json.dumps(census(make_field(p, n)).to_dict(), sort_keys=True)
+                for p, n in fields]
+
+    plain = reports()
+    with caplog.at_level(logging.DEBUG, logger="hasseforms"):
+        assert reports() == plain
+    records = [r for r in caplog.records
+               if r.name == "hasseforms" and r.getMessage().startswith("census over")]
+    assert [r.levelno for r in records] == [logging.DEBUG] * len(fields)
+    for record, (p, n) in zip(records, fields):
+        text = record.getMessage()
+        assert text.startswith(f"census over {make_field(p, n)}: ")
+        for part in ("models tested", "singular skipped", "rows tabulated",
+                     "scan ", "witness validation "):
+            assert part in text
+        assert text.endswith(" s")
 
 
 def test_sweeps_guarded_on_oversized_fields():
