@@ -27,8 +27,11 @@ Curves, section V.4.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
+from itertools import repeat
+from operator import and_, sub
 
 from .errors import (
     BadCongruenceError,
@@ -175,11 +178,12 @@ def point_count(curve: WeierstrassCurve) -> FrobeniusData:
 
     Each affine x contributes 1 + chi(f(x)) points, plus one at infinity.
     Over F_p, f(x) is evaluated on ints and chi read from a table.  Over
-    F_q with n > 1 the sweep runs over x = 0 and x = g^e for the
-    canonical generator g, evaluating f by Horner's rule on discrete
-    logarithms: multiplying by x adds e, adding a coefficient c is one
-    Zech logarithm, log(y + c) = log c + zech[log y - log c], and chi is
-    the parity of the final logarithm.
+    F_q with n > 1, f = h + a6 with h(x) = x^3 + a2 x^2 + a4 x, and the
+    logarithms of h at x = g^e (canonical generator g) are tabulated once
+    per (a2, a4) row (_row_logs).  Each a6 = g^lc is then one pass over
+    that row: chi(h + a6) = chi(a6) chi(1 + g^(log h - lc)), and
+    chi(1 + g^t) is the parity of the Zech logarithm zech[t], or 0 where
+    1 + g^t = 0.
     """
     ctx = curve.ctx
     q = ctx.q
@@ -194,27 +198,20 @@ def point_count(curve: WeierstrassCurve) -> FrobeniusData:
         else:
             s = sum(chi[(x * x * x + b * x + c) % p] for x in range(p))
     else:
-        _, log, zech = ctx._log_tables
-        order = q - 1
-
-        def plus(ys, c):
-            # logs of y + c for the logs ys (None stands for zero)
-            if not c:
-                return ys
-            lc = log[c.rank]
-            return [lc if y is None else
-                    None if (z := zech[(y - lc) % order]) < 0 else lc + z
-                    for y in ys]
-
-        def times_x(ys):
-            return [None if y is None else y + e for e, y in enumerate(ys)]
-
-        ys = times_x(plus(times_x(plus(range(order), curve.a2)), curve.a4))
-        ys = plus(ys, curve.a6)
-        # order is even, so the parity of an unreduced logarithm is chi
-        s = sum(0 if y is None else 1 - 2 * (y & 1) for y in ys)
-        if curve.a6:  # x = 0
-            s += 1 - 2 * (log[curve.a6.rank] & 1)
+        row = _row_logs(ctx, curve.a2.rank, curve.a4.rank)
+        if curve.a6:
+            _, log, zech = ctx._log_tables
+            lc = log[curve.a6.rank]
+            # s = chi(a6) (1 + #{x != 0 : h(x) = 0} + sum over the row of
+            # chi(1 + g^t)), and 1 + that count + len(row) is q; the parity
+            # sum counts zech[t] = -1 (x a root of f, log h = lc + (q-1)/2)
+            # as odd, so the roots of f are added back
+            zs = map(zech.__getitem__, map(sub, row, repeat(lc)))
+            odds = sum(map(and_, zs, repeat(1)))
+            roots = row.count((lc + (q - 1) // 2) % (q - 1))
+            s = (q - 2 * odds + roots) * (1 - 2 * (lc & 1))
+        else:
+            s = len(row) - 2 * sum(map(and_, row, repeat(1)))
     count = 1 + q + s
     beta = q + 1 - count
     ordinary = beta % ctx.p != 0
@@ -224,6 +221,31 @@ def point_count(curve: WeierstrassCurve) -> FrobeniusData:
         raise RuntimeError(
             f"trace bound violated for {curve!r}: beta = {beta}, this is a bug")
     return FrobeniusData(count=count, beta=beta, ordinary=ordinary)
+
+
+@lru_cache(maxsize=1)
+def _row_logs(ctx: FieldCtx, r2: int, r4: int) -> array:
+    # logs mod q - 1 of h(x) = x^3 + a2 x^2 + a4 x at each x = g^e where h
+    # is nonzero, for n > 1: Horner on logarithms, where times x adds e and
+    # plus c is one Zech step, log(y + c) = log c + zech[log y - log c].
+    # iter_curves walks the models row by row, so one slot serves every a6
+    # of a row.
+    _, log, zech = ctx._log_tables
+    order = ctx.q - 1
+    # logs of (x + a2) x, None where it vanishes
+    if r2:
+        l2 = log[r2]
+        ys = [None if (z := zech[(e - l2) % order]) < 0 else l2 + z + e
+              for e in range(order)]
+    else:
+        ys = range(0, 2 * order, 2)
+    if not r4:
+        return array("i", [(y + e) % order for e, y in enumerate(ys) if y is not None])
+    # plus a4, then the last times x, fused into the filter
+    l4 = log[r4]
+    return array("i", [(l4 + e if y is None else l4 + z + e) % order
+                       for e, y in enumerate(ys)
+                       if y is None or (z := zech[(y - l4) % order]) >= 0])
 
 
 @cache

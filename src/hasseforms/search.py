@@ -70,6 +70,13 @@ def admissible_traces(q: int, h: int, p: int | None = None) -> frozenset[int]:
     return frozenset(b for b in range(-bound, bound + 1) if b and b % p == target)
 
 
+def _trace_residues(q: int, p: int) -> frozenset[int]:
+    # the residues mod p of the traces 0 < |b| <= isqrt(4q - 1) prime to p,
+    # in one pass: exactly the h with a nonempty admissible_traces(q, h, p)
+    bound = isqrt(4 * q - 1)
+    return frozenset(b % p for b in range(-bound, bound + 1) if b % p)
+
+
 def _index_space(ctx: FieldCtx) -> int:
     # the a2 digit moves only where WeierstrassCurve accepts a2 != 0
     return ctx.q ** (3 if ctx.p < 5 else 2)
@@ -87,11 +94,22 @@ def _curve_at(ctx: FieldCtx, idx: int) -> WeierstrassCurve | None:
 
 
 def iter_curves(ctx: FieldCtx) -> Iterator[WeierstrassCurve]:
-    """Every nonsingular model over ctx, in enumeration order."""
-    for idx in range(_index_space(ctx)):
-        curve = _curve_at(ctx, idx)
-        if curve is not None:
-            yield curve
+    """Every nonsingular model over ctx, in enumeration order.
+
+    Row by row: a2 over the slabs _index_space allows, then a4, then a6,
+    from one list of the q elements, so point_count tabulates each
+    (a2, a4) row once.
+    """
+    q = ctx.q
+    elements = list(ctx.iter_elements())
+    for a2 in elements[:_index_space(ctx) // (q * q)]:
+        for a4 in elements:
+            for a6 in elements:
+                try:
+                    curve = WeierstrassCurve(ctx, a4, a6, a2=a2)
+                except SingularModelError:
+                    continue
+                yield curve
 
 
 def _hasse_residue(curve: WeierstrassCurve) -> int:
@@ -337,7 +355,7 @@ def census(ctx: FieldCtx) -> RealizabilityReport:
     """
     p, q = ctx.p, ctx.q
     residues = range(1, p)
-    wanted = frozenset(h for h in residues if admissible_traces(q, h, p))
+    wanted = _trace_residues(q, p)
 
     tally: Counter = Counter()
     if ctx.n > 1:

@@ -15,8 +15,9 @@ from hasseforms import (
     primitive_element,
     quadratic_character,
 )
-from hasseforms.curve import WeierstrassCurve
+from hasseforms.curve import WeierstrassCurve, _row_logs
 from hasseforms.gf import _is_irreducible_ints, _is_prime
+from hasseforms.verify import run_suite
 from hasseforms.errors import (
     CtxMismatchError,
     EvenCharacteristicError,
@@ -357,6 +358,67 @@ def test_point_count_matches_naive_count(p, n):
         assert point_count(curve).count == _naive_count(ctx, curve, chi)
         seen += 1
     assert seen > total // step // 2
+
+
+def _memo_cases(ctx):
+    # (curve, naive count) on rows with a2 != 0 (char 3), a4 = 0, and
+    # a4 = -1, where h = x^3 + a2 x^2 + a4 x has the root 1; a6 = 0 among them
+    chi = {t: _euler_chi(ctx, t)
+           for t in (ctx._tuple_from_rank(r) for r in range(ctx.q))}
+    slabs = (0, 1, ctx.q - 1) if ctx.p == 3 else (0,)
+    cases = []
+    for a2 in slabs:
+        for a4 in (0, 1, ctx._neg(ctx.one.rank), ctx.q - 1):
+            for a6 in (0, ctx.one.rank, 2, ctx.q - 1):
+                try:
+                    curve = WeierstrassCurve(ctx, ctx.from_rank(a4), ctx.from_rank(a6),
+                                             a2=ctx.from_rank(a2))
+                except SingularModelError:
+                    continue
+                cases.append((curve, _naive_count(ctx, curve, chi)))
+    return cases
+
+
+def test_point_count_row_memo_against_naive_count():
+    # F_9, F_25 and F_27 share ranks, and two distinct F_27 objects share
+    # the memo key: interleaved, every call changes the context or the row
+    k27 = make_field(3, 3)
+    fields = [make_field(3, 2), make_field(5, 2), k27, make_field(3, 3)]
+    assert fields[3] is not k27
+    per_field = [_memo_cases(ctx) for ctx in fields]
+    curves = [c for cases in per_field for c, _ in cases]
+    assert any(not c.a6 for c in curves) and any(c.a2 for c in curves)
+    assert any(len(_row_logs(c.ctx, c.a2.rank, c.a4.rank)) < c.ctx.q - 1
+               for c in curves)  # h has a root besides x = 0
+    _row_logs.cache_clear()
+    steps = list(zip(*per_field))
+    for step in steps:
+        for curve, count in step:
+            assert point_count(curve).count == count
+    # only the second F_27 object reuses a slot, the one the first just filled
+    assert _row_logs.cache_info().hits == len(steps) > 10
+    # then row by row, where consecutive models share the memo slot
+    for cases in per_field:
+        for curve, count in cases:
+            assert point_count(curve).count == count
+    assert _row_logs.cache_info().hits > 0
+
+
+def test_point_count_tabulates_each_row_once_in_norm_suite():
+    ctx = make_field(3, 2)
+    rows = set()
+    for a2 in range(ctx.q):
+        for a4 in range(ctx.q):
+            for a6 in range(ctx.q):
+                try:
+                    WeierstrassCurve(ctx, ctx.from_rank(a4), ctx.from_rank(a6),
+                                     a2=ctx.from_rank(a2))
+                except SingularModelError:
+                    continue
+                rows.add((a2, a4))
+    _row_logs.cache_clear()
+    assert run_suite("norm", 3, 2).ok
+    assert _row_logs.cache_info().misses == len(rows)
 
 
 def test_tables_refused_beyond_sweep_guard():

@@ -20,7 +20,14 @@ from hasseforms import (
     realizable_set,
 )
 from hasseforms.curve import WeierstrassCurve, _hasse_terms, discriminant_general
-from hasseforms.search import _classified, _curve_at, _hasse_residue, _index_space
+from hasseforms.gf import _is_prime
+from hasseforms.search import (
+    _classified,
+    _curve_at,
+    _hasse_residue,
+    _index_space,
+    _trace_residues,
+)
 
 
 def test_admissible_traces_frozen():
@@ -36,6 +43,20 @@ def test_admissible_traces_matches_interval_scan():
         for h in range(1, p):
             brute = {b for b in range(-bound, bound + 1) if b and b % p == h % p}
             assert admissible_traces(q, h, p=p) == brute
+
+
+# every prime to 211, two larger primes, and every prime power p^n <= 3^12
+# with n >= 2 and p <= 101 (the squares of larger p cost seconds here)
+TRACE_RESIDUE_FIELDS = (
+    [(p, p) for p in range(3, 212) if _is_prime(p)] + [(4099, 4099), (65537, 65537)]
+    + [(p**n, p) for p in range(3, 102) if _is_prime(p)
+       for n in range(2, 13) if p**n <= 3**12])
+
+
+def test_census_wanted_residues_match_admissible_traces():
+    # the census's one-pass residue set against admissible_traces per residue
+    for q, p in TRACE_RESIDUE_FIELDS:
+        assert _trace_residues(q, p) == {h for h in range(1, p) if admissible_traces(q, h, p)}
 
 
 def test_admissible_traces_rejects_divisible_residue():
@@ -61,6 +82,15 @@ def test_iter_curves_counts_and_order():
 
     ctx3 = make_field(3)
     assert len(list(iter_curves(ctx3))) == 18  # a2 models included
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (7, 1), (3, 2), (3, 3), (5, 2)])
+def test_iter_curves_matches_index_decode(p, n):
+    # the row-major sweep yields the decode of every index, in index order
+    ctx = make_field(p, n)
+    decoded = [c for c in (_curve_at(ctx, i) for i in range(_index_space(ctx)))
+               if c is not None]
+    assert list(iter_curves(ctx)) == decoded
 
 
 def test_find_curve_with_class_frozen():
