@@ -177,41 +177,29 @@ def point_count(curve: WeierstrassCurve) -> FrobeniusData:
     """Exhaustive point count via the quadratic character.
 
     Each affine x contributes 1 + chi(f(x)) points, plus one at infinity.
-    Over F_p, f(x) is evaluated on ints and chi read from a table.  Over
-    F_q with n > 1, f = h + a6 with h(x) = x^3 + a2 x^2 + a4 x, and the
-    logarithms of h at x = g^e (canonical generator g) are tabulated once
-    per (a2, a4) row (_row_logs).  Each a6 = g^lc is then one pass over
-    that row: chi(h + a6) = chi(a6) chi(1 + g^(log h - lc)), and
-    chi(1 + g^t) is the parity of the Zech logarithm zech[t], or 0 where
-    1 + g^t = 0.
+    Write f = h + a6 with h(x) = x^3 + a2 x^2 + a4 x.  The logarithms of
+    h at x = g^e (canonical generator g) are tabulated once per (a2, a4)
+    row (_row_logs), on every field, prime fields included.  Each
+    a6 = g^lc is then one pass over that row: chi(h + a6) =
+    chi(a6) chi(1 + g^(log h - lc)), and chi(1 + g^t) is the parity of
+    the Zech logarithm zech[t], or 0 where 1 + g^t = 0.
     """
     ctx = curve.ctx
     q = ctx.q
-    if ctx.n == 1:
-        chi = ctx._chi_by_rank
-        p = ctx.p
-        b = curve.a4.rank
-        c = curve.a6.rank
-        if curve.a2:
-            a = curve.a2.rank
-            s = sum(chi[(((x + a) * x + b) * x + c) % p] for x in range(p))
-        else:
-            s = sum(chi[(x * x * x + b * x + c) % p] for x in range(p))
+    row = _row_logs(ctx, curve.a2.rank, curve.a4.rank)
+    if curve.a6:
+        _, log, zech = ctx._log_tables
+        lc = log[curve.a6.rank]
+        # s = chi(a6) (1 + #{x != 0 : h(x) = 0} + sum over the row of
+        # chi(1 + g^t)), and 1 + that count + len(row) is q; the parity
+        # sum counts zech[t] = -1 (x a root of f, log h = lc + (q-1)/2)
+        # as odd, so the roots of f are added back
+        zs = map(zech.__getitem__, map(sub, row, repeat(lc)))
+        odds = sum(map(and_, zs, repeat(1)))
+        roots = row.count((lc + (q - 1) // 2) % (q - 1))
+        s = (q - 2 * odds + roots) * (1 - 2 * (lc & 1))
     else:
-        row = _row_logs(ctx, curve.a2.rank, curve.a4.rank)
-        if curve.a6:
-            _, log, zech = ctx._log_tables
-            lc = log[curve.a6.rank]
-            # s = chi(a6) (1 + #{x != 0 : h(x) = 0} + sum over the row of
-            # chi(1 + g^t)), and 1 + that count + len(row) is q; the parity
-            # sum counts zech[t] = -1 (x a root of f, log h = lc + (q-1)/2)
-            # as odd, so the roots of f are added back
-            zs = map(zech.__getitem__, map(sub, row, repeat(lc)))
-            odds = sum(map(and_, zs, repeat(1)))
-            roots = row.count((lc + (q - 1) // 2) % (q - 1))
-            s = (q - 2 * odds + roots) * (1 - 2 * (lc & 1))
-        else:
-            s = len(row) - 2 * sum(map(and_, row, repeat(1)))
+        s = len(row) - 2 * sum(map(and_, row, repeat(1)))
     count = 1 + q + s
     beta = q + 1 - count
     ordinary = beta % ctx.p != 0
@@ -226,10 +214,10 @@ def point_count(curve: WeierstrassCurve) -> FrobeniusData:
 @lru_cache(maxsize=1)
 def _row_logs(ctx: FieldCtx, r2: int, r4: int) -> array:
     # logs mod q - 1 of h(x) = x^3 + a2 x^2 + a4 x at each x = g^e where h
-    # is nonzero, for n > 1: Horner on logarithms, where times x adds e and
-    # plus c is one Zech step, log(y + c) = log c + zech[log y - log c].
-    # iter_curves walks the models row by row, so one slot serves every a6
-    # of a row.
+    # is nonzero: Horner on logarithms, where times x adds e and plus c is
+    # one Zech step, log(y + c) = log c + zech[log y - log c].  iter_curves
+    # walks the models row by row and the census checks its witnesses in
+    # index order, so one slot serves every a6 of a row.
     _, log, zech = ctx._log_tables
     order = ctx.q - 1
     # logs of (x + a2) x, None where it vanishes

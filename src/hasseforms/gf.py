@@ -11,15 +11,18 @@ Enumeration, generator selection and every "first match wins" rule in the
 rest of the package build on this single ordering.  An element is stored
 as its rank alone; the coefficient tuple is derived for printing.
 
+Tables.  Every field, prime fields included, has lazily built exp/log
+tables over lex ranks, indexed by the exponent e of the canonical
+generator g: exp[e] = rank(g^e), log[rank] = e, and the Zech logarithm
+zech[e] = log(1 + g^e) (Lidl and Niederreiter, Finite Fields, ch. 9).
+Each table holds O(q) machine integers.  Discrete logarithms and point
+counts read them on every field.
+
 Arithmetic.  Over F_p (n = 1) the rank is the value: built-in ints.  Over
-F_q with n > 1 it reads lazily built exp/log tables over lex ranks,
-indexed by the exponent e of the canonical generator g: exp[e] =
-rank(g^e), log[rank] = e, and the Zech logarithm zech[e] = log(1 + g^e)
-(Lidl and Niederreiter, Finite Fields, ch. 9).  Products, powers and
-inverses act on logarithms, a + b = g^(log a + zech[log b - log a]), and
-negation adds (q-1)/2 to the logarithm.  Each table holds O(q) machine
-integers.  The convolution product and power on coefficient tuples are
-the construction route (generator search, the exp build) and the
+F_q with n > 1 products, powers and inverses act on logarithms,
+a + b = g^(log a + zech[log b - log a]), and negation adds (q-1)/2 to
+the logarithm.  The convolution product and power on coefficient tuples
+are the construction route (generator search, the exp build) and the
 reference the tests audit the tables against.
 
 Scale guard: a context refuses q = p**n > 2**20 before any modulus
@@ -118,8 +121,8 @@ class FieldCtx:
     The kernels _add, _sub, _neg, _mul, _pow and _inv map lex ranks to
     lex ranks.  The first use of _log_tables (the exp/log/Zech tables,
     about 12 bytes per element) builds them from the lex-smallest
-    generator; prime fields read them only for logarithms and the
-    quadratic character.  q > 2**20 raises FieldTooLargeError.
+    generator; prime fields read them for logarithms and point counts.
+    q > 2**20 raises FieldTooLargeError.
     """
 
     def __init__(self, p: int, n: int = 1):
@@ -358,18 +361,6 @@ class FieldCtx:
         logger.debug("built log tables for F_%d^%d (q = %d) in %.3f s",
                      p, n, q, time.perf_counter() - t0)
         return exp, log, zech
-
-    @cached_property
-    def _chi_by_rank(self) -> array:
-        # quadratic character indexed by lex rank: 0 at zero, else +1 / -1
-        # by the parity of the discrete logarithm
-        _, log, _ = self._log_tables
-        t0 = time.perf_counter()
-        table = array("b", [1 - 2 * (e & 1) for e in log])
-        table[0] = 0
-        logger.debug("built character table for F_%d^%d (q = %d) in %.3f s",
-                     self.p, self.n, self.q, time.perf_counter() - t0)
-        return table
 
     def gen_pow(self, e: int) -> "FieldElement":
         """generator**e, read from the exp table."""

@@ -15,8 +15,9 @@ over F_q.  Where the closed form for A_p has no a6 term (A_5 = 2 a4) or
 no term at all (A_3 = a2), the residue is constant on each a4 row or a2
 slab, so the census and the shortcut witness search classify one model
 per row or slab.  Only the winning index of a class is decoded into a
-curve, and the census revalidates it from scratch.  iter_curves and the
-no-shortcut search build every model and are the audit of the scan.
+curve, and the census revalidates the winners from scratch in index
+order.  iter_curves and the no-shortcut search build every model and
+are the audit of the scan.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .curve import (
 )
 from .errors import InconsistencyError, SingularModelError
 from .forms import phi, realizable_set, unit_class_of
-from .gf import FieldCtx, norm_to_prime, smallest_prime_factor
+from .gf import FieldCtx, smallest_prime_factor
 
 __all__ = [
     "admissible_traces",
@@ -68,13 +69,6 @@ def admissible_traces(q: int, h: int, p: int | None = None) -> frozenset[int]:
     bound = isqrt(4 * q - 1)
     target = h % p
     return frozenset(b for b in range(-bound, bound + 1) if b and b % p == target)
-
-
-def _trace_residues(q: int, p: int) -> frozenset[int]:
-    # the residues mod p of the traces 0 < |b| <= isqrt(4q - 1) prime to p,
-    # in one pass: exactly the h with a nonempty admissible_traces(q, h, p)
-    bound = isqrt(4 * q - 1)
-    return frozenset(b % p for b in range(-bound, bound + 1) if b % p)
 
 
 def _index_space(ctx: FieldCtx) -> int:
@@ -113,9 +107,10 @@ def iter_curves(ctx: FieldCtx) -> Iterator[WeierstrassCurve]:
 
 
 def _hasse_residue(curve: WeierstrassCurve) -> int:
-    # 0 when supersingular, else the residue phi gives to [A_p]
+    # 0 when supersingular, else phi([A_p]); by the bridge this is
+    # beta mod p in both cases
     a = hasse_invariant(curve)
-    return int(norm_to_prime(a)) if a else 0
+    return int(phi(unit_class_of(a))) if a else 0
 
 
 def _row_on_ints(ctx: FieldCtx, tally: Counter):
@@ -345,51 +340,47 @@ def _validate_witness(ctx: FieldCtx, idx: int, h: int) -> WitnessRecord:
 def census(ctx: FieldCtx) -> RealizabilityReport:
     """Find a first witness for every realizable class over ctx.
 
-    Classes whose admissible trace set is empty are declared missing up
-    front; the rest are searched by one sweep of the curve enumeration in
-    order, keeping the first index per class and stopping once every
-    class is hit, one model per stride of constant A_p (_classified).
-    Each recorded witness is revalidated from scratch, and the
-    final realizable set must agree with the interval formula or an
-    InconsistencyError is raised.
+    The classes the interval formula allows (realizable_set) are searched
+    by one sweep of the curve enumeration in order, keeping the first
+    index of every nonzero residue seen and stopping once as many classes
+    are hit as the formula allows, one model per stride of constant A_p
+    (_classified).  The residues found must be exactly the formula's or an
+    InconsistencyError is raised.  Each witness is then revalidated from
+    scratch, in index order, so witnesses on one (a2, a4) row share one
+    point-count row.
     """
     p, q = ctx.p, ctx.q
     residues = range(1, p)
-    wanted = _trace_residues(q, p)
+    wanted = realizable_set(p, q)
 
     tally: Counter = Counter()
-    if ctx.n > 1:
-        ctx._log_tables  # built, and logged, before the scan clock starts
+    ctx._log_tables  # built, and logged, before the scan clock starts
     t0 = time.perf_counter()
     found: dict[int, int] = {}
     models = 0
     for models, (idx, r) in enumerate(_classified(ctx, tally), 1):
-        if r in wanted and r not in found:
+        if r and r not in found:
             found[r] = idx
             if len(found) == len(wanted):
                 break
 
+    swept = frozenset(found)
+    if swept != wanted:
+        raise InconsistencyError(
+            f"census over {ctx} found classes {sorted(swept)} but the trace "
+            f"interval formula gives {sorted(wanted)}")
+
     t1 = time.perf_counter()
-    entries = []
-    for h in residues:
-        if h in found:
-            entries.append(ClassEntry(h, _validate_witness(ctx, found[h], h)))
-        else:
-            entries.append(ClassEntry(h, None))
+    witnesses = {h: _validate_witness(ctx, idx, h)
+                 for h, idx in sorted(found.items(), key=lambda hi: hi[1])}
+    entries = tuple(ClassEntry(h, witnesses.get(h)) for h in residues)
     missing = tuple(h for h in residues if h not in found)
     logger.debug("census over %s: %d models tested, %d singular skipped, "
                  "%d rows tabulated; scan %.3f s, witness validation %.3f s",
                  ctx, models, tally["singular"], tally["rows"],
                  t1 - t0, time.perf_counter() - t1)
 
-    formula = realizable_set(p, q)
-    swept = frozenset(found)
-    if swept != formula:
-        raise InconsistencyError(
-            f"census over {ctx} found classes {sorted(swept)} but the trace "
-            f"interval formula gives {sorted(formula)}")
-
     return RealizabilityReport(
         p=p, n=ctx.n, q=q, modulus=ctx.modulus,
-        entries=tuple(entries), missing=missing,
+        entries=entries, missing=missing,
         verdict="complete" if not missing else "proper-subset")

@@ -22,7 +22,7 @@ from .forms import (
 )
 from .gf import FieldCtx, make_field
 from .poly import Polynomial, factor
-from .search import census, iter_curves
+from .search import _hasse_residue, census, iter_curves
 
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_suite"]
 
@@ -84,20 +84,18 @@ def _suite_classification(res: SuiteResult, ctx: FieldCtx) -> None:
 
 
 def _suite_bridge(res: SuiteResult, ctx: FieldCtx) -> None:
-    """A_p vanishes iff p | beta; otherwise phi([A_p]) = beta mod p."""
+    """A_p vanishes iff p | beta; otherwise phi([A_p]) = beta mod p.
+
+    Both are one check, since _hasse_residue is 0 exactly when A_p = 0
+    and a unit residue otherwise.
+    """
     p = ctx.p
     for curve in iter_curves(ctx):
-        a = hasse_invariant(curve)
-        fd = point_count(curve)
-        if not a:
-            res.check(fd.beta % p == 0,
-                      "%r: A_p = 0 but beta = %d is prime to %d",
-                      curve, fd.beta, p)
-        else:
-            got = int(phi(unit_class_of(a)))
-            res.check(got == fd.beta % p,
-                      "%r: phi([A_p]) = %d but beta mod p = %d",
-                      curve, got, fd.beta % p)
+        got = _hasse_residue(curve)
+        beta = point_count(curve).beta
+        res.check(got == beta % p,
+                  "%r: Hasse residue %d (0 for A_p = 0) but beta = %d, %d mod p",
+                  curve, got, beta, beta % p)
 
 
 def _suite_twists(res: SuiteResult, ctx: FieldCtx) -> None:
@@ -212,9 +210,9 @@ def _suite_census(res: SuiteResult, ctx: FieldCtx) -> None:
               "verdict %r inconsistent with %r", report.verdict, sorted(formula))
     first = {}
     for curve in iter_curves(ctx):
-        a = hasse_invariant(curve)
-        if a:
-            first.setdefault(int(phi(unit_class_of(a))), curve)
+        r = _hasse_residue(curve)
+        if r:
+            first.setdefault(r, curve)
             if len(first) == p - 1:
                 break
     for entry in report.entries:

@@ -18,16 +18,11 @@ from hasseforms import (
     make_field,
     point_count,
     realizable_set,
+    search,
 )
-from hasseforms.curve import WeierstrassCurve, _hasse_terms, discriminant_general
+from hasseforms.curve import WeierstrassCurve, _hasse_terms, _row_logs, discriminant_general
 from hasseforms.gf import _is_prime
-from hasseforms.search import (
-    _classified,
-    _curve_at,
-    _hasse_residue,
-    _index_space,
-    _trace_residues,
-)
+from hasseforms.search import _classified, _curve_at, _hasse_residue, _index_space
 
 
 def test_admissible_traces_frozen():
@@ -54,9 +49,25 @@ TRACE_RESIDUE_FIELDS = (
 
 
 def test_census_wanted_residues_match_admissible_traces():
-    # the census's one-pass residue set against admissible_traces per residue
+    # the census's wanted set, realizable_set, against admissible_traces
+    # per residue
     for q, p in TRACE_RESIDUE_FIELDS:
-        assert _trace_residues(q, p) == {h for h in range(1, p) if admissible_traces(q, h, p)}
+        assert realizable_set(p, q) == {h for h in range(1, p) if admissible_traces(q, h, p)}
+
+
+def test_census_cross_check_catches_residue_outside_interval(monkeypatch):
+    # 9 is no trace residue over F_19; a scan that reports it must be caught
+    classified = search._classified
+
+    def injected(ctx, tally=None):
+        models = classified(ctx, tally)
+        idx, _ = next(models)
+        yield idx, 9
+        yield from models
+
+    monkeypatch.setattr(search, "_classified", injected)
+    with pytest.raises(InconsistencyError, match="interval formula"):
+        census(make_field(19))
 
 
 def test_admissible_traces_rejects_divisible_residue():
@@ -285,6 +296,18 @@ def test_census_builds_only_witnesses(monkeypatch, p, n):
     built.clear()
     assert find_curve_with_class(ctx, 2) is not None
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("p,n", [(211, 1), (31, 2)])
+def test_census_builds_one_point_count_row_per_witness_row(p, n):
+    # witnesses are checked in index order, so those on one (a2, a4) row
+    # share the one-slot row memo
+    ctx = make_field(p, n)
+    _row_logs.cache_clear()
+    report = census(ctx)
+    rows = {(e.witness.a2, e.witness.a4) for e in report.entries if e.witness}
+    assert len(rows) < len(report.realizable)
+    assert _row_logs.cache_info().misses == len(rows)
 
 
 def test_census_logs_one_record_and_keeps_output(caplog):
