@@ -15,6 +15,12 @@ keys are sorted; only timing-ms varies between identical runs.
 
 Note: the search subcommand spells its target class -h, so its help
 lives on --help only.
+
+The parser is built once per process, on the first main() call, and
+reused by every later call: parse_args leaves it unchanged, and help,
+version and usage errors look up sys.stdout and sys.stderr when they
+print, so redirected callers get the same bytes.  build_parser() returns
+a fresh parser each time it is called.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from . import __version__
 from .curve import WeierstrassCurve, hasse_invariant, point_count
 from .errors import InconsistencyError
 from .forms import phi, ptorsion_description, realizable_set, unit_class_of
-from .gf import SWEEP_MAX, FieldCtx, _is_prime, make_field
+from .gf import SWEEP_MAX, FieldCtx, _is_prime, make_field, norm_to_prime
 from .search import describe_witness, find_curve_with_class
 from .verify import SUITE_NAMES, run_suite
 
@@ -107,7 +113,7 @@ def _cmd_hasse(args):
     curve = _curve_from_args(ctx, args)
     fd = point_count(curve)
     ap = hasse_invariant(curve, "p")
-    aq = hasse_invariant(curve, "q")
+    aq = norm_to_prime(ap)
     ordinary = bool(ap)
     cls = unit_class_of(ap) if ordinary else None
     result = {
@@ -140,11 +146,17 @@ def _cmd_hasse(args):
 
 
 def _cmd_realizable(args):
+    # p is bounded before the primality test, which trial-divides it, and
+    # q before it is formed: it is printed in full, and any p >= 3 passes
+    # 4300 digits, the most Python prints by default, by n = 9014
+    if args.p > SWEEP_MAX:
+        raise ValueError(f"p = {args.p} is above 2**20, the largest field order")
     if args.p == 2 or not _is_prime(args.p):
         raise ValueError(f"p must be an odd prime, got {args.p}")
     if args.n < 1:
         raise ValueError(f"extension degree must be >= 1, got {args.n}")
-    q = args.p**args.n
+    if args.n > 9013 or (q := args.p**args.n) >= 10**4300:
+        raise ValueError(f"q = {args.p}**{args.n} has more than 4300 digits")
     hit = realizable_set(args.p, q)
     missing = sorted(set(range(1, args.p)) - hit)
     verdict = "complete" if not missing else "proper-subset"
@@ -317,8 +329,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

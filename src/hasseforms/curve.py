@@ -2,7 +2,8 @@
 
 The a2 term is only allowed in characteristic 3, where the short form
 cannot always reach every curve; for p >= 5 construction insists on
-a2 = 0.  Nonsingularity is checked at construction time.
+a2 = 0.  Nonsingularity is checked at construction time; iter_curves
+and twist, which already know the discriminant, skip the recheck.
 
 Invariants follow the b-style formulas specialised to this shape:
 
@@ -70,11 +71,23 @@ class WeierstrassCurve:
         if not disc:
             raise SingularModelError(
                 f"y^2 = {_rhs_str(a2, a4, a6)} over {ctx} is singular")
+        self._fill(ctx, a2, a4, a6, disc)
+
+    def _fill(self, ctx, a2, a4, a6, disc) -> None:
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "a2", a2)
         object.__setattr__(self, "a4", a4)
         object.__setattr__(self, "a6", a6)
         object.__setattr__(self, "discriminant", disc)
+
+    @classmethod
+    def _unchecked(cls, ctx, a2, a4, a6, disc) -> "WeierstrassCurve":
+        # for callers that already hold the discriminant: a2, a4, a6 are
+        # elements of ctx with a2 = 0 unless p = 3, and disc is their
+        # nonzero discriminant; nothing is checked again
+        curve = object.__new__(cls)
+        curve._fill(ctx, a2, a4, a6, disc)
+        return curve
 
     def __setattr__(self, name, value):
         raise AttributeError("WeierstrassCurve is immutable")
@@ -302,14 +315,25 @@ def twist(curve: WeierstrassCurve, d, kind: str = "quadratic") -> WeierstrassCur
     quadratic: any model; scales (a2, a4, a6) by (d, d^2, d^3).
     quartic:   j = 1728 and p = 1 mod 4 only; (a4, 0) -> (d*a4, 0).
     sextic:    j = 0 and p = 1 mod 3 only; (0, a6) -> (0, d*a6).
+
+    The discriminant is weighted homogeneous of weight 6 in (a2, a4, a6)
+    with weights (1, 2, 3), so the twist's discriminant is d^6, d^3 or
+    d^2 times the curve's (tests pin it against discriminant_general):
+    a twist of a nonsingular model by d != 0 is nonsingular.
     """
     ctx = curve.ctx
     d = ctx.element(d)
     if not d:
         raise ZeroTwistParameterError("twist parameter must be nonzero")
+    mul, pw, r = ctx._mul, ctx._pow, d.rank
+
+    def scaled(x: FieldElement, k: int) -> FieldElement:
+        return FieldElement(ctx, mul(pw(r, k), x.rank))
+
     if kind == "quadratic":
-        return WeierstrassCurve(ctx, d * d * curve.a4, d**3 * curve.a6,
-                                a2=d * curve.a2)
+        return WeierstrassCurve._unchecked(
+            ctx, scaled(curve.a2, 1), scaled(curve.a4, 2), scaled(curve.a6, 3),
+            scaled(curve.discriminant, 6))
     if kind == "quartic":
         if curve.j_invariant != ctx.element(1728):
             raise WrongJInvariantError(
@@ -317,7 +341,8 @@ def twist(curve: WeierstrassCurve, d, kind: str = "quadratic") -> WeierstrassCur
         if ctx.p % 4 != 1:
             raise BadCongruenceError(
                 f"quartic twists need p = 1 mod 4, got p = {ctx.p}")
-        return WeierstrassCurve(ctx, d * curve.a4, ctx.zero)
+        return WeierstrassCurve._unchecked(
+            ctx, ctx.zero, scaled(curve.a4, 1), ctx.zero, scaled(curve.discriminant, 3))
     if kind == "sextic":
         if curve.j_invariant != ctx.zero:
             raise WrongJInvariantError(
@@ -325,5 +350,6 @@ def twist(curve: WeierstrassCurve, d, kind: str = "quadratic") -> WeierstrassCur
         if ctx.p % 3 != 1:
             raise BadCongruenceError(
                 f"sextic twists need p = 1 mod 3, got p = {ctx.p}")
-        return WeierstrassCurve(ctx, ctx.zero, d * curve.a6)
+        return WeierstrassCurve._unchecked(
+            ctx, ctx.zero, ctx.zero, scaled(curve.a6, 1), scaled(curve.discriminant, 2))
     raise ValueError(f"kind must be one of {TWIST_KINDS}, got {kind!r}")

@@ -133,15 +133,17 @@ class FieldCtx:
                 "characteristic 2 is not supported; use an odd prime")
         if n < 1:
             raise ValueError(f"extension degree must be >= 1, got {n}")
-        q = p**n
-        # the size guard runs before the primality test, which trial-divides p
-        if p > 2 and q > SWEEP_MAX:
+        # the size guard runs before the primality test, which trial-divides
+        # p, and before p**n is formed: every p >= 3 passes 2**20 by n = 13,
+        # so a huge n is refused without building a huge power
+        if p > 2 and (n > 20 or p**n > SWEEP_MAX):
             name = f"F_{p}" if n == 1 else f"F_{p}^{n}"
             raise FieldTooLargeError(
                 f"{name} is too large: fields need q = p**n <= 2**20 "
                 "for their log tables and sweeps")
         if not _is_prime(p):
             raise NotPrimeError(f"characteristic must be prime, got {p}")
+        q = p**n
         self.p = p
         self.n = n
         self.q = q

@@ -40,7 +40,7 @@ from .curve import (
 )
 from .errors import InconsistencyError, SingularModelError
 from .forms import phi, realizable_set, unit_class_of
-from .gf import FieldCtx, smallest_prime_factor
+from .gf import FieldCtx, FieldElement, smallest_prime_factor
 
 __all__ = [
     "admissible_traces",
@@ -92,18 +92,21 @@ def iter_curves(ctx: FieldCtx) -> Iterator[WeierstrassCurve]:
 
     Row by row: a2 over the slabs _index_space allows, then a4, then a6,
     from one list of the q elements, so point_count tabulates each
-    (a2, a4) row once.
+    (a2, a4) row once.  The discriminant is read off the row's
+    coefficients (curve._disc_row) per a6, and singular models are
+    skipped without building them.
     """
-    q = ctx.q
+    q, add, mul = ctx.q, ctx._add, ctx._mul
+    unchecked = WeierstrassCurve._unchecked
     elements = list(ctx.iter_elements())
     for a2 in elements[:_index_space(ctx) // (q * q)]:
         for a4 in elements:
+            d0, d1, d2 = _disc_row(ctx, a2.rank, a4.rank)
             for a6 in elements:
-                try:
-                    curve = WeierstrassCurve(ctx, a4, a6, a2=a2)
-                except SingularModelError:
-                    continue
-                yield curve
+                r6 = a6.rank
+                disc = add(d0, mul(add(d1, mul(d2, r6)), r6))
+                if disc:
+                    yield unchecked(ctx, a2, a4, a6, FieldElement(ctx, disc))
 
 
 def _hasse_residue(curve: WeierstrassCurve) -> int:

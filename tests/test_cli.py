@@ -4,13 +4,23 @@ import contextlib
 import io
 import json
 import math
+import random
+import re
 import subprocess
 import sys
 import time
 
 import pytest
 
-from hasseforms import WeierstrassCurve, describe_witness, find_curve_with_class, make_field
+from hasseforms import (
+    SUITE_NAMES,
+    WeierstrassCurve,
+    describe_witness,
+    find_curve_with_class,
+    hasse_invariant,
+    make_field,
+)
+from hasseforms import cli
 from hasseforms.cli import main
 
 
@@ -201,11 +211,16 @@ def test_hasse_beyond_sweep_guard_fails_fast():
     ("search", "-p", "1031", "-n", "2", "-h", "1"),
     ("verify", "--suite", "classification", "-p", "3..1000000000"),
     ("verify", "--suite", "classification", "-p", "3", "-n", "1..1000000000000"),
+    ("hasse", "-p", "3", "-n", "1000000000000", "-a4", "1", "-a6", "1"),
+    ("realizable", "-p", "1048583"),
+    ("realizable", "-p", "1000000000000000000000007"),
 ], ids=["hasse-3^20", "hasse-65521^2", "ptorsion-3^13", "search-1031^2",
-        "verify-p-range", "verify-n-range"])
+        "verify-p-range", "verify-n-range", "hasse-huge-n", "realizable-p-2^20",
+        "realizable-p-huge"])
 def test_hasse_large_extension_fails_fast(args):
-    # q > 2**20: the field is refused before any modulus search, and a
-    # verify range with a bound above 2**20 before any list is built
+    # q > 2**20: the field is refused before any modulus search, or p**n
+    # is formed for a huge n; a verify range with a bound above 2**20
+    # before any list is built; realizable's p before it is trial-divided
     rc, _, err, elapsed = _timed_cli(*args)
     assert rc == 2
     assert "2**20" in err
@@ -250,6 +265,22 @@ def test_ptorsion_large_prime_within_budget(p):
     order = (int(p) - 1) // math.gcd(result["class_exp"], int(p) - 1)
     assert result["etale_degrees"] == [order] * ((int(p) - 1) // order)
     assert elapsed < 2.0, f"ptorsion -p {p} took {elapsed:.2f}s, budget 2s"
+
+
+@pytest.mark.parametrize("n", ["9013", "1000000000000"])
+def test_realizable_refuses_unprintable_q_fast(n):
+    # q = p**n is printed in full, so at most 4300 digits, and is refused
+    # before it is formed for a huge n
+    rc, out, err, elapsed = _timed_cli("realizable", "-p", "3", "-n", n)
+    assert rc == 2 and out == ""
+    assert err == f"error: q = 3**{n} has more than 4300 digits\n"
+    assert elapsed < 1.0, f"realizable -p 3 -n {n} took {elapsed:.2f}s, budget 1s"
+
+
+def test_realizable_prints_q_up_to_4300_digits():
+    rc, out, _ = run_cli("realizable", "-p", "3", "-n", "9012", "--json")
+    assert rc == 0
+    assert json.loads(out)["result"]["q"] == 3**9012
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])
@@ -298,3 +329,170 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["verdict"] == "complete"
+
+
+def test_hasse_computes_the_closed_form_once(monkeypatch):
+    # A_q is read as the norm of A_p, not from a second closed-form sum
+    levels = []
+    real = cli.hasse_invariant
+
+    def counted(curve, level="p"):
+        levels.append(level)
+        return real(curve, level)
+
+    monkeypatch.setattr(cli, "hasse_invariant", counted)
+    rc, out, _ = run_cli("hasse", "-p", "7", "-n", "2", "-a4", "1", "-a6", "3", "--json")
+    assert rc == 0 and levels == ["p"]
+    ctx = make_field(7, 2)
+    curve = WeierstrassCurve(ctx, ctx(1), ctx(3))
+    result = json.loads(out)["result"]
+    assert result["hasse_q"] == list(hasse_invariant(curve, "q").coeffs)
+    assert result["hasse_p"] == list(hasse_invariant(curve, "p").coeffs)
+
+
+# Every outcome main can reach: parser usage errors, handler usage errors,
+# --help and --version (which exit from inside parse_args), no subcommand,
+# and every subcommand in human and --json form, interleaved.
+REUSE_SEQUENCE = [
+    ("hasse", "-p", "5", "-a4", "1", "-a6", "1", "--json"),
+    ("hasse", "-p", "5", "-a4", "1"),
+    ("--help",),
+    ("realizable", "-p", "19"),
+    ("--version",),
+    ("search", "-p", "19", "-h", "5", "--json"),
+    (),
+    ("verify", "--suite", "classification", "-p", "3..7"),
+    ("nonsense",),
+    ("ptorsion", "-p", "5", "-a4", "1", "-a6", "1", "--json"),
+    ("hasse", "-p", "5", "-a4", "x", "-a6", "1"),
+    ("search", "--help"),
+    ("hasse", "-p", "3", "-n", "2", "-a2", "0,1", "-a4", "1", "-a6", "1"),
+    ("verify", "--suite", "bogus", "-p", "5"),
+    ("realizable", "-p", "19", "--json"),
+    ("hasse", "--help"),
+    ("search", "-p", "19", "-h", "9"),
+    ("search", "-p", "5", "-h", "0", "--json"),
+    ("verify", "--suite", "bridge", "-p", "5,7", "--json"),
+    ("ptorsion", "-p", "5", "-a4", "0", "-a6", "1"),
+    ("verify", "--suite", "census", "-p", "3", "-n", "0"),
+    ("--version",),
+    ("hasse", "-p", "5", "-a4", "1", "-a6", "1", "--json"),
+]
+
+
+def _masked(result):
+    rc, out, err = result
+    return rc, re.sub(r'"timing-ms":\d+', '"timing-ms":0', out), err
+
+
+def test_reused_parser_gives_the_bytes_of_a_fresh_one(monkeypatch):
+    # reference: a freshly built parser for every call
+    fresh = []
+    for args in REUSE_SEQUENCE:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(_masked(run_cli(*args)))
+    monkeypatch.setattr(cli, "_PARSER", None)
+    reused = [_masked(run_cli(*args)) for args in REUSE_SEQUENCE]
+    assert cli._PARSER is not None
+    assert reused == fresh
+    assert {rc for rc, _, _ in fresh} == {0, 2}
+    assert all(out or err for _, out, err in fresh)
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    for i in range(50):
+        run_cli(*REUSE_SEQUENCE[i % len(REUSE_SEQUENCE)])
+    assert len(built) == 1
+    # build_parser itself still returns a new parser on every call
+    assert real() is not real()
+
+
+def _fuzz_coeffs(rng, n):
+    kind = rng.randrange(12)
+    if kind < 7:
+        return ",".join(str(rng.randint(-50, 50)) for _ in range(rng.randint(1, n)))
+    if kind == 7:
+        return ",".join("0" for _ in range(rng.randint(1, n)))
+    if kind == 8:
+        return str(rng.choice([-1, 1]) * (10**30 + rng.randrange(10**6)))
+    if kind == 9:
+        return ",".join(str(rng.randrange(7)) for _ in range(n + 1))  # too many
+    return rng.choice(["x", "", "1,,2", "1.5", ",", "1,", "0x5", " ", "--", "-x", "1 2"])
+
+
+FUZZ_PRIMES = [m for m in range(3, 212) if all(m % f for f in range(2, m))]
+FUZZ_EXTENSIONS = [(3, 2), (3, 3), (5, 2), (5, 3), (7, 2), (7, 3), (11, 2),
+                   (13, 2), (13, 3), (31, 2), (101, 2), (211, 2)]
+# edge of the guard: q just above 2**20, p = 2, composite, negative and
+# zero p, degree zero, negative and huge
+FUZZ_REFUSED = [(1048583, 1), (1031, 2), (3, 13), (103, 3), (2, 1), (2, 5),
+                (9, 1), (15, 2), (1, 1), (0, 1), (-3, 1), (-7, 2), (5, 0),
+                (7, -1), (3, 10**12), (-3, 10**8), (1048575, 1), (10**30, 1)]
+FUZZ_RANGES = ["3", "5", "3..7", "3,5", "7", "-5..5", "11..13",
+               "3..", "..5", "x..y", "13..3", "4", "4..4", "1..2", "",
+               "3,,5", "0", "3..1000000000", "1048583", "2", "3..3..5"]
+FUZZ_DEGREES = ["1", "1..1", "0..1", "0", "-1", "1..0", "x", "1048576", "2000000"]
+
+
+def _fuzz_argv(rng):
+    sub = rng.choice(["hasse", "ptorsion", "search", "realizable", "verify", "other"])
+    if sub == "verify":
+        suite = rng.choice(SUITE_NAMES + ("bogus",))
+        degree = "1" if rng.random() < 0.5 else rng.choice(FUZZ_DEGREES)
+        return ["verify", "--suite", suite, "-p", rng.choice(FUZZ_RANGES), "-n", degree]
+    if sub == "other":
+        return rng.choice([[], ["--version"], ["--help"], ["nonsense"], ["hasse"],
+                           ["search", "-p", "5"], ["hasse", "-p", "5", "-a4", "1"],
+                           ["realizable", "-p", "x"], ["realizable", "-n", "2"]])
+    draw = rng.random()
+    if draw < 0.7:
+        p, n = rng.choice(FUZZ_PRIMES), 1
+    elif draw < 0.85:
+        p, n = rng.choice(FUZZ_EXTENSIONS)
+    else:
+        p, n = rng.choice(FUZZ_REFUSED)
+    argv = [sub, "-p", str(p), "-n", str(n)]
+    if sub in ("hasse", "ptorsion"):
+        width = min(max(n, 1), 3)
+        if p == 3 or rng.random() < 0.1:
+            argv += ["-a2", _fuzz_coeffs(rng, width)]
+        argv += ["-a4", _fuzz_coeffs(rng, width), "-a6", _fuzz_coeffs(rng, width)]
+    elif sub == "search":
+        h = rng.choice([rng.randint(-2, abs(p) + 2)] * 4 + [0, 10**25, "x", "1.0"])
+        argv += ["-h", str(h)]
+        if 0 < p**min(n, 2) <= 2000 and rng.random() < 0.3:
+            argv.append("--no-shortcut")
+    if rng.random() < 0.5:
+        argv.append("--json")
+    return argv
+
+
+def test_cli_fuzz_exits_cleanly_within_budget():
+    # a seeded, deterministic sweep of small, refused and malformed inputs:
+    # every call ends with exit 0, 1 or 2 and no traceback
+    rng = random.Random(20120)
+    calls = [_fuzz_argv(rng) for _ in range(300)]
+    budget = 10.0
+    t0 = time.perf_counter()
+    codes = []
+    for argv in calls:
+        try:
+            rc, out, err = run_cli(*argv)
+        except (Exception, SystemExit) as exc:  # an escape from main is a crash
+            pytest.fail(f"{argv}: main raised {type(exc).__name__}: {exc}")
+        assert rc in (0, 1, 2), f"{argv}: exit {rc}"
+        assert "Traceback" not in err, f"{argv}: {err}"
+        assert rc or not err, f"{argv}: exit 0 with stderr {err!r}"
+        codes.append(rc)
+    elapsed = time.perf_counter() - t0
+    assert codes.count(0) >= 100 and codes.count(2) >= 100
+    assert elapsed < budget, f"cli fuzz took {elapsed:.2f}s, budget {budget:g}s"

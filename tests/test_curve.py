@@ -232,6 +232,39 @@ def test_twist_preserves_j():
                     assert twist(curve, d, kind).j_invariant == curve.j_invariant
 
 
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2)])
+def test_twist_discriminant_is_scaled(p, n):
+    """twist scales the discriminant by d^6, d^3 or d^2 instead of
+    recomputing it; the generic formula on the twisted coefficients agrees
+    for every model, every d != 0 and every kind that applies (F_3 and
+    F_9 with a2 != 0, quartic over F_5, F_13, F_25, sextic over F_7, F_13)."""
+    ctx = make_field(p, n)
+    j1728 = ctx(1728)
+    a2_values = list(ctx.iter_elements()) if p == 3 else [ctx.zero]
+    twisted = 0
+    for a2 in a2_values:
+        for a4 in ctx.iter_elements():
+            for a6 in ctx.iter_elements():
+                try:
+                    curve = WeierstrassCurve(ctx, a4, a6, a2)
+                except SingularModelError:
+                    continue
+                kinds = ["quadratic"]
+                if curve.j_invariant == j1728 and p % 4 == 1:
+                    kinds.append("quartic")
+                if not curve.j_invariant and p % 3 == 1:
+                    kinds.append("sextic")
+                for d in ctx.iter_elements():
+                    if not d:
+                        continue
+                    for kind in kinds:
+                        t = twist(curve, d, kind)
+                        assert t.discriminant == discriminant_general(t.a2, t.a4, t.a6)
+                        assert t == WeierstrassCurve(ctx, t.a4, t.a6, t.a2)
+                        twisted += 1
+    assert twisted >= (ctx.q - 1) * (ctx.q * ctx.q - ctx.q)
+
+
 def test_quadratic_twist_by_square_preserves_count():
     for p, n in ((3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)):
         ctx = make_field(p, n)

@@ -5,6 +5,8 @@ modulus: F_9 = F_3[t]/(t^2 + 1) and F_25 = F_5[t]/(t^2 + t + 1), so for
 example (t+1)^2 = 2t and (t+1)^4 = 2 in F_9.
 """
 
+import time
+
 import pytest
 
 from hasseforms import (
@@ -58,6 +60,18 @@ def test_rejects_composite_characteristic(bad):
 def test_rejects_oversized_order():
     with pytest.raises(FieldTooLargeError, match=r"2\*\*20"):
         make_field(3, 21)  # 3^21 > 2^32
+
+
+def test_rejects_huge_degree_before_forming_the_power():
+    # p**n is never built for these: 3**(10**12) would not fit in memory
+    t0 = time.perf_counter()
+    with pytest.raises(FieldTooLargeError, match=r"2\*\*20"):
+        make_field(3, 10**12)
+    with pytest.raises(NotPrimeError):
+        make_field(-3, 10**8)
+    with pytest.raises(NotPrimeError):
+        make_field(1, 10**12)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_prime_field_basics():

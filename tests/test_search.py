@@ -20,7 +20,15 @@ from hasseforms import (
     realizable_set,
     search,
 )
-from hasseforms.curve import WeierstrassCurve, _hasse_terms, _row_logs, discriminant_general
+from hasseforms import curve as curve_module
+from hasseforms import search as search_module
+from hasseforms.curve import (
+    WeierstrassCurve,
+    _disc_row,
+    _hasse_terms,
+    _row_logs,
+    discriminant_general,
+)
 from hasseforms.gf import _is_prime
 from hasseforms.search import _classified, _curve_at, _hasse_residue, _index_space
 
@@ -101,7 +109,24 @@ def test_iter_curves_matches_index_decode(p, n):
     ctx = make_field(p, n)
     decoded = [c for c in (_curve_at(ctx, i) for i in range(_index_space(ctx)))
                if c is not None]
-    assert list(iter_curves(ctx)) == decoded
+    swept = list(iter_curves(ctx))
+    assert swept == decoded
+    assert [c.discriminant for c in swept] == [c.discriminant for c in decoded]
+
+
+def test_iter_curves_tabulates_the_discriminant_once_per_row(monkeypatch):
+    # one _disc_row per (a2, a4) row, none per model: 729 rows over F_3^3
+    calls = []
+
+    def counted(ctx, r2, r4):
+        calls.append((r2, r4))
+        return _disc_row(ctx, r2, r4)
+
+    monkeypatch.setattr(search_module, "_disc_row", counted)
+    monkeypatch.setattr(curve_module, "_disc_row", counted)
+    ctx = make_field(3, 3)
+    assert len(list(iter_curves(ctx))) == 18954
+    assert len(calls) == len(set(calls)) == 27 * 27
 
 
 def test_find_curve_with_class_frozen():
