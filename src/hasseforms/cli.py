@@ -330,6 +330,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _PARSER: argparse.ArgumentParser | None = None
+_COEFF_OPTIONS = ("-a2", "-a4", "-a6")
+
+
+def _joined(argv: list[str]) -> list[str]:
+    # argparse before Python 3.13 takes a list such as "-1,2" for an option,
+    # so "-a6 -1,2" is passed on as "-a6=-1,2", which it reads as the value
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _COEFF_OPTIONS and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -342,7 +355,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_joined(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     if args.command is None:

@@ -265,20 +265,21 @@ def _hasse_terms(p: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(terms)
 
 
-def _hasse_row(ctx: FieldCtx, r2: int, r4: int) -> tuple[int, list[int]]:
+@lru_cache(maxsize=1)
+def _hasse_row(ctx: FieldCtx, r2: int, r4: int) -> tuple[int, tuple[int, ...]]:
     # (k, ranks of P, highest power first) with A_p = a6^k P(a6^2) on the
-    # (a2, a4) row: the term of index i carries a6^(2i - m), so the powers
-    # of a6 climb by 2; zero low coefficients (a4 = 0) move into k
+    # (a2, a4) row: term i carries a6^(2i - m), so the powers climb by 2;
+    # zero low coefficients (a4 = 0) move into k.  One slot: rows repeat.
     terms = _hasse_terms(ctx.p)
     if not terms:
-        return 0, [r2] if r2 else []  # A_3 = a2
+        return 0, (r2,) if r2 else ()  # A_3 = a2
     mul, pw, unit = ctx._mul, ctx._pow, ctx._weights[0]
     coeffs = [mul(c * unit, pw(r4, j)) for j, _, c in reversed(terms)]
     k = terms[0][1]
     while coeffs and not coeffs[-1]:
         coeffs.pop()
         k += 2
-    return k, coeffs
+    return k, tuple(coeffs)
 
 
 def hasse_invariant(curve: WeierstrassCurve, level: str = "p") -> FieldElement:

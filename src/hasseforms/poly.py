@@ -334,7 +334,46 @@ def _slots(a: array) -> array:
     return a
 
 
-def _pow_mod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
+def _slot_width(bound: int) -> int:
+    # the narrowest slot width, in bits, that holds every value below bound
+    for w in sorted(_SLOT_TYPECODES):
+        if bound >> w == 0:
+            return w
+    raise OverflowError(f"no slot is wide enough for values below {bound}")
+
+
+def _pack(W: int, values) -> int:
+    # one int with a W-bit slot per value, the first value lowest
+    return int.from_bytes(_slots(array(_SLOT_TYPECODES[W], values)).tobytes(), "little")
+
+
+def _unpack(W: int, v: int, k: int) -> array:
+    # the k lowest W-bit slots of v
+    return _slots(array(_SLOT_TYPECODES[W], v.to_bytes(k * W // 8, "little")))
+
+
+def _cyclic_mul(W: int, a, b: int, k: int) -> array:
+    # a times the packed b modulo x^k - 1, both of k coefficients, as k
+    # W-bit slots: the plain product folded once.  Every coefficient of
+    # the cyclic product must stay below 2^W.
+    v = _pack(W, a) * b
+    return _unpack(W, (v >> W * k) + (v & (1 << W * k) - 1), k)
+
+
+def _reduction_table(m, p: int, W: int) -> list[int]:
+    # R[j] = x^(D+j) mod m packed, for the monic m of degree D over F_p
+    D = len(m) - 1
+    mask = (1 << W * D) - 1
+    R = [_pack(W, [-c % p for c in m[:D]])]
+    for _ in range(D - 2):
+        v = R[-1] << W
+        v = (v & mask) + (v >> W * D) * R[0]
+        R.append(_pack(W, [c % p for c in _unpack(W, v, D)]))
+    return R
+
+
+def _pow_mod(base: Polynomial, e: int, mod: Polynomial,
+             tables: dict | None = None) -> Polynomial:
     # base**e modulo mod.  Over a prime field, where a rank is the value,
     # a residue lives packed in one int with a W-bit slot per coefficient
     # (Kronecker substitution, von zur Gathen and Gerhard, Modern Computer
@@ -343,8 +382,11 @@ def _pow_mod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
     # coefficient c.  A step is O(D) Python operations instead of O(D^2);
     # it is the inner loop of the distinct- and equal-degree splits.  A
     # product and its reduction keep every slot below 2*D*(p-1)^2 < 2^W,
-    # so no slot carries into the next.  Extension fields, and a constant
-    # or zero modulus, which leave no slot to pack, take Polynomial ops.
+    # so no slot carries into the next.  The O(D^2) table of x^(D+j) mod m
+    # is kept in tables, keyed by m, when the caller passes one: factor
+    # powers modulo one polynomial several times.  Extension fields, and a
+    # constant or zero modulus, which leave no slot to pack, take
+    # Polynomial ops.
     ctx = base.ctx
     if ctx.n > 1 or mod.degree < 1:
         result = Polynomial(ctx, (1,))
@@ -358,39 +400,24 @@ def _pow_mod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
     p = ctx.p
     m = mod.monic()[1].ranks
     D = len(m) - 1
-    bound = 2 * D * (p - 1) ** 2
-    widths = [w for w in sorted(_SLOT_TYPECODES) if bound >> w == 0]
-    if not widths:
-        raise OverflowError(f"modulus of degree {D} is too large to pack over F_{p}")
-    W = widths[0]
-    tc, size = _SLOT_TYPECODES[W], W // 8
+    W = _slot_width(2 * D * (p - 1) ** 2)
     low_bits = W * D
     mask = (1 << low_bits) - 1
-
-    def pack(coeffs) -> int:
-        return int.from_bytes(_slots(array(tc, coeffs)).tobytes(), "little")
-
-    def unpack(v: int, k: int) -> array:
-        return _slots(array(tc, v.to_bytes(k * size, "little")))
-
-    def normalize(v: int) -> int:
-        return pack([c % p for c in unpack(v, D)])
-
-    R = [pack([-c % p for c in m[:D]])]     # R[j] = x^(D+j) mod m
-    for _ in range(D - 2):
-        v = R[-1] << W
-        R.append(normalize((v & mask) + (v >> low_bits) * R[0]))
+    tables = {} if tables is None else tables
+    R = tables.get(m)
+    if R is None:
+        R = tables[m] = _reduction_table(m, p, W)
 
     def mulmod(a: int, b: int) -> int:
         v = a * b
         low = v & mask
-        for c, r in zip(unpack(v >> low_bits, D - 1), R):
+        for c, r in zip(_unpack(W, v >> low_bits, D - 1), R):
             c %= p
             if c:
                 low += c * r
-        return normalize(low)
+        return _pack(W, [c % p for c in _unpack(W, low, D)])
 
-    b = pack((base % mod).ranks)
+    b = _pack(W, (base % mod).ranks)
     result = 1
     while e:
         if e & 1:
@@ -398,7 +425,7 @@ def _pow_mod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
         e >>= 1
         if e:
             b = mulmod(b, b)
-    return Polynomial.from_ranks(ctx, unpack(result, D))
+    return Polynomial.from_ranks(ctx, _unpack(W, result, D))
 
 
 def _pth_root(f: Polynomial) -> Polynomial:
@@ -467,9 +494,11 @@ def _iter_polys_below(ctx: FieldCtx, degree: int):
                 yield Polynomial.from_ranks(ctx, digits)
 
 
-def _equal_degree_split(h: Polynomial, d: int) -> tuple[list[Polynomial], int]:
+def _equal_degree_split(h: Polynomial, d: int,
+                         tables: dict) -> tuple[list[Polynomial], int]:
     # h is monic, squarefree, every irreducible factor of degree exactly d;
-    # returns the factors and the number of splitting candidates tried
+    # returns the factors and the number of splitting candidates tried;
+    # tables holds _pow_mod's reduction tables
     if h.degree == d:
         return [h], 0
     ctx = h.ctx
@@ -478,15 +507,15 @@ def _equal_degree_split(h: Polynomial, d: int) -> tuple[list[Polynomial], int]:
     for tried, u in enumerate(_iter_polys_below(ctx, h.degree), 1):
         g = gcd(h, u)
         if not 0 < g.degree < h.degree:
-            g = gcd(h, _pow_mod(u, exponent, h) - one)
+            g = gcd(h, _pow_mod(u, exponent, h, tables) - one)
         if 0 < g.degree < h.degree:
-            left, a = _equal_degree_split(g, d)
-            right, b = _equal_degree_split(h // g, d)
+            left, a = _equal_degree_split(g, d, tables)
+            right, b = _equal_degree_split(h // g, d, tables)
             return left + right, tried + a + b
     raise RuntimeError("equal-degree split exhausted its search space")
 
 
-def _split_squarefree(sq: Polynomial) -> tuple[list[Polynomial], int]:
+def _split_squarefree(sq: Polynomial, tables: dict) -> tuple[list[Polynomial], int]:
     # monic squarefree -> monic irreducibles and the splitting candidates
     # tried: strip roots by exhaustive evaluation, then split by distinct
     # degree
@@ -503,17 +532,17 @@ def _split_squarefree(sq: Polynomial) -> tuple[list[Polynomial], int]:
             out.append(lin)
             rem = rem // lin
     if rem.degree > 0:
-        frob = _pow_mod(X, ctx.q, rem)
+        frob = _pow_mod(X, ctx.q, rem, tables)
         d = 1
         while rem.degree > 0:
             d += 1
             if 2 * d > rem.degree:
                 out.append(rem)
                 break
-            frob = _pow_mod(frob, ctx.q, rem)
+            frob = _pow_mod(frob, ctx.q, rem, tables)
             gd = gcd(rem, frob - X)
             if gd.degree > 0:
-                factors, k = _equal_degree_split(gd, d)
+                factors, k = _equal_degree_split(gd, d, tables)
                 out.extend(factors)
                 tried += k
                 rem = rem // gd
@@ -533,8 +562,9 @@ def factor(f: Polynomial) -> Factorization:
     unit, g = f.monic()
     pairs: list[tuple[Polynomial, int]] = []
     tried = 0
+    tables: dict = {}  # _pow_mod's reduction tables, one per modulus
     for sq, mult in _squarefree_parts(g):
-        factors, k = _split_squarefree(sq)
+        factors, k = _split_squarefree(sq, tables)
         pairs.extend((irr, mult) for irr in factors)
         tried += k
     pairs.sort(key=lambda pm: (pm[0].degree, pm[0].ranks))

@@ -6,18 +6,15 @@ skipped.  A class h is "hit" by a curve when the norm-style residue of
 its Hasse invariant equals h; the first hit in enumeration order is the
 witness recorded for h.
 
-The census scans the enumeration index space once, on one thread, in
-enumeration order, and stops as soon as every wanted class has a witness.
-The scan works on lex ranks and builds no objects: per (a2, a4) row it
-tabulates the discriminant and A_p as polynomials in a6 once, then tests
-each a6 by Horner's rule, on ints over F_p and on discrete logarithms
-over F_q.  Where the closed form for A_p has no a6 term (A_5 = 2 a4) or
-no term at all (A_3 = a2), the residue is constant on each a4 row or a2
-slab, so the census and the shortcut witness search classify one model
-per row or slab.  Only the winning index of a class is decoded into a
-curve, and the census revalidates the winners from scratch in index
-order.  iter_curves and the no-shortcut search build every model and
-are the audit of the scan.
+The census scans the enumeration in order, on lex ranks with no objects,
+until every wanted class has a witness.  (a4, a6) and (u^4 a4, u^6 a6)
+are isomorphic (Silverman, AEC III.1), so where a2 = 0 it reads only row
+a4 = 0 and the first row of each coset of fourth powers, at most 5 rows.
+Over F_p one packed product per row gives every point count of the row,
+and the residue is the trace mod p; over F_q it is A_p by Horner on
+discrete logarithms.  Only the winners are decoded and checked, against
+the closed form for A_p.  iter_curves and the no-shortcut search build
+every model and are the audit of the scan.
 """
 
 from __future__ import annotations
@@ -25,9 +22,9 @@ from __future__ import annotations
 import logging
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterator
 
 from .curve import (
@@ -41,6 +38,7 @@ from .curve import (
 from .errors import InconsistencyError, SingularModelError
 from .forms import phi, realizable_set, unit_class_of
 from .gf import FieldCtx, FieldElement, smallest_prime_factor
+from .poly import _cyclic_mul, _pack, _slot_width
 
 __all__ = [
     "admissible_traces",
@@ -110,32 +108,32 @@ def iter_curves(ctx: FieldCtx) -> Iterator[WeierstrassCurve]:
 
 
 def _hasse_residue(curve: WeierstrassCurve) -> int:
-    # 0 when supersingular, else phi([A_p]); by the bridge this is
-    # beta mod p in both cases
+    # 0 when supersingular, else phi([A_p]): beta mod p by the bridge
     a = hasse_invariant(curve)
     return int(phi(unit_class_of(a))) if a else 0
 
 
-def _row_on_ints(ctx: FieldCtx, tally: Counter):
-    # over F_p ranks are values: the discriminant and P by Horner on ints,
-    # P(a6^2) once per pair +-a6, and the residue of A_p is A_p itself
-    p = ctx.p
+def _row_on_counts(ctx: FieldCtx, tally: Counter, counts: dict):
+    # over F_p one packed product per row gives the affine point count of
+    # every a6, kept in counts for the witness check: with N(c) = #{x :
+    # x^3 + a2 x^2 + a4 x = c} it is sum_c N(c) (1 + chi(c + a6)) <= 2p, the
+    # x^a6 coefficient of sum_c N(c) x^-c times sum_d (1 + chi(d)) x^d mod
+    # x^p - 1.  beta = p - count is phi([A_p]) mod p (bridge), 0 if supersingular.
+    p, log = ctx.p, ctx._log_tables[1]
+    W = _slot_width(2 * p + 1)
+    chi = _pack(W, [1] + [2 - 2 * (log[d] & 1) for d in range(1, p)])
 
-    def scan(d, k, coeffs):
-        d0, d1, d2 = d
-        values = [-1] * p
+    def scan(r2, r4, d):
+        n = [0] * p
         for x in range(p):
-            if not (d0 + (d1 + d2 * x) * x) % p:
+            n[-((x + r2) * x + r4) * x % p] += 1
+        d0, d1, d2 = d
+        counts[r2, r4] = row = _cyclic_mul(W, n, chi, p)
+        for x, c in enumerate(row):
+            if (d0 + (d1 + d2 * x) * x) % p:
+                yield x, -c % p
+            else:
                 tally["singular"] += 1
-                continue
-            y = x * x % p
-            v = values[y]
-            if v < 0:
-                v = 0
-                for c in coeffs:
-                    v = (v * y + c) % p
-                values[y] = v
-            yield x, v * pow(x, k, p) % p if k else v
     return scan
 
 
@@ -164,7 +162,8 @@ def _row_on_logs(ctx: FieldCtx, tally: Counter):
                 lv = None if z < 0 else lc + z
         return lv
 
-    def scan(d, k, coeffs):
+    def scan(r2, r4, d):
+        k, coeffs = _hasse_row(ctx, r2, r4)
         lds = [None if r == 0 else log[r] for r in reversed(d)]
         lcs = [log[r] for r in coeffs]
         if not d[0]:  # x = 0
@@ -181,36 +180,43 @@ def _row_on_logs(ctx: FieldCtx, tally: Counter):
     return scan
 
 
-def _classified(ctx: FieldCtx, tally: Counter | None = None) -> Iterator[tuple[int, int]]:
-    """(index, residue) of each nonsingular model the scan classifies, in
-    enumeration order, computed on lex ranks with no objects; the residue
-    is 0 for a supersingular model, as in _hasse_residue.
+def _row_cosets(ctx: FieldCtx) -> int:
+    # rows a4, u^4 a4 are isomorphic where a2 = 0: cosets of 4th powers, or 0
+    return gcd(4, ctx.q - 1) if ctx.p >= 5 else 0
 
-    Each (a2, a4) row is tabulated once: the discriminant as a polynomial
-    of degree <= 2 in a6 (curve._disc_row) and A_p = a6^k P(a6^2) from
-    the closed-form terms (curve._hasse_row), P evaluated by Horner on
-    ints over F_p and on logarithms over F_q.  A row whose discriminant
-    is zero whatever a6 is gets skipped whole.  Where A_p has no a6 term
-    the residue is constant on the row, so its first nonsingular model
-    stands for it (A_5 = 2 a4), or for the whole a2 slab when there is no
-    term at all (A_3 = a2).  tally counts the rows tabulated and the
-    singular models skipped.
+
+def _classified(ctx: FieldCtx, tally: Counter | None = None,
+                counts: dict | None = None) -> Iterator[tuple[int, int]]:
+    """(index, residue) of each nonsingular model the scan classifies, in
+    enumeration order; the residue is 0 when supersingular (_hasse_residue).
+
+    Rows of a coset after its first (_row_cosets) are skipped; the others
+    are tabulated once each, by the row product over F_p (its counts kept
+    in counts by (a2, a4) ranks) or by the closed form over F_q.  One model
+    stands for a row or a2 slab of constant A_p (A_5 = 2 a4, A_3 = a2).
+    tally counts the rows tabulated and skipped and the singular models.
     """
     q = ctx.q
     tally = Counter() if tally is None else tally
     terms = _hasse_terms(ctx.p)
     per_row = not any(k for _, k, _ in terms)
-    scan = (_row_on_ints if ctx.n == 1 else _row_on_logs)(ctx, tally)
+    counts = {} if counts is None else counts
+    scan = _row_on_counts(ctx, tally, counts) if ctx.n == 1 else _row_on_logs(ctx, tally)
+    cosets, log, seen = _row_cosets(ctx), ctx._log_tables[1], set()
     for a2r in range(_index_space(ctx) // (q * q)):
         for a4r in range(q):
+            if cosets and a4r:
+                if log[a4r] % cosets in seen:
+                    tally["rows skipped"] += 1
+                    continue
+                seen.add(log[a4r] % cosets)
             tally["rows"] += 1
             d = _disc_row(ctx, a2r, a4r)
             if not any(d):
                 tally["singular"] += q
                 continue
             base = (a2r * q + a4r) * q
-            models = scan(d, *_hasse_row(ctx, a2r, a4r))
-            for a6r, r in islice(models, 1 if per_row else None):
+            for a6r, r in islice(scan(a2r, a4r, d), 1 if per_row else None):
                 yield base + a6r, r
             if not terms:
                 break  # A_3 = a2: the rest of the slab has this residue
@@ -220,11 +226,9 @@ def find_curve_with_class(ctx: FieldCtx, h: int, *,
                           use_trace_shortcut: bool = True) -> WeierstrassCurve | None:
     """First curve in enumeration order whose kernel class maps to h.
 
-    With the shortcut on, an empty admissible trace set answers None
-    without touching a single curve, and one model per stride of constant
-    A_p is classified on ranks (_classified), and only the winner is
-    built as a curve; the exhaustive route gives the same
-    answer and exists precisely so the shortcuts can be audited.
+    With the shortcut on, an empty admissible trace set answers None at
+    once, else the rank scan (_classified) finds the winner, the only model
+    built; the exhaustive route gives the same answer, for the audits.
     """
     p = ctx.p
     if not isinstance(h, int) or not 1 <= h <= p - 1:
@@ -249,15 +253,7 @@ class WitnessRecord:
     phi: int
 
     def to_dict(self) -> dict:
-        return {
-            "a2": list(self.a2),
-            "a4": list(self.a4),
-            "a6": list(self.a6),
-            "count": self.count,
-            "beta": self.beta,
-            "class_exp": self.class_exp,
-            "phi": self.phi,
-        }
+        return {**asdict(self), "a2": list(self.a2), "a4": list(self.a4), "a6": list(self.a6)}
 
 
 @dataclass(frozen=True)
@@ -314,74 +310,77 @@ def describe_witness(curve: WeierstrassCurve, h: int) -> WitnessRecord:
     Raises InconsistencyError when the curve does not actually land in
     class h or its trace disagrees with the phi residue.
     """
+    return _checked(curve, h, hasse_invariant(curve), point_count(curve).count)
+
+
+def _checked(curve: WeierstrassCurve, h: int, a: FieldElement, count: int) -> WitnessRecord:
+    # the checks of describe_witness on A_p = a and the point count
     ctx = curve.ctx
-    a = hasse_invariant(curve)
     if not a:
         raise InconsistencyError(f"witness for class {h} is supersingular: {curve!r}")
     cls = unit_class_of(a)
     residue = int(phi(cls))
-    fd = point_count(curve)
     if residue != h:
         raise InconsistencyError(
             f"witness residue mismatch for class {h}: got {residue} from {curve!r}")
-    if fd.beta % ctx.p != residue:
-        raise InconsistencyError(
-            f"trace residue disagrees with phi for {curve!r}: "
-            f"beta = {fd.beta}, phi = {residue}")
+    beta = ctx.q + 1 - count
+    if beta % ctx.p != residue or beta * beta >= 4 * ctx.q:
+        raise InconsistencyError(f"trace disagrees with phi or the trace bound for "
+                                 f"{curve!r}: beta = {beta}, phi = {residue}")
     return WitnessRecord(
         a2=curve.a2.coeffs, a4=curve.a4.coeffs, a6=curve.a6.coeffs,
-        count=fd.count, beta=fd.beta, class_exp=cls.exp, phi=residue)
-
-
-def _validate_witness(ctx: FieldCtx, idx: int, h: int) -> WitnessRecord:
-    curve = _curve_at(ctx, idx)
-    if curve is None:
-        raise InconsistencyError(f"witness index {idx} decodes to a singular model")
-    return describe_witness(curve, h)
+        count=count, beta=beta, class_exp=cls.exp, phi=residue)
 
 
 def census(ctx: FieldCtx) -> RealizabilityReport:
     """Find a first witness for every realizable class over ctx.
 
-    The classes the interval formula allows (realizable_set) are searched
-    by one sweep of the curve enumeration in order, keeping the first
-    index of every nonzero residue seen and stopping once as many classes
-    are hit as the formula allows, one model per stride of constant A_p
-    (_classified).  The residues found must be exactly the formula's or an
-    InconsistencyError is raised.  Each witness is then revalidated from
-    scratch, in index order, so witnesses on one (a2, a4) row share one
-    point-count row.
+    One scan in enumeration order (_classified) keeps the first index of
+    each residue until every class of realizable_set is hit, else raises
+    InconsistencyError.  The winners are checked in index order as by
+    describe_witness, over F_p with the count of the scan's row product.
     """
     p, q = ctx.p, ctx.q
     residues = range(1, p)
     wanted = realizable_set(p, q)
 
-    tally: Counter = Counter()
+    tally, counts = Counter(), {}
     ctx._log_tables  # built, and logged, before the scan clock starts
     t0 = time.perf_counter()
     found: dict[int, int] = {}
     models = 0
-    for models, (idx, r) in enumerate(_classified(ctx, tally), 1):
+    for models, (idx, r) in enumerate(_classified(ctx, tally, counts), 1):
         if r and r not in found:
             found[r] = idx
             if len(found) == len(wanted):
                 break
 
-    swept = frozenset(found)
-    if swept != wanted:
+    if frozenset(found) != wanted:
         raise InconsistencyError(
-            f"census over {ctx} found classes {sorted(swept)} but the trace "
+            f"census over {ctx} found classes {sorted(found)} but the trace "
             f"interval formula gives {sorted(wanted)}")
 
     t1 = time.perf_counter()
-    witnesses = {h: _validate_witness(ctx, idx, h)
-                 for h, idx in sorted(found.items(), key=lambda hi: hi[1])}
+    witnesses = {}
+    for h, idx in sorted(found.items(), key=lambda hi: hi[1]):
+        curve, row = _curve_at(ctx, idx), divmod(idx // q, q)
+        if curve is None:
+            raise InconsistencyError(f"witness index {idx} decodes to a singular model")
+        if row not in counts:
+            witnesses[h] = describe_witness(curve, h)
+            continue
+        (k, coeffs), a6, a = _hasse_row(ctx, *row), idx % q, 0
+        for c in coeffs:  # over F_p A_p by Horner on the row's closed form
+            a = (a * a6 * a6 + c) % p
+        a = FieldElement(ctx, a * pow(a6, k, p) % p)
+        witnesses[h] = _checked(curve, h, a, counts[row][a6] + 1)
     entries = tuple(ClassEntry(h, witnesses.get(h)) for h in residues)
     missing = tuple(h for h in residues if h not in found)
     logger.debug("census over %s: %d models tested, %d singular skipped, "
-                 "%d rows tabulated; scan %.3f s, witness validation %.3f s",
-                 ctx, models, tally["singular"], tally["rows"],
-                 t1 - t0, time.perf_counter() - t1)
+                 "%d rows tabulated, %d rows skipped; scan %.3f s, "
+                 "witness validation %.3f s", ctx, models, tally["singular"],
+                 tally["rows"], tally["rows skipped"], t1 - t0,
+                 time.perf_counter() - t1)
 
     return RealizabilityReport(
         p=p, n=ctx.n, q=q, modulus=ctx.modulus,

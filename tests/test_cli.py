@@ -182,6 +182,18 @@ def test_usage_errors_exit_two(args):
     assert rc == 2
 
 
+@pytest.mark.parametrize("args", [
+    ("hasse", "-p", "7", "-n", "2", "-a4", "1"),
+    ("ptorsion", "-p", "7", "-n", "2", "-a4", "1"),
+    ("hasse", "-p", "3", "-n", "2", "-a2", "-1,1", "-a4", "1"),
+])
+def test_coefficient_list_may_start_negative(args):
+    # "-a6 -1,2" is a value, not an option, on every supported Python
+    spaced = run_cli(*args, "-a6", "-1,2")
+    joined = run_cli(*args, "-a6=-1,2")
+    assert spaced == joined and spaced[0] == 0 and spaced[1]
+
+
 def _timed_cli(*args):
     t0 = time.perf_counter()
     rc, out, err = run_cli(*args)

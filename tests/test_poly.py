@@ -11,6 +11,7 @@ import random
 import pytest
 
 from hasseforms import make_field
+from hasseforms import poly as poly_module
 from hasseforms.errors import ZeroPolynomialError
 from hasseforms.poly import Polynomial, _pow_mod, factor, gcd
 
@@ -268,6 +269,7 @@ def test_pow_mod_packed_matches_plain_powering(p):
     # %, up to the widest slots: p just below 2**20, coefficients p - 1
     ctx = make_field(p)
     rng = random.Random(p)
+    tables: dict = {}  # shared across calls, as factor shares it
     for degree in (1, 2, 7, 23, 40):
         top = [p - 1] * degree
         mods = [Polynomial(ctx, top + [1]),
@@ -277,7 +279,32 @@ def test_pow_mod_packed_matches_plain_powering(p):
         for mod in mods:
             for base in bases:
                 for e in (0, 1, 2, 5, 97):
-                    assert _pow_mod(base, e, mod) == _pow_mod_reference(base, e, mod)
+                    want = _pow_mod_reference(base, e, mod)
+                    assert _pow_mod(base, e, mod) == want == _pow_mod(base, e, mod, tables)
+    assert len(tables) == 10
+
+
+def test_factor_builds_one_reduction_table_per_modulus(monkeypatch):
+    # factor powers modulo one polynomial several times (candidates of the
+    # equal-degree split, steps of the distinct-degree loop); _pow_mod's
+    # table of x^(D+j) mod m is built once per modulus within the call
+    builds, moduli = [], []
+    table, pow_mod = poly_module._reduction_table, poly_module._pow_mod
+
+    def counted_table(m, *args):
+        builds.append(m)
+        return table(m, *args)
+
+    def counted_pow(base, e, mod, *args):
+        moduli.append(mod.ranks)
+        return pow_mod(base, e, mod, *args)
+
+    monkeypatch.setattr(poly_module, "_reduction_table", counted_table)
+    monkeypatch.setattr(poly_module, "_pow_mod", counted_pow)
+    y = Polynomial.x(make_field(23))
+    assert factor(y ** 12 - 5).degree_multiset == (2,) * 6
+    assert len(moduli) > len(set(moduli)) > 1
+    assert sorted(builds) == sorted(set(moduli))
 
 
 def test_factor_logs_one_record_and_keeps_output(caplog):

@@ -3,6 +3,7 @@
 import json
 import logging
 import time
+from collections import Counter, defaultdict
 from math import isqrt
 
 import pytest
@@ -67,8 +68,8 @@ def test_census_cross_check_catches_residue_outside_interval(monkeypatch):
     # 9 is no trace residue over F_19; a scan that reports it must be caught
     classified = search._classified
 
-    def injected(ctx, tally=None):
-        models = classified(ctx, tally)
+    def injected(ctx, *args):
+        models = classified(ctx, *args)
         idx, _ = next(models)
         yield idx, 9
         yield from models
@@ -172,6 +173,13 @@ def test_describe_witness_rejects_mismatch():
     ss = WeierstrassCurve(ctx, ctx(0), ctx(1))
     with pytest.raises(InconsistencyError):
         describe_witness(ss, 1)
+    # the census hands its checks a count from the row product: 8 gives
+    # beta = -2, residue 3; 14 gives beta = -8, residue 2 but beta^2 > 4q
+    a = hasse_invariant(e)
+    assert search_module._checked(e, 2, a, 9) == describe_witness(e, 2)
+    for count in (8, 14):
+        with pytest.raises(InconsistencyError, match="trace"):
+            search_module._checked(e, 2, a, count)
 
 
 def test_census_complete_field():
@@ -294,10 +302,29 @@ def _classified_on_objects(ctx):
 
 @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (13, 1), (19, 1), (23, 1),
                                  (3, 2), (3, 3), (5, 2), (7, 2), (5, 3)])
-def test_rank_scan_matches_object_route(p, n):
-    # the p = 3 slab, the p = 5 row and the full scan, over F_p and F_q
+def test_rank_scan_matches_object_route(monkeypatch, p, n):
+    # the p = 3 slab, the p = 5 row and the full scan, over F_p (the row
+    # product) and F_q (Horner on logarithms), on every row: the coset
+    # rule is turned off here, and pinned by test_coset_rows_share_residues
+    monkeypatch.setattr(search_module, "_row_cosets", lambda ctx: 0)
     ctx = make_field(p, n)
     assert list(_classified(ctx)) == _classified_on_objects(ctx)
+
+
+@pytest.mark.parametrize("p,n", [(p, 1) for p in range(5, 102) if _is_prime(p)]
+                         + [(5, 2), (7, 2)])
+def test_coset_rows_share_residues(p, n):
+    # (a4, a6) and (u^4 a4, u^6 a6) are isomorphic, so the scan reads only
+    # the first row of each coset of fourth powers; on the object route the
+    # rows a4 and g^4 a4 have one residue multiset, and g^4 generates the
+    # fourth powers
+    ctx = make_field(p, n)
+    rows = defaultdict(Counter)
+    for curve in iter_curves(ctx):
+        rows[curve.a4.rank][_hasse_residue(curve)] += 1
+    u4 = ctx.generator ** 4
+    for a4 in ctx.iter_elements():
+        assert rows[(u4 * a4).rank] == rows[a4.rank]
 
 
 def _count_constructions(monkeypatch):
@@ -324,15 +351,35 @@ def test_census_builds_only_witnesses(monkeypatch, p, n):
 
 
 @pytest.mark.parametrize("p,n", [(211, 1), (31, 2)])
-def test_census_builds_one_point_count_row_per_witness_row(p, n):
-    # witnesses are checked in index order, so those on one (a2, a4) row
-    # share the one-slot row memo
+def test_census_builds_one_point_count_row_per_witness_row(monkeypatch, p, n):
+    # witnesses are checked in index order, row by row: over F_q those on
+    # one (a2, a4) row share the one-slot point-count row memo; over F_p
+    # their counts are read off the scan's one product per row, and no
+    # second product or point count is made
+    products = []
+
+    def counted(ctx, *args):
+        scan = row_on_counts(ctx, *args)
+
+        def row(r2, r4, d):
+            products.append((r2, r4))
+            return scan(r2, r4, d)
+        return row
+
+    row_on_counts = search_module._row_on_counts
+    monkeypatch.setattr(search_module, "_row_on_counts", counted)
     ctx = make_field(p, n)
     _row_logs.cache_clear()
     report = census(ctx)
     rows = {(e.witness.a2, e.witness.a4) for e in report.entries if e.witness}
     assert len(rows) < len(report.realizable)
-    assert _row_logs.cache_info().misses == len(rows)
+    if n == 1:
+        ranks = {(ctx(a2).rank, ctx(a4).rank) for a2, a4 in rows}
+        assert ranks <= set(products) and len(products) == len(set(products))
+        assert _row_logs.cache_info().misses == 0
+    else:
+        assert _row_logs.cache_info().misses == len(rows)
+        assert products == []
 
 
 def test_census_logs_one_record_and_keeps_output(caplog):
@@ -352,7 +399,7 @@ def test_census_logs_one_record_and_keeps_output(caplog):
         text = record.getMessage()
         assert text.startswith(f"census over {make_field(p, n)}: ")
         for part in ("models tested", "singular skipped", "rows tabulated",
-                     "scan ", "witness validation "):
+                     "rows skipped", "scan ", "witness validation "):
             assert part in text
         assert text.endswith(" s")
 
