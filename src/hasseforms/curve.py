@@ -32,7 +32,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import repeat
-from operator import and_, sub
+from operator import and_
 
 from .errors import (
     BadCongruenceError,
@@ -195,21 +195,26 @@ def point_count(curve: WeierstrassCurve) -> FrobeniusData:
     row (_row_logs), on every field, prime fields included.  Each
     a6 = g^lc is then one pass over that row: chi(h + a6) =
     chi(a6) chi(1 + g^(log h - lc)), and chi(1 + g^t) is the parity of
-    the Zech logarithm zech[t], or 0 where 1 + g^t = 0.
+    the Zech logarithm zech[t], or 0 where 1 + g^t = 0.  The parities are
+    one byte string per context (FieldCtx._zech_parity); rotated by lc it
+    is indexed by the row's logs directly, so a pass is one C-level map
+    and a sum, plus a count of the roots of f.
     """
     ctx = curve.ctx
     q = ctx.q
     row = _row_logs(ctx, curve.a2.rank, curve.a4.rank)
     if curve.a6:
-        _, log, zech = ctx._log_tables
-        lc = log[curve.a6.rank]
+        order = q - 1
+        lc = ctx._log_tables[1][curve.a6.rank]
         # s = chi(a6) (1 + #{x != 0 : h(x) = 0} + sum over the row of
-        # chi(1 + g^t)), and 1 + that count + len(row) is q; the parity
-        # sum counts zech[t] = -1 (x a root of f, log h = lc + (q-1)/2)
-        # as odd, so the roots of f are added back
-        zs = map(zech.__getitem__, map(sub, row, repeat(lc)))
-        odds = sum(map(and_, zs, repeat(1)))
-        roots = row.count((lc + (q - 1) // 2) % (q - 1))
+        # chi(1 + g^(t - lc))), and 1 + that count + len(row) is q.  The
+        # parity table rotated by lc holds the bit of zech[t - lc] at t; it
+        # counts zech = -1 (x a root of f, log h = lc + (q-1)/2) as odd, so
+        # the roots of f are added back
+        par = ctx._zech_parity
+        rot = par[order - lc:] + par[:order - lc]
+        odds = sum(map(rot.__getitem__, row))
+        roots = row.count((lc + order // 2) % order)
         s = (q - 2 * odds + roots) * (1 - 2 * (lc & 1))
     else:
         s = len(row) - 2 * sum(map(and_, row, repeat(1)))

@@ -16,7 +16,12 @@ tables over lex ranks, indexed by the exponent e of the canonical
 generator g: exp[e] = rank(g^e), log[rank] = e, and the Zech logarithm
 zech[e] = log(1 + g^e) (Lidl and Niederreiter, Finite Fields, ch. 9).
 Each table holds O(q) machine integers.  Discrete logarithms and point
-counts read them on every field.
+counts read them on every field; point counts read the parities of the
+Zech logarithms from one byte string per context.  The build leans on
+the norm N(x) = x^((q-1)/(p-1)), which lies in F_p (ibid., ch. 2): the
+generator search tests candidates on their norm with int powers, and
+since g^((q-1)/(p-1)) lies in F_p^*, only the first (q-1)/(p-1) powers
+of g are walked; the others are those scaled by F_p, digit by digit.
 
 Arithmetic.  Over F_p (n = 1) the rank is the value: built-in ints.  Over
 F_q with n > 1 products, powers and inverses act on logarithms,
@@ -36,7 +41,8 @@ import logging
 import time
 from array import array
 from functools import cached_property
-from operator import mul
+from itertools import repeat
+from operator import and_, mul
 from typing import Iterator, Sequence, Union
 
 from .errors import (
@@ -67,6 +73,15 @@ def _prime_factors(m: int) -> tuple[int, ...]:
     if m > 1:
         out.append(m)
     return tuple(out)
+
+
+def _digit_table(p: int, m: int, digits: Sequence[int]) -> list[int]:
+    """table[r] = the m-digit base-p rank whose digits are digits[d] for the
+    digits d of r, read in radix len(digits)."""
+    table = [0]
+    for _ in range(m):
+        table = [t * p + d for t in table for d in digits]
+    return table
 
 
 def smallest_prime_factor(m: int) -> int:
@@ -121,7 +136,8 @@ class FieldCtx:
     The kernels _add, _sub, _neg, _mul, _pow and _inv map lex ranks to
     lex ranks.  The first use of _log_tables (the exp/log/Zech tables,
     about 12 bytes per element) builds them from the lex-smallest
-    generator; prime fields read them for logarithms and point counts.
+    generator, and _zech_parity adds one byte per element; prime fields
+    read them for logarithms and point counts.
     q > 2**20 raises FieldTooLargeError.
     """
 
@@ -309,14 +325,42 @@ class FieldCtx:
 
     @cached_property
     def generator(self) -> "FieldElement":
-        """The lex-smallest element of multiplicative order q - 1."""
-        target = self.q - 1
-        primes = _prime_factors(target)
-        one = self.one.coeffs
-        for x in self.iter_elements():
-            if x and all(self._conv_pow(x.coeffs, target // ell) != one
-                         for ell in primes):
-                return x
+        """The lex-smallest element of multiplicative order q - 1.
+
+        x generates iff x^((q-1)/l) != 1 for every prime l | q - 1.  With
+        N = (q-1)/(p-1) the norm c = x^N = x x^p ... x^(p^(n-1)) lies in F_p
+        (Lidl and Niederreiter, ch. 2), and (q-1)/l = N (p-1)/l, so for
+        l | p - 1 the test reads c^((p-1)/l) != 1, an int pow; for the other
+        l | N it reads x^(N/l) not in F_p, as y^(p-1) = 1 exactly on
+        y in F_p^*.  Over F_p, N = 1 and every test is an int pow.
+        Candidates are tried in rank order, so the search tests rank(g).
+        """
+        p, n = self.p, self.n
+        norm_exp = (self.q - 1) // (p - 1)
+        small = [(p - 1) // ell for ell in _prime_factors(p - 1)]
+        large = [norm_exp // ell for ell in _prime_factors(norm_exp) if (p - 1) % ell]
+        conv_mul, conv_pow = self._conv_mul, self._conv_pow
+        if n > 1:
+            # the Frobenius y -> y^p is F_p-linear: column j holds
+            # coefficient j of (t^i)^p for each i
+            t_p = conv_pow(self._tuple_from_rank(self._weights[1]), p)
+            rows = [self.one.coeffs]
+            for _ in range(n - 1):
+                rows.append(conv_mul(rows[-1], t_p))
+            cols = list(zip(*rows))
+        for rank in range(1, self.q):
+            if n == 1:
+                c = rank
+            else:
+                x = y = c = self._tuple_from_rank(rank)
+                for _ in range(n - 1):
+                    y = tuple([sum(map(mul, y, col)) % p for col in cols])
+                    c = conv_mul(c, y)
+                c = c[0]
+            # x^e lies in F_p iff its coefficients past the constant vanish
+            if (all(pow(c, e, p) != 1 for e in small)
+                    and all(any(conv_pow(x, e)[1:]) for e in large)):
+                return FieldElement(self, rank)
         raise RuntimeError("no generator found")  # unreachable in a field
 
     # -- cached sweep tables --------------------------------------------
@@ -327,42 +371,79 @@ class FieldCtx:
 
         exp[e] = rank(g^e) for 0 <= e < q - 1; log[rank] = e, with -1 at
         zero; zech[e] = log(1 + g^e), with -1 where 1 + g^e = 0.
+
+        Over F_p exp is one int walk.  Over F_q only g^0 .. g^(N-1) are
+        walked, N = (q-1)/(p-1), one half-table step each; z = g^N lies in
+        F_p^*, so exp[kN + e] = rank(z^k g^e) scales the digits of exp[e]
+        by z^k, read off two half-rank tables per k.
         """
         q = self.q
         t0 = time.perf_counter()
+        g = self.generator
+        t1 = time.perf_counter()
         p, n, order = self.p, self.n, q - 1
-        g = self.generator.coeffs
+        unit = self._weights[0]
         exp = array("i", [0]) * order
         if n == 1:
-            r, g0 = 1, g[0]
+            walked, r, g0 = order, 1, g.rank
             for e in range(order):
                 exp[e] = r
                 r = r * g0 % p
         else:
             # x -> g*x is F_p-linear: tabulate it on the high and the low
-            # half of the digits, so each step adds two image vectors
-            size = p ** (n // 2)
-            weights = self._weights
-            lo = [self._conv_mul(self._tuple_from_rank(r), g) for r in range(size)]
-            hi = [self._conv_mul(self._tuple_from_rank(r * size), g)
+            # half of the digits.  The images are written in radix 2p - 1,
+            # so two of them add digit by digit without carries, and one
+            # table per half reduces the digits of the sum mod p
+            walked = order // (p - 1)
+            half = n // 2
+            size, wide = p**half, (2 * p - 1)**half
+            radix = [(2 * p - 1) ** (n - 1 - i) for i in range(n)]
+            conv_mul, tup, gc = self._conv_mul, self._tuple_from_rank, g.coeffs
+            lo = [sum(map(mul, conv_mul(tup(r), gc), radix)) for r in range(size)]
+            hi = [sum(map(mul, conv_mul(tup(r * size), gc), radix))
                   for r in range(q // size)]
-            r = weights[0]
-            for e in range(order):
-                exp[e] = r
-                h, low = divmod(r, size)
-                r = sum((a + b) % p * w for a, b, w in zip(hi[h], lo[low], weights))
+            mod_p = [d % p for d in range(2 * p - 1)]
+            red_lo, red_hi = _digit_table(p, half, mod_p), _digit_table(p, n - half, mod_p)
+            # the halves (h, l) of rank(g^e) = h * size + l, e < N
+            his, los = [0] * walked, [0] * walked
+            h, l = divmod(unit, size)
+            for e in range(walked):
+                his[e], los[e] = h, l
+                h, l = divmod(hi[h] + lo[l], wide)
+                h, l = red_hi[h], red_lo[l]
+            # now h * size + l = rank(g^N) = z * unit.  Scaling by z^k maps
+            # each half of the digits on its own; its half tables are those
+            # of z^(k-1) composed with the ones of z
+            times_z = [d * ((h * size + l) // unit) % p for d in range(p)]
+            hi_z = _digit_table(p, n - half, times_z)
+            lo_z = _digit_table(p, half, times_z)
+            hi_s, lo_s = range(q // size), range(size)  # scaling by z^0
+            for k in range(p - 1):
+                exp[k * walked:(k + 1) * walked] = array(
+                    "i", [hi_s[h] * size + lo_s[l] for h, l in zip(his, los)])
+                hi_s = list(map(hi_z.__getitem__, hi_s))
+                lo_s = list(map(lo_z.__getitem__, lo_s))
         log = array("i", [0]) * q
         log[0] = -1
         for e, r in enumerate(exp):
             log[r] = e
         # the constant term is the most significant lex digit, so adding 1
         # to an element moves its rank by one step of that digit
-        unit = self._weights[0]
         top = (p - 1) * unit
         zech = array("i", [log[r + unit] if r < top else log[r - top] for r in exp])
-        logger.debug("built log tables for F_%d^%d (q = %d) in %.3f s",
-                     p, n, q, time.perf_counter() - t0)
+        t2 = time.perf_counter()
+        # the search tried every nonzero rank up to the generator's
+        logger.debug("built log tables for F_%d^%d (q = %d): generator rank %d "
+                     "(%d candidates tested) in %.3f s, %d of %d powers walked, "
+                     "tables in %.3f s", p, n, q, g.rank, g.rank, t1 - t0,
+                     walked, order, t2 - t1)
         return exp, log, zech
+
+    @cached_property
+    def _zech_parity(self) -> bytes:
+        """zech[t] & 1 for every t, so chi(1 + g^t) = 1 - 2 * bit where
+        1 + g^t != 0; the bit reads 1 where zech[t] = -1."""
+        return bytes(map(and_, self._log_tables[2], repeat(1)))
 
     def gen_pow(self, e: int) -> "FieldElement":
         """generator**e, read from the exp table."""

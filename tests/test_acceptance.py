@@ -279,5 +279,45 @@ def test_ac14_large_prime_census_within_budget(p):
     _report(14, f"census-{p}-digest", time.perf_counter() - t0,
             LARGE_PRIME_CENSUS_BUDGET_S[p], ok)
 
+
+# sha256 of ",".join(map(str, exp)) for the exp table of each field, and of
+# the compact sorted JSON of each census report (as in ac14), frozen from
+# the build that walked all q - 1 powers of the generator and tested
+# generators on the convolution route; the budgets are 3 s per cold table
+# build and 5 s per cold census
+LARGE_FIELD_EXP_SHA256 = {
+    (3, 12): "64b88d2991eaddd1e1abad1424b271223029fca5439f71ae0f7b62f6410b8771",
+    (7, 7): "722378d56f6511ddea948ee29a80fd469c416fdf3ae14ab0f4b0267a3b36d01e",
+    (31, 4): "0efa320298ca7ba9a6e7b6ed96c5669bfc7f95984764f684848803e435e0515d",
+    (1021, 2): "e2b1937d3b16d84676bf06c2a4540b1c48e3564ead73ea836a59cc35f0491795",
+}
+LARGE_EXTENSION_CENSUS_SHA256 = {
+    (3, 12): "1364ea6288137417c6031953ca1e0f83e593923d35310b4dee9beccb2f85a907",
+    (5, 8): "681f85f6e7ce550c069106785165967f81855e526cb76a4a2bb21cb185de625f",
+    (7, 7): "0392eb19e35ab9c5768a1aa41c0259b371c28e6122fda16d453fa0a14a9bc604",
+}
+
+
+@pytest.mark.parametrize("p,n", sorted(LARGE_FIELD_EXP_SHA256))
+def test_ac15_large_field_tables_within_budget(p, n):
+    """Cold table builds over F_3^12, F_7^7, F_31^4 and F_1021^2: the frozen exp tables in budget."""
+    t0 = time.perf_counter()
+    exp = make_field(p, n)._log_tables[0]
+    elapsed = time.perf_counter() - t0
+    digest = hashlib.sha256(",".join(map(str, exp)).encode()).hexdigest()
+    _report(15, f"tables-{p}^{n}-digest", elapsed, 3.0,
+            digest == LARGE_FIELD_EXP_SHA256[p, n])
+
+
+@pytest.mark.parametrize("p,n", sorted(LARGE_EXTENSION_CENSUS_SHA256))
+def test_ac16_large_extension_census_within_budget(p, n):
+    """Cold census over F_3^12, F_5^8 and F_7^7: the frozen report bytes in budget."""
+    t0 = time.perf_counter()
+    report = census(make_field(p, n))
+    blob = json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":"))
+    ok = hashlib.sha256(blob.encode()).hexdigest() == LARGE_EXTENSION_CENSUS_SHA256[p, n]
+    _report(16, f"census-{p}^{n}-digest", time.perf_counter() - t0, 5.0, ok)
+
+
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-s"]))

@@ -5,6 +5,8 @@ modulus: F_9 = F_3[t]/(t^2 + 1) and F_25 = F_5[t]/(t^2 + t + 1), so for
 example (t+1)^2 = 2t and (t+1)^4 = 2 in F_9.
 """
 
+import logging
+import re
 import time
 
 import pytest
@@ -308,7 +310,27 @@ def test_table_arithmetic_matches_convolution(p, n):
         ctx._inv(0)
 
 
-@pytest.mark.parametrize("p,n", TABLE_FIELDS)
+PRIMES_3_TO_211 = [p for p in range(3, 212) if _is_prime(p)]
+
+
+@pytest.mark.parametrize("p,n", sorted(set(TABLE_FIELDS + EXTENSION_FIELDS_TO_3000))
+                         + [(p, 1) for p in PRIMES_3_TO_211 + [1009]])
+def test_generator_is_lex_first_on_convolution_route(p, n):
+    # reference: the order test on coefficient tuples, x^((q-1)/l) != 1
+    # for every prime l | q - 1, with no norm and no subfield shortcut
+    ctx = make_field(p, n)
+    order = ctx.q - 1
+    one = ctx.one.coeffs
+    primes = [ell for ell in range(2, order + 1) if order % ell == 0 and _is_prime(ell)]
+    for rank in range(1, ctx.q):
+        x = ctx._tuple_from_rank(rank)
+        if all(ctx._conv_pow(x, order // ell) != one for ell in primes):
+            break
+    assert ctx.generator.rank == rank
+
+
+# (3, 6) to (31, 2) run from one scaled block of walked powers (p = 3) to 29
+@pytest.mark.parametrize("p,n", TABLE_FIELDS + [(7, 3), (5, 4), (11, 2), (3, 6), (31, 2)])
 def test_log_tables_are_inverse_and_zech_matches_addition(p, n):
     ctx = make_field(p, n)
     exp, log, zech = ctx._log_tables
@@ -324,6 +346,26 @@ def test_log_tables_are_inverse_and_zech_matches_addition(p, n):
         s = _add_coeffwise(ctx, ctx.one.coeffs, x)
         assert zech[e] == (log[ctx._rank(s)] if any(s) else -1)
         x = ctx._conv_mul(x, g)
+    assert list(ctx._zech_parity) == [z & 1 for z in zech]
+
+
+def test_table_build_logs_generator_and_walk(caplog):
+    # one DEBUG record per context: the generator's rank and candidates
+    # tested, the powers walked of q - 1, generator and table seconds apart
+    cases = [(31, 2, 35, 32), (3, 4, 4, 40), (101, 1, 2, 100)]
+    with caplog.at_level(logging.DEBUG, logger="hasseforms"):
+        for p, n, _, _ in cases:
+            ctx = make_field(p, n)
+            ctx._zech_parity
+            ctx._log_tables
+    records = [r for r in caplog.records if r.name == "hasseforms"]
+    assert [r.levelno for r in records] == [logging.DEBUG] * len(cases)
+    for record, (p, n, rank, walked) in zip(records, cases):
+        assert re.fullmatch(
+            rf"built log tables for F_{p}\^{n} \(q = {p**n}\): generator rank "
+            rf"{rank} \({rank} candidates tested\) in \d+\.\d{{3}} s, "
+            rf"{walked} of {p**n - 1} powers walked, tables in \d+\.\d{{3}} s",
+            record.getMessage())
 
 
 @pytest.mark.parametrize("p,n", TABLE_FIELDS + [(7, 1), (101, 1)])
