@@ -38,11 +38,11 @@ constant time or meant for cryptographic use.
 from __future__ import annotations
 
 import logging
+import sys
 import time
 from array import array
 from functools import cached_property
-from itertools import repeat
-from operator import and_, mul
+from operator import mul
 from typing import Iterator, Sequence, Union
 
 from .errors import (
@@ -127,6 +127,9 @@ def _is_irreducible_ints(f: Sequence[int], p: int) -> bool:
     return True
 
 
+_TWICE_PARITY = bytes(2 * (b & 1) for b in range(256))
+
+
 class FieldCtx:
     """Immutable description of F_{p^n} plus lazily built lookup tables.
 
@@ -136,8 +139,9 @@ class FieldCtx:
     The kernels _add, _sub, _neg, _mul, _pow and _inv map lex ranks to
     lex ranks.  The first use of _log_tables (the exp/log/Zech tables,
     about 12 bytes per element) builds them from the lex-smallest
-    generator, and _zech_parity adds one byte per element; prime fields
-    read them for logarithms and point counts.
+    generator, and _zech_y, the table of 1 - chi(1 + g^t) that point
+    counts read, adds one byte per element; prime fields read them for
+    logarithms and point counts.
     q > 2**20 raises FieldTooLargeError.
     """
 
@@ -440,10 +444,17 @@ class FieldCtx:
         return exp, log, zech
 
     @cached_property
-    def _zech_parity(self) -> bytes:
-        """zech[t] & 1 for every t, so chi(1 + g^t) = 1 - 2 * bit where
-        1 + g^t != 0; the bit reads 1 where zech[t] = -1."""
-        return bytes(map(and_, self._log_tables[2], repeat(1)))
+    def _zech_y(self) -> bytes:
+        """1 - chi(1 + g^t) for every t: 0 or 2 by the parity of zech[t],
+        and 1 at t = (q-1)/2, the one t where 1 + g^t = 0 (zech[t] = -1)."""
+        # the parity of an int is that of its lowest byte, read from the
+        # raw items and mapped to 0 or 2 by one translate, all at C level
+        zech = self._log_tables[2]
+        k = zech.itemsize
+        y = bytearray(zech.tobytes()[0 if sys.byteorder == "little" else k - 1::k]
+                      .translate(_TWICE_PARITY))
+        y[(self.q - 1) // 2] = 1
+        return bytes(y)
 
     def gen_pow(self, e: int) -> "FieldElement":
         """generator**e, read from the exp table."""

@@ -10,10 +10,10 @@ The census scans the enumeration in order, on lex ranks with no objects,
 until every wanted class has a witness.  (a4, a6) and (u^4 a4, u^6 a6)
 are isomorphic (Silverman, AEC III.1), so where a2 = 0 it reads only row
 a4 = 0 and the first row of each coset of fourth powers, at most 5 rows.
-Over F_p one packed product per row gives every point count of the row,
-and the residue is the trace mod p; over F_q it is A_p by Horner on
-discrete logarithms.  Only the winners are decoded and checked, against
-the closed form for A_p.  iter_curves and the no-shortcut search build
+Over F_p the row kernel (curve._row_counts, one packed product per row)
+gives every point count of the row, and the residue is the trace mod p;
+over F_q it is A_p by Horner on discrete logarithms.  Only the winners
+are decoded and checked, against the closed form for A_p.  iter_curves and the no-shortcut search build
 every model and are the audit of the scan.
 """
 
@@ -32,13 +32,13 @@ from .curve import (
     _disc_row,
     _hasse_row,
     _hasse_terms,
+    _row_counts,
     hasse_invariant,
     point_count,
 )
 from .errors import InconsistencyError, SingularModelError
 from .forms import phi, realizable_set, unit_class_of
 from .gf import FieldCtx, FieldElement, smallest_prime_factor
-from .poly import _cyclic_mul, _pack, _slot_width
 
 __all__ = [
     "admissible_traces",
@@ -114,24 +114,17 @@ def _hasse_residue(curve: WeierstrassCurve) -> int:
 
 
 def _row_on_counts(ctx: FieldCtx, tally: Counter, counts: dict):
-    # over F_p one packed product per row gives the affine point count of
-    # every a6, kept in counts for the witness check: with N(c) = #{x :
-    # x^3 + a2 x^2 + a4 x = c} it is sum_c N(c) (1 + chi(c + a6)) <= 2p, the
-    # x^a6 coefficient of sum_c N(c) x^-c times sum_d (1 + chi(d)) x^d mod
-    # x^p - 1.  beta = p - count is phi([A_p]) mod p (bridge), 0 if supersingular.
-    p, log = ctx.p, ctx._log_tables[1]
-    W = _slot_width(2 * p + 1)
-    chi = _pack(W, [1] + [2 - 2 * (log[d] & 1) for d in range(1, p)])
+    # over F_p the row kernel (curve._row_counts, one packed product per
+    # row) gives #E for every a6, kept in counts for the witness check;
+    # beta = p + 1 - #E is phi([A_p]) mod p (bridge), 0 if supersingular
+    p = ctx.p
 
     def scan(r2, r4, d):
-        n = [0] * p
-        for x in range(p):
-            n[-((x + r2) * x + r4) * x % p] += 1
         d0, d1, d2 = d
-        counts[r2, r4] = row = _cyclic_mul(W, n, chi, p)
+        counts[r2, r4] = row = _row_counts(ctx, r2, r4)
         for x, c in enumerate(row):
             if (d0 + (d1 + d2 * x) * x) % p:
-                yield x, -c % p
+                yield x, (1 - c) % p
             else:
                 tally["singular"] += 1
     return scan
@@ -373,7 +366,7 @@ def census(ctx: FieldCtx) -> RealizabilityReport:
         for c in coeffs:  # over F_p A_p by Horner on the row's closed form
             a = (a * a6 * a6 + c) % p
         a = FieldElement(ctx, a * pow(a6, k, p) % p)
-        witnesses[h] = _checked(curve, h, a, counts[row][a6] + 1)
+        witnesses[h] = _checked(curve, h, a, counts[row][a6])
     entries = tuple(ClassEntry(h, witnesses.get(h)) for h in residues)
     missing = tuple(h for h in residues if h not in found)
     logger.debug("census over %s: %d models tested, %d singular skipped, "

@@ -15,9 +15,10 @@ from hasseforms import (
     iter_curves,
     make_field,
     point_count,
+    quadratic_character,
     twist,
 )
-from hasseforms.curve import WeierstrassCurve, discriminant_general
+from hasseforms.curve import WeierstrassCurve, _disc_row, _row_counts, discriminant_general
 from hasseforms.errors import (
     BadCongruenceError,
     FieldTooLargeError,
@@ -178,6 +179,42 @@ def test_point_count_guard():
     # built, so no curve over it can reach point_count
     with pytest.raises(FieldTooLargeError):
         make_field(1048583)
+
+
+ROW_COUNT_FIELDS = [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (31, 1), (3, 2), (5, 2),
+                    (7, 2), (3, 3), (3, 4), (5, 3), (11, 2)]
+
+
+@pytest.mark.parametrize("p,n", ROW_COUNT_FIELDS)
+def test_row_counts_match_point_count(p, n):
+    # the whole-row kernel against one point_count pass per model, on every
+    # row: a6 = 0 included, the a2 rows of characteristic 3 (over F_3^4
+    # only the a2 slabs of ranks 0, 27, 54, which are 0, 1, 2, and of ranks
+    # 1, 2 and 80: 6 of 81 slabs, since all 531,441 models take seconds),
+    # and against a direct count by Euler's criterion on every singular
+    # model where q <= 31 and on the wholly singular rows
+    ctx = make_field(p, n)
+    q, els, add, mul = ctx.q, list(ctx.iter_elements()), ctx._add, ctx._mul
+    slabs = range(q if p == 3 else 1)
+    if (p, n) == (3, 4):
+        slabs = (0, 1, 2, 27, 54, 80)
+    singular_rows = 0
+    for a2 in (els[r] for r in slabs):
+        for a4 in els:
+            counts = _row_counts(ctx, a2.rank, a4.rank)
+            assert len(counts) == q
+            d0, d1, d2 = _disc_row(ctx, a2.rank, a4.rank)
+            singular_rows += not (d0 or d1 or d2)
+            for a6 in els:
+                disc = add(d0, mul(add(d1, mul(d2, a6.rank)), a6.rank))
+                if disc:
+                    curve = WeierstrassCurve._unchecked(ctx, a2, a4, a6, ctx.from_rank(disc))
+                    assert counts[a6.rank] == point_count(curve).count
+                elif q <= 31 or not (d0 or d1 or d2):
+                    affine = sum(1 + quadratic_character(((x + a2) * x + a4) * x + a6)
+                                 for x in els)
+                    assert counts[a6.rank] == 1 + affine
+    assert singular_rows == (p == 3)  # only a2 = a4 = 0 in characteristic 3
 
 
 def test_twist_frozen_example(f5):

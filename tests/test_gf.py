@@ -346,7 +346,8 @@ def test_log_tables_are_inverse_and_zech_matches_addition(p, n):
         s = _add_coeffwise(ctx, ctx.one.coeffs, x)
         assert zech[e] == (log[ctx._rank(s)] if any(s) else -1)
         x = ctx._conv_mul(x, g)
-    assert list(ctx._zech_parity) == [z & 1 for z in zech]
+    # Y[t] = 1 - chi(1 + g^t): 1 where 1 + g^t = 0, else 0 or 2 by the parity
+    assert list(ctx._zech_y) == [1 if z < 0 else 2 * (z & 1) for z in zech]
 
 
 def test_table_build_logs_generator_and_walk(caplog):
@@ -356,7 +357,7 @@ def test_table_build_logs_generator_and_walk(caplog):
     with caplog.at_level(logging.DEBUG, logger="hasseforms"):
         for p, n, _, _ in cases:
             ctx = make_field(p, n)
-            ctx._zech_parity
+            ctx._zech_y
             ctx._log_tables
     records = [r for r in caplog.records if r.name == "hasseforms"]
     assert [r.levelno for r in records] == [logging.DEBUG] * len(cases)

@@ -354,29 +354,32 @@ def test_census_builds_only_witnesses(monkeypatch, p, n):
 def test_census_builds_one_point_count_row_per_witness_row(monkeypatch, p, n):
     # witnesses are checked in index order, row by row: over F_q those on
     # one (a2, a4) row share the one-slot point-count row memo; over F_p
-    # their counts are read off the scan's one product per row, and no
-    # second product or point count is made
+    # the scan builds one _row_logs row and one row product per scanned
+    # row, the witnesses read their counts off those products, and no
+    # point count or second product is made
     products = []
 
-    def counted(ctx, *args):
-        scan = row_on_counts(ctx, *args)
+    def counted(ctx, r2, r4):
+        products.append((r2, r4))
+        return row_counts(ctx, r2, r4)
 
-        def row(r2, r4, d):
-            products.append((r2, r4))
-            return scan(r2, r4, d)
-        return row
+    def no_point_count(curve):
+        raise AssertionError(f"point_count called on {curve!r}")
 
-    row_on_counts = search_module._row_on_counts
-    monkeypatch.setattr(search_module, "_row_on_counts", counted)
+    row_counts = search_module._row_counts
+    monkeypatch.setattr(search_module, "_row_counts", counted)
+    if n == 1:
+        monkeypatch.setattr(search_module, "point_count", no_point_count)
     ctx = make_field(p, n)
     _row_logs.cache_clear()
+    curve_module._row_counts.cache_clear()
     report = census(ctx)
     rows = {(e.witness.a2, e.witness.a4) for e in report.entries if e.witness}
     assert len(rows) < len(report.realizable)
     if n == 1:
         ranks = {(ctx(a2).rank, ctx(a4).rank) for a2, a4 in rows}
         assert ranks <= set(products) and len(products) == len(set(products))
-        assert _row_logs.cache_info().misses == 0
+        assert _row_logs.cache_info().misses == len(products)
     else:
         assert _row_logs.cache_info().misses == len(rows)
         assert products == []

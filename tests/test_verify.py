@@ -1,7 +1,9 @@
 """The named verification suites and their reporting surface."""
 
+import functools
 import json
 import logging
+import re
 import time
 
 import pytest
@@ -121,23 +123,83 @@ def test_suite_result_check_is_lazy_and_counts():
 
 
 def test_bridge_suite_catches_seeded_regression(monkeypatch):
-    # the suite must actually look at the data: feeding it one corrupted
-    # point count has to flip the verdict to FAIL
-    import dataclasses
-
+    # the suite must actually look at the data: one corrupted count in
+    # the row kernel's output it reads has to flip the verdict to FAIL
     import hasseforms.verify as verify_mod
 
-    real_point_count = verify_mod.point_count
+    real_row_counts = verify_mod._row_counts
     state = {"armed": True}
 
-    def corrupted(curve):
-        fd = real_point_count(curve)
-        if state["armed"] and fd.ordinary:
+    @functools.lru_cache(maxsize=1)  # memoised like the kernel
+    def corrupted(ctx, r2, r4):
+        counts = list(real_row_counts(ctx, r2, r4))
+        if state["armed"]:
+            # y^2 = x^3 + 1 over F_5; beta moves by one towards 0, so the
+            # trace bound still holds and only the bridge can object
             state["armed"] = False
-            return dataclasses.replace(fd, beta=fd.beta + 1)
-        return fd
+            counts[1] += 1 if counts[1] < ctx.q + 1 else -1
+        return counts
 
-    monkeypatch.setattr(verify_mod, "point_count", corrupted)
+    monkeypatch.setattr(verify_mod, "_row_counts", corrupted)
     result = run_suite("bridge", 5)
     assert not result.ok
-    assert result.failures
+    assert len(result.failures) == 1
+    assert "x^3 + 1 over F_5" in result.failures[0]
+
+
+def test_twists_suite_catches_seeded_regression(monkeypatch):
+    # the class action is memoised per (class, d, kind), but every pair
+    # still twists and recomputes A_p: one twisted curve whose A_p is
+    # moved to another class, well after its key was first seen, has to
+    # flip the verdict to FAIL
+    import hasseforms.verify as verify_mod
+
+    real_twist, real_hasse = verify_mod.twist, verify_mod.hasse_invariant
+    twisted, calls = set(), []
+
+    def recording_twist(curve, d, kind="quadratic"):
+        t = real_twist(curve, d, kind)
+        twisted.add(t)
+        return t
+
+    def hasse(curve, level="p"):
+        a = real_hasse(curve, level)
+        if curve in twisted:
+            calls.append(curve)
+            if len(calls) == 60:
+                return a * curve.ctx.generator  # g is no (p-1)th power
+        return a
+
+    monkeypatch.setattr(verify_mod, "twist", recording_twist)
+    monkeypatch.setattr(verify_mod, "hasse_invariant", hasse)
+    result = run_suite("twists", 5)
+    assert len(calls) > 60
+    assert not result.ok
+    assert len(result.failures) == 1
+    assert result.failures[0].startswith("quadratic twist of ")
+
+
+def test_run_suite_logs_one_record_and_keeps_output(caplog):
+    cases = [("bridge", 7, 1), ("norm", 3, 2), ("twists", 5, 1), ("census", 13, 1)]
+
+    def outputs():
+        results = [run_suite(*case) for case in cases]
+        return [(json.dumps(r.to_dict(), sort_keys=True), r.summary_line())
+                for r in results]
+
+    plain = outputs()
+    with caplog.at_level(logging.DEBUG, logger="hasseforms"):
+        assert outputs() == plain
+    records = [r for r in caplog.records
+               if r.name == "hasseforms" and r.getMessage().startswith("suite ")]
+    assert [r.levelno for r in records] == [logging.DEBUG] * len(cases)
+    # the bridge and norm suites build one row product per (a2, a4) row
+    # with a nonsingular model, twists builds none and the census one per
+    # scanned row
+    rows = [str(len({(c.a2, c.a4) for c in iter_curves(make_field(p, n))}))
+            for _, p, n in cases[:2]]
+    for record, (name, p, n), products in zip(records, cases, rows + ["0", r"\d+"]):
+        assert re.fullmatch(
+            rf"suite {name} over {re.escape(str(make_field(p, n)))}: \d+ cases, "
+            rf"0 failures, {products} row products built, \d+\.\d{{3}} s",
+            record.getMessage())
