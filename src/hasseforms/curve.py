@@ -20,10 +20,11 @@ supersingular curves.  With a2 = 0 and m = (p-1)/2 it has the closed form
     A_p = sum of m! / (i! j! k!) * a4^j * a6^k   over 3i + j = p - 1,
                                                   i + j + k = m,
 
-about p/12 terms, and in characteristic 3 (where m = 1) A_3 = a2.  The
-level-q variant A_q, the coefficient of x^(q-1) in the ((q-1)/2) power,
-is the norm A_p^((q-1)/(p-1)).  See Silverman, The Arithmetic of Elliptic
-Curves, section V.4.
+about p/12 terms, and in characteristic 3 (where m = 1) A_3 = a2.  On an
+(a2, a4) row it is A_p = a6^k P(a6^2) (_hasse_row), evaluated by Horner.
+The level-q variant A_q, the coefficient of x^(q-1) in the ((q-1)/2)
+power, is the norm A_p^((q-1)/(p-1)).  See Silverman, The Arithmetic of
+Elliptic Curves, section V.4.
 
 Point counts come from the quadratic character on discrete logarithms,
 in two shapes over one table per (a2, a4) row of the logs of
@@ -343,23 +344,28 @@ def _hasse_row(ctx: FieldCtx, r2: int, r4: int) -> tuple[int, tuple[int, ...]]:
 def hasse_invariant(curve: WeierstrassCurve, level: str = "p") -> FieldElement:
     """Coefficient of x^(p-1) in f^((p-1)/2), or of x^(q-1) at level "q".
 
-    Level p sums the closed form over a table built once per prime
-    (A_3 = a2); level q is the norm A_p^((q-1)/(p-1)) (Silverman, AEC
-    section V.4).  Tests pin both against f_polynomial().pow_truncated.
+    Level p is A_p = a6^k P(a6^2) off the (a2, a4) row (_hasse_row,
+    A_3 = a2 included) by Horner: on ints over F_p, where a rank is its
+    value, and on the rank kernels over F_q.  Level q is the norm
+    A_p^((q-1)/(p-1)) (Silverman, AEC section V.4).  Tests pin both
+    levels, and the closed-forms suite level p, against
+    f_polynomial().pow_truncated.
     """
     ctx = curve.ctx
     if level not in ("p", "q"):
         raise ValueError(f'level must be "p" or "q", got {level!r}')
-    p = ctx.p
-    if p == 3:
-        a = curve.a2
+    k, coeffs = _hasse_row(ctx, curve.a2.rank, curve.a4.rank)
+    p, r6, acc = ctx.p, curve.a6.rank, 0
+    if ctx.n == 1:
+        for c in coeffs:
+            acc = (acc * r6 * r6 + c) % p
+        acc = acc * pow(r6, k, p) % p
     else:
-        add, mul, pw = ctx._add, ctx._mul, ctx._pow
-        a4, a6, unit = curve.a4.rank, curve.a6.rank, ctx.one.rank
-        acc = 0
-        for j, k, c in _hasse_terms(p):
-            acc = add(acc, mul(c * unit, mul(pw(a4, j), pw(a6, k))))
-        a = FieldElement(ctx, acc)
+        add, mul, s = ctx._add, ctx._mul, ctx._mul(r6, r6)
+        for c in coeffs:
+            acc = add(mul(acc, s), c)
+        acc = mul(acc, ctx._pow(r6, k))
+    a = FieldElement(ctx, acc)
     return a if level == "p" else a ** ((ctx.q - 1) // (p - 1))
 
 

@@ -517,36 +517,27 @@ def _equal_degree_split(h: Polynomial, d: int,
 
 def _split_squarefree(sq: Polynomial, tables: dict) -> tuple[list[Polynomial], int]:
     # monic squarefree -> monic irreducibles and the splitting candidates
-    # tried: strip roots by exhaustive evaluation, then split by distinct
-    # degree
-    ctx = sq.ctx
-    X = Polynomial.x(ctx)
+    # tried, by distinct degree from d = 1: gcd(rem, x^(q^d) - x) is the
+    # product of the factors of degree d left in rem, so the roots come
+    # out of one _pow_mod, with no evaluation at the q elements
+    X = Polynomial.x(sq.ctx)
+    q = sq.ctx.q
     out: list[Polynomial] = []
     tried = 0
-    rem = sq
-    for x in ctx.iter_elements():
-        if rem.degree < 1:
+    rem, frob, d = sq, X, 0
+    while rem.degree > 0:
+        d += 1
+        if 2 * d > rem.degree:
+            out.append(rem)
             break
-        if not rem.evaluate(x):
-            lin = X - x
-            out.append(lin)
-            rem = rem // lin
-    if rem.degree > 0:
-        frob = _pow_mod(X, ctx.q, rem, tables)
-        d = 1
-        while rem.degree > 0:
-            d += 1
-            if 2 * d > rem.degree:
-                out.append(rem)
-                break
-            frob = _pow_mod(frob, ctx.q, rem, tables)
-            gd = gcd(rem, frob - X)
-            if gd.degree > 0:
-                factors, k = _equal_degree_split(gd, d, tables)
-                out.extend(factors)
-                tried += k
-                rem = rem // gd
-                frob = frob % rem
+        frob = _pow_mod(frob, q, rem, tables)
+        gd = gcd(rem, frob - X)
+        if gd.degree > 0:
+            factors, k = _equal_degree_split(gd, d, tables)
+            out.extend(factors)
+            tried += k
+            rem = rem // gd
+            frob = frob % rem
     return out, tried
 
 

@@ -13,8 +13,9 @@ a4 = 0 and the first row of each coset of fourth powers, at most 5 rows.
 Over F_p the row kernel (curve._row_counts, one packed product per row)
 gives every point count of the row, and the residue is the trace mod p;
 over F_q it is A_p by Horner on discrete logarithms.  Only the winners
-are decoded and checked, against the closed form for A_p.  iter_curves and the no-shortcut search build
-every model and are the audit of the scan.
+are decoded and checked, against hasse_invariant and a point count.
+iter_curves and the no-shortcut search build every model and are the
+audit of the scan.
 """
 
 from __future__ import annotations
@@ -331,7 +332,8 @@ def census(ctx: FieldCtx) -> RealizabilityReport:
     One scan in enumeration order (_classified) keeps the first index of
     each residue until every class of realizable_set is hit, else raises
     InconsistencyError.  The winners are checked in index order as by
-    describe_witness, over F_p with the count of the scan's row product.
+    describe_witness, against the closed form (hasse_invariant) and a
+    point count: over F_p the scan's row product, over F_q point_count.
     """
     p, q = ctx.p, ctx.q
     residues = range(1, p)
@@ -356,17 +358,11 @@ def census(ctx: FieldCtx) -> RealizabilityReport:
     t1 = time.perf_counter()
     witnesses = {}
     for h, idx in sorted(found.items(), key=lambda hi: hi[1]):
-        curve, row = _curve_at(ctx, idx), divmod(idx // q, q)
+        curve, row = _curve_at(ctx, idx), counts.get(divmod(idx // q, q))
         if curve is None:
             raise InconsistencyError(f"witness index {idx} decodes to a singular model")
-        if row not in counts:
-            witnesses[h] = describe_witness(curve, h)
-            continue
-        (k, coeffs), a6, a = _hasse_row(ctx, *row), idx % q, 0
-        for c in coeffs:  # over F_p A_p by Horner on the row's closed form
-            a = (a * a6 * a6 + c) % p
-        a = FieldElement(ctx, a * pow(a6, k, p) % p)
-        witnesses[h] = _checked(curve, h, a, counts[row][a6])
+        count = point_count(curve).count if row is None else row[idx % q]
+        witnesses[h] = _checked(curve, h, hasse_invariant(curve), count)
     entries = tuple(ClassEntry(h, witnesses.get(h)) for h in residues)
     missing = tuple(h for h in residues if h not in found)
     logger.debug("census over %s: %d models tested, %d singular skipped, "

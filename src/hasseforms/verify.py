@@ -166,15 +166,15 @@ def _suite_closed_forms(res: SuiteResult, ctx: FieldCtx) -> None:
 
 
 def _suite_norm(res: SuiteResult, ctx: FieldCtx) -> None:
-    """A_q is the (q-1)/(p-1) power of A_p and equals 1 - #E mod p."""
+    """A_q lies in the prime subfield and equals 1 - #E mod p.
+
+    A_q is hasse_invariant at level q, the norm of the closed form; #E
+    comes from the row kernel, which knows nothing of A_p.  The closed
+    form itself is audited by the closed-forms suite.
+    """
     p = ctx.p
-    e = (ctx.q - 1) // (p - 1)
     for curve in iter_curves(ctx):
-        ap = hasse_invariant(curve, "p")
         aq = hasse_invariant(curve, "q")
-        want = ap**e
-        res.check(aq == want,
-                  "%r: A_q = %s but A_p^%d = %s", curve, aq, e, want)
         count = ctx.q + 1 - _row_trace(curve)
         try:
             residue = int(aq)

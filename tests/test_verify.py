@@ -47,7 +47,7 @@ def test_suite_case_counts_golden():
         ("bridge", 5, 1): 20,
         ("twists", 5, 1): 80,
         ("closed-forms", 7, 1): 42,
-        ("norm", 3, 2): 1296,
+        ("norm", 3, 2): 648,
         ("etale", 5, 1): 24,
         ("census", 13, 1): 14,
         ("census", 19, 1): 21,
@@ -145,6 +145,33 @@ def test_bridge_suite_catches_seeded_regression(monkeypatch):
     assert not result.ok
     assert len(result.failures) == 1
     assert "x^3 + 1 over F_5" in result.failures[0]
+
+
+def test_norm_suite_catches_seeded_regression(monkeypatch):
+    # A_q is checked against the row kernel's count, the one route the
+    # suite holds that knows nothing of A_p: one corrupted count has to
+    # flip the verdict to FAIL
+    import hasseforms.verify as verify_mod
+
+    real_row_counts = verify_mod._row_counts
+    state = {"armed": True}
+
+    @functools.lru_cache(maxsize=1)  # memoised like the kernel
+    def corrupted(ctx, r2, r4):
+        counts = list(real_row_counts(ctx, r2, r4))
+        one = ctx.one.rank
+        if state["armed"] and r2 == 0 and r4 == one:
+            # y^2 = x^3 + x + 1 over F_9; the count moves by one towards
+            # q + 1, so the trace bound still holds and only A_q can object
+            state["armed"] = False
+            counts[one] += 1 if counts[one] < ctx.q + 1 else -1
+        return counts
+
+    monkeypatch.setattr(verify_mod, "_row_counts", corrupted)
+    result = run_suite("norm", 3, 2)
+    assert not state["armed"]
+    assert len(result.failures) == 1
+    assert "x^3 + x + 1 over F_9" in result.failures[0]
 
 
 def test_twists_suite_catches_seeded_regression(monkeypatch):
