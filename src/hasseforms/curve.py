@@ -26,12 +26,15 @@ The level-q variant A_q, the coefficient of x^(q-1) in the ((q-1)/2)
 power, is the norm A_p^((q-1)/(p-1)).  See Silverman, The Arithmetic of
 Elliptic Curves, section V.4.
 
-Point counts come from the quadratic character on discrete logarithms,
-in two shapes over one table per (a2, a4) row of the logs of
-h = x^3 + a2 x^2 + a4 x (_row_logs): point_count makes one O(q) pass
-per curve, for single-curve callers, and _row_counts gives #E for every
-a6 of a row from one cyclic product over F_q^*, for callers that walk
-whole rows (the census over F_p, the bridge and norm suites).
+A_p and #E each come in two shapes, per curve and per row, and the two
+shapes of each share one table per (a2, a4) row.  hasse_invariant
+evaluates the row's P at one a6; _row_hasse gives A_p for every a6 of
+the row from the same P.  point_count makes one O(q) pass per curve over
+the logs of h = x^3 + a2 x^2 + a4 x (_row_logs); _row_counts gives #E
+for every a6 of the row from one cyclic product over F_q^*.  The
+per-curve shapes serve single-curve callers; the row shapes serve
+callers that walk whole rows: the census over F_p and the bridge, norm,
+twists and etale suites.
 """
 
 from __future__ import annotations
@@ -220,19 +223,26 @@ def point_count(curve: WeierstrassCurve) -> FrobeniusData:
     else:
         s = len(row) - 2 * sum(map(and_, row, repeat(1)))
     count = 1 + q + s
-    beta = _trace(curve, count)
+    beta = _trace(ctx, count, curve.a2.rank, curve.a4.rank, curve.a6.rank)
     return FrobeniusData(count=count, beta=beta, ordinary=beta % ctx.p != 0)
 
 
-def _trace(curve: WeierstrassCurve, count: int) -> int:
-    # beta = q + 1 - count for a point count of curve, checked against the
-    # trace bound; equality there only happens at supersingular curves
-    # over fields of square order
-    q = curve.ctx.q
+def _decode(ctx: FieldCtx, r2: int, r4: int, r6: int) -> WeierstrassCurve:
+    # the model with coefficient ranks (a2, a4, a6), checked as any other
+    return WeierstrassCurve(ctx, ctx.from_rank(r4), ctx.from_rank(r6),
+                            a2=ctx.from_rank(r2))
+
+
+def _trace(ctx: FieldCtx, count: int, r2: int, r4: int, r6: int) -> int:
+    # beta = q + 1 - count for the point count of the model with ranks
+    # (r2, r4, r6), checked against the trace bound; equality there only
+    # happens at supersingular curves over fields of square order.  Row
+    # callers hold ranks, so the model is decoded only to name it
+    q = ctx.q
     beta = q + 1 - count
-    if beta * beta > 4 * q or (beta * beta == 4 * q and beta % curve.ctx.p):
-        raise RuntimeError(
-            f"trace bound violated for {curve!r}: beta = {beta}, this is a bug")
+    if beta * beta > 4 * q or (beta * beta == 4 * q and beta % ctx.p):
+        raise RuntimeError(f"trace bound violated for {_decode(ctx, r2, r4, r6)!r}: "
+                           f"beta = {beta}, this is a bug")
     return beta
 
 
@@ -339,6 +349,53 @@ def _hasse_row(ctx: FieldCtx, r2: int, r4: int) -> tuple[int, tuple[int, ...]]:
         coeffs.pop()
         k += 2
     return k, tuple(coeffs)
+
+
+@lru_cache(maxsize=1)
+def _row_hasse(ctx: FieldCtx, r2: int, r4: int) -> array:
+    """A_p, as a rank, for every a6 of the (a2, a4) row, by the rank of a6.
+
+    The whole-row shape of hasse_invariant: A_p = a6^k P(a6^2) off the
+    same row table (_hasse_row), by Horner on every a6 at once, one list
+    comprehension per coefficient of P.  Over F_p a rank is its value and
+    the comprehensions run on ints.  Over F_q they run on the logs of the
+    nonzero a6, where times a6^2 adds 2 log a6 and plus c is one Zech step,
+    log(y + c) = log c + zech[log y - log c]; every coefficient of P is
+    nonzero, since a zero one is a4^j with a4 = 0, which _hasse_row
+    folds into k.  A row of one coefficient and k = 0 (A_3 = a2,
+    A_5 = 2 a4) is constant.  One slot, like _row_counts: its callers
+    walk the models row by row.  Tests pin it against hasse_invariant on
+    every model of small fields.
+    """
+    k, coeffs = _hasse_row(ctx, r2, r4)
+    q = ctx.q
+    if not coeffs:
+        return array("i", bytes(4 * q))
+    if len(coeffs) == 1 and not k:
+        return array("i", coeffs) * q
+    if ctx.n == 1:
+        xs = range(q)
+        squares = [x * x % q for x in xs]
+        acc = [coeffs[0]] * q
+        for c in coeffs[1:]:
+            acc = [(a * s + c) % q for a, s in zip(acc, squares)]
+        if k:
+            acc = [a * pow(x, k, q) % q for a, x in zip(acc, xs)]
+        return array("i", acc)
+    exp, log, zech = ctx._log_tables
+    order = q - 1
+    logs = log[1:]  # of a6 = 1 .. q - 1 by rank
+    lcs = [log[c] for c in coeffs]
+    acc = [lcs[0]] * order  # logs of the partial P, None for zero
+    twice = [2 * e for e in logs]
+    for lc in lcs[1:]:
+        acc = [lc if a is None
+               else None if (z := zech[(a + t - lc) % order]) < 0 else lc + z
+               for a, t in zip(acc, twice)]
+    # a6 = 0 leaves P(0), the last coefficient, where k = 0
+    return array("i", [0 if k else coeffs[-1]]
+                 + [0 if a is None else exp[(a + k * e) % order]
+                    for a, e in zip(acc, logs)])
 
 
 def hasse_invariant(curve: WeierstrassCurve, level: str = "p") -> FieldElement:

@@ -2,7 +2,8 @@
 
 Curves are enumerated in a single fixed order (a2 only moves in
 characteristic 3, then a4, then a6, each by lex rank), singular models
-skipped.  A class h is "hit" by a curve when the norm-style residue of
+skipped: _iter_rows gives it on ranks, row by row, and iter_curves
+decodes its models.  A class h is "hit" by a curve when the norm-style residue of
 its Hasse invariant equals h; the first hit in enumeration order is the
 witness recorded for h.
 
@@ -26,10 +27,11 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import islice
 from math import gcd, isqrt
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .curve import (
     WeierstrassCurve,
+    _decode,
     _disc_row,
     _hasse_row,
     _hasse_terms,
@@ -78,34 +80,69 @@ def _index_space(ctx: FieldCtx) -> int:
 def _curve_at(ctx: FieldCtx, idx: int) -> WeierstrassCurve | None:
     # idx holds the ranks of (a2, a4, a6) as base-q digits; a2 = 0 unless p = 3
     a2r, rest = divmod(idx, ctx.q * ctx.q)
-    a4r, a6r = divmod(rest, ctx.q)
     try:
-        return WeierstrassCurve(ctx, ctx.from_rank(a4r), ctx.from_rank(a6r),
-                                a2=ctx.from_rank(a2r))
+        return _decode(ctx, a2r, *divmod(rest, ctx.q))
     except SingularModelError:
         return None
+
+
+def _singular_a6(ctx: FieldCtx, d: tuple[int, int, int]) -> tuple[int, ...] | range:
+    # ranks of the a6 where the row's discriminant d0 + d1 a6 + d2 a6^2
+    # vanishes: every a6 if it is zero, else at most two roots
+    d0, d1, d2 = d
+    neg, mul, inv = ctx._neg, ctx._mul, ctx._inv
+    if not d2:  # p = 3: linear in a6
+        if d1:
+            return (neg(mul(d0, inv(d1))),)
+        return () if d0 else range(ctx.q)
+    # p >= 5: d1 = 0, so a6^2 = -d0/d2, whose roots have half its even log
+    s = neg(mul(d0, inv(d2)))
+    if not s:
+        return (0,)
+    exp, log, _ = ctx._log_tables
+    if log[s] & 1:
+        return ()
+    root = exp[log[s] // 2]
+    return root, neg(root)
+
+
+def _iter_rows(ctx: FieldCtx) -> Iterator[tuple[int, int, tuple, Sequence[int]]]:
+    """(a2 rank, a4 rank, discriminant row, nonsingular a6 ranks) of each
+    (a2, a4) row with a nonsingular model, in enumeration order.
+
+    The discriminant row is curve._disc_row's (d0, d1, d2), disc =
+    d0 + d1 a6 + d2 a6^2; it has at most two roots a6 unless it is zero
+    (_singular_a6), so a row is filtered with no per-model work.  This is
+    the one enumeration: iter_curves decodes its models, and the row
+    suites read the row tables (curve._row_hasse, curve._row_counts) at
+    its ranks.
+    """
+    q = ctx.q
+    for r2 in range(_index_space(ctx) // (q * q)):
+        for r4 in range(q):
+            d = _disc_row(ctx, r2, r4)
+            singular = _singular_a6(ctx, d)
+            if not singular:
+                yield r2, r4, d, range(q)
+            elif len(singular) < q:
+                yield r2, r4, d, [r6 for r6 in range(q) if r6 not in singular]
 
 
 def iter_curves(ctx: FieldCtx) -> Iterator[WeierstrassCurve]:
     """Every nonsingular model over ctx, in enumeration order.
 
-    Row by row: a2 over the slabs _index_space allows, then a4, then a6,
-    from one list of the q elements, so point_count tabulates each
-    (a2, a4) row once.  The discriminant is read off the row's
-    coefficients (curve._disc_row) per a6, and singular models are
-    skipped without building them.
+    The models of _iter_rows, decoded from one list of the q elements:
+    row by row, so point_count tabulates each (a2, a4) row once.  The
+    discriminant is read off the row's coefficients per a6.
     """
-    q, add, mul = ctx.q, ctx._add, ctx._mul
+    add, mul = ctx._add, ctx._mul
     unchecked = WeierstrassCurve._unchecked
     elements = list(ctx.iter_elements())
-    for a2 in elements[:_index_space(ctx) // (q * q)]:
-        for a4 in elements:
-            d0, d1, d2 = _disc_row(ctx, a2.rank, a4.rank)
-            for a6 in elements:
-                r6 = a6.rank
-                disc = add(d0, mul(add(d1, mul(d2, r6)), r6))
-                if disc:
-                    yield unchecked(ctx, a2, a4, a6, FieldElement(ctx, disc))
+    for r2, r4, (d0, d1, d2), r6s in _iter_rows(ctx):
+        a2, a4 = elements[r2], elements[r4]
+        for r6 in r6s:
+            disc = add(d0, mul(add(d1, mul(d2, r6)), r6))
+            yield unchecked(ctx, a2, a4, elements[r6], FieldElement(ctx, disc))
 
 
 def _hasse_residue(curve: WeierstrassCurve) -> int:

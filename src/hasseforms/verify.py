@@ -11,26 +11,28 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
+from math import gcd
 
 from .curve import (
-    WeierstrassCurve,
+    _decode,
     _row_counts,
+    _row_hasse,
     _trace,
     hasse_invariant,
     twist,
 )
 from .errors import InconsistencyError
 from .forms import (
+    UnitClass,
     enumerate_classes,
     phi,
     ptorsion_description,
     realizable_set,
     twist_class_action,
-    unit_class_of,
 )
-from .gf import FieldCtx, make_field
+from .gf import FieldCtx, FieldElement, make_field
 from .poly import Polynomial, factor
-from .search import _hasse_residue, census, iter_curves
+from .search import _iter_rows, census, iter_curves
 
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_suite"]
 
@@ -52,7 +54,9 @@ class SuiteResult:
 
     def check(self, condition: bool, fmt: str, *args) -> None:
         # failure text is only rendered on failure; keep expensive reprs
-        # out of the fast path by passing them as args
+        # out of the fast path by passing them as args.  The row suites,
+        # whose args would be decoded models, count a pass as cases += 1
+        # and call check(False, ...) only on a failure
         self.cases += 1
         if not condition:
             self.failures.append(fmt % args if args else fmt)
@@ -93,61 +97,83 @@ def _suite_classification(res: SuiteResult, ctx: FieldCtx) -> None:
                       "phi not multiplicative at %r * %r", c1, c2)
 
 
-def _row_trace(curve: WeierstrassCurve) -> int:
-    # point_count's beta, read off the whole-row kernel: iter_curves walks
-    # the models row by row, so the kernel's memo builds each (a2, a4) row
-    # once, and every model keeps the trace-bound check
-    counts = _row_counts(curve.ctx, curve.a2.rank, curve.a4.rank)
-    return _trace(curve, counts[curve.a6.rank])
+def _class_exps(ctx: FieldCtx) -> list[int]:
+    # the unit class exponent, log mod p - 1 (unit_class_of), of every
+    # rank; -1 at zero, which has no class
+    pm1 = ctx.p - 1
+    return [e % pm1 if e >= 0 else -1 for e in ctx._log_tables[1]]
+
+
+def _residues(ctx: FieldCtx) -> list[int]:
+    # _hasse_residue by the rank of A_p: phi([A_p]), read once per class
+    # through forms.phi, and 0 at zero
+    by_class = [int(phi(UnitClass(ctx, e))) for e in range(ctx.p - 1)]
+    return [by_class[e] if e >= 0 else 0 for e in _class_exps(ctx)]
 
 
 def _suite_bridge(res: SuiteResult, ctx: FieldCtx) -> None:
     """A_p vanishes iff p | beta; otherwise phi([A_p]) = beta mod p.
 
-    Both are one check, since _hasse_residue is 0 exactly when A_p = 0
-    and a unit residue otherwise.  beta comes from the row kernel, over
-    F_p the one the census scan reads its residues off.
+    Both are one check, since the residue is 0 exactly when A_p = 0 and
+    a unit residue otherwise.  Each row compares two row tables on the
+    ranks of its nonsingular models: A_p off the closed form
+    (_row_hasse) and beta off the point counts (_row_counts), over F_p the
+    kernel the census scan reads its residues off.  A model is decoded
+    only to name it in a failure.
     """
-    p = ctx.p
-    for curve in iter_curves(ctx):
-        got = _hasse_residue(curve)
-        beta = _row_trace(curve)
-        res.check(got == beta % p,
-                  "%r: Hasse residue %d (0 for A_p = 0) but beta = %d, %d mod p",
-                  curve, got, beta, beta % p)
+    p, residue = ctx.p, _residues(ctx)
+    for r2, r4, _, r6s in _iter_rows(ctx):
+        hasse, counts = _row_hasse(ctx, r2, r4), _row_counts(ctx, r2, r4)
+        for r6 in r6s:
+            got, beta = residue[hasse[r6]], _trace(ctx, counts[r6], r2, r4, r6)
+            if got == beta % p:
+                res.cases += 1
+            else:
+                res.check(False, "%r: Hasse residue %d (0 for A_p = 0) but beta = %d, %d mod p",
+                          _decode(ctx, r2, r4, r6), got, beta, beta % p)
 
 
 def _suite_twists(res: SuiteResult, ctx: FieldCtx) -> None:
     """Hasse classes move under twists exactly as the class action says.
 
-    The action depends only on (class, d, kind), so it is computed once
-    per key; the twisted curve and its A_p are computed for every pair.
+    twist() runs for every (curve, d, kind); A_p of the curve and of its
+    twist is read off the _row_hasse row of its (a2, a4), each row kept
+    for the run, and classes are compared as exponents (log mod p - 1,
+    -1 for a zero A_p, which matches no action).  The action depends only
+    on (class, d, kind), so it is computed once per key.
     """
+    p, exps, rows = ctx.p, _class_exps(ctx), {}
+
+    def class_exp(curve):
+        key = (curve.a2.rank, curve.a4.rank)
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = _row_hasse(ctx, *key)
+        return exps[row[curve.a6.rank]]
+
     j1728 = ctx.element(1728)
+    units = [d for d in ctx.iter_elements() if d]
     actions = {}
     for curve in iter_curves(ctx):
-        a = hasse_invariant(curve)
-        if not a:
-            continue
-        base = unit_class_of(a)
+        base = class_exp(curve)
+        if base < 0:
+            continue  # supersingular
         j = curve.j_invariant
         kinds = ["quadratic"]
-        if j == j1728 and ctx.p % 4 == 1:
+        if j == j1728 and p % 4 == 1:
             kinds.append("quartic")
-        if not j and ctx.p % 3 == 1:
+        if not j and p % 3 == 1:
             kinds.append("sextic")
-        for d in ctx.iter_elements():
-            if not d:
-                continue
+        for d in units:
             for kind in kinds:
-                got = unit_class_of(hasse_invariant(twist(curve, d, kind)))
-                key = (base.exp, d.rank, kind)
+                got = class_exp(twist(curve, d, kind))
+                key = (base, d.rank, kind)
                 want = actions.get(key)
                 if want is None:
-                    want = actions[key] = twist_class_action(base, d, kind)
+                    want = actions[key] = twist_class_action(UnitClass(ctx, base), d, kind).exp
                 res.check(got == want,
                           "%s twist of %r by %s: class exp %d, action predicts %d",
-                          kind, curve, d, got.exp, want.exp)
+                          kind, curve, d, got, want)
 
 
 def _suite_closed_forms(res: SuiteResult, ctx: FieldCtx) -> None:
@@ -168,59 +194,78 @@ def _suite_closed_forms(res: SuiteResult, ctx: FieldCtx) -> None:
 def _suite_norm(res: SuiteResult, ctx: FieldCtx) -> None:
     """A_q lies in the prime subfield and equals 1 - #E mod p.
 
-    A_q is hasse_invariant at level q, the norm of the closed form; #E
-    comes from the row kernel, which knows nothing of A_p.  The closed
-    form itself is audited by the closed-forms suite.
+    A_q is the norm A_p^((q-1)/(p-1)) that hasse_invariant takes at
+    level q, tabulated once per rank of A_p, with A_p off the row table
+    _row_hasse; #E comes from the point-count row table _row_counts, which
+    knows nothing of A_p.  Each row compares the two on the ranks of its
+    nonsingular models, decoding a model only to name it in a failure.
+    The closed form itself is audited by the closed-forms suite.
     """
-    p = ctx.p
-    for curve in iter_curves(ctx):
-        aq = hasse_invariant(curve, "q")
-        count = ctx.q + 1 - _row_trace(curve)
-        try:
-            residue = int(aq)
-        except ValueError:
-            res.check(False, "%r: A_q = %s is not in the prime subfield", curve, aq)
-            continue
-        res.check(residue == (1 - count) % p,
-                  "%r: A_q = %d but 1 - #E = %d mod p",
-                  curve, residue, (1 - count) % p)
+    p, q, unit = ctx.p, ctx.q, ctx._weights[0]
+    norm = (q - 1) // (p - 1)
+    level_q = [(FieldElement(ctx, r) ** norm).rank for r in range(q)]
+    for r2, r4, _, r6s in _iter_rows(ctx):
+        hasse, counts = _row_hasse(ctx, r2, r4), _row_counts(ctx, r2, r4)
+        for r6 in r6s:
+            count = q + 1 - _trace(ctx, counts[r6], r2, r4, r6)
+            aq = level_q[hasse[r6]]
+            residue, rest = divmod(aq, unit)
+            if rest:
+                res.check(False, "%r: A_q = %s is not in the prime subfield",
+                          _decode(ctx, r2, r4, r6), FieldElement(ctx, aq))
+            elif residue != (1 - count) % p:
+                res.check(False, "%r: A_q = %d but 1 - #E = %d mod p",
+                          _decode(ctx, r2, r4, r6), residue, (1 - count) % p)
+            else:
+                res.cases += 1
 
 
 def _suite_etale(res: SuiteResult, ctx: FieldCtx) -> None:
     """Degrees in the etale part of E[p] match the order of the class.
 
     factor() of y^(p-1) - A_p is the independent route; ptorsion_description
-    reads the degrees off the class order instead.
+    reads the degrees off the class order instead.  A_p and its class
+    are read off the row table _row_hasse; a model is decoded for
+    ptorsion_description (once per value of A_p, and on every
+    supersingular model) and to name it in a failure.
     """
-    p = ctx.p
+    p, exps = ctx.p, _class_exps(ctx)
     degree_cache: dict[int, tuple[int, ...]] = {}
-    for curve in iter_curves(ctx):
-        a = hasse_invariant(curve)
-        if not a:
-            desc = ptorsion_description(curve)
-            res.check(desc.supersingular and desc.label == "M2",
-                      "%r: supersingular but described as %r", curve, desc)
-            continue
-        if a.rank in degree_cache:
-            degrees = degree_cache[a.rank]
-        else:
-            desc = ptorsion_description(curve)
-            binomial = [-a] + [ctx.zero] * (p - 2) + [ctx.one]
-            degrees = factor(Polynomial(ctx, binomial)).degree_multiset
-            degree_cache[a.rank] = degrees
-            res.check(desc.j_p_root ** p == desc.j and desc.etale_degrees == degrees,
-                      "%r: p-th root of j or etale degrees %r disagree with factor() %r",
-                      curve, desc.etale_degrees, degrees)
-        d = unit_class_of(a).order
-        res.check(sum(degrees) == p - 1 and set(degrees) == {d},
-                  "%r: etale degrees %r but class order %d", curve, degrees, d)
+    for r2, r4, _, r6s in _iter_rows(ctx):
+        hasse = _row_hasse(ctx, r2, r4)
+        for r6 in r6s:
+            a = hasse[r6]
+            if not a:
+                curve = _decode(ctx, r2, r4, r6)
+                desc = ptorsion_description(curve)
+                res.check(desc.supersingular and desc.label == "M2",
+                          "%r: supersingular but described as %r", curve, desc)
+                continue
+            if a in degree_cache:
+                degrees = degree_cache[a]
+            else:
+                curve = _decode(ctx, r2, r4, r6)
+                desc = ptorsion_description(curve)
+                binomial = [-FieldElement(ctx, a)] + [ctx.zero] * (p - 2) + [ctx.one]
+                degrees = factor(Polynomial(ctx, binomial)).degree_multiset
+                degree_cache[a] = degrees
+                res.check(desc.j_p_root ** p == desc.j and desc.etale_degrees == degrees,
+                          "%r: p-th root of j or etale degrees %r disagree with factor() %r",
+                          curve, desc.etale_degrees, degrees)
+            d = (p - 1) // gcd(exps[a], p - 1)  # the order of the class
+            if sum(degrees) == p - 1 and set(degrees) == {d}:
+                res.cases += 1
+            else:
+                res.check(False, "%r: etale degrees %r but class order %d",
+                          _decode(ctx, r2, r4, r6), degrees, d)
 
 
 def _suite_census(res: SuiteResult, ctx: FieldCtx) -> None:
     """Full census vs the interval formula, plus a no-shortcut audit.
 
-    The audit is one iter_curves pass keeping the first curve per residue
-    phi([A_p]) until all p - 1 are hit; every census witness must match
+    The audit is one pass over the rows of the enumeration (_iter_rows)
+    keeping the first model per residue phi([A_p]), read off the row table
+    _row_hasse, until all p - 1 are hit; every census witness must match
     it coefficient by coefficient, or be absent on both sides.
     """
     p, q = ctx.p, ctx.q
@@ -235,13 +280,15 @@ def _suite_census(res: SuiteResult, ctx: FieldCtx) -> None:
               sorted(report.realizable), sorted(formula))
     res.check(report.verdict == ("complete" if len(formula) == p - 1 else "proper-subset"),
               "verdict %r inconsistent with %r", report.verdict, sorted(formula))
-    first = {}
-    for curve in iter_curves(ctx):
-        r = _hasse_residue(curve)
-        if r:
-            first.setdefault(r, curve)
-            if len(first) == p - 1:
-                break
+    first, residue = {}, _residues(ctx)
+    for r2, r4, _, r6s in _iter_rows(ctx):
+        hasse = _row_hasse(ctx, r2, r4)
+        for r6 in r6s:
+            r = residue[hasse[r6]]
+            if r:
+                first.setdefault(r, (r2, r4, r6))
+        if len(first) == p - 1:
+            break
     for entry in report.entries:
         h, w, slow = entry.residue, entry.witness, first.get(entry.residue)
         if slow is None:
@@ -249,7 +296,7 @@ def _suite_census(res: SuiteResult, ctx: FieldCtx) -> None:
                       "h = %d: census found a witness but the full sweep did not", h)
         else:
             res.check(w is not None and (w.a2, w.a4, w.a6)
-                      == (slow.a2.coeffs, slow.a4.coeffs, slow.a6.coeffs),
+                      == tuple(ctx.from_rank(r).coeffs for r in slow),
                       "h = %d: census witness differs from the full-sweep witness", h)
     if p == 19 and ctx.n == 1:
         # the realizable set here is not closed under multiplication
@@ -276,10 +323,11 @@ def run_suite(name: str, p: int, n: int = 1) -> SuiteResult:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     ctx = make_field(p, n)
     res = SuiteResult(suite=name, p=p, n=n)
-    products, t0 = _row_counts.cache_info().misses, time.perf_counter()
+    products, hasse_rows = _row_counts.cache_info().misses, _row_hasse.cache_info().misses
+    t0 = time.perf_counter()
     _SUITES[name](res, ctx)
     logger.debug("suite %s over %s: %d cases, %d failures, %d row products "
-                 "built, %.3f s", name, ctx, res.cases, len(res.failures),
-                 _row_counts.cache_info().misses - products,
-                 time.perf_counter() - t0)
+                 "built, %d Hasse rows built, %.3f s", name, ctx, res.cases,
+                 len(res.failures), _row_counts.cache_info().misses - products,
+                 _row_hasse.cache_info().misses - hasse_rows, time.perf_counter() - t0)
     return res

@@ -18,7 +18,15 @@ from hasseforms import (
     quadratic_character,
     twist,
 )
-from hasseforms.curve import WeierstrassCurve, _disc_row, _row_counts, discriminant_general
+from hasseforms.curve import (
+    WeierstrassCurve,
+    _disc_row,
+    _hasse_row,
+    _row_counts,
+    _row_hasse,
+    _trace,
+    discriminant_general,
+)
 from hasseforms.errors import (
     BadCongruenceError,
     FieldTooLargeError,
@@ -207,6 +215,36 @@ def test_row_counts_match_point_count(p, n):
                                  for x in els)
                     assert counts[a6.rank] == 1 + affine
     assert singular_rows == (p == 3)  # only a2 = a4 = 0 in characteristic 3
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2), (3, 3),
+                                 (7, 2), (13, 2)])
+def test_row_hasse_matches_hasse_invariant(p, n):
+    # the whole-row closed form against the per-curve one on every model,
+    # a6 = 0 included: the a4 = 0 rows, where zero low coefficients of P
+    # fold into k (over F_13 and F_13^2, whose P has two terms elsewhere,
+    # and in characteristic 5, where all of P folds away), the char-3 a2
+    # slabs, and over F_7^2 and F_13^2 the log route with k > 0
+    ctx = make_field(p, n)
+    folded = False
+    for curve in iter_curves(ctx):
+        r2, r4 = curve.a2.rank, curve.a4.rank
+        row = _row_hasse(ctx, r2, r4)
+        assert len(row) == ctx.q
+        assert row[curve.a6.rank] == hasse_invariant(curve).rank
+        k, coeffs = _hasse_row(ctx, r2, r4)
+        assert all(coeffs)  # so the log route has no zero coefficient
+        folded |= r4 == 0 and k > _hasse_row(ctx, r2, ctx.one.rank)[0]
+    assert folded == (p in (5, 13))
+
+
+def test_trace_names_the_model_it_rejects():
+    # row callers hold ranks; the model is decoded for the message only
+    ctx = make_field(5)
+    assert _trace(ctx, 6, 0, 0, 1) == 0
+    with pytest.raises(RuntimeError, match=r"WeierstrassCurve\(y\^2 = x\^3 \+ 1 over F_5\): "
+                                           r"beta = -5, this is a bug"):
+        _trace(ctx, 11, 0, 0, 1)
 
 
 def test_twist_frozen_example(f5):

@@ -31,7 +31,7 @@ from hasseforms.curve import (
     discriminant_general,
 )
 from hasseforms.gf import _is_prime
-from hasseforms.search import _classified, _curve_at, _hasse_residue, _index_space
+from hasseforms.search import _classified, _curve_at, _hasse_residue, _index_space, _iter_rows
 
 
 def test_admissible_traces_frozen():
@@ -104,14 +104,20 @@ def test_iter_curves_counts_and_order():
     assert len(list(iter_curves(ctx3))) == 18  # a2 models included
 
 
-@pytest.mark.parametrize("p,n", [(3, 1), (7, 1), (3, 2), (3, 3), (5, 2)])
+@pytest.mark.parametrize("p,n", [(3, 1), (7, 1), (3, 2), (3, 3), (5, 2), (13, 1)])
 def test_iter_curves_matches_index_decode(p, n):
-    # the row-major sweep yields the decode of every index, in index order
+    # the row-major sweep yields the decode of every index, in index order;
+    # it is the decode of the ranks _iter_rows yields, and every row that
+    # _iter_rows yields holds a nonsingular model
     ctx = make_field(p, n)
+    q = ctx.q
     decoded = [c for c in (_curve_at(ctx, i) for i in range(_index_space(ctx)))
                if c is not None]
+    rows = list(_iter_rows(ctx))
+    assert all(r6s for _, _, _, r6s in rows)
+    from_rows = [_curve_at(ctx, (r2 * q + r4) * q + r6) for r2, r4, _, r6s in rows for r6 in r6s]
     swept = list(iter_curves(ctx))
-    assert swept == decoded
+    assert swept == decoded == from_rows
     assert [c.discriminant for c in swept] == [c.discriminant for c in decoded]
 
 

@@ -174,36 +174,101 @@ def test_norm_suite_catches_seeded_regression(monkeypatch):
     assert "x^3 + x + 1 over F_9" in result.failures[0]
 
 
-def test_twists_suite_catches_seeded_regression(monkeypatch):
-    # the class action is memoised per (class, d, kind), but every pair
-    # still twists and recomputes A_p: one twisted curve whose A_p is
-    # moved to another class, well after its key was first seen, has to
-    # flip the verdict to FAIL
+def test_bridge_suite_catches_seeded_hasse_regression(monkeypatch):
+    # the other side of the bridge: one corrupted A_p in the closed-form
+    # row table it reads has to flip the verdict to FAIL
     import hasseforms.verify as verify_mod
 
-    real_twist, real_hasse = verify_mod.twist, verify_mod.hasse_invariant
-    twisted, calls = set(), []
+    real_row_hasse = verify_mod._row_hasse
+    state = {"armed": True}
+
+    @functools.lru_cache(maxsize=1)  # memoised like the row table
+    def corrupted(ctx, r2, r4):
+        row = list(real_row_hasse(ctx, r2, r4))
+        if state["armed"]:
+            # y^2 = x^3 + 1 over F_5 is supersingular (A_5 = 2 a4 = 0);
+            # A_p = 1 claims the residue 1 against beta = 0 mod p
+            state["armed"] = False
+            assert row[1] == 0
+            row[1] = 1
+        return row
+
+    monkeypatch.setattr(verify_mod, "_row_hasse", corrupted)
+    result = run_suite("bridge", 5)
+    assert not state["armed"]
+    assert len(result.failures) == 1
+    assert result.failures[0] == ("WeierstrassCurve(y^2 = x^3 + 1 over F_5): Hasse residue "
+                                  "1 (0 for A_p = 0) but beta = 0, 0 mod p")
+
+
+def test_twists_suite_catches_seeded_regression(monkeypatch):
+    # the class action is memoised per (class, d, kind), but every pair
+    # still twists and reads the twist's A_p off a row table: one read of
+    # a twisted model's A_p, moved to another class well after its key
+    # was first seen, has to flip the verdict to FAIL.  A stored entry is
+    # read by its own model and by the twists of p - 1 others, so the
+    # corruption is one read, the 60th of a quadratic twist's entry
+    import hasseforms.verify as verify_mod
+
+    real_twist, real_row_hasse = verify_mod.twist, verify_mod._row_hasse
+    state = {"pending": None, "reads": 0}
 
     def recording_twist(curve, d, kind="quadratic"):
         t = real_twist(curve, d, kind)
-        twisted.add(t)
+        if kind == "quadratic":
+            state["pending"] = (t.a2.rank, t.a4.rank, t.a6.rank)
         return t
 
-    def hasse(curve, level="p"):
-        a = real_hasse(curve, level)
-        if curve in twisted:
-            calls.append(curve)
-            if len(calls) == 60:
-                return a * curve.ctx.generator  # g is no (p-1)th power
-        return a
+    class Row(list):
+        def __getitem__(self, r6):
+            a = super().__getitem__(r6)
+            if state["pending"] == self.ranks + (r6,):
+                state["pending"] = None
+                state["reads"] += 1
+                if state["reads"] == 60:
+                    return self.ctx._mul(a, self.ctx.generator.rank)  # g is no (p-1)th power
+            return a
+
+    @functools.lru_cache(maxsize=1)  # memoised like the row table
+    def watched(ctx, r2, r4):
+        row = Row(real_row_hasse(ctx, r2, r4))
+        row.ctx, row.ranks = ctx, (r2, r4)
+        return row
 
     monkeypatch.setattr(verify_mod, "twist", recording_twist)
-    monkeypatch.setattr(verify_mod, "hasse_invariant", hasse)
+    monkeypatch.setattr(verify_mod, "_row_hasse", watched)
     result = run_suite("twists", 5)
-    assert len(calls) > 60
+    assert state["reads"] > 60
     assert not result.ok
     assert len(result.failures) == 1
     assert result.failures[0].startswith("quadratic twist of ")
+
+
+def test_etale_suite_catches_seeded_regression(monkeypatch):
+    # one ordinary model whose A_p reads 0 off the row table has to flip
+    # the verdict to FAIL: ptorsion_description, which computes its own
+    # A_p, describes it as ordinary
+    import hasseforms.verify as verify_mod
+
+    real_row_hasse = verify_mod._row_hasse
+    state = {"armed": True}
+
+    @functools.lru_cache(maxsize=1)  # memoised like the row table
+    def corrupted(ctx, r2, r4):
+        row = list(real_row_hasse(ctx, r2, r4))
+        if state["armed"] and (r2, r4) == (0, 1):
+            # y^2 = x^3 + x + 2 over F_5, where A_5 = 2 a4 = 2
+            state["armed"] = False
+            assert row[2] == 2
+            row[2] = 0
+        return row
+
+    monkeypatch.setattr(verify_mod, "_row_hasse", corrupted)
+    result = run_suite("etale", 5)
+    assert not state["armed"]
+    assert len(result.failures) == 1
+    assert result.failures[0].startswith(
+        "WeierstrassCurve(y^2 = x^3 + x + 2 over F_5): supersingular but described as ")
 
 
 def test_run_suite_logs_one_record_and_keeps_output(caplog):
@@ -220,13 +285,17 @@ def test_run_suite_logs_one_record_and_keeps_output(caplog):
     records = [r for r in caplog.records
                if r.name == "hasseforms" and r.getMessage().startswith("suite ")]
     assert [r.levelno for r in records] == [logging.DEBUG] * len(cases)
-    # the bridge and norm suites build one row product per (a2, a4) row
-    # with a nonsingular model, twists builds none and the census one per
-    # scanned row
+    # the bridge and norm suites build one row product and one Hasse row
+    # per (a2, a4) row with a nonsingular model; twists builds no row
+    # product and one Hasse row per row, which it keeps for the run; the
+    # census builds one row product per scanned row and Hasse rows for its
+    # audit until every residue is hit
     rows = [str(len({(c.a2, c.a4) for c in iter_curves(make_field(p, n))}))
-            for _, p, n in cases[:2]]
-    for record, (name, p, n), products in zip(records, cases, rows + ["0", r"\d+"]):
+            for _, p, n in cases[:3]]
+    built = [(rows[0], rows[0]), (rows[1], rows[1]), ("0", rows[2]), (r"\d+", r"\d+")]
+    for record, (name, p, n), (products, hasse_rows) in zip(records, cases, built):
         assert re.fullmatch(
             rf"suite {name} over {re.escape(str(make_field(p, n)))}: \d+ cases, "
-            rf"0 failures, {products} row products built, \d+\.\d{{3}} s",
+            rf"0 failures, {products} row products built, {hasse_rows} Hasse rows "
+            rf"built, \d+\.\d{{3}} s",
             record.getMessage())
