@@ -35,6 +35,11 @@ for every a6 of the row from one cyclic product over F_q^*.  The
 per-curve shapes serve single-curve callers; the row shapes serve
 callers that walk whole rows: the census over F_p and the bridge, norm,
 twists and etale suites.
+
+A twist by d scales (a2, a4, a6) by ranks that _twist_scales gives, so
+it moves every model of an (a2, a4) row onto one other row.  twist
+applies the scales to one model; the twists suite applies them on ranks
+and reads each twisted A_p off the _row_hasse row it lands on.
 """
 
 from __future__ import annotations
@@ -413,7 +418,9 @@ def hasse_invariant(curve: WeierstrassCurve, level: str = "p") -> FieldElement:
         raise ValueError(f'level must be "p" or "q", got {level!r}')
     k, coeffs = _hasse_row(ctx, curve.a2.rank, curve.a4.rank)
     p, r6, acc = ctx.p, curve.a6.rank, 0
-    if ctx.n == 1:
+    if len(coeffs) == 1 and not k:
+        acc = coeffs[0]  # constant on the row: A_3 = a2, A_5 = 2 a4
+    elif ctx.n == 1:
         for c in coeffs:
             acc = (acc * r6 * r6 + c) % p
         acc = acc * pow(r6, k, p) % p
@@ -431,6 +438,37 @@ def is_ordinary(curve: WeierstrassCurve) -> bool:
     return bool(hasse_invariant(curve))
 
 
+def _twist_kinds(ctx: FieldCtx, r4: int, r6: int) -> tuple[str, ...]:
+    # the twist kinds that apply to the nonsingular model with ranks
+    # (a4, a6), on ranks: for p >= 5, where a2 = 0, c6 = -864 a6 and
+    # c4 = -48 a4, so j = 1728 iff a6 = 0 and j = 0 iff a4 = 0 (Silverman,
+    # AEC III.1); in characteristic 3 neither congruence holds
+    p = ctx.p
+    if not r6 and p % 4 == 1:
+        return "quadratic", "quartic"
+    if not r4 and p % 3 == 1:
+        return "quadratic", "sextic"
+    return ("quadratic",)
+
+
+def _twist_scales(ctx: FieldCtx, d: int, kind: str) -> tuple[int, int, int, int]:
+    # ranks (s2, s4, s6, s_disc) that a twist by the unit of rank d
+    # multiplies (a2, a4, a6, disc) by: the discriminant is weighted
+    # homogeneous of weight 6 in (a2, a4, a6) with weights (1, 2, 3), and
+    # a quartic twist keeps only a4, a sextic one only a6.  The one place
+    # the scalings are written: twist and the twists suite read them
+    mul = ctx._mul
+    if kind == "quadratic":
+        d2 = mul(d, d)
+        d3 = mul(d2, d)
+        return d, d2, d3, mul(d3, d3)
+    if kind == "quartic":
+        return 0, d, 0, mul(mul(d, d), d)
+    if kind == "sextic":
+        return 0, 0, d, mul(d, d)
+    raise ValueError(f"kind must be one of {TWIST_KINDS}, got {kind!r}")
+
+
 def twist(curve: WeierstrassCurve, d, kind: str = "quadratic") -> WeierstrassCurve:
     """Twist by a nonzero parameter d.
 
@@ -441,21 +479,13 @@ def twist(curve: WeierstrassCurve, d, kind: str = "quadratic") -> WeierstrassCur
     The discriminant is weighted homogeneous of weight 6 in (a2, a4, a6)
     with weights (1, 2, 3), so the twist's discriminant is d^6, d^3 or
     d^2 times the curve's (tests pin it against discriminant_general):
-    a twist of a nonsingular model by d != 0 is nonsingular.
+    a twist of a nonsingular model by d != 0 is nonsingular.  The scales
+    come from _twist_scales, which the twists suite applies on ranks.
     """
     ctx = curve.ctx
     d = ctx.element(d)
     if not d:
         raise ZeroTwistParameterError("twist parameter must be nonzero")
-    mul, pw, r = ctx._mul, ctx._pow, d.rank
-
-    def scaled(x: FieldElement, k: int) -> FieldElement:
-        return FieldElement(ctx, mul(pw(r, k), x.rank))
-
-    if kind == "quadratic":
-        return WeierstrassCurve._unchecked(
-            ctx, scaled(curve.a2, 1), scaled(curve.a4, 2), scaled(curve.a6, 3),
-            scaled(curve.discriminant, 6))
     if kind == "quartic":
         if curve.j_invariant != ctx.element(1728):
             raise WrongJInvariantError(
@@ -463,15 +493,17 @@ def twist(curve: WeierstrassCurve, d, kind: str = "quadratic") -> WeierstrassCur
         if ctx.p % 4 != 1:
             raise BadCongruenceError(
                 f"quartic twists need p = 1 mod 4, got p = {ctx.p}")
-        return WeierstrassCurve._unchecked(
-            ctx, ctx.zero, scaled(curve.a4, 1), ctx.zero, scaled(curve.discriminant, 3))
-    if kind == "sextic":
+    elif kind == "sextic":
         if curve.j_invariant != ctx.zero:
             raise WrongJInvariantError(
                 f"sextic twists need j = 0, got j = {curve.j_invariant}")
         if ctx.p % 3 != 1:
             raise BadCongruenceError(
                 f"sextic twists need p = 1 mod 3, got p = {ctx.p}")
-        return WeierstrassCurve._unchecked(
-            ctx, ctx.zero, ctx.zero, scaled(curve.a6, 1), scaled(curve.discriminant, 2))
-    raise ValueError(f"kind must be one of {TWIST_KINDS}, got {kind!r}")
+    mul, zero = ctx._mul, ctx.zero
+    s2, s4, s6, sd = _twist_scales(ctx, d.rank, kind)
+    return WeierstrassCurve._unchecked(
+        ctx, FieldElement(ctx, mul(s2, curve.a2.rank)) if s2 else zero,
+        FieldElement(ctx, mul(s4, curve.a4.rank)) if s4 else zero,
+        FieldElement(ctx, mul(s6, curve.a6.rank)) if s6 else zero,
+        FieldElement(ctx, mul(sd, curve.discriminant.rank)))

@@ -18,8 +18,9 @@ from .curve import (
     _row_counts,
     _row_hasse,
     _trace,
+    _twist_kinds,
+    _twist_scales,
     hasse_invariant,
-    twist,
 )
 from .errors import InconsistencyError
 from .forms import (
@@ -136,44 +137,70 @@ def _suite_bridge(res: SuiteResult, ctx: FieldCtx) -> None:
 def _suite_twists(res: SuiteResult, ctx: FieldCtx) -> None:
     """Hasse classes move under twists exactly as the class action says.
 
-    twist() runs for every (curve, d, kind); A_p of the curve and of its
-    twist is read off the _row_hasse row of its (a2, a4), each row kept
-    for the run, and classes are compared as exponents (log mod p - 1,
-    -1 for a zero A_p, which matches no action).  The action depends only
-    on (class, d, kind), so it is computed once per key.
+    On ranks, row by row (_iter_rows): a twist by d multiplies (a2, a4,
+    a6) by the scales of curve._twist_scales, so the models of an (a2, a4)
+    row land on row (s2 a2, s4 a4) at a6 rank s6 a6, and the kinds that
+    apply are chosen on ranks (curve._twist_kinds).  A_p of a model and of
+    each twist is read off the _row_hasse row of its (a2, a4), each row
+    kept for the run, and classes are compared as exponents (log mod
+    p - 1, -1 for a zero A_p, which matches no action).  The action,
+    twist_class_action, depends only on (class, d, kind), so it is
+    tabulated once per class and set of kinds.  A model and d are decoded
+    only to name them in a failure, listed model by model, then by d,
+    then by kind.
     """
-    p, exps, rows = ctx.p, _class_exps(ctx), {}
+    q, mul, exps = ctx.q, ctx._mul, _class_exps(ctx)
+    rows, by_scale, plans, wants = {}, {}, {}, {}
 
-    def class_exp(curve):
-        key = (curve.a2.rank, curve.a4.rank)
-        row = rows.get(key)
+    def hasse_row(r2, r4):
+        row = rows.get((r2, r4))
         if row is None:
-            row = rows[key] = _row_hasse(ctx, *key)
-        return exps[row[curve.a6.rank]]
+            row = rows[r2, r4] = _row_hasse(ctx, r2, r4)
+        return row
 
-    j1728 = ctx.element(1728)
-    units = [d for d in ctx.iter_elements() if d]
-    actions = {}
-    for curve in iter_curves(ctx):
-        base = class_exp(curve)
-        if base < 0:
-            continue  # supersingular
-        j = curve.j_invariant
-        kinds = ["quadratic"]
-        if j == j1728 and p % 4 == 1:
-            kinds.append("quartic")
-        if not j and p % 3 == 1:
-            kinds.append("sextic")
-        for d in units:
-            for kind in kinds:
-                got = class_exp(twist(curve, d, kind))
-                key = (base, d.rank, kind)
-                want = actions.get(key)
-                if want is None:
-                    want = actions[key] = twist_class_action(UnitClass(ctx, base), d, kind).exp
-                res.check(got == want,
-                          "%s twist of %r by %s: class exp %d, action predicts %d",
-                          kind, curve, d, got, want)
+    def times(s):
+        # the ranks s * a6 for every rank a6
+        perm = by_scale.get(s)
+        if perm is None:
+            perm = by_scale[s] = [mul(s, r6) for r6 in range(q)]
+        return perm
+
+    def plan(kinds):
+        # (d, kind, scales) of every twist a model with these kinds takes
+        if kinds not in plans:
+            plans[kinds] = [(d, kind, _twist_scales(ctx, d, kind))
+                            for d in range(1, q) for kind in kinds]
+        return plans[kinds]
+
+    def want(kinds, base):
+        # the class exponents the action predicts, in plan order
+        if (kinds, base) not in wants:
+            cls = UnitClass(ctx, base)
+            wants[kinds, base] = [twist_class_action(cls, FieldElement(ctx, d), kind).exp
+                                  for d, kind, _ in plan(kinds)]
+        return wants[kinds, base]
+
+    for r2, r4, _, r6s in _iter_rows(ctx):
+        base_row, targets = hasse_row(r2, r4), {}
+        for r6 in r6s:
+            base = exps[base_row[r6]]
+            if base < 0:
+                continue  # supersingular
+            kinds = _twist_kinds(ctx, r4, r6)
+            if kinds not in targets:
+                targets[kinds] = [(hasse_row(mul(s2, r2), mul(s4, r4)), times(s6))
+                                  for _, _, (s2, s4, s6, _) in plan(kinds)]
+            got = [exps[row[perm[r6]]] for row, perm in targets[kinds]]
+            expected = want(kinds, base)
+            if got == expected:
+                res.cases += len(got)
+                continue
+            for (d, kind, _), g, w in zip(plan(kinds), got, expected):
+                if g == w:
+                    res.cases += 1
+                else:
+                    res.check(False, "%s twist of %r by %s: class exp %d, action predicts %d",
+                              kind, _decode(ctx, r2, r4, r6), FieldElement(ctx, d), g, w)
 
 
 def _suite_closed_forms(res: SuiteResult, ctx: FieldCtx) -> None:

@@ -25,6 +25,8 @@ from hasseforms.curve import (
     _row_counts,
     _row_hasse,
     _trace,
+    _twist_kinds,
+    _twist_scales,
     discriminant_general,
 )
 from hasseforms.errors import (
@@ -330,6 +332,55 @@ def test_twist_discriminant_is_scaled(p, n):
                         assert t == WeierstrassCurve(ctx, t.a4, t.a6, t.a2)
                         twisted += 1
     assert twisted >= (ctx.q - 1) * (ctx.q * ctx.q - ctx.q)
+
+
+def _kinds_by_j(curve):
+    # the twist kinds that apply to a model, read off its j-invariant
+    ctx = curve.ctx
+    kinds = ["quadratic"]
+    if curve.j_invariant == ctx(1728) and ctx.p % 4 == 1:
+        kinds.append("quartic")
+    if not curve.j_invariant and ctx.p % 3 == 1:
+        kinds.append("sextic")
+    return tuple(kinds)
+
+
+@pytest.mark.parametrize("p,n", [(5, 1), (7, 1), (13, 1), (3, 2), (5, 2)])
+def test_twist_kinds_on_ranks_match_j(p, n):
+    """The twists suite picks kinds on ranks (a6 = 0 for j = 1728, a4 = 0
+    for j = 0, none in characteristic 3); on every model that is the
+    choice the j-invariant makes."""
+    ctx = make_field(p, n)
+    for curve in iter_curves(ctx):
+        assert _twist_kinds(ctx, curve.a4.rank, curve.a6.rank) == _kinds_by_j(curve), curve
+
+
+@pytest.mark.parametrize("p,n", [(5, 1), (7, 1), (13, 1), (3, 2), (5, 2)])
+def test_twist_scales_match_twist_and_field_arithmetic(p, n):
+    """The twists suite moves a model by the rank scales of _twist_scales;
+    for every model, d != 0 and kind that applies they give twist()'s
+    coefficients and the twist rule in FieldElement arithmetic."""
+    ctx = make_field(p, n)
+    mul, zero = ctx._mul, ctx.zero
+    seen = set()
+    for curve in iter_curves(ctx):
+        a2, a4, a6 = curve.a2, curve.a4, curve.a6
+        for d in ctx.iter_elements():
+            if not d:
+                continue
+            for kind in _twist_kinds(ctx, a4.rank, a6.rank):
+                s2, s4, s6, sd = _twist_scales(ctx, d.rank, kind)
+                ranks = (mul(s2, a2.rank), mul(s4, a4.rank), mul(s6, a6.rank))
+                t = twist(curve, d, kind)
+                assert ranks == (t.a2.rank, t.a4.rank, t.a6.rank)
+                assert mul(sd, curve.discriminant.rank) == t.discriminant.rank
+                want = {"quadratic": (d * a2, d * d * a4, d * d * d * a6),
+                        "quartic": (zero, d * a4, zero),
+                        "sextic": (zero, zero, d * a6)}[kind]
+                assert tuple(ctx.from_rank(r) for r in ranks) == want
+                seen.add(kind)
+    assert seen == {kind for kind, applies in (("quadratic", True), ("quartic", p % 4 == 1),
+                                               ("sextic", p % 3 == 1)) if applies}
 
 
 def test_quadratic_twist_by_square_preserves_count():

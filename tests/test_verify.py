@@ -201,32 +201,23 @@ def test_bridge_suite_catches_seeded_hasse_regression(monkeypatch):
                                   "1 (0 for A_p = 0) but beta = 0, 0 mod p")
 
 
-def test_twists_suite_catches_seeded_regression(monkeypatch):
-    # the class action is memoised per (class, d, kind), but every pair
-    # still twists and reads the twist's A_p off a row table: one read of
-    # a twisted model's A_p, moved to another class well after its key
-    # was first seen, has to flip the verdict to FAIL.  A stored entry is
-    # read by its own model and by the twists of p - 1 others, so the
-    # corruption is one read, the 60th of a quadratic twist's entry
+def _corrupt_one_hasse_read(monkeypatch, entry, read):
+    # patches the suites' row table so that one read, the given one of
+    # the A_p entry at ranks (a2, a4, a6), comes back moved to another
+    # class (the generator is no (p - 1)th power); every other read, and
+    # the row as stored, stays true.  Returns the read counter
     import hasseforms.verify as verify_mod
 
-    real_twist, real_row_hasse = verify_mod.twist, verify_mod._row_hasse
-    state = {"pending": None, "reads": 0}
-
-    def recording_twist(curve, d, kind="quadratic"):
-        t = real_twist(curve, d, kind)
-        if kind == "quadratic":
-            state["pending"] = (t.a2.rank, t.a4.rank, t.a6.rank)
-        return t
+    real_row_hasse = verify_mod._row_hasse
+    state = {"reads": 0}
 
     class Row(list):
         def __getitem__(self, r6):
             a = super().__getitem__(r6)
-            if state["pending"] == self.ranks + (r6,):
-                state["pending"] = None
+            if self.ranks + (r6,) == entry:
                 state["reads"] += 1
-                if state["reads"] == 60:
-                    return self.ctx._mul(a, self.ctx.generator.rank)  # g is no (p-1)th power
+                if state["reads"] == read:
+                    return self.ctx._mul(a, self.ctx.generator.rank)
             return a
 
     @functools.lru_cache(maxsize=1)  # memoised like the row table
@@ -235,13 +226,38 @@ def test_twists_suite_catches_seeded_regression(monkeypatch):
         row.ctx, row.ranks = ctx, (r2, r4)
         return row
 
-    monkeypatch.setattr(verify_mod, "twist", recording_twist)
     monkeypatch.setattr(verify_mod, "_row_hasse", watched)
+    return state
+
+
+def test_twists_suite_catches_seeded_regression(monkeypatch):
+    # the class action is memoised per (class, d, kind), but every pair
+    # still reads its twist's A_p off a row table: one corrupted read of
+    # a twisted entry has to flip the verdict to FAIL.  The entry of
+    # y^2 = x^3 + x + 1 over F_5 is read first as its own class, then as
+    # its twist by 1, then as the twist by 4 of y^2 = x^3 + x + 4
+    state = _corrupt_one_hasse_read(monkeypatch, (0, 1, 1), 3)
     result = run_suite("twists", 5)
-    assert state["reads"] > 60
-    assert not result.ok
-    assert len(result.failures) == 1
-    assert result.failures[0].startswith("quadratic twist of ")
+    assert state["reads"] == 5  # once as a base, once per d as a twist
+    assert result.failures == [
+        "quadratic twist of WeierstrassCurve(y^2 = x^3 + x + 4 over F_5) by 4: "
+        "class exp 2, action predicts 1"]
+
+
+@pytest.mark.parametrize("entry,read,failure", [
+    # y^2 = x^3 + 2 over F_13 (j = 0) is the sextic twist by 5 of y^2 = x^3 + 3
+    ((0, 0, 2), 7, "sextic twist of WeierstrassCurve(y^2 = x^3 + 3 over F_13) by 5: "
+                   "class exp 4, action predicts 3"),
+    # y^2 = x^3 + 2x over F_13 (j = 1728) is the quartic twist by 5 of y^2 = x^3 + 3x
+    ((0, 2, 0), 6, "quartic twist of WeierstrassCurve(y^2 = x^3 + 3*x over F_13) by 5: "
+                   "class exp 3, action predicts 2"),
+])
+def test_twists_suite_catches_seeded_sextic_and_quartic_regression(monkeypatch, entry, read,
+                                                                   failure):
+    # over F_13, p = 1 mod 12, both extra kinds apply: one corrupted read
+    # of a sextic or quartic twist's A_p gives exactly that one failure
+    _corrupt_one_hasse_read(monkeypatch, entry, read)
+    assert run_suite("twists", 13).failures == [failure]
 
 
 def test_etale_suite_catches_seeded_regression(monkeypatch):
