@@ -486,20 +486,14 @@ def twist(curve: WeierstrassCurve, d, kind: str = "quadratic") -> WeierstrassCur
     d = ctx.element(d)
     if not d:
         raise ZeroTwistParameterError("twist parameter must be nonzero")
-    if kind == "quartic":
-        if curve.j_invariant != ctx.element(1728):
+    if kind in ("quartic", "sextic"):
+        j, modulus = (1728, 4) if kind == "quartic" else (0, 3)
+        if curve.j_invariant != ctx.element(j):
             raise WrongJInvariantError(
-                f"quartic twists need j = 1728, got j = {curve.j_invariant}")
-        if ctx.p % 4 != 1:
+                f"{kind} twists need j = {j}, got j = {curve.j_invariant}")
+        if ctx.p % modulus != 1:
             raise BadCongruenceError(
-                f"quartic twists need p = 1 mod 4, got p = {ctx.p}")
-    elif kind == "sextic":
-        if curve.j_invariant != ctx.zero:
-            raise WrongJInvariantError(
-                f"sextic twists need j = 0, got j = {curve.j_invariant}")
-        if ctx.p % 3 != 1:
-            raise BadCongruenceError(
-                f"sextic twists need p = 1 mod 3, got p = {ctx.p}")
+                f"{kind} twists need p = 1 mod {modulus}, got p = {ctx.p}")
     mul, zero = ctx._mul, ctx.zero
     s2, s4, s6, sd = _twist_scales(ctx, d.rank, kind)
     return WeierstrassCurve._unchecked(

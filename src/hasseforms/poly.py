@@ -10,13 +10,23 @@ route that tests and suites hold the closed-form Hasse invariant of
 curve.py against, not a sweep kernel.  factor is a fully deterministic
 factorisation into monic irreducibles.
 
+factor works in one residue ring F_q[x]/(m) per modulus m (_Residues):
+packed ints over F_p, Polynomials over F_q with n > 1.  The q-th power
+map is F_q-linear, so each ring keeps a Frobenius table of x^(iq) mod m,
+built once from x^q, and a q-th power costs one pass over that table
+instead of powering by q.  The distinct-degree split steps x^(q^d) by
+that map in the ring of the squarefree part; the equal-degree split
+powers each candidate once on the whole product and refines every
+unfinished piece by it, with no recursion.  gcd over F_p runs Euclid on
+int lists.
+
 Determinism of factor: the squarefree split and the distinct-degree split
 are deterministic as written.  Separating several irreducible factors of
 the same degree tries splitting polynomials in one fixed order, a Weyl
 sequence of ranks k*s mod q**deg with p not dividing s, full-degree
-candidates first, until one works; so repeated runs take the same path.
-The factors are sorted, so the output does not depend on that order,
-only the number of candidates tried does.
+candidates first, until every piece is irreducible; so repeated runs take
+the same path.  The factors are sorted, so the output does not depend on
+that order, only the number of candidates tried does.
 """
 
 from __future__ import annotations
@@ -316,10 +326,47 @@ class Factorization:
 
 
 def gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic greatest common divisor."""
+    """Monic greatest common divisor.
+
+    Over a prime field, where a rank is the value, Euclid runs on int
+    lists; over F_q with n > 1 it runs on Polynomial %.
+    """
+    ctx = f.ctx
+    if ctx.n == 1:
+        return Polynomial.from_ranks(ctx, _gcd_ints(list(f.ranks), list(g.ranks), ctx.p))
     while g:
         f, g = g, f % g
     return f.monic()[1]
+
+
+def _monic_ints(a: list[int], p: int) -> list[int]:
+    # a nonzero value list over F_p scaled to leading coefficient 1
+    if a[-1] == 1:
+        return a
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _rem_ints(a: list[int], m, p: int) -> list[int]:
+    # a mod the monic m over F_p, on value lists low degree first, with no
+    # trailing zeros; a is overwritten
+    D = len(m) - 1
+    for i in range(len(a) - 1, D - 1, -1):
+        c = a[i]
+        if c:
+            a[i - D:i] = [(x - c * y) % p for x, y in zip(a[i - D:i], m)]
+    del a[D:]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _gcd_ints(a: list[int], b: list[int], p: int) -> list[int]:
+    # Euclid over F_p on value lists, the divisor made monic at each step
+    while b:
+        b = _monic_ints(b, p)
+        a, b = b, _rem_ints(a, b, p)
+    return _monic_ints(a, p) if a else a
 
 
 # slot width in bits -> an unsigned array typecode of that item size; the
@@ -372,60 +419,107 @@ def _reduction_table(m, p: int, W: int) -> list[int]:
     return R
 
 
-def _pow_mod(base: Polynomial, e: int, mod: Polynomial,
-             tables: dict | None = None) -> Polynomial:
-    # base**e modulo mod.  Over a prime field, where a rank is the value,
-    # a residue lives packed in one int with a W-bit slot per coefficient
-    # (Kronecker substitution, von zur Gathen and Gerhard, Modern Computer
-    # Algebra, 8.4): a product is one big-int multiply, and reduction by
-    # the monic modulus of degree D adds c * (x^(D+j) mod m) for each high
-    # coefficient c.  A step is O(D) Python operations instead of O(D^2);
-    # it is the inner loop of the distinct- and equal-degree splits.  A
-    # product and its reduction keep every slot below 2*D*(p-1)^2 < 2^W,
-    # so no slot carries into the next.  The O(D^2) table of x^(D+j) mod m
-    # is kept in tables, keyed by m, when the caller passes one: factor
-    # powers modulo one polynomial several times.  Extension fields, and a
-    # constant or zero modulus, which leave no slot to pack, take
-    # Polynomial ops.
-    ctx = base.ctx
-    if ctx.n > 1 or mod.degree < 1:
-        result = Polynomial(ctx, (1,))
-        base = base % mod
-        while e:
-            if e & 1:
-                result = (result * base) % mod
-            base = (base * base) % mod
-            e >>= 1
-        return result
-    p = ctx.p
-    m = mod.monic()[1].ranks
-    D = len(m) - 1
-    W = _slot_width(2 * D * (p - 1) ** 2)
-    low_bits = W * D
-    mask = (1 << low_bits) - 1
-    tables = {} if tables is None else tables
-    R = tables.get(m)
-    if R is None:
-        R = tables[m] = _reduction_table(m, p, W)
+class _Residues:
+    """The residue ring F_q[x]/(m) of a monic m of degree D >= 1.
 
-    def mulmod(a: int, b: int) -> int:
+    factor builds one per modulus, and this is the one place where the
+    representation of a residue depends on the field.  Over a prime
+    field, where a rank is the value, a residue is packed in one int with
+    a W-bit slot per coefficient (Kronecker substitution, von zur Gathen
+    and Gerhard, Modern Computer Algebra, 8.4): a product is one big-int
+    multiply, and reduction adds c * R[j] for each high coefficient c,
+    with R[j] = x^(D+j) mod m packed, so a step is O(D) Python operations
+    instead of O(D^2).  A product and its reduction keep every slot below
+    2*D*(p-1)^2 < 2^W, so no slot carries into the next.  Over F_q with
+    n > 1 a residue is a Polynomial of degree below D.
+
+    frob is the q-th power map.  It is F_q-linear, since g^q is the sum
+    of g_i x^(iq) for g_i in F_q, so frob(a) = sum a_i T[i] with
+    T[i] = x^(iq) mod m (von zur Gathen and Shoup 1992).  T is built on
+    the first frob, from x^q by D - 2 products; a frob then costs about
+    one product, where powering by q costs about log2 q + popcount(q).
+    """
+
+    def __init__(self, mod: Polynomial):
+        ctx = self.ctx = mod.ctx
+        self.mod = mod = mod.monic()[1]
+        D = self.D = mod.degree
+        if D < 1:
+            raise ValueError("a residue ring needs a modulus of degree >= 1")
+        if ctx.n == 1:
+            p = ctx.p
+            self._W = W = _slot_width(2 * D * (p - 1) ** 2)
+            self._mask = (1 << W * D) - 1
+            self._R = _reduction_table(mod.ranks, p, W)
+            self.one = 1
+        else:
+            self.one = Polynomial(ctx, (1,))
+        self._xq = self._T = None
+
+    def reduce(self, f: Polynomial):
+        """The residue of f."""
+        if self.ctx.n > 1:
+            return f % self.mod if f.degree >= self.D else f
+        a = list(f.ranks)
+        if len(a) > self.D:
+            a = _rem_ints(a, self.mod.ranks, self.ctx.p)
+        return _pack(self._W, a)
+
+    def poly(self, a) -> Polynomial:
+        """The residue a as a Polynomial of degree below D."""
+        if self.ctx.n > 1:
+            return a
+        return Polynomial.from_ranks(self.ctx, _unpack(self._W, a, self.D))
+
+    def mul(self, a, b):
+        if self.ctx.n > 1:
+            return (a * b) % self.mod
+        W, D, p = self._W, self.D, self.ctx.p
         v = a * b
-        low = v & mask
-        for c, r in zip(_unpack(W, v >> low_bits, D - 1), R):
+        low = v & self._mask
+        for c, r in zip(_unpack(W, v >> W * D, D - 1), self._R):
             c %= p
             if c:
                 low += c * r
         return _pack(W, [c % p for c in _unpack(W, low, D)])
 
-    b = _pack(W, (base % mod).ranks)
-    result = 1
-    while e:
-        if e & 1:
-            result = mulmod(result, b)
-        e >>= 1
-        if e:
-            b = mulmod(b, b)
-    return Polynomial.from_ranks(ctx, _unpack(W, result, D))
+    def pow(self, a, e: int):
+        result = self.one
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            e >>= 1
+            if e:
+                a = self.mul(a, a)
+        return result
+
+    def x_q(self):
+        """The residue of x^q."""
+        if self._xq is None:
+            self._xq = self.pow(self.reduce(Polynomial.x(self.ctx)), self.ctx.q)
+        return self._xq
+
+    def frob(self, a):
+        """a^q, as the sum of a_i T[i]."""
+        T = self._T
+        if T is None:
+            T = [self.one, self.x_q()]
+            for _ in range(self.D - 2):
+                T.append(self.mul(T[-1], T[1]))
+            T = self._T = T[:self.D]
+        ctx = self.ctx
+        if ctx.n == 1:
+            W, D, p = self._W, self.D, ctx.p
+            # each slot of the sum stays below D*(p-1)^2 < 2^W
+            v = sum([c * t for c, t in zip(_unpack(W, a, D), T) if c])
+            return _pack(W, [c % p for c in _unpack(W, v, D)])
+        add, mul = ctx._add, ctx._mul
+        out = [0] * self.D
+        for c, t in zip(a.ranks, T):
+            if c:
+                for j, tj in enumerate(t.ranks):
+                    out[j] = add(out[j], mul(c, tj))
+        return Polynomial.from_ranks(ctx, out)
 
 
 def _pth_root(f: Polynomial) -> Polynomial:
@@ -494,75 +588,105 @@ def _iter_polys_below(ctx: FieldCtx, degree: int):
                 yield Polynomial.from_ranks(ctx, digits)
 
 
-def _equal_degree_split(h: Polynomial, d: int,
-                         tables: dict) -> tuple[list[Polynomial], int]:
-    # h is monic, squarefree, every irreducible factor of degree exactly d;
-    # returns the factors and the number of splitting candidates tried;
-    # tables holds _pow_mod's reduction tables
-    if h.degree == d:
-        return [h], 0
+def _equal_degree_split(ring: _Residues, d: int) -> tuple[list[Polynomial], int]:
+    # ring.mod = h is monic and squarefree, the product of at least two
+    # irreducible factors, each of degree exactly d; returns the factors
+    # and the number of splitting candidates tried.  Each candidate u is
+    # powered once on all of h, to w = N^((q-1)/2) = u^((q^d-1)/2), where
+    # N = u^(1+q+...+q^(d-1)) takes d - 1 frob-and-multiply steps:
+    # modulo each factor, w is 0, 1 or -1, and 1 or -1 with probability
+    # about 1/2 each.  Every unfinished piece g then splits by gcd(g, u),
+    # failing that by gcd(g, w - 1), and the pieces of degree d are done:
+    # one refinement over all pieces per candidate (Cantor and Zassenhaus
+    # 1981), with no recursion
+    h = ring.mod
     ctx = h.ctx
     one = Polynomial(ctx, (1,))
-    exponent = (ctx.q**d - 1) // 2
+    half = (ctx.q - 1) // 2
+    done: list[Polynomial] = []
+    pieces = [h]
     for tried, u in enumerate(_iter_polys_below(ctx, h.degree), 1):
-        g = gcd(h, u)
-        if not 0 < g.degree < h.degree:
-            g = gcd(h, _pow_mod(u, exponent, h, tables) - one)
-        if 0 < g.degree < h.degree:
-            left, a = _equal_degree_split(g, d, tables)
-            right, b = _equal_degree_split(h // g, d, tables)
-            return left + right, tried + a + b
+        a = norm = ring.reduce(u)
+        for _ in range(d - 1):
+            a = ring.frob(a)
+            norm = ring.mul(norm, a)
+        w_minus_1 = ring.poly(ring.pow(norm, half)) - one
+        unfinished = []
+        for g in pieces:
+            s = gcd(g, u)
+            if not 0 < s.degree < g.degree:
+                s = gcd(g, w_minus_1)
+            for part in (s, g // s) if 0 < s.degree < g.degree else (g,):
+                (done if part.degree == d else unfinished).append(part)
+        pieces = unfinished
+        if not pieces:
+            return done, tried
     raise RuntimeError("equal-degree split exhausted its search space")
 
 
-def _split_squarefree(sq: Polynomial, tables: dict) -> tuple[list[Polynomial], int]:
-    # monic squarefree -> monic irreducibles and the splitting candidates
-    # tried, by distinct degree from d = 1: gcd(rem, x^(q^d) - x) is the
-    # product of the factors of degree d left in rem, so the roots come
-    # out of one _pow_mod, with no evaluation at the q elements
+def _split_squarefree(sq: Polynomial) -> tuple[list[Polynomial], int, int]:
+    # monic squarefree -> monic irreducibles, the splitting candidates
+    # tried and the residue rings built, by distinct degree from d = 1:
+    # gcd(rem, x^(q^d) - x) is the product gd of the factors of degree d
+    # left in rem, so the roots come out of one x^q, with no evaluation at
+    # the q elements.  x^(q^d) steps by one frob of sq's ring, which
+    # serves every rem, since rem divides sq.  A gd of degree d is one
+    # factor; a larger one splits in sq's ring if it is all of sq, else
+    # in its own
     X = Polynomial.x(sq.ctx)
-    q = sq.ctx.q
     out: list[Polynomial] = []
-    tried = 0
-    rem, frob, d = sq, X, 0
+    tried = rings = 0
+    rem, d = sq, 0
     while rem.degree > 0:
         d += 1
         if 2 * d > rem.degree:
             out.append(rem)
             break
-        frob = _pow_mod(frob, q, rem, tables)
-        gd = gcd(rem, frob - X)
-        if gd.degree > 0:
-            factors, k = _equal_degree_split(gd, d, tables)
+        if d == 1:
+            ring = _Residues(sq)
+            rings += 1
+            frob = ring.x_q()
+        else:
+            frob = ring.frob(frob)
+        gd = gcd(rem, ring.poly(frob) - X)
+        if gd.degree == d:
+            out.append(gd)
+        elif gd.degree > d:
+            split = ring
+            if gd.degree < sq.degree:
+                split = _Residues(gd)
+                rings += 1
+            factors, k = _equal_degree_split(split, d)
             out.extend(factors)
             tried += k
+        if gd.degree > 0:
             rem = rem // gd
-            frob = frob % rem
-    return out, tried
+    return out, tried, rings
 
 
 def factor(f: Polynomial) -> Factorization:
     """Deterministic factorisation into monic irreducibles over F_q.
 
     Logs one DEBUG record to the "hasseforms" logger with the degree, the
-    number of splitting candidates tried and the seconds taken.
+    number of splitting candidates tried, the number of residue rings
+    built and the seconds taken.
     """
     if not f:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
     t0 = time.perf_counter()
     unit, g = f.monic()
     pairs: list[tuple[Polynomial, int]] = []
-    tried = 0
-    tables: dict = {}  # _pow_mod's reduction tables, one per modulus
+    tried = rings = 0
     for sq, mult in _squarefree_parts(g):
-        factors, k = _split_squarefree(sq, tables)
+        factors, k, r = _split_squarefree(sq)
         pairs.extend((irr, mult) for irr in factors)
         tried += k
+        rings += r
     pairs.sort(key=lambda pm: (pm[0].degree, pm[0].ranks))
     total = sum(poly.degree * mult for poly, mult in pairs)
     if total != f.degree:
         raise RuntimeError("factor lost degree, this is a bug")
     logger.debug("factored a degree-%d polynomial over F_%d^%d: %d splitting "
-                 "candidates tried, %.3f s", f.degree, f.ctx.p, f.ctx.n, tried,
-                 time.perf_counter() - t0)
+                 "candidates tried, %d residue rings, %.3f s", f.degree,
+                 f.ctx.p, f.ctx.n, tried, rings, time.perf_counter() - t0)
     return Factorization(unit, tuple(pairs))

@@ -284,6 +284,25 @@ def test_twist_error_taxonomy(f5):
         twist(e_j1728, f5(2), "cubic")
 
 
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_twist_raises_exactly_where_kind_does_not_apply(p):
+    """Over every model and kind, twist raises exactly when _twist_kinds
+    leaves the kind out, with the j error where j is wrong and the
+    congruence error otherwise."""
+    ctx = make_field(p)
+    d = ctx(2)
+    for curve in iter_curves(ctx):
+        kinds = _twist_kinds(ctx, curve.a4.rank, curve.a6.rank)
+        for kind in ("quadratic", "quartic", "sextic"):
+            if kind in kinds:
+                twist(curve, d, kind)
+                continue
+            j = ctx(1728) if kind == "quartic" else ctx.zero
+            error = WrongJInvariantError if curve.j_invariant != j else BadCongruenceError
+            with pytest.raises(error):
+                twist(curve, d, kind)
+
+
 def test_twist_preserves_j():
     for p in (5, 13):
         ctx = make_field(p)

@@ -13,7 +13,7 @@ import pytest
 from hasseforms import make_field
 from hasseforms import poly as poly_module
 from hasseforms.errors import ZeroPolynomialError
-from hasseforms.poly import Polynomial, _pow_mod, factor, gcd
+from hasseforms.poly import Polynomial, _Residues, factor, gcd
 
 
 def _monic_polys(ctx, degree):
@@ -265,11 +265,11 @@ def _pow_mod_reference(base, e, mod):
 
 @pytest.mark.parametrize("p", [3, 13, 1009, 65537, 1048573])
 def test_pow_mod_packed_matches_plain_powering(p):
-    # the packed-int kernel against square-and-multiply on Polynomial with
-    # %, up to the widest slots: p just below 2**20, coefficients p - 1
+    # the packed-int residue ring against square-and-multiply on
+    # Polynomial with %, up to the widest slots: p just below 2**20,
+    # coefficients p - 1
     ctx = make_field(p)
     rng = random.Random(p)
-    tables: dict = {}  # shared across calls, as factor shares it
     for degree in (1, 2, 7, 23, 40):
         top = [p - 1] * degree
         mods = [Polynomial(ctx, top + [1]),
@@ -277,34 +277,91 @@ def test_pow_mod_packed_matches_plain_powering(p):
         bases = [Polynomial(ctx, [p - 1] * degree),
                  Polynomial(ctx, [rng.randrange(p) for _ in range(degree + 3)])]
         for mod in mods:
+            ring = _Residues(mod)
             for base in bases:
                 for e in (0, 1, 2, 5, 97):
                     want = _pow_mod_reference(base, e, mod)
-                    assert _pow_mod(base, e, mod) == want == _pow_mod(base, e, mod, tables)
-    assert len(tables) == 10
+                    assert ring.poly(ring.pow(ring.reduce(base), e)) == want
 
 
-def test_factor_builds_one_reduction_table_per_modulus(monkeypatch):
-    # factor powers modulo one polynomial several times (candidates of the
-    # equal-degree split, steps of the distinct-degree loop); _pow_mod's
-    # table of x^(D+j) mod m is built once per modulus within the call
-    builds, moduli = [], []
-    table, pow_mod = poly_module._reduction_table, poly_module._pow_mod
+@pytest.mark.parametrize("p, n", [(3, 1), (13, 1), (1009, 1), (1048573, 1), (3, 2), (5, 3)])
+def test_frobenius_table_matches_powering_by_q(p, n):
+    # frob(a) = sum a_i x^(iq) mod m against plain powering by q with %,
+    # for random a and m; over F_p up to the widest slots, and over F_q
+    # with n > 1, where the ring holds Polynomials
+    ctx = make_field(p, n)
+    rng = random.Random(ctx.q)
 
-    def counted_table(m, *args):
-        builds.append(m)
-        return table(m, *args)
+    def random_poly(degree, lead):
+        return Polynomial.from_ranks(ctx, [rng.randrange(ctx.q) for _ in range(degree)] + [lead])
 
-    def counted_pow(base, e, mod, *args):
-        moduli.append(mod.ranks)
-        return pow_mod(base, e, mod, *args)
+    for degree in (1, 2, 7, 23, 40):
+        for lead in (1, 1 + rng.randrange(ctx.q - 1)):
+            mod = random_poly(degree, lead)
+            ring = _Residues(mod)
+            x_q = _pow_mod_reference(Polynomial.x(ctx), ctx.q, mod)
+            assert ring.poly(ring.x_q()) == x_q
+            for a in (random_poly(degree + 2, 1 + rng.randrange(ctx.q - 1)),
+                      Polynomial.from_ranks(ctx, [ctx.q - 1] * degree)):
+                a_q = _pow_mod_reference(a, ctx.q, mod)
+                frob = ring.frob(ring.reduce(a))
+                assert ring.poly(frob) == a_q
+                assert ring.poly(ring.frob(frob)) == _pow_mod_reference(a_q, ctx.q, mod)
 
-    monkeypatch.setattr(poly_module, "_reduction_table", counted_table)
-    monkeypatch.setattr(poly_module, "_pow_mod", counted_pow)
+
+def _gcd_reference(f, g):
+    while g:
+        f, g = g, f % g
+    return f.monic()[1]
+
+
+@pytest.mark.parametrize("p", [101, 65537])
+def test_factors_pass_rabin_check(p):
+    # every factor g of a seeded random corpus, some inputs squared, has
+    # gcd(g, x^(q^i) - x) = 1 for i <= deg g / 2, so no factor of degree
+    # i divides it; the powers come from plain powering with %, never
+    # from the residue ring, and the gcd from plain Euclid
+    ctx = make_field(p)
+    rng = random.Random(p)
+    x = Polynomial.x(ctx)
+    checked = 0
+    for _ in range(12):
+        degree = rng.randrange(1, 31)
+        f = Polynomial.from_ranks(ctx, [rng.randrange(p) for _ in range(degree)] + [1 + rng.randrange(p - 1)])
+        if rng.random() < 0.3:
+            f = f * f
+        fac = factor(f)
+        assert fac.expand() == f
+        for g, _ in fac.factors:
+            power = x
+            for _ in range(g.degree // 2):
+                power = _pow_mod_reference(power, p, g)
+                assert _gcd_reference(g, power - x).degree == 0
+                checked += 1
+    assert checked > 20
+
+
+def test_factor_builds_one_reduction_table_per_modulus(monkeypatch, caplog):
+    # factor works modulo one polynomial many times (the distinct-degree
+    # steps, the candidates of the equal-degree split) and builds one
+    # residue ring, so one reduction table, per modulus: one for the
+    # squarefree input, which serves every distinct-degree step, one for
+    # the product of its 11 linear factors and one for the product of its
+    # 6 quadratic factors
+    moduli = []
+
+    class Counted(poly_module._Residues):
+        def __init__(self, mod):
+            moduli.append(mod.ranks)
+            super().__init__(mod)
+
+    monkeypatch.setattr(poly_module, "_Residues", Counted)
     y = Polynomial.x(make_field(23))
-    assert factor(y ** 12 - 5).degree_multiset == (2,) * 6
-    assert len(moduli) > len(set(moduli)) > 1
-    assert sorted(builds) == sorted(set(moduli))
+    with caplog.at_level(logging.DEBUG, logger="hasseforms"):
+        fac = factor((y ** 12 - 5) * (y ** 11 - 1))
+    assert fac.degree_multiset == (1,) * 11 + (2,) * 6
+    assert len(moduli) == len(set(moduli)) == 3
+    assert [r.getMessage().count(", 3 residue rings, ") for r in caplog.records] == [1]
 
 
 def test_factor_logs_one_record_and_keeps_output(caplog):

@@ -85,6 +85,16 @@ def test_etale_suite_over_binomial_stall_within_budget():
     assert elapsed < 5.0, f"etale suite over F_29 took {elapsed:.2f}s, budget 5s"
 
 
+def test_etale_suite_over_f101_within_budget():
+    # one factorisation of y^100 - A_p per distinct A_p, each on a residue
+    # ring with a Frobenius table
+    t0 = time.perf_counter()
+    result = run_suite("etale", 101)
+    elapsed = time.perf_counter() - t0
+    assert result.ok
+    assert elapsed < 4.0, f"etale suite over F_101 took {elapsed:.2f}s, budget 4s"
+
+
 def test_etale_suite_bytes_equal_with_factor_logging(caplog):
     plain = json.dumps(run_suite("etale", 17).to_dict(), sort_keys=True)
     with caplog.at_level(logging.DEBUG, logger="hasseforms"):
