@@ -28,13 +28,16 @@ Elliptic Curves, section V.4.
 
 A_p and #E each come in two shapes, per curve and per row, and the two
 shapes of each share one table per (a2, a4) row.  hasse_invariant
-evaluates the row's P at one a6; _row_hasse gives A_p for every a6 of
-the row from the same P.  point_count makes one O(q) pass per curve over
-the logs of h = x^3 + a2 x^2 + a4 x (_row_logs); _row_counts gives #E
-for every a6 of the row from one cyclic product over F_q^*.  The
-per-curve shapes serve single-curve callers; the row shapes serve
-callers that walk whole rows: the census over F_p and the bridge, norm,
-twists and etale suites.
+evaluates the row's P at one a6, by Horner per curve: the reference
+route.  _hasse_at, the one fast route, evaluates it at a list of a6 at
+once, on ints over F_p and on logs with Zech steps over F_q; _row_hasse
+is _hasse_at on every a6 of the row, and the census over F_q reads it on
+blocks of a6.  point_count makes one O(q) pass per curve over the logs
+of h = x^3 + a2 x^2 + a4 x (_row_logs); _row_counts gives #E for every
+a6 of the row from one cyclic product over F_q^*.  The per-curve shapes
+serve single-curve callers and the census's witness check; the row
+shapes serve callers that walk whole rows: the census scan and the
+bridge, norm, twists and etale suites.
 
 A twist by d scales (a2, a4, a6) by ranks that _twist_scales gives, so
 it moves every model of an (a2, a4) row onto one other row.  twist
@@ -356,51 +359,55 @@ def _hasse_row(ctx: FieldCtx, r2: int, r4: int) -> tuple[int, tuple[int, ...]]:
     return k, tuple(coeffs)
 
 
+def _hasse_at(ctx: FieldCtx, k: int, coeffs: tuple[int, ...], r6s) -> list[int]:
+    """A_p = a6^k P(a6^2), as a rank, at every a6 rank of r6s.
+
+    k and coeffs are a row's _hasse_row.  Horner runs on all of r6s at
+    once, one list comprehension per coefficient of P.  Over F_p a rank
+    is its value and the comprehensions run on ints.  Over F_q they run on
+    logs, where times a6^2 adds 2 log a6 and plus c is one Zech step,
+    log(y + c) = log c + zech[log y - log c]; every coefficient of P is
+    nonzero, since a zero one is a4^j with a4 = 0, which _hasse_row folds
+    into k.  a6 = 0 (log -1) takes a unit's place there and reads P(0),
+    the last coefficient, where k = 0.  A row with no coefficient, or one
+    and k = 0 (A_3 = a2, A_5 = 2 a4), is constant.  The one fast A_p
+    route: _row_hasse and the census scan over F_q read it; tests pin it
+    against hasse_invariant.
+    """
+    if not coeffs or (len(coeffs) == 1 and not k):
+        return [coeffs[0] if coeffs else 0] * len(r6s)
+    q = ctx.q
+    if ctx.n == 1:
+        squares = [x * x % q for x in r6s]
+        acc = [coeffs[0]] * len(r6s)
+        for c in coeffs[1:]:
+            acc = [(a * s + c) % q for a, s in zip(acc, squares)]
+        return [a * pow(x, k, q) % q for a, x in zip(acc, r6s)] if k else acc
+    exp, log, zech = ctx._log_tables
+    order = q - 1
+    logs = [log[r] for r in r6s]
+    lcs = [log[c] for c in coeffs]
+    acc = [lcs[0]] * len(logs)  # logs of the partial P, None for zero
+    if len(lcs) > 1:
+        twice = [2 * e for e in logs]
+        for lc in lcs[1:]:
+            acc = [lc if a is None
+                   else None if (z := zech[(a + t - lc) % order]) < 0 else lc + z
+                   for a, t in zip(acc, twice)]
+    at_zero = 0 if k else coeffs[-1]
+    return [at_zero if e < 0 else 0 if a is None else exp[(a + k * e) % order]
+            for a, e in zip(acc, logs)]
+
+
 @lru_cache(maxsize=1)
 def _row_hasse(ctx: FieldCtx, r2: int, r4: int) -> array:
     """A_p, as a rank, for every a6 of the (a2, a4) row, by the rank of a6.
 
-    The whole-row shape of hasse_invariant: A_p = a6^k P(a6^2) off the
-    same row table (_hasse_row), by Horner on every a6 at once, one list
-    comprehension per coefficient of P.  Over F_p a rank is its value and
-    the comprehensions run on ints.  Over F_q they run on the logs of the
-    nonzero a6, where times a6^2 adds 2 log a6 and plus c is one Zech step,
-    log(y + c) = log c + zech[log y - log c]; every coefficient of P is
-    nonzero, since a zero one is a4^j with a4 = 0, which _hasse_row
-    folds into k.  A row of one coefficient and k = 0 (A_3 = a2,
-    A_5 = 2 a4) is constant.  One slot, like _row_counts: its callers
-    walk the models row by row.  Tests pin it against hasse_invariant on
-    every model of small fields.
+    The whole-row shape of hasse_invariant: _hasse_at on range(q), off
+    the same row table (_hasse_row).  One slot, like _row_counts: its
+    callers walk the models row by row.
     """
-    k, coeffs = _hasse_row(ctx, r2, r4)
-    q = ctx.q
-    if not coeffs:
-        return array("i", bytes(4 * q))
-    if len(coeffs) == 1 and not k:
-        return array("i", coeffs) * q
-    if ctx.n == 1:
-        xs = range(q)
-        squares = [x * x % q for x in xs]
-        acc = [coeffs[0]] * q
-        for c in coeffs[1:]:
-            acc = [(a * s + c) % q for a, s in zip(acc, squares)]
-        if k:
-            acc = [a * pow(x, k, q) % q for a, x in zip(acc, xs)]
-        return array("i", acc)
-    exp, log, zech = ctx._log_tables
-    order = q - 1
-    logs = log[1:]  # of a6 = 1 .. q - 1 by rank
-    lcs = [log[c] for c in coeffs]
-    acc = [lcs[0]] * order  # logs of the partial P, None for zero
-    twice = [2 * e for e in logs]
-    for lc in lcs[1:]:
-        acc = [lc if a is None
-               else None if (z := zech[(a + t - lc) % order]) < 0 else lc + z
-               for a, t in zip(acc, twice)]
-    # a6 = 0 leaves P(0), the last coefficient, where k = 0
-    return array("i", [0 if k else coeffs[-1]]
-                 + [0 if a is None else exp[(a + k * e) % order]
-                    for a, e in zip(acc, logs)])
+    return array("i", _hasse_at(ctx, *_hasse_row(ctx, r2, r4), range(ctx.q)))
 
 
 def hasse_invariant(curve: WeierstrassCurve, level: str = "p") -> FieldElement:

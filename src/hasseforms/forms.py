@@ -18,6 +18,7 @@ non-split thickening, reported here under the label M2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd as int_gcd, isqrt
 
 from .curve import WeierstrassCurve, hasse_invariant
@@ -117,6 +118,14 @@ def phi(cls: UnitClass) -> FieldElement:
     residue is wanted.
     """
     return norm_to_prime(cls.rep)
+
+
+@lru_cache(maxsize=1)
+def _class_residues(ctx: FieldCtx) -> tuple[int, ...]:
+    # int(phi) of each class by its exponent, p - 1 entries: the residue
+    # of a nonzero rank a is [log a mod (p - 1)], read by the census scan
+    # over F_q and by the row suites
+    return tuple(int(phi(UnitClass(ctx, e))) for e in range(ctx.p - 1))
 
 
 def realizable_set(p: int, q: int | None = None) -> frozenset[int]:

@@ -11,12 +11,13 @@ The census scans the enumeration in order, on lex ranks with no objects,
 until every wanted class has a witness.  (a4, a6) and (u^4 a4, u^6 a6)
 are isomorphic (Silverman, AEC III.1), so where a2 = 0 it reads only row
 a4 = 0 and the first row of each coset of fourth powers, at most 5 rows.
-Over F_p the row kernel (curve._row_counts, one packed product per row)
-gives every point count of the row, and the residue is the trace mod p;
-over F_q it is A_p by Horner on discrete logarithms.  Only the winners
-are decoded and checked, against hasse_invariant and a point count.
-iter_curves and the no-shortcut search build every model and are the
-audit of the scan.
+Each row drops the discriminant's roots (_singular_a6), as _iter_rows
+does.  Over F_p the row kernel (curve._row_counts, one packed product per
+row) gives every point count of the row, and the residue is the trace
+mod p; over F_q it is phi([A_p]), A_p off curve._hasse_at on blocks of
+a6 that double in size.  Only the winners are decoded and checked,
+against hasse_invariant and a point count.  iter_curves and the
+no-shortcut search build every model and are the audit of the scan.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .curve import (
     WeierstrassCurve,
     _decode,
     _disc_row,
+    _hasse_at,
     _hasse_row,
     _hasse_terms,
     _row_counts,
@@ -40,7 +42,7 @@ from .curve import (
     point_count,
 )
 from .errors import InconsistencyError, SingularModelError
-from .forms import phi, realizable_set, unit_class_of
+from .forms import _class_residues, phi, realizable_set, unit_class_of
 from .gf import FieldCtx, FieldElement, smallest_prime_factor
 
 __all__ = [
@@ -151,66 +153,6 @@ def _hasse_residue(curve: WeierstrassCurve) -> int:
     return int(phi(unit_class_of(a))) if a else 0
 
 
-def _row_on_counts(ctx: FieldCtx, tally: Counter, counts: dict):
-    # over F_p the row kernel (curve._row_counts, one packed product per
-    # row) gives #E for every a6, kept in counts for the witness check;
-    # beta = p + 1 - #E is phi([A_p]) mod p (bridge), 0 if supersingular
-    p = ctx.p
-
-    def scan(r2, r4, d):
-        d0, d1, d2 = d
-        counts[r2, r4] = row = _row_counts(ctx, r2, r4)
-        for x, c in enumerate(row):
-            if (d0 + (d1 + d2 * x) * x) % p:
-                yield x, (1 - c) % p
-            else:
-                tally["singular"] += 1
-    return scan
-
-
-def _row_on_logs(ctx: FieldCtx, tally: Counter):
-    # over F_q with n > 1 Horner runs on discrete logarithms: times x adds
-    # log x, plus c is one Zech step, and the residue of A_p = g^e is
-    # read off g^(e (q-1)/(p-1)), which lies in F_p
-    exp, log, zech = ctx._log_tables
-    p, q, order = ctx.p, ctx.q, ctx.q - 1
-    step, unit = order // (p - 1), ctx._weights[0]
-    residue = [exp[e * step] // unit for e in range(p - 1)]
-
-    def horner(lcs, lx):
-        # log of the polynomial with coefficient logs lcs at x = g^lx;
-        # None stands for zero
-        lv = None
-        for lc in lcs:
-            if lv is not None:
-                lv += lx
-            if lc is None:
-                continue
-            if lv is None:
-                lv = lc
-            else:
-                z = zech[(lv - lc) % order]
-                lv = None if z < 0 else lc + z
-        return lv
-
-    def scan(r2, r4, d):
-        k, coeffs = _hasse_row(ctx, r2, r4)
-        lds = [None if r == 0 else log[r] for r in reversed(d)]
-        lcs = [log[r] for r in coeffs]
-        if not d[0]:  # x = 0
-            tally["singular"] += 1
-        else:
-            yield 0, residue[lcs[-1] % (p - 1)] if coeffs and not k else 0
-        for x in range(1, q):
-            lx = log[x]
-            if horner(lds, lx) is None:
-                tally["singular"] += 1
-                continue
-            la = horner(lcs, 2 * lx)
-            yield x, 0 if la is None else residue[(la + k * lx) % (p - 1)]
-    return scan
-
-
 def _row_cosets(ctx: FieldCtx) -> int:
     # rows a4, u^4 a4 are isomorphic where a2 = 0: cosets of 4th powers, or 0
     return gcd(4, ctx.q - 1) if ctx.p >= 5 else 0
@@ -221,18 +163,22 @@ def _classified(ctx: FieldCtx, tally: Counter | None = None,
     """(index, residue) of each nonsingular model the scan classifies, in
     enumeration order; the residue is 0 when supersingular (_hasse_residue).
 
-    Rows of a coset after its first (_row_cosets) are skipped; the others
-    are tabulated once each, by the row product over F_p (its counts kept
-    in counts by (a2, a4) ranks) or by the closed form over F_q.  One model
-    stands for a row or a2 slab of constant A_p (A_5 = 2 a4, A_3 = a2).
-    tally counts the rows tabulated and skipped and the singular models.
+    Rows of a coset after its first (_row_cosets) are skipped, and each
+    other row drops the discriminant roots (_singular_a6) and walks its
+    nonsingular a6 lazily.  A row of constant A_p (A_5 = 2 a4, A_3 = a2,
+    or A_p = 0 throughout) yields its first model, and an a2 slab of
+    constant A_3 = a2 its first row.  Over F_p the residue is (1 - #E)
+    mod p off the row product (curve._row_counts, kept in counts by
+    (a2, a4) ranks); over F_q it is phi([A_p]) (forms._class_residues)
+    off curve._hasse_at, on blocks of a6 that double from 64, so a row
+    left after m models costs about 2m + 64 evaluations.  tally counts
+    the rows tabulated and skipped and the discriminant roots of each
+    tabulated row.
     """
-    q = ctx.q
+    p, q, pm1 = ctx.p, ctx.q, ctx.p - 1
     tally = Counter() if tally is None else tally
-    terms = _hasse_terms(ctx.p)
-    per_row = not any(k for _, k, _ in terms)
     counts = {} if counts is None else counts
-    scan = _row_on_counts(ctx, tally, counts) if ctx.n == 1 else _row_on_logs(ctx, tally)
+    terms = _hasse_terms(p)
     cosets, log, seen = _row_cosets(ctx), ctx._log_tables[1], set()
     for a2r in range(_index_space(ctx) // (q * q)):
         for a4r in range(q):
@@ -242,15 +188,28 @@ def _classified(ctx: FieldCtx, tally: Counter | None = None,
                     continue
                 seen.add(log[a4r] % cosets)
             tally["rows"] += 1
-            d = _disc_row(ctx, a2r, a4r)
-            if not any(d):
-                tally["singular"] += q
+            singular = _singular_a6(ctx, _disc_row(ctx, a2r, a4r))
+            tally["singular"] += len(singular)
+            if len(singular) == q:
                 continue
             base = (a2r * q + a4r) * q
-            for a6r, r in islice(scan(a2r, a4r, d), 1 if per_row else None):
-                yield base + a6r, r
-            if not terms:
-                break  # A_3 = a2: the rest of the slab has this residue
+            r6s = (r6 for r6 in range(q) if r6 not in singular)
+            k, coeffs = _hasse_row(ctx, a2r, a4r)
+            if not coeffs or (len(coeffs) == 1 and not k):
+                a = coeffs[0] if coeffs else 0
+                yield base + next(r6s), _class_residues(ctx)[log[a] % pm1] if a else 0
+                if not terms:
+                    break  # A_3 = a2: the rest of the slab has this residue
+            elif ctx.n == 1:
+                counts[a2r, a4r] = row = _row_counts(ctx, a2r, a4r)
+                for r6 in r6s:
+                    yield base + r6, (1 - row[r6]) % p
+            else:
+                by_class, size = _class_residues(ctx), 64
+                while block := list(islice(r6s, size)):
+                    for r6, a in zip(block, _hasse_at(ctx, k, coeffs, block)):
+                        yield base + r6, by_class[log[a] % pm1] if a else 0
+                    size *= 2
 
 
 def find_curve_with_class(ctx: FieldCtx, h: int, *,
@@ -371,6 +330,8 @@ def census(ctx: FieldCtx) -> RealizabilityReport:
     InconsistencyError.  The winners are checked in index order as by
     describe_witness, against the closed form (hasse_invariant) and a
     point count: over F_p the scan's row product, over F_q point_count.
+    The DEBUG record's "singular skipped" counts the discriminant roots of
+    each tabulated row, whether or not the scan got that far along it.
     """
     p, q = ctx.p, ctx.q
     residues = range(1, p)

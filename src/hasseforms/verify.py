@@ -25,6 +25,7 @@ from .curve import (
 from .errors import InconsistencyError
 from .forms import (
     UnitClass,
+    _class_residues,
     enumerate_classes,
     phi,
     ptorsion_description,
@@ -106,9 +107,9 @@ def _class_exps(ctx: FieldCtx) -> list[int]:
 
 
 def _residues(ctx: FieldCtx) -> list[int]:
-    # _hasse_residue by the rank of A_p: phi([A_p]), read once per class
-    # through forms.phi, and 0 at zero
-    by_class = [int(phi(UnitClass(ctx, e))) for e in range(ctx.p - 1)]
+    # _hasse_residue by the rank of A_p: phi([A_p]) off the class table
+    # (forms._class_residues), and 0 at zero
+    by_class = _class_residues(ctx)
     return [by_class[e] if e >= 0 else 0 for e in _class_exps(ctx)]
 
 

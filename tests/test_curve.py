@@ -7,6 +7,8 @@ polynomial power for the Hasse coefficient) so the fast paths inside the
 package cannot drift.
 """
 
+import random
+
 import pytest
 
 from hasseforms import (
@@ -21,6 +23,7 @@ from hasseforms import (
 from hasseforms.curve import (
     WeierstrassCurve,
     _disc_row,
+    _hasse_at,
     _hasse_row,
     _row_counts,
     _row_hasse,
@@ -36,6 +39,7 @@ from hasseforms.errors import (
     WrongJInvariantError,
     ZeroTwistParameterError,
 )
+from hasseforms.search import _singular_a6
 
 
 @pytest.fixture(scope="module")
@@ -238,6 +242,25 @@ def test_row_hasse_matches_hasse_invariant(p, n):
         assert all(coeffs)  # so the log route has no zero coefficient
         folded |= r4 == 0 and k > _hasse_row(ctx, r2, ctx.one.rank)[0]
     assert folded == (p in (5, 13))
+
+
+@pytest.mark.parametrize("p,n", [(7, 1), (5, 2), (13, 2), (3, 3)])
+def test_hasse_at_matches_hasse_invariant_on_shuffled_ranks(p, n):
+    # the evaluator on a shuffled sample of a6 ranks with rank 0 and the
+    # row's discriminant roots, on every row (the char-3 a2 slabs too),
+    # against the per-curve Horner; a singular model is built unchecked,
+    # since A_p is a polynomial in the coefficients all the same
+    ctx = make_field(p, n)
+    rng = random.Random(p**n)
+    els = list(ctx.iter_elements())
+    for a2 in els if p == 3 else els[:1]:
+        for a4 in els:
+            roots = _singular_a6(ctx, _disc_row(ctx, a2.rank, a4.rank))
+            r6s = list({0, *roots, *rng.sample(range(ctx.q), ctx.q // 2)})
+            rng.shuffle(r6s)
+            got = _hasse_at(ctx, *_hasse_row(ctx, a2.rank, a4.rank), r6s)
+            assert got == [hasse_invariant(WeierstrassCurve._unchecked(
+                ctx, a2, a4, els[r6], ctx.zero)).rank for r6 in r6s]
 
 
 def test_trace_names_the_model_it_rejects():

@@ -17,16 +17,17 @@ from hasseforms import (
     hasse_invariant,
     iter_curves,
     make_field,
+    phi,
     point_count,
     realizable_set,
     search,
+    unit_class_of,
 )
 from hasseforms import curve as curve_module
 from hasseforms import search as search_module
 from hasseforms.curve import (
     WeierstrassCurve,
     _disc_row,
-    _hasse_terms,
     _row_logs,
     discriminant_general,
 )
@@ -291,27 +292,30 @@ def test_census_witnesses_match_exhaustive_search(p, n):
 
 
 def _classified_on_objects(ctx):
-    # the scan's rule on curves: decode every index, keep one model per
-    # stride of constant A_p (an a4 row for A_5 = 2 a4, an a2 slab for A_3 = a2)
-    terms = _hasse_terms(ctx.p)
-    stride = 1 if any(k for _, k, _ in terms) else ctx.q if terms else ctx.q ** 2
-    out, idx, end = [], 0, _index_space(ctx)
-    while idx < end:
-        curve = _curve_at(ctx, idx)
-        if curve is None:
-            idx += 1
-            continue
-        out.append((idx, _hasse_residue(curve)))
-        idx = (idx // stride + 1) * stride
+    # the scan's rule on curves: decode every index, and keep only the first
+    # model of an a2 slab, else of an a4 row, on which A_p takes one value
+    # (an a2 slab for A_3 = a2, an a4 row for A_5 = 2 a4 or A_p = 0)
+    q, out = ctx.q, []
+    for slab in range(_index_space(ctx) // (q * q)):
+        rows = [[(idx, hasse_invariant(c))
+                 for idx in range(base, base + q) if (c := _curve_at(ctx, idx))]
+                for base in range(slab * q * q, (slab + 1) * q * q, q)]
+        if len({a.rank for row in rows for _, a in row}) == 1:
+            rows = [next(row for row in rows if row)]
+        for row in rows:
+            keep = row[:1] if len({a.rank for _, a in row}) == 1 else row
+            out += [(idx, int(phi(unit_class_of(a))) if a else 0) for idx, a in keep]
     return out
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (13, 1), (19, 1), (23, 1),
-                                 (3, 2), (3, 3), (5, 2), (7, 2), (5, 3)])
+                                 (3, 2), (3, 3), (5, 2), (7, 2), (5, 3), (11, 2), (17, 2)])
 def test_rank_scan_matches_object_route(monkeypatch, p, n):
-    # the p = 3 slab, the p = 5 row and the full scan, over F_p (the row
-    # product) and F_q (Horner on logarithms), on every row: the coset
-    # rule is turned off here, and pinned by test_coset_rows_share_residues
+    # the p = 3 slab, the p = 5 row, the A_p = 0 row a4 = 0 where p = 2
+    # mod 3, and the full scan, over F_p (the row product) and F_q (blocks
+    # of _hasse_at, past the first block of 64 at q = 121 and 289), on
+    # every row: the coset rule is turned off here, and pinned by
+    # test_coset_rows_share_residues
     monkeypatch.setattr(search_module, "_row_cosets", lambda ctx: 0)
     ctx = make_field(p, n)
     assert list(_classified(ctx)) == _classified_on_objects(ctx)
