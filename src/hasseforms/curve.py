@@ -26,15 +26,16 @@ The level-q variant A_q, the coefficient of x^(q-1) in the ((q-1)/2)
 power, is the norm A_p^((q-1)/(p-1)).  See Silverman, The Arithmetic of
 Elliptic Curves, section V.4.
 
-A_p and #E each come in two shapes, per curve and per row, and the two
-shapes of each share one table per (a2, a4) row.  hasse_invariant
-evaluates the row's P at one a6, by Horner per curve: the reference
-route.  _hasse_at, the one fast route, evaluates it at a list of a6 at
-once, on ints over F_p and on logs with Zech steps over F_q; _row_hasse
-is _hasse_at on every a6 of the row, and the census over F_q reads it on
-blocks of a6.  point_count makes one O(q) pass per curve over the logs
-of h = x^3 + a2 x^2 + a4 x (_row_logs); _row_counts gives #E for every
-a6 of the row from one cyclic product over F_q^*.  The per-curve shapes
+A_p and #E each come in two shapes, per curve and per row.  A_p has
+one evaluator, _hasse_at, off one table per (a2, a4) row (_hasse_row):
+Horner in a6^2, an int loop per a6 over F_p and list comprehensions on
+logs with Zech steps over F_q.  hasse_invariant is _hasse_at at one a6,
+_row_hasse is _hasse_at on every a6 of the row, and the census over F_q
+reads it on blocks of a6; Polynomial.pow_truncated is the independent
+route that tests and the closed-forms suite hold it to.  point_count
+makes one O(q) pass per curve over the logs of h = x^3 + a2 x^2 + a4 x
+(_row_logs); _row_counts gives #E for every a6 of the row from one
+cyclic product over F_q^*, by the log of a6.  The per-curve shapes
 serve single-curve callers and the census's witness check; the row
 shapes serve callers that walk whole rows: the census scan and the
 bridge, norm, twists and etale suites.
@@ -51,7 +52,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import repeat
-from operator import and_, itemgetter
+from operator import and_
 
 from .errors import (
     BadCongruenceError,
@@ -258,47 +259,48 @@ def _trace(ctx: FieldCtx, count: int, r2: int, r4: int, r6: int) -> int:
 def _zech_operand(ctx: FieldCtx) -> tuple:
     # what the row product needs of a context, in W-bit slots: Y reversed
     # (Y[-s] at slot s), the offsets 1 + 2q at even and 1 at odd slots,
-    # the masks of the even and the odd slots, and the reader of a
-    # sequence at the logs of all ranks.  Every slot stays below 2q + 2.
+    # and the masks of the even and the odd slots.  Every slot stays
+    # below 2q + 2.
     q, y = ctx.q, ctx._zech_y
     W = _slot_width(2 * q + 2)
     pairs = (q - 1) // 2
     even = _pack(W, [(1 << W) - 1, 0] * pairs)
     return (W, _pack(W, list(y[:1] + y[:0:-1])), _pack(W, [1 + 2 * q, 1] * pairs),
-            even, even << W, itemgetter(*ctx._log_tables[1]))
+            even, even << W)
 
 
 @lru_cache(maxsize=1)
 def _row_counts(ctx: FieldCtx, r2: int, r4: int) -> array:
-    """#E for every a6 of the (a2, a4) row, by the rank of a6.
+    """#E for every a6 of the (a2, a4) row, by the log of a6.
 
     F_q^* is cyclic, so with M[u] = #{x != 0 : log h(x) = u} off the
     row's logs (_row_logs) the sums point_count takes for every
     a6 = g^lc at once are C[lc] = sum_u M[u] Y[u - lc], a cyclic
     correlation over Z/(q - 1): one packed product of M with Y reversed
     (Lidl and Niederreiter, Finite Fields, ch. 2 and 5).  Then
-    #E = 1 + q + chi(a6) (q - C[lc]); a6 = 0 keeps point_count's parity
-    sum, read off M.  On 2 vCPU a product costs about 6 ms at 10^4 slots
-    and 20 s at 923,520, where a point_count pass takes 0.06 s and its
-    row 0.2 s, so it serves whole rows only: the census over F_p and the
+    #E = 1 + q + chi(a6) (q - C[lc]) at slot lc; a6 = 0 keeps
+    point_count's parity sum, read off M, in the last slot, so with
+    log = ctx._log_tables[1], whose log[0] is -1, row[log[a6]] reads
+    every a6.  On 2 vCPU a product costs about 6 ms at 10^4 slots and
+    20 s at 923,520, where a point_count pass takes 0.06 s and its row
+    0.2 s, so it serves whole rows only: the census over F_p and the
     bridge and norm suites.  One slot: those callers walk the models row
     by row.  No trace bound is checked here, since the row may hold
     singular models.
     """
     q, order = ctx.q, ctx.q - 1
     row = _row_logs(ctx, r2, r4)
-    W, y_rev, offsets, even, odd, by_rank = _zech_operand(ctx)
+    W, y_rev, offsets, even, odd = _zech_operand(ctx)
     hist = [0] * order
     for u in row:  # cheaper than Counter and a read in log order
         hist[u] += 1
     c = _cyclic_mul(W, hist, y_rev, order)
-    # by the log of a6, slot by slot with no borrow or carry: 1 + 2q - C
-    # where chi(a6) = 1 (even slots), 1 + C where it is -1 (odd slots)
-    by_log = _unpack(W, offsets + (c & odd) - (c & even), order)
-    # a6 = 0, whose log reads -1, takes the last slot; 4 bytes a count,
+    # slot by slot with no borrow or carry: 1 + 2q - C where chi(a6) = 1
+    # (even slots), 1 + C where it is -1 (odd slots); W bits a count,
     # since the census keeps its rows
-    by_log.append(1 + q + len(row) - 2 * sum(hist[1::2]))
-    return array("i", by_rank(by_log))
+    counts = _unpack(W, offsets + (c & odd) - (c & even), order)
+    counts.append(1 + q + len(row) - 2 * sum(hist[1::2]))
+    return counts
 
 
 @lru_cache(maxsize=1)
@@ -362,27 +364,30 @@ def _hasse_row(ctx: FieldCtx, r2: int, r4: int) -> tuple[int, tuple[int, ...]]:
 def _hasse_at(ctx: FieldCtx, k: int, coeffs: tuple[int, ...], r6s) -> list[int]:
     """A_p = a6^k P(a6^2), as a rank, at every a6 rank of r6s.
 
-    k and coeffs are a row's _hasse_row.  Horner runs on all of r6s at
-    once, one list comprehension per coefficient of P.  Over F_p a rank
-    is its value and the comprehensions run on ints.  Over F_q they run on
-    logs, where times a6^2 adds 2 log a6 and plus c is one Zech step,
-    log(y + c) = log c + zech[log y - log c]; every coefficient of P is
-    nonzero, since a zero one is a4^j with a4 = 0, which _hasse_row folds
-    into k.  a6 = 0 (log -1) takes a unit's place there and reads P(0),
-    the last coefficient, where k = 0.  A row with no coefficient, or one
-    and k = 0 (A_3 = a2, A_5 = 2 a4), is constant.  The one fast A_p
-    route: _row_hasse and the census scan over F_q read it; tests pin it
-    against hasse_invariant.
+    k and coeffs are a row's _hasse_row; this is the one code that
+    evaluates them.  Over F_p a rank is its value, and Horner runs on
+    ints, one loop per a6.  Over F_q it runs on all of r6s at once, one
+    list comprehension per coefficient of P, on logs, where times a6^2
+    adds 2 log a6 and plus c is one Zech step, log(y + c) = log c +
+    zech[log y - log c]; every coefficient of P is nonzero, since a zero
+    one is a4^j with a4 = 0, which _hasse_row folds into k.  a6 = 0
+    (log -1) takes a unit's place there and reads P(0), the last
+    coefficient, where k = 0.  A row with no coefficient, or one and
+    k = 0 (A_3 = a2, A_5 = 2 a4), is constant.  hasse_invariant,
+    _row_hasse and the census scan over F_q read it; tests pin it
+    against Polynomial.pow_truncated.
     """
     if not coeffs or (len(coeffs) == 1 and not k):
         return [coeffs[0] if coeffs else 0] * len(r6s)
     q = ctx.q
     if ctx.n == 1:
-        squares = [x * x % q for x in r6s]
-        acc = [coeffs[0]] * len(r6s)
-        for c in coeffs[1:]:
-            acc = [(a * s + c) % q for a, s in zip(acc, squares)]
-        return [a * pow(x, k, q) % q for a, x in zip(acc, r6s)] if k else acc
+        out = []
+        for x in r6s:
+            s, acc = x * x, 0
+            for c in coeffs:
+                acc = (acc * s + c) % q
+            out.append(acc * pow(x, k, q) % q if k else acc)
+        return out
     exp, log, zech = ctx._log_tables
     order = q - 1
     logs = [log[r] for r in r6s]
@@ -414,8 +419,7 @@ def hasse_invariant(curve: WeierstrassCurve, level: str = "p") -> FieldElement:
     """Coefficient of x^(p-1) in f^((p-1)/2), or of x^(q-1) at level "q".
 
     Level p is A_p = a6^k P(a6^2) off the (a2, a4) row (_hasse_row,
-    A_3 = a2 included) by Horner: on ints over F_p, where a rank is its
-    value, and on the rank kernels over F_q.  Level q is the norm
+    A_3 = a2 included), _hasse_at at this one a6.  Level q is the norm
     A_p^((q-1)/(p-1)) (Silverman, AEC section V.4).  Tests pin both
     levels, and the closed-forms suite level p, against
     f_polynomial().pow_truncated.
@@ -423,21 +427,9 @@ def hasse_invariant(curve: WeierstrassCurve, level: str = "p") -> FieldElement:
     ctx = curve.ctx
     if level not in ("p", "q"):
         raise ValueError(f'level must be "p" or "q", got {level!r}')
-    k, coeffs = _hasse_row(ctx, curve.a2.rank, curve.a4.rank)
-    p, r6, acc = ctx.p, curve.a6.rank, 0
-    if len(coeffs) == 1 and not k:
-        acc = coeffs[0]  # constant on the row: A_3 = a2, A_5 = 2 a4
-    elif ctx.n == 1:
-        for c in coeffs:
-            acc = (acc * r6 * r6 + c) % p
-        acc = acc * pow(r6, k, p) % p
-    else:
-        add, mul, s = ctx._add, ctx._mul, ctx._mul(r6, r6)
-        for c in coeffs:
-            acc = add(mul(acc, s), c)
-        acc = mul(acc, ctx._pow(r6, k))
-    a = FieldElement(ctx, acc)
-    return a if level == "p" else a ** ((ctx.q - 1) // (p - 1))
+    row = _hasse_row(ctx, curve.a2.rank, curve.a4.rank)
+    a = FieldElement(ctx, _hasse_at(ctx, *row, (curve.a6.rank,))[0])
+    return a if level == "p" else a ** ((ctx.q - 1) // (ctx.p - 1))
 
 
 def is_ordinary(curve: WeierstrassCurve) -> bool:

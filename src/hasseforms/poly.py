@@ -38,7 +38,7 @@ from array import array
 from dataclasses import dataclass
 
 from .errors import ZeroPolynomialError
-from .gf import FieldCtx, FieldElement
+from .gf import FieldCtx, FieldElement, _rem_ints
 
 __all__ = ["Polynomial", "Factorization", "gcd", "factor"]
 
@@ -345,20 +345,6 @@ def _monic_ints(a: list[int], p: int) -> list[int]:
         return a
     inv = pow(a[-1], -1, p)
     return [c * inv % p for c in a]
-
-
-def _rem_ints(a: list[int], m, p: int) -> list[int]:
-    # a mod the monic m over F_p, on value lists low degree first, with no
-    # trailing zeros; a is overwritten
-    D = len(m) - 1
-    for i in range(len(a) - 1, D - 1, -1):
-        c = a[i]
-        if c:
-            a[i - D:i] = [(x - c * y) % p for x, y in zip(a[i - D:i], m)]
-    del a[D:]
-    while a and not a[-1]:
-        a.pop()
-    return a
 
 
 def _gcd_ints(a: list[int], b: list[int], p: int) -> list[int]:

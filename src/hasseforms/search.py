@@ -16,8 +16,9 @@ does.  Over F_p the row kernel (curve._row_counts, one packed product per
 row) gives every point count of the row, and the residue is the trace
 mod p; over F_q it is phi([A_p]), A_p off curve._hasse_at on blocks of
 a6 that double in size.  Only the winners are decoded and checked,
-against hasse_invariant and a point count.  iter_curves and the
-no-shortcut search build every model and are the audit of the scan.
+against hasse_invariant (curve._hasse_at at one a6) and a point count.
+iter_curves and the no-shortcut search build every model and are the
+audit of the scan.
 """
 
 from __future__ import annotations
@@ -168,12 +169,12 @@ def _classified(ctx: FieldCtx, tally: Counter | None = None,
     nonsingular a6 lazily.  A row of constant A_p (A_5 = 2 a4, A_3 = a2,
     or A_p = 0 throughout) yields its first model, and an a2 slab of
     constant A_3 = a2 its first row.  Over F_p the residue is (1 - #E)
-    mod p off the row product (curve._row_counts, kept in counts by
-    (a2, a4) ranks); over F_q it is phi([A_p]) (forms._class_residues)
-    off curve._hasse_at, on blocks of a6 that double from 64, so a row
-    left after m models costs about 2m + 64 evaluations.  tally counts
-    the rows tabulated and skipped and the discriminant roots of each
-    tabulated row.
+    mod p off the row product (curve._row_counts, read at the log of a6
+    and kept in counts by (a2, a4) ranks); over F_q it is phi([A_p])
+    (forms._class_residues) off curve._hasse_at, on blocks of a6 that
+    double from 64, so a row left after m models costs about 2m + 64
+    evaluations.  tally counts the rows tabulated and skipped and the
+    discriminant roots of each tabulated row.
     """
     p, q, pm1 = ctx.p, ctx.q, ctx.p - 1
     tally = Counter() if tally is None else tally
@@ -203,7 +204,7 @@ def _classified(ctx: FieldCtx, tally: Counter | None = None,
             elif ctx.n == 1:
                 counts[a2r, a4r] = row = _row_counts(ctx, a2r, a4r)
                 for r6 in r6s:
-                    yield base + r6, (1 - row[r6]) % p
+                    yield base + r6, (1 - row[log[r6]]) % p
             else:
                 by_class, size = _class_residues(ctx), 64
                 while block := list(islice(r6s, size)):
@@ -328,8 +329,10 @@ def census(ctx: FieldCtx) -> RealizabilityReport:
     One scan in enumeration order (_classified) keeps the first index of
     each residue until every class of realizable_set is hit, else raises
     InconsistencyError.  The winners are checked in index order as by
-    describe_witness, against the closed form (hasse_invariant) and a
-    point count: over F_p the scan's row product, over F_q point_count.
+    describe_witness, against A_p from hasse_invariant (curve._hasse_at
+    at one a6, the evaluator the F_q scan reads on blocks) and a point
+    count: over F_p the scan's row product, read at the log of a6, over
+    F_q point_count.
     The DEBUG record's "singular skipped" counts the discriminant roots of
     each tabulated row, whether or not the scan got that far along it.
     """
@@ -338,7 +341,7 @@ def census(ctx: FieldCtx) -> RealizabilityReport:
     wanted = realizable_set(p, q)
 
     tally, counts = Counter(), {}
-    ctx._log_tables  # built, and logged, before the scan clock starts
+    log = ctx._log_tables[1]  # built, and logged, before the scan clock starts
     t0 = time.perf_counter()
     found: dict[int, int] = {}
     models = 0
@@ -359,7 +362,7 @@ def census(ctx: FieldCtx) -> RealizabilityReport:
         curve, row = _curve_at(ctx, idx), counts.get(divmod(idx // q, q))
         if curve is None:
             raise InconsistencyError(f"witness index {idx} decodes to a singular model")
-        count = point_count(curve).count if row is None else row[idx % q]
+        count = point_count(curve).count if row is None else row[log[idx % q]]
         witnesses[h] = _checked(curve, h, hasse_invariant(curve), count)
     entries = tuple(ClassEntry(h, witnesses.get(h)) for h in residues)
     missing = tuple(h for h in residues if h not in found)

@@ -119,15 +119,16 @@ def _suite_bridge(res: SuiteResult, ctx: FieldCtx) -> None:
     Both are one check, since the residue is 0 exactly when A_p = 0 and
     a unit residue otherwise.  Each row compares two row tables on the
     ranks of its nonsingular models: A_p off the closed form
-    (_row_hasse) and beta off the point counts (_row_counts), over F_p the
-    kernel the census scan reads its residues off.  A model is decoded
-    only to name it in a failure.
+    (_row_hasse, by the rank of a6) and beta off the point counts
+    (_row_counts, by the log of a6), over F_p the kernel the census scan
+    reads its residues off.  A model is decoded only to name it in a
+    failure.
     """
-    p, residue = ctx.p, _residues(ctx)
+    p, residue, log = ctx.p, _residues(ctx), ctx._log_tables[1]
     for r2, r4, _, r6s in _iter_rows(ctx):
         hasse, counts = _row_hasse(ctx, r2, r4), _row_counts(ctx, r2, r4)
         for r6 in r6s:
-            got, beta = residue[hasse[r6]], _trace(ctx, counts[r6], r2, r4, r6)
+            got, beta = residue[hasse[r6]], _trace(ctx, counts[log[r6]], r2, r4, r6)
             if got == beta % p:
                 res.cases += 1
             else:
@@ -207,8 +208,9 @@ def _suite_twists(res: SuiteResult, ctx: FieldCtx) -> None:
 def _suite_closed_forms(res: SuiteResult, ctx: FieldCtx) -> None:
     """The closed form for A_p against full truncated powering.
 
-    On every model, hasse_invariant must equal the coefficient of x^(p-1)
-    in f^((p-1)/2), computed by Polynomial.pow_truncated, which knows
+    On every model, hasse_invariant, the one closed-form evaluator
+    curve._hasse_at at one a6, must equal the coefficient of x^(p-1) in
+    f^((p-1)/2), computed by Polynomial.pow_truncated, which knows
     nothing of the term table.
     """
     p = ctx.p
@@ -224,18 +226,19 @@ def _suite_norm(res: SuiteResult, ctx: FieldCtx) -> None:
 
     A_q is the norm A_p^((q-1)/(p-1)) that hasse_invariant takes at
     level q, tabulated once per rank of A_p, with A_p off the row table
-    _row_hasse; #E comes from the point-count row table _row_counts, which
-    knows nothing of A_p.  Each row compares the two on the ranks of its
-    nonsingular models, decoding a model only to name it in a failure.
+    _row_hasse; #E comes from the point-count row table _row_counts, read
+    at the log of a6, which knows nothing of A_p.  Each row compares the
+    two on the ranks of its nonsingular models, decoding a model only to
+    name it in a failure.
     The closed form itself is audited by the closed-forms suite.
     """
-    p, q, unit = ctx.p, ctx.q, ctx._weights[0]
+    p, q, unit, log = ctx.p, ctx.q, ctx._weights[0], ctx._log_tables[1]
     norm = (q - 1) // (p - 1)
     level_q = [(FieldElement(ctx, r) ** norm).rank for r in range(q)]
     for r2, r4, _, r6s in _iter_rows(ctx):
         hasse, counts = _row_hasse(ctx, r2, r4), _row_counts(ctx, r2, r4)
         for r6 in r6s:
-            count = q + 1 - _trace(ctx, counts[r6], r2, r4, r6)
+            count = q + 1 - _trace(ctx, counts[log[r6]], r2, r4, r6)
             aq = level_q[hasse[r6]]
             residue, rest = divmod(aq, unit)
             if rest:

@@ -147,7 +147,8 @@ def test_bridge_suite_catches_seeded_regression(monkeypatch):
             # y^2 = x^3 + 1 over F_5; beta moves by one towards 0, so the
             # trace bound still holds and only the bridge can object
             state["armed"] = False
-            counts[1] += 1 if counts[1] < ctx.q + 1 else -1
+            at = ctx._log_tables[1][1]  # counts are kept by the log of a6
+            counts[at] += 1 if counts[at] < ctx.q + 1 else -1
         return counts
 
     monkeypatch.setattr(verify_mod, "_row_counts", corrupted)
@@ -174,7 +175,8 @@ def test_norm_suite_catches_seeded_regression(monkeypatch):
             # y^2 = x^3 + x + 1 over F_9; the count moves by one towards
             # q + 1, so the trace bound still holds and only A_q can object
             state["armed"] = False
-            counts[one] += 1 if counts[one] < ctx.q + 1 else -1
+            at = ctx._log_tables[1][one]  # counts are kept by the log of a6
+            counts[at] += 1 if counts[at] < ctx.q + 1 else -1
         return counts
 
     monkeypatch.setattr(verify_mod, "_row_counts", corrupted)
