@@ -30,15 +30,15 @@ A_p and #E each come in two shapes, per curve and per row.  A_p has
 one evaluator, _hasse_at, off one table per (a2, a4) row (_hasse_row):
 Horner in a6^2, an int loop per a6 over F_p and list comprehensions on
 logs with Zech steps over F_q.  hasse_invariant is _hasse_at at one a6,
-_row_hasse is _hasse_at on every a6 of the row, and the census over F_q
-reads it on blocks of a6; Polynomial.pow_truncated is the independent
-route that tests and the closed-forms suite hold it to.  point_count
-makes one O(q) pass per curve over the logs of h = x^3 + a2 x^2 + a4 x
-(_row_logs); _row_counts gives #E for every a6 of the row from one
-cyclic product over F_q^*, by the log of a6.  The per-curve shapes
-serve single-curve callers and the census's witness check; the row
-shapes serve callers that walk whole rows: the census scan and the
-bridge, norm, twists and etale suites.
+_row_hasse is _hasse_at on every a6 of the row, and the census reads
+it on blocks of a6 (the F_q scan) and on a row's witnesses (the witness
+check); Polynomial.pow_truncated is the independent route that tests
+and the closed-forms suite hold it to.  point_count makes one O(q) pass
+per curve over the logs of h = x^3 + a2 x^2 + a4 x (_row_logs), on
+ranks in _count_at, which counts the census's witnesses over F_q;
+_row_counts gives #E for every a6 of the row from one cyclic product
+over F_q^*, by the log of a6, for callers that walk whole rows: the
+census (scan and witnesses over F_p) and the row suites.
 
 A twist by d scales (a2, a4, a6) by ranks that _twist_scales gives, so
 it moves every model of an (a2, a4) row onto one other row.  twist
@@ -54,24 +54,13 @@ from functools import cache, lru_cache
 from itertools import repeat
 from operator import and_
 
-from .errors import (
-    BadCongruenceError,
-    SingularModelError,
-    WrongJInvariantError,
-    ZeroTwistParameterError,
-)
+from .errors import (BadCongruenceError, SingularModelError, WrongJInvariantError,
+                     ZeroTwistParameterError)
 from .gf import FieldCtx, FieldElement
 from .poly import Polynomial, _cyclic_mul, _pack, _slot_width, _unpack
 
-__all__ = [
-    "WeierstrassCurve",
-    "FrobeniusData",
-    "point_count",
-    "hasse_invariant",
-    "is_ordinary",
-    "twist",
-    "TWIST_KINDS",
-]
+__all__ = ["WeierstrassCurve", "FrobeniusData", "point_count", "hasse_invariant",
+           "is_ordinary", "twist", "TWIST_KINDS"]
 
 TWIST_KINDS = ("quadratic", "quartic", "sextic")
 
@@ -219,21 +208,25 @@ def point_count(curve: WeierstrassCurve) -> FrobeniusData:
     chi(a6) (q - sum over the row of Y[log h - lc]).  Y is one byte
     string per context (FieldCtx._zech_y); rotated by lc it is indexed by
     the row's logs directly, so a pass is one C-level map and a sum.
-    This is the per-curve route; whole-row callers read _row_counts.
+    This is the per-curve route, _count_at on ranks; whole-row callers
+    read _row_counts.
     """
-    ctx = curve.ctx
-    q = ctx.q
-    row = _row_logs(ctx, curve.a2.rank, curve.a4.rank)
-    if curve.a6:
-        lc = ctx._log_tables[1][curve.a6.rank]
-        y, cut = ctx._zech_y, q - 1 - lc
-        rot = y[cut:] + y[:cut]  # rot[t] = Y[t - lc]
-        s = (q - sum(map(rot.__getitem__, row))) * (1 - 2 * (lc & 1))
-    else:
-        s = len(row) - 2 * sum(map(and_, row, repeat(1)))
-    count = 1 + q + s
-    beta = _trace(ctx, count, curve.a2.rank, curve.a4.rank, curve.a6.rank)
+    ctx, r2, r4, r6 = curve.ctx, curve.a2.rank, curve.a4.rank, curve.a6.rank
+    count = _count_at(ctx, r2, r4, r6)
+    beta = _trace(ctx, count, r2, r4, r6)
     return FrobeniusData(count=count, beta=beta, ordinary=beta % ctx.p != 0)
+
+
+def _count_at(ctx: FieldCtx, r2: int, r4: int, r6: int) -> int:
+    # #E of the model with ranks (a2, a4, a6): point_count's one pass
+    q = ctx.q
+    row = _row_logs(ctx, r2, r4)
+    if not r6:
+        return 1 + q + len(row) - 2 * sum(map(and_, row, repeat(1)))
+    lc = ctx._log_tables[1][r6]
+    y, cut = ctx._zech_y, q - 1 - lc
+    rot = y[cut:] + y[:cut]  # rot[t] = Y[t - lc]
+    return 1 + q + (q - sum(map(rot.__getitem__, row))) * (1 - 2 * (lc & 1))
 
 
 def _decode(ctx: FieldCtx, r2: int, r4: int, r6: int) -> WeierstrassCurve:

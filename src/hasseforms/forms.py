@@ -17,25 +17,14 @@ non-split thickening, reported here under the label M2.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd as int_gcd, isqrt
 
 from .curve import WeierstrassCurve, hasse_invariant
-from .errors import (
-    BadCongruenceError,
-    NotPrimeError,
-    ZeroElementError,
-    ZeroTwistParameterError,
-)
-from .gf import (
-    FieldCtx,
-    FieldElement,
-    _is_prime,
-    discrete_log,
-    norm_to_prime,
-    primitive_element,
-)
+from .errors import BadCongruenceError, NotPrimeError, ZeroElementError, ZeroTwistParameterError
+from .gf import FieldCtx, FieldElement, _is_prime, discrete_log, norm_to_prime, primitive_element
 
 __all__ = [
     "UnitClass",
@@ -121,11 +110,17 @@ def phi(cls: UnitClass) -> FieldElement:
 
 
 @lru_cache(maxsize=1)
-def _class_residues(ctx: FieldCtx) -> tuple[int, ...]:
-    # int(phi) of each class by its exponent, p - 1 entries: the residue
-    # of a nonzero rank a is [log a mod (p - 1)], read by the census scan
-    # over F_q and by the row suites
-    return tuple(int(phi(UnitClass(ctx, e))) for e in range(ctx.p - 1))
+def _class_residues(ctx: FieldCtx) -> array:
+    # int(phi) of each class by its exponent e: phi(g^e) = g^(eN) off the
+    # exp table, N = (q - 1)/(p - 1), checked to lie in the prime subfield;
+    # an array, since p - 1 int objects would cost 2 MB at p = 65537.
+    # A nonzero rank a has class log a mod (p - 1); the census and the row
+    # suites read this, and tests pin it against phi(UnitClass)
+    unit = ctx._weights[0]
+    ranks = ctx._log_tables[0][::(ctx.q - 1) // (ctx.p - 1)]
+    if any(r % unit for r in ranks):
+        raise ValueError(f"phi leaves the prime subfield of {ctx}, this is a bug")
+    return array("i", (r // unit for r in ranks))
 
 
 def realizable_set(p: int, q: int | None = None) -> frozenset[int]:

@@ -15,10 +15,10 @@ Each row drops the discriminant's roots (_singular_a6), as _iter_rows
 does.  Over F_p the row kernel (curve._row_counts, one packed product per
 row) gives every point count of the row, and the residue is the trace
 mod p; over F_q it is phi([A_p]), A_p off curve._hasse_at on blocks of
-a6 that double in size.  Only the winners are decoded and checked,
-against hasse_invariant (curve._hasse_at at one a6) and a point count.
-iter_curves and the no-shortcut search build every model and are the
-audit of the scan.
+a6 that double in size.  The winners are checked on ranks too, one
+curve._hasse_at call per witness row (_check_row).  iter_curves and the
+no-shortcut search build every model and audit the scan; tests decode
+every witness to audit the check.
 """
 
 from __future__ import annotations
@@ -27,35 +27,18 @@ import logging
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass
-from itertools import islice
+from itertools import groupby, islice
 from math import gcd, isqrt
 from typing import Iterator, Sequence
 
-from .curve import (
-    WeierstrassCurve,
-    _decode,
-    _disc_row,
-    _hasse_at,
-    _hasse_row,
-    _hasse_terms,
-    _row_counts,
-    hasse_invariant,
-    point_count,
-)
+from .curve import (WeierstrassCurve, _count_at, _decode, _disc_row, _hasse_at, _hasse_row,
+                    _hasse_terms, _row_counts, hasse_invariant, point_count)
 from .errors import InconsistencyError, SingularModelError
 from .forms import _class_residues, phi, realizable_set, unit_class_of
 from .gf import FieldCtx, FieldElement, smallest_prime_factor
 
-__all__ = [
-    "admissible_traces",
-    "iter_curves",
-    "find_curve_with_class",
-    "describe_witness",
-    "WitnessRecord",
-    "ClassEntry",
-    "RealizabilityReport",
-    "census",
-]
+__all__ = ["admissible_traces", "iter_curves", "find_curve_with_class", "describe_witness",
+           "WitnessRecord", "ClassEntry", "RealizabilityReport", "census"]
 
 logger = logging.getLogger("hasseforms")
 
@@ -298,29 +281,43 @@ class RealizabilityReport:
 def describe_witness(curve: WeierstrassCurve, h: int) -> WitnessRecord:
     """Recompute everything about a candidate curve and cross-check it.
 
-    Raises InconsistencyError when the curve does not actually land in
-    class h or its trace disagrees with the phi residue.
+    The census's check (_check_row) at this one model, counted by
+    point_count.  Raises InconsistencyError when the curve does not
+    actually land in class h or its trace disagrees with the phi residue.
     """
-    return _checked(curve, h, hasse_invariant(curve), point_count(curve).count)
+    r2, r4, r6 = curve.a2.rank, curve.a4.rank, curve.a6.rank
+    return _check_row(curve.ctx, r2, r4, [(h, r6)], [point_count(curve).count])[0]
 
 
-def _checked(curve: WeierstrassCurve, h: int, a: FieldElement, count: int) -> WitnessRecord:
-    # the checks of describe_witness on A_p = a and the point count
-    ctx = curve.ctx
-    if not a:
-        raise InconsistencyError(f"witness for class {h} is supersingular: {curve!r}")
-    cls = unit_class_of(a)
-    residue = int(phi(cls))
-    if residue != h:
-        raise InconsistencyError(
-            f"witness residue mismatch for class {h}: got {residue} from {curve!r}")
-    beta = ctx.q + 1 - count
-    if beta % ctx.p != residue or beta * beta >= 4 * ctx.q:
-        raise InconsistencyError(f"trace disagrees with phi or the trace bound for "
-                                 f"{curve!r}: beta = {beta}, phi = {residue}")
-    return WitnessRecord(
-        a2=curve.a2.coeffs, a4=curve.a4.coeffs, a6=curve.a6.coeffs,
-        count=count, beta=beta, class_exp=cls.exp, phi=residue)
+def _check_row(ctx: FieldCtx, r2: int, r4: int, hits: Sequence[tuple[int, int]],
+               counts: Sequence[int]) -> list[WitnessRecord]:
+    """The records of the (class h, a6 rank) hits on an (a2, a4) row, checked
+    on ranks with one _hasse_at call: each model must be nonsingular
+    (_disc_row at a6) and ordinary, the class e = log A_p mod (p - 1) must
+    have residue h (forms._class_residues), and beta = q + 1 - count, with
+    counts[i] for hit i, must be h mod p with beta^2 < 4q; else raises
+    InconsistencyError naming the class and the model.
+    """
+    p, q, log, coeffs = ctx.p, ctx.q, ctx._log_tables[1], ctx._tuple_from_rank
+    add, mul, (d0, d1, d2) = ctx._add, ctx._mul, _disc_row(ctx, r2, r4)
+    by_class, records, a2, a4 = _class_residues(ctx), [], coeffs(r2), coeffs(r4)
+    a_ps = _hasse_at(ctx, *_hasse_row(ctx, r2, r4), [r6 for _, r6 in hits])
+    for (h, r6), a, count in zip(hits, a_ps, counts):
+        e, beta = log[a] % (p - 1), q + 1 - count
+        if not add(d0, mul(add(d1, mul(d2, r6)), r6)):
+            fault = "is singular"
+        elif not a:
+            fault = "is supersingular"
+        elif by_class[e] != h:
+            fault = f"has residue {by_class[e]} by phi"
+        elif beta % p != h or beta * beta >= 4 * q:
+            fault = f"breaks the trace check: beta = {beta}"
+        else:
+            records.append(WitnessRecord(a2, a4, coeffs(r6), count, beta, e, h))
+            continue
+        raise InconsistencyError(f"witness for class {h} {fault}: (a2, a4, a6) = "
+                                 f"{a2, a4, coeffs(r6)} over {ctx}")
+    return records
 
 
 def census(ctx: FieldCtx) -> RealizabilityReport:
@@ -328,13 +325,13 @@ def census(ctx: FieldCtx) -> RealizabilityReport:
 
     One scan in enumeration order (_classified) keeps the first index of
     each residue until every class of realizable_set is hit, else raises
-    InconsistencyError.  The winners are checked in index order as by
-    describe_witness, against A_p from hasse_invariant (curve._hasse_at
-    at one a6, the evaluator the F_q scan reads on blocks) and a point
-    count: over F_p the scan's row product, read at the log of a6, over
-    F_q point_count.
+    InconsistencyError.  The winners are checked as by describe_witness,
+    on ranks, one _check_row call per witness row in index order, with
+    counts off the scan's row product over F_p (at the log of a6) and
+    curve._count_at (point_count's pass) over F_q: no curve is built.
     The DEBUG record's "singular skipped" counts the discriminant roots of
-    each tabulated row, whether or not the scan got that far along it.
+    each tabulated row, whether or not the scan got that far along it, and
+    "witness rows" the _check_row calls.
     """
     p, q = ctx.p, ctx.q
     residues = range(1, p)
@@ -357,19 +354,19 @@ def census(ctx: FieldCtx) -> RealizabilityReport:
             f"interval formula gives {sorted(wanted)}")
 
     t1 = time.perf_counter()
-    witnesses = {}
-    for h, idx in sorted(found.items(), key=lambda hi: hi[1]):
-        curve, row = _curve_at(ctx, idx), counts.get(divmod(idx // q, q))
-        if curve is None:
-            raise InconsistencyError(f"witness index {idx} decodes to a singular model")
-        count = point_count(curve).count if row is None else row[log[idx % q]]
-        witnesses[h] = _checked(curve, h, hasse_invariant(curve), count)
+    witnesses, rows = {}, 0
+    by_index = sorted(found.items(), key=lambda hi: hi[1])
+    for rows, ((r2, r4), group) in enumerate(
+            groupby(by_index, key=lambda hi: divmod(hi[1] // q, q)), 1):
+        hits, row = [(h, idx % q) for h, idx in group], counts.get((r2, r4))
+        cs = [_count_at(ctx, r2, r4, r6) if row is None else row[log[r6]] for _, r6 in hits]
+        witnesses.update((w.phi, w) for w in _check_row(ctx, r2, r4, hits, cs))
     entries = tuple(ClassEntry(h, witnesses.get(h)) for h in residues)
     missing = tuple(h for h in residues if h not in found)
     logger.debug("census over %s: %d models tested, %d singular skipped, "
-                 "%d rows tabulated, %d rows skipped; scan %.3f s, "
-                 "witness validation %.3f s", ctx, models, tally["singular"],
-                 tally["rows"], tally["rows skipped"], t1 - t0,
+                 "%d rows tabulated, %d rows skipped, %d witness rows; scan "
+                 "%.3f s, witness validation %.3f s", ctx, models, tally["singular"],
+                 tally["rows"], tally["rows skipped"], rows, t1 - t0,
                  time.perf_counter() - t1)
 
     return RealizabilityReport(

@@ -17,6 +17,7 @@ from hasseforms import (
     unit_class_of,
 )
 from hasseforms.curve import WeierstrassCurve
+from hasseforms.forms import UnitClass, _class_residues
 from hasseforms.errors import (
     BadCongruenceError,
     NotPrimeError,
@@ -35,6 +36,14 @@ def test_class_count():
         classes = enumerate_classes(ctx)
         assert len(classes) == p - 1
         assert [c.exp for c in classes] == list(range(p - 1))
+
+
+@pytest.mark.parametrize("p,n", [(19, 1), (211, 1), (3, 4), (5, 4), (31, 2)])
+def test_class_residues_match_phi_of_each_class(p, n):
+    # the census reads residues off the exp table; phi on class objects is
+    # the audit route
+    ctx = make_field(p, n)
+    assert list(_class_residues(ctx)) == [int(phi(UnitClass(ctx, e))) for e in range(p - 1)]
 
 
 def test_class_of_element():

@@ -3,6 +3,7 @@
 import json
 import logging
 import time
+from array import array
 from collections import Counter, defaultdict
 from math import isqrt
 
@@ -180,13 +181,26 @@ def test_describe_witness_rejects_mismatch():
     ss = WeierstrassCurve(ctx, ctx(0), ctx(1))
     with pytest.raises(InconsistencyError):
         describe_witness(ss, 1)
-    # the census hands its checks a count from the row product: 8 gives
+    # the census hands its row check a count from the row product: 8 gives
     # beta = -2, residue 3; 14 gives beta = -8, residue 2 but beta^2 > 4q
-    a = hasse_invariant(e)
-    assert search_module._checked(e, 2, a, 9) == describe_witness(e, 2)
+    check = search_module._check_row
+    assert check(ctx, 0, e.a4.rank, [(2, e.a6.rank)], [9]) == [describe_witness(e, 2)]
     for count in (8, 14):
         with pytest.raises(InconsistencyError, match="trace"):
-            search_module._checked(e, 2, a, count)
+            check(ctx, 0, e.a4.rank, [(2, e.a6.rank)], [count])
+
+
+def test_describe_witness_raises_on_supersingular_and_trace_bound(monkeypatch):
+    ctx = make_field(5)
+    with pytest.raises(InconsistencyError, match="class 1 is singular"):
+        search_module._check_row(ctx, 0, 0, [(1, 0)], [6])  # y^2 = x^3
+    with pytest.raises(InconsistencyError, match="class 1 is supersingular"):
+        describe_witness(WeierstrassCurve(ctx, ctx(0), ctx(1)), 1)
+    # a point count of 14 keeps beta = -8 = 2 mod 5 but breaks beta^2 < 4q
+    monkeypatch.setattr(search_module, "point_count",
+                        lambda curve: curve_module.FrobeniusData(14, -8, True))
+    with pytest.raises(InconsistencyError, match="class 2 breaks the trace"):
+        describe_witness(WeierstrassCurve(ctx, ctx(1), ctx(1)), 2)
 
 
 def test_census_complete_field():
@@ -351,11 +365,12 @@ def _count_constructions(monkeypatch):
 
 @pytest.mark.parametrize("p,n", [(211, 1), (31, 2)])
 def test_census_builds_only_witnesses(monkeypatch, p, n):
+    # the census checks its witnesses on ranks and builds no curve; the
+    # single-class search builds its one winner
     ctx = make_field(p, n)
     built = _count_constructions(monkeypatch)
     report = census(ctx)
-    assert len(built) == len(report.realizable) > 0
-    built.clear()
+    assert len(report.realizable) > 0 and built == []
     assert find_curve_with_class(ctx, 2) is not None
     assert len(built) == 1
 
@@ -395,6 +410,72 @@ def test_census_builds_one_point_count_row_per_witness_row(monkeypatch, p, n):
         assert products == []
 
 
+CENSUS_PRIME = [(19, 1), (23, 1), (101, 1), (131, 1), (211, 1)]
+CENSUS_EXT = [(19, 2), (7, 3), (5, 4), (31, 2), (3, 4)]
+
+
+@pytest.mark.parametrize("p,n", CENSUS_PRIME + CENSUS_EXT + [(1009, 1)])
+def test_census_witnesses_audited_through_objects(p, n):
+    # the census checks its witnesses on ranks; each one is decoded here
+    # and recomputed through the curve and class objects
+    ctx = make_field(p, n)
+    for entry in census(ctx).entries:
+        w = entry.witness
+        if w is None:
+            continue
+        curve = WeierstrassCurve(ctx, ctx(w.a4), ctx(w.a6), ctx(w.a2))
+        cls = unit_class_of(hasse_invariant(curve))
+        fd = point_count(curve)
+        assert (cls.exp, int(phi(cls)), fd.count, fd.beta) == (
+            w.class_exp, w.phi, w.count, w.beta)
+        assert w.phi == entry.residue
+
+
+def _witness_hit(ctx, h):
+    # (a2 rank, a4 rank, a6 rank) of the census witness of class h
+    w = census(ctx).entries[h - 1].witness
+    return ctx(w.a2).rank, ctx(w.a4).rank, ctx(w.a6).rank
+
+
+def test_census_catches_a_corrupted_count_over_prime_field(monkeypatch):
+    # one count slot of a witness row off by p q: the scan's residue
+    # (1 - #E) mod p is unchanged, so the same witness wins, but its trace
+    # breaks the bound
+    ctx, h = make_field(101), 7
+    r2, r4, r6 = _witness_hit(ctx, h)
+    row_counts = search_module._row_counts
+
+    def corrupted(ctx, a2, a4):
+        row = array("i", row_counts(ctx, a2, a4))
+        if (a2, a4) == (r2, r4):
+            row[ctx._log_tables[1][r6]] += ctx.p * ctx.q
+        return row
+
+    monkeypatch.setattr(search_module, "_row_counts", corrupted)
+    with pytest.raises(InconsistencyError, match=f"class {h} breaks the trace"):
+        census(ctx)
+
+
+def test_census_catches_a_corrupted_hasse_invariant_over_extension(monkeypatch):
+    # A_p of one witness times g in the witness check only: its class moves
+    # by one, so phi no longer gives the residue the scan found
+    ctx, h = make_field(31, 2), 5
+    r2, r4, r6 = _witness_hit(ctx, h)
+    hasse_at, row = search_module._hasse_at, search_module._hasse_row(ctx, r2, r4)
+    g = ctx.generator.rank
+
+    def corrupted(ctx, k, coeffs, r6s):
+        out = hasse_at(ctx, k, coeffs, r6s)
+        if (k, coeffs) == row and len(r6s) < 64 and r6 in r6s:
+            i = list(r6s).index(r6)
+            out[i] = ctx._mul(out[i], g)
+        return out
+
+    monkeypatch.setattr(search_module, "_hasse_at", corrupted)
+    with pytest.raises(InconsistencyError, match=f"class {h} has residue"):
+        census(ctx)
+
+
 def test_census_logs_one_record_and_keeps_output(caplog):
     fields = [(19, 1), (211, 1), (3, 4), (31, 2)]
 
@@ -412,7 +493,7 @@ def test_census_logs_one_record_and_keeps_output(caplog):
         text = record.getMessage()
         assert text.startswith(f"census over {make_field(p, n)}: ")
         for part in ("models tested", "singular skipped", "rows tabulated",
-                     "rows skipped", "scan ", "witness validation "):
+                     "rows skipped", "witness rows", "scan ", "witness validation "):
             assert part in text
         assert text.endswith(" s")
 
