@@ -52,7 +52,7 @@ from .gf import (
     primitive_element,
     quadratic_character,
 )
-from .poly import Factorization, Polynomial, factor
+from .poly import Factorization, Polynomial, degree_pattern, factor
 from .search import (
     RealizabilityReport,
     WitnessRecord,
@@ -68,7 +68,7 @@ __all__ = [
     "__version__",
     "FieldCtx", "FieldElement", "make_field", "norm_to_prime",
     "quadratic_character", "primitive_element", "discrete_log",
-    "Polynomial", "Factorization", "factor",
+    "Polynomial", "Factorization", "factor", "degree_pattern",
     "WeierstrassCurve", "FrobeniusData", "point_count", "hasse_invariant",
     "is_ordinary", "twist",
     "UnitClass", "unit_class_of", "enumerate_classes", "phi",

@@ -238,7 +238,8 @@ def ptorsion_description(curve: WeierstrassCurve) -> PTorsionDescription:
     is the norm to F_p, an element of order d = the class order of A.  So
     y^(p-1) - A splits into (p-1)/d irreducible factors of degree d
     (Lidl and Niederreiter, Finite Fields, ch. 3, on binomials).  The
-    etale suite audits this against factor().
+    etale suite audits this against degree_pattern(), factor()'s
+    distinct-degree split.
     """
     ctx = curve.ctx
     a = hasse_invariant(curve)

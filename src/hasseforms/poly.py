@@ -8,17 +8,20 @@ for pow_truncated, which raises a polynomial to a power while discarding
 every coefficient above the cap.  pow_truncated is the slow reference
 route that tests and suites hold the closed-form Hasse invariant of
 curve.py against, not a sweep kernel.  factor is a fully deterministic
-factorisation into monic irreducibles.
+factorisation into monic irreducibles, and degree_pattern returns its
+degree multiset from the squarefree and distinct-degree splits alone.
 
 factor works in one residue ring F_q[x]/(m) per modulus m (_Residues):
 packed ints over F_p, Polynomials over F_q with n > 1.  The q-th power
 map is F_q-linear, so each ring keeps a Frobenius table of x^(iq) mod m,
 built once from x^q, and a q-th power costs one pass over that table
-instead of powering by q.  The distinct-degree split steps x^(q^d) by
-that map in the ring of the squarefree part; the equal-degree split
-powers each candidate once on the whole product and refines every
-unfinished piece by it, with no recursion.  gcd over F_p runs Euclid on
-int lists.
+instead of powering by q.  The distinct-degree split (_distinct_degree)
+steps x^(q^d) by that map in the ring of the squarefree part and yields
+the product of the factors of each degree; the number of factors is its
+degree over d, which is all degree_pattern reads.  factor then runs the
+equal-degree split on each product of several factors: it powers each
+candidate once on the whole product and refines every unfinished piece
+by it, with no recursion.  gcd over F_p runs Euclid on int lists.
 
 Determinism of factor: the squarefree split and the distinct-degree split
 are deterministic as written.  Separating several irreducible factors of
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 from .errors import ZeroPolynomialError
 from .gf import FieldCtx, FieldElement, _rem_ints
 
-__all__ = ["Polynomial", "Factorization", "gcd", "factor"]
+__all__ = ["Polynomial", "Factorization", "gcd", "factor", "degree_pattern"]
 
 logger = logging.getLogger("hasseforms")
 
@@ -610,44 +613,32 @@ def _equal_degree_split(ring: _Residues, d: int) -> tuple[list[Polynomial], int]
     raise RuntimeError("equal-degree split exhausted its search space")
 
 
-def _split_squarefree(sq: Polynomial) -> tuple[list[Polynomial], int, int]:
-    # monic squarefree -> monic irreducibles, the splitting candidates
-    # tried and the residue rings built, by distinct degree from d = 1:
-    # gcd(rem, x^(q^d) - x) is the product gd of the factors of degree d
-    # left in rem, so the roots come out of one x^q, with no evaluation at
-    # the q elements.  x^(q^d) steps by one frob of sq's ring, which
-    # serves every rem, since rem divides sq.  A gd of degree d is one
-    # factor; a larger one splits in sq's ring if it is all of sq, else
-    # in its own
+def _distinct_degree(sq: Polynomial):
+    # monic squarefree sq -> (d, gd, ring) for each d with factors, in
+    # increasing d, where gd is the product of sq's irreducible factors of
+    # degree d and ring is sq's residue ring (None if it was never built),
+    # by distinct degree from d = 1: gcd(rem, x^(q^d) - x) is the product
+    # gd of the factors of degree d left in rem, so the roots come out of
+    # one x^q, with no evaluation at the q elements.  x^(q^d) steps by one
+    # frob of sq's ring, which serves every rem, since rem divides sq.
+    # Once 2d exceeds the degree of rem, rem is irreducible and comes last
     X = Polynomial.x(sq.ctx)
-    out: list[Polynomial] = []
-    tried = rings = 0
+    ring = None
     rem, d = sq, 0
     while rem.degree > 0:
         d += 1
         if 2 * d > rem.degree:
-            out.append(rem)
-            break
+            yield rem.degree, rem, ring
+            return
         if d == 1:
             ring = _Residues(sq)
-            rings += 1
             frob = ring.x_q()
         else:
             frob = ring.frob(frob)
         gd = gcd(rem, ring.poly(frob) - X)
-        if gd.degree == d:
-            out.append(gd)
-        elif gd.degree > d:
-            split = ring
-            if gd.degree < sq.degree:
-                split = _Residues(gd)
-                rings += 1
-            factors, k = _equal_degree_split(split, d)
-            out.extend(factors)
-            tried += k
         if gd.degree > 0:
+            yield d, gd, ring
             rem = rem // gd
-    return out, tried, rings
 
 
 def factor(f: Polynomial) -> Factorization:
@@ -664,10 +655,19 @@ def factor(f: Polynomial) -> Factorization:
     pairs: list[tuple[Polynomial, int]] = []
     tried = rings = 0
     for sq, mult in _squarefree_parts(g):
-        factors, k, r = _split_squarefree(sq)
-        pairs.extend((irr, mult) for irr in factors)
-        tried += k
-        rings += r
+        ring = None
+        for d, gd, ring in _distinct_degree(sq):
+            if gd.degree == d:
+                factors = [gd]
+            else:
+                # a product of several factors splits in sq's ring if it
+                # is all of sq, else in its own
+                split = ring if gd.degree == sq.degree else _Residues(gd)
+                rings += split is not ring
+                factors, k = _equal_degree_split(split, d)
+                tried += k
+            pairs.extend((irr, mult) for irr in factors)
+        rings += ring is not None
     pairs.sort(key=lambda pm: (pm[0].degree, pm[0].ranks))
     total = sum(poly.degree * mult for poly, mult in pairs)
     if total != f.degree:
@@ -676,3 +676,26 @@ def factor(f: Polynomial) -> Factorization:
                  "candidates tried, %d residue rings, %.3f s", f.degree,
                  f.ctx.p, f.ctx.n, tried, rings, time.perf_counter() - t0)
     return Factorization(unit, tuple(pairs))
+
+
+def degree_pattern(f: Polynomial) -> tuple[int, ...]:
+    """factor(f).degree_multiset, read off the distinct-degree split alone.
+
+    The product gd of the factors of degree d fixes their number,
+    gd.degree // d, so the equal-degree split, which separates them, is
+    skipped.  Logs one DEBUG record to the "hasseforms" logger with the
+    degree, the number of factors and the seconds taken.
+    """
+    if not f:
+        raise ZeroPolynomialError("cannot factor the zero polynomial")
+    t0 = time.perf_counter()
+    out: list[int] = []
+    for sq, mult in _squarefree_parts(f.monic()[1]):
+        for d, gd, _ in _distinct_degree(sq):
+            out.extend([d] * (gd.degree // d * mult))
+    if sum(out) != f.degree:
+        raise RuntimeError("degree_pattern lost degree, this is a bug")
+    logger.debug("read the degree pattern of a degree-%d polynomial over F_%d^%d "
+                 "by distinct degree: %d factors, %.3f s", f.degree,
+                 f.ctx.p, f.ctx.n, len(out), time.perf_counter() - t0)
+    return tuple(sorted(out))

@@ -33,7 +33,7 @@ from .forms import (
     twist_class_action,
 )
 from .gf import FieldCtx, FieldElement, make_field
-from .poly import Polynomial, factor
+from .poly import Polynomial, degree_pattern
 from .search import _iter_rows, census, iter_curves
 
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_suite"]
@@ -254,11 +254,14 @@ def _suite_norm(res: SuiteResult, ctx: FieldCtx) -> None:
 def _suite_etale(res: SuiteResult, ctx: FieldCtx) -> None:
     """Degrees in the etale part of E[p] match the order of the class.
 
-    factor() of y^(p-1) - A_p is the independent route; ptorsion_description
-    reads the degrees off the class order instead.  A_p and its class
-    are read off the row table _row_hasse; a model is decoded for
-    ptorsion_description (once per value of A_p, and on every
-    supersingular model) and to name it in a failure.
+    degree_pattern() of y^(p-1) - A_p, the distinct-degree split that
+    factor() runs, is the independent route: the degrees are fixed by the
+    products of the factors of each degree, so the equal-degree split is
+    not needed (factor's tests audit it).  ptorsion_description reads the
+    degrees off the class order instead.  A_p and its class are read off
+    the row table _row_hasse; a model is decoded for ptorsion_description
+    (once per value of A_p, and on every supersingular model) and to name
+    it in a failure.
     """
     p, exps = ctx.p, _class_exps(ctx)
     degree_cache: dict[int, tuple[int, ...]] = {}
@@ -277,8 +280,8 @@ def _suite_etale(res: SuiteResult, ctx: FieldCtx) -> None:
             else:
                 curve = _decode(ctx, r2, r4, r6)
                 desc = ptorsion_description(curve)
-                binomial = [-FieldElement(ctx, a)] + [ctx.zero] * (p - 2) + [ctx.one]
-                degrees = factor(Polynomial(ctx, binomial)).degree_multiset
+                binomial = [ctx._neg(a)] + [0] * (p - 2) + [ctx.one.rank]
+                degrees = degree_pattern(Polynomial.from_ranks(ctx, binomial))
                 degree_cache[a] = degrees
                 res.check(desc.j_p_root ** p == desc.j and desc.etale_degrees == degrees,
                           "%r: p-th root of j or etale degrees %r disagree with factor() %r",

@@ -13,7 +13,7 @@ import pytest
 from hasseforms import make_field
 from hasseforms import poly as poly_module
 from hasseforms.errors import ZeroPolynomialError
-from hasseforms.poly import Polynomial, _Residues, factor, gcd
+from hasseforms.poly import Polynomial, _Residues, degree_pattern, factor, gcd
 
 
 def _monic_polys(ctx, degree):
@@ -391,6 +391,74 @@ def test_factor_with_repeated_squarefree_parts():
     assert fac.expand() == f
     assert sorted((g.to_str(), m) for g, m in fac.factors) == [
         ("x", 2), ("x + 1", 3), ("x^2 + 1", 1)]
+
+
+def test_degree_pattern_matches_factor_on_binomials():
+    # the etale suite's polynomials, y^(p-1) - h for every unit rank h
+    for p, n in [(p, 1) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)] + [(3, 2), (5, 2), (7, 2)]:
+        ctx = make_field(p, n)
+        y = Polynomial.x(ctx)
+        for h in range(1, ctx.q):
+            f = y ** (p - 1) - Polynomial.from_ranks(ctx, [h])
+            assert degree_pattern(f) == factor(f).degree_multiset, (p, n, h)
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (5, 1), (101, 1), (65537, 1), (3, 2), (7, 3)])
+def test_degree_pattern_matches_factor_on_random_polynomials(p, n):
+    # seeded random polynomials, some squared and, where p is small
+    # enough, some times a p-th power, whose derivative is zero
+    ctx = make_field(p, n)
+    rng = random.Random(ctx.q)
+
+    def random_poly(degree):
+        return Polynomial.from_ranks(
+            ctx, [rng.randrange(ctx.q) for _ in range(degree)] + [1 + rng.randrange(ctx.q - 1)])
+
+    for _ in range(25):
+        f = random_poly(rng.randrange(1, 25))
+        if rng.random() < 0.3:
+            f = f * f
+        if p <= 101 and rng.random() < 0.3:
+            f = f * random_poly(rng.randrange(1, 3)) ** p
+        assert degree_pattern(f) == factor(f).degree_multiset, f
+
+
+def test_degree_pattern_of_constants():
+    ctx = make_field(7, 2)
+    assert degree_pattern(Polynomial.const(ctx, 3)) == ()
+    with pytest.raises(ZeroPolynomialError):
+        degree_pattern(Polynomial(ctx))
+
+
+def _class_number(D):
+    # h(D) for a negative discriminant D, by counting reduced forms
+    # (a, b, c) with b^2 - 4ac = D: |b| <= a <= c, and b >= 0 if |b| = a
+    # or a = c
+    count, a = 0, 1
+    while 3 * a * a <= -D:
+        for b in range(1 - a, a + 1):
+            if (b * b - D) % (4 * a) == 0:
+                c = (b * b - D) // (4 * a)
+                count += c > a or (c == a and b >= 0)
+        a += 1
+    return count
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 19, 23, 43, 101, 211])
+def test_legendre_hasse_polynomial_degree_pattern(p):
+    # H_p(l) = sum C(m, i)^2 l^i, m = (p-1)/2, is A_p of y^2 = x(x-1)(x-l)
+    # up to sign, so its roots are the supersingular l.  They are simple
+    # and lie in F_p^2 (Igusa), and the number in F_p is 3 h(-p) for
+    # p = 3 mod 4 and 0 for p = 1 mod 4
+    from math import comb
+
+    ctx = make_field(p)
+    m = (p - 1) // 2
+    H = Polynomial(ctx, [comb(m, i) ** 2 % p for i in range(m + 1)])
+    assert gcd(H, H.derivative()).degree == 0
+    pattern = degree_pattern(H)
+    assert set(pattern) <= {1, 2} and sum(pattern) == m
+    assert pattern.count(1) == (3 * _class_number(-p) if p % 4 == 3 else 0)
 
 
 def test_gcd_conventions():

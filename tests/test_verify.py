@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from hasseforms import SUITE_NAMES, iter_curves, make_field, run_suite
+from hasseforms import SUITE_NAMES, hasse_invariant, iter_curves, make_field, run_suite
 from hasseforms.verify import SuiteResult
 
 
@@ -95,12 +95,23 @@ def test_etale_suite_over_f101_within_budget():
     assert elapsed < 4.0, f"etale suite over F_101 took {elapsed:.2f}s, budget 4s"
 
 
+def test_etale_suite_over_f211_within_budget():
+    # one distinct-degree split of y^210 - A_p per distinct A_p, with no
+    # equal-degree split
+    t0 = time.perf_counter()
+    result = run_suite("etale", 211)
+    elapsed = time.perf_counter() - t0
+    assert result.ok
+    assert elapsed < 5.0, f"etale suite over F_211 took {elapsed:.2f}s, budget 5s"
+
+
 def test_etale_suite_bytes_equal_with_factor_logging(caplog):
     plain = json.dumps(run_suite("etale", 17).to_dict(), sort_keys=True)
     with caplog.at_level(logging.DEBUG, logger="hasseforms"):
         logged = run_suite("etale", 17).to_dict()
     assert json.dumps(logged, sort_keys=True) == plain
-    assert any("splitting candidates tried" in r.getMessage() for r in caplog.records)
+    assert any(r.getMessage().startswith("read the degree pattern of a degree-16 polynomial")
+               for r in caplog.records)
 
 
 def test_census_suite_detail_carries_report():
@@ -297,6 +308,32 @@ def test_etale_suite_catches_seeded_regression(monkeypatch):
     assert len(result.failures) == 1
     assert result.failures[0].startswith(
         "WeierstrassCurve(y^2 = x^3 + x + 2 over F_5): supersingular but described as ")
+
+
+def test_etale_suite_catches_wrong_degree_pattern(monkeypatch):
+    # a wrong degree pattern for A_7 = 3, a generator of F_7^*, has to flip
+    # the verdict to FAIL: once against ptorsion_description, on the first
+    # model with that A_p, where the pattern is read, and once against the
+    # class order on every model with that A_p, since the pattern is
+    # cached per value of A_p.  Every other model passes
+    import hasseforms.verify as verify_mod
+
+    ctx = make_field(7)
+    real = verify_mod.degree_pattern
+    calls = []
+
+    def wrong(f):
+        calls.append(f.ranks[0])
+        return (1,) * 6 if f.ranks[0] == ctx._neg(3) else real(f)
+
+    monkeypatch.setattr(verify_mod, "degree_pattern", wrong)
+    result = run_suite("etale", 7)
+    assert calls.count(ctx._neg(3)) == 1
+    hit = [repr(c) for c in iter_curves(ctx) if hasse_invariant(c) == ctx.element(3)]
+    assert hit[0] == "WeierstrassCurve(y^2 = x^3 + 1 over F_7)"
+    assert result.failures == [
+        f"{hit[0]}: p-th root of j or etale degrees (6,) disagree with factor() (1, 1, 1, 1, 1, 1)"
+    ] + [f"{name}: etale degrees (1, 1, 1, 1, 1, 1) but class order 6" for name in hit]
 
 
 def test_run_suite_logs_one_record_and_keeps_output(caplog):
