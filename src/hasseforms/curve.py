@@ -33,12 +33,14 @@ logs with Zech steps over F_q.  hasse_invariant is _hasse_at at one a6,
 _row_hasse is _hasse_at on every a6 of the row, and the census reads
 it on blocks of a6 (the F_q scan) and on a row's witnesses (the witness
 check); Polynomial.pow_truncated is the independent route that tests
-and the closed-forms suite hold it to.  point_count makes one O(q) pass
-per curve over the logs of h = x^3 + a2 x^2 + a4 x (_row_logs), on
-ranks in _count_at, which counts the census's witnesses over F_q;
-_row_counts gives #E for every a6 of the row from one cyclic product
-over F_q^*, by the log of a6, for callers that walk whole rows: the
-census (scan and witnesses over F_p) and the row suites.
+and the closed-forms suite hold it to.  #E has one table per row too,
+the histogram M of the logs of h = x^3 + a2 x^2 + a4 x over x != 0
+(_row_hist, one byte a slot).  point_count reads it at one a6, on ranks
+in _count_at, which counts the census's witnesses over F_q: one
+C-level compress of M by a rotated byte string and a sum.  _row_counts
+reads it at every a6 of the row from one cyclic product over F_q^*, by
+the log of a6, for callers that walk whole rows: the census (scan and
+witnesses over F_p) and the row suites.
 
 A twist by d scales (a2, a4, a6) by ranks that _twist_scales gives, so
 it moves every model of an (a2, a4) row onto one other row.  twist
@@ -51,8 +53,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import repeat
-from operator import and_
+from itertools import compress
+from math import gcd
 
 from .errors import (BadCongruenceError, SingularModelError, WrongJInvariantError,
                      ZeroTwistParameterError)
@@ -199,17 +201,19 @@ def point_count(curve: WeierstrassCurve) -> FrobeniusData:
     """Exhaustive point count via the quadratic character.
 
     Each affine x contributes 1 + chi(f(x)) points, plus one at infinity.
-    Write f = h + a6 with h(x) = x^3 + a2 x^2 + a4 x.  The logarithms of
-    h at x = g^e (canonical generator g) are tabulated once per (a2, a4)
-    row (_row_logs), on every field, prime fields included.  Each
-    a6 = g^lc is then one pass over that row: chi(h + a6) =
-    chi(a6) (1 - Y[log h - lc]) with Y[t] = 1 - chi(1 + g^t), and an x
-    with h(x) = 0 adds chi(a6), so the affine character sum is
-    chi(a6) (q - sum over the row of Y[log h - lc]).  Y is one byte
-    string per context (FieldCtx._zech_y); rotated by lc it is indexed by
-    the row's logs directly, so a pass is one C-level map and a sum.
-    This is the per-curve route, _count_at on ranks; whole-row callers
-    read _row_counts.
+    Write f = h + a6 with h(x) = x^3 + a2 x^2 + a4 x.  The histogram
+    M[u] = #{x != 0 : log h(x) = u} (canonical generator g) is tabulated
+    once per (a2, a4) row (_row_hist), on every field, prime fields
+    included.  At a6 = g^lc, chi(h + a6) = chi(a6) (1 - Y[log h - lc])
+    with Y[t] = 1 - chi(1 + g^t), and an x with h(x) = 0 adds chi(a6),
+    so the affine character sum is chi(a6) (q - S) with
+    S = sum_u M[u] Y[u - lc].  Y is one byte string per context
+    (FieldCtx._zech_y), 0 or 2 except at the one t where 1 + g^t = 0,
+    where it is 1; so S is twice the sum of the M[u] that Y rotated by
+    lc keeps nonzero, one C-level compress and a sum, less M at that one
+    slot.  On 2 vCPU that is about 21-31 us at q = 31^2 and 22-29 ms at
+    q = 31^4.  This is the per-curve route, _count_at on ranks;
+    whole-row callers read _row_counts.
     """
     ctx, r2, r4, r6 = curve.ctx, curve.a2.rank, curve.a4.rank, curve.a6.rank
     count = _count_at(ctx, r2, r4, r6)
@@ -218,15 +222,18 @@ def point_count(curve: WeierstrassCurve) -> FrobeniusData:
 
 
 def _count_at(ctx: FieldCtx, r2: int, r4: int, r6: int) -> int:
-    # #E of the model with ranks (a2, a4, a6): point_count's one pass
-    q = ctx.q
-    row = _row_logs(ctx, r2, r4)
+    # #E of the model with ranks (a2, a4, a6), off the row's histogram M:
+    # with Y rotated by lc = log a6, the sum of M[u] Y[u - lc] is twice
+    # the M[u] that Y keeps nonzero, less the one slot where Y is 1
+    q, order = ctx.q, ctx.q - 1
+    hist = _row_hist(ctx, r2, r4)
     if not r6:
-        return 1 + q + len(row) - 2 * sum(map(and_, row, repeat(1)))
+        return 1 + q + sum(hist) - 2 * sum(hist[1::2])
     lc = ctx._log_tables[1][r6]
-    y, cut = ctx._zech_y, q - 1 - lc
-    rot = y[cut:] + y[:cut]  # rot[t] = Y[t - lc]
-    return 1 + q + (q - sum(map(rot.__getitem__, row))) * (1 - 2 * (lc & 1))
+    y, cut = ctx._zech_y, order - lc
+    rot = y[cut:] + y[:cut]  # rot[u] = Y[u - lc]
+    s = 2 * sum(compress(hist, rot)) - hist[(order // 2 + lc) % order]
+    return 1 + q + (q - s) * (1 - 2 * (lc & 1))
 
 
 def _decode(ctx: FieldCtx, r2: int, r4: int, r6: int) -> WeierstrassCurve:
@@ -266,59 +273,79 @@ def _zech_operand(ctx: FieldCtx) -> tuple:
 def _row_counts(ctx: FieldCtx, r2: int, r4: int) -> array:
     """#E for every a6 of the (a2, a4) row, by the log of a6.
 
-    F_q^* is cyclic, so with M[u] = #{x != 0 : log h(x) = u} off the
-    row's logs (_row_logs) the sums point_count takes for every
-    a6 = g^lc at once are C[lc] = sum_u M[u] Y[u - lc], a cyclic
-    correlation over Z/(q - 1): one packed product of M with Y reversed
-    (Lidl and Niederreiter, Finite Fields, ch. 2 and 5).  Then
-    #E = 1 + q + chi(a6) (q - C[lc]) at slot lc; a6 = 0 keeps
-    point_count's parity sum, read off M, in the last slot, so with
-    log = ctx._log_tables[1], whose log[0] is -1, row[log[a6]] reads
+    F_q^* is cyclic, so with the row's histogram M (_row_hist) the sums
+    point_count takes for every a6 = g^lc at once are
+    C[lc] = sum_u M[u] Y[u - lc], a cyclic correlation over Z/(q - 1):
+    one packed product of M with Y reversed (Lidl and Niederreiter,
+    Finite Fields, ch. 2 and 5).  Then #E = 1 + q + chi(a6) (q - C[lc])
+    at slot lc; a6 = 0 keeps _count_at's parity sum in the last slot, so
+    with log = ctx._log_tables[1], whose log[0] is -1, row[log[a6]] reads
     every a6.  On 2 vCPU a product costs about 6 ms at 10^4 slots and
-    20 s at 923,520, where a point_count pass takes 0.06 s and its row
-    0.2 s, so it serves whole rows only: the census over F_p and the
-    bridge and norm suites.  One slot: those callers walk the models row
-    by row.  No trace bound is checked here, since the row may hold
-    singular models.
+    20 s at 923,520, where one _count_at takes about 25 ms and the
+    histogram 0.1-0.2 s, so it serves whole rows only: the census over
+    F_p and the bridge and norm suites.  One slot: those callers walk
+    the models row by row.  No trace bound is checked here, since the
+    row may hold singular models.
     """
-    q, order = ctx.q, ctx.q - 1
-    row = _row_logs(ctx, r2, r4)
+    order = ctx.q - 1
     W, y_rev, offsets, even, odd = _zech_operand(ctx)
-    hist = [0] * order
-    for u in row:  # cheaper than Counter and a read in log order
-        hist[u] += 1
-    c = _cyclic_mul(W, hist, y_rev, order)
+    # iter: an array built from a bytearray would read its raw bytes
+    c = _cyclic_mul(W, iter(_row_hist(ctx, r2, r4)), y_rev, order)
     # slot by slot with no borrow or carry: 1 + 2q - C where chi(a6) = 1
     # (even slots), 1 + C where it is -1 (odd slots); W bits a count,
     # since the census keeps its rows
     counts = _unpack(W, offsets + (c & odd) - (c & even), order)
-    counts.append(1 + q + len(row) - 2 * sum(hist[1::2]))
+    counts.append(_count_at(ctx, r2, r4, 0))
     return counts
 
 
 @lru_cache(maxsize=1)
-def _row_logs(ctx: FieldCtx, r2: int, r4: int) -> array:
-    # logs mod q - 1 of h(x) = x^3 + a2 x^2 + a4 x at each x = g^e where h
-    # is nonzero: Horner on logarithms, where times x adds e and plus c is
-    # one Zech step, log(y + c) = log c + zech[log y - log c].  iter_curves
-    # walks the models row by row and the census checks its witnesses in
-    # index order, so one slot serves every a6 of a row.
+def _row_hist(ctx: FieldCtx, r2: int, r4: int) -> bytearray:
+    # M[u] = #{x != 0 : log h(x) = u} for h(x) = x^3 + a2 x^2 + a4 x, u mod
+    # q - 1: Horner on logarithms, where times x adds e at x = g^e and plus
+    # c is one Zech step, log(y + c) = log c + zech[log y - log c].  Each
+    # M[u] is at most 3, since h(x) = g^u has at most 3 roots, so a byte
+    # holds it.  iter_curves walks the models row by row and the census
+    # checks its witnesses in index order, so one slot serves every a6 of
+    # a row.
     _, log, zech = ctx._log_tables
     order = ctx.q - 1
+    hist = bytearray(order)
+    if not r2 and not r4:
+        # log h = 3e: every residue of gcd(3, q - 1) once per e
+        k = gcd(3, order)
+        hist[::k] = bytes([k]) * (order // k)
+        return hist
+    if not r2:
+        # log h = l4 + e + zech[2e - l4].  x and -x = g^(e + (q-1)/2) share
+        # x^2 + a4, so the first half of the e counts M shifted by half a
+        # turn too, added slot by slot without carries since M[u] <= 3;
+        # and on that half the Zech index walks the table with stride 2
+        # from s = -l4 round to s again, two slices at C level with no
+        # modulo inside the index
+        l4, half = log[r4], order // 2
+        s = -l4 % order
+        for c, z in enumerate(zech[s::2] + zech[s & 1:s:2], l4):
+            if z >= 0:
+                hist[(z + c) % order] += 1
+        turned = int.from_bytes(hist[half:] + hist[:half], "little")
+        return bytearray((int.from_bytes(hist, "little") + turned).to_bytes(order, "little"))
     # logs of (x + a2) x, None where it vanishes
-    if r2:
-        l2 = log[r2]
-        ys = [None if (z := zech[(e - l2) % order]) < 0 else l2 + z + e
-              for e in range(order)]
-    else:
-        ys = range(0, 2 * order, 2)
+    l2 = log[r2]
+    ys = [None if (z := zech[(e - l2) % order]) < 0 else l2 + z + e for e in range(order)]
     if not r4:
-        return array("i", [(y + e) % order for e, y in enumerate(ys) if y is not None])
-    # plus a4, then the last times x, fused into the filter
+        for e, y in enumerate(ys):
+            if y is not None:
+                hist[(y + e) % order] += 1
+        return hist
+    # plus a4, then the last times x
     l4 = log[r4]
-    return array("i", [(l4 + e if y is None else l4 + z + e) % order
-                       for e, y in enumerate(ys)
-                       if y is None or (z := zech[(y - l4) % order]) >= 0])
+    for c, y in enumerate(ys, l4):
+        if y is None:
+            hist[c % order] += 1
+        elif (z := zech[(y - l4) % order]) >= 0:
+            hist[(z + c) % order] += 1
+    return hist
 
 
 @cache

@@ -424,9 +424,13 @@ class _Residues:
 
     frob is the q-th power map.  It is F_q-linear, since g^q is the sum
     of g_i x^(iq) for g_i in F_q, so frob(a) = sum a_i T[i] with
-    T[i] = x^(iq) mod m (von zur Gathen and Shoup 1992).  T is built on
-    the first frob, from x^q by D - 2 products; a frob then costs about
-    one product, where powering by q costs about log2 q + popcount(q).
+    T[i] = x^(iq) mod m (von zur Gathen and Shoup 1992).  T starts at
+    [1, x^q] on the first frob and grows by one product per entry, only
+    as far as the highest nonzero coefficient of the residue mapped, so
+    at most D - 2 products in all: a monomial c x, as every x^(q^d) is
+    for the binomials y^(p-1) - A the etale suite splits, needs none.  A
+    frob then costs about one product, where powering by q costs about
+    log2 q + popcount(q).
     """
 
     def __init__(self, mod: Polynomial):
@@ -458,7 +462,8 @@ class _Residues:
         """The residue a as a Polynomial of degree below D."""
         if self.ctx.n > 1:
             return a
-        return Polynomial.from_ranks(self.ctx, _unpack(self._W, a, self.D))
+        W = self._W
+        return Polynomial.from_ranks(self.ctx, _unpack(W, a, (a.bit_length() + W - 1) // W))
 
     def mul(self, a, b):
         if self.ctx.n > 1:
@@ -492,15 +497,16 @@ class _Residues:
         """a^q, as the sum of a_i T[i]."""
         T = self._T
         if T is None:
-            T = [self.one, self.x_q()]
-            for _ in range(self.D - 2):
-                T.append(self.mul(T[-1], T[1]))
-            T = self._T = T[:self.D]
+            T = self._T = [self.one, self.x_q()]
         ctx = self.ctx
+        # T grows only as far as a's highest nonzero coefficient
+        top = (a.bit_length() - 1) // self._W if ctx.n == 1 else a.degree
+        while len(T) <= top:
+            T.append(self.mul(T[-1], T[1]))
         if ctx.n == 1:
             W, D, p = self._W, self.D, ctx.p
             # each slot of the sum stays below D*(p-1)^2 < 2^W
-            v = sum([c * t for c, t in zip(_unpack(W, a, D), T) if c])
+            v = sum([c * t for c, t in zip(_unpack(W, a, top + 1), T) if c])
             return _pack(W, [c % p for c in _unpack(W, v, D)])
         add, mul = ctx._add, ctx._mul
         out = [0] * self.D

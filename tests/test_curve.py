@@ -22,11 +22,13 @@ from hasseforms import (
 )
 from hasseforms.curve import (
     WeierstrassCurve,
+    _count_at,
     _disc_row,
     _hasse_at,
     _hasse_row,
     _row_counts,
     _row_hasse,
+    _row_hist,
     _trace,
     _twist_kinds,
     _twist_scales,
@@ -224,6 +226,68 @@ def test_row_counts_match_point_count(p, n):
                                  for x in els)
                     assert counts[log[a6.rank]] == 1 + affine
     assert singular_rows == (p == 3)  # only a2 = a4 = 0 in characteristic 3
+
+
+HIST_FIELDS = [(7, 1), (13, 1), (3, 2), (5, 2), (3, 3)]
+
+
+def _rows_of_h(ctx):
+    # (a2, a4, [h(x) for every x]) on every row, h = x^3 + a2 x^2 + a4 x
+    # by FieldElement arithmetic; a2 != 0 only in characteristic 3
+    els = list(ctx.iter_elements())
+    for a2 in els[:ctx.q if ctx.p == 3 else 1]:
+        for a4 in els:
+            yield a2, a4, [((x + a2) * x + a4) * x for x in els]
+
+
+@pytest.mark.parametrize("p,n", HIST_FIELDS)
+def test_row_hist_matches_direct_log_count(p, n):
+    # M[u] = #{x != 0 : log h(x) = u} on every row, a2 rows included,
+    # against logs taken by walking powers of the generator
+    ctx = make_field(p, n)
+    log, power = {}, ctx.one
+    for e in range(ctx.q - 1):
+        log[power] = e
+        power = power * ctx.generator
+    for a2, a4, hs in _rows_of_h(ctx):
+        want = [0] * (ctx.q - 1)
+        for h in hs[1:]:  # x = 0 is rank 0
+            if h:
+                want[log[h]] += 1
+        assert list(_row_hist(ctx, a2.rank, a4.rank)) == want
+
+
+@pytest.mark.parametrize("p,n", HIST_FIELDS)
+def test_count_at_matches_naive_count_at_every_a6(p, n):
+    # #E by Euler's criterion at every a6 of every row, singular models
+    # included, since _count_at is the character sum whatever the
+    # discriminant; and the slot where Y is 1, the x with h(x) = -a6,
+    # is read nonzero, so the correction there is exercised
+    ctx = make_field(p, n)
+    order, log = ctx.q - 1, ctx._log_tables[1]
+    els = list(ctx.iter_elements())
+    chi = {el: quadratic_character(el) for el in els}
+    corrected = 0
+    for a2, a4, hs in _rows_of_h(ctx):
+        hist = _row_hist(ctx, a2.rank, a4.rank)
+        for a6 in els:
+            want = 1 + sum(1 + chi[h + a6] for h in hs)
+            assert _count_at(ctx, a2.rank, a4.rank, a6.rank) == want
+            corrected += bool(a6) and hist[(order // 2 + log[a6.rank]) % order] > 0
+    assert corrected > 0
+
+
+@pytest.mark.parametrize("p,n", HIST_FIELDS + [(131, 1), (13, 2)])
+def test_row_counts_match_count_at_every_a6(p, n):
+    # the row product and the per-model pass read one histogram: slot
+    # log a6 of _row_counts is _count_at at every a6, singular or not
+    ctx = make_field(p, n)
+    log = ctx._log_tables[1]
+    for a2 in range(ctx.q if p == 3 else 1):
+        for a4 in range(ctx.q):
+            counts = _row_counts(ctx, a2, a4)
+            assert [counts[log[a6]] for a6 in range(ctx.q)] == \
+                [_count_at(ctx, a2, a4, a6) for a6 in range(ctx.q)]
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2), (3, 3),

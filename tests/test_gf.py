@@ -19,7 +19,7 @@ from hasseforms import (
     primitive_element,
     quadratic_character,
 )
-from hasseforms.curve import WeierstrassCurve, _row_logs
+from hasseforms.curve import WeierstrassCurve, _row_hist
 from hasseforms.gf import _is_irreducible_ints, _is_prime
 from hasseforms.verify import run_suite
 from hasseforms.errors import (
@@ -446,20 +446,20 @@ def test_point_count_row_memo_against_naive_count():
     per_field = [_memo_cases(ctx) for ctx in fields]
     curves = [c for cases in per_field for c, _ in cases]
     assert any(not c.a6 for c in curves) and any(c.a2 for c in curves)
-    assert any(len(_row_logs(c.ctx, c.a2.rank, c.a4.rank)) < c.ctx.q - 1
+    assert any(sum(_row_hist(c.ctx, c.a2.rank, c.a4.rank)) < c.ctx.q - 1
                for c in curves)  # h has a root besides x = 0
-    _row_logs.cache_clear()
+    _row_hist.cache_clear()
     steps = list(zip(*per_field))
     for step in steps:
         for curve, count in step:
             assert point_count(curve).count == count
     # only the second F_27 object reuses a slot, the one the first just filled
-    assert _row_logs.cache_info().hits == len(steps) > 10
+    assert _row_hist.cache_info().hits == len(steps) > 10
     # then row by row, where consecutive models share the memo slot
     for cases in per_field:
         for curve, count in cases:
             assert point_count(curve).count == count
-    assert _row_logs.cache_info().hits > 0
+    assert _row_hist.cache_info().hits > 0
 
 
 def test_point_count_tabulates_each_row_once_in_norm_suite():
@@ -474,9 +474,9 @@ def test_point_count_tabulates_each_row_once_in_norm_suite():
                 except SingularModelError:
                     continue
                 rows.add((a2, a4))
-    _row_logs.cache_clear()
+    _row_hist.cache_clear()
     assert run_suite("norm", 3, 2).ok
-    assert _row_logs.cache_info().misses == len(rows)
+    assert _row_hist.cache_info().misses == len(rows)
 
 
 def test_tables_refused_beyond_sweep_guard():

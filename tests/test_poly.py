@@ -309,6 +309,38 @@ def test_frobenius_table_matches_powering_by_q(p, n):
                 assert ring.poly(ring.frob(frob)) == _pow_mod_reference(a_q, ctx.q, mod)
 
 
+@pytest.mark.parametrize("p, n", [(13, 1), (1009, 1), (5, 3)])
+def test_frobenius_table_grows_only_to_the_top_coefficient(p, n):
+    # T = [1, x^q, x^2q, ...] grows only as far as the highest nonzero
+    # coefficient of the residue mapped; a later, longer residue extends
+    # it with the same products, and every frob matches powering by q
+    ctx = make_field(p, n)
+    rng = random.Random(ctx.q)
+    mod = Polynomial.from_ranks(ctx, [rng.randrange(ctx.q) for _ in range(23)] + [1])
+    ring = _Residues(mod)
+    longest = 1
+    for top, dense in ((0, False), (1, False), (5, False), (3, True), (22, True), (9, False)):
+        low = [rng.randrange(ctx.q) if dense else 0 for _ in range(top)]
+        a = Polynomial.from_ranks(ctx, low + [1 + rng.randrange(ctx.q - 1)])
+        assert ring.poly(ring.frob(ring.reduce(a))) == _pow_mod_reference(a, ctx.q, mod)
+        longest = max(longest, top)
+        assert len(ring._T) == longest + 1
+
+
+@pytest.mark.parametrize("p", [13, 29, 101])
+def test_binomial_distinct_degree_builds_no_frobenius_table(p):
+    # modulo y^(p-1) - A, x^p = A x, so every x^(p^d) is a monomial c x:
+    # the distinct-degree steps read T = [1, x^q] and multiply nothing
+    ctx = make_field(p)
+    stepped = False
+    for a in (2, 3, p - 1):
+        sq = Polynomial(ctx, [p - a] + [0] * (p - 2) + [1])
+        rings = [ring for _, _, ring in poly_module._distinct_degree(sq) if ring is not None]
+        assert rings and all(ring._T is None or len(ring._T) == 2 for ring in rings)
+        stepped |= any(ring._T for ring in rings)
+    assert stepped  # some binomial went past d = 1
+
+
 def _gcd_reference(f, g):
     while g:
         f, g = g, f % g

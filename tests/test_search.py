@@ -29,7 +29,7 @@ from hasseforms import search as search_module
 from hasseforms.curve import (
     WeierstrassCurve,
     _disc_row,
-    _row_logs,
+    _row_hist,
     discriminant_general,
 )
 from hasseforms.gf import _is_prime
@@ -379,7 +379,7 @@ def test_census_builds_only_witnesses(monkeypatch, p, n):
 def test_census_builds_one_point_count_row_per_witness_row(monkeypatch, p, n):
     # witnesses are checked in index order, row by row: over F_q those on
     # one (a2, a4) row share the one-slot point-count row memo; over F_p
-    # the scan builds one _row_logs row and one row product per scanned
+    # the scan builds one _row_hist row and one row product per scanned
     # row, the witnesses read their counts off those products, and no
     # point count or second product is made
     products = []
@@ -396,7 +396,7 @@ def test_census_builds_one_point_count_row_per_witness_row(monkeypatch, p, n):
     if n == 1:
         monkeypatch.setattr(search_module, "point_count", no_point_count)
     ctx = make_field(p, n)
-    _row_logs.cache_clear()
+    _row_hist.cache_clear()
     curve_module._row_counts.cache_clear()
     report = census(ctx)
     rows = {(e.witness.a2, e.witness.a4) for e in report.entries if e.witness}
@@ -404,9 +404,9 @@ def test_census_builds_one_point_count_row_per_witness_row(monkeypatch, p, n):
     if n == 1:
         ranks = {(ctx(a2).rank, ctx(a4).rank) for a2, a4 in rows}
         assert ranks <= set(products) and len(products) == len(set(products))
-        assert _row_logs.cache_info().misses == len(products)
+        assert _row_hist.cache_info().misses == len(products)
     else:
-        assert _row_logs.cache_info().misses == len(rows)
+        assert _row_hist.cache_info().misses == len(rows)
         assert products == []
 
 
