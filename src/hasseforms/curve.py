@@ -35,12 +35,13 @@ it on blocks of a6 (the F_q scan) and on a row's witnesses (the witness
 check); Polynomial.pow_truncated is the independent route that tests
 and the closed-forms suite hold it to.  #E has one table per row too,
 the histogram M of the logs of h = x^3 + a2 x^2 + a4 x over x != 0
-(_row_hist, one byte a slot).  point_count reads it at one a6, on ranks
-in _count_at, which counts the census's witnesses over F_q: one
-C-level compress of M by a rotated byte string and a sum.  _row_counts
-reads it at every a6 of the row from one cyclic product over F_q^*, by
-the log of a6, for callers that walk whole rows: the census (scan and
-witnesses over F_p) and the row suites.
+(_row_hist, one byte a slot, with two bit planes of it).  point_count
+reads it at one a6, on ranks in _count_at, which counts the census's
+witnesses over F_q: two popcounts of the planes against one rotated
+mask per context.  _row_counts reads it at every a6 of the row from one
+cyclic product over F_q^*, by the log of a6, for callers that walk
+whole rows: the census (scan and witnesses over F_p) and the row
+suites.
 
 A twist by d scales (a2, a4, a6) by ranks that _twist_scales gives, so
 it moves every model of an (a2, a4) row onto one other row.  twist
@@ -53,7 +54,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import compress
 from math import gcd
 
 from .errors import (BadCongruenceError, SingularModelError, WrongJInvariantError,
@@ -65,6 +65,12 @@ __all__ = ["WeierstrassCurve", "FrobeniusData", "point_count", "hasse_invariant"
            "is_ordinary", "twist", "TWIST_KINDS"]
 
 TWIST_KINDS = ("quadratic", "quartic", "sextic")
+
+# byte maps for translate to the digits "0" and "1": bit 0 and bit 1 of a
+# histogram slot, and Y != 0
+_BIT0 = bytes(48 + (b & 1) for b in range(256))
+_BIT1 = bytes(48 + (b >> 1 & 1) for b in range(256))
+_NONZERO = bytes([48] + [49] * 255)
 
 
 class WeierstrassCurve:
@@ -210,10 +216,14 @@ def point_count(curve: WeierstrassCurve) -> FrobeniusData:
     S = sum_u M[u] Y[u - lc].  Y is one byte string per context
     (FieldCtx._zech_y), 0 or 2 except at the one t where 1 + g^t = 0,
     where it is 1; so S is twice the sum of the M[u] that Y rotated by
-    lc keeps nonzero, one C-level compress and a sum, less M at that one
-    slot.  On 2 vCPU that is about 21-31 us at q = 31^2 and 22-29 ms at
-    q = 31^4.  This is the per-curve route, _count_at on ranks;
-    whole-row callers read _row_counts.
+    lc keeps nonzero, less M at that one slot.  The row memo holds M with
+    its bit planes, ints with bit u set where bit 0, and bit 1, of M[u]
+    is (M[u] <= 3), and each context one int with bit t set where
+    Y[t] != 0, so that sum is popcount(low & rot) + 2 popcount(high & rot)
+    with rot the mask rotated by lc: a shift, two ands and two popcounts
+    over q/8 bytes.  On 2 vCPU a count takes about 0.4 ms at q = 1021^2.
+    This is the per-curve route, _count_at on ranks; whole-row callers
+    read _row_counts.
     """
     ctx, r2, r4, r6 = curve.ctx, curve.a2.rank, curve.a4.rank, curve.a6.rank
     count = _count_at(ctx, r2, r4, r6)
@@ -222,17 +232,18 @@ def point_count(curve: WeierstrassCurve) -> FrobeniusData:
 
 
 def _count_at(ctx: FieldCtx, r2: int, r4: int, r6: int) -> int:
-    # #E of the model with ranks (a2, a4, a6), off the row's histogram M:
-    # with Y rotated by lc = log a6, the sum of M[u] Y[u - lc] is twice
-    # the M[u] that Y keeps nonzero, less the one slot where Y is 1
+    # #E of the model with ranks (a2, a4, a6), off the row's histogram M and
+    # its bit planes: with Y rotated by lc = log a6, the sum of M[u] Y[u - lc]
+    # is twice the M[u] that Y keeps nonzero, by popcounts of the planes
+    # against the rotated mask, less the one slot where Y is 1
     q, order = ctx.q, ctx.q - 1
-    hist = _row_hist(ctx, r2, r4)
+    hist, low, high = _row_hist(ctx, r2, r4)
     if not r6:
         return 1 + q + sum(hist) - 2 * sum(hist[1::2])
     lc = ctx._log_tables[1][r6]
-    y, cut = ctx._zech_y, order - lc
-    rot = y[cut:] + y[:cut]  # rot[u] = Y[u - lc]
-    s = 2 * sum(compress(hist, rot)) - hist[(order // 2 + lc) % order]
+    rot = _zech_mask(ctx) >> order - lc  # bit u: Y[u - lc] != 0
+    s = (2 * ((low & rot).bit_count() + 2 * (high & rot).bit_count())
+         - hist[(order // 2 + lc) % order])
     return 1 + q + (q - s) * (1 - 2 * (lc & 1))
 
 
@@ -270,6 +281,20 @@ def _zech_operand(ctx: FieldCtx) -> tuple:
 
 
 @lru_cache(maxsize=1)
+def _zech_mask(ctx: FieldCtx) -> int:
+    # bit t is set where Y[t] != 0, the q - 1 bits written twice, so that
+    # shifting right by q - 1 - lc bits rotates the mask by lc
+    y = ctx._zech_y.translate(_NONZERO)
+    return _bits(y + y)
+
+
+def _bits(digits: bytes) -> int:
+    # the int with bit u set where digits[u] is "1", at C level: int reads
+    # a base-2 string, most significant digit first, in linear time
+    return int(digits[::-1], 2)
+
+
+@lru_cache(maxsize=1)
 def _row_counts(ctx: FieldCtx, r2: int, r4: int) -> array:
     """#E for every a6 of the (a2, a4) row, by the log of a6.
 
@@ -281,7 +306,7 @@ def _row_counts(ctx: FieldCtx, r2: int, r4: int) -> array:
     at slot lc; a6 = 0 keeps _count_at's parity sum in the last slot, so
     with log = ctx._log_tables[1], whose log[0] is -1, row[log[a6]] reads
     every a6.  On 2 vCPU a product costs about 6 ms at 10^4 slots and
-    20 s at 923,520, where one _count_at takes about 25 ms and the
+    20 s at 923,520, where one _count_at takes well under 1 ms and the
     histogram 0.1-0.2 s, so it serves whole rows only: the census over
     F_p and the bridge and norm suites.  One slot: those callers walk
     the models row by row.  No trace bound is checked here, since the
@@ -290,7 +315,7 @@ def _row_counts(ctx: FieldCtx, r2: int, r4: int) -> array:
     order = ctx.q - 1
     W, y_rev, offsets, even, odd = _zech_operand(ctx)
     # iter: an array built from a bytearray would read its raw bytes
-    c = _cyclic_mul(W, iter(_row_hist(ctx, r2, r4)), y_rev, order)
+    c = _cyclic_mul(W, iter(_row_hist(ctx, r2, r4)[0]), y_rev, order)
     # slot by slot with no borrow or carry: 1 + 2q - C where chi(a6) = 1
     # (even slots), 1 + C where it is -1 (odd slots); W bits a count,
     # since the census keeps its rows
@@ -300,14 +325,23 @@ def _row_counts(ctx: FieldCtx, r2: int, r4: int) -> array:
 
 
 @lru_cache(maxsize=1)
-def _row_hist(ctx: FieldCtx, r2: int, r4: int) -> bytearray:
+def _row_hist(ctx: FieldCtx, r2: int, r4: int) -> tuple[bytearray, int, int]:
+    # the row's histogram M (_log_hist) and its two bit planes, ints with bit
+    # u set where bit 0, and bit 1, of M[u] is: since M[u] <= 3, the sum of
+    # M[u] over the u a mask sets is popcount(low & mask) + 2 popcount(high
+    # & mask).  iter_curves walks the models row by row and the census
+    # checks its witnesses in index order, so one slot serves every a6 of a
+    # row.
+    hist = _log_hist(ctx, r2, r4)
+    return hist, _bits(hist.translate(_BIT0)), _bits(hist.translate(_BIT1))
+
+
+def _log_hist(ctx: FieldCtx, r2: int, r4: int) -> bytearray:
     # M[u] = #{x != 0 : log h(x) = u} for h(x) = x^3 + a2 x^2 + a4 x, u mod
     # q - 1: Horner on logarithms, where times x adds e at x = g^e and plus
     # c is one Zech step, log(y + c) = log c + zech[log y - log c].  Each
     # M[u] is at most 3, since h(x) = g^u has at most 3 roots, so a byte
-    # holds it.  iter_curves walks the models row by row and the census
-    # checks its witnesses in index order, so one slot serves every a6 of
-    # a row.
+    # holds it.
     _, log, zech = ctx._log_tables
     order = ctx.q - 1
     hist = bytearray(order)

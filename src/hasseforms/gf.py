@@ -403,12 +403,25 @@ class FieldCtx:
             half = n // 2
             size, wide = p**half, (2 * p - 1)**half
             radix = [(2 * p - 1) ** (n - 1 - i) for i in range(n)]
-            conv_mul, tup, gc = self._conv_mul, self._tuple_from_rank, g.coeffs
-            lo = [sum(map(mul, conv_mul(tup(r), gc), radix)) for r in range(size)]
-            hi = [sum(map(mul, conv_mul(tup(r * size), gc), radix))
-                  for r in range(q // size)]
             mod_p = [d % p for d in range(2 * p - 1)]
             red_lo, red_hi = _digit_table(p, half, mod_p), _digit_table(p, n - half, mod_p)
+            # a half table grows one digit at a time from the images of the
+            # basis t^i, as image(x + d t^i) = image(x) + d image(t^i), the
+            # sum's digits taken mod p and written back in radix 2p - 1
+            enc_lo = _digit_table(2 * p - 1, half, range(p))
+            enc_hi = _digit_table(2 * p - 1, n - half, range(p))
+            basis = [self._conv_mul(self._tuple_from_rank(w), g.coeffs) for w in self._weights]
+
+            def images(digits):
+                table = [0]
+                for i in digits:
+                    steps = [sum((d * c % p) * r for c, r in zip(basis[i], radix))
+                             for d in range(p)]
+                    table = [enc_hi[red_hi[h]] * wide + enc_lo[red_lo[l]]
+                             for h, l in (divmod(t + s, wide) for t in table for s in steps)]
+                return table
+
+            lo, hi = images(range(n - half, n)), images(range(n - half))
             # the halves (h, l) of rank(g^e) = h * size + l, e < N
             his, los = [0] * walked, [0] * walked
             h, l = divmod(unit, size)

@@ -403,8 +403,10 @@ def _reduction_table(m, p: int, W: int) -> list[int]:
     R = [_pack(W, [-c % p for c in m[:D]])]
     for _ in range(D - 2):
         v = R[-1] << W
-        v = (v & mask) + (v >> W * D) * R[0]
-        R.append(_pack(W, [c % p for c in _unpack(W, v, D)]))
+        if top := v >> W * D:
+            v = (v & mask) + top * R[0]
+            v = _pack(W, [c % p for c in _unpack(W, v, D)])
+        R.append(v)  # a zero top slot shifts out nothing to reduce
     return R
 
 

@@ -15,8 +15,12 @@ Each row drops the discriminant's roots (_singular_a6), as _iter_rows
 does.  Over F_p the row kernel (curve._row_counts, one packed product per
 row) gives every point count of the row, and the residue is the trace
 mod p; over F_q it is phi([A_p]), A_p off curve._hasse_at on blocks of
-a6 that double in size.  The winners are checked on ranks too, one
-curve._hasse_at call per witness row (_check_row).  iter_curves and the
+a6 that double in size.  A row where A_p = c a6^k (row a4 = 0 where
+p = 1 mod 3) reaches only the classes of one coset, since F_q^* is
+cyclic (Lidl and Niederreiter, Finite Fields, ch. 2), and stops once it
+has hit them all.  The winners are checked on ranks too, one
+curve._hasse_at call per witness row (_check_row), with counts off the
+row product over F_p and curve._count_at over F_q.  iter_curves and the
 no-shortcut search build every model and audit the scan; tests decode
 every witness to audit the check.
 """
@@ -155,8 +159,14 @@ def _classified(ctx: FieldCtx, tally: Counter | None = None,
     mod p off the row product (curve._row_counts, read at the log of a6
     and kept in counts by (a2, a4) ranks); over F_q it is phi([A_p])
     (forms._class_residues) off curve._hasse_at, on blocks of a6 that
-    double from 64, so a row left after m models costs about 2m + 64
-    evaluations.  tally counts the rows tabulated and skipped and the
+    double from 64 (_row_residues), so a row left after m models costs
+    about 2m + 64 evaluations.  A row whose closed form has one
+    coefficient, A_p = c a6^k with k > 0 (row a4 = 0 where p = 1 mod 3,
+    every row of p = 7, the a4 != 0 rows of p = 11), has classes
+    log c + k log a6 mod (p - 1), one coset of (p - 1)/gcd(k, p - 1) of
+    them, so it stops once it has yielded that many distinct nonzero
+    residues: no later model on it can be a first hit.  tally counts
+    the rows tabulated, skipped and stopped at their coset, and the
     discriminant roots of each tabulated row.
     """
     p, q, pm1 = ctx.p, ctx.q, ctx.p - 1
@@ -184,16 +194,33 @@ def _classified(ctx: FieldCtx, tally: Counter | None = None,
                 yield base + next(r6s), _class_residues(ctx)[log[a] % pm1] if a else 0
                 if not terms:
                     break  # A_3 = a2: the rest of the slab has this residue
-            elif ctx.n == 1:
+                continue
+            if ctx.n == 1:
                 counts[a2r, a4r] = row = _row_counts(ctx, a2r, a4r)
-                for r6 in r6s:
-                    yield base + r6, (1 - row[log[r6]]) % p
+                models = ((r6, (1 - row[log[r6]]) % p) for r6 in r6s)
             else:
-                by_class, size = _class_residues(ctx), 64
-                while block := list(islice(r6s, size)):
-                    for r6, a in zip(block, _hasse_at(ctx, k, coeffs, block)):
-                        yield base + r6, by_class[log[a] % pm1] if a else 0
-                    size *= 2
+                models = _row_residues(ctx, k, coeffs, r6s)
+            # one coefficient, A_p = c a6^k: the classes log c + k log a6 mod
+            # (p - 1) are one coset of the multiples of gcd(k, p - 1)
+            reach, hit = pm1 // gcd(k, pm1) if len(coeffs) == 1 else 0, set()
+            for r6, r in models:
+                yield base + r6, r
+                if reach and r:
+                    hit.add(r)
+                    if len(hit) == reach:
+                        tally["rows stopped"] += 1
+                        break
+
+
+def _row_residues(ctx: FieldCtx, k: int, coeffs: tuple[int, ...],
+                  r6s: Iterator[int]) -> Iterator[tuple[int, int]]:
+    # (a6 rank, phi([A_p]) or 0) over F_q, A_p off curve._hasse_at on blocks
+    # of r6s that double from 64
+    by_class, log, pm1, size = _class_residues(ctx), ctx._log_tables[1], ctx.p - 1, 64
+    while block := list(islice(r6s, size)):
+        for r6, a in zip(block, _hasse_at(ctx, k, coeffs, block)):
+            yield r6, by_class[log[a] % pm1] if a else 0
+        size *= 2
 
 
 def find_curve_with_class(ctx: FieldCtx, h: int, *,
@@ -330,8 +357,10 @@ def census(ctx: FieldCtx) -> RealizabilityReport:
     counts off the scan's row product over F_p (at the log of a6) and
     curve._count_at (point_count's pass) over F_q: no curve is built.
     The DEBUG record's "singular skipped" counts the discriminant roots of
-    each tabulated row, whether or not the scan got that far along it, and
-    "witness rows" the _check_row calls.
+    each tabulated row, whether or not the scan got that far along it,
+    "rows stopped at their coset" the rows of one-coefficient A_p the scan
+    left once their classes were all hit, and "witness rows" the
+    _check_row calls.
     """
     p, q = ctx.p, ctx.q
     residues = range(1, p)
@@ -364,10 +393,10 @@ def census(ctx: FieldCtx) -> RealizabilityReport:
     entries = tuple(ClassEntry(h, witnesses.get(h)) for h in residues)
     missing = tuple(h for h in residues if h not in found)
     logger.debug("census over %s: %d models tested, %d singular skipped, "
-                 "%d rows tabulated, %d rows skipped, %d witness rows; scan "
-                 "%.3f s, witness validation %.3f s", ctx, models, tally["singular"],
-                 tally["rows"], tally["rows skipped"], rows, t1 - t0,
-                 time.perf_counter() - t1)
+                 "%d rows tabulated, %d rows skipped, %d rows stopped at their "
+                 "coset, %d witness rows; scan %.3f s, witness validation %.3f s",
+                 ctx, models, tally["singular"], tally["rows"], tally["rows skipped"],
+                 tally["rows stopped"], rows, t1 - t0, time.perf_counter() - t1)
 
     return RealizabilityReport(
         p=p, n=ctx.n, q=q, modulus=ctx.modulus,

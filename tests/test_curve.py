@@ -8,6 +8,7 @@ package cannot drift.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -231,19 +232,23 @@ def test_row_counts_match_point_count(p, n):
 HIST_FIELDS = [(7, 1), (13, 1), (3, 2), (5, 2), (3, 3)]
 
 
-def _rows_of_h(ctx):
-    # (a2, a4, [h(x) for every x]) on every row, h = x^3 + a2 x^2 + a4 x
-    # by FieldElement arithmetic; a2 != 0 only in characteristic 3
+def _rows_of_h(ctx, rows=None):
+    # (a2, a4, [h(x) for every x]) on every row, or on the (a2, a4) ranks
+    # of rows, h = x^3 + a2 x^2 + a4 x by FieldElement arithmetic; a2 != 0
+    # only in characteristic 3
     els = list(ctx.iter_elements())
-    for a2 in els[:ctx.q if ctx.p == 3 else 1]:
-        for a4 in els:
-            yield a2, a4, [((x + a2) * x + a4) * x for x in els]
+    if rows is None:
+        rows = [(r2, r4) for r2 in range(ctx.q if ctx.p == 3 else 1) for r4 in range(ctx.q)]
+    for r2, r4 in rows:
+        a2, a4 = els[r2], els[r4]
+        yield a2, a4, [((x + a2) * x + a4) * x for x in els]
 
 
 @pytest.mark.parametrize("p,n", HIST_FIELDS)
 def test_row_hist_matches_direct_log_count(p, n):
     # M[u] = #{x != 0 : log h(x) = u} on every row, a2 rows included,
-    # against logs taken by walking powers of the generator
+    # against logs taken by walking powers of the generator; the planes
+    # hold bit 0 and bit 1 of M[u] at bit u
     ctx = make_field(p, n)
     log, power = {}, ctx.one
     for e in range(ctx.q - 1):
@@ -254,27 +259,41 @@ def test_row_hist_matches_direct_log_count(p, n):
         for h in hs[1:]:  # x = 0 is rank 0
             if h:
                 want[log[h]] += 1
-        assert list(_row_hist(ctx, a2.rank, a4.rank)) == want
+        hist, low, high = _row_hist(ctx, a2.rank, a4.rank)
+        assert list(hist) == want
+        assert low == sum((m & 1) << u for u, m in enumerate(want))
+        assert high == sum((m >> 1) << u for u, m in enumerate(want))
 
 
-@pytest.mark.parametrize("p,n", HIST_FIELDS)
+def _sample_rows(ctx):
+    # a few rows of a larger field: a4 = 0, 1 and g, on a2 = 0 and, in
+    # characteristic 3, on a2 = 1 and g too
+    one, g = ctx.one.rank, ctx.generator.rank
+    a4s = (0, one, g)
+    return [(r2, r4) for r2 in ((0, one, g) if ctx.p == 3 else (0,)) for r4 in a4s]
+
+
+@pytest.mark.parametrize("p,n", HIST_FIELDS + [(31, 2), (3, 4)])
 def test_count_at_matches_naive_count_at_every_a6(p, n):
-    # #E by Euler's criterion at every a6 of every row, singular models
-    # included, since _count_at is the character sum whatever the
-    # discriminant; and the slot where Y is 1, the x with h(x) = -a6,
-    # is read nonzero, so the correction there is exercised
+    # #E by Euler's criterion at every a6 of every row (of a sample of rows
+    # past q = 49), singular models included, since _count_at is the
+    # character sum whatever the discriminant.  The slot where Y is 1, the
+    # x with h(x) = -a6, is read nonzero on both sides of the wrap of its
+    # index (q - 1)/2 + lc, so the correction there is exercised; every a6
+    # puts lc at 0 and at q - 2, the ends of the mask's rotation
     ctx = make_field(p, n)
-    order, log = ctx.q - 1, ctx._log_tables[1]
-    els = list(ctx.iter_elements())
-    chi = {el: quadratic_character(el) for el in els}
-    corrected = 0
-    for a2, a4, hs in _rows_of_h(ctx):
-        hist = _row_hist(ctx, a2.rank, a4.rank)
-        for a6 in els:
-            want = 1 + sum(1 + chi[h + a6] for h in hs)
-            assert _count_at(ctx, a2.rank, a4.rank, a6.rank) == want
-            corrected += bool(a6) and hist[(order // 2 + log[a6.rank]) % order] > 0
-    assert corrected > 0
+    order, log, add = ctx.q - 1, ctx._log_tables[1], ctx._add
+    chi = [quadratic_character(el) for el in ctx.iter_elements()]
+    wrapped = set()
+    for a2, a4, hs in _rows_of_h(ctx, _sample_rows(ctx) if ctx.q > 49 else None):
+        hist = _row_hist(ctx, a2.rank, a4.rank)[0]
+        mult = Counter(h.rank for h in hs)
+        for a6 in range(ctx.q):
+            want = 1 + sum(m * (1 + chi[add(h, a6)]) for h, m in mult.items())
+            assert _count_at(ctx, a2.rank, a4.rank, a6) == want
+            if a6 and hist[(order // 2 + log[a6]) % order]:
+                wrapped.add(order // 2 + log[a6] >= order)
+    assert wrapped == {False, True}
 
 
 @pytest.mark.parametrize("p,n", HIST_FIELDS + [(131, 1), (13, 2)])

@@ -13,6 +13,7 @@ import pytest
 from hasseforms import make_field
 from hasseforms import poly as poly_module
 from hasseforms.errors import ZeroPolynomialError
+from hasseforms.gf import _rem_ints
 from hasseforms.poly import Polynomial, _Residues, degree_pattern, factor, gcd
 
 
@@ -371,6 +372,24 @@ def test_factors_pass_rabin_check(p):
                 assert _gcd_reference(g, power - x).degree == 0
                 checked += 1
     assert checked > 20
+
+
+@pytest.mark.parametrize("p,m", [
+    (211, [3] + [0] * 209 + [1]),            # binomial y^210 - A: no reductions
+    (7, [2, 0, 0, 5, 0, 0, 0, 1]),           # trinomial
+    (13, [4, 11, 7, 2, 9, 12, 3, 6, 5, 1]),   # dense
+])
+def test_reduction_table_holds_reduced_powers_of_x(p, m):
+    # R[j] = x^(D+j) mod m, packed, against the plain int remainder, for
+    # every j the ring reads: moduli whose shifted-out top slot is zero,
+    # sometimes and always, and one where it is not
+    D = len(m) - 1
+    W = poly_module._slot_width(2 * D * (p - 1) ** 2)
+    table = poly_module._reduction_table(m, p, W)
+    assert len(table) == D - 1
+    for j, packed in enumerate(table):
+        want = _rem_ints([0] * (D + j) + [1], m, p)
+        assert list(poly_module._unpack(W, packed, D)) == want + [0] * (D - len(want))
 
 
 def test_factor_builds_one_reduction_table_per_modulus(monkeypatch, caplog):

@@ -14,6 +14,7 @@ from hasseforms import (
     admissible_traces,
     census,
     describe_witness,
+    discrete_log,
     find_curve_with_class,
     hasse_invariant,
     iter_curves,
@@ -29,6 +30,7 @@ from hasseforms import search as search_module
 from hasseforms.curve import (
     WeierstrassCurve,
     _disc_row,
+    _hasse_row,
     _row_hist,
     discriminant_general,
 )
@@ -305,10 +307,33 @@ def test_census_witnesses_match_exhaustive_search(p, n):
         assert find_curve_with_class(ctx, entry.residue) == slow
 
 
+def _monomial_row(ctx, row):
+    # True when A_p = c a6^k on the row's (index, A_p) models for some c != 0
+    # and k >= 1, by discrete logs: log A_p - k log a6 is one constant, with
+    # k read off two models at consecutive logs of a6 (a row misses at most
+    # the two a6 where its discriminant vanishes)
+    order, logs = ctx.q - 1, {}
+    for idx, a in row:
+        a6 = ctx.from_rank(idx % ctx.q)
+        if bool(a) != bool(a6):
+            return False
+        if a6:
+            logs[discrete_log(a6)] = discrete_log(a)
+    e = next((e for e in logs if (e + 1) % order in logs), None)
+    if e is None:
+        return False
+    k = (logs[(e + 1) % order] - logs[e]) % order
+    return k > 0 and len({(la - k * e6) % order for e6, la in logs.items()}) == 1
+
+
 def _classified_on_objects(ctx):
-    # the scan's rule on curves: decode every index, and keep only the first
+    # the scan's rules on curves: decode every index, and keep only the first
     # model of an a2 slab, else of an a4 row, on which A_p takes one value
-    # (an a2 slab for A_3 = a2, an a4 row for A_5 = 2 a4 or A_p = 0)
+    # (an a2 slab for A_3 = a2, an a4 row for A_5 = 2 a4 or A_p = 0); and
+    # on a row where A_p = c a6^k with k >= 1 (the a2 = a4 = 0 row where
+    # p = 1 mod 3, every row of p = 7 and the a4 != 0 rows of p = 11), cut
+    # after the first index by which every residue of the whole row has
+    # appeared
     q, out = ctx.q, []
     for slab in range(_index_space(ctx) // (q * q)):
         rows = [[(idx, hasse_invariant(c))
@@ -318,7 +343,15 @@ def _classified_on_objects(ctx):
             rows = [next(row for row in rows if row)]
         for row in rows:
             keep = row[:1] if len({a.rank for _, a in row}) == 1 else row
-            out += [(idx, int(phi(unit_class_of(a))) if a else 0) for idx, a in keep]
+            keep = [(idx, int(phi(unit_class_of(a))) if a else 0) for idx, a in keep]
+            if _monomial_row(ctx, row):
+                reach, seen = {r for _, r in keep if r}, set()
+                for cut, (_, r) in enumerate(keep, 1):
+                    seen.add(r)
+                    if seen >= reach:
+                        keep = keep[:cut]
+                        break
+            out += keep
     return out
 
 
@@ -326,9 +359,11 @@ def _classified_on_objects(ctx):
                                  (3, 2), (3, 3), (5, 2), (7, 2), (5, 3), (11, 2), (17, 2)])
 def test_rank_scan_matches_object_route(monkeypatch, p, n):
     # the p = 3 slab, the p = 5 row, the A_p = 0 row a4 = 0 where p = 2
-    # mod 3, and the full scan, over F_p (the row product) and F_q (blocks
-    # of _hasse_at, past the first block of 64 at q = 121 and 289), on
-    # every row: the coset rule is turned off here, and pinned by
+    # mod 3, the rows of A_p = c a6^k that stop at their coset (k = 2 over
+    # F_13, 3 over F_19, 1 over F_7^2 and F_11^2), and the full scan, over
+    # F_p (the row product) and F_q (blocks of _hasse_at, past the first
+    # block of 64 at q = 121 and 289), on every row: the rule that skips
+    # rows a4 = u^4 a4' is turned off here, and pinned by
     # test_coset_rows_share_residues
     monkeypatch.setattr(search_module, "_row_cosets", lambda ctx: 0)
     ctx = make_field(p, n)
@@ -493,9 +528,27 @@ def test_census_logs_one_record_and_keeps_output(caplog):
         text = record.getMessage()
         assert text.startswith(f"census over {make_field(p, n)}: ")
         for part in ("models tested", "singular skipped", "rows tabulated",
-                     "rows skipped", "witness rows", "scan ", "witness validation "):
+                     "rows skipped", "rows stopped at their coset", "witness rows",
+                     "scan ", "witness validation "):
             assert part in text
         assert text.endswith(" s")
+
+
+@pytest.mark.parametrize("p,n,k,models", [(19, 2, 3, 89), (31, 2, 5, 243)])
+def test_census_stops_row_a4_zero_at_its_coset(caplog, p, n, k, models):
+    # on row a4 = 0, A_p = c a6^k with k = 3 over F_19^2 and k = 5 over
+    # F_31^2, so its classes are one coset of 6 in F_p^*: the row stops at
+    # the model that hits the sixth, where reading it through tested 424
+    # and 1,161 models; the census then finds the rest on row a4 = 1
+    ctx = make_field(p, n)
+    assert _hasse_row(ctx, 0, 0)[0] == k and len(_hasse_row(ctx, 0, 0)[1]) == 1
+    with caplog.at_level(logging.DEBUG, logger="hasseforms"):
+        report = census(ctx)
+    assert report.verdict == "complete"
+    text = next(r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("census over"))
+    assert f": {models} models tested, " in text
+    assert ", 2 rows tabulated, 0 rows skipped, 1 rows stopped at their coset, " in text
 
 
 def test_sweeps_guarded_on_oversized_fields():
