@@ -31,17 +31,16 @@ one evaluator, _hasse_at, off one table per (a2, a4) row (_hasse_row):
 Horner in a6^2, an int loop per a6 over F_p and list comprehensions on
 logs with Zech steps over F_q.  hasse_invariant is _hasse_at at one a6,
 _row_hasse is _hasse_at on every a6 of the row, and the census reads
-it on blocks of a6 (the F_q scan) and on a row's witnesses (the witness
-check); Polynomial.pow_truncated is the independent route that tests
+it on blocks of a6 (rows its scan reads by A_p) and on a row's
+witnesses; Polynomial.pow_truncated is the independent route that tests
 and the closed-forms suite hold it to.  #E has one table per row too,
 the histogram M of the logs of h = x^3 + a2 x^2 + a4 x over x != 0
-(_row_hist, one byte a slot, with two bit planes of it).  point_count
-reads it at one a6, on ranks in _count_at, which counts the census's
-witnesses over F_q: two popcounts of the planes against one rotated
-mask per context.  _row_counts reads it at every a6 of the row from one
-cyclic product over F_q^*, by the log of a6, for callers that walk
-whole rows: the census (scan and witnesses over F_p) and the row
-suites.
+(_row_hist, one byte a slot, and two bit planes that _count_at adds).
+point_count reads it at one a6, on ranks in _count_at, which counts the
+census's witnesses on rows read by A_p: two popcounts of the planes
+against one rotated mask per context.  _row_counts reads it at every a6
+from one cyclic product over F_q^*, by the log of a6, for callers that
+walk whole rows: the census scan over F_p and the row suites.
 
 A twist by d scales (a2, a4, a6) by ranks that _twist_scales gives, so
 it moves every model of an (a2, a4) row onto one other row.  twist
@@ -237,9 +236,13 @@ def _count_at(ctx: FieldCtx, r2: int, r4: int, r6: int) -> int:
     # is twice the M[u] that Y keeps nonzero, by popcounts of the planes
     # against the rotated mask, less the one slot where Y is 1
     q, order = ctx.q, ctx.q - 1
-    hist, low, high = _row_hist(ctx, r2, r4)
+    row = _row_hist(ctx, r2, r4)
+    hist = row[0]
     if not r6:
         return 1 + q + sum(hist) - 2 * sum(hist[1::2])
+    if len(row) == 1:  # the row's first count at a6 != 0 builds its planes
+        row += _bits(hist.translate(_BIT0)), _bits(hist.translate(_BIT1))
+    _, low, high = row
     lc = ctx._log_tables[1][r6]
     rot = _zech_mask(ctx) >> order - lc  # bit u: Y[u - lc] != 0
     s = (2 * ((low & rot).bit_count() + 2 * (high & rot).bit_count())
@@ -325,15 +328,13 @@ def _row_counts(ctx: FieldCtx, r2: int, r4: int) -> array:
 
 
 @lru_cache(maxsize=1)
-def _row_hist(ctx: FieldCtx, r2: int, r4: int) -> tuple[bytearray, int, int]:
-    # the row's histogram M (_log_hist) and its two bit planes, ints with bit
-    # u set where bit 0, and bit 1, of M[u] is: since M[u] <= 3, the sum of
-    # M[u] over the u a mask sets is popcount(low & mask) + 2 popcount(high
-    # & mask).  iter_curves walks the models row by row and the census
-    # checks its witnesses in index order, so one slot serves every a6 of a
-    # row.
-    hist = _log_hist(ctx, r2, r4)
-    return hist, _bits(hist.translate(_BIT0)), _bits(hist.translate(_BIT1))
+def _row_hist(ctx: FieldCtx, r2: int, r4: int) -> list:
+    # [M] for the row's histogram M (_log_hist); _count_at appends M's bit
+    # planes on the row's first count at a6 != 0, so rows read whole by
+    # _row_counts build none.  iter_curves walks the models row by row and
+    # the census checks its witnesses in index order, so one slot serves
+    # every a6 of a row.
+    return [_log_hist(ctx, r2, r4)]
 
 
 def _log_hist(ctx: FieldCtx, r2: int, r4: int) -> bytearray:
@@ -428,8 +429,8 @@ def _hasse_at(ctx: FieldCtx, k: int, coeffs: tuple[int, ...], r6s) -> list[int]:
     (log -1) takes a unit's place there and reads P(0), the last
     coefficient, where k = 0.  A row with no coefficient, or one and
     k = 0 (A_3 = a2, A_5 = 2 a4), is constant.  hasse_invariant,
-    _row_hasse and the census scan over F_q read it; tests pin it
-    against Polynomial.pow_truncated.
+    _row_hasse and the census scan's rows read by A_p call it; tests pin
+    it against Polynomial.pow_truncated.
     """
     if not coeffs or (len(coeffs) == 1 and not k):
         return [coeffs[0] if coeffs else 0] * len(r6s)

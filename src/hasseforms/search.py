@@ -12,15 +12,16 @@ until every wanted class has a witness.  (a4, a6) and (u^4 a4, u^6 a6)
 are isomorphic (Silverman, AEC III.1), so where a2 = 0 it reads only row
 a4 = 0 and the first row of each coset of fourth powers, at most 5 rows.
 Each row drops the discriminant's roots (_singular_a6), as _iter_rows
-does.  Over F_p the row kernel (curve._row_counts, one packed product per
-row) gives every point count of the row, and the residue is the trace
-mod p; over F_q it is phi([A_p]), A_p off curve._hasse_at on blocks of
-a6 that double in size.  A row where A_p = c a6^k (row a4 = 0 where
-p = 1 mod 3) reaches only the classes of one coset, since F_q^* is
-cyclic (Lidl and Niederreiter, Finite Fields, ch. 2), and stops once it
-has hit them all.  The winners are checked on ranks too, one
-curve._hasse_at call per witness row (_check_row), with counts off the
-row product over F_p and curve._count_at over F_q.  iter_curves and the
+does.  Over F_p a row of two or more closed-form coefficients is read
+whole, off one packed product (curve._row_counts), and the residue is
+the trace mod p; every other row reads phi([A_p]), A_p off
+curve._hasse_at on blocks of a6 that double in size.  A row where
+A_p = c a6^k (row a4 = 0 where p = 1 mod 3, a constant row where k = 0)
+reaches only the classes of one coset, since F_q^* is cyclic (Lidl and
+Niederreiter, Finite Fields, ch. 2), and stops once it has hit them all.
+The winners are checked on ranks too, one curve._hasse_at call per
+witness row (_check_row), with counts off the row product where the scan
+made one and curve._count_at elsewhere.  iter_curves and the
 no-shortcut search build every model and audit the scan; tests decode
 every witness to audit the check.
 """
@@ -36,7 +37,7 @@ from math import gcd, isqrt
 from typing import Iterator, Sequence
 
 from .curve import (WeierstrassCurve, _count_at, _decode, _disc_row, _hasse_at, _hasse_row,
-                    _hasse_terms, _row_counts, hasse_invariant, point_count)
+                    _row_counts, hasse_invariant, point_count)
 from .errors import InconsistencyError, SingularModelError
 from .forms import _class_residues, phi, realizable_set, unit_class_of
 from .gf import FieldCtx, FieldElement, smallest_prime_factor
@@ -153,26 +154,24 @@ def _classified(ctx: FieldCtx, tally: Counter | None = None,
 
     Rows of a coset after its first (_row_cosets) are skipped, and each
     other row drops the discriminant roots (_singular_a6) and walks its
-    nonsingular a6 lazily.  A row of constant A_p (A_5 = 2 a4, A_3 = a2,
-    or A_p = 0 throughout) yields its first model, and an a2 slab of
-    constant A_3 = a2 its first row.  Over F_p the residue is (1 - #E)
-    mod p off the row product (curve._row_counts, read at the log of a6
-    and kept in counts by (a2, a4) ranks); over F_q it is phi([A_p])
-    (forms._class_residues) off curve._hasse_at, on blocks of a6 that
-    double from 64 (_row_residues), so a row left after m models costs
-    about 2m + 64 evaluations.  A row whose closed form has one
-    coefficient, A_p = c a6^k with k > 0 (row a4 = 0 where p = 1 mod 3,
-    every row of p = 7, the a4 != 0 rows of p = 11), has classes
-    log c + k log a6 mod (p - 1), one coset of (p - 1)/gcd(k, p - 1) of
-    them, so it stops once it has yielded that many distinct nonzero
-    residues: no later model on it can be a first hit.  tally counts
-    the rows tabulated, skipped and stopped at their coset, and the
-    discriminant roots of each tabulated row.
+    nonsingular a6 lazily.  Over F_p a row whose closed form has two or
+    more coefficients is read whole, since about p classes are hit there:
+    the residue is (1 - #E) mod p off the row product (curve._row_counts,
+    read at the log of a6 and kept in counts by (a2, a4) ranks).  Every
+    other row reads phi([A_p]) (forms._class_residues) off
+    curve._hasse_at, on blocks of a6 that double from 64 (_row_residues),
+    so a row left after m models costs about 2m + 64 evaluations.  A row
+    of at most one coefficient, A_p = c a6^k, has classes log c + k log a6
+    mod (p - 1), one coset of (p - 1)/gcd(k, p - 1) of them (one where
+    k = 0: A_3 = a2, A_5 = 2 a4; none where A_p = 0), and stops once it
+    has yielded them all: no later model on it can be a first hit.  So a
+    constant row yields its first model, and an a2 slab of p = 3 its
+    first row.  tally counts the rows tabulated, skipped and stopped at
+    their coset, and the discriminant roots of each tabulated row.
     """
     p, q, pm1 = ctx.p, ctx.q, ctx.p - 1
     tally = Counter() if tally is None else tally
     counts = {} if counts is None else counts
-    terms = _hasse_terms(p)
     cosets, log, seen = _row_cosets(ctx), ctx._log_tables[1], set()
     for a2r in range(_index_space(ctx) // (q * q)):
         for a4r in range(q):
@@ -189,33 +188,30 @@ def _classified(ctx: FieldCtx, tally: Counter | None = None,
             base = (a2r * q + a4r) * q
             r6s = (r6 for r6 in range(q) if r6 not in singular)
             k, coeffs = _hasse_row(ctx, a2r, a4r)
-            if not coeffs or (len(coeffs) == 1 and not k):
-                a = coeffs[0] if coeffs else 0
-                yield base + next(r6s), _class_residues(ctx)[log[a] % pm1] if a else 0
-                if not terms:
-                    break  # A_3 = a2: the rest of the slab has this residue
-                continue
-            if ctx.n == 1:
+            if ctx.n == 1 and len(coeffs) > 1:
                 counts[a2r, a4r] = row = _row_counts(ctx, a2r, a4r)
                 models = ((r6, (1 - row[log[r6]]) % p) for r6 in r6s)
             else:
                 models = _row_residues(ctx, k, coeffs, r6s)
-            # one coefficient, A_p = c a6^k: the classes log c + k log a6 mod
-            # (p - 1) are one coset of the multiples of gcd(k, p - 1)
-            reach, hit = pm1 // gcd(k, pm1) if len(coeffs) == 1 else 0, set()
+            # at most one coefficient: the classes of one coset, none where
+            # A_p = 0, and 0 counted as hit from the start
+            reach = 0 if len(coeffs) > 1 else 1 + (pm1 // gcd(k, pm1) if coeffs else 0)
+            hit = {0}
             for r6, r in models:
                 yield base + r6, r
-                if reach and r:
+                if reach:
                     hit.add(r)
                     if len(hit) == reach:
                         tally["rows stopped"] += 1
                         break
+            if p == 3:
+                break  # A_3 = a2: the rest of the slab has this residue
 
 
 def _row_residues(ctx: FieldCtx, k: int, coeffs: tuple[int, ...],
                   r6s: Iterator[int]) -> Iterator[tuple[int, int]]:
-    # (a6 rank, phi([A_p]) or 0) over F_q, A_p off curve._hasse_at on blocks
-    # of r6s that double from 64
+    # (a6 rank, phi([A_p]) or 0), A_p off curve._hasse_at on blocks of r6s
+    # that double from 64
     by_class, log, pm1, size = _class_residues(ctx), ctx._log_tables[1], ctx.p - 1, 64
     while block := list(islice(r6s, size)):
         for r6, a in zip(block, _hasse_at(ctx, k, coeffs, block)):
@@ -354,12 +350,13 @@ def census(ctx: FieldCtx) -> RealizabilityReport:
     each residue until every class of realizable_set is hit, else raises
     InconsistencyError.  The winners are checked as by describe_witness,
     on ranks, one _check_row call per witness row in index order, with
-    counts off the scan's row product over F_p (at the log of a6) and
-    curve._count_at (point_count's pass) over F_q: no curve is built.
-    The DEBUG record's "singular skipped" counts the discriminant roots of
-    each tabulated row, whether or not the scan got that far along it,
-    "rows stopped at their coset" the rows of one-coefficient A_p the scan
-    left once their classes were all hit, and "witness rows" the
+    counts off the scan's row product where it made one (at the log of
+    a6) and curve._count_at (point_count's pass) on every other row: no
+    curve is built.  The DEBUG record's "singular skipped" counts the
+    discriminant roots of each tabulated row, whether or not the scan got
+    that far along it, "rows stopped at their coset" the rows of at most
+    one coefficient (A_p = c a6^k, constant A_p and A_p = 0 included)
+    the scan left once their classes were all hit, and "witness rows" the
     _check_row calls.
     """
     p, q = ctx.p, ctx.q

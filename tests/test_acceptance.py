@@ -260,7 +260,10 @@ def test_ac13_census_determinism(tmp_path):
 # sha256 of the compact sorted JSON of each report, frozen from the
 # term-by-term census that classified every scanned model as a curve
 # (F_65537 by the Horner-per-a6 scan, 96-104 s on 2 vCPU), and the
-# budget of each cold census in seconds
+# budget of each cold census in seconds.  Row a4 = 0 has one coefficient,
+# A_p = c a6^k, over F_1009 and F_4099 (p = 1 mod 3) and A_p = 0 over
+# F_65537 (p = 2 mod 3): the scan reads it by A_p, and every other row by
+# the row product
 LARGE_PRIME_CENSUS_SHA256 = {
     1009: "1615498f859ccb2cf89cbee0867f1e8c114dd7ded74c10050e072da7370e385c",
     4099: "ba9f7536471c039f3face696ffbacc1db5f84e5af9f3034a91be689a6bcc0bf1",

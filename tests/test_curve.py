@@ -247,8 +247,9 @@ def _rows_of_h(ctx, rows=None):
 @pytest.mark.parametrize("p,n", HIST_FIELDS)
 def test_row_hist_matches_direct_log_count(p, n):
     # M[u] = #{x != 0 : log h(x) = u} on every row, a2 rows included,
-    # against logs taken by walking powers of the generator; the planes
-    # hold bit 0 and bit 1 of M[u] at bit u
+    # against logs taken by walking powers of the generator; the planes,
+    # built by the row's first count at a6 != 0, hold bit 0 and bit 1 of
+    # M[u] at bit u
     ctx = make_field(p, n)
     log, power = {}, ctx.one
     for e in range(ctx.q - 1):
@@ -259,7 +260,10 @@ def test_row_hist_matches_direct_log_count(p, n):
         for h in hs[1:]:  # x = 0 is rank 0
             if h:
                 want[log[h]] += 1
-        hist, low, high = _row_hist(ctx, a2.rank, a4.rank)
+        row = _row_hist(ctx, a2.rank, a4.rank)
+        assert row == [bytearray(want)]
+        _count_at(ctx, a2.rank, a4.rank, ctx.one.rank)
+        hist, low, high = row
         assert list(hist) == want
         assert low == sum((m & 1) << u for u, m in enumerate(want))
         assert high == sum((m >> 1) << u for u, m in enumerate(want))

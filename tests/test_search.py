@@ -412,11 +412,13 @@ def test_census_builds_only_witnesses(monkeypatch, p, n):
 
 @pytest.mark.parametrize("p,n", [(211, 1), (31, 2)])
 def test_census_builds_one_point_count_row_per_witness_row(monkeypatch, p, n):
-    # witnesses are checked in index order, row by row: over F_q those on
-    # one (a2, a4) row share the one-slot point-count row memo; over F_p
-    # the scan builds one _row_hist row and one row product per scanned
-    # row, the witnesses read their counts off those products, and no
-    # point count or second product is made
+    # witnesses are checked in index order, row by row.  A row the scan
+    # reads by A_p (every row over F_q, and row a4 = 0 over F_211, where
+    # A_p = c a6^35 has one coefficient) builds no row product, and its
+    # witnesses share the one-slot point-count row memo through _count_at;
+    # over F_p the scan builds one _row_hist row and one row product per
+    # row of several coefficients, the witnesses there read their counts
+    # off those products, and no point count or second product is made
     products = []
 
     def counted(ctx, r2, r4):
@@ -434,15 +436,39 @@ def test_census_builds_one_point_count_row_per_witness_row(monkeypatch, p, n):
     _row_hist.cache_clear()
     curve_module._row_counts.cache_clear()
     report = census(ctx)
-    rows = {(e.witness.a2, e.witness.a4) for e in report.entries if e.witness}
+    rows = {(ctx(e.witness.a2).rank, ctx(e.witness.a4).rank)
+            for e in report.entries if e.witness}
     assert len(rows) < len(report.realizable)
+    misses = _row_hist.cache_info().misses
     if n == 1:
-        ranks = {(ctx(a2).rank, ctx(a4).rank) for a2, a4 in rows}
-        assert ranks <= set(products) and len(products) == len(set(products))
-        assert _row_hist.cache_info().misses == len(products)
+        assert _hasse_row(ctx, 0, 0)[0] == 35 and len(_hasse_row(ctx, 0, 0)[1]) == 1
+        assert (0, 0) in rows and (0, 0) not in products
+        assert all(len(_hasse_row(ctx, *row)[1]) > 1 for row in products)
+        assert rows - {(0, 0)} <= set(products) and len(products) == len(set(products))
+        assert misses == len(products) + 1
     else:
-        assert _row_hist.cache_info().misses == len(rows)
+        assert misses == len(rows)
         assert products == []
+
+
+@pytest.mark.parametrize("p,coset", [(19, {1, 7, 8, 11, 12, 18}), (13, {2, 5, 6, 7, 8, 11})])
+def test_single_class_search_answers_row_a4_zero_with_no_row_product(monkeypatch, p, coset):
+    # row a4 = 0 comes first and has A_p = c a6^k, one coefficient, so the
+    # scan reads it by A_p and answers every class of its coset there,
+    # before any row of several coefficients takes a row product; the
+    # exhaustive route gives the same curves
+    ctx = make_field(p)
+    assert len(_hasse_row(ctx, 0, 0)[1]) == 1
+    assert {_hasse_residue(c) for c in iter_curves(ctx) if not c.a4} - {0} == coset
+
+    def no_product(ctx, r2, r4):
+        raise AssertionError(f"row product built for row {(r2, r4)}")
+
+    monkeypatch.setattr(search_module, "_row_counts", no_product)
+    for h in coset:
+        found = find_curve_with_class(ctx, h)
+        assert found is not None and not found.a4
+        assert found == find_curve_with_class(ctx, h, use_trace_shortcut=False)
 
 
 CENSUS_PRIME = [(19, 1), (23, 1), (101, 1), (131, 1), (211, 1)]
