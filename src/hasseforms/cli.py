@@ -179,8 +179,6 @@ def _cmd_realizable(args):
 def _cmd_search(args):
     ctx = make_field(args.p, args.n)
     h = args.target
-    if h is None:
-        raise ValueError("search needs a target class, e.g. -h 9")
     curve = find_curve_with_class(ctx, h,
                                   use_trace_shortcut=not args.no_shortcut)
     params = {"p": args.p, "n": args.n, "h": h, "no_shortcut": args.no_shortcut}

@@ -535,6 +535,8 @@ def twist(curve: WeierstrassCurve, d, kind: str = "quadratic") -> WeierstrassCur
     d^2 times the curve's (tests pin it against discriminant_general):
     a twist of a nonsingular model by d != 0 is nonsingular.  The scales
     come from _twist_scales, which the twists suite applies on ranks.
+    j is decided on ranks, as in _twist_kinds: for p >= 5 j = 1728 iff
+    a6 = 0 and j = 0 iff a4 = 0, and for p = 3 j = 0 = 1728 iff a2 = 0.
     """
     ctx = curve.ctx
     d = ctx.element(d)
@@ -542,7 +544,7 @@ def twist(curve: WeierstrassCurve, d, kind: str = "quadratic") -> WeierstrassCur
         raise ZeroTwistParameterError("twist parameter must be nonzero")
     if kind in ("quartic", "sextic"):
         j, modulus = (1728, 4) if kind == "quartic" else (0, 3)
-        if curve.j_invariant != ctx.element(j):
+        if (curve.a2 if ctx.p == 3 else curve.a6 if kind == "quartic" else curve.a4).rank:
             raise WrongJInvariantError(
                 f"{kind} twists need j = {j}, got j = {curve.j_invariant}")
         if ctx.p % modulus != 1:

@@ -21,9 +21,10 @@ reaches only the classes of one coset, since F_q^* is cyclic (Lidl and
 Niederreiter, Finite Fields, ch. 2), and stops once it has hit them all.
 The winners are checked on ranks too, one curve._hasse_at call per
 witness row (_check_row), with counts off the row product where the scan
-made one and curve._count_at elsewhere.  iter_curves and the
-no-shortcut search build every model and audit the scan; tests decode
-every witness to audit the check.
+made one and curve._count_at elsewhere.  One exhaustive sweep on ranks
+(_first_hits) audits the scan: the no-shortcut search and the census
+suite both read it.  Tests decode every model (iter_curves) to audit the
+sweep and every witness to audit the check.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from math import gcd, isqrt
 from typing import Iterator, Sequence
 
 from .curve import (WeierstrassCurve, _count_at, _decode, _disc_row, _hasse_at, _hasse_row,
-                    _row_counts, hasse_invariant, point_count)
+                    _row_counts, _row_hasse, point_count)
 from .errors import InconsistencyError, SingularModelError
-from .forms import _class_residues, phi, realizable_set, unit_class_of
+from .forms import _class_residues, realizable_set
 from .gf import FieldCtx, FieldElement, smallest_prime_factor
 
 __all__ = ["admissible_traces", "iter_curves", "find_curve_with_class", "describe_witness",
@@ -105,8 +106,8 @@ def _iter_rows(ctx: FieldCtx) -> Iterator[tuple[int, int, tuple, Sequence[int]]]
     d0 + d1 a6 + d2 a6^2; it has at most two roots a6 unless it is zero
     (_singular_a6), so a row is filtered with no per-model work.  This is
     the one enumeration: iter_curves decodes its models, and the row
-    suites read the row tables (curve._row_hasse, curve._row_counts) at
-    its ranks.
+    suites and the exhaustive sweep (_first_hits) read the row tables
+    (curve._row_hasse, curve._row_counts) at its ranks.
     """
     q = ctx.q
     for r2 in range(_index_space(ctx) // (q * q)):
@@ -136,10 +137,32 @@ def iter_curves(ctx: FieldCtx) -> Iterator[WeierstrassCurve]:
             yield unchecked(ctx, a2, a4, elements[r6], FieldElement(ctx, disc))
 
 
-def _hasse_residue(curve: WeierstrassCurve) -> int:
-    # 0 when supersingular, else phi([A_p]): beta mod p by the bridge
-    a = hasse_invariant(curve)
-    return int(phi(unit_class_of(a))) if a else 0
+def _residues(ctx: FieldCtx) -> list[int]:
+    # phi([A]) by the rank of A, off the class table (forms._class_residues),
+    # and 0 at zero: a model's residue, beta mod p by the bridge
+    by_class, pm1 = _class_residues(ctx), ctx.p - 1
+    return [by_class[e % pm1] if e >= 0 else 0 for e in ctx._log_tables[1]]
+
+
+def _first_hits(ctx: FieldCtx, wanted: Sequence[int]) -> dict[int, tuple[int, int, int]]:
+    """The (a2, a4, a6) ranks of the first model of each residue in wanted.
+
+    The exhaustive sweep that audits the scan (_classified): the rows of
+    _iter_rows in order, A_p off curve._row_hasse, until every wanted
+    residue is hit or the rows run out; no coset rule, row product or
+    trace shortcut.
+    """
+    residue = [r if r in wanted else 0 for r in _residues(ctx)]
+    first = {}
+    for r2, r4, _, r6s in _iter_rows(ctx):
+        hasse = _row_hasse(ctx, r2, r4)
+        for r6 in r6s:
+            r = residue[hasse[r6]]
+            if r and r not in first:
+                first[r] = (r2, r4, r6)
+        if len(first) == len(wanted):
+            break
+    return first
 
 
 def _row_cosets(ctx: FieldCtx) -> int:
@@ -150,7 +173,7 @@ def _row_cosets(ctx: FieldCtx) -> int:
 def _classified(ctx: FieldCtx, tally: Counter | None = None,
                 counts: dict | None = None) -> Iterator[tuple[int, int]]:
     """(index, residue) of each nonsingular model the scan classifies, in
-    enumeration order; the residue is 0 when supersingular (_hasse_residue).
+    enumeration order; the residue is 0 when supersingular (_residues).
 
     Rows of a coset after its first (_row_cosets) are skipped, and each
     other row drops the discriminant roots (_singular_a6) and walks its
@@ -224,14 +247,17 @@ def find_curve_with_class(ctx: FieldCtx, h: int, *,
     """First curve in enumeration order whose kernel class maps to h.
 
     With the shortcut on, an empty admissible trace set answers None at
-    once, else the rank scan (_classified) finds the winner, the only model
-    built; the exhaustive route gives the same answer, for the audits.
+    once, else the rank scan (_classified) finds the winner.  Without it,
+    the exhaustive sweep that the census suite audits the scan with
+    (_first_hits) walks every row until h is hit.  Either way the winner
+    is the only model built, and both routes give the same answer.
     """
     p = ctx.p
     if not isinstance(h, int) or not 1 <= h <= p - 1:
         raise ValueError(f"h must be an integer in 1..{p - 1}, got {h}")
     if not use_trace_shortcut:
-        return next((c for c in iter_curves(ctx) if _hasse_residue(c) == h), None)
+        hit = _first_hits(ctx, (h,)).get(h)
+        return _decode(ctx, *hit) if hit else None
     if not admissible_traces(ctx.q, h, p):
         return None
     return next((_curve_at(ctx, i) for i, r in _classified(ctx) if r == h), None)

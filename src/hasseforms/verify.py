@@ -25,7 +25,6 @@ from .curve import (
 from .errors import InconsistencyError
 from .forms import (
     UnitClass,
-    _class_residues,
     enumerate_classes,
     phi,
     ptorsion_description,
@@ -34,7 +33,7 @@ from .forms import (
 )
 from .gf import FieldCtx, FieldElement, make_field
 from .poly import Polynomial, degree_pattern
-from .search import _iter_rows, census, iter_curves
+from .search import _first_hits, _iter_rows, _residues, census, iter_curves
 
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_suite"]
 
@@ -106,23 +105,20 @@ def _class_exps(ctx: FieldCtx) -> list[int]:
     return [e % pm1 if e >= 0 else -1 for e in ctx._log_tables[1]]
 
 
-def _residues(ctx: FieldCtx) -> list[int]:
-    # _hasse_residue by the rank of A_p: phi([A_p]) off the class table
-    # (forms._class_residues), and 0 at zero
-    by_class = _class_residues(ctx)
-    return [by_class[e] if e >= 0 else 0 for e in _class_exps(ctx)]
-
-
 def _suite_bridge(res: SuiteResult, ctx: FieldCtx) -> None:
     """A_p vanishes iff p | beta; otherwise phi([A_p]) = beta mod p.
 
     Both are one check, since the residue is 0 exactly when A_p = 0 and
-    a unit residue otherwise.  Each row compares two row tables on the
-    ranks of its nonsingular models: A_p off the closed form
-    (_row_hasse, by the rank of a6) and beta off the point counts
-    (_row_counts, by the log of a6), over F_p the kernel the census scan
-    reads its residues off.  A model is decoded only to name it in a
-    failure.
+    a unit residue otherwise.  The norm suite runs this check too: A_q,
+    the norm A_p^((q-1)/(p-1)) that hasse_invariant takes at level q, is
+    exactly phi([A_p]) in the prime subfield (Silverman, AEC V.4), so
+    "A_q = 1 - #E mod p" is this identity, beta = q + 1 - #E; that phi
+    lands in the prime units is checked once, in forms._class_residues.
+    Each row compares two row tables on the ranks of its nonsingular
+    models: A_p off the closed form (_row_hasse, by the rank of a6) and
+    beta off the point counts (_row_counts, by the log of a6), over F_p
+    the kernel the census scan reads its residues off.  A model is
+    decoded only to name it in a failure.
     """
     p, residue, log = ctx.p, _residues(ctx), ctx._log_tables[1]
     for r2, r4, _, r6s in _iter_rows(ctx):
@@ -221,36 +217,6 @@ def _suite_closed_forms(res: SuiteResult, ctx: FieldCtx) -> None:
                   "%r: A_p = %s but truncated powering gives %s", curve, a, want)
 
 
-def _suite_norm(res: SuiteResult, ctx: FieldCtx) -> None:
-    """A_q lies in the prime subfield and equals 1 - #E mod p.
-
-    A_q is the norm A_p^((q-1)/(p-1)) that hasse_invariant takes at
-    level q, tabulated once per rank of A_p, with A_p off the row table
-    _row_hasse; #E comes from the point-count row table _row_counts, read
-    at the log of a6, which knows nothing of A_p.  Each row compares the
-    two on the ranks of its nonsingular models, decoding a model only to
-    name it in a failure.
-    The closed form itself is audited by the closed-forms suite.
-    """
-    p, q, unit, log = ctx.p, ctx.q, ctx._weights[0], ctx._log_tables[1]
-    norm = (q - 1) // (p - 1)
-    level_q = [(FieldElement(ctx, r) ** norm).rank for r in range(q)]
-    for r2, r4, _, r6s in _iter_rows(ctx):
-        hasse, counts = _row_hasse(ctx, r2, r4), _row_counts(ctx, r2, r4)
-        for r6 in r6s:
-            count = q + 1 - _trace(ctx, counts[log[r6]], r2, r4, r6)
-            aq = level_q[hasse[r6]]
-            residue, rest = divmod(aq, unit)
-            if rest:
-                res.check(False, "%r: A_q = %s is not in the prime subfield",
-                          _decode(ctx, r2, r4, r6), FieldElement(ctx, aq))
-            elif residue != (1 - count) % p:
-                res.check(False, "%r: A_q = %d but 1 - #E = %d mod p",
-                          _decode(ctx, r2, r4, r6), residue, (1 - count) % p)
-            else:
-                res.cases += 1
-
-
 def _suite_etale(res: SuiteResult, ctx: FieldCtx) -> None:
     """Degrees in the etale part of E[p] match the order of the class.
 
@@ -297,10 +263,11 @@ def _suite_etale(res: SuiteResult, ctx: FieldCtx) -> None:
 def _suite_census(res: SuiteResult, ctx: FieldCtx) -> None:
     """Full census vs the interval formula, plus a no-shortcut audit.
 
-    The audit is one pass over the rows of the enumeration (_iter_rows)
-    keeping the first model per residue phi([A_p]), read off the row table
-    _row_hasse, until all p - 1 are hit; every census witness must match
-    it coefficient by coefficient, or be absent on both sides.
+    The audit is the exhaustive sweep of search --no-shortcut
+    (search._first_hits): the first model of every residue, with A_p off
+    the row table _row_hasse and none of the scan's pruning.  Every
+    census witness must match it coefficient by coefficient, or be
+    absent on both sides.
     """
     p, q = ctx.p, ctx.q
     try:
@@ -314,15 +281,7 @@ def _suite_census(res: SuiteResult, ctx: FieldCtx) -> None:
               sorted(report.realizable), sorted(formula))
     res.check(report.verdict == ("complete" if len(formula) == p - 1 else "proper-subset"),
               "verdict %r inconsistent with %r", report.verdict, sorted(formula))
-    first, residue = {}, _residues(ctx)
-    for r2, r4, _, r6s in _iter_rows(ctx):
-        hasse = _row_hasse(ctx, r2, r4)
-        for r6 in r6s:
-            r = residue[hasse[r6]]
-            if r:
-                first.setdefault(r, (r2, r4, r6))
-        if len(first) == p - 1:
-            break
+    first = _first_hits(ctx, range(1, p))
     for entry in report.entries:
         h, w, slow = entry.residue, entry.witness, first.get(entry.residue)
         if slow is None:
@@ -344,7 +303,7 @@ _SUITES = {
     "bridge": _suite_bridge,
     "twists": _suite_twists,
     "closed-forms": _suite_closed_forms,
-    "norm": _suite_norm,
+    "norm": _suite_bridge,
     "etale": _suite_etale,
     "census": _suite_census,
 }

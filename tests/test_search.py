@@ -35,7 +35,14 @@ from hasseforms.curve import (
     discriminant_general,
 )
 from hasseforms.gf import _is_prime
-from hasseforms.search import _classified, _curve_at, _hasse_residue, _index_space, _iter_rows
+from hasseforms.search import _classified, _curve_at, _index_space, _iter_rows
+
+
+def _hasse_residue(curve):
+    # the object route: 0 when supersingular, else phi([A_p]) of a built
+    # curve, beta mod p by the bridge
+    a = hasse_invariant(curve)
+    return int(phi(unit_class_of(a))) if a else 0
 
 
 def test_admissible_traces_frozen():
@@ -156,6 +163,19 @@ def test_find_curve_with_class_missing_residues():
         fast = find_curve_with_class(ctx, h)
         slow = find_curve_with_class(ctx, h, use_trace_shortcut=False)
         assert repr(fast) == repr(slow)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (13, 1), (19, 1), (23, 1), (3, 2), (3, 3),
+                                 (5, 2)])
+def test_no_shortcut_search_matches_object_route(p, n):
+    # the exhaustive sweep on ranks, which also audits the census suite,
+    # against every built curve in enumeration order: the first model of
+    # each class, None where there is none (9 over F_19, 10..13 over F_23)
+    ctx = make_field(p, n)
+    for h in range(1, p):
+        want = next((c for c in iter_curves(ctx) if _hasse_residue(c) == h), None)
+        got = find_curve_with_class(ctx, h, use_trace_shortcut=False)
+        assert got == want and repr(got) == repr(want)
 
 
 def test_find_curve_with_class_validates_residue():

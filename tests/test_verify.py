@@ -1,5 +1,6 @@
 """The named verification suites and their reporting surface."""
 
+import dataclasses
 import functools
 import json
 import logging
@@ -8,7 +9,9 @@ import time
 
 import pytest
 
-from hasseforms import SUITE_NAMES, hasse_invariant, iter_curves, make_field, run_suite
+from hasseforms import (SUITE_NAMES, census, hasse_invariant, iter_curves, make_field, phi,
+                        run_suite, unit_class_of)
+from hasseforms.search import ClassEntry, WitnessRecord
 from hasseforms.verify import SuiteResult
 
 
@@ -114,6 +117,42 @@ def test_etale_suite_bytes_equal_with_factor_logging(caplog):
                for r in caplog.records)
 
 
+def _seed_census_witness(monkeypatch, ctx, h, curve):
+    # verify.census answers with the true report, save that class h's
+    # witness is the given model
+    import hasseforms.verify as verify_mod
+
+    report = census(ctx)
+    entries = tuple(
+        e if e.residue != h else ClassEntry(h, WitnessRecord(
+            curve.a2.coeffs, curve.a4.coeffs, curve.a6.coeffs, 0, 0, 0, h))
+        for e in report.entries)
+    monkeypatch.setattr(verify_mod, "census",
+                        lambda ctx: dataclasses.replace(report, entries=entries))
+
+
+def test_census_suite_catches_seeded_later_witness(monkeypatch):
+    # one witness moved to the second model of its class: the audit's
+    # exhaustive sweep keeps the first, so exactly that class fails
+    ctx = make_field(13)
+    h = 2
+    later = [c for c in iter_curves(ctx)
+             if (a := hasse_invariant(c)) and int(phi(unit_class_of(a))) == h][1]
+    _seed_census_witness(monkeypatch, ctx, h, later)
+    assert run_suite("census", 13).failures == [
+        "h = 2: census witness differs from the full-sweep witness"]
+
+
+def test_census_suite_catches_seeded_witness_of_missing_class(monkeypatch):
+    # a witness for 9 over F_19, which no curve hits: the audit's sweep
+    # finds none, and the realizable set no longer matches the formula
+    ctx = make_field(19)
+    _seed_census_witness(monkeypatch, ctx, 9, next(iter_curves(ctx)))
+    failures = run_suite("census", 19).failures
+    assert len(failures) == 2 and failures[0].startswith("census classes ")
+    assert failures[1] == "h = 9: census found a witness but the full sweep did not"
+
+
 def test_census_suite_detail_carries_report():
     result = run_suite("census", 19, 1)
     assert result.ok
@@ -170,9 +209,9 @@ def test_bridge_suite_catches_seeded_regression(monkeypatch):
 
 
 def test_norm_suite_catches_seeded_regression(monkeypatch):
-    # A_q is checked against the row kernel's count, the one route the
-    # suite holds that knows nothing of A_p: one corrupted count has to
-    # flip the verdict to FAIL
+    # A_q = phi([A_p]) is checked against the row kernel's count, the one
+    # route the suite holds that knows nothing of A_p: one corrupted count
+    # has to flip the verdict to FAIL
     import hasseforms.verify as verify_mod
 
     real_row_counts = verify_mod._row_counts
@@ -184,7 +223,7 @@ def test_norm_suite_catches_seeded_regression(monkeypatch):
         one = ctx.one.rank
         if state["armed"] and r2 == 0 and r4 == one:
             # y^2 = x^3 + x + 1 over F_9; the count moves by one towards
-            # q + 1, so the trace bound still holds and only A_q can object
+            # q + 1, so the trace bound still holds and only A_p can object
             state["armed"] = False
             at = ctx._log_tables[1][one]  # counts are kept by the log of a6
             counts[at] += 1 if counts[at] < ctx.q + 1 else -1
@@ -197,9 +236,11 @@ def test_norm_suite_catches_seeded_regression(monkeypatch):
     assert "x^3 + x + 1 over F_9" in result.failures[0]
 
 
-def test_bridge_suite_catches_seeded_hasse_regression(monkeypatch):
+@pytest.mark.parametrize("name,p,n", [("bridge", 5, 1), ("norm", 5, 1)])
+def test_bridge_suite_catches_seeded_hasse_regression(monkeypatch, name, p, n):
     # the other side of the bridge: one corrupted A_p in the closed-form
-    # row table it reads has to flip the verdict to FAIL
+    # row table it reads has to flip the verdict to FAIL, with one text
+    # under both names, since A_q = phi([A_p]) makes norm the same check
     import hasseforms.verify as verify_mod
 
     real_row_hasse = verify_mod._row_hasse
@@ -217,7 +258,7 @@ def test_bridge_suite_catches_seeded_hasse_regression(monkeypatch):
         return row
 
     monkeypatch.setattr(verify_mod, "_row_hasse", corrupted)
-    result = run_suite("bridge", 5)
+    result = run_suite(name, p, n)
     assert not state["armed"]
     assert len(result.failures) == 1
     assert result.failures[0] == ("WeierstrassCurve(y^2 = x^3 + 1 over F_5): Hasse residue "
