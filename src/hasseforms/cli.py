@@ -38,6 +38,10 @@ from .gf import SWEEP_MAX, FieldCtx, _is_prime, make_field, norm_to_prime
 from .search import describe_witness, find_curve_with_class
 from .verify import SUITE_NAMES, run_suite
 
+# the least q realizable refuses to print; built once, since CPython does
+# not fold a power this large
+_MAX_PRINTED_Q = 10**4300
+
 
 def _parse_coeffs(text: str) -> list[int]:
     parts = [s.strip() for s in text.split(",")]
@@ -155,7 +159,7 @@ def _cmd_realizable(args):
         raise ValueError(f"p must be an odd prime, got {args.p}")
     if args.n < 1:
         raise ValueError(f"extension degree must be >= 1, got {args.n}")
-    if args.n > 9013 or (q := args.p**args.n) >= 10**4300:
+    if args.n > 9013 or (q := args.p**args.n) >= _MAX_PRINTED_Q:
         raise ValueError(f"q = {args.p}**{args.n} has more than 4300 digits")
     hit = realizable_set(args.p, q)
     missing = sorted(set(range(1, args.p)) - hit)

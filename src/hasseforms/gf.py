@@ -3,7 +3,8 @@
 A FieldCtx models F_{p^n} as F_p[t] modulo the lexicographically smallest
 monic irreducible polynomial of degree n, so two contexts built from the
 same (p, n) agree coefficient for coefficient, print identically and hash
-identically.
+identically.  The modulus search decides each candidate by Ben-Or's test
+on int lists (_is_irreducible).
 
 The lex order used throughout ranks an element by its coefficient tuple
 read from the constant term down, i.e. rank(x) = sum(c_i * p**(n-1-i)).
@@ -19,9 +20,10 @@ Each table holds O(q) machine integers.  Discrete logarithms and point
 counts read them on every field; point counts read the parities of the
 Zech logarithms from one byte string per context.  The build leans on
 the norm N(x) = x^((q-1)/(p-1)), which lies in F_p (ibid., ch. 2): the
-generator search tests candidates on their norm with int powers, and
-since g^((q-1)/(p-1)) lies in F_p^*, only the first (q-1)/(p-1) powers
-of g are walked; the others are those scaled by F_p, digit by digit.
+generator search takes each candidate's norm as the resultant of the
+modulus and x (_norm_ints) and tests it with int powers, and since
+g^((q-1)/(p-1)) lies in F_p^*, only the first (q-1)/(p-1) powers of g
+are walked; the others are those scaled by F_p, digit by digit.
 
 Arithmetic.  Over F_p (n = 1) the rank is the value: built-in ints.  Over
 F_q with n > 1 products, powers and inverses act on logarithms,
@@ -117,15 +119,67 @@ def _rem_ints(a: list[int], m, p: int) -> list[int]:
     return a
 
 
-def _is_irreducible_ints(f: Sequence[int], p: int) -> bool:
-    """Trial division of a monic f by every monic divisor of degree <= deg/2."""
+def _monic_ints(a: list[int], p: int) -> list[int]:
+    # a nonzero value list over F_p scaled to leading coefficient 1
+    if a[-1] == 1:
+        return a
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _gcd_ints(a: list[int], b: list[int], p: int) -> list[int]:
+    # Euclid over F_p on value lists, the divisor made monic at each step;
+    # a is overwritten
+    while b:
+        b = _monic_ints(b, p)
+        a, b = b, _rem_ints(a, b, p)
+    return _monic_ints(a, p) if a else a
+
+
+def _is_irreducible(f: Sequence[int], p: int) -> bool:
+    """Ben-Or's test of a monic f of degree n over F_p (Proc. 22nd FOCS,
+    1981): f is irreducible iff gcd(f, x^(p^i) - x) = 1 for 1 <= i <= n/2.
+    Round i = 1 is the root test.  x^(p^i) mod f starts from the power of
+    x read off the top bits of p^i, of degree below 2n, then squares along
+    the low bits, times x on each set bit."""
     n = len(f) - 1
-    for d in range(1, n // 2 + 1):
-        for rank in range(p**d):
-            div = [(rank // p**i) % p for i in range(d)] + [1]
-            if not _rem_ints(list(f), div, p):
-                return False
+    for i in range(1, n // 2 + 1):
+        e = p**i
+        low = max(0, e.bit_length() - n.bit_length())
+        h = _rem_ints([0] * (e >> low) + [1], f, p)
+        for b in range(low - 1, -1, -1):
+            shift = e >> b & 1
+            conv = [0] * (2 * len(h) - 1 + shift)
+            for j, hj in enumerate(h):
+                if hj:
+                    for k, hk in enumerate(h, j + shift):
+                        conv[k] += hj * hk
+            h = _rem_ints([c % p for c in conv], f, p)
+        h += [0] * (2 - len(h))
+        h[1] = (h[1] - 1) % p
+        while h and not h[-1]:
+            h.pop()
+        if len(_gcd_ints(list(f), h, p)) > 1:
+            return False
     return True
+
+
+def _norm_ints(a: Sequence[int], m, p: int) -> int:
+    """The norm of a nonzero a mod the monic irreducible m over F_p, as the
+    resultant Res(m, a) (Cohen, GTM 138, 3.3) by Euclid: with A monic,
+    Res(A, B) = (-1)^(deg A deg B) lead(B)^(deg A) Res(B/lead(B), A mod B)."""
+    res, A, B = 1, m, list(a)
+    while not B[-1]:
+        B.pop()
+    while True:
+        c, dA, dB = B[-1], len(A) - 1, len(B) - 1
+        res = res * pow(c, dA, p) % p
+        if not dB:
+            return res
+        if dA & dB & 1:
+            res = -res % p
+        B = _monic_ints(B, p)
+        A, B = B, _rem_ints(list(A), B, p)
 
 
 _TWICE_PARITY = bytes(2 * (b & 1) for b in range(256))
@@ -182,13 +236,12 @@ class FieldCtx:
 
     def _find_modulus(self) -> tuple[int, ...]:
         # first monic irreducible of degree n in lex order on
-        # (constant, ..., leading-1 coefficient); ranks below p**(n-1)
-        # have constant term 0, so t divides them
+        # (constant, ..., leading-1 coefficient), by Ben-Or's test; ranks
+        # below p**(n-1) have constant term 0, so t divides them
         p, n = self.p, self.n
         for rank in range(p ** (n - 1), p**n):
-            free = self._tuple_from_rank(rank)
-            cand = free + (1,)
-            if _is_irreducible_ints(cand, p):
+            cand = self._tuple_from_rank(rank) + (1,)
+            if _is_irreducible(cand, p):
                 return cand
         raise RuntimeError("no irreducible polynomial found")  # unreachable
 
@@ -225,13 +278,13 @@ class FieldCtx:
         return tuple(c % p for c in conv[:n])
 
     def _conv_pow(self, a, e: int):
-        result = (1,) + (0,) * (self.n - 1)
-        base = a
-        while e:
-            if e & 1:
-                result = self._conv_mul(result, base)
-            base = self._conv_mul(base, base)
-            e >>= 1
+        if not e:
+            return (1,) + (0,) * (self.n - 1)
+        result = a
+        for bit in bin(e)[3:]:
+            result = self._conv_mul(result, result)
+            if bit == "1":
+                result = self._conv_mul(result, a)
         return result
 
     def _rank(self, a) -> int:
@@ -333,35 +386,25 @@ class FieldCtx:
         """The lex-smallest element of multiplicative order q - 1.
 
         x generates iff x^((q-1)/l) != 1 for every prime l | q - 1.  With
-        N = (q-1)/(p-1) the norm c = x^N = x x^p ... x^(p^(n-1)) lies in F_p
-        (Lidl and Niederreiter, ch. 2), and (q-1)/l = N (p-1)/l, so for
-        l | p - 1 the test reads c^((p-1)/l) != 1, an int pow; for the other
-        l | N it reads x^(N/l) not in F_p, as y^(p-1) = 1 exactly on
-        y in F_p^*.  Over F_p, N = 1 and every test is an int pow.
+        N = (q-1)/(p-1) the norm c = x^N lies in F_p (Lidl and Niederreiter,
+        ch. 2), and (q-1)/l = N (p-1)/l, so for l | p - 1 the test reads
+        c^((p-1)/l) != 1, an int pow on c = Res(modulus, x) (_norm_ints);
+        for the other l | N it reads x^(N/l) not in F_p on the convolution
+        route, as y^(p-1) = 1 exactly on y in F_p^*, and runs only once c
+        generates F_p^*.  Over F_p, N = 1 and every test is an int pow.
         Candidates are tried in rank order, so the search tests rank(g).
         """
-        p, n = self.p, self.n
+        p, n, m = self.p, self.n, self.modulus
         norm_exp = (self.q - 1) // (p - 1)
         small = [(p - 1) // ell for ell in _prime_factors(p - 1)]
         large = [norm_exp // ell for ell in _prime_factors(norm_exp) if (p - 1) % ell]
-        conv_mul, conv_pow = self._conv_mul, self._conv_pow
-        if n > 1:
-            # the Frobenius y -> y^p is F_p-linear: column j holds
-            # coefficient j of (t^i)^p for each i
-            t_p = conv_pow(self._tuple_from_rank(self._weights[1]), p)
-            rows = [self.one.coeffs]
-            for _ in range(n - 1):
-                rows.append(conv_mul(rows[-1], t_p))
-            cols = list(zip(*rows))
+        conv_pow = self._conv_pow
         for rank in range(1, self.q):
             if n == 1:
                 c = rank
             else:
-                x = y = c = self._tuple_from_rank(rank)
-                for _ in range(n - 1):
-                    y = tuple([sum(map(mul, y, col)) % p for col in cols])
-                    c = conv_mul(c, y)
-                c = c[0]
+                x = self._tuple_from_rank(rank)
+                c = _norm_ints(x, m, p)
             # x^e lies in F_p iff its coefficients past the constant vanish
             if (all(pow(c, e, p) != 1 for e in small)
                     and all(any(conv_pow(x, e)[1:]) for e in large)):
@@ -415,8 +458,8 @@ class FieldCtx:
             def images(digits):
                 table = [0]
                 for i in digits:
-                    steps = [sum((d * c % p) * r for c, r in zip(basis[i], radix))
-                             for d in range(p)]
+                    cols = [[d * c % p * r for d in range(p)] for c, r in zip(basis[i], radix)]
+                    steps = list(map(sum, zip(*cols)))
                     table = [enc_hi[red_hi[h]] * wide + enc_lo[red_lo[l]]
                              for h, l in (divmod(t + s, wide) for t in table for s in steps)]
                 return table

@@ -41,7 +41,7 @@ from array import array
 from dataclasses import dataclass
 
 from .errors import ZeroPolynomialError
-from .gf import FieldCtx, FieldElement, _rem_ints
+from .gf import FieldCtx, FieldElement, _gcd_ints, _rem_ints
 
 __all__ = ["Polynomial", "Factorization", "gcd", "factor", "degree_pattern"]
 
@@ -340,22 +340,6 @@ def gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     while g:
         f, g = g, f % g
     return f.monic()[1]
-
-
-def _monic_ints(a: list[int], p: int) -> list[int]:
-    # a nonzero value list over F_p scaled to leading coefficient 1
-    if a[-1] == 1:
-        return a
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
-def _gcd_ints(a: list[int], b: list[int], p: int) -> list[int]:
-    # Euclid over F_p on value lists, the divisor made monic at each step
-    while b:
-        b = _monic_ints(b, p)
-        a, b = b, _rem_ints(a, b, p)
-    return _monic_ints(a, p) if a else a
 
 
 # slot width in bits -> an unsigned array typecode of that item size; the

@@ -32,7 +32,7 @@ from __future__ import annotations
 import logging
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import groupby, islice
 from math import gcd, isqrt
 from typing import Iterator, Sequence
@@ -182,15 +182,18 @@ def _classified(ctx: FieldCtx, tally: Counter | None = None,
     the residue is (1 - #E) mod p off the row product (curve._row_counts,
     read at the log of a6 and kept in counts by (a2, a4) ranks).  Every
     other row reads phi([A_p]) (forms._class_residues) off
-    curve._hasse_at, on blocks of a6 that double from 64 (_row_residues),
-    so a row left after m models costs about 2m + 64 evaluations.  A row
-    of at most one coefficient, A_p = c a6^k, has classes log c + k log a6
-    mod (p - 1), one coset of (p - 1)/gcd(k, p - 1) of them (one where
-    k = 0: A_3 = a2, A_5 = 2 a4; none where A_p = 0), and stops once it
-    has yielded them all: no later model on it can be a first hit.  So a
-    constant row yields its first model, and an a2 slab of p = 3 its
-    first row.  tally counts the rows tabulated, skipped and stopped at
-    their coset, and the discriminant roots of each tabulated row.
+    curve._hasse_at, on blocks of a6 that double (_row_residues), so a
+    row left after m models costs about 2m + b evaluations, b the first
+    block.  A row of at most one coefficient, A_p = c a6^k, has classes
+    log c + k log a6 mod (p - 1), one coset of (p - 1)/gcd(k, p - 1) of
+    them (one where k = 0: A_3 = a2, A_5 = 2 a4; none where A_p = 0), and
+    stops once it has yielded them all: no later model on it can be a
+    first hit.  So a constant row yields its first model, and an a2 slab
+    of p = 3 its first row.  Such a row's first block is the square of
+    its reach, the classes plus 0, at most 64; the square covers the
+    coupon-collector wait of a small coset.  Every other row starts at 64.
+    tally counts the rows tabulated, skipped and stopped at their coset,
+    and the discriminant roots of each tabulated row.
     """
     p, q, pm1 = ctx.p, ctx.q, ctx.p - 1
     tally = Counter() if tally is None else tally
@@ -211,14 +214,14 @@ def _classified(ctx: FieldCtx, tally: Counter | None = None,
             base = (a2r * q + a4r) * q
             r6s = (r6 for r6 in range(q) if r6 not in singular)
             k, coeffs = _hasse_row(ctx, a2r, a4r)
+            # at most one coefficient: the classes of one coset, none where
+            # A_p = 0, and 0 counted as hit from the start
+            reach = 0 if len(coeffs) > 1 else 1 + (pm1 // gcd(k, pm1) if coeffs else 0)
             if ctx.n == 1 and len(coeffs) > 1:
                 counts[a2r, a4r] = row = _row_counts(ctx, a2r, a4r)
                 models = ((r6, (1 - row[log[r6]]) % p) for r6 in r6s)
             else:
-                models = _row_residues(ctx, k, coeffs, r6s)
-            # at most one coefficient: the classes of one coset, none where
-            # A_p = 0, and 0 counted as hit from the start
-            reach = 0 if len(coeffs) > 1 else 1 + (pm1 // gcd(k, pm1) if coeffs else 0)
+                models = _row_residues(ctx, k, coeffs, r6s, min(reach * reach, 64) or 64)
             hit = {0}
             for r6, r in models:
                 yield base + r6, r
@@ -232,10 +235,10 @@ def _classified(ctx: FieldCtx, tally: Counter | None = None,
 
 
 def _row_residues(ctx: FieldCtx, k: int, coeffs: tuple[int, ...],
-                  r6s: Iterator[int]) -> Iterator[tuple[int, int]]:
+                  r6s: Iterator[int], size: int) -> Iterator[tuple[int, int]]:
     # (a6 rank, phi([A_p]) or 0), A_p off curve._hasse_at on blocks of r6s
-    # that double from 64
-    by_class, log, pm1, size = _class_residues(ctx), ctx._log_tables[1], ctx.p - 1, 64
+    # that double from size
+    by_class, log, pm1 = _class_residues(ctx), ctx._log_tables[1], ctx.p - 1
     while block := list(islice(r6s, size)):
         for r6, a in zip(block, _hasse_at(ctx, k, coeffs, block)):
             yield r6, by_class[log[a] % pm1] if a else 0
@@ -276,7 +279,8 @@ class WitnessRecord:
     phi: int
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "a2": list(self.a2), "a4": list(self.a4), "a6": list(self.a6)}
+        return {"a2": list(self.a2), "a4": list(self.a4), "a6": list(self.a6), "count": self.count,
+                "beta": self.beta, "class_exp": self.class_exp, "phi": self.phi}
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,9 @@ modulus: F_9 = F_3[t]/(t^2 + 1) and F_25 = F_5[t]/(t^2 + t + 1), so for
 example (t+1)^2 = 2t and (t+1)^4 = 2 in F_9.
 """
 
+import hashlib
+import itertools
+import json
 import logging
 import re
 import time
@@ -20,7 +23,7 @@ from hasseforms import (
     quadratic_character,
 )
 from hasseforms.curve import WeierstrassCurve, _row_hist
-from hasseforms.gf import _is_irreducible_ints, _is_prime
+from hasseforms.gf import _is_irreducible, _is_prime, _norm_ints, _rem_ints
 from hasseforms.verify import run_suite
 from hasseforms.errors import (
     CtxMismatchError,
@@ -34,6 +37,17 @@ from hasseforms.errors import (
 TABLE_FIELDS = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (5, 3)]
 EXTENSION_FIELDS_TO_3000 = [(p, n) for p in range(3, 55) if _is_prime(p)
                             for n in range(2, 8) if p**n <= 3000]
+
+
+def _is_irreducible_ints(f, p):
+    """Trial division of a monic f by every monic divisor of degree <= deg/2."""
+    n = len(f) - 1
+    for d in range(1, n // 2 + 1):
+        for rank in range(p**d):
+            div = [(rank // p**i) % p for i in range(d)] + [1]
+            if not _rem_ints(list(f), div, p):
+                return False
+    return True
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +128,41 @@ def test_modulus_matches_full_lex_scan(p, n):
         if _is_irreducible_ints(cand, p):
             break
     assert make_field(p, n).modulus == cand
+
+
+@pytest.mark.parametrize("p,degrees", [(3, (1, 2, 3, 4)), (5, (1, 2, 3, 4)),
+                                        (7, (1, 2, 3, 4)), (31, (2,))])
+def test_ben_or_matches_trial_division(p, degrees):
+    for n in degrees:
+        for free in itertools.product(range(p), repeat=n):
+            f = free + (1,)
+            assert _is_irreducible(f, p) == _is_irreducible_ints(f, p), f
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (5, 4), (7, 2), (7, 3)])
+def test_resultant_norm_matches_power_norm(p, n):
+    ctx = make_field(p, n)
+    for x in ctx.iter_elements():
+        if x:
+            assert _norm_ints(x.coeffs, ctx.modulus, p) == int(norm_to_prime(x))
+
+
+GUARD_EXTENSIONS = [(p, n) for p in range(3, 1024) if _is_prime(p)
+                    for n in range(2, 21) if p**n <= 2**20]
+
+
+def test_moduli_and_generators_pinned_across_the_guard():
+    # sha256 over (p, n, modulus, generator rank) of every extension field
+    # the size guard admits, taken from trial division and norms as
+    # products of Frobenius images, a route independent of Ben-Or's test
+    # and of resultants
+    rows = []
+    for p, n in GUARD_EXTENSIONS:
+        ctx = make_field(p, n)
+        rows.append([p, n, list(ctx.modulus), ctx.generator.rank])
+    assert len(rows) == 223
+    digest = hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+    assert digest == "432ffd6657e5adde46b8dad307aaa118a5cf8077b2179544a02f072d6196f086"
 
 
 def test_element_iteration_is_rank_order(f9, f25):
