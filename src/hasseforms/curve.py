@@ -332,8 +332,8 @@ def _row_hist(ctx: FieldCtx, r2: int, r4: int) -> list:
     # [M] for the row's histogram M (_log_hist); _count_at appends M's bit
     # planes on the row's first count at a6 != 0, so rows read whole by
     # _row_counts build none.  iter_curves walks the models row by row and
-    # the census checks its witnesses in index order, so one slot serves
-    # every a6 of a row.
+    # the census checks its witnesses in enumeration order, so one slot
+    # serves every a6 of a row.
     return [_log_hist(ctx, r2, r4)]
 
 

@@ -24,7 +24,7 @@ from math import gcd as int_gcd, isqrt
 
 from .curve import WeierstrassCurve, hasse_invariant
 from .errors import BadCongruenceError, NotPrimeError, ZeroElementError, ZeroTwistParameterError
-from .gf import FieldCtx, FieldElement, _is_prime, discrete_log, norm_to_prime, primitive_element
+from .gf import FieldCtx, FieldElement, _is_prime, discrete_log, norm_to_prime
 
 __all__ = [
     "UnitClass",

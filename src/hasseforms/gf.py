@@ -28,9 +28,11 @@ are walked; the others are those scaled by F_p, digit by digit.
 Arithmetic.  Over F_p (n = 1) the rank is the value: built-in ints.  Over
 F_q with n > 1 products, powers and inverses act on logarithms,
 a + b = g^(log a + zech[log b - log a]), and negation adds (q-1)/2 to
-the logarithm.  The convolution product and power on coefficient tuples
-are the construction route (generator search, the exp build) and the
-reference the tests audit the tables against.
+the logarithm.  Polynomials over F_p are multiplied one way: the value
+list product _mulmod_ints, reduced by the one reducer _rem_ints, serves
+the modulus search, the generator search and the exp build, and, as
+_conv_mul and _conv_pow on coefficient tuples, is the reference the tests
+audit the tables against.
 
 Scale guard: a context refuses q = p**n > 2**20 before any modulus
 search, so every field that exists has its tables.  None of this is
@@ -119,6 +121,17 @@ def _rem_ints(a: list[int], m, p: int) -> list[int]:
     return a
 
 
+def _mulmod_ints(a: Sequence[int], b: Sequence[int], m, p: int) -> list[int]:
+    # a * b mod the monic m over F_p, on value lists low degree first: the
+    # one polynomial product of the field construction
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                conv[j] += ai * bj
+    return _rem_ints([c % p for c in conv], m, p)
+
+
 def _monic_ints(a: list[int], p: int) -> list[int]:
     # a nonzero value list over F_p scaled to leading coefficient 1
     if a[-1] == 1:
@@ -141,20 +154,14 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
     1981): f is irreducible iff gcd(f, x^(p^i) - x) = 1 for 1 <= i <= n/2.
     Round i = 1 is the root test.  x^(p^i) mod f starts from the power of
     x read off the top bits of p^i, of degree below 2n, then squares along
-    the low bits, times x on each set bit."""
+    the low bits, times x on each set bit: h * (x h) there."""
     n = len(f) - 1
     for i in range(1, n // 2 + 1):
         e = p**i
         low = max(0, e.bit_length() - n.bit_length())
         h = _rem_ints([0] * (e >> low) + [1], f, p)
         for b in range(low - 1, -1, -1):
-            shift = e >> b & 1
-            conv = [0] * (2 * len(h) - 1 + shift)
-            for j, hj in enumerate(h):
-                if hj:
-                    for k, hk in enumerate(h, j + shift):
-                        conv[k] += hj * hk
-            h = _rem_ints([c % p for c in conv], f, p)
+            h = _mulmod_ints(h, [0] * (e >> b & 1) + h, f, p)
         h += [0] * (2 - len(h))
         h[1] = (h[1] - 1) % p
         while h and not h[-1]:
@@ -224,13 +231,7 @@ class FieldCtx:
         self.q = q
         # lex weights: constant coefficient is the most significant digit
         self._weights = tuple(p ** (n - 1 - i) for i in range(n))
-        self.modulus: tuple[int, ...] | None
-        if n == 1:
-            self.modulus = None
-            self._red_rows = None
-        else:
-            self.modulus = self._find_modulus()
-            self._red_rows = self._reduction_rows()
+        self.modulus: tuple[int, ...] | None = None if n == 1 else self._find_modulus()
 
     # -- construction details -------------------------------------------
 
@@ -245,37 +246,12 @@ class FieldCtx:
                 return cand
         raise RuntimeError("no irreducible polynomial found")  # unreachable
 
-    def _reduction_rows(self) -> tuple[tuple[int, ...], ...]:
-        # rows[k] holds t**(n+k) reduced mod the modulus, k = 0 .. n-2
-        p, n, m = self.p, self.n, self.modulus
-        row = tuple((-m[i]) % p for i in range(n))
-        rows = [row]
-        for _ in range(n - 2):
-            top = row[-1]
-            shifted = (0,) + row[:-1]
-            row = tuple((shifted[i] + top * rows[0][i]) % p for i in range(n))
-            rows.append(row)
-        return tuple(rows)
-
     # -- construction and reference route on coefficient tuples ---------
 
     def _conv_mul(self, a, b):
-        # schoolbook convolution reduced by the stored rows
-        p = self.p
-        n = self.n
-        conv = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        rows = self._red_rows
-        for k in range(n - 2, -1, -1):
-            c = conv[n + k] % p
-            if c:
-                row = rows[k]
-                for i in range(n):
-                    conv[i] += c * row[i]
-        return tuple(c % p for c in conv[:n])
+        # F_p is F_p[t]/(t), so prime fields reduce by t
+        r = _mulmod_ints(a, b, self.modulus or (0, 1), self.p)
+        return tuple(r) + (0,) * (self.n - len(r))
 
     def _conv_pow(self, a, e: int):
         if not e:

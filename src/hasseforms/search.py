@@ -3,9 +3,10 @@
 Curves are enumerated in a single fixed order (a2 only moves in
 characteristic 3, then a4, then a6, each by lex rank), singular models
 skipped: _iter_rows gives it on ranks, row by row, and iter_curves
-decodes its models.  A class h is "hit" by a curve when the norm-style residue of
-its Hasse invariant equals h; the first hit in enumeration order is the
-witness recorded for h.
+decodes its models.  On ranks a model is its (a2, a4, a6) rank triple,
+and triples sort in enumeration order.  A class h is "hit" by a curve
+when the norm-style residue of its Hasse invariant equals h; the first
+hit in enumeration order is the witness recorded for h.
 
 The census scans the enumeration in order, on lex ranks with no objects,
 until every wanted class has a witness.  (a4, a6) and (u^4 a4, u^6 a6)
@@ -39,7 +40,7 @@ from typing import Iterator, Sequence
 
 from .curve import (WeierstrassCurve, _count_at, _decode, _disc_row, _hasse_at, _hasse_row,
                     _row_counts, _row_hasse, point_count)
-from .errors import InconsistencyError, SingularModelError
+from .errors import InconsistencyError
 from .forms import _class_residues, realizable_set
 from .gf import FieldCtx, FieldElement, smallest_prime_factor
 
@@ -62,20 +63,6 @@ def admissible_traces(q: int, h: int, p: int | None = None) -> frozenset[int]:
     bound = isqrt(4 * q - 1)
     target = h % p
     return frozenset(b for b in range(-bound, bound + 1) if b and b % p == target)
-
-
-def _index_space(ctx: FieldCtx) -> int:
-    # the a2 digit moves only where WeierstrassCurve accepts a2 != 0
-    return ctx.q ** (3 if ctx.p < 5 else 2)
-
-
-def _curve_at(ctx: FieldCtx, idx: int) -> WeierstrassCurve | None:
-    # idx holds the ranks of (a2, a4, a6) as base-q digits; a2 = 0 unless p = 3
-    a2r, rest = divmod(idx, ctx.q * ctx.q)
-    try:
-        return _decode(ctx, a2r, *divmod(rest, ctx.q))
-    except SingularModelError:
-        return None
 
 
 def _singular_a6(ctx: FieldCtx, d: tuple[int, int, int]) -> tuple[int, ...] | range:
@@ -110,7 +97,8 @@ def _iter_rows(ctx: FieldCtx) -> Iterator[tuple[int, int, tuple, Sequence[int]]]
     (curve._row_hasse, curve._row_counts) at its ranks.
     """
     q = ctx.q
-    for r2 in range(_index_space(ctx) // (q * q)):
+    # a2 moves only where WeierstrassCurve accepts a2 != 0
+    for r2 in range(q if ctx.p == 3 else 1):
         for r4 in range(q):
             d = _disc_row(ctx, r2, r4)
             singular = _singular_a6(ctx, d)
@@ -171,9 +159,10 @@ def _row_cosets(ctx: FieldCtx) -> int:
 
 
 def _classified(ctx: FieldCtx, tally: Counter | None = None,
-                counts: dict | None = None) -> Iterator[tuple[int, int]]:
-    """(index, residue) of each nonsingular model the scan classifies, in
-    enumeration order; the residue is 0 when supersingular (_residues).
+                counts: dict | None = None) -> Iterator[tuple[int, int, int, int]]:
+    """(a2, a4, a6 ranks, residue) of each nonsingular model the scan
+    classifies, in enumeration order; the residue is 0 when supersingular
+    (_residues).
 
     Rows of a coset after its first (_row_cosets) are skipped, and each
     other row drops the discriminant roots (_singular_a6) and walks its
@@ -199,7 +188,7 @@ def _classified(ctx: FieldCtx, tally: Counter | None = None,
     tally = Counter() if tally is None else tally
     counts = {} if counts is None else counts
     cosets, log, seen = _row_cosets(ctx), ctx._log_tables[1], set()
-    for a2r in range(_index_space(ctx) // (q * q)):
+    for a2r in range(q if p == 3 else 1):
         for a4r in range(q):
             if cosets and a4r:
                 if log[a4r] % cosets in seen:
@@ -211,7 +200,6 @@ def _classified(ctx: FieldCtx, tally: Counter | None = None,
             tally["singular"] += len(singular)
             if len(singular) == q:
                 continue
-            base = (a2r * q + a4r) * q
             r6s = (r6 for r6 in range(q) if r6 not in singular)
             k, coeffs = _hasse_row(ctx, a2r, a4r)
             # at most one coefficient: the classes of one coset, none where
@@ -224,7 +212,7 @@ def _classified(ctx: FieldCtx, tally: Counter | None = None,
                 models = _row_residues(ctx, k, coeffs, r6s, min(reach * reach, 64) or 64)
             hit = {0}
             for r6, r in models:
-                yield base + r6, r
+                yield a2r, a4r, r6, r
                 if reach:
                     hit.add(r)
                     if len(hit) == reach:
@@ -263,7 +251,8 @@ def find_curve_with_class(ctx: FieldCtx, h: int, *,
         return _decode(ctx, *hit) if hit else None
     if not admissible_traces(ctx.q, h, p):
         return None
-    return next((_curve_at(ctx, i) for i, r in _classified(ctx) if r == h), None)
+    return next((_decode(ctx, r2, r4, r6) for r2, r4, r6, r in _classified(ctx) if r == h),
+                None)
 
 
 @dataclass(frozen=True)
@@ -376,18 +365,18 @@ def _check_row(ctx: FieldCtx, r2: int, r4: int, hits: Sequence[tuple[int, int]],
 def census(ctx: FieldCtx) -> RealizabilityReport:
     """Find a first witness for every realizable class over ctx.
 
-    One scan in enumeration order (_classified) keeps the first index of
-    each residue until every class of realizable_set is hit, else raises
-    InconsistencyError.  The winners are checked as by describe_witness,
-    on ranks, one _check_row call per witness row in index order, with
-    counts off the scan's row product where it made one (at the log of
-    a6) and curve._count_at (point_count's pass) on every other row: no
-    curve is built.  The DEBUG record's "singular skipped" counts the
-    discriminant roots of each tabulated row, whether or not the scan got
-    that far along it, "rows stopped at their coset" the rows of at most
-    one coefficient (A_p = c a6^k, constant A_p and A_p = 0 included)
-    the scan left once their classes were all hit, and "witness rows" the
-    _check_row calls.
+    One scan in enumeration order (_classified) keeps the (a2, a4, a6)
+    ranks of the first model of each residue until every class of
+    realizable_set is hit, else raises InconsistencyError.  The winners
+    are checked as by describe_witness, on ranks, one _check_row call per
+    witness row in enumeration order, with counts off the scan's row
+    product where it made one (at the log of a6) and curve._count_at
+    (point_count's pass) on every other row: no curve is built.  The
+    DEBUG record's "singular skipped" counts the discriminant roots of
+    each tabulated row, whether or not the scan got that far along it,
+    "rows stopped at their coset" the rows of at most one coefficient
+    (A_p = c a6^k, constant A_p and A_p = 0 included) the scan left once
+    their classes were all hit, and "witness rows" the _check_row calls.
     """
     p, q = ctx.p, ctx.q
     residues = range(1, p)
@@ -396,11 +385,11 @@ def census(ctx: FieldCtx) -> RealizabilityReport:
     tally, counts = Counter(), {}
     log = ctx._log_tables[1]  # built, and logged, before the scan clock starts
     t0 = time.perf_counter()
-    found: dict[int, int] = {}
+    found: dict[int, tuple[int, int, int]] = {}
     models = 0
-    for models, (idx, r) in enumerate(_classified(ctx, tally, counts), 1):
+    for models, (r2, r4, r6, r) in enumerate(_classified(ctx, tally, counts), 1):
         if r and r not in found:
-            found[r] = idx
+            found[r] = r2, r4, r6
             if len(found) == len(wanted):
                 break
 
@@ -411,10 +400,10 @@ def census(ctx: FieldCtx) -> RealizabilityReport:
 
     t1 = time.perf_counter()
     witnesses, rows = {}, 0
-    by_index = sorted(found.items(), key=lambda hi: hi[1])
+    in_order = sorted(found.items(), key=lambda hit: hit[1])
     for rows, ((r2, r4), group) in enumerate(
-            groupby(by_index, key=lambda hi: divmod(hi[1] // q, q)), 1):
-        hits, row = [(h, idx % q) for h, idx in group], counts.get((r2, r4))
+            groupby(in_order, key=lambda hit: hit[1][:2]), 1):
+        hits, row = [(h, r6) for h, (_, _, r6) in group], counts.get((r2, r4))
         cs = [_count_at(ctx, r2, r4, r6) if row is None else row[log[r6]] for _, r6 in hits]
         witnesses.update((w.phi, w) for w in _check_row(ctx, r2, r4, hits, cs))
     entries = tuple(ClassEntry(h, witnesses.get(h)) for h in residues)

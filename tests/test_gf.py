@@ -9,12 +9,14 @@ import hashlib
 import itertools
 import json
 import logging
+import random
 import re
 import time
 
 import pytest
 
 from hasseforms import (
+    Polynomial,
     discrete_log,
     make_field,
     norm_to_prime,
@@ -23,7 +25,7 @@ from hasseforms import (
     quadratic_character,
 )
 from hasseforms.curve import WeierstrassCurve, _row_hist
-from hasseforms.gf import _is_irreducible, _is_prime, _norm_ints, _rem_ints
+from hasseforms.gf import _is_irreducible, _is_prime, _mulmod_ints, _norm_ints, _rem_ints
 from hasseforms.verify import run_suite
 from hasseforms.errors import (
     CtxMismatchError,
@@ -137,6 +139,24 @@ def test_ben_or_matches_trial_division(p, degrees):
         for free in itertools.product(range(p), repeat=n):
             f = free + (1,)
             assert _is_irreducible(f, p) == _is_irreducible_ints(f, p), f
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 31])
+def test_mulmod_matches_polynomial_route(p):
+    # the one value-list product against Polynomial * and %, which run on
+    # rank kernels, modulo every monic m of degree 1 to 3 and a sample of
+    # degree 4, reducible ones included (Ben-Or squares modulo every
+    # candidate); operands below the degree of m and, as in Ben-Or's
+    # step h * (x h), one of them at it.  Over F_p ranks are values
+    ctx, rng, poly = make_field(p), random.Random(p), Polynomial.from_ranks
+    moduli = [list(free) + [1] for d in (1, 2, 3) for free in itertools.product(range(p), repeat=d)]
+    moduli += [[r // p**i % p for i in range(4)] + [1]
+               for r in rng.sample(range(p**4), min(p**4, 400))]
+    for m in moduli:
+        a = [rng.randrange(p) for _ in range(len(m) - 1)]
+        for b in ([0] + a, [rng.randrange(p) for _ in m]):
+            want = poly(ctx, a) * poly(ctx, b) % poly(ctx, m)
+            assert _mulmod_ints(a, b, m, p) == list(want.ranks), (a, b, m)
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (5, 4), (7, 2), (7, 3)])

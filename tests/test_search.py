@@ -5,6 +5,7 @@ import logging
 import time
 from array import array
 from collections import Counter, defaultdict
+from itertools import product
 from math import isqrt
 
 import pytest
@@ -29,13 +30,15 @@ from hasseforms import curve as curve_module
 from hasseforms import search as search_module
 from hasseforms.curve import (
     WeierstrassCurve,
+    _decode,
     _disc_row,
     _hasse_row,
     _row_hist,
     discriminant_general,
 )
+from hasseforms.errors import SingularModelError
 from hasseforms.gf import _is_prime
-from hasseforms.search import _classified, _curve_at, _index_space, _iter_rows
+from hasseforms.search import _classified, _iter_rows
 
 
 def _hasse_residue(curve):
@@ -81,8 +84,8 @@ def test_census_cross_check_catches_residue_outside_interval(monkeypatch):
 
     def injected(ctx, *args):
         models = classified(ctx, *args)
-        idx, _ = next(models)
-        yield idx, 9
+        r2, r4, r6, _ = next(models)
+        yield r2, r4, r6, 9
         yield from models
 
     monkeypatch.setattr(search, "_classified", injected)
@@ -115,18 +118,30 @@ def test_iter_curves_counts_and_order():
     assert len(list(iter_curves(ctx3))) == 18  # a2 models included
 
 
+def _rank_triples(ctx):
+    # every (a2, a4, a6) rank triple in lex order; a2 = 0 unless p = 3
+    q = ctx.q
+    return product(range(q if ctx.p == 3 else 1), range(q), range(q))
+
+
+def _decode_or_none(ctx, triple):
+    # the model with these ranks, or None where it is singular
+    try:
+        return _decode(ctx, *triple)
+    except SingularModelError:
+        return None
+
+
 @pytest.mark.parametrize("p,n", [(3, 1), (7, 1), (3, 2), (3, 3), (5, 2), (13, 1)])
 def test_iter_curves_matches_index_decode(p, n):
-    # the row-major sweep yields the decode of every index, in index order;
-    # it is the decode of the ranks _iter_rows yields, and every row that
-    # _iter_rows yields holds a nonsingular model
+    # the row-major sweep yields the decode of every rank triple, in lex
+    # order; it is the decode of the ranks _iter_rows yields, and every row
+    # that _iter_rows yields holds a nonsingular model
     ctx = make_field(p, n)
-    q = ctx.q
-    decoded = [c for c in (_curve_at(ctx, i) for i in range(_index_space(ctx)))
-               if c is not None]
+    decoded = [c for c in (_decode_or_none(ctx, t) for t in _rank_triples(ctx)) if c is not None]
     rows = list(_iter_rows(ctx))
     assert all(r6s for _, _, _, r6s in rows)
-    from_rows = [_curve_at(ctx, (r2 * q + r4) * q + r6) for r2, r4, _, r6s in rows for r6 in r6s]
+    from_rows = [_decode(ctx, r2, r4, r6) for r2, r4, _, r6s in rows for r6 in r6s]
     swept = list(iter_curves(ctx))
     assert swept == decoded == from_rows
     assert [c.discriminant for c in swept] == [c.discriminant for c in decoded]
@@ -328,13 +343,13 @@ def test_census_witnesses_match_exhaustive_search(p, n):
 
 
 def _monomial_row(ctx, row):
-    # True when A_p = c a6^k on the row's (index, A_p) models for some c != 0
+    # True when A_p = c a6^k on the row's (ranks, A_p) models for some c != 0
     # and k >= 1, by discrete logs: log A_p - k log a6 is one constant, with
     # k read off two models at consecutive logs of a6 (a row misses at most
     # the two a6 where its discriminant vanishes)
     order, logs = ctx.q - 1, {}
-    for idx, a in row:
-        a6 = ctx.from_rank(idx % ctx.q)
+    for (_, _, r6), a in row:
+        a6 = ctx.from_rank(r6)
         if bool(a) != bool(a6):
             return False
         if a6:
@@ -347,26 +362,27 @@ def _monomial_row(ctx, row):
 
 
 def _classified_on_objects(ctx):
-    # the scan's rules on curves: decode every index, and keep only the first
-    # model of an a2 slab, else of an a4 row, on which A_p takes one value
-    # (an a2 slab for A_3 = a2, an a4 row for A_5 = 2 a4 or A_p = 0); and
-    # on a row where A_p = c a6^k with k >= 1 (the a2 = a4 = 0 row where
-    # p = 1 mod 3, every row of p = 7 and the a4 != 0 rows of p = 11), cut
-    # after the first index by which every residue of the whole row has
-    # appeared
+    # the scan's rules on curves: decode every rank triple, and keep only
+    # the first model of an a2 slab, else of an a4 row, on which A_p takes
+    # one value (an a2 slab for A_3 = a2, an a4 row for A_5 = 2 a4 or
+    # A_p = 0); and on a row where A_p = c a6^k with k >= 1 (the a2 = a4 = 0
+    # row where p = 1 mod 3, every row of p = 7 and the a4 != 0 rows of
+    # p = 11), cut after the first model by which every residue of the
+    # whole row has appeared
     q, out = ctx.q, []
-    for slab in range(_index_space(ctx) // (q * q)):
-        rows = [[(idx, hasse_invariant(c))
-                 for idx in range(base, base + q) if (c := _curve_at(ctx, idx))]
-                for base in range(slab * q * q, (slab + 1) * q * q, q)]
+    triples = list(_rank_triples(ctx))
+    for slab in range(0, len(triples), q * q):
+        rows = [[(t, hasse_invariant(c))
+                 for t in triples[base:base + q] if (c := _decode_or_none(ctx, t))]
+                for base in range(slab, slab + q * q, q)]
         if len({a.rank for row in rows for _, a in row}) == 1:
             rows = [next(row for row in rows if row)]
         for row in rows:
             keep = row[:1] if len({a.rank for _, a in row}) == 1 else row
-            keep = [(idx, int(phi(unit_class_of(a))) if a else 0) for idx, a in keep]
+            keep = [(*t, int(phi(unit_class_of(a))) if a else 0) for t, a in keep]
             if _monomial_row(ctx, row):
-                reach, seen = {r for _, r in keep if r}, set()
-                for cut, (_, r) in enumerate(keep, 1):
+                reach, seen = {r for *_, r in keep if r}, set()
+                for cut, (*_, r) in enumerate(keep, 1):
                     seen.add(r)
                     if seen >= reach:
                         keep = keep[:cut]
