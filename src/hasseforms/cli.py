@@ -266,9 +266,9 @@ HANDLERS = {
 }
 
 
-def _add_field_args(sp, degree_default: int = 1):
+def _add_field_args(sp):
     sp.add_argument("-p", type=int, required=True, help="odd prime characteristic")
-    sp.add_argument("-n", type=int, default=degree_default,
+    sp.add_argument("-n", type=int, default=1,
                     help="extension degree (default %(default)s)")
 
 

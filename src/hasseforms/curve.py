@@ -57,7 +57,7 @@ from math import gcd
 
 from .errors import (BadCongruenceError, SingularModelError, WrongJInvariantError,
                      ZeroTwistParameterError)
-from .gf import FieldCtx, FieldElement
+from .gf import FieldCtx, FieldElement, _poly_str
 from .poly import Polynomial, _cyclic_mul, _pack, _slot_width, _unpack
 
 __all__ = ["WeierstrassCurve", "FrobeniusData", "point_count", "hasse_invariant",
@@ -85,8 +85,8 @@ class WeierstrassCurve:
                 "complete the square away")
         disc = _discriminant(a2, a4, a6)
         if not disc:
-            raise SingularModelError(
-                f"y^2 = {_rhs_str(a2, a4, a6)} over {ctx} is singular")
+            rhs = _poly_str((a6, a4, a2, 1), "x")
+            raise SingularModelError(f"y^2 = {rhs} over {ctx} is singular")
         self._fill(ctx, a2, a4, a6, disc)
 
     def _fill(self, ctx, a2, a4, a6, disc) -> None:
@@ -133,7 +133,8 @@ class WeierstrassCurve:
                      self.a4.rank, self.a6.rank))
 
     def __repr__(self) -> str:
-        return f"WeierstrassCurve(y^2 = {_rhs_str(self.a2, self.a4, self.a6)} over F_{self.ctx.q})"
+        rhs = _poly_str((self.a6, self.a4, self.a2, 1), "x")
+        return f"WeierstrassCurve(y^2 = {rhs} over F_{self.ctx.q})"
 
 
 def discriminant_general(a2, a4, a6) -> FieldElement:
@@ -166,26 +167,6 @@ def _discriminant(a2, a4, a6) -> FieldElement:
     d0, d1, d2 = _disc_row(ctx, a2.rank, a4.rank)
     add, mul, r6 = ctx._add, ctx._mul, a6.rank
     return FieldElement(ctx, add(d0, mul(add(d1, mul(d2, r6)), r6)))
-
-
-def _rhs_str(a2, a4, a6) -> str:
-    def head(c):
-        s = str(c)
-        if s == "1":
-            return ""
-        if " " in s or "*" in s:
-            return f"({s})*"
-        return f"{s}*"
-
-    parts = ["x^3"]
-    if a2:
-        parts.append(f"{head(a2)}x^2")
-    if a4:
-        parts.append(f"{head(a4)}x")
-    if a6:
-        s = str(a6)
-        parts.append(f"({s})" if (" " in s or "*" in s) else s)
-    return " + ".join(parts)
 
 
 @dataclass(frozen=True)

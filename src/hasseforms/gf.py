@@ -10,7 +10,8 @@ The lex order used throughout ranks an element by its coefficient tuple
 read from the constant term down, i.e. rank(x) = sum(c_i * p**(n-1-i)).
 Enumeration, generator selection and every "first match wins" rule in the
 rest of the package build on this single ordering.  An element is stored
-as its rank alone; the coefficient tuple is derived for printing.
+as its rank alone; the coefficient tuple is derived for printing, by
+_poly_str, the one printer of elements, moduli, polynomials and models.
 
 Tables.  Every field, prime fields included, has lazily built exp/log
 tables over lex ranks, indexed by the exponent e of the canonical
@@ -187,6 +188,25 @@ def _norm_ints(a: Sequence[int], m, p: int) -> int:
             res = -res % p
         B = _monic_ints(B, p)
         A, B = B, _rem_ints(list(A), B, p)
+
+
+def _poly_str(coeffs: Sequence, var: str) -> str:
+    """Coefficients low degree first, ints or elements, printed highest term
+    first with zero terms dropped; a coefficient 1 before a power of var is
+    left unwritten, one whose text holds " " or "*" goes in parentheses."""
+    terms = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if not c:
+            continue
+        s = str(c)
+        if " " in s or "*" in s:
+            s = f"({s})"
+        if i:
+            power = var if i == 1 else f"{var}^{i}"
+            s = power if s == "1" else f"{s}*{power}"
+        terms.append(s)
+    return " + ".join(terms) or "0"
 
 
 _TWICE_PARITY = bytes(2 * (b & 1) for b in range(256))
@@ -508,20 +528,8 @@ class FieldCtx:
         # rebuilt from (p, n), so lazy tables are never serialised
         return (FieldCtx, (self.p, self.n))
 
-    def modulus_str(self, var: str = "t") -> str | None:
-        if self.modulus is None:
-            return None
-        terms = []
-        for i in range(len(self.modulus) - 1, -1, -1):
-            c = self.modulus[i]
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                head = "" if c == 1 else f"{c}*"
-                terms.append(f"{head}{var}" if i == 1 else f"{head}{var}^{i}")
-        return " + ".join(terms) if terms else "0"
+    def modulus_str(self) -> str | None:
+        return None if self.modulus is None else _poly_str(self.modulus, "t")
 
     def __repr__(self) -> str:
         if self.n == 1:
@@ -646,18 +654,8 @@ class FieldElement:
         return c
 
     def __str__(self) -> str:
-        if self.ctx.n == 1:
-            return str(self.rank)
-        terms = []
-        for i, c in reversed(list(enumerate(self.coeffs))):
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                head = "" if c == 1 else f"{c}*"
-                terms.append(f"{head}t" if i == 1 else f"{head}t^{i}")
-        return " + ".join(terms) if terms else "0"
+        # over F_p the rank is the value
+        return str(self.rank) if self.ctx.n == 1 else _poly_str(self.coeffs, "t")
 
     def __repr__(self) -> str:
         return f"<{self} in F_{self.ctx.q}>"

@@ -41,7 +41,7 @@ from array import array
 from dataclasses import dataclass
 
 from .errors import ZeroPolynomialError
-from .gf import FieldCtx, FieldElement, _gcd_ints, _rem_ints
+from .gf import FieldCtx, FieldElement, _gcd_ints, _poly_str, _rem_ints
 
 __all__ = ["Polynomial", "Factorization", "gcd", "factor", "degree_pattern"]
 
@@ -256,23 +256,8 @@ class Polynomial:
         return self.lead, Polynomial.from_ranks(
             ctx, [ctx._mul(inv, c) for c in self.ranks])
 
-    def to_str(self, var: str = "x") -> str:
-        if not self.ranks:
-            return "0"
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self[i]
-            if not c:
-                continue
-            cs = str(c)
-            if self.ctx.n > 1 and (" " in cs or "*" in cs):
-                cs = f"({cs})"
-            if i == 0:
-                terms.append(cs)
-            else:
-                head = "" if cs == "1" else f"{cs}*"
-                terms.append(f"{head}{var}" if i == 1 else f"{head}{var}^{i}")
-        return " + ".join(terms)
+    def to_str(self) -> str:
+        return _poly_str(self.coeffs, "x")
 
     def __str__(self) -> str:
         return self.to_str()

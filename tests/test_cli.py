@@ -72,6 +72,29 @@ def test_hasse_human_golden():
     )
 
 
+def test_hasse_human_golden_extension_field():
+    # compound coefficients print in parentheses, 1 as the bare variable
+    rc, out, err = run_cli("hasse", "-p", "3", "-n", "2", "-a2", "0,1",
+                           "-a4", "1,1", "-a6", "2,2")
+    assert rc == 0 and err == ""
+    assert out == (
+        "field: F_9 (p = 3, n = 2)\n"
+        "modulus: t^2 + 1\n"
+        "curve: WeierstrassCurve(y^2 = x^3 + t*x^2 + (t + 1)*x + (2*t + 2) over F_9)\n"
+        "discriminant: t   j: t\n"
+        "A_p: t   A_q: 1\n"
+        "points: 9   trace beta: 1\n"
+        "ordinary; kernel class exp 0, phi residue 1\n"
+    )
+
+
+def test_hasse_singular_model_message():
+    rc, out, err = run_cli("hasse", "-p", "3", "-n", "2", "-a2", "1,1",
+                           "-a4", "0", "-a6", "0")
+    assert rc == 2 and out == ""
+    assert err == "error: y^2 = x^3 + (t + 1)*x^2 over F_9 = F_3[t]/(t^2 + 1) is singular\n"
+
+
 def test_hasse_supersingular_message():
     rc, out, _ = run_cli("hasse", "-p", "5", "-a4", "0", "-a6", "1")
     assert rc == 0

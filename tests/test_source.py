@@ -1,6 +1,9 @@
-"""Source hygiene: every package module uses the names it imports."""
+"""Source hygiene: every package module uses the names it imports, every
+module-level private name is read somewhere in the package, and every
+absolute import is of the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +41,68 @@ def test_unused_import_guard_sees_reads_and_exports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_modules_use_what_they_import(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _unread_private_names(sources):
+    # module-level private defs, classes and assignments, as
+    # "module.name", that no module reads: by name, as an attribute or
+    # by a from-import
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [f"{module}.{name}" for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    return sorted(name for name in defined if name.partition(".")[2] not in read)
+
+
+def _non_stdlib_imports(source):
+    # the top-level packages of the absolute imports of a module
+    tops = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            tops.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            tops.add(node.module.split(".")[0])
+    return sorted(tops - sys.stdlib_module_names)
+
+
+def test_private_name_guard_sees_reads_across_modules():
+    sources = {
+        "a": ("__all__ = []\n_used = 1\n_unused, _pair = 2, 3\n_typed: int = 4\n"
+              "def _f():\n    return _used\nclass _C:\n    pass\n_h = 5\n"),
+        "b": "from .a import _f\nfrom . import a\nx = a._h\ndef _g():\n    pass\n",
+    }
+    assert _unread_private_names(sources) == [
+        "a._C", "a._pair", "a._typed", "a._unused", "b._g"]
+
+
+def test_package_reads_its_private_names():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert _unread_private_names(sources) == []
+
+
+def test_stdlib_guard_sees_absolute_imports_only():
+    source = ("from __future__ import annotations\nimport os.path, numpy as np\n"
+              "from collections import deque\nfrom . import gf\nfrom .gf import make_field\n"
+              "from yaml.loader import SafeLoader\n")
+    assert _non_stdlib_imports(source) == ["numpy", "yaml"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_modules_import_only_the_standard_library(path):
+    assert _non_stdlib_imports(path.read_text()) == []

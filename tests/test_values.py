@@ -6,12 +6,15 @@ already built them are not serialised.
 """
 
 import copy
+import hashlib
 import pickle
+import random
 
 import pytest
 
 from hasseforms import Polynomial, make_field, unit_class_of
 from hasseforms.curve import WeierstrassCurve
+from hasseforms.errors import SingularModelError
 
 
 def _ctx_with_tables():
@@ -72,3 +75,47 @@ def test_value_types_round_trip(make):
                       copy.deepcopy(value)):
             assert not lazy & set(vars(clone))
         assert len(pickle.dumps(value)) < 100
+
+
+# fields with q <= 1000 for the printed-text pin: prime fields, char-3
+# towers whose models carry a2, and extensions of degree 2 and 3
+_PRINTED_FIELDS = [(3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (7, 3), (13, 1), (31, 2)]
+
+
+def _printed_text():
+    # every element, the context, seeded polynomials (zero ranks drawn
+    # often, so terms drop and coefficients 1 occur) and seeded models,
+    # singular ones by their error message
+    rng = random.Random(20090101)
+    out = []
+    for p, n in _PRINTED_FIELDS:
+        ctx = make_field(p, n)
+        out += [str(ctx), repr(ctx)]
+        for x in ctx.iter_elements():
+            out += [str(x), repr(x)]
+
+        def rank():
+            return rng.choice((0, 0, ctx.one.rank, rng.randrange(ctx.q)))
+
+        out.append(Polynomial(ctx, ()).to_str())
+        for _ in range(40):
+            f = Polynomial.from_ranks(ctx, [rank() for _ in range(rng.randrange(1, 7))])
+            out += [f.to_str(), str(f), repr(f)]
+        for _ in range(40):
+            a2, a4, a6 = (ctx.from_rank(rank()) for _ in range(3))
+            if p >= 5:
+                a2 = ctx.zero
+            try:
+                out.append(repr(WeierstrassCurve(ctx, a4, a6, a2=a2)))
+            except SingularModelError as exc:
+                out.append(str(exc))
+    return "\n".join(out)
+
+
+def test_printed_text_is_pinned():
+    text = _printed_text()
+    # the shapes the digest covers: compound coefficients in parentheses,
+    # a2 terms and singular models
+    assert ")*x^2 + (" in text and "(t^4 + t^3 + t^2 + 1) is singular" in text
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "504b68c7b613ba3b8f8e6ad01c6311271fe783f9d613c8c775afaf02ef233075")
