@@ -9,13 +9,15 @@ when the norm-style residue of its Hasse invariant equals h; the first
 hit in enumeration order is the witness recorded for h.
 
 The census scans the enumeration in order, on lex ranks with no objects,
-until every wanted class has a witness.  (a4, a6) and (u^4 a4, u^6 a6)
-are isomorphic (Silverman, AEC III.1), so where a2 = 0 it reads only row
-a4 = 0 and the first row of each coset of fourth powers, at most 5 rows.
-Each row drops the discriminant's roots (_singular_a6), as _iter_rows
-does.  Over F_p a row of two or more closed-form coefficients is read
-whole, off one packed product (curve._row_counts), and the residue is
-the trace mod p; every other row reads phi([A_p]), A_p off
+until every wanted class has a witness.  A model's class and #E depend
+only on its isomorphism class (Silverman, AEC III.1), so it reads one
+row per isomorphism orbit of (a2, a4) rows, the first in enumeration
+order: _row_orbits, the one place that rule lives, lists at most 5 rows
+for p >= 5 and 6 for p = 3, each with its orbit's size as weight.  Each
+row drops the discriminant's roots (_singular_a6), as _iter_rows does.
+Over F_p a row of two or more closed-form coefficients is read whole,
+off one packed product (curve._row_counts), and the residue is the
+trace mod p; every other row reads phi([A_p]), A_p off
 curve._hasse_at on blocks of a6 that double in size.  A row where
 A_p = c a6^k (row a4 = 0 where p = 1 mod 3, a constant row where k = 0)
 reaches only the classes of one coset, since F_q^* is cyclic (Lidl and
@@ -137,7 +139,7 @@ def _first_hits(ctx: FieldCtx, wanted: Sequence[int]) -> dict[int, tuple[int, in
 
     The exhaustive sweep that audits the scan (_classified): the rows of
     _iter_rows in order, A_p off curve._row_hasse, until every wanted
-    residue is hit or the rows run out; no coset rule, row product or
+    residue is hit or the rows run out; no orbit rule, row product or
     trace shortcut.
     """
     residue = [r if r in wanted else 0 for r in _residues(ctx)]
@@ -153,9 +155,37 @@ def _first_hits(ctx: FieldCtx, wanted: Sequence[int]) -> dict[int, tuple[int, in
     return first
 
 
-def _row_cosets(ctx: FieldCtx) -> int:
-    # rows a4, u^4 a4 are isomorphic where a2 = 0: cosets of 4th powers, or 0
-    return gcd(4, ctx.q - 1) if ctx.p >= 5 else 0
+def _row_orbits(ctx: FieldCtx) -> list[tuple[int, int, int]]:
+    """(a2 rank, a4 rank, weight) of the first row of each isomorphism
+    orbit of (a2, a4) rows that holds a nonsingular model, in enumeration
+    order; the weight is the number of rows in the orbit.
+
+    The one place the census's row rule lives.  x -> u^2 x scales (a2,
+    a4, a6) by (u^2, u^4, u^6) (Silverman, AEC III.1), so on the a2 = 0
+    slab row a4 = 0 is its own orbit (p >= 5; for p = 3 every model on it
+    is singular) and each coset of fourth powers, keyed by log a4 mod
+    c = gcd(4, q - 1), is one, read at its first a4.  In characteristic 3,
+    x -> x + r sends a4 to a4 - a2 r, so where a2 != 0 every row of the
+    slab is isomorphic to row (a2, 0), and slabs a2 and u^2 a2 are one
+    orbit: one row per square class, at its first a2, of weight
+    q (q - 1)/2.  c is even, so the first rank of each square class is
+    the first rank of a coset, and one loop over the ranks 1, 2, ...
+    that stops at the last coset finds both.  Each map is a bijection of
+    the models of one row onto another's, so the rows of an orbit hold
+    one (class, #E) multiset and a row not listed comes after its
+    orbit's listed row: no first hit is lost.
+    """
+    q, log = ctx.q, ctx._log_tables[1]
+    c, fourth, square = gcd(4, q - 1), {}, {}
+    for r in range(1, q):
+        fourth.setdefault(log[r] % c, r)
+        square.setdefault(log[r] & 1, r)
+        if len(fourth) == c:
+            break
+    orbits = [(0, r4, (q - 1) // c) for r4 in fourth.values()]
+    if ctx.p > 3:
+        return [(0, 0, 1)] + orbits
+    return orbits + [(r2, 0, q * (q - 1) // 2) for r2 in square.values()]
 
 
 def _classified(ctx: FieldCtx, tally: Counter | None = None,
@@ -164,8 +194,8 @@ def _classified(ctx: FieldCtx, tally: Counter | None = None,
     classifies, in enumeration order; the residue is 0 when supersingular
     (_residues).
 
-    Rows of a coset after its first (_row_cosets) are skipped, and each
-    other row drops the discriminant roots (_singular_a6) and walks its
+    The scan reads only the rows of _row_orbits, one per isomorphism
+    orbit.  Each drops the discriminant roots (_singular_a6) and walks its
     nonsingular a6 lazily.  Over F_p a row whose closed form has two or
     more coefficients is read whole, since about p classes are hit there:
     the residue is (1 - #E) mod p off the row product (curve._row_counts,
@@ -177,49 +207,40 @@ def _classified(ctx: FieldCtx, tally: Counter | None = None,
     log c + k log a6 mod (p - 1), one coset of (p - 1)/gcd(k, p - 1) of
     them (one where k = 0: A_3 = a2, A_5 = 2 a4; none where A_p = 0), and
     stops once it has yielded them all: no later model on it can be a
-    first hit.  So a constant row yields its first model, and an a2 slab
-    of p = 3 its first row.  Such a row's first block is the square of
-    its reach, the classes plus 0, at most 64; the square covers the
-    coupon-collector wait of a small coset.  Every other row starts at 64.
-    tally counts the rows tabulated, skipped and stopped at their coset,
-    and the discriminant roots of each tabulated row.
+    first hit.  So a constant row yields its first model.  Such a row's
+    first block is the square of its reach, the classes plus 0, at most
+    64; the square covers the coupon-collector wait of a small coset.
+    Every other row starts at 64.  tally counts the rows tabulated and
+    stopped at their coset, the discriminant roots of each tabulated row,
+    and as "rows skipped" the rows before the current one in enumeration
+    order that the scan did not read.
     """
     p, q, pm1 = ctx.p, ctx.q, ctx.p - 1
     tally = Counter() if tally is None else tally
     counts = {} if counts is None else counts
-    cosets, log, seen = _row_cosets(ctx), ctx._log_tables[1], set()
-    for a2r in range(q if p == 3 else 1):
-        for a4r in range(q):
-            if cosets and a4r:
-                if log[a4r] % cosets in seen:
-                    tally["rows skipped"] += 1
-                    continue
-                seen.add(log[a4r] % cosets)
-            tally["rows"] += 1
-            singular = _singular_a6(ctx, _disc_row(ctx, a2r, a4r))
-            tally["singular"] += len(singular)
-            if len(singular) == q:
-                continue
-            r6s = (r6 for r6 in range(q) if r6 not in singular)
-            k, coeffs = _hasse_row(ctx, a2r, a4r)
-            # at most one coefficient: the classes of one coset, none where
-            # A_p = 0, and 0 counted as hit from the start
-            reach = 0 if len(coeffs) > 1 else 1 + (pm1 // gcd(k, pm1) if coeffs else 0)
-            if ctx.n == 1 and len(coeffs) > 1:
-                counts[a2r, a4r] = row = _row_counts(ctx, a2r, a4r)
-                models = ((r6, (1 - row[log[r6]]) % p) for r6 in r6s)
-            else:
-                models = _row_residues(ctx, k, coeffs, r6s, min(reach * reach, 64) or 64)
-            hit = {0}
-            for r6, r in models:
-                yield a2r, a4r, r6, r
-                if reach:
-                    hit.add(r)
-                    if len(hit) == reach:
-                        tally["rows stopped"] += 1
-                        break
-            if p == 3:
-                break  # A_3 = a2: the rest of the slab has this residue
+    log = ctx._log_tables[1]
+    for rows, (a2r, a4r, _) in enumerate(_row_orbits(ctx)):
+        tally["rows"], tally["rows skipped"] = rows + 1, a2r * q + a4r - rows
+        singular = _singular_a6(ctx, _disc_row(ctx, a2r, a4r))
+        tally["singular"] += len(singular)
+        r6s = (r6 for r6 in range(q) if r6 not in singular)
+        k, coeffs = _hasse_row(ctx, a2r, a4r)
+        # at most one coefficient: the classes of one coset, none where
+        # A_p = 0, and 0 counted as hit from the start
+        reach = 0 if len(coeffs) > 1 else 1 + (pm1 // gcd(k, pm1) if coeffs else 0)
+        if ctx.n == 1 and len(coeffs) > 1:
+            counts[a2r, a4r] = row = _row_counts(ctx, a2r, a4r)
+            models = ((r6, (1 - row[log[r6]]) % p) for r6 in r6s)
+        else:
+            models = _row_residues(ctx, k, coeffs, r6s, min(reach * reach, 64) or 64)
+        hit = {0}
+        for r6, r in models:
+            yield a2r, a4r, r6, r
+            if reach:
+                hit.add(r)
+                if len(hit) == reach:
+                    tally["rows stopped"] += 1
+                    break
 
 
 def _row_residues(ctx: FieldCtx, k: int, coeffs: tuple[int, ...],
@@ -365,18 +386,21 @@ def _check_row(ctx: FieldCtx, r2: int, r4: int, hits: Sequence[tuple[int, int]],
 def census(ctx: FieldCtx) -> RealizabilityReport:
     """Find a first witness for every realizable class over ctx.
 
-    One scan in enumeration order (_classified) keeps the (a2, a4, a6)
-    ranks of the first model of each residue until every class of
-    realizable_set is hit, else raises InconsistencyError.  The winners
-    are checked as by describe_witness, on ranks, one _check_row call per
-    witness row in enumeration order, with counts off the scan's row
-    product where it made one (at the log of a6) and curve._count_at
+    One scan in enumeration order (_classified), over one row per
+    isomorphism orbit (_row_orbits, where that rule lives), keeps the
+    (a2, a4, a6) ranks of the first model of each residue until every
+    class of realizable_set is hit, else raises InconsistencyError.  The
+    winners are checked as by describe_witness, on ranks, one _check_row
+    call per witness row in enumeration order, with counts off the scan's
+    row product where it made one (at the log of a6) and curve._count_at
     (point_count's pass) on every other row: no curve is built.  The
     DEBUG record's "singular skipped" counts the discriminant roots of
     each tabulated row, whether or not the scan got that far along it,
-    "rows stopped at their coset" the rows of at most one coefficient
-    (A_p = c a6^k, constant A_p and A_p = 0 included) the scan left once
-    their classes were all hit, and "witness rows" the _check_row calls.
+    "rows skipped" the rows before the last one read, in enumeration
+    order, that the scan did not read, "rows stopped at their coset" the
+    rows of at most one coefficient (A_p = c a6^k, constant A_p and
+    A_p = 0 included) the scan left once their classes were all hit, and
+    "witness rows" the _check_row calls.
     """
     p, q = ctx.p, ctx.q
     residues = range(1, p)

@@ -6,7 +6,7 @@ import time
 from array import array
 from collections import Counter, defaultdict
 from itertools import product
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -33,12 +33,14 @@ from hasseforms.curve import (
     _decode,
     _disc_row,
     _hasse_row,
+    _row_counts,
+    _row_hasse,
     _row_hist,
     discriminant_general,
 )
 from hasseforms.errors import SingularModelError
 from hasseforms.gf import _is_prime
-from hasseforms.search import _classified, _iter_rows
+from hasseforms.search import _classified, _iter_rows, _row_orbits
 
 
 def _hasse_residue(curve):
@@ -313,7 +315,8 @@ def test_census_consistency_against_curve_sweep(p):
 
 
 def test_char3_census_within_budget():
-    # A_3 = a2: one model per a2 slab is classified, the slab 0 included
+    # A_3 = a2: one model per orbit row is classified, slab 0's cosets
+    # of fourth powers included
     t0 = time.perf_counter()
     report = census(make_field(3, 6))
     elapsed = time.perf_counter() - t0
@@ -363,45 +366,41 @@ def _monomial_row(ctx, row):
 
 def _classified_on_objects(ctx):
     # the scan's rules on curves: decode every rank triple, and keep only
-    # the first model of an a2 slab, else of an a4 row, on which A_p takes
-    # one value (an a2 slab for A_3 = a2, an a4 row for A_5 = 2 a4 or
-    # A_p = 0); and on a row where A_p = c a6^k with k >= 1 (the a2 = a4 = 0
-    # row where p = 1 mod 3, every row of p = 7 and the a4 != 0 rows of
-    # p = 11), cut after the first model by which every residue of the
-    # whole row has appeared
+    # the first model of an a4 row on which A_p takes one value (A_3 = a2,
+    # A_5 = 2 a4 or A_p = 0); and on a row where A_p = c a6^k with k >= 1
+    # (the a2 = a4 = 0 row where p = 1 mod 3, every row of p = 7 and the
+    # a4 != 0 rows of p = 11), cut after the first model by which every
+    # residue of the whole row has appeared
     q, out = ctx.q, []
     triples = list(_rank_triples(ctx))
-    for slab in range(0, len(triples), q * q):
-        rows = [[(t, hasse_invariant(c))
-                 for t in triples[base:base + q] if (c := _decode_or_none(ctx, t))]
-                for base in range(slab, slab + q * q, q)]
-        if len({a.rank for row in rows for _, a in row}) == 1:
-            rows = [next(row for row in rows if row)]
-        for row in rows:
-            keep = row[:1] if len({a.rank for _, a in row}) == 1 else row
-            keep = [(*t, int(phi(unit_class_of(a))) if a else 0) for t, a in keep]
-            if _monomial_row(ctx, row):
-                reach, seen = {r for *_, r in keep if r}, set()
-                for cut, (*_, r) in enumerate(keep, 1):
-                    seen.add(r)
-                    if seen >= reach:
-                        keep = keep[:cut]
-                        break
-            out += keep
+    for base in range(0, len(triples), q):
+        row = [(t, hasse_invariant(c))
+               for t in triples[base:base + q] if (c := _decode_or_none(ctx, t))]
+        keep = row[:1] if len({a.rank for _, a in row}) == 1 else row
+        keep = [(*t, int(phi(unit_class_of(a))) if a else 0) for t, a in keep]
+        if _monomial_row(ctx, row):
+            reach, seen = {r for *_, r in keep if r}, set()
+            for cut, (*_, r) in enumerate(keep, 1):
+                seen.add(r)
+                if seen >= reach:
+                    keep = keep[:cut]
+                    break
+        out += keep
     return out
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (13, 1), (19, 1), (23, 1),
                                  (3, 2), (3, 3), (5, 2), (7, 2), (5, 3), (11, 2), (17, 2)])
 def test_rank_scan_matches_object_route(monkeypatch, p, n):
-    # the p = 3 slab, the p = 5 row, the A_p = 0 row a4 = 0 where p = 2
-    # mod 3, the rows of A_p = c a6^k that stop at their coset (k = 2 over
-    # F_13, 3 over F_19, 1 over F_7^2 and F_11^2), and the full scan, over
-    # F_p (the row product) and F_q (blocks of _hasse_at, past the first
-    # block of 64 at q = 121 and 289), on every row: the rule that skips
-    # rows a4 = u^4 a4' is turned off here, and pinned by
-    # test_coset_rows_share_residues
-    monkeypatch.setattr(search_module, "_row_cosets", lambda ctx: 0)
+    # the p = 3 rows of A_3 = a2, the p = 5 row, the A_p = 0 row a4 = 0
+    # where p = 2 mod 3, the rows of A_p = c a6^k that stop at their coset
+    # (k = 2 over F_13, 3 over F_19, 1 over F_7^2 and F_11^2), and the full
+    # scan, over F_p (the row product) and F_q (blocks of _hasse_at, past
+    # the first block of 64 at q = 121 and 289), on every row: the orbit
+    # rule is turned off here, every row listed with weight 1, and pinned
+    # by test_row_orbits_are_the_orbits_of_the_rows
+    monkeypatch.setattr(search_module, "_row_orbits",
+                        lambda ctx: [(r2, r4, 1) for r2, r4, _, _ in _iter_rows(ctx)])
     ctx = make_field(p, n)
     assert list(_classified(ctx)) == _classified_on_objects(ctx)
 
@@ -420,6 +419,91 @@ def test_coset_rows_share_residues(p, n):
     u4 = ctx.generator ** 4
     for a4 in ctx.iter_elements():
         assert rows[(u4 * a4).rank] == rows[a4.rank]
+
+
+# the fields of the benchmark's suites ladder
+SUITES_LADDER = [(p, 1) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)] + [
+    (3, 2), (5, 2), (7, 2), (3, 3)]
+
+
+def _orbits_by_union(ctx):
+    # the (a2 rank, a4 rank, size) of the first row of each orbit of the
+    # rows under x -> g^2 x, (a2, a4) -> (g^2 a2, g^4 a4), and in
+    # characteristic 3 under x -> x + r, (a2, a4) -> (a2, a4 - a2 r) for r
+    # in 1, g, ..., g^(n-1), which span F_q over F_p: union-find on
+    # elements, orbits with no nonsingular model dropped
+    q, g = ctx.q, ctx.generator
+    shifts = [g ** i for i in range(ctx.n)] if ctx.p == 3 else []
+    parent = {}
+
+    def root(row):
+        while parent.get(row, row) != row:
+            row = parent[row]
+        return row
+
+    for a2, a4 in product([ctx.from_rank(r) for r in range(q if ctx.p == 3 else 1)],
+                          list(ctx.iter_elements())):
+        for b2, b4 in [(g * g * a2, g ** 4 * a4)] + [(a2, a4 - a2 * r) for r in shifts]:
+            x, y = root((a2.rank, a4.rank)), root((b2.rank, b4.rank))
+            parent[max(x, y)] = min(x, y)
+    orbits = defaultdict(list)
+    for row in product(range(q if ctx.p == 3 else 1), range(q)):
+        orbits[root(row)].append(row)
+    nonsingular = {(r2, r4) for r2, r4, _, _ in _iter_rows(ctx)}
+    return sorted((*first, len(rows)) for first, rows in orbits.items()
+                  if nonsingular & set(rows))
+
+
+@pytest.mark.parametrize("p,n", SUITES_LADDER + [(3, 4), (5, 3)])
+def test_row_orbits_are_the_orbits_of_the_rows(p, n):
+    # one row per orbit, its first in enumeration order, weighed by the
+    # orbit's size: at most 5 rows for p >= 5 and 6 for p = 3
+    ctx = make_field(p, n)
+    orbits = _row_orbits(ctx)
+    assert orbits == _orbits_by_union(ctx)
+    assert len(orbits) == (gcd(4, ctx.q - 1) + (2 if p == 3 else 1))
+
+
+def _row_stats(ctx, r2, r4, r6s):
+    # (class exponent or -1, trace beta) of the row's models: A_p off
+    # _row_hasse, #E off _row_counts at the log of a6
+    log, pm1 = ctx._log_tables[1], ctx.p - 1
+    hasse, counts = _row_hasse(ctx, r2, r4), _row_counts(ctx, r2, r4)
+    return Counter((log[hasse[r6]] % pm1 if hasse[r6] else -1, ctx.q + 1 - counts[log[r6]])
+                   for r6 in r6s)
+
+
+@pytest.mark.parametrize("p,n", SUITES_LADDER + [(3, 4), (5, 3)])
+def test_row_orbits_weigh_up_to_every_row(p, n):
+    # the orbit rows, each counted weight times, give the (class, trace)
+    # counts of every row _iter_rows yields, and the weights add up to them
+    ctx = make_field(p, n)
+    weights = {(r2, r4): weight for r2, r4, weight in _row_orbits(ctx)}
+    full, weighted, rows = Counter(), Counter(), list(_iter_rows(ctx))
+    for r2, r4, _, r6s in rows:
+        stats, weight = _row_stats(ctx, r2, r4, r6s), weights.get((r2, r4), 0)
+        full.update(stats)
+        weighted.update({key: weight * m for key, m in stats.items()})
+    assert weighted == full
+    assert sum(weights.values()) == len(rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_char3_rows_of_one_orbit_share_residues_and_counts(n):
+    # in characteristic 3, x -> x + r sends (a2, a4) to (a2, a4 - a2 r) and
+    # x -> u^2 x to (u^2 a2, u^4 a4): on the object route every row of
+    # slab a2 != 0 and of slab u^2 a2 holds the (residue, #E) multiset of
+    # row (a2, 0), and on slab a2 = 0 rows a4 and u^4 a4 hold one multiset
+    ctx = make_field(3, n)
+    rows = defaultdict(Counter)
+    for curve in iter_curves(ctx):
+        rows[curve.a2.rank, curve.a4.rank][_hasse_residue(curve), point_count(curve).count] += 1
+    u2 = ctx.generator ** 2
+    for a2, a4 in product(ctx.iter_elements(), repeat=2):
+        if a2:
+            assert rows[a2.rank, a4.rank] == rows[a2.rank, 0] == rows[(u2 * a2).rank, 0]
+        elif a4:
+            assert rows[0, (u2 * u2 * a4).rank] == rows[0, a4.rank]
 
 
 def _count_constructions(monkeypatch):
@@ -611,6 +695,23 @@ def test_census_stops_row_a4_zero_at_its_coset(caplog, p, n, k, models):
                 if r.getMessage().startswith("census over"))
     assert f": {models} models tested, " in text
     assert ", 2 rows tabulated, 0 rows skipped, 1 rows stopped at their coset, " in text
+
+
+def test_census_record_counts_the_char3_orbit_rows(caplog):
+    # over F_3^4 the scan reads slab 0's four coset rows, then rows (1, 0)
+    # and (4, 0) of the two square classes of a2, one model each: rows of
+    # constant A_3, of which the first five stop there and the census
+    # ends on the sixth; the rows (a2, 0) drop a6 = 0, and 4 * 81 + 0 - 5
+    # rows before row (4, 0) were not read
+    ctx = make_field(3, 4)
+    assert [row[:2] for row in _row_orbits(ctx)] == [
+        (0, 1), (0, 3), (0, 4), (0, 12), (1, 0), (4, 0)]
+    with caplog.at_level(logging.DEBUG, logger="hasseforms"):
+        census(ctx)
+    text = next(r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("census over"))
+    assert (": 6 models tested, 2 singular skipped, 6 rows tabulated, 319 rows skipped, "
+            "5 rows stopped at their coset, ") in text
 
 
 def test_sweeps_guarded_on_oversized_fields():
