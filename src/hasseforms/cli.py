@@ -110,7 +110,9 @@ def _curve_from_args(ctx: FieldCtx, args) -> WeierstrassCurve:
 
 
 # -- subcommand handlers -------------------------------------------------
-# each returns (params, result, human_lines, exit_code)
+# each returns (params, result, lines, exit_code), where lines() builds the
+# human report; main calls it only when it prints the report, not under
+# --json
 
 def _cmd_hasse(args):
     ctx = make_field(args.p, args.n)
@@ -118,35 +120,34 @@ def _cmd_hasse(args):
     fd = point_count(curve)
     ap = hasse_invariant(curve, "p")
     aq = norm_to_prime(ap)
+    j = curve.j_invariant
     ordinary = bool(ap)
     cls = unit_class_of(ap) if ordinary else None
+    residue = int(phi(cls)) if cls else None
     result = {
         **_field_header(ctx),
         "a2": _elt_json(curve.a2),
         "a4": _elt_json(curve.a4),
         "a6": _elt_json(curve.a6),
         "discriminant": _elt_json(curve.discriminant),
-        "j": _elt_json(curve.j_invariant),
+        "j": _elt_json(j),
         "hasse_p": _elt_json(ap),
         "hasse_q": _elt_json(aq),
         "count": fd.count,
         "beta": fd.beta,
         "ordinary": ordinary,
         "class_exp": cls.exp if cls else None,
-        "phi": int(phi(cls)) if cls else None,
+        "phi": residue,
     }
-    lines = _field_lines(ctx) + [
+    params = {"p": args.p, "n": args.n, "a2": args.a2, "a4": args.a4, "a6": args.a6}
+    return params, result, lambda: _field_lines(ctx) + [
         f"curve: {curve!r}",
-        f"discriminant: {curve.discriminant}   j: {curve.j_invariant}",
+        f"discriminant: {curve.discriminant}   j: {j}",
         f"A_p: {ap}   A_q: {aq}",
         f"points: {fd.count}   trace beta: {fd.beta}",
-    ]
-    if ordinary:
-        lines.append(f"ordinary; kernel class exp {cls.exp}, phi residue {int(phi(cls))}")
-    else:
-        lines.append("supersingular; kernel is the self-dual infinitesimal form")
-    params = {"p": args.p, "n": args.n, "a2": args.a2, "a4": args.a4, "a6": args.a6}
-    return params, result, lines, 0
+        f"ordinary; kernel class exp {cls.exp}, phi residue {residue}" if ordinary
+        else "supersingular; kernel is the self-dual infinitesimal form",
+    ], 0
 
 
 def _cmd_realizable(args):
@@ -172,12 +173,11 @@ def _cmd_realizable(args):
         "missing": missing,
         "verdict": verdict,
     }
-    lines = [
+    return {"p": args.p, "n": args.n}, result, lambda: [
         f"classes over F_{q} allowed by the trace interval: {sorted(hit)}",
         f"missing: {missing}" if missing else "missing: none",
         f"verdict: {verdict}",
-    ]
-    return {"p": args.p, "n": args.n}, result, lines, 0
+    ], 0
 
 
 def _cmd_search(args):
@@ -188,23 +188,21 @@ def _cmd_search(args):
     params = {"p": args.p, "n": args.n, "h": h, "no_shortcut": args.no_shortcut}
     if curve is None:
         result = {**_field_header(ctx), "h": h, "realizable": False, "witness": None}
-        lines = _field_lines(ctx) + [
+        return params, result, lambda: _field_lines(ctx) + [
             f"class {h}: not realizable over F_{ctx.q}",
             "no admissible trace exists in the open interval (-2*sqrt(q), 2*sqrt(q))"
             if not args.no_shortcut else
             "exhausted every curve without a hit",
-        ]
-        return params, result, lines, 0
+        ], 0
     witness = describe_witness(curve, h)
     result = {**_field_header(ctx), "h": h, "realizable": True,
               "witness": witness.to_dict()}
-    lines = _field_lines(ctx) + [
+    return params, result, lambda: _field_lines(ctx) + [
         f"class {h}: realizable over F_{ctx.q}",
         f"witness: {curve!r}",
         f"points: {witness.count}   beta: {witness.beta}   "
         f"class exp: {witness.class_exp}   phi: {witness.phi}",
-    ]
-    return params, result, lines, 0
+    ], 0
 
 
 def _cmd_verify(args):
@@ -216,12 +214,10 @@ def _cmd_verify(args):
             results.append(run_suite(args.suite, p, n))
     ok = all(r.ok for r in results)
     result = {"suites": [r.to_dict() for r in results], "ok": ok}
-    lines = [r.summary_line() for r in results]
-    for r in results:
-        for failure in r.failures:
-            lines.append(f"  FAIL {failure}")
     params = {"suite": args.suite, "p": args.p, "n": args.n}
-    return params, result, lines, 0 if ok else 1
+    return params, result, lambda: (
+        [r.summary_line() for r in results]
+        + [f"  FAIL {failure}" for r in results for failure in r.failures]), 0 if ok else 1
 
 
 def _cmd_ptorsion(args):
@@ -233,28 +229,26 @@ def _cmd_ptorsion(args):
         result = {**_field_header(ctx), "supersingular": True, "label": "M2",
                   "class_exp": None, "hasse": None, "j": None,
                   "etale_degrees": None, "j_p_root": None}
-        lines = _field_lines(ctx) + [
+        return params, result, lambda: _field_lines(ctx) + [
             f"curve: {curve!r}",
             "supersingular: E[p] is the non-split self-dual thickening M2",
-        ]
-        return params, result, lines, 0
+        ], 0
     result = {
         **_field_header(ctx),
         "supersingular": False,
         "label": desc.label,
         "class_exp": desc.hasse_class.exp,
-        "hasse": _elt_json(hasse_invariant(curve)),
+        "hasse": _elt_json(desc.hasse),
         "j": _elt_json(desc.j),
         "etale_degrees": list(desc.etale_degrees),
         "j_p_root": _elt_json(desc.j_p_root),
     }
-    lines = _field_lines(ctx) + [
+    return params, result, lambda: _field_lines(ctx) + [
         f"curve: {curve!r}",
         f"ordinary: multiplicative part twisted by class exp {desc.hasse_class.exp}",
         f"etale part: field factors of degrees {list(desc.etale_degrees)}",
         f"j: {desc.j}   p-th root of j: {desc.j_p_root}",
-    ]
-    return params, result, lines, 0
+    ], 0
 
 
 HANDLERS = {
@@ -382,7 +376,7 @@ def main(argv=None) -> int:
         }
         text = json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n"
     else:
-        text = "\n".join(lines) + "\n"
+        text = "\n".join(lines()) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

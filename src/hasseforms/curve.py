@@ -33,14 +33,17 @@ logs with Zech steps over F_q.  hasse_invariant is _hasse_at at one a6,
 _row_hasse is _hasse_at on every a6 of the row, and the census reads
 it on blocks of a6 (rows its scan reads by A_p) and on a row's
 witnesses; Polynomial.pow_truncated is the independent route that tests
-and the closed-forms suite hold it to.  #E has one table per row too,
-the histogram M of the logs of h = x^3 + a2 x^2 + a4 x over x != 0
-(_row_hist, one byte a slot, and two bit planes that _count_at adds).
-point_count reads it at one a6, on ranks in _count_at, which counts the
-census's witnesses on rows read by A_p: two popcounts of the planes
-against one rotated mask per context.  _row_counts reads it at every a6
-from one cyclic product over F_q^*, by the log of a6, for callers that
-walk whole rows: the census scan over F_p and the row suites.
+and the closed-forms suite hold it to.  #E of one curve over F_p with
+p > 229 needs no table: point_count takes baby and giant steps on the
+points of E and of its quadratic twist (_count_mestre).  Elsewhere, and
+for whole rows, #E has one table per row, the histogram M of the logs
+of h = x^3 + a2 x^2 + a4 x over x != 0 (_row_hist, one byte a slot, and
+two bit planes that _count_at adds).  _count_at reads it at one a6, on
+ranks, for point_count and for the census's witnesses on rows read by
+A_p: two popcounts of the planes against one rotated mask per context.
+_row_counts reads it at every a6 from one cyclic product over F_q^*, by
+the log of a6, for callers that walk whole rows: the census scan over
+F_p and the row suites.
 
 A twist by d scales (a2, a4, a6) by ranks that _twist_scales gives, so
 it moves every model of an (a2, a4) row onto one other row.  twist
@@ -53,7 +56,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import (BadCongruenceError, SingularModelError, WrongJInvariantError,
                      ZeroTwistParameterError)
@@ -184,13 +187,17 @@ class FrobeniusData:
 
 
 def point_count(curve: WeierstrassCurve) -> FrobeniusData:
-    """Exhaustive point count via the quadratic character.
+    """#E over the base field, one point at infinity included, and its trace.
 
-    Each affine x contributes 1 + chi(f(x)) points, plus one at infinity.
-    Write f = h + a6 with h(x) = x^3 + a2 x^2 + a4 x.  The histogram
-    M[u] = #{x != 0 : log h(x) = u} (canonical generator g) is tabulated
-    once per (a2, a4) row (_row_hist), on every field, prime fields
-    included.  At a6 = g^lc, chi(h + a6) = chi(a6) (1 - Y[log h - lc])
+    Over F_p with p > 229 (_MESTRE_P) by baby and giant steps on points
+    of E and of its quadratic twist (_count_mestre), with no table: about
+    p^(1/4) group operations a point.  Over F_q with n > 1, and over F_p
+    with p <= 229, where E and its twist may have no point whose order
+    pins #E, by the quadratic character: each affine x contributes
+    1 + chi(f(x)) points, and with f = h + a6,
+    h(x) = x^3 + a2 x^2 + a4 x, the histogram M[u] = #{x != 0 : log h(x)
+    = u} (canonical generator g) is tabulated once per (a2, a4) row
+    (_row_hist).  At a6 = g^lc, chi(h + a6) = chi(a6) (1 - Y[log h - lc])
     with Y[t] = 1 - chi(1 + g^t), and an x with h(x) = 0 adds chi(a6),
     so the affine character sum is chi(a6) (q - S) with
     S = sum_u M[u] Y[u - lc].  Y is one byte string per context
@@ -202,11 +209,15 @@ def point_count(curve: WeierstrassCurve) -> FrobeniusData:
     Y[t] != 0, so that sum is popcount(low & rot) + 2 popcount(high & rot)
     with rot the mask rotated by lc: a shift, two ands and two popcounts
     over q/8 bytes.  On 2 vCPU a count takes about 0.4 ms at q = 1021^2.
-    This is the per-curve route, _count_at on ranks; whole-row callers
-    read _row_counts.
+    That is _count_at on ranks, which also counts the census's witnesses;
+    whole-row callers read _row_counts.  Tests hold the two routes to
+    each other on every model of F_233 and F_239.
     """
     ctx, r2, r4, r6 = curve.ctx, curve.a2.rank, curve.a4.rank, curve.a6.rank
-    count = _count_at(ctx, r2, r4, r6)
+    if ctx.n == 1 and ctx.p > _MESTRE_P:
+        count = _count_mestre(ctx.p, r4, r6)
+    else:
+        count = _count_at(ctx, r2, r4, r6)
     beta = _trace(ctx, count, r2, r4, r6)
     return FrobeniusData(count=count, beta=beta, ordinary=beta % ctx.p != 0)
 
@@ -229,6 +240,153 @@ def _count_at(ctx: FieldCtx, r2: int, r4: int, r6: int) -> int:
     s = (2 * ((low & rot).bit_count() + 2 * (high & rot).bit_count())
          - hist[(order // 2 + lc) % order])
     return 1 + q + (q - s) * (1 - 2 * (lc & 1))
+
+
+# Mestre's theorem in Schoof's form (J. Theor. Nombres Bordeaux 7, 1995,
+# section 3): for every prime p > 229, E or its quadratic twist has a point
+# whose order has one multiple in the Hasse interval; at p = 229 some curve
+# has none
+_MESTRE_P = 229
+
+
+@lru_cache(maxsize=1)
+def _nonsquare(p: int) -> int:
+    # the least non-square mod an odd prime p, by Euler's criterion
+    return next(d for d in range(2, p) if pow(d, (p - 1) // 2, p) == p - 1)
+
+
+def _sqrt(v: int, p: int, z: int) -> int | None:
+    # a square root of v mod p, None where v is not a square: v^((p+1)/4)
+    # for p = 3 mod 4, else Tonelli-Shanks (Cohen, GTM 138, 1.5.1) with the
+    # non-square z; a non-square shows as t of order 2^s, the whole 2-part
+    if not v:
+        return 0
+    if p & 3 == 3:
+        y = pow(v, (p + 1) >> 2, p)
+        return y if y * y % p == v else None
+    s, odd = 0, p - 1
+    while not odd & 1:
+        odd >>= 1
+        s += 1
+    c, t, y = pow(z, odd, p), pow(v, odd, p), pow(v, (odd + 1) >> 1, p)
+    while t != 1:
+        i, u = 0, t
+        while u != 1:
+            u = u * u % p
+            i += 1
+            if i == s:
+                return None
+        b = pow(c, 1 << (s - i - 1), p)
+        y, c = y * b % p, b * b % p
+        t, s = t * c % p, i
+    return y
+
+
+def _ec_add(P, Q, a4: int, p: int):
+    # the sum of affine points (x, y) on y^2 = x^3 + a4 x + a6 over F_p,
+    # None the point at infinity
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2:
+        if not (y1 + y2) % p:
+            return None
+        lam = (3 * x1 * x1 + a4) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def _ec_mul(k: int, P, a4: int, p: int):
+    # k P for k >= 1, by doubling and adding
+    R = P
+    for bit in bin(k)[3:]:
+        R = _ec_add(R, R, a4, p)
+        if bit == "1":
+            R = _ec_add(R, P, a4, p)
+    return R
+
+
+def _multiples(P, a4: int, p: int, lo: int, hi: int) -> list[int]:
+    """The multiples of the order r of P in [lo, hi], which holds one.
+
+    Shanks's baby and giant steps (Cohen, GTM 138, 5.4.1), with m =
+    isqrt((hi - lo)/2) + 1.  Baby steps jP for 1 <= j <= m are keyed by
+    x, so that one match reads both +-jP.  The first jP, j <= m + 1, at
+    the point at infinity gives r = j, and the first whose x repeats an
+    earlier j' (so jP = -j'P) gives r = j + j': small orders, 2 among
+    them, end here.  Otherwise r > 2m + 1, so each window [c - m, c + m]
+    of the giant steps, the multiples c of 2m + 1 from the first window
+    that reaches lo, holds at most one multiple, and cP = +-jP shows it
+    as c -+ j; every window up to hi is read.  Needs lo > m + 1, as at
+    every p > 229, so that the first giant step is past 0.
+    """
+    m = isqrt((hi - lo) // 2) + 1
+    babies, Q = {}, P
+    for j in range(1, m + 2):
+        if Q is None or Q[0] in babies:
+            r = j if Q is None else j + babies[Q[0]][0]
+            return list(range(-(-lo // r) * r, hi + 1, r))
+        if j > m:
+            break
+        babies[Q[0]] = j, Q[1]
+        last, Q = Q, _ec_add(Q, P, a4, p)
+    # Q = (m + 1) P and last = m P; the giant steps are the multiples c of
+    # the stride from the first whose window reaches lo, so cP = (c/stride) S
+    stride = 2 * m + 1
+    S = _ec_add(Q, last, a4, p)
+    k = (lo + m) // stride
+    R, c = _ec_mul(k, S, a4, p), k * stride
+    found = []
+    while c - m <= hi:
+        if R is None:
+            found.append(c)
+        elif R[0] in babies:
+            j, y = babies[R[0]]
+            found.append(c - j if R[1] == y else c + j)
+        R, c = _ec_add(R, S, a4, p), c + stride
+    return [M for M in found if lo <= M <= hi]
+
+
+def _count_mestre(p: int, a4: int, a6: int) -> int:
+    """#E for y^2 = x^3 + a4 x + a6 over F_p, p > 229, with no table.
+
+    Shanks and Mestre (Cohen, GTM 138, 7.4.3; Schoof, J. Theor. Nombres
+    Bordeaux 7, 1995, section 3): with d the least non-square, the twist
+    E': y^2 = x^3 + d^2 a4 x + d^3 a6 has #E' = 2p + 2 - #E, and both lie
+    in the Hasse interval p + 1 +- isqrt(4p).  x = 0, 1, 2, ... in turn
+    gives a point of E where f(x) is a square (y from _sqrt, y = 0 at a
+    root of f) and the point (d x, d sqrt(d f(x))) of E' where it is not,
+    so the two walks interleave.  #E is a multiple of the order of each
+    point of E in the interval, and 2p + 2 - #E one of each point of E'
+    (_multiples); the candidates are the N that are both, point after
+    point, until one is left.  By Mestre's theorem that happens, once
+    the orders reach the group exponents if not before, for every
+    p > 229.
+    """
+    d = _nonsquare(p)
+    w = isqrt(4 * p)
+    lo, hi = p + 1 - w, p + 1 + w
+    a4t, twice = a4 * d * d % p, 2 * p + 2
+    cands = None
+    for x in range(p):
+        v = ((x * x + a4) * x + a6) % p
+        y = _sqrt(v, p, d)
+        if y is not None:
+            ns = _multiples((x, y), a4, p, lo, hi)
+        else:
+            P = d * x % p, d * _sqrt(d * v % p, p, d) % p
+            ns = [twice - n for n in _multiples(P, a4t, p, lo, hi)]
+        cands = set(ns) if cands is None else cands.intersection(ns)
+        if len(cands) == 1:
+            return cands.pop()
+        if not cands:
+            break
+    raise RuntimeError(f"#E of y^2 = x^3 + {a4} x + {a6} over F_{p} is not "
+                       "pinned by its points and its twist's, this is a bug")
 
 
 def _decode(ctx: FieldCtx, r2: int, r4: int, r6: int) -> WeierstrassCurve:

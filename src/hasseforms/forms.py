@@ -211,10 +211,11 @@ class PTorsionDescription:
     """Coordinate-level description of the p-torsion group scheme E[p].
 
     Ordinary case: a connected multiplicative-type part twisted by
-    hasse_class, plus an etale algebra whose field factors all have the
-    same degree (the order of the class); etale_degrees lists them with
-    multiplicity.  j_p_root is the unique p-th root of j in the base
-    field, the value at which the second coordinate generator is glued.
+    hasse_class, the class of the Hasse invariant hasse, plus an etale
+    algebra whose field factors all have the same degree (the order of
+    the class); etale_degrees lists them with multiplicity.  j_p_root
+    is the unique p-th root of j in the base field, the value at which
+    the second coordinate generator is glued.
 
     Supersingular case: nothing splits; the scheme is the standard
     non-split self-dual thickening, labelled M2.
@@ -225,6 +226,7 @@ class PTorsionDescription:
     j: FieldElement | None = None
     etale_degrees: tuple[int, ...] | None = None
     j_p_root: FieldElement | None = None
+    hasse: FieldElement | None = None
 
     @property
     def label(self) -> str:
@@ -254,4 +256,5 @@ def ptorsion_description(curve: WeierstrassCurve) -> PTorsionDescription:
         j=j,
         etale_degrees=(cls.order,) * ((p - 1) // cls.order),
         j_p_root=j ** (p ** (ctx.n - 1)),
+        hasse=a,
     )

@@ -17,14 +17,17 @@ Tables.  Every field, prime fields included, has lazily built exp/log
 tables over lex ranks, indexed by the exponent e of the canonical
 generator g: exp[e] = rank(g^e), log[rank] = e, and the Zech logarithm
 zech[e] = log(1 + g^e) (Lidl and Niederreiter, Finite Fields, ch. 9).
-Each table holds O(q) machine integers.  Discrete logarithms and point
-counts read them on every field; point counts read the parities of the
-Zech logarithms from one byte string per context.  The build leans on
-the norm N(x) = x^((q-1)/(p-1)), which lies in F_p (ibid., ch. 2): the
-generator search takes each candidate's norm as the resultant of the
-modulus and x (_norm_ints) and tests it with int powers, and since
-g^((q-1)/(p-1)) lies in F_p^*, only the first (q-1)/(p-1) powers of g
-are walked; the others are those scaled by F_p, digit by digit.
+Each table holds O(q) machine integers.  Sweeps read them on every
+field, and point counts the parities of the Zech logarithms from one
+byte string per context.  A single query over F_p builds none:
+discrete_log and gen_pow read the tables where a sweep has built them
+(FieldCtx._tabled) and otherwise take Pohlig-Hellman and int powers.
+The build leans on the norm N(x) = x^((q-1)/(p-1)), which lies in F_p
+(ibid., ch. 2): the generator search takes each candidate's norm as the
+resultant of the modulus and x (_norm_ints) and tests it with int
+powers, and since g^((q-1)/(p-1)) lies in F_p^*, only the first
+(q-1)/(p-1) powers of g are walked; the others are those scaled by F_p,
+digit by digit.
 
 Arithmetic.  Over F_p (n = 1) the rank is the value: built-in ints.  Over
 F_q with n > 1 products, powers and inverses act on logarithms,
@@ -36,8 +39,8 @@ _conv_mul and _conv_pow on coefficient tuples, is the reference the tests
 audit the tables against.
 
 Scale guard: a context refuses q = p**n > 2**20 before any modulus
-search, so every field that exists has its tables.  None of this is
-constant time or meant for cryptographic use.
+search, so every field that exists can build its tables.  None of this
+is constant time or meant for cryptographic use.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ import sys
 import time
 from array import array
 from functools import cached_property
+from math import isqrt
 from operator import mul
 from typing import Iterator, Sequence, Union
 
@@ -222,8 +226,9 @@ class FieldCtx:
     lex ranks.  The first use of _log_tables (the exp/log/Zech tables,
     about 12 bytes per element) builds them from the lex-smallest
     generator, and _zech_y, the table of 1 - chi(1 + g^t) that point
-    counts read, adds one byte per element; prime fields read them for
-    logarithms and point counts.
+    counts read, adds one byte per element.  Prime fields need them only
+    for sweeps and the table point count (p <= 229); logarithms and
+    powers of g read them once built (_tabled).
     q > 2**20 raises FieldTooLargeError.
     """
 
@@ -509,10 +514,19 @@ class FieldCtx:
         y[(self.q - 1) // 2] = 1
         return bytes(y)
 
+    def _tabled(self) -> bool:
+        # whether discrete_log and gen_pow read the exp/log tables: always
+        # over F_q with n > 1, whose arithmetic needs them, and over F_p
+        # once a sweep has built them (cached_property keeps them in
+        # __dict__).  A single query over F_p builds none
+        return self.n > 1 or "_log_tables" in self.__dict__
+
     def gen_pow(self, e: int) -> "FieldElement":
-        """generator**e, read from the exp table."""
-        exp, _, _ = self._log_tables
-        return FieldElement(self, exp[e % (self.q - 1)])
+        """generator**e, read from the exp table where _tabled, else one
+        int pow over F_p."""
+        if self._tabled():
+            return FieldElement(self, self._log_tables[0][e % (self.q - 1)])
+        return FieldElement(self, pow(self.generator.rank, e % (self.q - 1), self.p))
 
     # -- identity and printing ------------------------------------------
 
@@ -691,8 +705,52 @@ def primitive_element(ctx: FieldCtx) -> FieldElement:
 
 def discrete_log(x: FieldElement) -> int:
     """Exponent e in [0, q-1) with primitive_element(ctx)**e == x, read from
-    the log table."""
+    the log table where the context is _tabled, else by Pohlig-Hellman
+    over F_p (_pohlig_hellman)."""
     if not x:
         raise ZeroElementError("zero has no discrete logarithm")
-    _, log, _ = x.ctx._log_tables
-    return log[x.rank]
+    ctx = x.ctx
+    if ctx._tabled():
+        return ctx._log_tables[1][x.rank]
+    return _pohlig_hellman(ctx.generator.rank, x.rank, ctx.p)
+
+
+def _pohlig_hellman(g: int, a: int, p: int) -> int:
+    """The e in [0, p-1) with g^e = a mod p, g a generator of F_p^*.
+
+    Pohlig and Hellman (IEEE Trans. Inf. Theory 24, 1978; Cohen, GTM 138,
+    5.5.1): for each prime power l^k exactly dividing p - 1, e mod l^k is
+    read one base-l digit at a time, each digit the log of an element of
+    order dividing l to the base gamma = g^((p-1)/l), by baby and giant
+    steps (ibid., 5.4.1): ceil(sqrt(l)) of each.  The residues are joined
+    by the Chinese remainder theorem.  At most about 2 sqrt(p/2) steps,
+    where (p - 1)/2 is prime.
+    """
+    order, e, mod = p - 1, 0, 1
+    for ell in _prime_factors(order):
+        k, rest = 0, order
+        while rest % ell == 0:
+            rest //= ell
+            k += 1
+        gamma = pow(g, order // ell, p)
+        m = isqrt(ell - 1) + 1
+        baby, y = {}, 1
+        for j in range(m):
+            baby[y] = j
+            y = y * gamma % p
+        giant = pow(gamma, -m, p)
+        # x = e mod l^k, digit by digit: a g^-x has order dividing l^(k-i)
+        x, step = 0, 1
+        for _ in range(k):
+            y = pow(a * pow(g, -x, p) % p, order // (step * ell), p)
+            for t in range(m):
+                if y in baby:
+                    break
+                y = y * giant % p
+            else:
+                raise RuntimeError(f"no discrete log of {a} to {g} mod {p}, this is a bug")
+            x += (t * m + baby[y]) * step
+            step *= ell
+        e += mod * ((x - e) * pow(mod, -1, step) % step)
+        mod *= step
+    return e

@@ -114,7 +114,8 @@ def iter_curves(ctx: FieldCtx) -> Iterator[WeierstrassCurve]:
     """Every nonsingular model over ctx, in enumeration order.
 
     The models of _iter_rows, decoded from one list of the q elements:
-    row by row, so point_count tabulates each (a2, a4) row once.  The
+    row by row, so the table point count (_count_at) builds each (a2, a4)
+    row once.  The
     discriminant is read off the row's coefficients per a6.
     """
     add, mul = ctx._add, ctx._mul
@@ -393,7 +394,7 @@ def census(ctx: FieldCtx) -> RealizabilityReport:
     winners are checked as by describe_witness, on ranks, one _check_row
     call per witness row in enumeration order, with counts off the scan's
     row product where it made one (at the log of a6) and curve._count_at
-    (point_count's pass) on every other row: no curve is built.  The
+    (the table point count) on every other row: no curve is built.  The
     DEBUG record's "singular skipped" counts the discriminant roots of
     each tabulated row, whether or not the scan got that far along it,
     "rows skipped" the rows before the last one read, in enumeration

@@ -22,8 +22,10 @@ from hasseforms import (
     twist,
 )
 from hasseforms.curve import (
+    _MESTRE_P,
     WeierstrassCurve,
     _count_at,
+    _count_mestre,
     _disc_row,
     _hasse_at,
     _hasse_row,
@@ -547,3 +549,33 @@ def test_curves_are_immutable(f5):
     e = _curve(f5, 1, 1)
     with pytest.raises(AttributeError):
         e.a4 = f5(2)
+
+
+@pytest.mark.parametrize("p", [233, 239])
+def test_mestre_count_matches_count_at_on_every_model(p):
+    # the first primes past Mestre's bound, p = 1 mod 8 (Tonelli-Shanks)
+    # and p = 3 mod 4 (one power): every nonsingular model, 2-torsion,
+    # j = 0 and j = 1728 included
+    assert p > _MESTRE_P
+    ctx = make_field(p)
+    models = 0
+    for a4 in range(p):
+        for a6 in range(p):
+            if (4 * a4**3 + 27 * a6 * a6) % p:
+                assert _count_mestre(p, a4, a6) == _count_at(ctx, 0, a4, a6), (a4, a6)
+                models += 1
+    assert models == p * p - p
+
+
+@pytest.mark.parametrize("p", [65537, 1048573])
+def test_mestre_count_matches_count_at_on_seeded_models(p):
+    # a few rows, so that the table route builds few histograms; the rows
+    # a4 = 0 and a6 = 0 hold the curves with j = 0 and j = 1728
+    rng = random.Random(p)
+    ctx = make_field(p)
+    for a4 in (0, 1, rng.randrange(2, p)):
+        for a6 in [0, 1] + [rng.randrange(2, p) for _ in range(3)]:
+            if (4 * a4**3 + 27 * a6 * a6) % p:
+                curve = _curve(ctx, a4, a6)
+                want = _count_at(ctx, 0, a4, a6)
+                assert _count_mestre(p, a4, a6) == want == point_count(curve).count

@@ -6,6 +6,7 @@ from math import gcd as int_gcd
 import pytest
 
 from hasseforms import (
+    discrete_log,
     enumerate_classes,
     hasse_invariant,
     kernel_of_frobenius,
@@ -16,7 +17,9 @@ from hasseforms import (
     twist_class_action,
     unit_class_of,
 )
-from hasseforms.curve import WeierstrassCurve
+from hasseforms.curve import WeierstrassCurve, _row_hist, point_count
+from hasseforms.gf import FieldCtx
+from hasseforms.verify import run_suite
 from hasseforms.forms import UnitClass, _class_residues
 from hasseforms.errors import (
     BadCongruenceError,
@@ -246,3 +249,35 @@ def test_ptorsion_j_root_is_frobenius_preimage():
         if desc.supersingular:
             continue
         assert desc.j_p_root ** ctx.p == desc.j
+
+
+def _single_curve_answers(ctx):
+    # what hasse and ptorsion compute for one curve
+    curve = _curve(ctx, 1, 1)
+    count = point_count(curve)
+    a = hasse_invariant(curve)
+    cls = unit_class_of(a)
+    return (count, a, cls, phi(cls), curve.j_invariant, ptorsion_description(curve),
+            discrete_log(a))
+
+
+def test_single_curve_queries_over_fp_build_no_tables():
+    bare = make_field(1009)
+    _row_hist.cache_clear()
+    answers = _single_curve_answers(bare)
+    assert answers[0].ordinary
+    assert not {"_log_tables", "_zech_y"} & set(vars(bare))
+    assert _row_hist.cache_info().currsize == 0
+    tabled = make_field(1009)
+    tabled._log_tables
+    assert _single_curve_answers(tabled) == answers
+
+
+def test_twists_suite_reads_the_tables(monkeypatch):
+    # the sweep builds the tables before it takes a class, so every
+    # discrete_log and gen_pow it makes reads them
+    routes = []
+    tabled = FieldCtx._tabled
+    monkeypatch.setattr(FieldCtx, "_tabled", lambda self: routes.append(tabled(self)) or routes[-1])
+    assert run_suite("twists", 19, 1).ok
+    assert routes and all(routes)

@@ -25,7 +25,8 @@ from hasseforms import (
     quadratic_character,
 )
 from hasseforms.curve import WeierstrassCurve, _row_hist
-from hasseforms.gf import _is_irreducible, _is_prime, _mulmod_ints, _norm_ints, _rem_ints
+from hasseforms.gf import (_is_irreducible, _is_prime, _mulmod_ints, _norm_ints,
+                           _pohlig_hellman, _rem_ints)
 from hasseforms.verify import run_suite
 from hasseforms.errors import (
     CtxMismatchError,
@@ -555,3 +556,30 @@ def test_tables_refused_beyond_sweep_guard():
     for args in ((1031, 2), (3, 13), (1048583,)):
         with pytest.raises(FieldTooLargeError, match=r"2\*\*20"):
             make_field(*args)
+
+
+@pytest.mark.parametrize("p", [19, 23, 101, 131, 211, 1009])
+def test_untabled_logs_and_powers_match_the_tables(p):
+    # a context with no tables takes Pohlig-Hellman and int powers; the
+    # census-ladder primes and F_1009 against the log and exp tables
+    tabled, bare = make_field(p), make_field(p)
+    exp, log, _ = tabled._log_tables
+    g = bare.generator.rank
+    for a in range(1, p):
+        assert _pohlig_hellman(g, a, p) == log[a]
+        assert discrete_log(bare.element(a)) == log[a]
+    for e in range(-1, 2 * p):
+        assert bare.gen_pow(e).rank == exp[e % (p - 1)]
+    assert "_log_tables" not in vars(bare)
+
+
+def test_pohlig_hellman_at_a_safe_prime():
+    # (p - 1)/2 prime: the baby and giant steps take about sqrt(p/2) each
+    p = 1048343
+    assert p < 2**20 and _is_prime((p - 1) // 2)
+    ctx = make_field(p)
+    g, rng = ctx.generator.rank, random.Random(p)
+    for e in [0, 1, (p - 1) // 2, p - 2] + [rng.randrange(p - 1) for _ in range(40)]:
+        assert discrete_log(ctx.gen_pow(e)) == e
+        assert _pohlig_hellman(g, pow(g, e, p), p) == e
+    assert "_log_tables" not in vars(ctx)
