@@ -256,14 +256,11 @@ def _nonsquare(p: int) -> int:
 
 
 def _sqrt(v: int, p: int, z: int) -> int | None:
-    # a square root of v mod p, None where v is not a square: v^((p+1)/4)
-    # for p = 3 mod 4, else Tonelli-Shanks (Cohen, GTM 138, 1.5.1) with the
-    # non-square z; a non-square shows as t of order 2^s, the whole 2-part
+    # a square root of v mod p, None where v is not a square: Tonelli-Shanks
+    # (Cohen, GTM 138, 1.5.1) with the non-square z; a non-square shows as
+    # t of order 2^s, the whole 2-part
     if not v:
         return 0
-    if p & 3 == 3:
-        y = pow(v, (p + 1) >> 2, p)
-        return y if y * y % p == v else None
     s, odd = 0, p - 1
     while not odd & 1:
         odd >>= 1

@@ -17,11 +17,12 @@ Tables.  Every field, prime fields included, has lazily built exp/log
 tables over lex ranks, indexed by the exponent e of the canonical
 generator g: exp[e] = rank(g^e), log[rank] = e, and the Zech logarithm
 zech[e] = log(1 + g^e) (Lidl and Niederreiter, Finite Fields, ch. 9).
-Each table holds O(q) machine integers.  Sweeps read them on every
-field, and point counts the parities of the Zech logarithms from one
-byte string per context.  A single query over F_p builds none:
-discrete_log and gen_pow read the tables where a sweep has built them
-(FieldCtx._tabled) and otherwise take Pohlig-Hellman and int powers.
+Each table holds O(q) machine integers.  The row sweeps read them on
+every field, and point counts the parities of the Zech logarithms from
+one byte string per context.  A single query over F_p builds none:
+discrete_log and gen_pow read the tables once the context holds them
+(FieldCtx._tabled) and otherwise take Pohlig-Hellman and int powers, as
+the classification suite, which builds no table over F_p, does.
 The build leans on the norm N(x) = x^((q-1)/(p-1)), which lies in F_p
 (ibid., ch. 2): the generator search takes each candidate's norm as the
 resultant of the modulus and x (_norm_ints) and tests it with int
@@ -517,8 +518,9 @@ class FieldCtx:
     def _tabled(self) -> bool:
         # whether discrete_log and gen_pow read the exp/log tables: always
         # over F_q with n > 1, whose arithmetic needs them, and over F_p
-        # once a sweep has built them (cached_property keeps them in
-        # __dict__).  A single query over F_p builds none
+        # once something has built them (cached_property keeps them in
+        # __dict__), as the row sweeps do before they take a class.  A
+        # single query over F_p, or the classification suite, builds none
         return self.n > 1 or "_log_tables" in self.__dict__
 
     def gen_pow(self, e: int) -> "FieldElement":

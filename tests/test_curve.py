@@ -551,11 +551,10 @@ def test_curves_are_immutable(f5):
         e.a4 = f5(2)
 
 
-@pytest.mark.parametrize("p", [233, 239])
-def test_mestre_count_matches_count_at_on_every_model(p):
-    # the first primes past Mestre's bound, p = 1 mod 8 (Tonelli-Shanks)
-    # and p = 3 mod 4 (one power): every nonsingular model, 2-torsion,
-    # j = 0 and j = 1728 included
+def test_mestre_count_matches_count_at_on_every_model():
+    # the first prime past Mestre's bound: every nonsingular model,
+    # 2-torsion, j = 0 and j = 1728 included
+    p = 239
     assert p > _MESTRE_P
     ctx = make_field(p)
     models = 0
@@ -565,6 +564,21 @@ def test_mestre_count_matches_count_at_on_every_model(p):
                 assert _count_mestre(p, a4, a6) == _count_at(ctx, 0, a4, a6), (a4, a6)
                 models += 1
     assert models == p * p - p
+
+
+def test_mestre_count_matches_count_at_on_crossed_rows():
+    # F_233, p = 1 mod 8, so Tonelli-Shanks takes three squarings: every
+    # a6 at a few a4 and every a4 at a few a6, the rows a4 = 0 (j = 0) and
+    # a6 = 0 (j = 1728) among them
+    p = 233
+    assert p > _MESTRE_P
+    rng = random.Random(p)
+    ctx = make_field(p)
+    few = {0, 1, *rng.sample(range(2, p), 3)}
+    models = {(a4, a6) for a4 in range(p) for a6 in few} | {(a4, a6) for a4 in few for a6 in range(p)}
+    for a4, a6 in sorted(models):
+        if (4 * a4**3 + 27 * a6 * a6) % p:
+            assert _count_mestre(p, a4, a6) == _count_at(ctx, 0, a4, a6), (a4, a6)
 
 
 @pytest.mark.parametrize("p", [65537, 1048573])

@@ -273,11 +273,13 @@ def test_single_curve_queries_over_fp_build_no_tables():
     assert _single_curve_answers(tabled) == answers
 
 
-def test_twists_suite_reads_the_tables(monkeypatch):
-    # the sweep builds the tables before it takes a class, so every
-    # discrete_log and gen_pow it makes reads them
+@pytest.mark.parametrize("suite, reads", [("twists", True), ("classification", False)])
+def test_suites_read_the_tables_where_built(monkeypatch, suite, reads):
+    # the twists sweep builds the tables before it takes a class, so every
+    # discrete_log and gen_pow it makes reads them; the classification
+    # suite builds none over F_p, so each class takes an int pow
     routes = []
     tabled = FieldCtx._tabled
     monkeypatch.setattr(FieldCtx, "_tabled", lambda self: routes.append(tabled(self)) or routes[-1])
-    assert run_suite("twists", 19, 1).ok
-    assert routes and all(routes)
+    assert run_suite(suite, 19, 1).ok
+    assert routes and set(routes) == {reads}
