@@ -1,7 +1,9 @@
 """The named verification suites and their reporting surface."""
 
+import contextlib
 import dataclasses
 import functools
+import io
 import json
 import logging
 import re
@@ -11,6 +13,8 @@ import pytest
 
 from hasseforms import (SUITE_NAMES, census, hasse_invariant, iter_curves, make_field, phi,
                         run_suite, unit_class_of)
+from hasseforms.cli import main
+from hasseforms.forms import UnitClass
 from hasseforms.search import ClassEntry, WitnessRecord
 from hasseforms.verify import SuiteResult
 
@@ -46,7 +50,13 @@ def test_suites_pass_on_small_fields(name, p, n):
 def test_suite_case_counts_golden():
     # frozen so a silent shrink of any sweep shows up as a count change
     expected = {
-        ("classification", 7, 1): 44,
+        # classification: the count, p - 1 unit residues, injectivity and
+        # p - 1 steps by [g], 2p cases on every field
+        ("classification", 3, 1): 6,
+        ("classification", 7, 1): 14,
+        ("classification", 3, 2): 6,
+        ("classification", 5, 2): 10,
+        ("classification", 3, 3): 6,
         ("bridge", 5, 1): 20,
         ("twists", 5, 1): 80,
         ("closed-forms", 7, 1): 42,
@@ -62,6 +72,72 @@ def test_suite_case_counts_golden():
 def test_run_suite_rejects_unknown_name():
     with pytest.raises(ValueError):
         run_suite("everything", 5)
+
+
+def test_classification_suite_over_f4099_within_budget():
+    # p - 1 steps along the powers of [g], not (p - 1)^2 pairs
+    t0 = time.perf_counter()
+    result = run_suite("classification", 4099)
+    elapsed = time.perf_counter() - t0
+    assert result.ok and result.cases == 8198
+    assert elapsed < 2.0, f"classification suite over F_4099 took {elapsed:.2f}s, budget 2s"
+
+
+@pytest.mark.parametrize("seed,p,n,failures", [
+    # phi(c_3) = 6 over F_7 doubled to 5 = phi(c_5): still a unit, but a
+    # repeated value and two broken steps
+    ("phi_unit", 7, 1, [
+        "phi is not injective on classes: [1, 3, 2, 5, 4, 5]",
+        "c_2 * [g] = c_3 with phi 5, want c_3 with phi 2 * 3 = 6 mod p",
+        "c_3 * [g] = c_4 with phi 4, want c_4 with phi 5 * 3 = 1 mod p"]),
+    # phi([g]) = t + 2 over F_25, off the prime subfield: every step
+    # multiplies by phi([g]), so every step fails with it
+    ("phi_off_subfield", 5, 2, [
+        "phi(UnitClass(exp=1 mod 4, rep=3*t + 1)) = t + 2 is not a unit residue of F_p",
+        "c_0 * [g] = c_1 with phi t + 2, want c_1 with phi 1 * 0 = 0 mod p",
+        "c_1 * [g] = c_2 with phi 4, want c_2 with phi 0 * 0 = 0 mod p",
+        "c_2 * [g] = c_3 with phi 3, want c_3 with phi 4 * 0 = 0 mod p",
+        "c_3 * [g] = c_0 with phi 1, want c_0 with phi 3 * 0 = 0 mod p"]),
+    # the class law skips c_3 at c_2 * [g] over F_7
+    ("mul_skips", 7, 1, [
+        "c_2 * [g] = c_4 with phi 4, want c_3 with phi 2 * 3 = 6 mod p"]),
+    # the same skip with c_3's representative kept, so that phi agrees
+    # and only the step to c_(e+1) can object
+    ("mul_misnames", 7, 1, [
+        "c_2 * [g] = c_4 with phi 6, want c_3 with phi 2 * 3 = 6 mod p"]),
+])
+def test_classification_suite_catches_seeded_regression(monkeypatch, seed, p, n, failures):
+    # each seed fails the suite, and through the CLI prints FAIL and exits
+    # 1, never the usage exit 2
+    import hasseforms.verify as verify_mod
+
+    real_phi, real_mul = verify_mod.phi, UnitClass.__mul__
+
+    def skip(c, other):
+        if c.exp != 2:
+            return real_mul(c, other)
+        wrong = UnitClass(c.ctx, 4)
+        if seed == "mul_misnames":
+            object.__setattr__(wrong, "rep", c.ctx.gen_pow(3))
+        return wrong
+
+    if seed == "phi_unit":
+        monkeypatch.setattr(verify_mod, "phi",
+                            lambda c: real_phi(c) * 2 if c.exp == 3 else real_phi(c))
+    elif seed == "phi_off_subfield":
+        monkeypatch.setattr(verify_mod, "phi",
+                            lambda c: c.ctx.element([2, 1]) if c.exp == 1 else real_phi(c))
+    else:
+        monkeypatch.setattr(UnitClass, "__mul__", skip)
+    result = run_suite("classification", p, n)
+    assert result.cases == 2 * p and result.failures == failures
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["verify", "--suite", "classification", "-p", str(p), "-n", str(n)])
+    assert rc == 1 and err.getvalue() == ""
+    assert out.getvalue().splitlines() == [
+        f"suite=classification p={p} n={n} cases={2 * p} failures={len(failures)} FAIL"
+    ] + [f"  FAIL {failure}" for failure in failures]
 
 
 @pytest.mark.parametrize("p,n", [(13, 1), (3, 2), (5, 2)])
