@@ -33,11 +33,11 @@ digit by digit.
 Arithmetic.  Over F_p (n = 1) the rank is the value: built-in ints.  Over
 F_q with n > 1 products, powers and inverses act on logarithms,
 a + b = g^(log a + zech[log b - log a]), and negation adds (q-1)/2 to
-the logarithm.  Polynomials over F_p are multiplied one way: the value
-list product _mulmod_ints, reduced by the one reducer _rem_ints, serves
-the modulus search, the generator search and the exp build, and, as
-_conv_mul and _conv_pow on coefficient tuples, is the reference the tests
-audit the tables against.
+the logarithm.  F_p[x] runs on value lists, with one convolution,
+_conv_ints, reduced once per coefficient, and one reducer, _rem_ints.
+Their product _mulmod_ints serves the modulus and generator searches and
+the exp build, and, as _conv_mul and _conv_pow, is the reference the
+tests audit the tables against; poly.py's F_p[x] runs on them too.
 
 Scale guard: a context refuses q = p**n > 2**20 before any modulus
 search, so every field that exists can build its tables.  None of this
@@ -127,15 +127,21 @@ def _rem_ints(a: list[int], m, p: int) -> list[int]:
     return a
 
 
+def _conv_ints(a: Sequence[int], b: Sequence[int], L: int) -> list[int]:
+    # the coefficients below x^L of a * b on int lists, unreduced: the one
+    # convolution of F_p[x], for _mulmod_ints and poly._mul_trunc
+    conv = [0] * L
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in zip(range(i, L), b):
+                conv[j] += ai * bj
+    return conv
+
+
 def _mulmod_ints(a: Sequence[int], b: Sequence[int], m, p: int) -> list[int]:
     # a * b mod the monic m over F_p, on value lists low degree first: the
     # one polynomial product of the field construction
-    conv = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b, i):
-                conv[j] += ai * bj
-    return _rem_ints([c % p for c in conv], m, p)
+    return _rem_ints([c % p for c in _conv_ints(a, b, len(a) + len(b) - 1)], m, p)
 
 
 def _monic_ints(a: list[int], p: int) -> list[int]:
@@ -148,7 +154,7 @@ def _monic_ints(a: list[int], p: int) -> list[int]:
 
 def _gcd_ints(a: list[int], b: list[int], p: int) -> list[int]:
     # Euclid over F_p on value lists, the divisor made monic at each step;
-    # a is overwritten
+    # a and b may both be overwritten, and the result may be b itself
     while b:
         b = _monic_ints(b, p)
         a, b = b, _rem_ints(a, b, p)

@@ -2,34 +2,27 @@
 
 A polynomial stores the lex ranks of its coefficients (see gf.py), low
 degree first with trailing zeros stripped, so the zero polynomial has no
-ranks and degree -1.  Ring operations call the FieldCtx rank kernels
-directly, and _mul_trunc is the one product: full for * and **, capped
-for pow_truncated, which raises a polynomial to a power while discarding
-every coefficient above the cap.  pow_truncated is the slow reference
-route that tests and suites hold the closed-form Hasse invariant of
-curve.py against, not a sweep kernel.  factor is a fully deterministic
-factorisation into monic irreducibles, and degree_pattern returns its
-degree multiset from the squarefree and distinct-degree splits alone.
+ranks and degree -1.  Arithmetic runs on rank lists through one set of
+primitives, _mul_trunc, _divmod, _monic, _gcd and _derivative, that
+branch on the field: over F_p, where a rank is the value, on plain ints
+with inline % p and gf's int kernels, the convolution _conv_ints reduced
+once per output coefficient; over F_q with n > 1 through the FieldCtx
+rank kernels.  Polynomial's methods wrap them, and factor and
+degree_pattern stay on rank lists from their entry to factor's output.
+_mul_trunc serves *, ** and pow_truncated, which drops every coefficient
+above a cap: the slow reference that tests and suites hold the closed
+form for A_p in curve.py against, not a sweep kernel.
 
-factor works in one residue ring F_q[x]/(m) per modulus m (_Residues):
-packed ints over F_p, Polynomials over F_q with n > 1.  The q-th power
-map is F_q-linear, so each ring keeps a Frobenius table of x^(iq) mod m,
-built once from x^q, and a q-th power costs one pass over that table
-instead of powering by q.  The distinct-degree split (_distinct_degree)
-steps x^(q^d) by that map in the ring of the squarefree part and yields
-the product of the factors of each degree; the number of factors is its
-degree over d, which is all degree_pattern reads.  factor then runs the
-equal-degree split on each product of several factors: it powers each
-candidate once on the whole product and refines every unfinished piece
-by it, with no recursion.  gcd over F_p runs Euclid on int lists.
-
-Determinism of factor: the squarefree split and the distinct-degree split
-are deterministic as written.  Separating several irreducible factors of
-the same degree tries splitting polynomials in one fixed order, a Weyl
-sequence of ranks k*s mod q**deg with p not dividing s, full-degree
-candidates first, until every piece is irreducible; so repeated runs take
-the same path.  The factors are sorted, so the output does not depend on
-that order, only the number of candidates tried does.
+factor is deterministic and works in one residue ring F_q[x]/(m) per
+modulus m (_Residues).  The distinct-degree split (_distinct_degree)
+steps x^(q^d) by the q-th power map of the ring of the squarefree part
+and yields the product of the factors of each degree; its degree over d
+counts them, which is all degree_pattern reads.  factor then runs the
+equal-degree split on each product of several factors: each candidate is
+powered once on the whole product and refines every unfinished piece,
+with no recursion.  The candidates come in one fixed order (a Weyl
+sequence of ranks), so repeated runs take the same path, and the factors
+are sorted, so the output does not depend on that order.
 """
 
 from __future__ import annotations
@@ -40,8 +33,8 @@ import time
 from array import array
 from dataclasses import dataclass
 
-from .errors import ZeroPolynomialError
-from .gf import FieldCtx, FieldElement, _gcd_ints, _poly_str, _rem_ints
+from .errors import CtxMismatchError, ZeroPolynomialError
+from .gf import FieldCtx, FieldElement, _conv_ints, _gcd_ints, _monic_ints, _poly_str
 
 __all__ = ["Polynomial", "Factorization", "gcd", "factor", "degree_pattern"]
 
@@ -70,10 +63,8 @@ class Polynomial:
         return self
 
     def _set(self, ctx: FieldCtx, ranks: list[int]) -> None:
-        while ranks and not ranks[-1]:
-            ranks.pop()
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "ranks", tuple(ranks))
+        object.__setattr__(self, "ranks", tuple(_strip(ranks)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -125,7 +116,7 @@ class Polynomial:
             raise IndexError("coefficient index must be >= 0")
         return FieldElement(self.ctx, self.ranks[i] if i < len(self.ranks) else 0)
 
-    # -- ring operations on ranks ----------------------------------------
+    # -- ring operations, wrapping the rank-list primitives ---------------
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -142,15 +133,11 @@ class Polynomial:
 
     def __sub__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return NotImplemented if other is None else self + -other
 
     def __rsub__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return NotImplemented if other is None else other + -self
 
     def __neg__(self):
         return Polynomial.from_ranks(self.ctx, map(self.ctx._neg, self.ranks))
@@ -158,7 +145,8 @@ class Polynomial:
     def _coerce(self, other) -> "Polynomial | None":
         if isinstance(other, Polynomial):
             if other.ctx != self.ctx:
-                raise ValueError("polynomials over different contexts")
+                raise CtxMismatchError(
+                    f"cannot combine polynomials over {self.ctx} and {other.ctx}")
             return other
         if isinstance(other, (int, FieldElement)):
             return Polynomial(self.ctx, (other,))
@@ -179,22 +167,8 @@ class Polynomial:
             return NotImplemented
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        ctx = self.ctx
-        db = other.degree
-        if self.degree < db:
-            return Polynomial(ctx), self
-        add, mul, neg = ctx._add, ctx._mul, ctx._neg
-        inv_lead = ctx._inv(other.ranks[-1])
-        rem = list(self.ranks)
-        quo = [0] * (self.degree - db + 1)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = mul(rem[i], inv_lead)
-            if c:
-                quo[i - db] = c
-                c = neg(c)
-                for j, bj in enumerate(other.ranks, i - db):
-                    rem[j] = add(rem[j], mul(c, bj))
-        return Polynomial.from_ranks(ctx, quo), Polynomial.from_ranks(ctx, rem)
+        quo, rem = _divmod(list(self.ranks), other.ranks, self.ctx)
+        return Polynomial.from_ranks(self.ctx, quo), Polynomial.from_ranks(self.ctx, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -243,18 +217,13 @@ class Polynomial:
         return FieldElement(ctx, acc)
 
     def derivative(self) -> "Polynomial":
-        ctx = self.ctx
-        scaled = [ctx._mul(ctx.element(i).rank, c) for i, c in enumerate(self.ranks)]
-        return Polynomial.from_ranks(ctx, scaled[1:])
+        return Polynomial.from_ranks(self.ctx, _derivative(self.ranks, self.ctx))
 
     def monic(self) -> tuple[FieldElement, "Polynomial"]:
         """Split off the leading coefficient: returns (unit, monic part)."""
         if not self or self.is_monic:
             return self.ctx.one, self
-        ctx = self.ctx
-        inv = ctx._inv(self.ranks[-1])
-        return self.lead, Polynomial.from_ranks(
-            ctx, [ctx._mul(inv, c) for c in self.ranks])
+        return self.lead, Polynomial.from_ranks(self.ctx, _monic(self.ranks, self.ctx))
 
     def to_str(self) -> str:
         return _poly_str(self.coeffs, "x")
@@ -266,16 +235,26 @@ class Polynomial:
         return f"Polynomial({self.to_str()!r} over F_{self.ctx.q})"
 
 
-def _mul_trunc(a, b, ctx, cap=None):
-    # the polynomial product on rank sequences; with a cap, degrees above
-    # it are dropped
+# -- rank-list primitives: inline % p over F_p, rank kernels over F_q ----
+
+def _strip(a: list[int]) -> list[int]:
+    # a without its trailing zeros, in place
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _mul_trunc(a, b, ctx: FieldCtx, cap=None) -> list[int]:
+    # the product of two rank sequences, dropping degrees above cap if given
     if not a or not b:
         return []
     L = len(a) + len(b) - 1
     if cap is not None:
         L = min(L, cap + 1)
-    mul = ctx._mul
-    add = ctx._add
+    if ctx.n == 1:
+        p = ctx.p
+        return [c % p for c in _conv_ints(a, b, L)]
+    mul, add = ctx._mul, ctx._add
     out = [0] * L
     for d, c in enumerate(b[:L]):
         if c:
@@ -283,6 +262,57 @@ def _mul_trunc(a, b, ctx, cap=None):
                 if ai:
                     out[i] = add(out[i], mul(c, ai))
     return out
+
+
+def _divmod(a: list[int], b, ctx: FieldCtx) -> tuple[list[int], list[int]]:
+    # (quotient, remainder) of the stripped rank list a by the nonzero b,
+    # by long division; a is overwritten and returned as the remainder
+    D, p, prime = len(b) - 1, ctx.p, ctx.n == 1
+    inv, mul, add, neg = ctx._inv(b[-1]), ctx._mul, ctx._add, ctx._neg
+    for i in range(len(a) - 1, D - 1, -1):
+        c = a[i] = a[i] * inv % p if prime else mul(a[i], inv)
+        if c:
+            off = i - D
+            if prime:
+                for j in range(D):
+                    a[off + j] = (a[off + j] - c * b[j]) % p
+            else:
+                c = neg(c)
+                for j in range(D):
+                    a[off + j] = add(a[off + j], mul(c, b[j]))
+    quo = a[D:]
+    del a[D:]
+    return quo, _strip(a)
+
+
+def _monic(a, ctx: FieldCtx) -> list[int]:
+    # the nonzero rank list a scaled to leading coefficient one
+    if ctx.n == 1:
+        return _monic_ints(a, ctx.p)
+    inv, mul = ctx._inv(a[-1]), ctx._mul
+    return [mul(inv, c) for c in a]
+
+
+def _gcd(a: list[int], b: list[int], ctx: FieldCtx) -> list[int]:
+    # the monic gcd of two rank lists, by Euclid; both are overwritten
+    if ctx.n == 1:
+        return _gcd_ints(a, b, ctx.p)
+    while b:
+        a, b = b, _divmod(a, b, ctx)[1]
+    return _monic(a, ctx) if a else a
+
+
+def _derivative(a, ctx: FieldCtx) -> list[int]:
+    p, unit = ctx.p, ctx.one.rank
+    d = [i * c % p if ctx.n == 1 else ctx._mul(i % p * unit, c) for i, c in enumerate(a)]
+    return _strip(d[1:])
+
+
+def _minus_x_to(a: list[int], k: int, ctx: FieldCtx) -> list[int]:
+    # a - x^k on the rank list a, which is overwritten
+    a += [0] * (k + 1 - len(a))
+    a[k] = ctx._sub(a[k], ctx.one.rank)
+    return _strip(a)
 
 
 # -- factorisation ------------------------------------------------------
@@ -307,24 +337,15 @@ class Factorization:
     @property
     def degree_multiset(self) -> tuple[int, ...]:
         """Degrees of the irreducible factors with multiplicity, sorted."""
-        out: list[int] = []
-        for poly, mult in self.factors:
-            out.extend([poly.degree] * mult)
-        return tuple(sorted(out))
+        return tuple(sorted(poly.degree for poly, mult in self.factors for _ in range(mult)))
 
 
 def gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic greatest common divisor.
-
-    Over a prime field, where a rank is the value, Euclid runs on int
-    lists; over F_q with n > 1 it runs on Polynomial %.
-    """
+    """Monic greatest common divisor of two polynomials over one context."""
     ctx = f.ctx
-    if ctx.n == 1:
-        return Polynomial.from_ranks(ctx, _gcd_ints(list(f.ranks), list(g.ranks), ctx.p))
-    while g:
-        f, g = g, f % g
-    return f.monic()[1]
+    if g.ctx != ctx:
+        raise CtxMismatchError(f"gcd of polynomials over {ctx} and {g.ctx}")
+    return Polynomial.from_ranks(ctx, _gcd(list(f.ranks), list(g.ranks), ctx))
 
 
 # slot width in bits -> an unsigned array typecode of that item size; the
@@ -380,66 +401,58 @@ def _reduction_table(m, p: int, W: int) -> list[int]:
 
 
 class _Residues:
-    """The residue ring F_q[x]/(m) of a monic m of degree D >= 1.
+    """The residue ring F_q[x]/(m) of the rank list m, of degree D >= 1.
 
-    factor builds one per modulus, and this is the one place where the
-    representation of a residue depends on the field.  Over a prime
-    field, where a rank is the value, a residue is packed in one int with
-    a W-bit slot per coefficient (Kronecker substitution, von zur Gathen
-    and Gerhard, Modern Computer Algebra, 8.4): a product is one big-int
-    multiply, and reduction adds c * R[j] for each high coefficient c,
-    with R[j] = x^(D+j) mod m packed, so a step is O(D) Python operations
-    instead of O(D^2).  A product and its reduction keep every slot below
-    2*D*(p-1)^2 < 2^W, so no slot carries into the next.  Over F_q with
-    n > 1 a residue is a Polynomial of degree below D.
+    factor builds one per modulus.  Over F_p a residue is packed in one
+    int with a W-bit slot per coefficient (Kronecker substitution, von zur
+    Gathen and Gerhard, Modern Computer Algebra, 8.4): a product is one
+    big-int multiply, and reduction adds c * R[j] for each high
+    coefficient c, with R[j] = x^(D+j) mod m packed, so O(D) Python
+    operations per step.  Every slot stays below 2*D*(p-1)^2 < 2^W, so
+    none carries.  Over F_q with n > 1 a residue is a rank list.  poly
+    hands a residue back as a new rank list on either field.
 
-    frob is the q-th power map.  It is F_q-linear, since g^q is the sum
-    of g_i x^(iq) for g_i in F_q, so frob(a) = sum a_i T[i] with
-    T[i] = x^(iq) mod m (von zur Gathen and Shoup 1992).  T starts at
-    [1, x^q] on the first frob and grows by one product per entry, only
-    as far as the highest nonzero coefficient of the residue mapped, so
-    at most D - 2 products in all: a monomial c x, as every x^(q^d) is
-    for the binomials y^(p-1) - A the etale suite splits, needs none.  A
-    frob then costs about one product, where powering by q costs about
-    log2 q + popcount(q).
+    frob is the q-th power map.  It is F_q-linear, so frob(a) = sum a_i
+    T[i] with T[i] = x^(iq) mod m (von zur Gathen and Shoup 1992).  T
+    starts at [1, x^q] and grows by one product per entry, only as far as
+    the top nonzero coefficient of the residue mapped: a monomial c x, as
+    every x^(q^d) is modulo the etale suite's binomials y^(p-1) - A, needs
+    none.  A frob costs about one product, a power by q log2 q of them.
     """
 
-    def __init__(self, mod: Polynomial):
-        ctx = self.ctx = mod.ctx
-        self.mod = mod = mod.monic()[1]
-        D = self.D = mod.degree
+    def __init__(self, ctx: FieldCtx, mod):
+        self.ctx = ctx
+        self.mod = mod = _monic(mod, ctx)
+        D = self.D = len(mod) - 1
         if D < 1:
             raise ValueError("a residue ring needs a modulus of degree >= 1")
         if ctx.n == 1:
             p = ctx.p
             self._W = W = _slot_width(2 * D * (p - 1) ** 2)
             self._mask = (1 << W * D) - 1
-            self._R = _reduction_table(mod.ranks, p, W)
+            self._R = _reduction_table(mod, p, W)
             self.one = 1
         else:
-            self.one = Polynomial(ctx, (1,))
+            self.one = [ctx.one.rank]
         self._xq = self._T = None
 
-    def reduce(self, f: Polynomial):
-        """The residue of f."""
-        if self.ctx.n > 1:
-            return f % self.mod if f.degree >= self.D else f
-        a = list(f.ranks)
-        if len(a) > self.D:
-            a = _rem_ints(a, self.mod.ranks, self.ctx.p)
-        return _pack(self._W, a)
+    def reduce(self, a):
+        """The residue of the rank list a."""
+        r = _divmod(list(a), self.mod, self.ctx)[1] if len(a) > self.D else a
+        return _pack(self._W, r) if self.ctx.n == 1 else r
 
-    def poly(self, a) -> Polynomial:
-        """The residue a as a Polynomial of degree below D."""
+    def poly(self, a) -> list[int]:
+        """The residue a as a new rank list of degree below D."""
         if self.ctx.n > 1:
-            return a
+            return list(a)
         W = self._W
-        return Polynomial.from_ranks(self.ctx, _unpack(W, a, (a.bit_length() + W - 1) // W))
+        return _unpack(W, a, (a.bit_length() + W - 1) // W).tolist()
 
     def mul(self, a, b):
-        if self.ctx.n > 1:
-            return (a * b) % self.mod
-        W, D, p = self._W, self.D, self.ctx.p
+        ctx = self.ctx
+        if ctx.n > 1:
+            return _divmod(_mul_trunc(a, b, ctx), self.mod, ctx)[1]
+        W, D, p = self._W, self.D, ctx.p
         v = a * b
         low = v & self._mask
         for c, r in zip(_unpack(W, v >> W * D, D - 1), self._R):
@@ -461,7 +474,7 @@ class _Residues:
     def x_q(self):
         """The residue of x^q."""
         if self._xq is None:
-            self._xq = self.pow(self.reduce(Polynomial.x(self.ctx)), self.ctx.q)
+            self._xq = self.pow(self.reduce([0, self.ctx.one.rank]), self.ctx.q)
         return self._xq
 
     def frob(self, a):
@@ -471,7 +484,7 @@ class _Residues:
             T = self._T = [self.one, self.x_q()]
         ctx = self.ctx
         # T grows only as far as a's highest nonzero coefficient
-        top = (a.bit_length() - 1) // self._W if ctx.n == 1 else a.degree
+        top = (a.bit_length() - 1) // self._W if ctx.n == 1 else len(a) - 1
         while len(T) <= top:
             T.append(self.mul(T[-1], T[1]))
         if ctx.n == 1:
@@ -481,62 +494,57 @@ class _Residues:
             return _pack(W, [c % p for c in _unpack(W, v, D)])
         add, mul = ctx._add, ctx._mul
         out = [0] * self.D
-        for c, t in zip(a.ranks, T):
+        for c, t in zip(a, T):
             if c:
-                for j, tj in enumerate(t.ranks):
+                for j, tj in enumerate(t):
                     out[j] = add(out[j], mul(c, tj))
-        return Polynomial.from_ranks(ctx, out)
+        return _strip(out)
 
 
-def _pth_root(f: Polynomial) -> Polynomial:
-    # f has zero derivative, so only exponents divisible by p occur;
+def _pth_root(a: list[int], ctx: FieldCtx) -> list[int]:
+    # a has zero derivative, so only exponents divisible by p occur;
     # coefficient-wise p-th roots are c**(q/p)
-    ctx = f.ctx
-    root_exp = ctx.p ** (ctx.n - 1)
-    return Polynomial.from_ranks(ctx, [ctx._pow(c, root_exp) for c in f.ranks[::ctx.p]])
+    root = a[::ctx.p]
+    return root if ctx.n == 1 else [ctx._pow(c, ctx.q // ctx.p) for c in root]
 
 
-def _squarefree_parts(g: Polynomial) -> list[tuple[Polynomial, int]]:
+def _squarefree_parts(g: list[int], ctx: FieldCtx) -> list[tuple[list[int], int]]:
     # monic g -> [(monic squarefree, multiplicity)], Yun's split adapted
-    # to characteristic p
-    p = g.ctx.p
-    out: list[tuple[Polynomial, int]] = []
+    # to characteristic p, on rank lists
+    out: list[tuple[list[int], int]] = []
     scale = 1
-    while g.degree > 0:
-        d = g.derivative()
+    while len(g) > 1:
+        d = _derivative(g, ctx)
         if not d:
-            g = _pth_root(g)
-            scale *= p
+            g = _pth_root(g, ctx)
+            scale *= ctx.p
             continue
-        c = gcd(g, d)
-        w = g // c
+        c = _gcd(list(g), d, ctx)
+        w = _divmod(g, c, ctx)[0]
         i = 1
-        while w.degree > 0:
-            y = gcd(w, c)
-            z = w // y
-            if z.degree > 0:
+        while len(w) > 1:
+            y = _gcd(list(w), list(c), ctx)
+            z = _divmod(w, y, ctx)[0]
+            if len(z) > 1:
                 out.append((z, i * scale))
             i += 1
             w = y
-            c = c // y
-        if c.degree > 0:
-            g = _pth_root(c)
-            scale *= p
+            c = _divmod(c, y, ctx)[0]
+        if len(c) > 1:
+            g = _pth_root(c, ctx)
+            scale *= ctx.p
         else:
             break
     return out
 
 
 def _iter_polys_below(ctx: FieldCtx, degree: int):
-    # every polynomial of degree 1 <= deg < degree exactly once; the
-    # deterministic supply of splitting elements.  The ranks k*s mod
-    # q**degree, k = 1, 2, ..., form a Weyl sequence that visits every
-    # residue because p does not divide s; those of degree - 1 come first,
-    # then the rest.  Constants are omitted because a constant can never
-    # separate two factors.  Low-degree candidates alone can stall: every
-    # linear u gives both factors of y^16 - 2 over F_17 the same quadratic
-    # character.  These spread over F_q[x]/(h), where each one splits with
-    # probability about 1/2 (Cantor and Zassenhaus 1981).
+    # every rank list of degree 1 <= deg < degree once, the splitting
+    # candidates: ranks k*s mod q**degree, a Weyl sequence over every
+    # residue as p does not divide s, those of degree - 1 first.  Low
+    # degrees alone can stall (every linear u gives both factors of
+    # y^16 - 2 over F_17 one quadratic character); these spread over
+    # F_q[x]/(h), each splitting with probability about 1/2
     q = ctx.q
     total = q**degree
     top = total // q
@@ -547,75 +555,61 @@ def _iter_polys_below(ctx: FieldCtx, degree: int):
         for _ in range(total):
             rank = (rank + s) % total
             if (rank >= top) == full and rank >= q:
-                digits, r = [], rank
-                for _ in range(degree):
-                    r, c = divmod(r, q)
-                    digits.append(c)
-                yield Polynomial.from_ranks(ctx, digits)
+                yield _strip([rank // q**i % q for i in range(degree)])
 
 
-def _equal_degree_split(ring: _Residues, d: int) -> tuple[list[Polynomial], int]:
-    # ring.mod = h is monic and squarefree, the product of at least two
-    # irreducible factors, each of degree exactly d; returns the factors
-    # and the number of splitting candidates tried.  Each candidate u is
-    # powered once on all of h, to w = N^((q-1)/2) = u^((q^d-1)/2), where
-    # N = u^(1+q+...+q^(d-1)) takes d - 1 frob-and-multiply steps:
-    # modulo each factor, w is 0, 1 or -1, and 1 or -1 with probability
-    # about 1/2 each.  Every unfinished piece g then splits by gcd(g, u),
-    # failing that by gcd(g, w - 1), and the pieces of degree d are done:
-    # one refinement over all pieces per candidate (Cantor and Zassenhaus
-    # 1981), with no recursion
-    h = ring.mod
-    ctx = h.ctx
-    one = Polynomial(ctx, (1,))
+def _equal_degree_split(ring: _Residues, d: int) -> tuple[list[list[int]], int]:
+    # the factors of ring.mod = h, monic, squarefree and a product of at
+    # least two irreducibles of degree d, and the candidates tried.  Each
+    # candidate u is powered once on h, to w = N^((q-1)/2) = u^((q^d-1)/2)
+    # with N = u^(1+q+...+q^(d-1)) by d - 1 frob-and-multiply steps: w is
+    # 0, 1 or -1 modulo each factor.  Every unfinished piece g splits by
+    # gcd(g, u), else by gcd(g, w - 1) (Cantor and Zassenhaus 1981)
+    h, ctx = ring.mod, ring.ctx
     half = (ctx.q - 1) // 2
-    done: list[Polynomial] = []
+    done: list[list[int]] = []
     pieces = [h]
-    for tried, u in enumerate(_iter_polys_below(ctx, h.degree), 1):
+    for tried, u in enumerate(_iter_polys_below(ctx, len(h) - 1), 1):
         a = norm = ring.reduce(u)
         for _ in range(d - 1):
             a = ring.frob(a)
             norm = ring.mul(norm, a)
-        w_minus_1 = ring.poly(ring.pow(norm, half)) - one
+        w_minus_1 = _minus_x_to(ring.poly(ring.pow(norm, half)), 0, ctx)
         unfinished = []
         for g in pieces:
-            s = gcd(g, u)
-            if not 0 < s.degree < g.degree:
-                s = gcd(g, w_minus_1)
-            for part in (s, g // s) if 0 < s.degree < g.degree else (g,):
-                (done if part.degree == d else unfinished).append(part)
+            s = _gcd(list(g), list(u), ctx)
+            if not 1 < len(s) < len(g):
+                s = _gcd(list(g), list(w_minus_1), ctx)
+            for part in (s, _divmod(list(g), s, ctx)[0]) if 1 < len(s) < len(g) else (g,):
+                (done if len(part) == d + 1 else unfinished).append(part)
         pieces = unfinished
         if not pieces:
             return done, tried
     raise RuntimeError("equal-degree split exhausted its search space")
 
 
-def _distinct_degree(sq: Polynomial):
-    # monic squarefree sq -> (d, gd, ring) for each d with factors, in
-    # increasing d, where gd is the product of sq's irreducible factors of
-    # degree d and ring is sq's residue ring (None if it was never built),
-    # by distinct degree from d = 1: gcd(rem, x^(q^d) - x) is the product
-    # gd of the factors of degree d left in rem, so the roots come out of
-    # one x^q, with no evaluation at the q elements.  x^(q^d) steps by one
-    # frob of sq's ring, which serves every rem, since rem divides sq.
+def _distinct_degree(sq: list[int], ctx: FieldCtx):
+    # monic squarefree sq -> (d, gd, ring) for each d with factors, d
+    # rising: gd = gcd(rem, x^(q^d) - x) is the product of the factors of
+    # degree d left in rem, and ring is sq's residue ring (None if never
+    # built), whose frob steps x^(q^d) for every rem, as rem divides sq.
     # Once 2d exceeds the degree of rem, rem is irreducible and comes last
-    X = Polynomial.x(sq.ctx)
     ring = None
     rem, d = sq, 0
-    while rem.degree > 0:
+    while len(rem) > 1:
         d += 1
-        if 2 * d > rem.degree:
-            yield rem.degree, rem, ring
+        if 2 * d > len(rem) - 1:
+            yield len(rem) - 1, rem, ring
             return
         if d == 1:
-            ring = _Residues(sq)
+            ring = _Residues(ctx, sq)
             frob = ring.x_q()
         else:
             frob = ring.frob(frob)
-        gd = gcd(rem, ring.poly(frob) - X)
-        if gd.degree > 0:
+        gd = _gcd(list(rem), _minus_x_to(ring.poly(frob), 1, ctx), ctx)
+        if len(gd) > 1:
             yield d, gd, ring
-            rem = rem // gd
+            rem = _divmod(list(rem), gd, ctx)[0]
 
 
 def factor(f: Polynomial) -> Factorization:
@@ -628,51 +622,51 @@ def factor(f: Polynomial) -> Factorization:
     if not f:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
     t0 = time.perf_counter()
-    unit, g = f.monic()
-    pairs: list[tuple[Polynomial, int]] = []
+    ctx = f.ctx
+    pairs: list[tuple[list[int], int]] = []
     tried = rings = 0
-    for sq, mult in _squarefree_parts(g):
+    for sq, mult in _squarefree_parts(_monic(list(f.ranks), ctx), ctx):
         ring = None
-        for d, gd, ring in _distinct_degree(sq):
-            if gd.degree == d:
+        for d, gd, ring in _distinct_degree(sq, ctx):
+            if len(gd) == d + 1:
                 factors = [gd]
             else:
                 # a product of several factors splits in sq's ring if it
                 # is all of sq, else in its own
-                split = ring if gd.degree == sq.degree else _Residues(gd)
+                split = ring if len(gd) == len(sq) else _Residues(ctx, gd)
                 rings += split is not ring
                 factors, k = _equal_degree_split(split, d)
                 tried += k
             pairs.extend((irr, mult) for irr in factors)
         rings += ring is not None
-    pairs.sort(key=lambda pm: (pm[0].degree, pm[0].ranks))
-    total = sum(poly.degree * mult for poly, mult in pairs)
-    if total != f.degree:
+    pairs.sort(key=lambda pm: (len(pm[0]), pm[0]))
+    if sum((len(g) - 1) * mult for g, mult in pairs) != f.degree:
         raise RuntimeError("factor lost degree, this is a bug")
     logger.debug("factored a degree-%d polynomial over F_%d^%d: %d splitting "
                  "candidates tried, %d residue rings, %.3f s", f.degree,
-                 f.ctx.p, f.ctx.n, tried, rings, time.perf_counter() - t0)
-    return Factorization(unit, tuple(pairs))
+                 ctx.p, ctx.n, tried, rings, time.perf_counter() - t0)
+    return Factorization(f.lead, tuple((Polynomial.from_ranks(ctx, g), m) for g, m in pairs))
 
 
 def degree_pattern(f: Polynomial) -> tuple[int, ...]:
     """factor(f).degree_multiset, read off the distinct-degree split alone.
 
     The product gd of the factors of degree d fixes their number,
-    gd.degree // d, so the equal-degree split, which separates them, is
+    deg gd // d, so the equal-degree split, which separates them, is
     skipped.  Logs one DEBUG record to the "hasseforms" logger with the
     degree, the number of factors and the seconds taken.
     """
     if not f:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
     t0 = time.perf_counter()
+    ctx = f.ctx
     out: list[int] = []
-    for sq, mult in _squarefree_parts(f.monic()[1]):
-        for d, gd, _ in _distinct_degree(sq):
-            out.extend([d] * (gd.degree // d * mult))
+    for sq, mult in _squarefree_parts(_monic(list(f.ranks), ctx), ctx):
+        for d, gd, _ in _distinct_degree(sq, ctx):
+            out.extend([d] * ((len(gd) - 1) // d * mult))
     if sum(out) != f.degree:
         raise RuntimeError("degree_pattern lost degree, this is a bug")
     logger.debug("read the degree pattern of a degree-%d polynomial over F_%d^%d "
                  "by distinct degree: %d factors, %.3f s", f.degree,
-                 f.ctx.p, f.ctx.n, len(out), time.perf_counter() - t0)
+                 ctx.p, ctx.n, len(out), time.perf_counter() - t0)
     return tuple(sorted(out))

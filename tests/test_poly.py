@@ -6,13 +6,14 @@ powering, brute-force reassembly, and trial division.
 """
 
 import logging
+import operator
 import random
 
 import pytest
 
 from hasseforms import make_field
 from hasseforms import poly as poly_module
-from hasseforms.errors import ZeroPolynomialError
+from hasseforms.errors import CtxMismatchError, ZeroPolynomialError
 from hasseforms.gf import _rem_ints
 from hasseforms.poly import Polynomial, _Residues, degree_pattern, factor, gcd
 
@@ -131,37 +132,67 @@ def test_truncated_power_over_extension_field():
         assert f.pow_truncated(e, 8) == Polynomial(ctx, [full[i] for i in range(9)])
 
 
-@pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (3, 3), (7, 2)])
+@pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (3, 3), (7, 2),
+                                  (3, 1), (13, 1), (101, 1), (1048573, 1)])
 def test_rank_kernels_against_element_arithmetic(p, n):
-    # divmod, evaluate and derivative run on coefficient ranks; the
-    # reference is FieldElement arithmetic written out here
+    # divmod, evaluate, derivative, * and pow_truncated, which run on int
+    # lists over F_p and on the rank kernels over F_q with n > 1, against
+    # FieldElement arithmetic written out here: coefficient by coefficient,
+    # and by Horner's rule at every point of a field of at most 101
+    # elements, at seeded points of larger ones.  The densest operands
+    # have every coefficient p - 1 up to degree 40
     ctx = make_field(p, n)
     rng = random.Random(ctx.q)
+    points = (list(ctx.iter_elements()) if ctx.q <= 101
+              else [ctx.from_rank(rng.randrange(ctx.q)) for _ in range(16)])
 
     def random_poly(degree):
         low = [ctx.from_rank(rng.randrange(ctx.q)) for _ in range(degree)]
         return Polynomial(ctx, low + [ctx.from_rank(rng.randrange(1, ctx.q))])
 
-    for _ in range(40):
-        a, b = random_poly(rng.randrange(12)), random_poly(rng.randrange(6))
+    def value(f, x):
+        acc = ctx.zero
+        for c in reversed(f.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def product(f, g):
+        total = [ctx.zero] * (len(f) + len(g) - 1)
+        for i, fi in enumerate(f):
+            for j, gj in enumerate(g):
+                total[i + j] = total[i + j] + fi * gj
+        return total
+
+    top = Polynomial.from_ranks(ctx, [ctx.q - 1] * 41)
+    pairs = [(random_poly(rng.randrange(12)), random_poly(rng.randrange(6))) for _ in range(40)]
+    pairs += [(top, top), (top * random_poly(3), top), (random_poly(40), top), (top, random_poly(7))]
+    for k, (a, b) in enumerate(pairs):
         quo, rem = divmod(a, b)
         assert rem.degree < b.degree
-        total = [ctx.zero] * (len(quo.coeffs) + len(b.coeffs))
-        for i, qi in enumerate(quo.coeffs):
-            for j, bj in enumerate(b.coeffs):
-                total[i + j] = total[i + j] + qi * bj
+        total = product(quo.coeffs, b.coeffs) + [ctx.zero]
         for i, ri in enumerate(rem.coeffs):
             total[i] = total[i] + ri
         assert Polynomial(ctx, total) == a
-        x = ctx.from_rank(rng.randrange(ctx.q))
-        acc = ctx.zero
-        for c in reversed(a.coeffs):
-            acc = acc * x + c
-        assert a.evaluate(x) == acc
+        ab = a * b
+        assert ab == Polynomial(ctx, product(a.coeffs, b.coeffs))
+        for x in points:
+            assert value(a, x) == value(quo, x) * value(b, x) + value(rem, x)
+            assert value(ab, x) == value(a, x) * value(b, x)
+            assert a.evaluate(x) == value(a, x)
         d = a.derivative()
         assert d.degree < a.degree
         for i in range(a.degree + 1):
             assert d[i] == (i + 1) * a[i + 1]
+        if k % 4 == 0 or a == top:
+            for e in (2, 3):
+                full = [ctx.one]
+                for _ in range(e):
+                    full = product(full, a.coeffs)
+                assert a.pow_truncated(e, e * a.degree) == Polynomial(ctx, full)
+                for x in points:
+                    assert value(a.pow_truncated(e, e * a.degree), x) == value(a, x) ** e
+                cap = rng.randrange(e * a.degree + 1)
+                assert a.pow_truncated(e, cap) == Polynomial(ctx, full[:cap + 1])
 
 
 def test_factor_frozen_examples():
@@ -264,6 +295,11 @@ def _pow_mod_reference(base, e, mod):
     return result
 
 
+def _residue(ring, a):
+    # a residue of the ring as a Polynomial, from its rank list
+    return Polynomial.from_ranks(ring.ctx, ring.poly(a))
+
+
 @pytest.mark.parametrize("p", [3, 13, 1009, 65537, 1048573])
 def test_pow_mod_packed_matches_plain_powering(p):
     # the packed-int residue ring against square-and-multiply on
@@ -278,11 +314,11 @@ def test_pow_mod_packed_matches_plain_powering(p):
         bases = [Polynomial(ctx, [p - 1] * degree),
                  Polynomial(ctx, [rng.randrange(p) for _ in range(degree + 3)])]
         for mod in mods:
-            ring = _Residues(mod)
+            ring = _Residues(ctx, mod.ranks)
             for base in bases:
                 for e in (0, 1, 2, 5, 97):
                     want = _pow_mod_reference(base, e, mod)
-                    assert ring.poly(ring.pow(ring.reduce(base), e)) == want
+                    assert _residue(ring, ring.pow(ring.reduce(base.ranks), e)) == want
 
 
 @pytest.mark.parametrize("p, n", [(3, 1), (13, 1), (1009, 1), (1048573, 1), (3, 2), (5, 3)])
@@ -299,15 +335,15 @@ def test_frobenius_table_matches_powering_by_q(p, n):
     for degree in (1, 2, 7, 23, 40):
         for lead in (1, 1 + rng.randrange(ctx.q - 1)):
             mod = random_poly(degree, lead)
-            ring = _Residues(mod)
+            ring = _Residues(ctx, mod.ranks)
             x_q = _pow_mod_reference(Polynomial.x(ctx), ctx.q, mod)
-            assert ring.poly(ring.x_q()) == x_q
+            assert _residue(ring, ring.x_q()) == x_q
             for a in (random_poly(degree + 2, 1 + rng.randrange(ctx.q - 1)),
                       Polynomial.from_ranks(ctx, [ctx.q - 1] * degree)):
                 a_q = _pow_mod_reference(a, ctx.q, mod)
-                frob = ring.frob(ring.reduce(a))
-                assert ring.poly(frob) == a_q
-                assert ring.poly(ring.frob(frob)) == _pow_mod_reference(a_q, ctx.q, mod)
+                frob = ring.frob(ring.reduce(a.ranks))
+                assert _residue(ring, frob) == a_q
+                assert _residue(ring, ring.frob(frob)) == _pow_mod_reference(a_q, ctx.q, mod)
 
 
 @pytest.mark.parametrize("p, n", [(13, 1), (1009, 1), (5, 3)])
@@ -318,12 +354,12 @@ def test_frobenius_table_grows_only_to_the_top_coefficient(p, n):
     ctx = make_field(p, n)
     rng = random.Random(ctx.q)
     mod = Polynomial.from_ranks(ctx, [rng.randrange(ctx.q) for _ in range(23)] + [1])
-    ring = _Residues(mod)
+    ring = _Residues(ctx, mod.ranks)
     longest = 1
     for top, dense in ((0, False), (1, False), (5, False), (3, True), (22, True), (9, False)):
         low = [rng.randrange(ctx.q) if dense else 0 for _ in range(top)]
         a = Polynomial.from_ranks(ctx, low + [1 + rng.randrange(ctx.q - 1)])
-        assert ring.poly(ring.frob(ring.reduce(a))) == _pow_mod_reference(a, ctx.q, mod)
+        assert _residue(ring, ring.frob(ring.reduce(a.ranks))) == _pow_mod_reference(a, ctx.q, mod)
         longest = max(longest, top)
         assert len(ring._T) == longest + 1
 
@@ -336,7 +372,7 @@ def test_binomial_distinct_degree_builds_no_frobenius_table(p):
     stepped = False
     for a in (2, 3, p - 1):
         sq = Polynomial(ctx, [p - a] + [0] * (p - 2) + [1])
-        rings = [ring for _, _, ring in poly_module._distinct_degree(sq) if ring is not None]
+        rings = [ring for _, _, ring in poly_module._distinct_degree(list(sq.ranks), ctx) if ring is not None]
         assert rings and all(ring._T is None or len(ring._T) == 2 for ring in rings)
         stepped |= any(ring._T for ring in rings)
     assert stepped  # some binomial went past d = 1
@@ -402,9 +438,9 @@ def test_factor_builds_one_reduction_table_per_modulus(monkeypatch, caplog):
     moduli = []
 
     class Counted(poly_module._Residues):
-        def __init__(self, mod):
-            moduli.append(mod.ranks)
-            super().__init__(mod)
+        def __init__(self, ctx, mod):
+            moduli.append(tuple(mod))
+            super().__init__(ctx, mod)
 
     monkeypatch.setattr(poly_module, "_Residues", Counted)
     y = Polynomial.x(make_field(23))
@@ -524,8 +560,61 @@ def test_gcd_conventions():
     assert gcd(3 * f, 2 * g) == d
 
 
+def test_mixed_contexts_raise_ctx_mismatch():
+    # ranks of one field are not values of another: gcd and the ring
+    # operations refuse two contexts with CtxMismatchError, a ValueError,
+    # as FieldElement does
+    f5 = Polynomial(make_field(5), [6, 1])
+    for other in (Polynomial(make_field(7), [1, 1]), Polynomial(make_field(5, 2), [1, 1])):
+        for op in (gcd, lambda f, g: gcd(g, f), operator.add, operator.sub, operator.mul, divmod):
+            with pytest.raises(CtxMismatchError):
+                op(f5, other)
+    with pytest.raises(CtxMismatchError):
+        f5 + make_field(7)(1)
+    with pytest.raises(ValueError):
+        gcd(f5, Polynomial(make_field(7), [1, 1]))
+
+
 def test_evaluate_horner():
     ctx = make_field(7)
     f = Polynomial(ctx, [1, 0, 3, 1])  # x^3 + 3x^2 + 1
     for x in ctx.iter_elements():
         assert f.evaluate(x) == x ** 3 + 3 * x ** 2 + 1
+
+
+def _factor_corpus():
+    # y^(p-1) - h for every unit h, p <= 31, then seeded polynomials, some
+    # squared and, where p is small, some times a p-th power
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        ctx = make_field(p)
+        for h in range(1, p):
+            yield Polynomial(ctx, [p - h] + [0] * (p - 2) + [1])
+    for p, n in ((3, 1), (101, 1), (65537, 1), (3, 2), (7, 3)):
+        ctx = make_field(p, n)
+        rng = random.Random(ctx.q)
+
+        def random_poly(degree):
+            return Polynomial.from_ranks(
+                ctx, [rng.randrange(ctx.q) for _ in range(degree)] + [1 + rng.randrange(ctx.q - 1)])
+
+        for _ in range(16):
+            f = random_poly(rng.randrange(1, 21))
+            if rng.random() < 0.3:
+                f = f * f
+            if p <= 101 and rng.random() < 0.3:
+                f = f * random_poly(rng.randrange(1, 3)) ** p
+            yield f
+
+
+def test_factor_output_golden():
+    # the factors of a fixed corpus, as (degree, ranks, multiplicity) per
+    # factor and the unit's rank, pinned by one sha256
+    import hashlib
+
+    out = []
+    for f in _factor_corpus():
+        fac = factor(f)
+        out.append((fac.unit.rank, tuple((g.degree, g.ranks, m) for g, m in fac.factors)))
+    assert len(out) == 148 + 5 * 16
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "35c1d21fd5671249ccafa33220544bb5bc8fa680f2f20a1a14c188358aca10dc")
