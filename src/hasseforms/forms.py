@@ -23,7 +23,8 @@ from functools import lru_cache
 from math import gcd as int_gcd, isqrt
 
 from .curve import WeierstrassCurve, hasse_invariant
-from .errors import BadCongruenceError, NotPrimeError, ZeroElementError, ZeroTwistParameterError
+from .errors import (BadCongruenceError, CtxMismatchError, NotPrimeError, ZeroElementError,
+                     ZeroTwistParameterError)
 from .gf import FieldCtx, FieldElement, _is_prime, discrete_log, norm_to_prime
 
 __all__ = [
@@ -49,7 +50,7 @@ class UnitClass:
         exp %= ctx.p - 1
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "exp", exp)
-        object.__setattr__(self, "rep", ctx.gen_pow(exp))
+        object.__setattr__(self, "rep", ctx.generator ** exp)
 
     def __setattr__(self, name, value):
         raise AttributeError("UnitClass is immutable")
@@ -69,10 +70,12 @@ class UnitClass:
         if not isinstance(other, UnitClass):
             return NotImplemented
         if other.ctx != self.ctx:
-            raise ValueError("classes over different contexts")
+            raise CtxMismatchError(f"cannot combine classes of {self.ctx} and {other.ctx}")
         return UnitClass(self.ctx, self.exp + other.exp)
 
     def __pow__(self, k: int) -> "UnitClass":
+        if not isinstance(k, int):
+            return NotImplemented
         return UnitClass(self.ctx, self.exp * k)
 
     def inverse(self) -> "UnitClass":

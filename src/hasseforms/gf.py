@@ -19,10 +19,10 @@ generator g: exp[e] = rank(g^e), log[rank] = e, and the Zech logarithm
 zech[e] = log(1 + g^e) (Lidl and Niederreiter, Finite Fields, ch. 9).
 Each table holds O(q) machine integers.  The row sweeps read them on
 every field, and point counts the parities of the Zech logarithms from
-one byte string per context.  A single query over F_p builds none:
-discrete_log and gen_pow read the tables once the context holds them
-(FieldCtx._tabled) and otherwise take Pohlig-Hellman and int powers, as
-the classification suite, which builds no table over F_p, does.
+one byte string per context.  The field alone picks the route of a
+discrete logarithm and a power of g: over F_p they are Pohlig-Hellman and
+one int pow, whether or not the context holds the tables, so a single
+query over F_p builds none; over F_q with n > 1 they read the tables.
 The build leans on the norm N(x) = x^((q-1)/(p-1)), which lies in F_p
 (ibid., ch. 2): the generator search takes each candidate's norm as the
 resultant of the modulus and x (_norm_ints) and tests it with int
@@ -234,8 +234,8 @@ class FieldCtx:
     about 12 bytes per element) builds them from the lex-smallest
     generator, and _zech_y, the table of 1 - chi(1 + g^t) that point
     counts read, adds one byte per element.  Prime fields need them only
-    for sweeps and the table point count (p <= 229); logarithms and
-    powers of g read them once built (_tabled).
+    for sweeps and the table point count (p <= 229); their logarithms
+    and powers of g never read them.
     q > 2**20 raises FieldTooLargeError.
     """
 
@@ -521,21 +521,6 @@ class FieldCtx:
         y[(self.q - 1) // 2] = 1
         return bytes(y)
 
-    def _tabled(self) -> bool:
-        # whether discrete_log and gen_pow read the exp/log tables: always
-        # over F_q with n > 1, whose arithmetic needs them, and over F_p
-        # once something has built them (cached_property keeps them in
-        # __dict__), as the row sweeps do before they take a class.  A
-        # single query over F_p, or the classification suite, builds none
-        return self.n > 1 or "_log_tables" in self.__dict__
-
-    def gen_pow(self, e: int) -> "FieldElement":
-        """generator**e, read from the exp table where _tabled, else one
-        int pow over F_p."""
-        if self._tabled():
-            return FieldElement(self, self._log_tables[0][e % (self.q - 1)])
-        return FieldElement(self, pow(self.generator.rank, e % (self.q - 1), self.p))
-
     # -- identity and printing ------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -712,15 +697,15 @@ def primitive_element(ctx: FieldCtx) -> FieldElement:
 
 
 def discrete_log(x: FieldElement) -> int:
-    """Exponent e in [0, q-1) with primitive_element(ctx)**e == x, read from
-    the log table where the context is _tabled, else by Pohlig-Hellman
-    over F_p (_pohlig_hellman)."""
+    """Exponent e in [0, q-1) with primitive_element(ctx)**e == x: by
+    Pohlig-Hellman over F_p (_pohlig_hellman), which reads no table even
+    where the context holds them, and off the log table over F_q."""
     if not x:
         raise ZeroElementError("zero has no discrete logarithm")
     ctx = x.ctx
-    if ctx._tabled():
-        return ctx._log_tables[1][x.rank]
-    return _pohlig_hellman(ctx.generator.rank, x.rank, ctx.p)
+    if ctx.n == 1:
+        return _pohlig_hellman(ctx.generator.rank, x.rank, ctx.p)
+    return ctx._log_tables[1][x.rank]
 
 
 def _pohlig_hellman(g: int, a: int, p: int) -> int:

@@ -17,12 +17,12 @@ from hasseforms import (
     twist_class_action,
     unit_class_of,
 )
-from hasseforms.curve import WeierstrassCurve, _row_hist, point_count
-from hasseforms.gf import FieldCtx
+from hasseforms.curve import TWIST_KINDS, WeierstrassCurve, _row_hist, point_count
 from hasseforms.verify import run_suite
 from hasseforms.forms import UnitClass, _class_residues
 from hasseforms.errors import (
     BadCongruenceError,
+    CtxMismatchError,
     NotPrimeError,
     ZeroElementError,
     ZeroTwistParameterError,
@@ -160,17 +160,34 @@ def test_twist_class_action_frozen():
     assert twist_class_action(h, ctx.one, "quadratic") == h
 
 
-def test_twist_class_action_well_defined():
-    # the induced map depends only on the class of the twist parameter
-    ctx = make_field(13)
-    classes = enumerate_classes(ctx)
-    for h in classes:
-        for c in classes:
-            results = set()
+def test_twist_class_action_well_defined(monkeypatch):
+    # for every kind that applies, the induced map depends only on the
+    # class of the twist parameter, and it is the class law: a class c
+    # moves by what the action does to the trivial class, which is how
+    # the twists suite composes it
+    for ctx, kinds in ((make_field(13), TWIST_KINDS), (make_field(5, 2), ("quadratic", "quartic"))):
+        classes, one = enumerate_classes(ctx), UnitClass(ctx, 0)
+        for kind in kinds:
+            shifts = {}
             for d in ctx.iter_elements():
-                if d and unit_class_of(d) == c:
-                    results.add(twist_class_action(h, d, "quadratic").exp)
-            assert len(results) == 1
+                if not d:
+                    continue
+                shift = twist_class_action(one, d, kind)
+                assert shifts.setdefault(unit_class_of(d), shift) == shift
+                for c in classes:
+                    assert twist_class_action(c, d, kind) == c * shift
+    # so the suite has to catch a wrong quartic action, here (p - 1)/2 in
+    # place of (p - 1)/4
+    import hasseforms.verify as verify_mod
+
+    def seeded(cls, d, kind="quadratic"):
+        if kind != "quartic":
+            return twist_class_action(cls, d, kind)
+        return unit_class_of(cls.rep * d ** ((cls.ctx.p - 1) // 2))
+
+    monkeypatch.setattr(verify_mod, "twist_class_action", seeded)
+    failures = run_suite("twists", 13).failures
+    assert failures and all(f.startswith("quartic twist of ") for f in failures)
 
 
 def test_twist_class_action_errors():
@@ -273,13 +290,24 @@ def test_single_curve_queries_over_fp_build_no_tables():
     assert _single_curve_answers(tabled) == answers
 
 
-@pytest.mark.parametrize("suite, reads", [("twists", True), ("classification", False)])
-def test_suites_read_the_tables_where_built(monkeypatch, suite, reads):
-    # the twists sweep builds the tables before it takes a class, so every
-    # discrete_log and gen_pow it makes reads them; the classification
-    # suite builds none over F_p, so each class takes an int pow
-    routes = []
-    tabled = FieldCtx._tabled
-    monkeypatch.setattr(FieldCtx, "_tabled", lambda self: routes.append(tabled(self)) or routes[-1])
-    assert run_suite(suite, 19, 1).ok
-    assert routes and set(routes) == {reads}
+def test_classification_suite_builds_no_table_over_fp(monkeypatch):
+    # every class over F_p is an int power of g, so the suite builds no
+    # table for them
+    import hasseforms.verify as verify_mod
+
+    built, real = [], verify_mod.make_field
+    monkeypatch.setattr(verify_mod, "make_field", lambda p, n: built.append(real(p, n)) or built[-1])
+    assert run_suite("classification", 19, 1).ok
+    assert not {"_log_tables", "_zech_y"} & set(vars(built[0]))
+
+
+def test_unit_class_operators_match_field_elements():
+    # classes of two fields do not combine, and a non-int exponent is
+    # refused by Python itself on every field, as FieldElement's are
+    with pytest.raises(CtxMismatchError):
+        UnitClass(make_field(5), 1) * UnitClass(make_field(7), 1)
+    for ctx in (make_field(5), make_field(5, 2)):
+        for x in (UnitClass(ctx, 1), ctx.generator):
+            assert x.__pow__(2.5) is NotImplemented
+            with pytest.raises(TypeError, match="unsupported operand"):
+                x ** 2.5

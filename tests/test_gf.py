@@ -25,6 +25,7 @@ from hasseforms import (
     quadratic_character,
 )
 from hasseforms.curve import WeierstrassCurve, _row_hist
+from hasseforms.forms import UnitClass
 from hasseforms.gf import (_is_irreducible, _is_prime, _mulmod_ints, _norm_ints,
                            _pohlig_hellman, _rem_ints)
 from hasseforms.verify import run_suite
@@ -443,13 +444,13 @@ def test_table_build_logs_generator_and_walk(caplog):
 def test_discrete_log_round_trips_and_chi_matches_euler(p, n):
     ctx = make_field(p, n)
     for e in range(ctx.q - 1):
-        assert discrete_log(ctx.gen_pow(e)) == e
-        assert ctx.gen_pow(e + 5 * (ctx.q - 1)) == ctx.gen_pow(e)
+        assert discrete_log(ctx.generator ** e) == e
+        assert ctx.generator ** (e + 5 * (ctx.q - 1)) == ctx.generator ** e
     # the point count reads chi as the parity of the logarithm
     for x in ctx.iter_elements():
         if x:
             e = discrete_log(x)
-            assert ctx.gen_pow(e) == x
+            assert ctx.generator ** e == x
             assert 1 - 2 * (e & 1) == _euler_chi(ctx, x.coeffs)
 
 
@@ -558,19 +559,53 @@ def test_tables_refused_beyond_sweep_guard():
             make_field(*args)
 
 
+def _record_table_reads(ctx):
+    # swap the built exp, log and Zech tables of ctx for wrappers that
+    # record each index read; returns the tables and the list of reads
+    tables, reads = ctx._log_tables, []
+
+    class Recorded:
+        def __init__(self, table):
+            self.table = table
+
+        def __getitem__(self, i):
+            reads.append(i)
+            return self.table[i]
+
+    vars(ctx)["_log_tables"] = tuple(map(Recorded, tables))
+    return tables, reads
+
+
+def _logs_and_powers_match(ctx, exp, log):
+    order = ctx.q - 1
+    for a in range(1, ctx.q):
+        assert discrete_log(ctx.from_rank(a)) == log[a]
+    for e in range(-1, 2 * order):
+        assert (ctx.generator ** e).rank == exp[e % order]
+        assert UnitClass(ctx, e).rep.rank == exp[e % (ctx.p - 1)]
+
+
 @pytest.mark.parametrize("p", [19, 23, 101, 131, 211, 1009])
 def test_untabled_logs_and_powers_match_the_tables(p):
-    # a context with no tables takes Pohlig-Hellman and int powers; the
+    # over F_p the field picks the route: Pohlig-Hellman and int powers,
+    # which read no table even on a context that holds them; the
     # census-ladder primes and F_1009 against the log and exp tables
-    tabled, bare = make_field(p), make_field(p)
-    exp, log, _ = tabled._log_tables
-    g = bare.generator.rank
+    ctx = make_field(p)
+    (exp, log, _), reads = _record_table_reads(ctx)
+    g = ctx.generator.rank
     for a in range(1, p):
         assert _pohlig_hellman(g, a, p) == log[a]
-        assert discrete_log(bare.element(a)) == log[a]
-    for e in range(-1, 2 * p):
-        assert bare.gen_pow(e).rank == exp[e % (p - 1)]
-    assert "_log_tables" not in vars(bare)
+    _logs_and_powers_match(ctx, exp, log)
+    assert not reads
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3)])
+def test_logs_and_powers_over_fq_read_the_tables(p, n):
+    # over F_q with n > 1 the same answers are read off the tables
+    ctx = make_field(p, n)
+    (exp, log, _), reads = _record_table_reads(ctx)
+    _logs_and_powers_match(ctx, exp, log)
+    assert reads
 
 
 def test_pohlig_hellman_at_a_safe_prime():
@@ -580,6 +615,6 @@ def test_pohlig_hellman_at_a_safe_prime():
     ctx = make_field(p)
     g, rng = ctx.generator.rank, random.Random(p)
     for e in [0, 1, (p - 1) // 2, p - 2] + [rng.randrange(p - 1) for _ in range(40)]:
-        assert discrete_log(ctx.gen_pow(e)) == e
+        assert discrete_log(ctx.generator ** e) == e
         assert _pohlig_hellman(g, pow(g, e, p), p) == e
     assert "_log_tables" not in vars(ctx)

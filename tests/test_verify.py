@@ -118,7 +118,7 @@ def test_classification_suite_catches_seeded_regression(monkeypatch, seed, p, n,
             return real_mul(c, other)
         wrong = UnitClass(c.ctx, 4)
         if seed == "mul_misnames":
-            object.__setattr__(wrong, "rep", c.ctx.gen_pow(3))
+            object.__setattr__(wrong, "rep", c.ctx.generator ** 3)
         return wrong
 
     if seed == "phi_unit":
@@ -371,11 +371,12 @@ def _corrupt_one_hasse_read(monkeypatch, entry, read):
 
 
 def test_twists_suite_catches_seeded_regression(monkeypatch):
-    # the class action is memoised per (class, d, kind), but every pair
-    # still reads its twist's A_p off a row table: one corrupted read of
-    # a twisted entry has to flip the verdict to FAIL.  The entry of
-    # y^2 = x^3 + x + 1 over F_5 is read first as its own class, then as
-    # its twist by 1, then as the twist by 4 of y^2 = x^3 + x + 4
+    # the class action is taken once per (kind, d) and composed with each
+    # class, but every pair still reads its twist's A_p off a row table:
+    # one corrupted read of a twisted entry has to flip the verdict to
+    # FAIL.  The entry of y^2 = x^3 + x + 1 over F_5 is read first as its
+    # own class, then as its twist by 1, then as the twist by 4 of
+    # y^2 = x^3 + x + 4
     state = _corrupt_one_hasse_read(monkeypatch, (0, 1, 1), 3)
     result = run_suite("twists", 5)
     assert state["reads"] == 5  # once as a base, once per d as a twist
