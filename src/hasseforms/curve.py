@@ -45,7 +45,8 @@ _row_counts reads it at every a6 from one cyclic product over F_q^*, by
 the log of a6, for callers that walk whole rows: the census scan over
 F_p and the row suites.
 
-A twist by d scales (a2, a4, a6) by ranks that _twist_scales gives, so
+The twist kinds live in one table, _TWISTS, of degrees and weights.  A
+twist by d scales (a2, a4, a6) by d to the weights (_twist_scales), so
 it moves every model of an (a2, a4) row onto one other row.  twist
 applies the scales to one model; the twists suite applies them on ranks
 and reads each twisted A_p off the _row_hasse row it lands on.
@@ -60,13 +61,19 @@ from math import gcd, isqrt
 
 from .errors import (BadCongruenceError, SingularModelError, WrongJInvariantError,
                      ZeroTwistParameterError)
-from .gf import FieldCtx, FieldElement, _poly_str
+from .gf import FieldCtx, FieldElement, _poly_str, _power
 from .poly import Polynomial, _cyclic_mul, _pack, _slot_width, _unpack
 
 __all__ = ["WeierstrassCurve", "FrobeniusData", "point_count", "hasse_invariant",
            "is_ordinary", "twist", "TWIST_KINDS"]
 
-TWIST_KINDS = ("quadratic", "quartic", "sextic")
+# kind -> (m, weights of (a2, a4, a6, disc)), the one place the twist kinds
+# live: a twist of degree m needs p = 1 mod m, moves the Hasse class by
+# d^((p-1)/m) (Silverman, AEC X.5) and multiplies each coefficient by d to
+# its weight, 0 where it sets the coefficient to 0
+_TWISTS = {"quadratic": (2, (1, 2, 3, 6)), "quartic": (4, (0, 1, 0, 3)),
+           "sextic": (6, (0, 0, 1, 2))}
+TWIST_KINDS = tuple(_TWISTS)
 
 # byte maps for translate to the digits "0" and "1": bit 0 and bit 1 of a
 # histogram slot, and Y != 0
@@ -297,16 +304,6 @@ def _ec_add(P, Q, a4: int, p: int):
     return x3, (lam * (x1 - x3) - y1) % p
 
 
-def _ec_mul(k: int, P, a4: int, p: int):
-    # k P for k >= 1, by doubling and adding
-    R = P
-    for bit in bin(k)[3:]:
-        R = _ec_add(R, R, a4, p)
-        if bit == "1":
-            R = _ec_add(R, P, a4, p)
-    return R
-
-
 def _multiples(P, a4: int, p: int, lo: int, hi: int) -> list[int]:
     """The multiples of the order r of P in [lo, hi], which holds one.
 
@@ -336,7 +333,7 @@ def _multiples(P, a4: int, p: int, lo: int, hi: int) -> list[int]:
     stride = 2 * m + 1
     S = _ec_add(Q, last, a4, p)
     k = (lo + m) // stride
-    R, c = _ec_mul(k, S, a4, p), k * stride
+    R, c = _power(S, k, lambda P, Q: _ec_add(P, Q, a4, p), None), k * stride
     found = []
     while c - m <= hi:
         if R is None:
@@ -634,29 +631,28 @@ def _twist_kinds(ctx: FieldCtx, r4: int, r6: int) -> tuple[str, ...]:
     # c4 = -48 a4, so j = 1728 iff a6 = 0 and j = 0 iff a4 = 0 (Silverman,
     # AEC III.1); in characteristic 3 neither congruence holds
     p = ctx.p
-    if not r6 and p % 4 == 1:
+    if not r6 and p % _TWISTS["quartic"][0] == 1:
         return "quadratic", "quartic"
-    if not r4 and p % 3 == 1:
+    if not r4 and p % _TWISTS["sextic"][0] == 1:
         return "quadratic", "sextic"
     return ("quadratic",)
 
 
+def _twist_degree(p: int, kind: str) -> int:
+    # the degree m of a twist of this kind over a field of characteristic
+    # p, checked against the congruence p = 1 mod m that it needs
+    if kind not in _TWISTS:
+        raise ValueError(f"kind must be one of {TWIST_KINDS}, got {kind!r}")
+    m = _TWISTS[kind][0]
+    if p % m != 1:
+        raise BadCongruenceError(f"{kind} twists need p = 1 mod {m}, got p = {p}")
+    return m
+
+
 def _twist_scales(ctx: FieldCtx, d: int, kind: str) -> tuple[int, int, int, int]:
     # ranks (s2, s4, s6, s_disc) that a twist by the unit of rank d
-    # multiplies (a2, a4, a6, disc) by: the discriminant is weighted
-    # homogeneous of weight 6 in (a2, a4, a6) with weights (1, 2, 3), and
-    # a quartic twist keeps only a4, a sextic one only a6.  The one place
-    # the scalings are written: twist and the twists suite read them
-    mul = ctx._mul
-    if kind == "quadratic":
-        d2 = mul(d, d)
-        d3 = mul(d2, d)
-        return d, d2, d3, mul(d3, d3)
-    if kind == "quartic":
-        return 0, d, 0, mul(mul(d, d), d)
-    if kind == "sextic":
-        return 0, 0, d, mul(d, d)
-    raise ValueError(f"kind must be one of {TWIST_KINDS}, got {kind!r}")
+    # multiplies (a2, a4, a6, disc) by: d to the weights of _TWISTS
+    return tuple([ctx._pow(d, w) if w else 0 for w in _TWISTS[kind][1]])
 
 
 def twist(curve: WeierstrassCurve, d, kind: str = "quadratic") -> WeierstrassCurve:
@@ -664,28 +660,26 @@ def twist(curve: WeierstrassCurve, d, kind: str = "quadratic") -> WeierstrassCur
 
     quadratic: any model; scales (a2, a4, a6) by (d, d^2, d^3).
     quartic:   j = 1728 and p = 1 mod 4 only; (a4, 0) -> (d*a4, 0).
-    sextic:    j = 0 and p = 1 mod 3 only; (0, a6) -> (0, d*a6).
+    sextic:    j = 0 and p = 1 mod 6 only; (0, a6) -> (0, d*a6).
 
-    The discriminant is weighted homogeneous of weight 6 in (a2, a4, a6)
-    with weights (1, 2, 3), so the twist's discriminant is d^6, d^3 or
-    d^2 times the curve's (tests pin it against discriminant_general):
-    a twist of a nonsingular model by d != 0 is nonsingular.  The scales
-    come from _twist_scales, which the twists suite applies on ranks.
-    j is decided on ranks, as in _twist_kinds: for p >= 5 j = 1728 iff
-    a6 = 0 and j = 0 iff a4 = 0, and for p = 3 j = 0 = 1728 iff a2 = 0.
+    The kinds live in _TWISTS.  The discriminant is weighted homogeneous
+    of weight 6 in (a2, a4, a6) with weights (1, 2, 3), so the twist's is
+    d^6, d^3 or d^2 times the curve's (tests pin it against
+    discriminant_general): a twist of a nonsingular model by d != 0 is
+    nonsingular.  j is checked first, on ranks as in _twist_kinds: for
+    p >= 5 j = 1728 iff a6 = 0 and j = 0 iff a4 = 0, and for p = 3
+    j = 0 = 1728 iff a2 = 0; then p = 1 mod m (_twist_degree).
     """
     ctx = curve.ctx
     d = ctx.element(d)
     if not d:
         raise ZeroTwistParameterError("twist parameter must be nonzero")
     if kind in ("quartic", "sextic"):
-        j, modulus = (1728, 4) if kind == "quartic" else (0, 3)
+        j = 1728 if kind == "quartic" else 0
         if (curve.a2 if ctx.p == 3 else curve.a6 if kind == "quartic" else curve.a4).rank:
             raise WrongJInvariantError(
                 f"{kind} twists need j = {j}, got j = {curve.j_invariant}")
-        if ctx.p % modulus != 1:
-            raise BadCongruenceError(
-                f"{kind} twists need p = 1 mod {modulus}, got p = {ctx.p}")
+    _twist_degree(ctx.p, kind)
     mul, zero = ctx._mul, ctx.zero
     s2, s4, s6, sd = _twist_scales(ctx, d.rank, kind)
     return WeierstrassCurve._unchecked(

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd as int_gcd, isqrt
 
-from .curve import WeierstrassCurve, hasse_invariant
-from .errors import (BadCongruenceError, CtxMismatchError, NotPrimeError, ZeroElementError,
+from .curve import WeierstrassCurve, _twist_degree, hasse_invariant
+from .errors import (CtxMismatchError, NotPrimeError, ZeroElementError,
                      ZeroTwistParameterError)
 from .gf import FieldCtx, FieldElement, _is_prime, discrete_log, norm_to_prime
 
@@ -126,6 +126,21 @@ def _class_residues(ctx: FieldCtx) -> array:
     return array("i", (r // unit for r in ranks))
 
 
+def _field_order(p: int, q: int | None) -> int:
+    # q (p where None), checked to be p^n, n >= 1, for a prime p:
+    # NotPrimeError, else ValueError
+    if not _is_prime(p):
+        raise NotPrimeError(f"p must be prime, got {p}")
+    if q is None:
+        return p
+    t = q
+    while t % p == 0 and t > 1:
+        t //= p
+    if t != 1 or q < p:
+        raise ValueError(f"q = {q} is not a power of p = {p}")
+    return q
+
+
 def realizable_set(p: int, q: int | None = None) -> frozenset[int]:
     """Residues h mod p that occur as beta mod p for some trace beta.
 
@@ -135,15 +150,7 @@ def realizable_set(p: int, q: int | None = None) -> frozenset[int]:
     1 <= b <= B.  For p = 2 this gives {1} for every q (the single
     nontrivial residue), so the formula covers the degenerate prime too.
     """
-    if not _is_prime(p):
-        raise NotPrimeError(f"p must be prime, got {p}")
-    if q is None:
-        q = p
-    t = q
-    while t % p == 0 and t > 1:
-        t //= p
-    if t != 1 or q < p:
-        raise ValueError(f"q = {q} is not a power of p = {p}")
+    q = _field_order(p, q)
     bound = isqrt(4 * q - 1)
     if bound >= p - 1:
         return frozenset(range(1, p))
@@ -153,28 +160,16 @@ def realizable_set(p: int, q: int | None = None) -> frozenset[int]:
 def twist_class_action(cls: UnitClass, d: FieldElement, kind: str = "quadratic") -> UnitClass:
     """Where the class of a Hasse invariant moves under a twist by d.
 
-    quadratic sends [h] to [h * d^((p-1)/2)], quartic to
-    [h * d^((p-1)/4)] and sextic to [h * d^((p-1)/6)], subject to the
-    same congruence conditions as the twists themselves.
+    A twist of degree m sends [h] to [h * d^((p-1)/m)], where p = 1 mod m
+    as twist itself checks (curve._twist_degree): m = 2, 4 and 6 for
+    quadratic, quartic and sextic, read off curve._TWISTS.
     """
     ctx = cls.ctx
     d = ctx.element(d)
     if not d:
         raise ZeroTwistParameterError("twist parameter must be nonzero")
     p = ctx.p
-    if kind == "quadratic":
-        e = (p - 1) // 2
-    elif kind == "quartic":
-        if p % 4 != 1:
-            raise BadCongruenceError(f"quartic action needs p = 1 mod 4, got {p}")
-        e = (p - 1) // 4
-    elif kind == "sextic":
-        if p % 3 != 1:
-            raise BadCongruenceError(f"sextic action needs p = 1 mod 3, got {p}")
-        e = (p - 1) // 6
-    else:
-        raise ValueError(f"unknown twist kind {kind!r}")
-    return unit_class_of(cls.rep * d**e)
+    return unit_class_of(cls.rep * d ** ((p - 1) // _twist_degree(p, kind)))
 
 
 @dataclass(frozen=True)

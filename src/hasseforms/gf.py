@@ -37,7 +37,9 @@ the logarithm.  F_p[x] runs on value lists, with one convolution,
 _conv_ints, reduced once per coefficient, and one reducer, _rem_ints.
 Their product _mulmod_ints serves the modulus and generator searches and
 the exp build, and, as _conv_mul and _conv_pow, is the reference the
-tests audit the tables against; poly.py's F_p[x] runs on them too.
+tests audit the tables against; poly.py's F_p[x] runs on them too.  One
+square-and-multiply, _power, takes _conv_pow, the powers of polynomials
+and residue rings, and the multiples of a curve point.
 
 Scale guard: a context refuses q = p**n > 2**20 before any modulus
 search, so every field that exists can build its tables.  None of this
@@ -50,7 +52,7 @@ import logging
 import sys
 import time
 from array import array
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import isqrt
 from operator import mul
 from typing import Iterator, Sequence, Union
@@ -68,6 +70,20 @@ SWEEP_MAX = 2**20       # the largest field order a context accepts
 logger = logging.getLogger("hasseforms")
 
 CoeffsLike = Union[int, Sequence[int], "FieldElement"]
+
+
+def _power(x, e: int, mul, one):
+    """x^e for an int e >= 0 and an associative mul with identity one:
+    square-and-multiply from the low bits (Cohen, GTM 138, 1.2.1), with no
+    square past the top bit; at e = 0 mul is not called."""
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return result
 
 
 def _prime_factors(m: int) -> tuple[int, ...]:
@@ -286,14 +302,7 @@ class FieldCtx:
         return tuple(r) + (0,) * (self.n - len(r))
 
     def _conv_pow(self, a, e: int):
-        if not e:
-            return (1,) + (0,) * (self.n - 1)
-        result = a
-        for bit in bin(e)[3:]:
-            result = self._conv_mul(result, result)
-            if bit == "1":
-                result = self._conv_mul(result, a)
-        return result
+        return _power(a, e, self._conv_mul, (1,) + (0,) * (self.n - 1))
 
     def _rank(self, a) -> int:
         return sum(map(mul, a, self._weights))
@@ -715,23 +724,13 @@ def _pohlig_hellman(g: int, a: int, p: int) -> int:
     5.5.1): for each prime power l^k exactly dividing p - 1, e mod l^k is
     read one base-l digit at a time, each digit the log of an element of
     order dividing l to the base gamma = g^((p-1)/l), by baby and giant
-    steps (ibid., 5.4.1): ceil(sqrt(l)) of each.  The residues are joined
-    by the Chinese remainder theorem.  At most about 2 sqrt(p/2) steps,
-    where (p - 1)/2 is prime.
+    steps (ibid., 5.4.1): ceil(sqrt(l)) of each, off the plan of (g, p)
+    (_pohlig_hellman_plan).  The residues are joined by the Chinese
+    remainder theorem.  At most about 2 sqrt(p/2) steps, where (p - 1)/2
+    is prime.
     """
     order, e, mod = p - 1, 0, 1
-    for ell in _prime_factors(order):
-        k, rest = 0, order
-        while rest % ell == 0:
-            rest //= ell
-            k += 1
-        gamma = pow(g, order // ell, p)
-        m = isqrt(ell - 1) + 1
-        baby, y = {}, 1
-        for j in range(m):
-            baby[y] = j
-            y = y * gamma % p
-        giant = pow(gamma, -m, p)
+    for ell, k, m, baby, giant in _pohlig_hellman_plan(g, p):
         # x = e mod l^k, digit by digit: a g^-x has order dividing l^(k-i)
         x, step = 0, 1
         for _ in range(k):
@@ -747,3 +746,25 @@ def _pohlig_hellman(g: int, a: int, p: int) -> int:
         e += mod * ((x - e) * pow(mod, -1, step) % step)
         mod *= step
     return e
+
+
+@lru_cache(maxsize=1)
+def _pohlig_hellman_plan(g: int, p: int) -> tuple:
+    # (l, k, m, baby steps gamma^j -> j for j < m, giant step gamma^-m) for
+    # each prime power l^k exactly dividing p - 1, gamma = g^((p-1)/l) and
+    # m = ceil(sqrt(l)); one slot, like the row memos, since the logs of a
+    # run are taken in one field
+    order, plan = p - 1, []
+    for ell in _prime_factors(order):
+        k, rest = 0, order
+        while rest % ell == 0:
+            rest //= ell
+            k += 1
+        gamma = pow(g, order // ell, p)
+        m = isqrt(ell - 1) + 1
+        baby, y = {}, 1
+        for j in range(m):
+            baby[y] = j
+            y = y * gamma % p
+        plan.append((ell, k, m, baby, pow(gamma, -m, p)))
+    return tuple(plan)

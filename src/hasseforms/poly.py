@@ -34,7 +34,7 @@ from array import array
 from dataclasses import dataclass
 
 from .errors import CtxMismatchError, ZeroPolynomialError
-from .gf import FieldCtx, FieldElement, _conv_ints, _gcd_ints, _monic_ints, _poly_str
+from .gf import FieldCtx, FieldElement, _conv_ints, _gcd_ints, _monic_ints, _poly_str, _power
 
 __all__ = ["Polynomial", "Factorization", "gcd", "factor", "degree_pattern"]
 
@@ -191,19 +191,14 @@ class Polynomial:
         return self._power(e, cap)
 
     def _power(self, e: int, cap: int | None) -> "Polynomial":
-        # square-and-multiply; with a cap, degrees above it are dropped
+        # square-and-multiply (gf._power); with a cap, degrees above it
+        # are dropped
         if not isinstance(e, int) or e < 0:
             raise ValueError("polynomial exponent must be a nonnegative int")
         ctx = self.ctx
-        result = [ctx.one.rank]
         base = self.ranks[: None if cap is None else cap + 1]
-        while e:
-            if e & 1:
-                result = _mul_trunc(result, base, ctx, cap)
-            e >>= 1
-            if e:
-                base = _mul_trunc(base, base, ctx, cap)
-        return Polynomial.from_ranks(ctx, result)
+        return Polynomial.from_ranks(
+            ctx, _power(base, e, lambda a, b: _mul_trunc(a, b, ctx, cap), [ctx.one.rank]))
 
     # -- helpers ---------------------------------------------------------
 
@@ -462,14 +457,7 @@ class _Residues:
         return _pack(W, [c % p for c in _unpack(W, low, D)])
 
     def pow(self, a, e: int):
-        result = self.one
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            e >>= 1
-            if e:
-                a = self.mul(a, a)
-        return result
+        return _power(a, e, self.mul, self.one)
 
     def x_q(self):
         """The residue of x^q."""

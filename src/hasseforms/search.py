@@ -43,7 +43,7 @@ from typing import Iterator, Sequence
 from .curve import (WeierstrassCurve, _count_at, _decode, _disc_row, _hasse_at, _hasse_row,
                     _row_counts, _row_hasse, point_count)
 from .errors import InconsistencyError
-from .forms import _class_residues, realizable_set
+from .forms import _class_residues, _field_order, realizable_set
 from .gf import FieldCtx, FieldElement, smallest_prime_factor
 
 __all__ = ["admissible_traces", "iter_curves", "find_curve_with_class", "describe_witness",
@@ -56,10 +56,12 @@ def admissible_traces(q: int, h: int, p: int | None = None) -> frozenset[int]:
     """Signed traces beta with beta^2 < 4q, p not dividing beta, beta = h mod p.
 
     When p is omitted it is taken to be the smallest prime factor of q.
-    An empty set proves no curve over F_q can land in class h.
+    q must be a power of the prime p, as realizable_set checks (ValueError
+    otherwise).  An empty set proves no curve over F_q can land in class h.
     """
     if p is None:
         p = smallest_prime_factor(q)
+    q = _field_order(p, q)
     if h % p == 0:
         raise ValueError(f"h = {h} is divisible by p = {p}, not a unit residue")
     bound = isqrt(4 * q - 1)

@@ -164,16 +164,16 @@ def _suite_twists(res: SuiteResult, ctx: FieldCtx) -> None:
     each twist is read off the _row_hasse row of its (a2, a4), each row
     kept for the run, and classes are compared as exponents (log mod
     p - 1, -1 for a zero A_p, which matches no action).  The action,
-    twist_class_action, is taken once per (kind, d), on the trivial
-    class, and a model of class exponent e is predicted at e plus that
-    exponent mod p - 1: the class law, which the classification suite
-    proves.  Those predictions are kept per class and set of kinds.  A
-    model and d are decoded only to name them in a failure, listed model
-    by model, then by d, then by kind.
+    twist_class_action, is taken on the trivial class once per twist of
+    a plan, next to its scales, and a model of class exponent e is
+    predicted at e plus that exponent mod p - 1: the class law, which the
+    classification suite proves.  Those predictions are kept per class
+    and set of kinds.  A model and d are decoded only to name them in a
+    failure, listed model by model, then by d, then by kind.
     """
     q, pm1, mul, exps = ctx.q, ctx.p - 1, ctx._mul, _class_exps(ctx)
     one = UnitClass(ctx, 0)
-    rows, by_scale, plans, acts, wants = {}, {}, {}, {}, {}
+    rows, by_scale, plans, wants = {}, {}, {}, {}
 
     def hasse_row(r2, r4):
         row = rows.get((r2, r4))
@@ -188,23 +188,19 @@ def _suite_twists(res: SuiteResult, ctx: FieldCtx) -> None:
             perm = by_scale[s] = [mul(s, r6) for r6 in range(q)]
         return perm
 
-    def act(d, kind):
-        # the class exponent a twist of this kind by the rank d adds
-        if (d, kind) not in acts:
-            acts[d, kind] = twist_class_action(one, FieldElement(ctx, d), kind).exp
-        return acts[d, kind]
-
     def plan(kinds):
-        # (d, kind, scales) of every twist a model with these kinds takes
+        # (d, kind, scales, the class exponent the action adds) of every
+        # twist a model with these kinds takes
         if kinds not in plans:
-            plans[kinds] = [(d, kind, _twist_scales(ctx, d, kind))
+            plans[kinds] = [(d, kind, _twist_scales(ctx, d, kind),
+                             twist_class_action(one, FieldElement(ctx, d), kind).exp)
                             for d in range(1, q) for kind in kinds]
         return plans[kinds]
 
     def want(kinds, base):
         # the class exponents the action predicts, in plan order
         if (kinds, base) not in wants:
-            wants[kinds, base] = [(base + act(d, kind)) % pm1 for d, kind, _ in plan(kinds)]
+            wants[kinds, base] = [(base + act) % pm1 for *_, act in plan(kinds)]
         return wants[kinds, base]
 
     for r2, r4, _, r6s in _iter_rows(ctx):
@@ -216,13 +212,13 @@ def _suite_twists(res: SuiteResult, ctx: FieldCtx) -> None:
             kinds = _twist_kinds(ctx, r4, r6)
             if kinds not in targets:
                 targets[kinds] = [(hasse_row(mul(s2, r2), mul(s4, r4)), times(s6))
-                                  for _, _, (s2, s4, s6, _) in plan(kinds)]
+                                  for _, _, (s2, s4, s6, _), _ in plan(kinds)]
             got = [exps[row[perm[r6]]] for row, perm in targets[kinds]]
             expected = want(kinds, base)
             if got == expected:
                 res.cases += len(got)
                 continue
-            for (d, kind, _), g, w in zip(plan(kinds), got, expected):
+            for (d, kind, _, _), g, w in zip(plan(kinds), got, expected):
                 if g == w:
                     res.cases += 1
                 else:

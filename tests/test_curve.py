@@ -27,11 +27,14 @@ from hasseforms.curve import (
     _count_at,
     _count_mestre,
     _disc_row,
+    _ec_add,
     _hasse_at,
     _hasse_row,
+    _nonsquare,
     _row_counts,
     _row_hasse,
     _row_hist,
+    _sqrt,
     _trace,
     _twist_kinds,
     _twist_scales,
@@ -44,6 +47,7 @@ from hasseforms.errors import (
     WrongJInvariantError,
     ZeroTwistParameterError,
 )
+from hasseforms.gf import _power, _prime_factors
 from hasseforms.search import _singular_a6
 
 
@@ -593,3 +597,35 @@ def test_mestre_count_matches_count_at_on_seeded_models(p):
                 curve = _curve(ctx, a4, a6)
                 want = _count_at(ctx, 0, a4, a6)
                 assert _count_mestre(p, a4, a6) == want == point_count(curve).count
+
+
+@pytest.mark.parametrize("p", [233, 1048573])
+def test_power_of_a_point_matches_repeated_addition(p):
+    # k P by gf._power, the giant steps' start in _multiples, against
+    # k-fold _ec_add on y^2 = x^3 + x + 1, and the point at infinity at k =
+    # the order of P.  That order divides #E = p + 1 - t, with t read off
+    # A_p = t mod p, as |t| <= 2 sqrt(p) < p/2: not off point_count, whose
+    # Shanks-Mestre steps run on _power
+    def add(P, Q):
+        return _ec_add(P, Q, 1, p)
+
+    x = next(x for x in range(p) if pow(x**3 + x + 1, (p - 1) // 2, p) == 1)
+    P, R = (x, _sqrt((x**3 + x + 1) % p, p, _nonsquare(p))), None
+    assert (P[1] ** 2 - x**3 - x - 1) % p == 0
+    for k in range(1, 41):
+        R = add(R, P)
+        assert _power(P, k, add, None) == R, k
+    a = hasse_invariant(_curve(make_field(p), 1, 1)).rank
+    order = p + 1 - (a if a < p // 2 else a - p)
+    assert _power(P, order, add, None) is None
+    for ell in _prime_factors(order):
+        while order % ell == 0 and _power(P, order // ell, add, None) is None:
+            order //= ell
+    assert all(_power(P, order // ell, add, None) is not None for ell in _prime_factors(order))
+    assert _power(P, order + 1, add, None) == P
+    if p < 1000:
+        # small enough to walk: the first k with k P at infinity
+        k, R = 1, P
+        while R is not None:
+            k, R = k + 1, add(R, P)
+        assert k == order

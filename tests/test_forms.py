@@ -17,9 +17,10 @@ from hasseforms import (
     twist_class_action,
     unit_class_of,
 )
-from hasseforms.curve import TWIST_KINDS, WeierstrassCurve, _row_hist, point_count
+from hasseforms.curve import TWIST_KINDS, WeierstrassCurve, _row_hist, point_count, twist
 from hasseforms.verify import run_suite
 from hasseforms.forms import UnitClass, _class_residues
+from hasseforms.gf import _is_prime
 from hasseforms.errors import (
     BadCongruenceError,
     CtxMismatchError,
@@ -203,6 +204,28 @@ def test_twist_class_action_errors():
         twist_class_action(h7, ctx7(3), "quartic")  # 7 = 3 mod 4
     with pytest.raises(ValueError):
         twist_class_action(h, ctx5(2), "septic")
+
+
+def test_twist_and_class_action_share_the_congruence():
+    # over every odd prime to 37 and every kind, twist, on a model with
+    # the j the kind needs, and twist_class_action raise BadCongruenceError
+    # on the same (p, kind): exactly where p != 1 mod 2, 4, 6
+    refused = {"twist": set(), "action": set()}
+    for p in filter(_is_prime, range(3, 38)):
+        ctx = make_field(p)
+        for kind in TWIST_KINDS:
+            # y^2 = x^3 + x has j = 1728, and j = 0 too in characteristic 3
+            curve = _curve(ctx, 0, 1) if kind == "sextic" and p > 3 else _curve(ctx, 1, 0)
+            for name, call in (("twist", lambda: twist(curve, ctx(2), kind)),
+                               ("action", lambda: twist_class_action(UnitClass(ctx, 1), ctx(2), kind))):
+                try:
+                    call()
+                except BadCongruenceError:
+                    refused[name].add((p, kind))
+    m = {"quadratic": 2, "quartic": 4, "sextic": 6}
+    want = {(p, kind) for p in filter(_is_prime, range(3, 38)) for kind in m if p % m[kind] != 1}
+    assert refused["twist"] == refused["action"] == want
+    assert (7, "quartic") in want and (5, "sextic") in want
 
 
 def test_kernel_of_frobenius_frozen():

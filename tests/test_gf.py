@@ -27,7 +27,7 @@ from hasseforms import (
 from hasseforms.curve import WeierstrassCurve, _row_hist
 from hasseforms.forms import UnitClass
 from hasseforms.gf import (_is_irreducible, _is_prime, _mulmod_ints, _norm_ints,
-                           _pohlig_hellman, _rem_ints)
+                           _pohlig_hellman, _pohlig_hellman_plan, _power, _rem_ints)
 from hasseforms.verify import run_suite
 from hasseforms.errors import (
     CtxMismatchError,
@@ -618,3 +618,33 @@ def test_pohlig_hellman_at_a_safe_prime():
         assert discrete_log(ctx.generator ** e) == e
         assert _pohlig_hellman(g, pow(g, e, p), p) == e
     assert "_log_tables" not in vars(ctx)
+
+
+def test_pohlig_hellman_plan_is_built_once_per_field():
+    # the factors of p - 1 and the baby and giant steps are one plan per
+    # (g, p), however many logs are taken
+    p = 1048343
+    ctx = make_field(p)
+    rng = random.Random(p)
+    _pohlig_hellman_plan.cache_clear()
+    for e in [rng.randrange(p - 1) for _ in range(200)]:
+        assert discrete_log(ctx.generator ** e) == e
+    info = _pohlig_hellman_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 199)
+
+
+def test_power_matches_builtin_pow():
+    # the one square-and-multiply, on ints mod p, against pow; at e = 0 it
+    # returns the identity and never calls mul
+    p, x, calls = 1048573, 12345, []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return a * b % p
+
+    for e in list(range(65)) + [2**200 + 12345]:
+        assert _power(x, e, mul, 1) == pow(x, e, p), e
+    calls.clear()
+    assert _power(x, 0, mul, "one") == "one" and not calls
+    # any associative mul: strings under concatenation
+    assert _power("ab", 5, str.__add__, "") == "ab" * 5

@@ -38,7 +38,7 @@ from hasseforms.curve import (
     _row_hist,
     discriminant_general,
 )
-from hasseforms.errors import SingularModelError
+from hasseforms.errors import NotPrimeError, SingularModelError
 from hasseforms.gf import _is_prime
 from hasseforms.search import _classified, _iter_rows, _row_orbits
 
@@ -100,6 +100,14 @@ def test_admissible_traces_rejects_divisible_residue():
         admissible_traces(19, 19)
     with pytest.raises(ValueError):
         admissible_traces(361, 38, p=19)
+    # q must be the order of a field of characteristic p, as for
+    # realizable_set: 25 is no power of 3, and 12 no power of its p = 2
+    with pytest.raises(ValueError, match="not a power"):
+        admissible_traces(25, 1, 3)
+    with pytest.raises(ValueError, match="not a power"):
+        admissible_traces(12, 1)
+    with pytest.raises(NotPrimeError):
+        admissible_traces(81, 1, 9)
 
 
 def test_iter_curves_counts_and_order():
