@@ -55,9 +55,9 @@ and reads each twisted A_p off the _row_hasse row it lands on.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .errors import (BadCongruenceError, SingularModelError, WrongJInvariantError,
                      ZeroTwistParameterError)
@@ -179,13 +179,14 @@ def _discriminant(a2, a4, a6) -> FieldElement:
     return FieldElement(ctx, add(d0, mul(add(d1, mul(d2, r6)), r6)))
 
 
-@dataclass(frozen=True)
-class FrobeniusData:
+class FrobeniusData(NamedTuple):
     """Point count over the base field and derived Frobenius trace.
 
     count is the number of projective points including the one at
     infinity; beta = q + 1 - count satisfies beta^2 <= 4q, strictly so
     when p does not divide beta; ordinary means p does not divide beta.
+    A NamedTuple: it compares and hashes as the tuple of its fields, and
+    survives pickle and copy.
     """
 
     count: int
@@ -535,13 +536,18 @@ def _hasse_terms(p: int) -> tuple[tuple[int, int, int], ...]:
 @lru_cache(maxsize=1)
 def _hasse_row(ctx: FieldCtx, r2: int, r4: int) -> tuple[int, tuple[int, ...]]:
     # (k, ranks of P, highest power first) with A_p = a6^k P(a6^2) on the
-    # (a2, a4) row: term i carries a6^(2i - m), so the powers climb by 2;
-    # zero low coefficients (a4 = 0) move into k.  One slot: rows repeat.
+    # (a2, a4) row: term i carries a6^(2i - m), so the powers climb by 2,
+    # and a4^j, where j climbs by 3 from the last term, so each a4^j after
+    # the first is the one before times a4^3; zero low coefficients
+    # (a4 = 0) move into k.  One slot: rows repeat.
     terms = _hasse_terms(ctx.p)
     if not terms:
         return 0, (r2,) if r2 else ()  # A_3 = a2
     mul, pw, unit = ctx._mul, ctx._pow, ctx._weights[0]
-    coeffs = [mul(c * unit, pw(r4, j)) for j, _, c in reversed(terms)]
+    cube, power, coeffs = pw(r4, 3), pw(r4, terms[-1][0]), []
+    for _, _, c in reversed(terms):
+        coeffs.append(mul(c * unit, power))
+        power = mul(power, cube)
     k = terms[0][1]
     while coeffs and not coeffs[-1]:
         coeffs.pop()

@@ -18,9 +18,9 @@ non-split thickening, reported here under the label M2.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd as int_gcd, isqrt
+from typing import NamedTuple
 
 from .curve import WeierstrassCurve, _twist_degree, hasse_invariant
 from .errors import (CtxMismatchError, NotPrimeError, ZeroElementError,
@@ -172,15 +172,15 @@ def twist_class_action(cls: UnitClass, d: FieldElement, kind: str = "quadratic")
     return unit_class_of(cls.rep * d ** ((p - 1) // _twist_degree(p, kind)))
 
 
-@dataclass(frozen=True)
-class FrobeniusKernelClass:
+class FrobeniusKernelClass(NamedTuple):
     """Which twisted form of the p-th roots of unity ker(Frobenius) is.
 
     hasse_class is None exactly in the supersingular case, where the
     kernel is the infinitesimal self-dual form instead of a twisted
     multiplicative one.  For ordinary curves the multiplicative side
     carries the class of the Hasse invariant and the dual (additive Lie)
-    side carries its inverse.
+    side carries its inverse.  A NamedTuple of one field: it compares and
+    hashes as (hasse_class,), and survives pickle and copy.
     """
 
     hasse_class: UnitClass | None
@@ -204,8 +204,7 @@ def kernel_of_frobenius(curve: WeierstrassCurve) -> FrobeniusKernelClass:
     return FrobeniusKernelClass(None if not a else unit_class_of(a))
 
 
-@dataclass(frozen=True)
-class PTorsionDescription:
+class PTorsionDescription(NamedTuple):
     """Coordinate-level description of the p-torsion group scheme E[p].
 
     Ordinary case: a connected multiplicative-type part twisted by
@@ -217,6 +216,9 @@ class PTorsionDescription:
 
     Supersingular case: nothing splits; the scheme is the standard
     non-split self-dual thickening, labelled M2.
+
+    A NamedTuple: it compares and hashes as the tuple of its fields, and
+    survives pickle and copy.
     """
 
     supersingular: bool

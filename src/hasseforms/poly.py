@@ -31,7 +31,7 @@ import logging
 import sys
 import time
 from array import array
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CtxMismatchError, ZeroPolynomialError
 from .gf import FieldCtx, FieldElement, _conv_ints, _gcd_ints, _monic_ints, _poly_str, _power
@@ -312,12 +312,12 @@ def _minus_x_to(a: list[int], k: int, ctx: FieldCtx) -> list[int]:
 
 # -- factorisation ------------------------------------------------------
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """unit * product(poly**mult) equals the input polynomial.
 
     Factors are monic irreducibles sorted by (degree, coefficient ranks),
-    so equal inputs always serialize identically.
+    so equal inputs always serialize identically.  A NamedTuple: it
+    compares and hashes as (unit, factors), and survives pickle and copy.
     """
 
     unit: FieldElement

@@ -35,10 +35,9 @@ from __future__ import annotations
 import logging
 import time
 from collections import Counter
-from dataclasses import dataclass
 from itertools import groupby, islice
 from math import gcd, isqrt
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .curve import (WeierstrassCurve, _count_at, _decode, _disc_row, _hasse_at, _hasse_row,
                     _row_counts, _row_hasse, point_count)
@@ -279,9 +278,13 @@ def find_curve_with_class(ctx: FieldCtx, h: int, *,
                 None)
 
 
-@dataclass(frozen=True)
-class WitnessRecord:
-    """One validated curve hitting a class, with its checked statistics."""
+class WitnessRecord(NamedTuple):
+    """One validated curve hitting a class, with its checked statistics.
+
+    The census's records (WitnessRecord, ClassEntry, RealizabilityReport)
+    are NamedTuples: they compare and hash as tuples of their fields, and
+    survive pickle and copy.
+    """
 
     a2: tuple[int, ...]
     a4: tuple[int, ...]
@@ -296,8 +299,9 @@ class WitnessRecord:
                 "beta": self.beta, "class_exp": self.class_exp, "phi": self.phi}
 
 
-@dataclass(frozen=True)
-class ClassEntry:
+class ClassEntry(NamedTuple):
+    """The class residue and its witness, None when no curve hits it."""
+
     residue: int
     witness: WitnessRecord | None
 
@@ -306,8 +310,7 @@ class ClassEntry:
         return self.witness is not None
 
 
-@dataclass(frozen=True)
-class RealizabilityReport:
+class RealizabilityReport(NamedTuple):
     """Outcome of a full census over one field.
 
     entries has one slot per residue 1..p-1 in order; missing lists the
@@ -433,11 +436,11 @@ def census(ctx: FieldCtx) -> RealizabilityReport:
         hits, row = [(h, r6) for h, (_, _, r6) in group], counts.get((r2, r4))
         cs = [_count_at(ctx, r2, r4, r6) if row is None else row[log[r6]] for _, r6 in hits]
         witnesses.update((w.phi, w) for w in _check_row(ctx, r2, r4, hits, cs))
-    entries = tuple(ClassEntry(h, witnesses.get(h)) for h in residues)
+    entries = tuple(map(ClassEntry, residues, map(witnesses.get, residues)))
     missing = tuple(h for h in residues if h not in found)
     logger.debug("census over %s: %d models tested, %d singular skipped, "
                  "%d rows tabulated, %d rows skipped, %d rows stopped at their "
-                 "coset, %d witness rows; scan %.3f s, witness validation %.3f s",
+                 "coset, %d witness rows; scan %.6f s, witness validation %.6f s",
                  ctx, models, tally["singular"], tally["rows"], tally["rows skipped"],
                  tally["rows stopped"], rows, t1 - t0, time.perf_counter() - t1)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
 from math import gcd
 
 from .curve import (
@@ -40,14 +39,18 @@ __all__ = ["SuiteResult", "SUITE_NAMES", "run_suite"]
 logger = logging.getLogger("hasseforms")
 
 
-@dataclass
 class SuiteResult:
-    suite: str
-    p: int
-    n: int
-    cases: int = 0
-    failures: list[str] = field(default_factory=list)
-    detail: dict | None = None
+    """One suite's verdict over F_{p^n}: the cases checked, the failure
+    messages, and the census report's to_dict as detail (None elsewhere).
+    The suite mutates it as it runs."""
+
+    __slots__ = ("suite", "p", "n", "cases", "failures", "detail")
+
+    def __init__(self, suite: str, p: int, n: int) -> None:
+        self.suite, self.p, self.n = suite, p, n
+        self.cases: int = 0
+        self.failures: list[str] = []
+        self.detail: dict | None = None
 
     @property
     def ok(self) -> bool:

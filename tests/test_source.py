@@ -1,8 +1,11 @@
 """Source hygiene: every package module uses the names it imports, every
-module-level private name is read somewhere in the package, and every
-absolute import is of the standard library."""
+module-level private name is read somewhere in the package, every
+absolute import is of the standard library, and the CLI loads neither
+dataclasses nor inspect."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -106,3 +109,19 @@ def test_stdlib_guard_sees_absolute_imports_only():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_modules_import_only_the_standard_library(path):
     assert _non_stdlib_imports(path.read_text()) == []
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # the records are NamedTuples and one slotted class, so a CLI process
+    # pays for neither dataclasses nor what it pulls in (inspect, ast,
+    # dis); measured against the modules loaded before the import, so a
+    # Python whose site loads them itself still passes
+    code = ("import sys; before = set(sys.modules); import hasseforms.cli; "
+            "print(*sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    src = str(Path(hasseforms.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

@@ -1,4 +1,5 @@
-"""Value types survive pickle, copy.copy and copy.deepcopy.
+"""Value types survive pickle, copy.copy and copy.deepcopy, and the
+records keep their reprs.
 
 Each type rebuilds through its constructor, and a field context rebuilds
 from (p, n) alone, so the lazy lookup tables of a context that has
@@ -12,7 +13,8 @@ import random
 
 import pytest
 
-from hasseforms import Polynomial, make_field, unit_class_of
+from hasseforms import (Polynomial, census, factor, kernel_of_frobenius, make_field,
+                        point_count, ptorsion_description, unit_class_of)
 from hasseforms.curve import WeierstrassCurve
 from hasseforms.errors import SingularModelError
 
@@ -49,10 +51,69 @@ def _unit_class():
     return unit_class_of(make_field(5, 2)((1, 1)))
 
 
+# the records are NamedTuples; their reprs were pinned when they were
+# frozen dataclasses, and read the same
+def _report():
+    # F_19 misses classes 9 and 10, whose entries carry witness=None
+    return census(make_field(19))
+
+
+def _witness():
+    return census(make_field(19)).entries[2].witness
+
+
+def _ordinary_curve():
+    ctx = make_field(5, 2)
+    return WeierstrassCurve(ctx, ctx((1, 2)), ctx.one)
+
+
+def _frobenius_data():
+    return point_count(_ordinary_curve())
+
+
+def _ptorsion_supersingular():
+    # y^2 = x^3 + x over F_7, p = 3 mod 4
+    return ptorsion_description(WeierstrassCurve(make_field(7), 1, 0))
+
+
+def _ptorsion_ordinary():
+    return ptorsion_description(_ordinary_curve())
+
+
+def _kernel():
+    return kernel_of_frobenius(_ordinary_curve())
+
+
+def _factorization():
+    rng = random.Random(37)
+    f = Polynomial(make_field(7), [rng.randrange(7) for _ in range(9)] + [1])
+    return factor(f * f)
+
+
+_REPRS = {
+    _report: "sha256:adc10e6816bd69689f42d5d7732b42ce9e9c9d95777a51fb1db2a6222a49a46f",
+    _witness: "WitnessRecord(a2=(0,), a4=(2,), a6=(10,), count=17, beta=3, class_exp=13, phi=3)",
+    _frobenius_data: "FrobeniusData(count=19, beta=7, ordinary=True)",
+    _ptorsion_supersingular: "PTorsionDescription(supersingular=True, hasse_class=None, j=None, "
+                             "etale_degrees=None, j_p_root=None, hasse=None)",
+    _ptorsion_ordinary: "PTorsionDescription(supersingular=False, hasse_class=UnitClass(exp=1 "
+                        "mod 4, rep=3*t + 1), j=<t + 4 in F_25>, etale_degrees=(4,), "
+                        "j_p_root=<4*t + 3 in F_25>, hasse=<4*t + 2 in F_25>)",
+    _kernel: "FrobeniusKernelClass(ordinary, UnitClass(exp=1 mod 4, rep=3*t + 1))",
+    _factorization: "Factorization(unit=<1 in F_7>, factors=((Polynomial('x^2 + x + 3' over "
+                    "F_7), 2), (Polynomial('x^3 + 5*x^2 + 4*x + 2' over F_7), 2), "
+                    "(Polynomial('x^4 + 6*x^3 + 3*x + 2' over F_7), 2)))",
+}
+
+
 @pytest.mark.parametrize("make", [_ctx_with_tables, _element, _curve, _polynomial,
-                                  _ext_polynomial, _unit_class],
+                                  _ext_polynomial, _unit_class, *_REPRS],
                          ids=["FieldCtx", "FieldElement", "WeierstrassCurve",
-                              "Polynomial", "Polynomial-F25", "UnitClass"])
+                              "Polynomial", "Polynomial-F25", "UnitClass",
+                              "RealizabilityReport", "WitnessRecord", "FrobeniusData",
+                              "PTorsionDescription-supersingular",
+                              "PTorsionDescription-ordinary", "FrobeniusKernelClass",
+                              "Factorization"])
 def test_value_types_round_trip(make):
     value = make()
     for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value),
@@ -60,6 +121,12 @@ def test_value_types_round_trip(make):
         assert type(clone) is type(value)
         assert clone == value and hash(clone) == hash(value)
         assert repr(clone) == repr(value)
+    if make in _REPRS:
+        want, text = _REPRS[make], repr(value)
+        if want.startswith("sha256:"):
+            assert "ClassEntry(residue=9, witness=None)" in text
+            text = "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+        assert text == want
     if make is _element:
         # an element serialises as its lex rank alone
         assert value.__reduce__()[1] == (value.ctx, value.rank)

@@ -1,7 +1,6 @@
 """The named verification suites and their reporting surface."""
 
 import contextlib
-import dataclasses
 import functools
 import io
 import json
@@ -204,7 +203,7 @@ def _seed_census_witness(monkeypatch, ctx, h, curve):
             curve.a2.coeffs, curve.a4.coeffs, curve.a6.coeffs, 0, 0, 0, h))
         for e in report.entries)
     monkeypatch.setattr(verify_mod, "census",
-                        lambda ctx: dataclasses.replace(report, entries=entries))
+                        lambda ctx: report._replace(entries=entries))
 
 
 def test_census_suite_catches_seeded_later_witness(monkeypatch):
