@@ -17,10 +17,14 @@ Note: the search subcommand spells its target class -h, so its help
 lives on --help only.
 
 The parser is built once per process, on the first main() call, and
-reused by every later call: parse_args leaves it unchanged, and help,
-version and usage errors look up sys.stdout and sys.stderr when they
-print, so redirected callers get the same bytes.  build_parser() returns
-a fresh parser each time it is called.
+reused by every later call; build_parser() returns a fresh parser each
+time it is called.  main reads a well-formed argv itself: argv[0] picks
+the subcommand, and _read reads the rest off that subcommand's own
+argparse actions, into the Namespace parse_args would give.  Every argv
+it declines (help, version, abbreviations, "=" forms, usage errors)
+goes to parse_args, which leaves the parser unchanged and looks up
+sys.stdout and sys.stderr when it prints, so every caller gets
+argparse's bytes.
 """
 
 from __future__ import annotations
@@ -326,7 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _PARSER: argparse.ArgumentParser | None = None
+_TABLE: tuple | None = None  # _read_table(_PARSER), built with it
 _COEFF_OPTIONS = ("-a2", "-a4", "-a6")
+# the only actions _read takes from the command line
+_READ_KINDS = (argparse._StoreAction, argparse._StoreTrueAction)
 
 
 def _joined(argv: list[str]) -> list[str]:
@@ -341,19 +348,85 @@ def _joined(argv: list[str]) -> list[str]:
     return out
 
 
-def _parser() -> argparse.ArgumentParser:
-    global _PARSER
+def _read_table(parser: argparse.ArgumentParser) -> tuple:
+    """The grammar _read reads, taken from parser's own actions: the dest
+    of its subcommand, and per subcommand name its store and store_true
+    actions by option string, its required actions, and its defaults as
+    parse_args fills them in."""
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    table = {}
+    for name, sp in subs.choices.items():
+        defaults = {}
+        for a in sp._actions:
+            if a.required or a.dest is argparse.SUPPRESS or a.default is argparse.SUPPRESS:
+                continue
+            # argparse passes a string default through the type
+            typed = isinstance(a.default, str) and a.type is not None
+            defaults[a.dest] = a.type(a.default) if typed else a.default
+        table[name] = ({s: a for a in sp._actions if type(a) in _READ_KINDS
+                        for s in a.option_strings},
+                       [a for a in sp._actions if a.required], defaults)
+    return subs.dest, table
+
+
+def _read(table: tuple, argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace parse_args gives for a well-formed argv: a known
+    subcommand, then each of its store and store_true options at most
+    once, by its exact option string, a value apart from its option,
+    not starting with "-", of the option's type and in its choices, and
+    every required option.  Any other argv gives None, and parse_args
+    reads it, so help, version, abbreviations, "=" forms and errors keep
+    argparse's bytes."""
+    dest, subcommands = table
+    if not argv or argv[0] not in subcommands:
+        return None
+    options, required, defaults = subcommands[argv[0]]
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = options.get(token)
+        if action is None or action in given:
+            return None
+        if action.nargs == 0:  # store_true
+            given[action] = action.const
+            continue
+        value = next(tokens, "-")  # a missing value reads as an option
+        if value[:1] == "-":
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (ValueError, TypeError, argparse.ArgumentTypeError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action] = value
+    if any(a not in given for a in required):
+        return None
+    args = argparse.Namespace(**defaults)
+    setattr(args, dest, argv[0])
+    for a, value in given.items():
+        setattr(args, a.dest, value)
+    return args
+
+
+def _parser() -> tuple[argparse.ArgumentParser, tuple]:
+    global _PARSER, _TABLE
     if _PARSER is None:
         _PARSER = build_parser()
-    return _PARSER
+        _TABLE = _read_table(_PARSER)
+    return _PARSER, _TABLE
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    try:
-        args = parser.parse_args(_joined(sys.argv[1:] if argv is None else list(argv)))
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    parser, table = _parser()
+    argv = _joined(sys.argv[1:] if argv is None else list(argv))
+    args = _read(table, argv)
+    if args is None:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     if args.command is None:
         parser.print_help()
         return 2

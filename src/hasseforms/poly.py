@@ -460,9 +460,20 @@ class _Residues:
         return _power(a, e, self.mul, self.one)
 
     def x_q(self):
-        """The residue of x^q."""
+        """The residue of x^q: the monomial x^(q >> low), of degree below
+        2D, reduced once, then squared along the low bits of q, times x on
+        each set bit, as gf._is_irreducible does.  Modulo the etale
+        suite's binomials q = p < 2D, so it is one reduction."""
         if self._xq is None:
-            self._xq = self.pow(self.reduce([0, self.ctx.one.rank]), self.ctx.q)
+            q, one = self.ctx.q, self.ctx.one.rank
+            low = max(0, q.bit_length() - self.D.bit_length())
+            h = self.reduce([0] * (q >> low) + [one])
+            x = self.reduce([0, one])
+            for b in range(low - 1, -1, -1):
+                h = self.mul(h, h)
+                if q >> b & 1:
+                    h = self.mul(h, x)
+            self._xq = h
         return self._xq
 
     def frob(self, a):

@@ -1,5 +1,6 @@
 """Command-line surface: envelopes, human output, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -531,3 +532,99 @@ def test_cli_fuzz_exits_cleanly_within_budget():
     elapsed = time.perf_counter() - t0
     assert codes.count(0) >= 100 and codes.count(2) >= 100
     assert elapsed < budget, f"cli fuzz took {elapsed:.2f}s, budget {budget:g}s"
+
+
+# argv shaped like the benchmark's single-curve calls, which main reads
+# without parse_args
+QUERY_ARGV = [
+    ("hasse", "-p", "3", "-n", "4", "-a2", "1,0,2,1", "-a4", "0,1", "-a6", "2,2,0,1", "--json"),
+    ("hasse", "-p", "101", "-a4", "17", "-a6", "3", "--json"),
+    ("ptorsion", "-p", "43", "-a4", "5", "-a6", "8", "--json"),
+    ("search", "-p", "19", "-h", "2", "--json"),
+    ("search", "-h", "2", "--no-shortcut", "-n", "2", "-p", "5"),
+    ("realizable", "-p", "19", "-n", "2", "--out", "report.json"),
+    ("verify", "--suite", "bridge", "-p", "3..7", "-n", "1"),
+]
+
+
+def _read(argv):
+    return cli._read(cli._read_table(cli.build_parser()), cli._joined(list(argv)))
+
+
+def test_reader_agrees_with_argparse():
+    # main's reader gives None or the Namespace of parse_args, on the fuzz
+    # corpus of several seeds, the reuse sequence and the query shapes
+    parser = cli.build_parser()
+    table = cli._read_table(parser)
+    rngs = [random.Random(seed) for seed in (20120, 1, 2)]
+    corpus = [_fuzz_argv(rng) for rng in rngs for _ in range(1000)]
+    corpus += REUSE_SEQUENCE + QUERY_ARGV
+    read = 0
+    for argv in corpus:
+        argv = cli._joined(list(argv))
+        args = cli._read(table, argv)
+        if args is not None:
+            read += 1
+            assert args == parser.parse_args(argv), argv
+    assert read > len(corpus) // 3
+    assert all(_read(argv) is not None for argv in QUERY_ARGV)
+
+
+@pytest.mark.parametrize("argv", [
+    (),
+    ("--version",),
+    ("nonsense", "-p", "5"),
+    ("hasse", "-p", "5", "-a4", "1", "-a6", "1", "extra"),
+    ("realizable", "-p", "19", "--version"),
+    ("realizable", "-p", "19", "--js"),
+    ("realizable", "-p=19"),
+    ("hasse", "-p", "7", "-a4", "1", "-a6", "-1,2"),
+    ("search", "--help"),
+    ("hasse", "-h"),
+    ("hasse", "-p", "5", "-a4", "1", "-a6", "1", "--help"),
+    ("realizable", "-p", "19", "-p", "23"),
+    ("realizable", "-p", "19", "--json", "--json"),
+    ("hasse", "-a4", "1", "-a6", "1", "-p"),
+    ("realizable", "-p", "-3"),
+    ("realizable", "-p", "--json"),
+    ("realizable", "-p", "x"),
+    ("verify", "--suite", "bogus", "-p", "5"),
+    ("hasse", "-p", "5", "-a4", "1"),
+], ids=["empty", "top-level-option", "unknown-subcommand", "extra-token",
+        "subcommand-version", "abbreviation", "equals-form", "joined-negative",
+        "search-help", "auto-help", "late-help", "repeated", "repeated-flag",
+        "missing-value", "dash-value", "option-as-value", "type-error",
+        "outside-choices", "missing-required"])
+def test_reader_declines(argv):
+    assert _read(argv) is None
+
+
+@pytest.mark.parametrize("argv", [
+    ("hasse", "-p", "5", "-a4", "1", "-a6", "1", "extra"),
+    ("realizable", "-p", "19", "--version"),
+    ("hasse", "-p", "5", "-a4", "1", "-a6", "1", "--js"),
+    ("hasse", "-p=5", "-a4", "1", "-a6", "1"),
+    ("hasse", "-p", "7", "-a4", "1", "-a6", "-1,2"),
+    ("hasse", "-p"),
+])
+def test_declined_argv_keep_the_bytes_of_parse_args(monkeypatch, argv):
+    # reference: main with the reader switched off, so parse_args on a
+    # fresh parser, then the handler
+    assert _read(argv) is None
+    got = _masked(run_cli(*argv))
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "_read", lambda table, argv: None)
+    assert got == _masked(run_cli(*argv))
+    if argv[-1] in ("extra", "--version"):
+        # the error is the top-level parser's, under its usage line
+        assert got[0] == 2 and got[2].startswith(cli.build_parser().format_usage())
+
+
+def test_well_formed_argv_skip_parse_args(monkeypatch):
+    def refuse(self, args=None, namespace=None):
+        raise AssertionError(f"parse_args ran on {args}")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    for argv in QUERY_ARGV[:5]:
+        rc, out, err = run_cli(*argv)
+        assert rc == 0 and out and not err
