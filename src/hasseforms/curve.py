@@ -395,12 +395,18 @@ def _trace(ctx: FieldCtx, count: int, r2: int, r4: int, r6: int) -> int:
     # (r2, r4, r6), checked against the trace bound; equality there only
     # happens at supersingular curves over fields of square order.  Row
     # callers hold ranks, so the model is decoded only to name it
-    q = ctx.q
-    beta = q + 1 - count
-    if beta * beta > 4 * q or (beta * beta == 4 * q and beta % ctx.p):
+    beta = ctx.q + 1 - count
+    if not _in_trace_bound(ctx, beta):
         raise RuntimeError(f"trace bound violated for {_decode(ctx, r2, r4, r6)!r}: "
                            f"beta = {beta}, this is a bug")
     return beta
+
+
+def _in_trace_bound(ctx: FieldCtx, beta: int) -> bool:
+    # the trace bound that _trace checks: beta^2 <= 4q, with equality
+    # only where p | beta
+    b2, bound = beta * beta, 4 * ctx.q
+    return b2 < bound or (b2 == bound and not beta % ctx.p)
 
 
 @lru_cache(maxsize=1)
@@ -476,7 +482,10 @@ def _log_hist(ctx: FieldCtx, r2: int, r4: int) -> bytearray:
     # q - 1: Horner on logarithms, where times x adds e at x = g^e and plus
     # c is one Zech step, log(y + c) = log c + zech[log y - log c].  Each
     # M[u] is at most 3, since h(x) = g^u has at most 3 roots, so a byte
-    # holds it.
+    # holds it.  With a2 != 0 the x side, the logs of (x + a2) x, depends
+    # on a2 alone: _x_logs keeps it in one slot on (ctx, a2), so the q
+    # rows of a char-3 a2 slab, which the enumeration walks in a run,
+    # build it once
     _, log, zech = ctx._log_tables
     order = ctx.q - 1
     hist = bytearray(order)
@@ -499,9 +508,7 @@ def _log_hist(ctx: FieldCtx, r2: int, r4: int) -> bytearray:
                 hist[(z + c) % order] += 1
         turned = int.from_bytes(hist[half:] + hist[:half], "little")
         return bytearray((int.from_bytes(hist, "little") + turned).to_bytes(order, "little"))
-    # logs of (x + a2) x, None where it vanishes
-    l2 = log[r2]
-    ys = [None if (z := zech[(e - l2) % order]) < 0 else l2 + z + e for e in range(order)]
+    ys = _x_logs(ctx, r2)  # logs of (x + a2) x, None where it vanishes
     if not r4:
         for e, y in enumerate(ys):
             if y is not None:
@@ -515,6 +522,16 @@ def _log_hist(ctx: FieldCtx, r2: int, r4: int) -> bytearray:
         elif (z := zech[(y - l4) % order]) >= 0:
             hist[(z + c) % order] += 1
     return hist
+
+
+@lru_cache(maxsize=1)
+def _x_logs(ctx: FieldCtx, r2: int) -> list:
+    # logs of (x + a2) x at x = g^e for every e, None where it vanishes:
+    # the x side of h, which depends on a2 alone, so one slot serves the
+    # q rows of a char-3 a2 slab
+    _, log, zech = ctx._log_tables
+    order, l2 = ctx.q - 1, log[r2]
+    return [None if (z := zech[(e - l2) % order]) < 0 else l2 + z + e for e in range(order)]
 
 
 @cache
@@ -604,9 +621,22 @@ def _row_hasse(ctx: FieldCtx, r2: int, r4: int) -> array:
 
     The whole-row shape of hasse_invariant: _hasse_at on range(q), off
     the same row table (_hasse_row).  One slot, like _row_counts: its
-    callers walk the models row by row.
+    callers walk the models row by row.  The table hangs on the closed
+    form, not on the row: rows with one (k, coeffs) share it
+    (_hasse_table, one slot on (ctx, k, coeffs)), as the q rows of a
+    char-3 a2 slab do, where A_3 = a2.  So the bridge suite over F_3^3
+    reads 728 rows off 27 tables; this memo keeps its own slot, and
+    run_suite's "Hasse rows built" still counts rows.  The shared table
+    is read only.
     """
-    return array("i", _hasse_at(ctx, *_hasse_row(ctx, r2, r4), range(ctx.q)))
+    return _hasse_table(ctx, *_hasse_row(ctx, r2, r4))
+
+
+@lru_cache(maxsize=1)
+def _hasse_table(ctx: FieldCtx, k: int, coeffs: tuple[int, ...]) -> array:
+    # _hasse_at on range(q) for one closed form: rows with equal (k, coeffs)
+    # share one table, as the q rows of a char-3 a2 slab do (A_3 = a2)
+    return array("i", _hasse_at(ctx, k, coeffs, range(ctx.q)))
 
 
 def hasse_invariant(curve: WeierstrassCurve, level: str = "p") -> FieldElement:

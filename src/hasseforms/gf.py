@@ -280,6 +280,8 @@ class FieldCtx:
         # lex weights: constant coefficient is the most significant digit
         self._weights = tuple(p ** (n - 1 - i) for i in range(n))
         self.modulus: tuple[int, ...] | None = None if n == 1 else self._find_modulus()
+        # the one-slot row memos hash their context on every lookup
+        self._hash = hash((p, n))
 
     # -- construction details -------------------------------------------
 
@@ -538,7 +540,7 @@ class FieldCtx:
         return self.p == other.p and self.n == other.n
 
     def __hash__(self) -> int:
-        return hash((self.p, self.n))
+        return self._hash
 
     def __reduce__(self):
         # rebuilt from (p, n), so lazy tables are never serialised

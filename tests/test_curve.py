@@ -9,6 +9,7 @@ package cannot drift.
 
 import random
 from collections import Counter
+from itertools import chain, zip_longest
 
 import pytest
 
@@ -30,6 +31,7 @@ from hasseforms.curve import (
     _ec_add,
     _hasse_at,
     _hasse_row,
+    _log_hist,
     _nonsquare,
     _row_counts,
     _row_hasse,
@@ -273,6 +275,33 @@ def test_row_hist_matches_direct_log_count(p, n):
         assert list(hist) == want
         assert low == sum((m & 1) << u for u, m in enumerate(want))
         assert high == sum((m >> 1) << u for u, m in enumerate(want))
+
+
+@pytest.mark.parametrize("fields", [((3, 2), (3, 3)), ((5, 2), (13, 1))])
+def test_row_memos_match_direct_routes_out_of_order(fields):
+    # _log_hist, whose char-3 rows share the x side of an a2 slab
+    # (_x_logs, one slot on (ctx, a2)), and _row_hasse, whose rows of one
+    # closed form share a table (_hasse_table, one slot on (ctx, k,
+    # coeffs)), on every row of two fields, each shuffled, the two
+    # interleaved: a memo keyed on less than its table depends on hands a
+    # row another row's table.  The direct routes take the log of h(x)
+    # from FieldElement arithmetic and evaluate the row's closed form anew
+    rng = random.Random(0)
+    walks = []
+    for p, n in fields:
+        ctx = make_field(p, n)
+        rows = [(r2, r4) for r2 in range(ctx.q if p == 3 else 1) for r4 in range(ctx.q)]
+        rng.shuffle(rows)
+        walks.append([(ctx, row) for row in rows])
+    for ctx, (r2, r4) in filter(None, chain.from_iterable(zip_longest(*walks))):
+        (a2, a4, hs), = _rows_of_h(ctx, [(r2, r4)])
+        log, want = ctx._log_tables[1], [0] * (ctx.q - 1)
+        for h in hs[1:]:  # x = 0 is rank 0
+            if h:
+                want[log[h.rank]] += 1
+        assert list(_log_hist(ctx, r2, r4)) == want
+        assert list(_row_hasse(ctx, r2, r4)) == _hasse_at(ctx, *_hasse_row(ctx, r2, r4),
+                                                          range(ctx.q))
 
 
 def _sample_rows(ctx):

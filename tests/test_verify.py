@@ -60,6 +60,9 @@ def test_suite_case_counts_golden():
         ("twists", 5, 1): 80,
         ("closed-forms", 7, 1): 42,
         ("norm", 3, 2): 648,
+        ("norm", 3, 3): 18954,
+        ("norm", 7, 2): 2352,
+        ("bridge", 31, 1): 930,
         ("etale", 5, 1): 24,
         ("census", 13, 1): 14,
         ("census", 19, 1): 21,
@@ -309,6 +312,74 @@ def test_norm_suite_catches_seeded_regression(monkeypatch):
     assert not state["armed"]
     assert len(result.failures) == 1
     assert "x^3 + x + 1 over F_9" in result.failures[0]
+
+
+def _seed_row_count(monkeypatch, ranks, count):
+    # the suites' row product answers as the kernel does, save that the
+    # model at ranks (a2, a4, a6) reads the given count, or the true count
+    # moved by one towards q + 1 where count is None.  Returns the count
+    # the kernel gave there
+    import hasseforms.verify as verify_mod
+
+    real_row_counts = verify_mod._row_counts
+    seen = []
+
+    @functools.lru_cache(maxsize=1)  # memoised like the kernel
+    def corrupted(ctx, r2, r4):
+        counts = list(real_row_counts(ctx, r2, r4))
+        if (r2, r4) == ranks[:2]:
+            at = ctx._log_tables[1][ranks[2]]  # counts are kept by the log of a6
+            seen.append(counts[at])
+            if count is not None:
+                counts[at] = count
+            else:
+                counts[at] += 1 if counts[at] < ctx.q + 1 else -1
+        return counts
+
+    monkeypatch.setattr(verify_mod, "_row_counts", corrupted)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["bridge", "norm"])
+@pytest.mark.parametrize("r6,failures", [
+    # the singular model y^2 = x^3 + t x^2 + t x + (t + 2) over F_9, which
+    # the suite skips: no count there can fail it
+    (7, []),
+    # the model right after it on its row, the last of the row; the text
+    # is the one the per-model loop printed before the row check
+    (8, ["WeierstrassCurve(y^2 = x^3 + t*x^2 + t*x + (2*t + 2) over F_9): Hasse residue 1 "
+         "(0 for A_p = 0) but beta = -4, 2 mod p"]),
+])
+def test_bridge_suite_seeded_count_beside_a_singular_a6(monkeypatch, name, r6, failures):
+    # row (a2, a4) = (t, t) of F_9 has one singular a6, t + 2 (rank 7), so
+    # the row check reads the row at 8 of its 9 a6
+    ctx = make_field(3, 2)
+    t = ctx.element([0, 1]).rank
+    assert (t, ctx.element([2, 1]).rank) == (1, 7)
+    seen = _seed_row_count(monkeypatch, (t, t, r6), None if failures else 2 * ctx.q + 1)
+    result = run_suite(name, 3, 2)
+    assert seen and result.cases == 648 and result.failures == failures
+
+
+@pytest.mark.parametrize("name", ["bridge", "norm"])
+@pytest.mark.parametrize("count", [0, 255, -5])
+def test_bridge_suite_reports_a_count_past_the_trace_bound(monkeypatch, name, count):
+    # a count outside the Hasse interval is a failure line naming the
+    # model, not an uncaught RuntimeError: 0; 255, which fits the 8-bit
+    # slots of the row product over F_5 but no table of counts in the
+    # interval; and -5, which a table read from its end would take for
+    # #E = 6, beta = 0, the true count of this supersingular model
+    _seed_row_count(monkeypatch, (0, 0, 1), count)
+    failure = (f"WeierstrassCurve(y^2 = x^3 + 1 over F_5): #E = {count} puts "
+               f"beta = {6 - count} past the trace bound")
+    result = run_suite(name, 5)
+    assert result.cases == 20 and result.failures == [failure]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["verify", "--suite", name, "-p", "5"])
+    assert rc == 1 and err.getvalue() == ""
+    assert out.getvalue().splitlines() == [
+        f"suite={name} p=5 n=1 cases=20 failures=1 FAIL", f"  FAIL {failure}"]
 
 
 @pytest.mark.parametrize("name,p,n", [("bridge", 5, 1), ("norm", 5, 1)])
