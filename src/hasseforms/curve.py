@@ -457,8 +457,11 @@ def _row_counts(ctx: FieldCtx, r2: int, r4: int) -> array:
     """
     order = ctx.q - 1
     W, y_rev, offsets, even, odd = _zech_operand(ctx)
-    # iter: an array built from a bytearray would read its raw bytes
-    c = _cyclic_mul(W, iter(_row_hist(ctx, r2, r4)[0]), y_rev, order)
+    # M packed at C level: its bytes spread to the low byte of each W-bit
+    # slot, little-endian as packed ints are
+    wide = bytearray(order * (W // 8))
+    wide[::W // 8] = _row_hist(ctx, r2, r4)[0]
+    c = _cyclic_mul(W, int.from_bytes(wide, "little"), y_rev, order)
     # slot by slot with no borrow or carry: 1 + 2q - C where chi(a6) = 1
     # (even slots), 1 + C where it is -1 (odd slots); W bits a count,
     # since the census keeps its rows

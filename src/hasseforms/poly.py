@@ -373,11 +373,11 @@ def _unpack(W: int, v: int, k: int) -> array:
     return _slots(array(_SLOT_TYPECODES[W], v.to_bytes(k * W // 8, "little")))
 
 
-def _cyclic_mul(W: int, a, b: int, k: int) -> int:
-    # a times the packed b modulo x^k - 1, both of k coefficients, packed
-    # in k W-bit slots: the plain product folded once.  Every coefficient
-    # of the cyclic product must stay below 2^W.
-    v = _pack(W, a) * b
+def _cyclic_mul(W: int, a: int, b: int, k: int) -> int:
+    # the packed a times the packed b modulo x^k - 1, both of k
+    # coefficients in k W-bit slots: the plain product folded once.  Every
+    # coefficient of the cyclic product must stay below 2^W.
+    v = a * b
     return (v >> W * k) + (v & (1 << W * k) - 1)
 
 
