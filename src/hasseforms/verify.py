@@ -139,49 +139,54 @@ def _suite_bridge(res: SuiteResult, ctx: FieldCtx) -> None:
     exactly phi([A_p]) in the prime subfield (Silverman, AEC V.4), so
     "A_q = 1 - #E mod p" is this identity, beta = q + 1 - #E; that phi
     lands in the prime units is checked once, in forms._class_residues.
-    Each row is one comparison of two lists over the ranks of its
-    nonsingular models, each gathered by C-level maps: the residues of
-    A_p off the closed form (_row_hasse, by the rank of a6) and beta mod
-    p off the point counts (_row_counts, by the log of a6; over F_p the
-    kernel the census scan reads its residues off), read through one
-    table by count that holds -1, which no residue equals, past the
-    trace bound.  Only a row whose lists differ is checked model by
-    model, which names each failure and keeps the case count; a count
-    past the trace bound fails its model there.  A model is decoded only
-    to name it in a failure.  Over F_3^3 (728 rows, 18,954 models) the
-    suite takes about 16 ms in process on 2 vCPU (min of 40), against
-    20 ms with the per-model loop on every row.
+    Each row is one comparison of two lists, each gathered by C-level
+    maps, in the order of the row product's slots (_row_counts: a6 =
+    g^lc at slot lc, a6 = 0 last): the residues of A_p off the closed
+    form (_row_hasse, by the rank of a6) against beta mod p off the point
+    counts (over F_p the kernel the census scan reads its residues off),
+    read through one table by count that holds -1, which no residue
+    equals, past the trace bound.  Rows that share a Hasse table share
+    its residue list.  The singular a6 of a row are compared too, which
+    costs nothing: the congruence beta = A_q mod p holds for every cubic
+    (#E is the character sum), and a singular cubic has beta = 0 or +-1.
+    Only a row whose lists differ is checked model by model, on its
+    nonsingular a6, which names each failure and keeps the case count;
+    a count past the trace bound fails its model there.  A model is
+    decoded only to name it in a failure.  Over F_3^3 (728 rows, 18,954
+    models) the suite takes about 12 ms in process on 2 vCPU (min of
+    40), against 21 ms with the per-model loop on every row.
     """
     p, q, residue, log = ctx.p, ctx.q, _residues(ctx), ctx._log_tables[1]
+    by_slot = [*ctx._log_tables[0], 0]  # the rank of a6 at each slot
     # beta mod p by #E, -1 (which no residue equals) past the trace bound;
     # the -1 tail, as long as the rest, keeps a negative count from
     # wrapping round onto a count in the bound
     top = q + 1 + isqrt(4 * q)
     beta_mod = [(q + 1 - c) % p if _in_trace_bound(ctx, q + 1 - c) else -1
                 for c in range(top + 1)] + [-1] * (top + 1)
+    table = None
     for r2, r4, _, r6s in _iter_rows(ctx):
         hasse, counts = _row_hasse(ctx, r2, r4), _row_counts(ctx, r2, r4)
-        whole = len(r6s) == q  # no singular a6: read both tables through
-        got = list(map(residue.__getitem__, hasse if whole else map(hasse.__getitem__, r6s)))
+        if hasse is not table:
+            table, got = hasse, list(map(residue.__getitem__, map(hasse.__getitem__, by_slot)))
         try:
-            want = list(map(beta_mod.__getitem__, map(
-                counts.__getitem__, log if whole else map(log.__getitem__, r6s))))
+            want = list(map(beta_mod.__getitem__, counts))
         except IndexError:  # a count of a W-bit slot past the table
             want = None
         if got == want:
-            res.cases += len(got)
+            res.cases += len(r6s)
             continue
-        for r6, g in zip(r6s, got):
-            count = counts[log[r6]]
+        for r6 in r6s:
+            got_r6, count = residue[hasse[r6]], counts[log[r6]]
             beta = q + 1 - count
             if not _in_trace_bound(ctx, beta):
                 res.check(False, "%r: #E = %d puts beta = %d past the trace bound",
                           _decode(ctx, r2, r4, r6), count, beta)
-            elif g == beta % p:
+            elif got_r6 == beta % p:
                 res.cases += 1
             else:
                 res.check(False, "%r: Hasse residue %d (0 for A_p = 0) but beta = %d, %d mod p",
-                          _decode(ctx, r2, r4, r6), g, beta, beta % p)
+                          _decode(ctx, r2, r4, r6), got_r6, beta, beta % p)
 
 
 def _suite_twists(res: SuiteResult, ctx: FieldCtx) -> None:

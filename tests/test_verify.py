@@ -351,8 +351,9 @@ def _seed_row_count(monkeypatch, ranks, count):
          "(0 for A_p = 0) but beta = -4, 2 mod p"]),
 ])
 def test_bridge_suite_seeded_count_beside_a_singular_a6(monkeypatch, name, r6, failures):
-    # row (a2, a4) = (t, t) of F_9 has one singular a6, t + 2 (rank 7), so
-    # the row check reads the row at 8 of its 9 a6
+    # row (a2, a4) = (t, t) of F_9 has one singular a6, t + 2 (rank 7):
+    # the row check compares all 9 slots of the row, and a row that
+    # differs is checked model by model at the other 8 a6
     ctx = make_field(3, 2)
     t = ctx.element([0, 1]).rank
     assert (t, ctx.element([2, 1]).rank) == (1, 7)
