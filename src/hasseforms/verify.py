@@ -146,9 +146,10 @@ def _suite_bridge(res: SuiteResult, ctx: FieldCtx) -> None:
     counts (over F_p the kernel the census scan reads its residues off),
     read through one table by count that holds -1, which no residue
     equals, past the trace bound.  Rows that share a Hasse table share
-    its residue list.  The singular a6 of a row are compared too, which
-    costs nothing: the congruence beta = A_q mod p holds for every cubic
-    (#E is the character sum), and a singular cubic has beta = 0 or +-1.
+    its residue list.  The singular a6 of a row are compared too, and
+    send no sound row to the loop: the congruence beta = A_q mod p holds
+    for every cubic (#E is the character sum), and a singular cubic has
+    beta = 0 or +-1.
     Only a row whose lists differ is checked model by model, on its
     nonsingular a6, which names each failure and keeps the case count;
     a count past the trace bound fails its model there.  A model is
