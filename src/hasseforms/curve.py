@@ -43,7 +43,10 @@ ranks, for point_count and for the census's witnesses on rows read by
 A_p: two popcounts of the planes against one rotated mask per context.
 _row_counts reads it at every a6 from one cyclic product over F_q^*, by
 the log of a6, for callers that walk whole rows: the census scan over
-F_p and the row suites.
+F_p and the row suites.  Both read a6 = 0 as one parity sum of M
+(_count_at_zero).  The tables memoise, one slot each (_row_hist,
+_hasse_row, _hasse_table); the whole rows, _row_counts and _row_hasse,
+do not, since no caller reads a row twice.
 
 The twist kinds live in one table, _TWISTS, of degrees and weights.  A
 twist by d scales (a2, a4, a6) by d to the weights (_twist_scales), so
@@ -239,7 +242,7 @@ def _count_at(ctx: FieldCtx, r2: int, r4: int, r6: int) -> int:
     row = _row_hist(ctx, r2, r4)
     hist = row[0]
     if not r6:
-        return 1 + q + sum(hist) - 2 * sum(hist[1::2])
+        return _count_at_zero(q, hist)
     if len(row) == 1:  # the row's first count at a6 != 0 builds its planes
         row += _bits(hist.translate(_BIT0)), _bits(hist.translate(_BIT1))
     _, low, high = row
@@ -248,6 +251,12 @@ def _count_at(ctx: FieldCtx, r2: int, r4: int, r6: int) -> int:
     s = (2 * ((low & rot).bit_count() + 2 * (high & rot).bit_count())
          - hist[(order // 2 + lc) % order])
     return 1 + q + (q - s) * (1 - 2 * (lc & 1))
+
+
+def _count_at_zero(q: int, hist: bytearray) -> int:
+    # #E at a6 = 0 off the row's histogram M: chi(h(x)) = (-1)^log h(x), so
+    # the affine character sum is the M[u] at even u less those at odd u
+    return 1 + q + sum(hist) - 2 * sum(hist[1::2])
 
 
 # Mestre's theorem in Schoof's form (J. Theor. Nombres Bordeaux 7, 1995,
@@ -437,7 +446,6 @@ def _bits(digits: bytes) -> int:
     return int(digits[::-1], 2)
 
 
-@lru_cache(maxsize=1)
 def _row_counts(ctx: FieldCtx, r2: int, r4: int) -> array:
     """#E for every a6 of the (a2, a4) row, by the log of a6.
 
@@ -446,27 +454,29 @@ def _row_counts(ctx: FieldCtx, r2: int, r4: int) -> array:
     C[lc] = sum_u M[u] Y[u - lc], a cyclic correlation over Z/(q - 1):
     one packed product of M with Y reversed (Lidl and Niederreiter,
     Finite Fields, ch. 2 and 5).  Then #E = 1 + q + chi(a6) (q - C[lc])
-    at slot lc; a6 = 0 keeps _count_at's parity sum in the last slot, so
-    with log = ctx._log_tables[1], whose log[0] is -1, row[log[a6]] reads
-    every a6.  On 2 vCPU a product costs about 6 ms at 10^4 slots and
-    20 s at 923,520, where one _count_at takes well under 1 ms and the
-    histogram 0.1-0.2 s, so it serves whole rows only: the census over
-    F_p and the bridge and norm suites.  One slot: those callers walk
-    the models row by row.  No trace bound is checked here, since the
-    row may hold singular models.
+    at slot lc; a6 = 0 takes the parity sum of the same M
+    (_count_at_zero) in the last slot, so with log = ctx._log_tables[1],
+    whose log[0] is -1, row[log[a6]] reads every a6.  On 2 vCPU a
+    product costs about 6 ms at 10^4 slots and 20 s at 923,520, where one
+    _count_at takes well under 1 ms and the histogram 0.1-0.2 s, so it
+    serves whole rows only: the census over F_p, which keeps the rows it
+    reads, and the bridge and norm suites, which read each row once; so
+    it keeps no memo.  No trace bound is checked here, since the row may
+    hold singular models.
     """
-    order = ctx.q - 1
+    q, order = ctx.q, ctx.q - 1
     W, y_rev, offsets, even, odd = _zech_operand(ctx)
+    hist = _row_hist(ctx, r2, r4)[0]
     # M packed at C level: its bytes spread to the low byte of each W-bit
     # slot, little-endian as packed ints are
     wide = bytearray(order * (W // 8))
-    wide[::W // 8] = _row_hist(ctx, r2, r4)[0]
+    wide[::W // 8] = hist
     c = _cyclic_mul(W, int.from_bytes(wide, "little"), y_rev, order)
     # slot by slot with no borrow or carry: 1 + 2q - C where chi(a6) = 1
     # (even slots), 1 + C where it is -1 (odd slots); W bits a count,
     # since the census keeps its rows
     counts = _unpack(W, offsets + (c & odd) - (c & even), order)
-    counts.append(_count_at(ctx, r2, r4, 0))
+    counts.append(_count_at_zero(q, hist))
     return counts
 
 
@@ -474,9 +484,10 @@ def _row_counts(ctx: FieldCtx, r2: int, r4: int) -> array:
 def _row_hist(ctx: FieldCtx, r2: int, r4: int) -> list:
     # [M] for the row's histogram M (_log_hist); _count_at appends M's bit
     # planes on the row's first count at a6 != 0, so rows read whole by
-    # _row_counts build none.  iter_curves walks the models row by row and
-    # the census checks its witnesses in enumeration order, so one slot
-    # serves every a6 of a row.
+    # _row_counts build none.  One slot: point_count over iter_curves and
+    # the census's witness checks count a row's models in a run, and
+    # _row_counts reads each row once; run_suite logs its misses as row
+    # histograms built
     return [_log_hist(ctx, r2, r4)]
 
 
@@ -618,19 +629,17 @@ def _hasse_at(ctx: FieldCtx, k: int, coeffs: tuple[int, ...], r6s) -> list[int]:
             for a, e in zip(acc, logs)]
 
 
-@lru_cache(maxsize=1)
 def _row_hasse(ctx: FieldCtx, r2: int, r4: int) -> array:
     """A_p, as a rank, for every a6 of the (a2, a4) row, by the rank of a6.
 
     The whole-row shape of hasse_invariant: _hasse_at on range(q), off
-    the same row table (_hasse_row).  One slot, like _row_counts: its
-    callers walk the models row by row.  The table hangs on the closed
-    form, not on the row: rows with one (k, coeffs) share it
-    (_hasse_table, one slot on (ctx, k, coeffs)), as the q rows of a
-    char-3 a2 slab do, where A_3 = a2.  So the bridge suite over F_3^3
-    reads 728 rows off 27 tables; this memo keeps its own slot, and
-    run_suite's "Hasse rows built" still counts rows.  The shared table
-    is read only.
+    the same row table (_hasse_row).  The table hangs on the closed form,
+    not on the row: rows with one (k, coeffs) share it (_hasse_table, one
+    slot on (ctx, k, coeffs)), as the q rows of a char-3 a2 slab do,
+    where A_3 = a2.  So the bridge suite over F_3^3 reads 728 rows off 27
+    tables, and run_suite logs the tables built.  No caller reads a row
+    twice (the twists suite keeps its rows for the run), so the row keeps
+    no memo of its own.  The shared table is read only.
     """
     return _hasse_table(ctx, *_hasse_row(ctx, r2, r4))
 

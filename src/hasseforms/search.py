@@ -2,11 +2,12 @@
 
 Curves are enumerated in a single fixed order (a2 only moves in
 characteristic 3, then a4, then a6, each by lex rank), singular models
-skipped: _iter_rows gives it on ranks, row by row, and iter_curves
-decodes its models.  On ranks a model is its (a2, a4, a6) rank triple,
-and triples sort in enumeration order.  A class h is "hit" by a curve
-when the norm-style residue of its Hasse invariant equals h; the first
-hit in enumeration order is the witness recorded for h.
+skipped: _iter_rows gives it on ranks, row by row, each (a2, a4) row with
+its at most two singular a6; its readers walk the other a6, and
+iter_curves decodes its models.  On ranks a model is its (a2, a4, a6)
+rank triple, and triples sort in enumeration order.  A class h is "hit"
+by a curve when the norm-style residue of its Hasse invariant equals h;
+the first hit in enumeration order is the witness recorded for h.
 
 The census scans the enumeration in order, on lex ranks with no objects,
 until every wanted class has a witness.  A model's class and #E depend
@@ -14,10 +15,10 @@ only on its isomorphism class (Silverman, AEC III.1), so it reads one
 row per isomorphism orbit of (a2, a4) rows, the first in enumeration
 order: _row_orbits, the one place that rule lives, lists at most 5 rows
 for p >= 5 and 6 for p = 3, each with its orbit's size as weight.  Each
-row drops the discriminant's roots (_singular_a6), as _iter_rows does.
-Over F_p a row of two or more closed-form coefficients is read whole,
-off one packed product (curve._row_counts), and the residue is the
-trace mod p; every other row reads phi([A_p]), A_p off
+row drops the discriminant's roots (_singular_a6), as the readers of
+_iter_rows do.  Over F_p a row of two or more closed-form coefficients
+is read whole, off one packed product (curve._row_counts), and the
+residue is the trace mod p; every other row reads phi([A_p]), A_p off
 curve._hasse_at on blocks of a6 that double in size.  A row where
 A_p = c a6^k (row a4 = 0 where p = 1 mod 3, a constant row where k = 0)
 reaches only the classes of one coset, since F_q^* is cyclic (Lidl and
@@ -35,7 +36,7 @@ from __future__ import annotations
 import logging
 import time
 from collections import Counter
-from itertools import groupby, islice
+from itertools import filterfalse, groupby, islice
 from math import gcd, isqrt
 from typing import Iterator, NamedTuple, Sequence
 
@@ -88,13 +89,16 @@ def _singular_a6(ctx: FieldCtx, d: tuple[int, int, int]) -> tuple[int, ...] | ra
     return root, neg(root)
 
 
-def _iter_rows(ctx: FieldCtx) -> Iterator[tuple[int, int, tuple, Sequence[int]]]:
-    """(a2 rank, a4 rank, discriminant row, nonsingular a6 ranks) of each
+def _iter_rows(ctx: FieldCtx) -> Iterator[tuple[int, int, tuple, tuple[int, ...]]]:
+    """(a2 rank, a4 rank, discriminant row, singular a6 ranks) of each
     (a2, a4) row with a nonsingular model, in enumeration order.
 
     The discriminant row is curve._disc_row's (d0, d1, d2), disc =
     d0 + d1 a6 + d2 a6^2; it has at most two roots a6 unless it is zero
-    (_singular_a6), so a row is filtered with no per-model work.  This is
+    (_singular_a6), so a row is filtered with no per-model work: a row
+    singular on every a6 is skipped, and every other row yields its at
+    most two singular a6.  Its nonsingular a6 are
+    filterfalse(singular.__contains__, range(q)), walked lazily.  This is
     the one enumeration: iter_curves decodes its models, and the row
     suites and the exhaustive sweep (_first_hits) read the row tables
     (curve._row_hasse, curve._row_counts) at its ranks.
@@ -105,10 +109,8 @@ def _iter_rows(ctx: FieldCtx) -> Iterator[tuple[int, int, tuple, Sequence[int]]]
         for r4 in range(q):
             d = _disc_row(ctx, r2, r4)
             singular = _singular_a6(ctx, d)
-            if not singular:
-                yield r2, r4, d, range(q)
-            elif len(singular) < q:
-                yield r2, r4, d, [r6 for r6 in range(q) if r6 not in singular]
+            if len(singular) < q:
+                yield r2, r4, d, singular
 
 
 def iter_curves(ctx: FieldCtx) -> Iterator[WeierstrassCurve]:
@@ -116,15 +118,15 @@ def iter_curves(ctx: FieldCtx) -> Iterator[WeierstrassCurve]:
 
     The models of _iter_rows, decoded from one list of the q elements:
     row by row, so the table point count (_count_at) builds each (a2, a4)
-    row once.  The
-    discriminant is read off the row's coefficients per a6.
+    row once.  The discriminant is read off the row's coefficients per
+    a6.
     """
-    add, mul = ctx._add, ctx._mul
+    q, add, mul = ctx.q, ctx._add, ctx._mul
     unchecked = WeierstrassCurve._unchecked
     elements = list(ctx.iter_elements())
-    for r2, r4, (d0, d1, d2), r6s in _iter_rows(ctx):
+    for r2, r4, (d0, d1, d2), singular in _iter_rows(ctx):
         a2, a4 = elements[r2], elements[r4]
-        for r6 in r6s:
+        for r6 in filterfalse(singular.__contains__, range(q)):
             disc = add(d0, mul(add(d1, mul(d2, r6)), r6))
             yield unchecked(ctx, a2, a4, elements[r6], FieldElement(ctx, disc))
 
@@ -140,15 +142,15 @@ def _first_hits(ctx: FieldCtx, wanted: Sequence[int]) -> dict[int, tuple[int, in
     """The (a2, a4, a6) ranks of the first model of each residue in wanted.
 
     The exhaustive sweep that audits the scan (_classified): the rows of
-    _iter_rows in order, A_p off curve._row_hasse, until every wanted
-    residue is hit or the rows run out; no orbit rule, row product or
-    trace shortcut.
+    _iter_rows in order, each at every a6 but its singular ones, A_p off
+    curve._row_hasse, until every wanted residue is hit or the rows run
+    out; no orbit rule, row product or trace shortcut.
     """
-    residue = [r if r in wanted else 0 for r in _residues(ctx)]
+    q, residue = ctx.q, [r if r in wanted else 0 for r in _residues(ctx)]
     first = {}
-    for r2, r4, _, r6s in _iter_rows(ctx):
+    for r2, r4, _, singular in _iter_rows(ctx):
         hasse = _row_hasse(ctx, r2, r4)
-        for r6 in r6s:
+        for r6 in filterfalse(singular.__contains__, range(q)):
             r = residue[hasse[r6]]
             if r and r not in first:
                 first[r] = (r2, r4, r6)
@@ -197,15 +199,15 @@ def _classified(ctx: FieldCtx, tally: Counter | None = None,
     (_residues).
 
     The scan reads only the rows of _row_orbits, one per isomorphism
-    orbit.  Each drops the discriminant roots (_singular_a6) and walks its
-    nonsingular a6 lazily.  Over F_p a row whose closed form has two or
-    more coefficients is read whole, since about p classes are hit there:
-    the residue is (1 - #E) mod p off the row product (curve._row_counts,
-    read at the log of a6 and kept in counts by (a2, a4) ranks).  Every
-    other row reads phi([A_p]) (forms._class_residues) off
-    curve._hasse_at, on blocks of a6 that double (_row_residues), so a
-    row left after m models costs about 2m + b evaluations, b the first
-    block.  A row of at most one coefficient, A_p = c a6^k, has classes
+    orbit.  Each drops the discriminant roots (_singular_a6) and walks the
+    other a6 lazily, as the readers of _iter_rows do.  Over F_p a row
+    whose closed form has two or more coefficients is read whole, since
+    about p classes are hit there: the residue is (1 - #E) mod p off the
+    row product (curve._row_counts, read at the log of a6 and kept in
+    counts by (a2, a4) ranks).  Every other row reads phi([A_p])
+    (forms._class_residues) off curve._hasse_at, on blocks of a6 that
+    double (_row_residues), so a row left after m models costs about
+    2m + b evaluations, b the first block.  A row of at most one coefficient, A_p = c a6^k, has classes
     log c + k log a6 mod (p - 1), one coset of (p - 1)/gcd(k, p - 1) of
     them (one where k = 0: A_3 = a2, A_5 = 2 a4; none where A_p = 0), and
     stops once it has yielded them all: no later model on it can be a
@@ -225,7 +227,7 @@ def _classified(ctx: FieldCtx, tally: Counter | None = None,
         tally["rows"], tally["rows skipped"] = rows + 1, a2r * q + a4r - rows
         singular = _singular_a6(ctx, _disc_row(ctx, a2r, a4r))
         tally["singular"] += len(singular)
-        r6s = (r6 for r6 in range(q) if r6 not in singular)
+        r6s = filterfalse(singular.__contains__, range(q))
         k, coeffs = _hasse_row(ctx, a2r, a4r)
         # at most one coefficient: the classes of one coset, none where
         # A_p = 0, and 0 counted as hit from the start

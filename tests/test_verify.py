@@ -1,7 +1,6 @@
 """The named verification suites and their reporting surface."""
 
 import contextlib
-import functools
 import io
 import json
 import logging
@@ -13,6 +12,7 @@ import pytest
 from hasseforms import (SUITE_NAMES, census, hasse_invariant, iter_curves, make_field, phi,
                         run_suite, unit_class_of)
 from hasseforms.cli import main
+from hasseforms.curve import _hasse_row
 from hasseforms.forms import UnitClass
 from hasseforms.search import ClassEntry, WitnessRecord
 from hasseforms.verify import SuiteResult
@@ -64,6 +64,12 @@ def test_suite_case_counts_golden():
         ("norm", 7, 2): 2352,
         ("bridge", 31, 1): 930,
         ("etale", 5, 1): 24,
+        # readers of rows with singular a6, over F_9, F_13 and F_27
+        ("twists", 3, 2): 4608,
+        ("etale", 3, 2): 656,
+        ("twists", 13, 1): 2016,
+        ("etale", 13, 1): 168,
+        ("etale", 3, 3): 18980,
         ("census", 13, 1): 14,
         ("census", 19, 1): 21,
     }
@@ -268,7 +274,6 @@ def test_bridge_suite_catches_seeded_regression(monkeypatch):
     real_row_counts = verify_mod._row_counts
     state = {"armed": True}
 
-    @functools.lru_cache(maxsize=1)  # memoised like the kernel
     def corrupted(ctx, r2, r4):
         counts = list(real_row_counts(ctx, r2, r4))
         if state["armed"]:
@@ -295,7 +300,6 @@ def test_norm_suite_catches_seeded_regression(monkeypatch):
     real_row_counts = verify_mod._row_counts
     state = {"armed": True}
 
-    @functools.lru_cache(maxsize=1)  # memoised like the kernel
     def corrupted(ctx, r2, r4):
         counts = list(real_row_counts(ctx, r2, r4))
         one = ctx.one.rank
@@ -324,7 +328,6 @@ def _seed_row_count(monkeypatch, ranks, count):
     real_row_counts = verify_mod._row_counts
     seen = []
 
-    @functools.lru_cache(maxsize=1)  # memoised like the kernel
     def corrupted(ctx, r2, r4):
         counts = list(real_row_counts(ctx, r2, r4))
         if (r2, r4) == ranks[:2]:
@@ -393,7 +396,6 @@ def test_bridge_suite_catches_seeded_hasse_regression(monkeypatch, name, p, n):
     real_row_hasse = verify_mod._row_hasse
     state = {"armed": True}
 
-    @functools.lru_cache(maxsize=1)  # memoised like the row table
     def corrupted(ctx, r2, r4):
         row = list(real_row_hasse(ctx, r2, r4))
         if state["armed"]:
@@ -431,7 +433,6 @@ def _corrupt_one_hasse_read(monkeypatch, entry, read):
                     return self.ctx._mul(a, self.ctx.generator.rank)
             return a
 
-    @functools.lru_cache(maxsize=1)  # memoised like the row table
     def watched(ctx, r2, r4):
         row = Row(real_row_hasse(ctx, r2, r4))
         row.ctx, row.ranks = ctx, (r2, r4)
@@ -481,7 +482,6 @@ def test_etale_suite_catches_seeded_regression(monkeypatch):
     real_row_hasse = verify_mod._row_hasse
     state = {"armed": True}
 
-    @functools.lru_cache(maxsize=1)  # memoised like the row table
     def corrupted(ctx, r2, r4):
         row = list(real_row_hasse(ctx, r2, r4))
         if state["armed"] and (r2, r4) == (0, 1):
@@ -526,7 +526,8 @@ def test_etale_suite_catches_wrong_degree_pattern(monkeypatch):
 
 
 def test_run_suite_logs_one_record_and_keeps_output(caplog):
-    cases = [("bridge", 7, 1), ("norm", 3, 2), ("twists", 5, 1), ("census", 13, 1)]
+    cases = [("bridge", 7, 1), ("norm", 3, 2), ("twists", 5, 1), ("census", 13, 1),
+             ("norm", 3, 3)]
 
     def outputs():
         results = [run_suite(*case) for case in cases]
@@ -539,17 +540,25 @@ def test_run_suite_logs_one_record_and_keeps_output(caplog):
     records = [r for r in caplog.records
                if r.name == "hasseforms" and r.getMessage().startswith("suite ")]
     assert [r.levelno for r in records] == [logging.DEBUG] * len(cases)
-    # the bridge and norm suites build one row product and one Hasse row
-    # per (a2, a4) row with a nonsingular model; twists builds no row
-    # product and one Hasse row per row, which it keeps for the run; the
-    # census builds one row product per scanned row and Hasse rows for its
-    # audit until every residue is hit
-    rows = [str(len({(c.a2, c.a4) for c in iter_curves(make_field(p, n))}))
-            for _, p, n in cases[:3]]
-    built = [(rows[0], rows[0]), (rows[1], rows[1]), ("0", rows[2]), (r"\d+", r"\d+")]
-    for record, (name, p, n), (products, hasse_rows) in zip(records, cases, built):
+    # the bridge and norm suites build one row histogram per (a2, a4) row
+    # with a nonsingular model and one Hasse table per closed form, whose
+    # rows come in a run (A_7 = c a6 on every row, A_3 = a2 on each a2
+    # slab); twists builds no histogram and one table per row it keeps
+    # for the run, each row of F_5 its own closed form (A_5 = 2 a4); the
+    # census builds histograms for its scan and witnesses and tables for
+    # its audit until every residue is hit
+    def rows_and_forms(p, n):
+        ctx = make_field(p, n)
+        rows = {(c.a2.rank, c.a4.rank) for c in iter_curves(ctx)}
+        return str(len(rows)), str(len({_hasse_row(ctx, *row) for row in rows}))
+
+    (bridge, forms), norm, (twists, twist_forms), norm_27 = map(
+        rows_and_forms, (7, 3, 5, 3), (1, 2, 1, 3))
+    assert (twists, norm_27) == (twist_forms, ("728", "27"))
+    built = [(bridge, forms), norm, ("0", twist_forms), (r"\d+", r"\d+"), norm_27]
+    for record, (name, p, n), (hists, tables) in zip(records, cases, built):
         assert re.fullmatch(
             rf"suite {name} over {re.escape(str(make_field(p, n)))}: \d+ cases, "
-            rf"0 failures, {products} row products built, {hasse_rows} Hasse rows "
+            rf"0 failures, {hists} row histograms built, {tables} Hasse tables "
             rf"built, \d+\.\d{{3}} s",
             record.getMessage())
