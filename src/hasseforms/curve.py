@@ -65,7 +65,7 @@ from typing import NamedTuple
 from .errors import (BadCongruenceError, SingularModelError, WrongJInvariantError,
                      ZeroTwistParameterError)
 from .gf import FieldCtx, FieldElement, _poly_str, _power
-from .poly import Polynomial, _cyclic_mul, _pack, _slot_width, _unpack
+from .poly import Polynomial, _cyclic_mul, _slot_width, _unpack
 
 __all__ = ["WeierstrassCurve", "FrobeniusData", "point_count", "hasse_invariant",
            "is_ordinary", "twist", "TWIST_KINDS"]
@@ -423,12 +423,16 @@ def _zech_operand(ctx: FieldCtx) -> tuple:
     # what the row product needs of a context, in W-bit slots: Y reversed
     # (Y[-s] at slot s), the offsets 1 + 2q at even and 1 at odd slots,
     # and the masks of the even and the odd slots.  Every slot stays
-    # below 2q + 2.
+    # below 2q + 2.  Built at C level as little-endian bytes: Y's bytes
+    # spread to the low byte of each slot, the rest one slot pair repeated
     q, y = ctx.q, ctx._zech_y
     W = _slot_width(2 * q + 2)
-    pairs = (q - 1) // 2
-    even = _pack(W, [(1 << W) - 1, 0] * pairs)
-    return (W, _pack(W, list(y[:1] + y[:0:-1])), _pack(W, [1 + 2 * q, 1] * pairs),
+    B, pairs = W // 8, (q - 1) // 2
+    y_rev = bytearray(2 * pairs * B)
+    y_rev[::B] = y[:1] + y[:0:-1]
+    even = int.from_bytes((b"\xff" * B + bytes(B)) * pairs, "little")
+    offsets = ((1 + 2 * q) | 1 << W).to_bytes(2 * B, "little") * pairs
+    return (W, int.from_bytes(y_rev, "little"), int.from_bytes(offsets, "little"),
             even, even << W)
 
 

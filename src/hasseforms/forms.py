@@ -118,7 +118,11 @@ def _class_residues(ctx: FieldCtx) -> array:
     # exp table, N = (q - 1)/(p - 1), checked to lie in the prime subfield;
     # an array, since p - 1 int objects would cost 2 MB at p = 65537.
     # A nonzero rank a has class log a mod (p - 1); the census and the row
-    # suites read this, and tests pin it against phi(UnitClass)
+    # suites read this, and tests pin it against phi(UnitClass).  Over F_p
+    # phi is the identity and N = 1, so it is the exp table itself, shared
+    # with the context: its readers do not write it
+    if ctx.n == 1:
+        return ctx._log_tables[0]
     unit = ctx._weights[0]
     ranks = ctx._log_tables[0][::(ctx.q - 1) // (ctx.p - 1)]
     if any(r % unit for r in ranks):

@@ -310,6 +310,9 @@ class FieldCtx:
         return sum(map(mul, a, self._weights))
 
     def _tuple_from_rank(self, rank: int) -> tuple[int, ...]:
+        # over F_p a rank is its value, its one digit
+        if self.n == 1:
+            return (rank,)
         p = self.p
         return tuple([rank // w % p for w in self._weights])
 

@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import logging
 import time
-from collections import Counter
-from itertools import filterfalse, groupby, islice
+from collections import Counter, defaultdict
+from itertools import filterfalse, islice, repeat
 from math import gcd, isqrt
 from typing import Iterator, NamedTuple, Sequence
 
@@ -50,6 +50,10 @@ __all__ = ["admissible_traces", "iter_curves", "find_curve_with_class", "describ
            "WitnessRecord", "ClassEntry", "RealizabilityReport", "census"]
 
 logger = logging.getLogger("hasseforms")
+
+# builds a NamedTuple record from the tuple of its fields at C level, with
+# no call of its generated Python __new__
+_new = tuple.__new__
 
 
 def admissible_traces(q: int, h: int, p: int | None = None) -> frozenset[int]:
@@ -364,18 +368,27 @@ def _check_row(ctx: FieldCtx, r2: int, r4: int, hits: Sequence[tuple[int, int]],
                counts: Sequence[int]) -> list[WitnessRecord]:
     """The records of the (class h, a6 rank) hits on an (a2, a4) row, checked
     on ranks with one _hasse_at call: each model must be nonsingular
-    (_disc_row at a6) and ordinary, the class e = log A_p mod (p - 1) must
-    have residue h (forms._class_residues), and beta = q + 1 - count, with
-    counts[i] for hit i, must be h mod p with beta^2 < 4q; else raises
-    InconsistencyError naming the class and the model.
+    (_disc_row at a6, one list: on ints over F_p, where a rank is its
+    value, and through the rank kernels over F_q) and ordinary, the class
+    e = log A_p mod (p - 1) must have residue h (forms._class_residues,
+    the exp table over F_p), and beta = q + 1 - count, with counts[i] for
+    hit i, must be h mod p with beta^2 < 4q; else raises
+    InconsistencyError naming the class and the model.  A record is the
+    tuple of its fields, built by tuple.__new__ with no Python-level
+    constructor call.
     """
     p, q, log, coeffs = ctx.p, ctx.q, ctx._log_tables[1], ctx._tuple_from_rank
-    add, mul, (d0, d1, d2) = ctx._add, ctx._mul, _disc_row(ctx, r2, r4)
+    (d0, d1, d2), r6s = _disc_row(ctx, r2, r4), [r6 for _, r6 in hits]
+    if ctx.n == 1:
+        discs = [(d0 + (d1 + d2 * r6) * r6) % p for r6 in r6s]
+    else:
+        add, mul = ctx._add, ctx._mul
+        discs = [add(d0, mul(add(d1, mul(d2, r6)), r6)) for r6 in r6s]
+    a_ps = _hasse_at(ctx, *_hasse_row(ctx, r2, r4), r6s)
     by_class, records, a2, a4 = _class_residues(ctx), [], coeffs(r2), coeffs(r4)
-    a_ps = _hasse_at(ctx, *_hasse_row(ctx, r2, r4), [r6 for _, r6 in hits])
-    for (h, r6), a, count in zip(hits, a_ps, counts):
+    for (h, r6), disc, a, count in zip(hits, discs, a_ps, counts):
         e, beta = log[a] % (p - 1), q + 1 - count
-        if not add(d0, mul(add(d1, mul(d2, r6)), r6)):
+        if not disc:
             fault = "is singular"
         elif not a:
             fault = "is supersingular"
@@ -384,7 +397,7 @@ def _check_row(ctx: FieldCtx, r2: int, r4: int, hits: Sequence[tuple[int, int]],
         elif beta % p != h or beta * beta >= 4 * q:
             fault = f"breaks the trace check: beta = {beta}"
         else:
-            records.append(WitnessRecord(a2, a4, coeffs(r6), count, beta, e, h))
+            records.append(_new(WitnessRecord, (a2, a4, coeffs(r6), count, beta, e, h)))
             continue
         raise InconsistencyError(f"witness for class {h} {fault}: (a2, a4, a6) = "
                                  f"{a2, a4, coeffs(r6)} over {ctx}")
@@ -396,10 +409,12 @@ def census(ctx: FieldCtx) -> RealizabilityReport:
 
     One scan in enumeration order (_classified), over one row per
     isomorphism orbit (_row_orbits, where that rule lives), keeps the
-    (a2, a4, a6) ranks of the first model of each residue until every
-    class of realizable_set is hit, else raises InconsistencyError.  The
-    winners are checked as by describe_witness, on ranks, one _check_row
-    call per witness row in enumeration order, with counts off the scan's
+    a6 rank of the first model of each residue, grouped by (a2, a4) row
+    as the scan finds them, until every class of realizable_set is hit,
+    else raises InconsistencyError.  The scan runs in enumeration order,
+    so the rows and the hits on each come in that order with no sort.
+    The winners are checked as by describe_witness, on ranks, one
+    _check_row call per witness row, with counts off the scan's
     row product where it made one (at the log of a6) and curve._count_at
     (the table point count) on every other row: no curve is built.  The
     DEBUG record's "singular skipped" counts the discriminant roots of
@@ -417,34 +432,36 @@ def census(ctx: FieldCtx) -> RealizabilityReport:
     tally, counts = Counter(), {}
     log = ctx._log_tables[1]  # built, and logged, before the scan clock starts
     t0 = time.perf_counter()
-    found: dict[int, tuple[int, int, int]] = {}
+    # the (class, a6 rank) hits of each (a2, a4) row, rows and hits in the
+    # scan's order, which is enumeration order
+    found, by_row = set(), defaultdict(list)
     models = 0
     for models, (r2, r4, r6, r) in enumerate(_classified(ctx, tally, counts), 1):
         if r and r not in found:
-            found[r] = r2, r4, r6
+            found.add(r)
+            by_row[r2, r4].append((r, r6))
             if len(found) == len(wanted):
                 break
 
-    if frozenset(found) != wanted:
+    if found != wanted:
         raise InconsistencyError(
             f"census over {ctx} found classes {sorted(found)} but the trace "
             f"interval formula gives {sorted(wanted)}")
 
     t1 = time.perf_counter()
-    witnesses, rows = {}, 0
-    in_order = sorted(found.items(), key=lambda hit: hit[1])
-    for rows, ((r2, r4), group) in enumerate(
-            groupby(in_order, key=lambda hit: hit[1][:2]), 1):
-        hits, row = [(h, r6) for h, (_, _, r6) in group], counts.get((r2, r4))
+    witnesses = {}
+    for (r2, r4), hits in by_row.items():
+        row = counts.get((r2, r4))
         cs = [_count_at(ctx, r2, r4, r6) if row is None else row[log[r6]] for _, r6 in hits]
-        witnesses.update((w.phi, w) for w in _check_row(ctx, r2, r4, hits, cs))
-    entries = tuple(map(ClassEntry, residues, map(witnesses.get, residues)))
-    missing = tuple(h for h in residues if h not in found)
+        witnesses.update(zip([h for h, _ in hits], _check_row(ctx, r2, r4, hits, cs)))
+    entries = tuple(map(_new, repeat(ClassEntry),
+                        zip(residues, map(witnesses.get, residues))))
+    missing = tuple(filterfalse(found.__contains__, residues))
     logger.debug("census over %s: %d models tested, %d singular skipped, "
                  "%d rows tabulated, %d rows skipped, %d rows stopped at their "
                  "coset, %d witness rows; scan %.6f s, witness validation %.6f s",
                  ctx, models, tally["singular"], tally["rows"], tally["rows skipped"],
-                 tally["rows stopped"], rows, t1 - t0, time.perf_counter() - t1)
+                 tally["rows stopped"], len(by_row), t1 - t0, time.perf_counter() - t1)
 
     return RealizabilityReport(
         p=p, n=ctx.n, q=q, modulus=ctx.modulus,

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import logging
 import time
-from itertools import filterfalse
+from itertools import compress, filterfalse
 from math import gcd, isqrt
+from operator import not_
 
 from .curve import (
     _decode,
@@ -292,34 +293,55 @@ def _suite_etale(res: SuiteResult, ctx: FieldCtx) -> None:
     degrees off the class order instead.  A_p and its class are read off
     the row table _row_hasse; a model is decoded for ptorsion_description
     (once per value of A_p, and on every supersingular model) and to name
-    it in a failure.
+    it in a failure.  Both checks of an ordinary model depend on A_p
+    alone, so a row whose every nonzero A_p has passed them already adds
+    its ordinary models as cases at once and checks only its
+    supersingular ones; a row with a new or failing value walks its
+    models one by one, each check in enumeration order.
     """
     p, q, exps = ctx.p, ctx.q, _class_exps(ctx)
     degree_cache: dict[int, tuple[int, ...]] = {}
+    # 0 and every value of A_p that passed both checks: a value joins on its
+    # first model, if ptorsion_description agrees there (agrees) and the
+    # degrees match the class order
+    passed = {0}
+
+    def supersingular(r2, r4, r6):
+        curve = _decode(ctx, r2, r4, r6)
+        desc = ptorsion_description(curve)
+        res.check(desc.supersingular and desc.label == "M2",
+                  "%r: supersingular but described as %r", curve, desc)
+
     for r2, r4, _, singular in _iter_rows(ctx):
         hasse = _row_hasse(ctx, r2, r4)
+        if passed.issuperset(hasse):
+            zeros = [r6 for r6 in compress(range(q), map(not_, hasse)) if r6 not in singular]
+            res.cases += q - len(singular) - len(zeros)
+            for r6 in zeros:
+                supersingular(r2, r4, r6)
+            continue
         for r6 in filterfalse(singular.__contains__, range(q)):
             a = hasse[r6]
             if not a:
-                curve = _decode(ctx, r2, r4, r6)
-                desc = ptorsion_description(curve)
-                res.check(desc.supersingular and desc.label == "M2",
-                          "%r: supersingular but described as %r", curve, desc)
+                supersingular(r2, r4, r6)
                 continue
             if a in degree_cache:
-                degrees = degree_cache[a]
+                degrees, agrees = degree_cache[a], False
             else:
                 curve = _decode(ctx, r2, r4, r6)
                 desc = ptorsion_description(curve)
                 binomial = [ctx._neg(a)] + [0] * (p - 2) + [ctx.one.rank]
                 degrees = degree_pattern(Polynomial.from_ranks(ctx, binomial))
                 degree_cache[a] = degrees
-                res.check(desc.j_p_root ** p == desc.j and desc.etale_degrees == degrees,
+                agrees = desc.j_p_root ** p == desc.j and desc.etale_degrees == degrees
+                res.check(agrees,
                           "%r: p-th root of j or etale degrees %r disagree with factor() %r",
                           curve, desc.etale_degrees, degrees)
             d = (p - 1) // gcd(exps[a], p - 1)  # the order of the class
             if sum(degrees) == p - 1 and set(degrees) == {d}:
                 res.cases += 1
+                if agrees:
+                    passed.add(a)
             else:
                 res.check(False, "%r: etale degrees %r but class order %d",
                           _decode(ctx, r2, r4, r6), degrees, d)

@@ -40,6 +40,7 @@ from hasseforms.curve import (
     _trace,
     _twist_kinds,
     _twist_scales,
+    _zech_operand,
     discriminant_general,
 )
 from hasseforms.errors import (
@@ -50,6 +51,7 @@ from hasseforms.errors import (
     ZeroTwistParameterError,
 )
 from hasseforms.gf import _power, _prime_factors
+from hasseforms.poly import _pack, _slot_width
 from hasseforms.search import _singular_a6
 
 
@@ -333,6 +335,23 @@ def test_count_at_matches_naive_count_at_every_a6(p, n):
             if a6 and hist[(order // 2 + log[a6]) % order]:
                 wrapped.add(order // 2 + log[a6] >= order)
     assert wrapped == {False, True}
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (3, 4), (5, 1), (211, 1), (32749, 1),
+                                 (32771, 1)])
+def test_zech_operand_matches_packed_slots(p, n):
+    # the operand is built from bytes; packing each slot's value through
+    # poly._pack is the route it skips.  F_32749 keeps 16-bit slots and
+    # F_32771 needs 32 (2q + 2 > 2^16)
+    ctx = make_field(p, n)
+    q, y = ctx.q, ctx._zech_y
+    W = _slot_width(2 * q + 2)
+    pairs = (q - 1) // 2
+    even = _pack(W, [(1 << W) - 1, 0] * pairs)
+    want = (W, _pack(W, list(y[:1] + y[:0:-1])), _pack(W, [1 + 2 * q, 1] * pairs),
+            even, even << W)
+    assert _zech_operand(ctx) == want
+    assert W == (32 if q > 32767 else 16)
 
 
 @pytest.mark.parametrize("p,n", HIST_FIELDS + [(131, 1), (13, 2)])

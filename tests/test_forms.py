@@ -50,6 +50,16 @@ def test_class_residues_match_phi_of_each_class(p, n):
     assert list(_class_residues(ctx)) == [int(phi(UnitClass(ctx, e))) for e in range(p - 1)]
 
 
+def test_class_residues_over_prime_fields_are_phi_of_each_class():
+    # over F_p phi is the identity, so the table is the exp table itself,
+    # built by no slice or check; phi on class objects is the audit route
+    for p in filter(_is_prime, range(3, 212)):
+        ctx = make_field(p)
+        assert _class_residues(ctx) is ctx._log_tables[0]
+        assert list(_class_residues(ctx)) == [int(phi(UnitClass(ctx, e)))
+                                              for e in range(p - 1)]
+
+
 def test_class_of_element():
     ctx = make_field(5)
     assert unit_class_of(ctx(1)).exp == 0

@@ -360,6 +360,17 @@ def _add_coeffwise(ctx, a, b):
     return tuple((x + y) % ctx.p for x, y in zip(a, b))
 
 
+def test_tuple_from_rank_matches_digit_formula():
+    # over F_p a rank is its one digit, returned as (rank,) with no digit
+    # loop; the lex digit formula is the route that shortcut skips
+    primes = [p for p in range(3, 212) if _is_prime(p)]
+    for p, n in [(p, 1) for p in primes] + [(3, 2), (5, 3), (3, 4)]:
+        ctx = make_field(p, n)
+        for rank in range(ctx.q):
+            want = tuple(rank // p ** (n - 1 - i) % p for i in range(n))
+            assert ctx._tuple_from_rank(rank) == want
+
+
 @pytest.mark.parametrize("p,n", TABLE_FIELDS)
 def test_table_arithmetic_matches_convolution(p, n):
     ctx = make_field(p, n)

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import pickle
 import time
 from array import array
 from collections import Counter, defaultdict
@@ -40,7 +41,8 @@ from hasseforms.curve import (
 )
 from hasseforms.errors import NotPrimeError, SingularModelError
 from hasseforms.gf import _is_prime
-from hasseforms.search import _classified, _iter_rows, _row_orbits
+from hasseforms.search import (ClassEntry, WitnessRecord, _classified, _iter_rows,
+                               _row_orbits)
 
 
 def _hasse_residue(curve):
@@ -252,6 +254,53 @@ def test_describe_witness_raises_on_supersingular_and_trace_bound(monkeypatch):
                         lambda curve: curve_module.FrobeniusData(14, -8, True))
     with pytest.raises(InconsistencyError, match="class 2 breaks the trace"):
         describe_witness(WeierstrassCurve(ctx, ctx(1), ctx(1)), 2)
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2)])
+def test_check_row_faults_over_extension_field(p, n):
+    # over F_q the row check reads its discriminants through the rank
+    # kernels, where over F_p it reads them on ints: each fault is named
+    # on F_9 (a2 moves, the discriminant is linear in a6) and F_25 too
+    ctx = make_field(p, n)
+    q, check = ctx.q, search_module._check_row
+    w = next(e.witness for e in census(ctx).entries if e.witness)
+    r2, r4, r6 = (ctx._rank(c) for c in (w.a2, w.a4, w.a6))
+    assert check(ctx, r2, r4, [(w.phi, r6)], [w.count]) == [w]
+    # the first singular model with a6 != 0, and a2 != 0 over F_9
+    s2, s4, s6 = next((a2, a4, a6) for a2, a4, _, singular in _iter_rows(ctx)
+                      for a6 in singular if a6 and (a2 or p > 3))
+    with pytest.raises(InconsistencyError, match="class 1 is singular"):
+        check(ctx, s2, s4, [(1, s6)], [q + 1])
+    # the first nonsingular model with A_p = 0
+    z2, z4, z6 = next((a2, a4, a6) for a2, a4, _, singular in _iter_rows(ctx)
+                      for a6, a in enumerate(_row_hasse(ctx, a2, a4))
+                      if not a and a6 not in singular)
+    with pytest.raises(InconsistencyError, match="class 1 is supersingular"):
+        check(ctx, z2, z4, [(1, z6)], [q + 1])
+    other = next(h for h in range(1, p) if h != w.phi)
+    with pytest.raises(InconsistencyError,
+                       match=f"class {other} has residue {w.phi} by phi"):
+        check(ctx, r2, r4, [(other, r6)], [w.count])
+    # beta off the class, and beta = h mod p past the bound beta^2 < 4q
+    for beta in (w.beta + 1, w.phi + 2 * p * isqrt(q)):
+        with pytest.raises(InconsistencyError, match=f"trace check: beta = {beta}"):
+            check(ctx, r2, r4, [(w.phi, r6)], [q + 1 - beta])
+
+
+@pytest.mark.parametrize("p,n", [(13, 1), (19, 1), (211, 1), (3, 2), (5, 2), (3, 3)])
+def test_census_records_match_constructed_records(p, n):
+    # the census builds its records from their field tuples with no call
+    # of the generated constructors: they are the constructed records in
+    # type, value and pickle
+    for entry in census(make_field(p, n)).entries:
+        assert type(entry) is ClassEntry
+        assert pickle.dumps(entry) == pickle.dumps(ClassEntry(*entry))
+        w = entry.witness
+        if w is not None:
+            built = WitnessRecord(*w)
+            assert type(w) is WitnessRecord and w == built
+            assert pickle.dumps(w) == pickle.dumps(built)
+            assert w._asdict() == built._asdict()
 
 
 def test_census_complete_field():

@@ -525,6 +525,38 @@ def test_etale_suite_catches_wrong_degree_pattern(monkeypatch):
     ] + [f"{name}: etale degrees (1, 1, 1, 1, 1, 1) but class order 6" for name in hit]
 
 
+def test_etale_suite_row_of_passed_values_still_checks_supersingular(monkeypatch):
+    # by the last row of F_7 every value of A_p on it has passed, so the
+    # row adds its ordinary models at once and checks only the models that
+    # read A_p = 0: one ordinary model seeded to read 0 there has to fail
+    # as supersingular, and the case count stays that of the clean run
+    import hasseforms.verify as verify_mod
+    from hasseforms.curve import _decode
+    from hasseforms.search import _iter_rows
+
+    ctx = make_field(7)
+    clean = run_suite("etale", 7)
+    real_row_hasse = verify_mod._row_hasse
+    *earlier, (r2, r4, _, singular) = _iter_rows(ctx)
+    seen = {a for a2, a4, _, _ in earlier for a in real_row_hasse(ctx, a2, a4)}
+    row = real_row_hasse(ctx, r2, r4)
+    assert seen.issuperset(row)
+    r6 = next(a6 for a6 in range(ctx.q) if a6 not in singular and row[a6])
+
+    def corrupted(ctx, a2, a4):
+        out = list(real_row_hasse(ctx, a2, a4))
+        if (a2, a4) == (r2, r4):
+            out[r6] = 0
+        return out
+
+    monkeypatch.setattr(verify_mod, "_row_hasse", corrupted)
+    result = run_suite("etale", 7)
+    assert clean.ok and result.cases == clean.cases
+    assert len(result.failures) == 1
+    assert result.failures[0].startswith(
+        f"{_decode(ctx, r2, r4, r6)!r}: supersingular but described as ")
+
+
 def test_run_suite_logs_one_record_and_keeps_output(caplog):
     cases = [("bridge", 7, 1), ("norm", 3, 2), ("twists", 5, 1), ("census", 13, 1),
              ("norm", 3, 3)]
