@@ -16,15 +16,17 @@ keys are sorted; only timing-ms varies between identical runs.
 Note: the search subcommand spells its target class -h, so its help
 lives on --help only.
 
-The parser is built once per process, on the first main() call, and
-reused by every later call; build_parser() returns a fresh parser each
-time it is called.  main reads a well-formed argv itself: argv[0] picks
-the subcommand, and _read reads the rest off that subcommand's own
-argparse actions, into the Namespace parse_args would give.  Every argv
-it declines (help, version, abbreviations, "=" forms, usage errors)
-goes to parse_args, which leaves the parser unchanged and looks up
-sys.stdout and sys.stderr when it prints, so every caller gets
-argparse's bytes.
+The grammar is written once, as data: GRAMMAR holds each subcommand's
+add_parser keywords and its options, each the keywords add_argument
+takes.  main reads a well-formed argv straight off it: argv[0] picks the
+subcommand, and _read reads the rest into the Namespace parse_args would
+give, with no parser built.  Only an argv it declines (help, version,
+abbreviations, "=" forms, usage errors, no subcommand) builds the
+argparse parser from the same grammar, once per process, on the first
+such call; parse_args reads that argv and every later declined one,
+leaves the parser unchanged and looks up sys.stdout and sys.stderr when
+it prints, so every caller gets argparse's bytes.  build_parser()
+returns a fresh parser each time it is called.
 """
 
 from __future__ import annotations
@@ -264,26 +266,45 @@ HANDLERS = {
 }
 
 
-def _add_field_args(sp):
-    sp.add_argument("-p", type=int, required=True, help="odd prime characteristic")
-    sp.add_argument("-n", type=int, default=1,
-                    help="extension degree (default %(default)s)")
+# -- the grammar ---------------------------------------------------------
+# each option is its flag and the keywords add_argument takes; build_parser
+# feeds them to argparse, and _read reads a well-formed argv off them
 
+_FIELD = (
+    ("-p", dict(type=int, required=True, help="odd prime characteristic")),
+    ("-n", dict(type=int, default=1, help="extension degree (default %(default)s)")),
+)
+_CURVE = (
+    ("-a2", dict(default=None, metavar="C",
+                 help="a2 coefficients c0,c1,... (characteristic 3 only)")),
+    ("-a4", dict(required=True, metavar="C", help="a4 coefficients c0,c1,...")),
+    ("-a6", dict(required=True, metavar="C", help="a6 coefficients c0,c1,...")),
+)
+_OUTPUT = (
+    ("--json", dict(action="store_true", help="emit one stable machine-readable envelope")),
+    ("--out", dict(metavar="FILE", default=None,
+                   help="write the report to FILE instead of stdout")),
+)
 
-def _add_curve_args(sp):
-    sp.add_argument("-a2", default=None, metavar="C",
-                    help="a2 coefficients c0,c1,... (characteristic 3 only)")
-    sp.add_argument("-a4", required=True, metavar="C",
-                    help="a4 coefficients c0,c1,...")
-    sp.add_argument("-a6", required=True, metavar="C",
-                    help="a6 coefficients c0,c1,...")
-
-
-def _add_output_args(sp):
-    sp.add_argument("--json", action="store_true",
-                    help="emit one stable machine-readable envelope")
-    sp.add_argument("--out", metavar="FILE", default=None,
-                    help="write the report to FILE instead of stdout")
+# per subcommand, in HANDLERS' order: its add_parser keywords and options
+GRAMMAR = {
+    "hasse": (dict(help="invariants of one curve"), _FIELD + _CURVE + _OUTPUT),
+    "realizable": (dict(help="classes the trace interval allows"), _FIELD + _OUTPUT),
+    "search": (dict(add_help=False, help="first witness curve for one class"), (
+        ("--help", dict(action="help", help="show this help and exit")),
+        *_FIELD,
+        ("-h", dict(dest="target", type=int, required=True,
+                    help="target class residue in 1..p-1")),
+        ("--no-shortcut", dict(action="store_true",
+                               help="sweep every curve instead of pruning by traces")),
+        *_OUTPUT)),
+    "verify": (dict(help="run an exhaustive identity suite"), (
+        ("--suite", dict(required=True, choices=SUITE_NAMES)),
+        ("-p", dict(required=True, help="prime, list 5,7,11 or range 3..23 (primes only)")),
+        ("-n", dict(default="1", help="degree, list or range (default %(default)s)")),
+        *_OUTPUT)),
+    "ptorsion": (dict(help="describe the p-torsion scheme"), _FIELD + _CURVE + _OUTPUT),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,47 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "over small finite fields, by exhaustive enumeration.")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command")
-
-    sp = subs.add_parser("hasse", help="invariants of one curve")
-    _add_field_args(sp)
-    _add_curve_args(sp)
-    _add_output_args(sp)
-
-    sp = subs.add_parser("realizable", help="classes the trace interval allows")
-    _add_field_args(sp)
-    _add_output_args(sp)
-
-    sp = subs.add_parser("search", add_help=False,
-                         help="first witness curve for one class")
-    sp.add_argument("--help", action="help", help="show this help and exit")
-    _add_field_args(sp)
-    sp.add_argument("-h", dest="target", type=int, required=True,
-                    help="target class residue in 1..p-1")
-    sp.add_argument("--no-shortcut", action="store_true",
-                    help="sweep every curve instead of pruning by traces")
-    _add_output_args(sp)
-
-    sp = subs.add_parser("verify", help="run an exhaustive identity suite")
-    sp.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    sp.add_argument("-p", required=True,
-                    help="prime, list 5,7,11 or range 3..23 (primes only)")
-    sp.add_argument("-n", default="1",
-                    help="degree, list or range (default %(default)s)")
-    _add_output_args(sp)
-
-    sp = subs.add_parser("ptorsion", help="describe the p-torsion scheme")
-    _add_field_args(sp)
-    _add_curve_args(sp)
-    _add_output_args(sp)
-
+    for name, (settings, options) in GRAMMAR.items():
+        sp = subs.add_parser(name, **settings)
+        for flag, keywords in options:
+            sp.add_argument(flag, **keywords)
     return parser
 
 
-_PARSER: argparse.ArgumentParser | None = None
-_TABLE: tuple | None = None  # _read_table(_PARSER), built with it
+_PARSER: argparse.ArgumentParser | None = None  # built on the first declined argv
 _COEFF_OPTIONS = ("-a2", "-a4", "-a6")
-# the only actions _read takes from the command line
-_READ_KINDS = (argparse._StoreAction, argparse._StoreTrueAction)
 
 
 def _joined(argv: list[str]) -> list[str]:
@@ -348,88 +337,69 @@ def _joined(argv: list[str]) -> list[str]:
     return out
 
 
-def _read_table(parser: argparse.ArgumentParser) -> tuple:
-    """The grammar _read reads, taken from parser's own actions: the dest
-    of its subcommand, and per subcommand name its store and store_true
-    actions by option string, its required actions, and its defaults as
-    parse_args fills them in."""
-    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    table = {}
-    for name, sp in subs.choices.items():
-        defaults = {}
-        for a in sp._actions:
-            if a.required or a.dest is argparse.SUPPRESS or a.default is argparse.SUPPRESS:
-                continue
-            # argparse passes a string default through the type
-            typed = isinstance(a.default, str) and a.type is not None
-            defaults[a.dest] = a.type(a.default) if typed else a.default
-        table[name] = ({s: a for a in sp._actions if type(a) in _READ_KINDS
-                        for s in a.option_strings},
-                       [a for a in sp._actions if a.required], defaults)
-    return subs.dest, table
-
-
-def _read(table: tuple, argv: list[str]) -> argparse.Namespace | None:
-    """The Namespace parse_args gives for a well-formed argv: a known
-    subcommand, then each of its store and store_true options at most
-    once, by its exact option string, a value apart from its option,
-    not starting with "-", of the option's type and in its choices, and
-    every required option.  Any other argv gives None, and parse_args
-    reads it, so help, version, abbreviations, "=" forms and errors keep
-    argparse's bytes."""
-    dest, subcommands = table
-    if not argv or argv[0] not in subcommands:
+def _read(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace parse_args gives for a well-formed argv: a subcommand
+    of GRAMMAR, then each of its store and store_true options at most
+    once, by its exact flag, a value apart from its option, not starting
+    with "-", of the option's type and in its choices, and every required
+    option.  The rest take their defaults as parse_args fills them in (a
+    string default through the type), under the dest argparse derives
+    from the flag unless one is given.  Any other argv gives None, and
+    parse_args reads it, so help, version, abbreviations, "=" forms and
+    errors keep argparse's bytes."""
+    if not argv or argv[0] not in GRAMMAR:
         return None
-    options, required, defaults = subcommands[argv[0]]
+    options = dict(GRAMMAR[argv[0]][1])
     given = {}
     tokens = iter(argv[1:])
-    for token in tokens:
-        action = options.get(token)
-        if action is None or action in given:
+    for flag in tokens:
+        keywords = options.get(flag)
+        if keywords is None or flag in given or keywords.get("action") == "help":
             return None
-        if action.nargs == 0:  # store_true
-            given[action] = action.const
+        if keywords.get("action") == "store_true":
+            given[flag] = True
             continue
         value = next(tokens, "-")  # a missing value reads as an option
         if value[:1] == "-":
             return None
-        if action.type is not None:
-            try:
-                value = action.type(value)
-            except (ValueError, TypeError, argparse.ArgumentTypeError):
-                return None
-        if action.choices is not None and value not in action.choices:
+        try:
+            value = keywords.get("type", str)(value)
+        except ValueError:
             return None
-        given[action] = value
-    if any(a not in given for a in required):
-        return None
-    args = argparse.Namespace(**defaults)
-    setattr(args, dest, argv[0])
-    for a, value in given.items():
-        setattr(args, a.dest, value)
+        if value not in keywords.get("choices", (value,)):
+            return None
+        given[flag] = value
+    args = argparse.Namespace(command=argv[0])
+    for flag, keywords in options.items():
+        action = keywords.get("action")
+        if flag in given:
+            value = given[flag]
+        elif keywords.get("required"):
+            return None
+        elif action == "help":  # sets no attribute
+            continue
+        else:
+            value = keywords.get("default", False if action == "store_true" else None)
+            if isinstance(value, str) and "type" in keywords:
+                value = keywords["type"](value)
+        setattr(args, keywords.get("dest", flag.lstrip("-").replace("-", "_")), value)
     return args
 
 
-def _parser() -> tuple[argparse.ArgumentParser, tuple]:
-    global _PARSER, _TABLE
-    if _PARSER is None:
-        _PARSER = build_parser()
-        _TABLE = _read_table(_PARSER)
-    return _PARSER, _TABLE
-
-
 def main(argv=None) -> int:
-    parser, table = _parser()
+    global _PARSER
     argv = _joined(sys.argv[1:] if argv is None else list(argv))
-    args = _read(table, argv)
+    args = _read(argv)
     if args is None:
+        if _PARSER is None:
+            _PARSER = build_parser()
         try:
-            args = parser.parse_args(argv)
+            args = _PARSER.parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
-    if args.command is None:
-        parser.print_help()
-        return 2
+        if args.command is None:
+            _PARSER.print_help()
+            return 2
     started = time.monotonic()
     try:
         params, result, lines, code = HANDLERS[args.command](args)

@@ -332,6 +332,104 @@ def test_no_subcommand_prints_help():
     assert "usage" in out.lower()
 
 
+# The help and usage bytes argparse prints.  It wraps them to the terminal
+# width, so the golden fixes COLUMNS; its layout also moves between Python
+# releases (the quoting of choices in an invalid-choice error, the
+# wrapping of long usage lines), so these are the bytes of Python 3.11.
+TOP_USAGE = (
+    "usage: hasseforms [-h] [--version]\n"
+    "                  {hasse,realizable,search,verify,ptorsion} ...\n"
+)
+TOP_HELP = TOP_USAGE + """
+Twisted forms of p-th roots of unity on elliptic curves over small finite
+fields, by exhaustive enumeration.
+
+positional arguments:
+  {hasse,realizable,search,verify,ptorsion}
+    hasse               invariants of one curve
+    realizable          classes the trace interval allows
+    search              first witness curve for one class
+    verify              run an exhaustive identity suite
+    ptorsion            describe the p-torsion scheme
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+CURVE_HELP = """
+options:
+  -h, --help  show this help message and exit
+  -p P        odd prime characteristic
+  -n N        extension degree (default 1)
+  -a2 C       a2 coefficients c0,c1,... (characteristic 3 only)
+  -a4 C       a4 coefficients c0,c1,...
+  -a6 C       a6 coefficients c0,c1,...
+  --json      emit one stable machine-readable envelope
+  --out FILE  write the report to FILE instead of stdout
+"""
+HELP_GOLDEN = {
+    ("--help",): (0, TOP_HELP, ""),
+    ("--version",): (0, "0.1.0\n", ""),
+    ("hasse", "--help"): (0, """\
+usage: hasseforms hasse [-h] -p P [-n N] [-a2 C] -a4 C -a6 C [--json]
+                        [--out FILE]
+""" + CURVE_HELP, ""),
+    ("realizable", "--help"): (0, """\
+usage: hasseforms realizable [-h] -p P [-n N] [--json] [--out FILE]
+
+options:
+  -h, --help  show this help message and exit
+  -p P        odd prime characteristic
+  -n N        extension degree (default 1)
+  --json      emit one stable machine-readable envelope
+  --out FILE  write the report to FILE instead of stdout
+""", ""),
+    ("search", "--help"): (0, """\
+usage: hasseforms search [--help] -p P [-n N] -h TARGET [--no-shortcut]
+                         [--json] [--out FILE]
+
+options:
+  --help         show this help and exit
+  -p P           odd prime characteristic
+  -n N           extension degree (default 1)
+  -h TARGET      target class residue in 1..p-1
+  --no-shortcut  sweep every curve instead of pruning by traces
+  --json         emit one stable machine-readable envelope
+  --out FILE     write the report to FILE instead of stdout
+""", ""),
+    ("verify", "--help"): (0, """\
+usage: hasseforms verify [-h] --suite
+                         {classification,bridge,twists,closed-forms,norm,etale,census}
+                         -p P [-n N] [--json] [--out FILE]
+
+options:
+  -h, --help            show this help message and exit
+  --suite {classification,bridge,twists,closed-forms,norm,etale,census}
+  -p P                  prime, list 5,7,11 or range 3..23 (primes only)
+  -n N                  degree, list or range (default 1)
+  --json                emit one stable machine-readable envelope
+  --out FILE            write the report to FILE instead of stdout
+""", ""),
+    ("ptorsion", "--help"): (0, """\
+usage: hasseforms ptorsion [-h] -p P [-n N] [-a2 C] -a4 C -a6 C [--json]
+                           [--out FILE]
+""" + CURVE_HELP, ""),
+    ("nonsense",): (2, "", TOP_USAGE + (
+        "hasseforms: error: argument command: invalid choice: 'nonsense' (choose "
+        "from 'hasse', 'realizable', 'search', 'verify', 'ptorsion')\n")),
+    (): (2, TOP_HELP, ""),
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse's help layout is pinned as Python 3.11 prints it")
+@pytest.mark.parametrize("argv", list(HELP_GOLDEN),
+                         ids=lambda argv: " ".join(argv) or "no-subcommand")
+def test_help_and_usage_golden(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(*argv) == HELP_GOLDEN[argv]
+
+
 def test_out_file_json(tmp_path):
     target = tmp_path / "report.json"
     rc, out, _ = run_cli("realizable", "-p", "13", "--json", "--out", str(target))
@@ -435,21 +533,51 @@ def test_reused_parser_gives_the_bytes_of_a_fresh_one(monkeypatch):
     assert all(out or err for _, out, err in fresh)
 
 
-def test_parser_is_built_once_per_process(monkeypatch):
+def _refuse_to_build():
+    raise AssertionError("build_parser ran on a well-formed argv")
+
+
+def test_well_formed_argv_build_no_parser(monkeypatch):
+    monkeypatch.setattr(cli, "build_parser", _refuse_to_build)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    well_formed = [argv for argv in REUSE_SEQUENCE if _read(argv) is not None]
+    assert len(well_formed) >= len(REUSE_SEQUENCE) // 2
+    for argv in well_formed:
+        rc, out, err = run_cli(*argv)
+        assert out or err
+    assert cli._PARSER is None
+
+
+def _counted_build(monkeypatch):
     built = []
     real = cli.build_parser
 
     def counted():
-        built.append(1)
-        return real()
+        built.append(real())
+        return built[-1]
 
     monkeypatch.setattr(cli, "build_parser", counted)
     monkeypatch.setattr(cli, "_PARSER", None)
+    return built
+
+
+def test_first_declined_argv_builds_the_parser_once(monkeypatch):
+    built = _counted_build(monkeypatch)
+    run_cli("realizable", "-p", "19", "--json")
+    assert built == [] and cli._PARSER is None
+    declined = ("realizable", "-p", "19", "--js")
+    assert _read(declined) is None
+    run_cli(*declined)
+    assert len(built) == 1 and cli._PARSER is built[0]
+
+
+def test_later_declined_argv_reuse_the_parser(monkeypatch):
+    built = _counted_build(monkeypatch)
     for i in range(50):
         run_cli(*REUSE_SEQUENCE[i % len(REUSE_SEQUENCE)])
-    assert len(built) == 1
+    assert len(built) == 1 and cli._PARSER is built[0]
     # build_parser itself still returns a new parser on every call
-    assert real() is not real()
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def _fuzz_coeffs(rng, n):
@@ -548,26 +676,85 @@ QUERY_ARGV = [
 
 
 def _read(argv):
-    return cli._read(cli._read_table(cli.build_parser()), cli._joined(list(argv)))
+    return cli._read(cli._joined(list(argv)))
+
+
+def _typed(args):
+    # a Namespace's attributes with their types, since True == 1
+    return {dest: (type(value), value) for dest, value in vars(args).items()}
 
 
 def test_reader_agrees_with_argparse():
     # main's reader gives None or the Namespace of parse_args, on the fuzz
     # corpus of several seeds, the reuse sequence and the query shapes
     parser = cli.build_parser()
-    table = cli._read_table(parser)
     rngs = [random.Random(seed) for seed in (20120, 1, 2)]
     corpus = [_fuzz_argv(rng) for rng in rngs for _ in range(1000)]
     corpus += REUSE_SEQUENCE + QUERY_ARGV
     read = 0
     for argv in corpus:
         argv = cli._joined(list(argv))
-        args = cli._read(table, argv)
+        args = cli._read(argv)
         if args is not None:
             read += 1
-            assert args == parser.parse_args(argv), argv
+            assert _typed(args) == _typed(parser.parse_args(argv)), argv
     assert read > len(corpus) // 3
     assert all(_read(argv) is not None for argv in QUERY_ARGV)
+
+
+def _value(action):
+    # a value parse_args takes for a store action
+    return action.choices[0] if action.choices else "5"
+
+
+def test_grammar_audit_against_argparse_actions():
+    # the parser built from the grammar, read through argparse's own
+    # actions, has the dests, types, required options, defaults, choices
+    # and store_true options the reader reads off the grammar
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert subs.dest == "command"
+    assert list(subs.choices) == list(cli.GRAMMAR) == list(cli.HANDLERS)
+    for name, sp in subs.choices.items():
+        stores = [a for a in sp._actions if type(a) is argparse._StoreAction]
+        flags = [a for a in sp._actions if type(a) is argparse._StoreTrueAction]
+        helps = [a for a in sp._actions if a not in stores + flags]
+        assert all(type(a) is argparse._HelpAction for a in helps) and len(helps) == 1
+        assert all(len(a.option_strings) == 1 for a in stores + flags)
+        required = [a for a in sp._actions if a.required]
+        assert all(a in stores for a in required)
+        base = [name] + [s for a in required for s in (a.option_strings[0], _value(a))]
+        args = cli._read(base)
+        assert _typed(args) == _typed(parser.parse_args(base)), base
+        # defaults as parse_args fills them in: a string default through the type
+        defaults = {}
+        for a in stores + flags:
+            if not a.required:
+                typed = isinstance(a.default, str) and a.type is not None
+                defaults[a.dest] = a.type(a.default) if typed else a.default
+        assert {dest: _typed(args)[dest] for dest in defaults} == {
+            dest: (type(value), value) for dest, value in defaults.items()}
+        for a in required:
+            i = base.index(a.option_strings[0])
+            assert cli._read(base[:i] + base[i + 2:]) is None, (base, a.dest)
+        for a in stores:
+            flag = a.option_strings[0]
+            rest = [s for i, s in enumerate(base) if flag not in base[i - 1:i + 1]]
+            for value in a.choices or [_value(a)]:
+                argv = rest + [flag, value]
+                assert _typed(cli._read(argv)) == _typed(parser.parse_args(argv)), argv
+                expected = value if a.type is None else a.type(value)
+                assert getattr(cli._read(argv), a.dest) == expected
+            if a.type is not None:
+                assert cli._read(rest + [flag, "x"]) is None, (name, flag)
+            if a.choices is not None:
+                assert cli._read(rest + [flag, "bogus"]) is None, (name, flag)
+        for a in flags:
+            argv = base + a.option_strings
+            assert _typed(cli._read(argv)) == _typed(parser.parse_args(argv)), argv
+            assert getattr(cli._read(argv), a.dest) is True
+        for a in helps:
+            assert all(cli._read(base + [s]) is None for s in a.option_strings)
 
 
 @pytest.mark.parametrize("argv", [
@@ -613,7 +800,7 @@ def test_declined_argv_keep_the_bytes_of_parse_args(monkeypatch, argv):
     assert _read(argv) is None
     got = _masked(run_cli(*argv))
     monkeypatch.setattr(cli, "_PARSER", None)
-    monkeypatch.setattr(cli, "_read", lambda table, argv: None)
+    monkeypatch.setattr(cli, "_read", lambda argv: None)
     assert got == _masked(run_cli(*argv))
     if argv[-1] in ("extra", "--version"):
         # the error is the top-level parser's, under its usage line
