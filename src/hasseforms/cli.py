@@ -40,7 +40,7 @@ from . import __version__
 from .curve import WeierstrassCurve, hasse_invariant, point_count
 from .errors import InconsistencyError
 from .forms import phi, ptorsion_description, realizable_set, unit_class_of
-from .gf import SWEEP_MAX, FieldCtx, _is_prime, make_field, norm_to_prime
+from .gf import SWEEP_MAX, FieldCtx, _check_size, _is_prime, make_field, norm_to_prime
 from .search import describe_witness, find_curve_with_class
 from .verify import SUITE_NAMES, run_suite
 
@@ -214,10 +214,10 @@ def _cmd_search(args):
 def _cmd_verify(args):
     ps = _parse_range(args.p, "prime")
     ns = _parse_range(args.n, "degree")
-    results = []
-    for p in ps:
-        for n in ns:
-            results.append(run_suite(args.suite, p, n))
+    fields = [(p, n) for p in ps for n in ns]
+    for p, n in fields:  # the whole range passes the size guard before a suite runs
+        _check_size(p, n)
+    results = [run_suite(args.suite, p, n) for p, n in fields]
     ok = all(r.ok for r in results)
     result = {"suites": [r.to_dict() for r in results], "ok": ok}
     params = {"suite": args.suite, "p": args.p, "n": args.n}

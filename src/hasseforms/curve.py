@@ -44,9 +44,12 @@ A_p: two popcounts of the planes against one rotated mask per context.
 _row_counts reads it at every a6 from one cyclic product over F_q^*, by
 the log of a6, for callers that walk whole rows: the census scan over
 F_p and the row suites.  Both read a6 = 0 as one parity sum of M
-(_count_at_zero).  The tables memoise, one slot each (_row_hist,
-_hasse_row, _hasse_table); the whole rows, _row_counts and _row_hasse,
-do not, since no caller reads a row twice.
+(_count_at_zero).  The tables memoise on their context, one slot each
+(gf._ctx_memo: _row_hist, _x_logs, _hasse_row, _hasse_table and the Y
+tables _zech_mask and _zech_operand), so they go with the field; the
+whole rows, _row_counts and _row_hasse, do not, since no caller reads a
+row twice.  Only _hasse_terms and _nonsquare, on p alone, stay at module
+level.
 
 The twist kinds live in one table, _TWISTS, of degrees and weights.  A
 twist by d scales (a2, a4, a6) by d to the weights (_twist_scales), so
@@ -57,6 +60,7 @@ and reads each twisted A_p off the _row_hasse row it lands on.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from functools import cache, lru_cache
 from math import gcd, isqrt
@@ -64,7 +68,7 @@ from typing import NamedTuple
 
 from .errors import (BadCongruenceError, SingularModelError, WrongJInvariantError,
                      ZeroTwistParameterError)
-from .gf import FieldCtx, FieldElement, _poly_str, _power
+from .gf import FieldCtx, FieldElement, _ctx_memo, _poly_str, _power
 from .poly import Polynomial, _cyclic_mul, _slot_width, _unpack
 
 __all__ = ["WeierstrassCurve", "FrobeniusData", "point_count", "hasse_invariant",
@@ -78,8 +82,9 @@ _TWISTS = {"quadratic": (2, (1, 2, 3, 6)), "quartic": (4, (0, 1, 0, 3)),
            "sextic": (6, (0, 0, 1, 2))}
 TWIST_KINDS = tuple(_TWISTS)
 
-# byte maps for translate to the digits "0" and "1": bit 0 and bit 1 of a
-# histogram slot, and Y != 0
+# byte maps for translate: to 0 or 2 by the parity of a byte (Y), and to
+# the digits "0" and "1": bit 0 and bit 1 of a histogram slot, and Y != 0
+_TWICE_PARITY = bytes(2 * (b & 1) for b in range(256))
 _BIT0 = bytes(48 + (b & 1) for b in range(256))
 _BIT1 = bytes(48 + (b >> 1 & 1) for b in range(256))
 _NONZERO = bytes([48] + [49] * 255)
@@ -212,7 +217,7 @@ def point_count(curve: WeierstrassCurve) -> FrobeniusData:
     with Y[t] = 1 - chi(1 + g^t), and an x with h(x) = 0 adds chi(a6),
     so the affine character sum is chi(a6) (q - S) with
     S = sum_u M[u] Y[u - lc].  Y is one byte string per context
-    (FieldCtx._zech_y), 0 or 2 except at the one t where 1 + g^t = 0,
+    (_zech_y), 0 or 2 except at the one t where 1 + g^t = 0,
     where it is 1; so S is twice the sum of the M[u] that Y rotated by
     lc keeps nonzero, less M at that one slot.  The row memo holds M with
     its bit planes, ints with bit u set where bit 0, and bit 1, of M[u]
@@ -418,14 +423,14 @@ def _in_trace_bound(ctx: FieldCtx, beta: int) -> bool:
     return b2 < bound or (b2 == bound and not beta % ctx.p)
 
 
-@lru_cache(maxsize=1)
+@_ctx_memo
 def _zech_operand(ctx: FieldCtx) -> tuple:
     # what the row product needs of a context, in W-bit slots: Y reversed
     # (Y[-s] at slot s), the offsets 1 + 2q at even and 1 at odd slots,
     # and the masks of the even and the odd slots.  Every slot stays
     # below 2q + 2.  Built at C level as little-endian bytes: Y's bytes
     # spread to the low byte of each slot, the rest one slot pair repeated
-    q, y = ctx.q, ctx._zech_y
+    q, y = ctx.q, _zech_y(ctx)
     W = _slot_width(2 * q + 2)
     B, pairs = W // 8, (q - 1) // 2
     y_rev = bytearray(2 * pairs * B)
@@ -436,12 +441,26 @@ def _zech_operand(ctx: FieldCtx) -> tuple:
             even, even << W)
 
 
-@lru_cache(maxsize=1)
+@_ctx_memo
 def _zech_mask(ctx: FieldCtx) -> int:
     # bit t is set where Y[t] != 0, the q - 1 bits written twice, so that
     # shifting right by q - 1 - lc bits rotates the mask by lc
-    y = ctx._zech_y.translate(_NONZERO)
+    y = _zech_y(ctx).translate(_NONZERO)
     return _bits(y + y)
+
+
+def _zech_y(ctx: FieldCtx) -> bytes:
+    # Y[t] = 1 - chi(1 + g^t) for every t: 0 or 2 by the parity of zech[t],
+    # and 1 at t = (q-1)/2, the one t where 1 + g^t = 0 (zech[t] = -1).
+    # The parity of an int is that of its lowest byte, read from the raw
+    # items and mapped to 0 or 2 by one translate, all at C level; its two
+    # readers keep what they build from it
+    zech = ctx._log_tables[2]
+    k = zech.itemsize
+    y = bytearray(zech.tobytes()[0 if sys.byteorder == "little" else k - 1::k]
+                  .translate(_TWICE_PARITY))
+    y[(ctx.q - 1) // 2] = 1
+    return bytes(y)
 
 
 def _bits(digits: bytes) -> int:
@@ -484,14 +503,14 @@ def _row_counts(ctx: FieldCtx, r2: int, r4: int) -> array:
     return counts
 
 
-@lru_cache(maxsize=1)
+@_ctx_memo
 def _row_hist(ctx: FieldCtx, r2: int, r4: int) -> list:
     # [M] for the row's histogram M (_log_hist); _count_at appends M's bit
     # planes on the row's first count at a6 != 0, so rows read whole by
-    # _row_counts build none.  One slot: point_count over iter_curves and
-    # the census's witness checks count a row's models in a run, and
-    # _row_counts reads each row once; run_suite logs its misses as row
-    # histograms built
+    # _row_counts build none.  One slot on the context: point_count over
+    # iter_curves and the census's witness checks count a row's models in
+    # a run, and _row_counts reads each row once; run_suite logs the
+    # context's builds as row histograms built
     return [_log_hist(ctx, r2, r4)]
 
 
@@ -501,9 +520,9 @@ def _log_hist(ctx: FieldCtx, r2: int, r4: int) -> bytearray:
     # c is one Zech step, log(y + c) = log c + zech[log y - log c].  Each
     # M[u] is at most 3, since h(x) = g^u has at most 3 roots, so a byte
     # holds it.  With a2 != 0 the x side, the logs of (x + a2) x, depends
-    # on a2 alone: _x_logs keeps it in one slot on (ctx, a2), so the q
-    # rows of a char-3 a2 slab, which the enumeration walks in a run,
-    # build it once
+    # on a2 alone: _x_logs keeps it in the context's slot, keyed on a2,
+    # so the q rows of a char-3 a2 slab, which the enumeration walks in a
+    # run, build it once
     _, log, zech = ctx._log_tables
     order = ctx.q - 1
     hist = bytearray(order)
@@ -542,11 +561,11 @@ def _log_hist(ctx: FieldCtx, r2: int, r4: int) -> bytearray:
     return hist
 
 
-@lru_cache(maxsize=1)
+@_ctx_memo
 def _x_logs(ctx: FieldCtx, r2: int) -> list:
     # logs of (x + a2) x at x = g^e for every e, None where it vanishes:
-    # the x side of h, which depends on a2 alone, so one slot serves the
-    # q rows of a char-3 a2 slab
+    # the x side of h, which depends on a2 alone, so one slot on the
+    # context serves the q rows of a char-3 a2 slab
     _, log, zech = ctx._log_tables
     order, l2 = ctx.q - 1, log[r2]
     return [None if (z := zech[(e - l2) % order]) < 0 else l2 + z + e for e in range(order)]
@@ -568,13 +587,13 @@ def _hasse_terms(p: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(terms)
 
 
-@lru_cache(maxsize=1)
+@_ctx_memo
 def _hasse_row(ctx: FieldCtx, r2: int, r4: int) -> tuple[int, tuple[int, ...]]:
     # (k, ranks of P, highest power first) with A_p = a6^k P(a6^2) on the
     # (a2, a4) row: term i carries a6^(2i - m), so the powers climb by 2,
     # and a4^j, where j climbs by 3 from the last term, so each a4^j after
     # the first is the one before times a4^3; zero low coefficients
-    # (a4 = 0) move into k.  One slot: rows repeat.
+    # (a4 = 0) move into k.  One slot on the context: rows repeat.
     terms = _hasse_terms(ctx.p)
     if not terms:
         return 0, (r2,) if r2 else ()  # A_3 = a2
@@ -639,19 +658,20 @@ def _row_hasse(ctx: FieldCtx, r2: int, r4: int) -> array:
     The whole-row shape of hasse_invariant: _hasse_at on range(q), off
     the same row table (_hasse_row).  The table hangs on the closed form,
     not on the row: rows with one (k, coeffs) share it (_hasse_table, one
-    slot on (ctx, k, coeffs)), as the q rows of a char-3 a2 slab do,
-    where A_3 = a2.  So the bridge suite over F_3^3 reads 728 rows off 27
-    tables, and run_suite logs the tables built.  No caller reads a row
-    twice (the twists suite keeps its rows for the run), so the row keeps
-    no memo of its own.  The shared table is read only.
+    slot on the context, keyed on (k, coeffs)), as the q rows of a char-3
+    a2 slab do, where A_3 = a2.  So the bridge suite over F_3^3 reads 728
+    rows off 27 tables, and run_suite logs the tables built.  No caller
+    reads a row twice (the twists suite keeps its rows for the run), so
+    the row keeps no memo of its own.  The shared table is read only.
     """
     return _hasse_table(ctx, *_hasse_row(ctx, r2, r4))
 
 
-@lru_cache(maxsize=1)
+@_ctx_memo
 def _hasse_table(ctx: FieldCtx, k: int, coeffs: tuple[int, ...]) -> array:
     # _hasse_at on range(q) for one closed form: rows with equal (k, coeffs)
-    # share one table, as the q rows of a char-3 a2 slab do (A_3 = a2)
+    # share one table, as the q rows of a char-3 a2 slab do (A_3 = a2); its
+    # builds are the context's count of Hasse tables built
     return array("i", _hasse_at(ctx, k, coeffs, range(ctx.q)))
 
 

@@ -18,14 +18,13 @@ non-split thickening, reported here under the label M2.
 from __future__ import annotations
 
 from array import array
-from functools import lru_cache
 from math import gcd as int_gcd, isqrt
 from typing import NamedTuple
 
 from .curve import WeierstrassCurve, _twist_degree, hasse_invariant
 from .errors import (CtxMismatchError, NotPrimeError, ZeroElementError,
                      ZeroTwistParameterError)
-from .gf import FieldCtx, FieldElement, _is_prime, discrete_log, norm_to_prime
+from .gf import FieldCtx, FieldElement, _ctx_memo, _is_prime, discrete_log, norm_to_prime
 
 __all__ = [
     "UnitClass",
@@ -112,7 +111,7 @@ def phi(cls: UnitClass) -> FieldElement:
     return norm_to_prime(cls.rep)
 
 
-@lru_cache(maxsize=1)
+@_ctx_memo
 def _class_residues(ctx: FieldCtx) -> array:
     # int(phi) of each class by its exponent e: phi(g^e) = g^(eN) off the
     # exp table, N = (q - 1)/(p - 1), checked to lie in the prime subfield;

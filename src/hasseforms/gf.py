@@ -18,8 +18,11 @@ tables over lex ranks, indexed by the exponent e of the canonical
 generator g: exp[e] = rank(g^e), log[rank] = e, and the Zech logarithm
 zech[e] = log(1 + g^e) (Lidl and Niederreiter, Finite Fields, ch. 9).
 Each table holds O(q) machine integers.  The row sweeps read them on
-every field, and point counts the parities of the Zech logarithms from
-one byte string per context.  The field alone picks the route of a
+every field, and point counts the parities of the Zech logarithms
+(curve._zech_y).  What other modules build from them, as the row
+histograms and Hasse tables of curve and the class residues of forms,
+is memoised on the context (_ctx_memo), never at module level, so it
+lives exactly as long as the field.  The field alone picks the route of a
 discrete logarithm and a power of g: over F_p they are Pohlig-Hellman and
 one int pow, whether or not the context holds the tables, so a single
 query over F_p builds none; over F_q with n > 1 they read the tables.
@@ -49,10 +52,10 @@ is constant time or meant for cryptographic use.
 from __future__ import annotations
 
 import logging
-import sys
 import time
 from array import array
-from functools import cached_property, lru_cache
+from collections import Counter
+from functools import cached_property, lru_cache, wraps
 from math import isqrt
 from operator import mul
 from typing import Iterator, Sequence, Union
@@ -236,7 +239,33 @@ def _poly_str(coeffs: Sequence, var: str) -> str:
     return " + ".join(terms) or "0"
 
 
-_TWICE_PARITY = bytes(2 * (b & 1) for b in range(256))
+def _check_size(p: int, n: int) -> None:
+    # the size guard of FieldCtx, which cli's verify also runs on a whole
+    # range before its first suite.  It runs before the primality test,
+    # which trial-divides p, and before p**n is formed: every p >= 3
+    # passes 2**20 by n = 13, so a huge n is refused without a huge power
+    if p > 2 and (n > 20 or p**n > SWEEP_MAX):
+        name = f"F_{p}" if n == 1 else f"F_{p}^{n}"
+        raise FieldTooLargeError(
+            f"{name} is too large: fields need q = p**n <= 2**20 "
+            "for their log tables and sweeps")
+
+
+def _ctx_memo(build):
+    """build(ctx, *key) memoised on the context: ctx._memo holds one slot
+    per builder, its last (key, value), and ctx._builds counts its builds.
+    So a table lives exactly as long as its field, and a new context starts
+    cold whatever ran before it."""
+    name = build.__name__
+
+    @wraps(build)
+    def memo(ctx, *key):
+        slot = ctx._memo.get(name)
+        if slot is None or slot[0] != key:
+            slot = ctx._memo[name] = key, build(ctx, *key)
+            ctx._builds[name] += 1
+        return slot[1]
+    return memo
 
 
 class FieldCtx:
@@ -248,10 +277,10 @@ class FieldCtx:
     The kernels _add, _sub, _neg, _mul, _pow and _inv map lex ranks to
     lex ranks.  The first use of _log_tables (the exp/log/Zech tables,
     about 12 bytes per element) builds them from the lex-smallest
-    generator, and _zech_y, the table of 1 - chi(1 + g^t) that point
-    counts read, adds one byte per element.  Prime fields need them only
-    for sweeps and the table point count (p <= 229); their logarithms
-    and powers of g never read them.
+    generator.  Prime fields need them only for sweeps and the table
+    point count (p <= 229); their logarithms and powers of g never read
+    them.  _memo and _builds hold the tables that other modules build
+    from these (_ctx_memo), so they go with the context.
     q > 2**20 raises FieldTooLargeError.
     """
 
@@ -263,14 +292,7 @@ class FieldCtx:
                 "characteristic 2 is not supported; use an odd prime")
         if n < 1:
             raise ValueError(f"extension degree must be >= 1, got {n}")
-        # the size guard runs before the primality test, which trial-divides
-        # p, and before p**n is formed: every p >= 3 passes 2**20 by n = 13,
-        # so a huge n is refused without building a huge power
-        if p > 2 and (n > 20 or p**n > SWEEP_MAX):
-            name = f"F_{p}" if n == 1 else f"F_{p}^{n}"
-            raise FieldTooLargeError(
-                f"{name} is too large: fields need q = p**n <= 2**20 "
-                "for their log tables and sweeps")
+        _check_size(p, n)
         if not _is_prime(p):
             raise NotPrimeError(f"characteristic must be prime, got {p}")
         q = p**n
@@ -280,8 +302,7 @@ class FieldCtx:
         # lex weights: constant coefficient is the most significant digit
         self._weights = tuple(p ** (n - 1 - i) for i in range(n))
         self.modulus: tuple[int, ...] | None = None if n == 1 else self._find_modulus()
-        # the one-slot row memos hash their context on every lookup
-        self._hash = hash((p, n))
+        self._memo, self._builds = {}, Counter()  # the slots of _ctx_memo
 
     # -- construction details -------------------------------------------
 
@@ -522,19 +543,6 @@ class FieldCtx:
                      walked, order, t2 - t1)
         return exp, log, zech
 
-    @cached_property
-    def _zech_y(self) -> bytes:
-        """1 - chi(1 + g^t) for every t: 0 or 2 by the parity of zech[t],
-        and 1 at t = (q-1)/2, the one t where 1 + g^t = 0 (zech[t] = -1)."""
-        # the parity of an int is that of its lowest byte, read from the
-        # raw items and mapped to 0 or 2 by one translate, all at C level
-        zech = self._log_tables[2]
-        k = zech.itemsize
-        y = bytearray(zech.tobytes()[0 if sys.byteorder == "little" else k - 1::k]
-                      .translate(_TWICE_PARITY))
-        y[(self.q - 1) // 2] = 1
-        return bytes(y)
-
     # -- identity and printing ------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -543,10 +551,11 @@ class FieldCtx:
         return self.p == other.p and self.n == other.n
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.p, self.n))
 
     def __reduce__(self):
-        # rebuilt from (p, n), so lazy tables are never serialised
+        # rebuilt from (p, n), so lazy tables and memo slots are never
+        # serialised
         return (FieldCtx, (self.p, self.n))
 
     def modulus_str(self) -> str | None:
@@ -757,8 +766,8 @@ def _pohlig_hellman(g: int, a: int, p: int) -> int:
 def _pohlig_hellman_plan(g: int, p: int) -> tuple:
     # (l, k, m, baby steps gamma^j -> j for j < m, giant step gamma^-m) for
     # each prime power l^k exactly dividing p - 1, gamma = g^((p-1)/l) and
-    # m = ceil(sqrt(l)); one slot, like the row memos, since the logs of a
-    # run are taken in one field
+    # m = ceil(sqrt(l)); one slot, keyed on ints and so holding no context,
+    # since the logs of a run are taken in one field
     order, plan = p - 1, []
     for ell in _prime_factors(order):
         k, rest = 0, order

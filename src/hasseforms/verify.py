@@ -16,11 +16,9 @@ from operator import not_
 
 from .curve import (
     _decode,
-    _hasse_table,
     _in_trace_bound,
     _row_counts,
     _row_hasse,
-    _row_hist,
     _twist_kinds,
     _twist_scales,
     hasse_invariant,
@@ -403,11 +401,10 @@ def run_suite(name: str, p: int, n: int = 1) -> SuiteResult:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     ctx = make_field(p, n)
     res = SuiteResult(suite=name, p=p, n=n)
-    hists, tables = _row_hist.cache_info().misses, _hasse_table.cache_info().misses
     t0 = time.perf_counter()
     _SUITES[name](res, ctx)
     logger.debug("suite %s over %s: %d cases, %d failures, %d row histograms "
                  "built, %d Hasse tables built, %.3f s", name, ctx, res.cases,
-                 len(res.failures), _row_hist.cache_info().misses - hists,
-                 _hasse_table.cache_info().misses - tables, time.perf_counter() - t0)
+                 len(res.failures), ctx._builds["_row_hist"],
+                 ctx._builds["_hasse_table"], time.perf_counter() - t0)
     return res

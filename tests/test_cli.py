@@ -173,6 +173,21 @@ def test_verify_range_form():
     assert "suite=census p=19 n=1" in out and "PASS" in out
 
 
+@pytest.mark.parametrize("p,n,field", [("5", "1..9", "F_5^9"), ("3", "1..13", "F_3^13"),
+                                       ("3..5", "8..9", "F_5^9")])
+def test_verify_refuses_a_range_past_the_guard_before_any_suite(monkeypatch, p, n, field):
+    # the first field of the range past 2**20, in run order, is refused
+    # with FieldCtx's own message before any suite runs
+    def no_suite(*args):
+        raise AssertionError(f"run_suite{args} ran")
+
+    monkeypatch.setattr(cli, "run_suite", no_suite)
+    rc, out, err = run_cli("verify", "--suite", "census", "-p", p, "-n", n)
+    assert (rc, out) == (2, "")
+    assert err == (f"error: {field} is too large: fields need q = p**n <= 2**20 "
+                   "for their log tables and sweeps\n")
+
+
 def test_ptorsion_json_golden():
     rc, out, _ = run_cli("ptorsion", "-p", "5", "-a4", "1", "-a6", "1", "--json")
     assert rc == 0

@@ -41,6 +41,7 @@ from hasseforms.curve import (
     _twist_kinds,
     _twist_scales,
     _zech_operand,
+    _zech_y,
     discriminant_general,
 )
 from hasseforms.errors import (
@@ -337,6 +338,19 @@ def test_count_at_matches_naive_count_at_every_a6(p, n):
     assert wrapped == {False, True}
 
 
+@pytest.mark.parametrize("p,n", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4),
+                                 (5, 3), (7, 3), (5, 4), (11, 2), (3, 6), (31, 2)])
+def test_zech_y_is_one_minus_chi_of_one_plus_g_power(p, n):
+    # Y[t] = 1 - chi(1 + g^t) at every t: 1 where 1 + g^t = 0, else 0 or 2
+    # by the parity of the Zech logarithm, and the character itself
+    # through element powers, which read no Zech table
+    ctx = make_field(p, n)
+    zech, g = ctx._log_tables[2], ctx.generator
+    y = _zech_y(ctx)
+    assert list(y) == [1 if z < 0 else 2 * (z & 1) for z in zech]
+    assert list(y) == [1 - quadratic_character(ctx.one + g**t) for t in range(ctx.q - 1)]
+
+
 @pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (3, 4), (5, 1), (211, 1), (32749, 1),
                                  (32771, 1)])
 def test_zech_operand_matches_packed_slots(p, n):
@@ -344,7 +358,7 @@ def test_zech_operand_matches_packed_slots(p, n):
     # poly._pack is the route it skips.  F_32749 keeps 16-bit slots and
     # F_32771 needs 32 (2q + 2 > 2^16)
     ctx = make_field(p, n)
-    q, y = ctx.q, ctx._zech_y
+    q, y = ctx.q, _zech_y(ctx)
     W = _slot_width(2 * q + 2)
     pairs = (q - 1) // 2
     even = _pack(W, [(1 << W) - 1, 0] * pairs)

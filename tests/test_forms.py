@@ -17,7 +17,7 @@ from hasseforms import (
     twist_class_action,
     unit_class_of,
 )
-from hasseforms.curve import TWIST_KINDS, WeierstrassCurve, _row_hist, point_count, twist
+from hasseforms.curve import TWIST_KINDS, WeierstrassCurve, point_count, twist
 from hasseforms.verify import run_suite
 from hasseforms.forms import UnitClass, _class_residues
 from hasseforms.gf import _is_prime
@@ -313,11 +313,10 @@ def _single_curve_answers(ctx):
 
 def test_single_curve_queries_over_fp_build_no_tables():
     bare = make_field(1009)
-    _row_hist.cache_clear()
     answers = _single_curve_answers(bare)
     assert answers[0].ordinary
-    assert not {"_log_tables", "_zech_y"} & set(vars(bare))
-    assert _row_hist.cache_info().currsize == 0
+    # the row's closed form, about p/12 coefficients, is the one memo
+    assert "_log_tables" not in vars(bare) and set(bare._builds) == {"_hasse_row"}
     tabled = make_field(1009)
     tabled._log_tables
     assert _single_curve_answers(tabled) == answers
@@ -331,7 +330,7 @@ def test_classification_suite_builds_no_table_over_fp(monkeypatch):
     built, real = [], verify_mod.make_field
     monkeypatch.setattr(verify_mod, "make_field", lambda p, n: built.append(real(p, n)) or built[-1])
     assert run_suite("classification", 19, 1).ok
-    assert not {"_log_tables", "_zech_y"} & set(vars(built[0]))
+    assert "_log_tables" not in vars(built[0]) and not built[0]._builds
 
 
 def test_unit_class_operators_match_field_elements():

@@ -5,6 +5,7 @@ modulus: F_9 = F_3[t]/(t^2 + 1) and F_25 = F_5[t]/(t^2 + t + 1), so for
 example (t+1)^2 = 2t and (t+1)^4 = 2 in F_9.
 """
 
+import gc
 import hashlib
 import itertools
 import json
@@ -12,11 +13,13 @@ import logging
 import random
 import re
 import time
+import weakref
 
 import pytest
 
 from hasseforms import (
     Polynomial,
+    census,
     discrete_log,
     make_field,
     norm_to_prime,
@@ -24,6 +27,8 @@ from hasseforms import (
     primitive_element,
     quadratic_character,
 )
+from hasseforms import cli
+from hasseforms import verify as verify_mod
 from hasseforms.curve import WeierstrassCurve, _row_hist
 from hasseforms.forms import UnitClass
 from hasseforms.gf import (_is_irreducible, _is_prime, _mulmod_ints, _norm_ints,
@@ -428,8 +433,6 @@ def test_log_tables_are_inverse_and_zech_matches_addition(p, n):
         s = _add_coeffwise(ctx, ctx.one.coeffs, x)
         assert zech[e] == (log[ctx._rank(s)] if any(s) else -1)
         x = ctx._conv_mul(x, g)
-    # Y[t] = 1 - chi(1 + g^t): 1 where 1 + g^t = 0, else 0 or 2 by the parity
-    assert list(ctx._zech_y) == [1 if z < 0 else 2 * (z & 1) for z in zech]
 
 
 def test_table_build_logs_generator_and_walk(caplog):
@@ -439,7 +442,6 @@ def test_table_build_logs_generator_and_walk(caplog):
     with caplog.at_level(logging.DEBUG, logger="hasseforms"):
         for p, n, _, _ in cases:
             ctx = make_field(p, n)
-            ctx._zech_y
             ctx._log_tables
     records = [r for r in caplog.records if r.name == "hasseforms"]
     assert [r.levelno for r in records] == [logging.DEBUG] * len(cases)
@@ -519,32 +521,45 @@ def _memo_cases(ctx):
     return cases
 
 
+def _row_changes(ctx, cases):
+    # the row histograms a slot on ctx builds while cases are counted in
+    # order: one per change of row, from the row the slot holds now
+    slot = ctx._memo.get("_row_hist")
+    last, changes = slot and slot[0], 0
+    for curve, _ in cases:
+        row = (curve.a2.rank, curve.a4.rank)
+        changes += row != last
+        last = row
+    return changes
+
+
 def test_point_count_row_memo_against_naive_count():
-    # F_9, F_25 and F_27 share ranks, and two distinct F_27 objects share
-    # the memo key: interleaved, every call changes the context or the row
+    # F_9, F_25 and F_27 share ranks, and two distinct F_27 objects are
+    # equal: interleaved, every call changes the context or the row
     k27 = make_field(3, 3)
     fields = [make_field(3, 2), make_field(5, 2), k27, make_field(3, 3)]
-    assert fields[3] is not k27
+    assert fields[3] is not k27 and fields[3] == k27
     per_field = [_memo_cases(ctx) for ctx in fields]
     curves = [c for cases in per_field for c, _ in cases]
     assert any(not c.a6 for c in curves) and any(c.a2 for c in curves)
     assert any(sum(_row_hist(c.ctx, c.a2.rank, c.a4.rank)[0]) < c.ctx.q - 1
                for c in curves)  # h has a root besides x = 0
-    _row_hist.cache_clear()
     steps = list(zip(*per_field))
-    for step in steps:
-        for curve, count in step:
-            assert point_count(curve).count == count
-    # only the second F_27 object reuses a slot, the one the first just filled
-    assert _row_hist.cache_info().hits == len(steps) > 10
-    # then row by row, where consecutive models share the memo slot
-    for cases in per_field:
-        for curve, count in cases:
-            assert point_count(curve).count == count
-    assert _row_hist.cache_info().hits > 0
+    for order, ran in ((steps, [cases[:len(steps)] for cases in per_field]),
+                       (per_field, per_field)):
+        # interleaved, then row by row: each context reuses its own slot
+        # where it repeats its last row, whatever the others counted in
+        # between, so the second F_27 object never reads the first's
+        want = [_row_changes(ctx, cases) for ctx, cases in zip(fields, ran)]
+        before = [ctx._builds["_row_hist"] for ctx in fields]
+        for cases in order:
+            for curve, count in cases:
+                assert point_count(curve).count == count
+        assert [ctx._builds["_row_hist"] - b for ctx, b in zip(fields, before)] == want
+    assert len(steps) > 10 and sum(want) < len(curves) and want[3] > 0
 
 
-def test_point_count_tabulates_each_row_once_in_norm_suite():
+def test_point_count_tabulates_each_row_once_in_norm_suite(monkeypatch):
     ctx = make_field(3, 2)
     rows = set()
     for a2 in range(ctx.q):
@@ -556,9 +571,31 @@ def test_point_count_tabulates_each_row_once_in_norm_suite():
                 except SingularModelError:
                     continue
                 rows.add((a2, a4))
-    _row_hist.cache_clear()
+    built, real = [], verify_mod.make_field
+    monkeypatch.setattr(verify_mod, "make_field", lambda p, n: built.append(real(p, n)) or built[-1])
     assert run_suite("norm", 3, 2).ok
-    assert _row_hist.cache_info().misses == len(rows)
+    assert built[0]._builds["_row_hist"] == len(rows)
+
+
+def test_contexts_are_collected_once_their_callers_drop_them(monkeypatch, capsys):
+    # no memo outside a context holds one, so every table goes with its
+    # field once the census, the suite or the CLI call that built it returns
+    refs = []
+
+    def tracked(p, n=1):
+        ctx = make_field(p, n)
+        refs.append(weakref.ref(ctx))
+        return ctx
+
+    monkeypatch.setattr(verify_mod, "make_field", tracked)
+    monkeypatch.setattr(cli, "make_field", tracked)
+    found = [len(census(tracked(p, n)).realizable) for p, n in ((1009, 1), (31, 2))]
+    oks = [run_suite("norm", 3, 3).ok, run_suite("bridge", 7, 2).ok]
+    codes = [cli.main([sub, "-p", "31", "-n", "2", "-a4", "1", "-a6", "2", "--json"])
+             for sub in ("hasse", "ptorsion")]
+    assert all(found) and all(oks) and codes == [0, 0] and len(refs) == 6
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 6
 
 
 def test_tables_refused_beyond_sweep_guard():

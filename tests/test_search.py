@@ -36,7 +36,6 @@ from hasseforms.curve import (
     _hasse_row,
     _row_counts,
     _row_hasse,
-    _row_hist,
     discriminant_general,
 )
 from hasseforms.errors import NotPrimeError, SingularModelError
@@ -597,7 +596,7 @@ def test_census_builds_one_point_count_row_per_witness_row(monkeypatch, p, n):
     # witnesses are checked in index order, row by row.  A row the scan
     # reads by A_p (every row over F_q, and row a4 = 0 over F_211, where
     # A_p = c a6^35 has one coefficient) builds no row product, and its
-    # witnesses share the one-slot point-count row memo through _count_at;
+    # witnesses share the context's point-count row slot through _count_at;
     # over F_p the scan builds one _row_hist row and one row product per
     # row of several coefficients, the witnesses there read their counts
     # off those products, and no point count or second product is made
@@ -615,12 +614,11 @@ def test_census_builds_one_point_count_row_per_witness_row(monkeypatch, p, n):
     if n == 1:
         monkeypatch.setattr(search_module, "point_count", no_point_count)
     ctx = make_field(p, n)
-    _row_hist.cache_clear()
     report = census(ctx)
     rows = {(ctx(e.witness.a2).rank, ctx(e.witness.a4).rank)
             for e in report.entries if e.witness}
     assert len(rows) < len(report.realizable)
-    misses = _row_hist.cache_info().misses
+    misses = ctx._builds["_row_hist"]
     if n == 1:
         assert _hasse_row(ctx, 0, 0)[0] == 35 and len(_hasse_row(ctx, 0, 0)[1]) == 1
         assert (0, 0) in rows and (0, 0) not in products

@@ -1,7 +1,8 @@
 """Source hygiene: every package module uses the names it imports, every
-module-level private name is read somewhere in the package, every
-absolute import is of the standard library, and the CLI loads neither
-dataclasses nor inspect."""
+module-level private name is read somewhere in the package, no
+module-level functools cache takes a context, every absolute import is
+of the standard library, and the CLI loads neither dataclasses nor
+inspect."""
 
 import ast
 import os
@@ -73,6 +74,23 @@ def _unread_private_names(sources):
     return sorted(name for name in defined if name.partition(".")[2] not in read)
 
 
+def _ctx_keyed_caches(source):
+    # module-level functions with a ctx parameter that functools.cache or
+    # lru_cache decorates, bare, called or through the module: such a memo
+    # would keep its last context, and every table on it, alive
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        for dec in node.decorator_list:
+            dec = dec.func if isinstance(dec, ast.Call) else dec
+            name = dec.attr if isinstance(dec, ast.Attribute) else getattr(dec, "id", None)
+            if name in ("cache", "lru_cache") and any(a.arg == "ctx" for a in args):
+                found.append(node.name)
+    return found
+
+
 def _non_stdlib_imports(source):
     # the top-level packages of the absolute imports of a module
     tops = set()
@@ -97,6 +115,22 @@ def test_private_name_guard_sees_reads_across_modules():
 def test_package_reads_its_private_names():
     sources = {path.stem: path.read_text() for path in MODULES}
     assert _unread_private_names(sources) == []
+
+
+def test_ctx_cache_guard_sees_module_level_decorators():
+    source = ("import functools\nfrom functools import cache, lru_cache\n"
+              "@lru_cache(maxsize=1)\ndef _a(ctx, r):\n    pass\n"
+              "@cache\ndef _b(p):\n    pass\n"
+              "@functools.cache\ndef _c(ctx):\n    pass\n"
+              "@_ctx_memo\ndef _d(ctx, r):\n    pass\n"
+              "@functools.lru_cache\ndef _e(x, *, ctx):\n    pass\n"
+              "class K:\n    @cache\n    def m(self, ctx):\n        pass\n")
+    assert _ctx_keyed_caches(source) == ["_a", "_c", "_e"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_level_cache_holds_a_context(path):
+    assert _ctx_keyed_caches(path.read_text()) == []
 
 
 def test_stdlib_guard_sees_absolute_imports_only():

@@ -2,8 +2,8 @@
 records keep their reprs.
 
 Each type rebuilds through its constructor, and a field context rebuilds
-from (p, n) alone, so the lazy lookup tables of a context that has
-already built them are not serialised.
+from (p, n) alone, so the lazy lookup tables and memo slots of a context
+that has already built them are not serialised.
 """
 
 import copy
@@ -15,13 +15,15 @@ import pytest
 
 from hasseforms import (Polynomial, census, factor, kernel_of_frobenius, make_field,
                         point_count, ptorsion_description, unit_class_of)
-from hasseforms.curve import WeierstrassCurve
+from hasseforms.curve import WeierstrassCurve, _row_hasse, _zech_mask, _zech_operand
 from hasseforms.errors import SingularModelError
 
 
 def _ctx_with_tables():
+    # the generator, the log tables and every kind of memo slot
     ctx = make_field(3, 2)
-    ctx._zech_y  # builds the generator and the log tables first
+    _zech_mask(ctx), _zech_operand(ctx), _row_hasse(ctx, 1, 1)
+    census(ctx)
     return ctx
 
 
@@ -136,11 +138,13 @@ def test_value_types_round_trip(make):
         assert clone.coeffs == value.coeffs
         assert value[1].coeffs == (2, 3) and value[3] == 4
     if make is _ctx_with_tables:
-        lazy = {"generator", "_log_tables", "_zech_y"}
-        assert lazy <= set(vars(value))
+        lazy = {"generator", "_log_tables"}
+        # all seven memoised builders hold a slot
+        assert lazy <= set(vars(value)) and len(value._memo) == len(value._builds) == 7
         for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value),
                       copy.deepcopy(value)):
             assert not lazy & set(vars(clone))
+            assert clone._memo == {} and not clone._builds
         assert len(pickle.dumps(value)) < 100
 
 
