@@ -342,11 +342,12 @@ def _read(argv: list[str]) -> argparse.Namespace | None:
     of GRAMMAR, then each of its store and store_true options at most
     once, by its exact flag, a value apart from its option, not starting
     with "-", of the option's type and in its choices, and every required
-    option.  The rest take their defaults as parse_args fills them in (a
-    string default through the type), under the dest argparse derives
-    from the flag unless one is given.  Any other argv gives None, and
-    parse_args reads it, so help, version, abbreviations, "=" forms and
-    errors keep argparse's bytes."""
+    option.  The rest take their defaults as parse_args fills them in,
+    under the dest argparse derives from the flag unless one is given; no
+    option has a string default that argparse would pass through its
+    type, as the grammar audit test checks.  Any other argv gives None,
+    and parse_args reads it, so help, version, abbreviations, "=" forms
+    and errors keep argparse's bytes."""
     if not argv or argv[0] not in GRAMMAR:
         return None
     options = dict(GRAMMAR[argv[0]][1])
@@ -380,8 +381,6 @@ def _read(argv: list[str]) -> argparse.Namespace | None:
             continue
         else:
             value = keywords.get("default", False if action == "store_true" else None)
-            if isinstance(value, str) and "type" in keywords:
-                value = keywords["type"](value)
         setattr(args, keywords.get("dest", flag.lstrip("-").replace("-", "_")), value)
     return args
 

@@ -13,6 +13,11 @@ Invariants follow the b-style formulas specialised to this shape:
     c4 = b2^2 - 24 b4
     j = c4^3 / disc
 
+On an (a2, a4) row the discriminant is d0 + d1 a6 + d2 a6^2 (_disc_row).
+_disc_at is its one evaluator at a6, for the constructor, iter_curves and
+the census's witness check, and _singular_a6 gives its roots, the at most
+two a6 that the row walks of search skip.
+
 The Hasse invariant A_p is the coefficient of x^(p-1) in
 (x^3 + a2 x^2 + a4 x + a6)^((p-1)/2); it vanishes exactly on the
 supersingular curves.  With a2 = 0 and m = (p-1)/2 it has the closed form
@@ -166,8 +171,8 @@ def discriminant_general(a2, a4, a6) -> FieldElement:
 
 def _disc_row(ctx: FieldCtx, r2: int, r4: int) -> tuple[int, int, int]:
     # ranks (d0, d1, d2) with disc = d0 + d1 a6 + d2 a6^2 on the (a2, a4)
-    # row: the general formula with the vanishing terms dropped, shared by
-    # the constructor and the census scan; tests pin it against
+    # row: the general formula with the vanishing terms dropped, read at a6
+    # by _disc_at and solved by _singular_a6; tests pin it against
     # discriminant_general exhaustively
     mul = ctx._mul
     s4 = mul(r4, r4)
@@ -180,11 +185,42 @@ def _disc_row(ctx: FieldCtx, r2: int, r4: int) -> tuple[int, int, int]:
     return mul(-64 % p * unit, mul(s4, r4)), 0, -432 % p * unit
 
 
+def _disc_at(ctx: FieldCtx, d: tuple[int, int, int], r6s) -> list[int]:
+    # the discriminant d0 + (d1 + d2 a6) a6 of a _disc_row row, as a rank,
+    # at every a6 rank of r6s: on ints over F_p, where a rank is its value,
+    # and through the rank kernels over F_q.  The one evaluator: the
+    # constructor, iter_curves and the census's witness check read it
+    d0, d1, d2 = d
+    if ctx.n == 1:
+        p = ctx.p
+        return [(d0 + (d1 + d2 * r6) * r6) % p for r6 in r6s]
+    add, mul = ctx._add, ctx._mul
+    return [add(d0, mul(add(d1, mul(d2, r6)), r6)) for r6 in r6s]
+
+
+def _singular_a6(ctx: FieldCtx, d: tuple[int, int, int]) -> tuple[int, ...] | range:
+    # ranks of the a6 where the row's discriminant d0 + d1 a6 + d2 a6^2
+    # vanishes: every a6 if it is zero, else at most two roots
+    d0, d1, d2 = d
+    neg, mul, inv = ctx._neg, ctx._mul, ctx._inv
+    if not d2:  # p = 3: linear in a6
+        if d1:
+            return (neg(mul(d0, inv(d1))),)
+        return () if d0 else range(ctx.q)
+    # p >= 5: d1 = 0, so a6^2 = -d0/d2, whose roots have half its even log
+    s = neg(mul(d0, inv(d2)))
+    if not s:
+        return (0,)
+    exp, log, _ = ctx._log_tables
+    if log[s] & 1:
+        return ()
+    root = exp[log[s] // 2]
+    return root, neg(root)
+
+
 def _discriminant(a2, a4, a6) -> FieldElement:
     ctx = a4.ctx
-    d0, d1, d2 = _disc_row(ctx, a2.rank, a4.rank)
-    add, mul, r6 = ctx._add, ctx._mul, a6.rank
-    return FieldElement(ctx, add(d0, mul(add(d1, mul(d2, r6)), r6)))
+    return FieldElement(ctx, _disc_at(ctx, _disc_row(ctx, a2.rank, a4.rank), (a6.rank,))[0])
 
 
 class FrobeniusData(NamedTuple):
@@ -234,7 +270,9 @@ def point_count(curve: WeierstrassCurve) -> FrobeniusData:
         count = _count_mestre(ctx.p, r4, r6)
     else:
         count = _count_at(ctx, r2, r4, r6)
-    beta = _trace(ctx, count, r2, r4, r6)
+    beta = ctx.q + 1 - count
+    if not _in_trace_bound(ctx, beta):
+        raise RuntimeError(f"trace bound violated for {curve!r}: beta = {beta}, this is a bug")
     return FrobeniusData(count=count, beta=beta, ordinary=beta % ctx.p != 0)
 
 
@@ -404,21 +442,10 @@ def _decode(ctx: FieldCtx, r2: int, r4: int, r6: int) -> WeierstrassCurve:
                             a2=ctx.from_rank(r2))
 
 
-def _trace(ctx: FieldCtx, count: int, r2: int, r4: int, r6: int) -> int:
-    # beta = q + 1 - count for the point count of the model with ranks
-    # (r2, r4, r6), checked against the trace bound; equality there only
-    # happens at supersingular curves over fields of square order.  Row
-    # callers hold ranks, so the model is decoded only to name it
-    beta = ctx.q + 1 - count
-    if not _in_trace_bound(ctx, beta):
-        raise RuntimeError(f"trace bound violated for {_decode(ctx, r2, r4, r6)!r}: "
-                           f"beta = {beta}, this is a bug")
-    return beta
-
-
 def _in_trace_bound(ctx: FieldCtx, beta: int) -> bool:
-    # the trace bound that _trace checks: beta^2 <= 4q, with equality
-    # only where p | beta
+    # the trace bound that point_count checks: beta^2 <= 4q, with equality
+    # only where p | beta, which happens only at supersingular curves over
+    # fields of square order
     b2, bound = beta * beta, 4 * ctx.q
     return b2 < bound or (b2 == bound and not beta % ctx.p)
 

@@ -116,10 +116,11 @@ def _class_residues(ctx: FieldCtx) -> array:
     # int(phi) of each class by its exponent e: phi(g^e) = g^(eN) off the
     # exp table, N = (q - 1)/(p - 1), checked to lie in the prime subfield;
     # an array, since p - 1 int objects would cost 2 MB at p = 65537.
-    # A nonzero rank a has class log a mod (p - 1); the census and the row
-    # suites read this, and tests pin it against phi(UnitClass).  Over F_p
-    # phi is the identity and N = 1, so it is the exp table itself, shared
-    # with the context: its readers do not write it
+    # A nonzero rank a has class log a mod (p - 1); the census scan and its
+    # witness check read this by class, _rank_classes by rank, and tests
+    # pin it against phi(UnitClass).  Over F_p phi is the identity and
+    # N = 1, so it is the exp table itself, shared with the context: its
+    # readers do not write it
     if ctx.n == 1:
         return ctx._log_tables[0]
     unit = ctx._weights[0]
@@ -127,6 +128,24 @@ def _class_residues(ctx: FieldCtx) -> array:
     if any(r % unit for r in ranks):
         raise ValueError(f"phi leaves the prime subfield of {ctx}, this is a bug")
     return array("i", (r // unit for r in ranks))
+
+
+@_ctx_memo
+def _rank_classes(ctx: FieldCtx) -> tuple:
+    # (class exponents, residues) by rank: the exponent log a mod (p - 1) of
+    # each rank a (unit_class_of), -1 at zero, which has no class, and its
+    # residue off _class_residues, 0 at zero: a model's residue, beta mod p
+    # by the bridge.  The sweep (_first_hits) and the row suites read it,
+    # per model, so both are lists: a list read takes about half the time
+    # of an array read and a third of a range's.  Over F_p the log table
+    # holds the exponents (log 0 = -1) and phi is the identity, so a rank
+    # is its own residue: two copies at C level, no Python loop
+    log = ctx._log_tables[1]
+    if ctx.n == 1:
+        return log.tolist(), list(range(ctx.q))
+    by_class, pm1 = _class_residues(ctx), ctx.p - 1
+    exps = [e % pm1 if e >= 0 else -1 for e in log]
+    return exps, [by_class[e] if e >= 0 else 0 for e in exps]
 
 
 def _field_order(p: int, q: int | None) -> int:

@@ -15,20 +15,23 @@ only on its isomorphism class (Silverman, AEC III.1), so it reads one
 row per isomorphism orbit of (a2, a4) rows, the first in enumeration
 order: _row_orbits, the one place that rule lives, lists at most 5 rows
 for p >= 5 and 6 for p = 3, each with its orbit's size as weight.  Each
-row drops the discriminant's roots (_singular_a6), as the readers of
-_iter_rows do.  Over F_p a row of two or more closed-form coefficients
-is read whole, off one packed product (curve._row_counts), and the
-residue is the trace mod p; every other row reads phi([A_p]), A_p off
-curve._hasse_at on blocks of a6 that double in size.  A row where
-A_p = c a6^k (row a4 = 0 where p = 1 mod 3, a constant row where k = 0)
-reaches only the classes of one coset, since F_q^* is cyclic (Lidl and
-Niederreiter, Finite Fields, ch. 2), and stops once it has hit them all.
-The winners are checked on ranks too, one curve._hasse_at call per
-witness row (_check_row), with counts off the row product where the scan
-made one and curve._count_at elsewhere.  One exhaustive sweep on ranks
-(_first_hits) audits the scan: the no-shortcut search and the census
-suite both read it.  Tests decode every model (iter_curves) to audit the
-sweep and every witness to audit the check.
+row drops the discriminant's roots (curve._singular_a6), as the readers
+of _iter_rows do.  Over F_p a row of two or more closed-form
+coefficients is read whole, off one packed product (curve._row_counts),
+and the residue is the trace mod p; every other row reads phi([A_p]) by
+class exponent (forms._class_residues), A_p off curve._hasse_at on
+blocks of a6 that double in size.  A row where A_p = c a6^k (row a4 = 0
+where p = 1 mod 3, a constant row where k = 0) reaches only the classes
+of one coset, since F_q^* is cyclic (Lidl and Niederreiter, Finite
+Fields, ch. 2), and stops once it has hit them all.  The winners are
+checked on ranks too, one curve._disc_at and one curve._hasse_at call
+per witness row (_check_row), with counts off the row product where the
+scan made one and curve._count_at elsewhere.  One exhaustive sweep on
+ranks (_first_hits), with residues by rank (forms._rank_classes), audits
+the scan: the no-shortcut search and the census suite both read it.
+Tests decode every model (iter_curves) to audit the sweep and every
+witness to audit the check.  The discriminant at a6 and its roots are
+curve's, and the class of a rank is forms': this module reads them.
 """
 
 from __future__ import annotations
@@ -40,10 +43,10 @@ from itertools import filterfalse, islice, repeat
 from math import gcd, isqrt
 from typing import Iterator, NamedTuple, Sequence
 
-from .curve import (WeierstrassCurve, _count_at, _decode, _disc_row, _hasse_at, _hasse_row,
-                    _row_counts, _row_hasse, point_count)
+from .curve import (WeierstrassCurve, _count_at, _decode, _disc_at, _disc_row, _hasse_at,
+                    _hasse_row, _row_counts, _row_hasse, _singular_a6, point_count)
 from .errors import InconsistencyError
-from .forms import _class_residues, _field_order, realizable_set
+from .forms import _class_residues, _field_order, _rank_classes, realizable_set
 from .gf import FieldCtx, FieldElement, smallest_prime_factor
 
 __all__ = ["admissible_traces", "iter_curves", "find_curve_with_class", "describe_witness",
@@ -73,33 +76,13 @@ def admissible_traces(q: int, h: int, p: int | None = None) -> frozenset[int]:
     return frozenset(b for b in range(-bound, bound + 1) if b and b % p == target)
 
 
-def _singular_a6(ctx: FieldCtx, d: tuple[int, int, int]) -> tuple[int, ...] | range:
-    # ranks of the a6 where the row's discriminant d0 + d1 a6 + d2 a6^2
-    # vanishes: every a6 if it is zero, else at most two roots
-    d0, d1, d2 = d
-    neg, mul, inv = ctx._neg, ctx._mul, ctx._inv
-    if not d2:  # p = 3: linear in a6
-        if d1:
-            return (neg(mul(d0, inv(d1))),)
-        return () if d0 else range(ctx.q)
-    # p >= 5: d1 = 0, so a6^2 = -d0/d2, whose roots have half its even log
-    s = neg(mul(d0, inv(d2)))
-    if not s:
-        return (0,)
-    exp, log, _ = ctx._log_tables
-    if log[s] & 1:
-        return ()
-    root = exp[log[s] // 2]
-    return root, neg(root)
-
-
 def _iter_rows(ctx: FieldCtx) -> Iterator[tuple[int, int, tuple, tuple[int, ...]]]:
     """(a2 rank, a4 rank, discriminant row, singular a6 ranks) of each
     (a2, a4) row with a nonsingular model, in enumeration order.
 
     The discriminant row is curve._disc_row's (d0, d1, d2), disc =
     d0 + d1 a6 + d2 a6^2; it has at most two roots a6 unless it is zero
-    (_singular_a6), so a row is filtered with no per-model work: a row
+    (curve._singular_a6), so a row is filtered with no per-model work: a row
     singular on every a6 is skipped, and every other row yields its at
     most two singular a6.  Its nonsingular a6 are
     filterfalse(singular.__contains__, range(q)), walked lazily.  This is
@@ -122,24 +105,16 @@ def iter_curves(ctx: FieldCtx) -> Iterator[WeierstrassCurve]:
 
     The models of _iter_rows, decoded from one list of the q elements:
     row by row, so the table point count (_count_at) builds each (a2, a4)
-    row once.  The discriminant is read off the row's coefficients per
-    a6.
+    row once.  The discriminants of a row come from one curve._disc_at
+    call on its nonsingular a6.
     """
-    q, add, mul = ctx.q, ctx._add, ctx._mul
-    unchecked = WeierstrassCurve._unchecked
+    q, unchecked = ctx.q, WeierstrassCurve._unchecked
     elements = list(ctx.iter_elements())
-    for r2, r4, (d0, d1, d2), singular in _iter_rows(ctx):
+    for r2, r4, d, singular in _iter_rows(ctx):
         a2, a4 = elements[r2], elements[r4]
-        for r6 in filterfalse(singular.__contains__, range(q)):
-            disc = add(d0, mul(add(d1, mul(d2, r6)), r6))
+        r6s = list(filterfalse(singular.__contains__, range(q)))
+        for r6, disc in zip(r6s, _disc_at(ctx, d, r6s)):
             yield unchecked(ctx, a2, a4, elements[r6], FieldElement(ctx, disc))
-
-
-def _residues(ctx: FieldCtx) -> list[int]:
-    # phi([A]) by the rank of A, off the class table (forms._class_residues),
-    # and 0 at zero: a model's residue, beta mod p by the bridge
-    by_class, pm1 = _class_residues(ctx), ctx.p - 1
-    return [by_class[e % pm1] if e >= 0 else 0 for e in ctx._log_tables[1]]
 
 
 def _first_hits(ctx: FieldCtx, wanted: Sequence[int]) -> dict[int, tuple[int, int, int]]:
@@ -148,9 +123,10 @@ def _first_hits(ctx: FieldCtx, wanted: Sequence[int]) -> dict[int, tuple[int, in
     The exhaustive sweep that audits the scan (_classified): the rows of
     _iter_rows in order, each at every a6 but its singular ones, A_p off
     curve._row_hasse, until every wanted residue is hit or the rows run
-    out; no orbit rule, row product or trace shortcut.
+    out; no orbit rule, row product or trace shortcut.  The residue of A_p
+    is read by rank (forms._rank_classes).
     """
-    q, residue = ctx.q, [r if r in wanted else 0 for r in _residues(ctx)]
+    q, residue = ctx.q, [r if r in wanted else 0 for r in _rank_classes(ctx)[1]]
     first = {}
     for r2, r4, _, singular in _iter_rows(ctx):
         hasse = _row_hasse(ctx, r2, r4)
@@ -199,8 +175,7 @@ def _row_orbits(ctx: FieldCtx) -> list[tuple[int, int, int]]:
 def _classified(ctx: FieldCtx, tally: Counter | None = None,
                 counts: dict | None = None) -> Iterator[tuple[int, int, int, int]]:
     """(a2, a4, a6 ranks, residue) of each nonsingular model the scan
-    classifies, in enumeration order; the residue is 0 when supersingular
-    (_residues).
+    classifies, in enumeration order; the residue is 0 when supersingular.
 
     The scan reads only the rows of _row_orbits, one per isomorphism
     orbit.  Each drops the discriminant roots (_singular_a6) and walks the
@@ -367,23 +342,18 @@ def describe_witness(curve: WeierstrassCurve, h: int) -> WitnessRecord:
 def _check_row(ctx: FieldCtx, r2: int, r4: int, hits: Sequence[tuple[int, int]],
                counts: Sequence[int]) -> list[WitnessRecord]:
     """The records of the (class h, a6 rank) hits on an (a2, a4) row, checked
-    on ranks with one _hasse_at call: each model must be nonsingular
-    (_disc_row at a6, one list: on ints over F_p, where a rank is its
-    value, and through the rank kernels over F_q) and ordinary, the class
-    e = log A_p mod (p - 1) must have residue h (forms._class_residues,
-    the exp table over F_p), and beta = q + 1 - count, with counts[i] for
-    hit i, must be h mod p with beta^2 < 4q; else raises
+    on ranks with one _hasse_at call: each model must be nonsingular (one
+    curve._disc_at list) and ordinary, the class e = log A_p mod (p - 1)
+    must have residue h (forms._class_residues, the exp table over F_p),
+    and beta = q + 1 - count, with counts[i] for hit i, must be h mod p
+    with beta^2 < 4q; else raises
     InconsistencyError naming the class and the model.  A record is the
     tuple of its fields, built by tuple.__new__ with no Python-level
     constructor call.
     """
     p, q, log, coeffs = ctx.p, ctx.q, ctx._log_tables[1], ctx._tuple_from_rank
-    (d0, d1, d2), r6s = _disc_row(ctx, r2, r4), [r6 for _, r6 in hits]
-    if ctx.n == 1:
-        discs = [(d0 + (d1 + d2 * r6) * r6) % p for r6 in r6s]
-    else:
-        add, mul = ctx._add, ctx._mul
-        discs = [add(d0, mul(add(d1, mul(d2, r6)), r6)) for r6 in r6s]
+    r6s = [r6 for _, r6 in hits]
+    discs = _disc_at(ctx, _disc_row(ctx, r2, r4), r6s)
     a_ps = _hasse_at(ctx, *_hasse_row(ctx, r2, r4), r6s)
     by_class, records, a2, a4 = _class_residues(ctx), [], coeffs(r2), coeffs(r4)
     for (h, r6), disc, a, count in zip(hits, discs, a_ps, counts):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import time
+from functools import cache, lru_cache
 from itertools import compress, filterfalse
 from math import gcd, isqrt
 from operator import not_
@@ -26,6 +27,7 @@ from .curve import (
 from .errors import InconsistencyError
 from .forms import (
     UnitClass,
+    _rank_classes,
     enumerate_classes,
     phi,
     ptorsion_description,
@@ -34,7 +36,7 @@ from .forms import (
 )
 from .gf import FieldCtx, FieldElement, make_field
 from .poly import Polynomial, degree_pattern
-from .search import _first_hits, _iter_rows, _residues, census, iter_curves
+from .search import _first_hits, _iter_rows, census, iter_curves
 
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_suite"]
 
@@ -125,13 +127,6 @@ def _suite_classification(res: SuiteResult, ctx: FieldCtx) -> None:
                       c.exp, step.exp, phi(step), want.exp, v, vg, v * vg % p)
 
 
-def _class_exps(ctx: FieldCtx) -> list[int]:
-    # the unit class exponent, log mod p - 1 (unit_class_of), of every
-    # rank; -1 at zero, which has no class
-    pm1 = ctx.p - 1
-    return [e % pm1 if e >= 0 else -1 for e in ctx._log_tables[1]]
-
-
 def _suite_bridge(res: SuiteResult, ctx: FieldCtx) -> None:
     """A_p vanishes iff p | beta; otherwise phi([A_p]) = beta mod p.
 
@@ -160,7 +155,7 @@ def _suite_bridge(res: SuiteResult, ctx: FieldCtx) -> None:
     models) the suite takes about 12 ms in process on 2 vCPU (min of
     40), against 21 ms with the per-model loop on every row.
     """
-    p, q, residue, log = ctx.p, ctx.q, _residues(ctx), ctx._log_tables[1]
+    p, q, residue, log = ctx.p, ctx.q, _rank_classes(ctx)[1], ctx._log_tables[1]
     by_slot = [*ctx._log_tables[0], 0]  # the rank of a6 at each slot
     # beta mod p by #E, -1 (which no residue equals) past the trace bound;
     # the -1 tail, as long as the rest, keeps a negative count from
@@ -201,8 +196,10 @@ def _suite_twists(res: SuiteResult, ctx: FieldCtx) -> None:
     row land on row (s2 a2, s4 a4) at a6 rank s6 a6, and the kinds that
     apply are chosen on ranks (curve._twist_kinds).  A_p of a model and of
     each twist is read off the _row_hasse row of its (a2, a4), each row
-    kept for the run, and classes are compared as exponents (log mod
-    p - 1, -1 for a zero A_p, which matches no action).  The action,
+    kept for the run, and classes are compared as exponents
+    (forms._rank_classes: -1 for a zero A_p, which matches no action).
+    What the run keeps sits in functools caches on local functions, so it
+    goes with the run.  The action,
     twist_class_action, is taken on the trivial class once per twist of
     a plan, next to its scales, and a model of class exponent e is
     predicted at e plus that exponent mod p - 1: the class law, which the
@@ -210,49 +207,46 @@ def _suite_twists(res: SuiteResult, ctx: FieldCtx) -> None:
     and set of kinds.  A model and d are decoded only to name them in a
     failure, listed model by model, then by d, then by kind.
     """
-    q, pm1, mul, exps = ctx.q, ctx.p - 1, ctx._mul, _class_exps(ctx)
+    q, pm1, mul, exps = ctx.q, ctx.p - 1, ctx._mul, _rank_classes(ctx)[0]
     one = UnitClass(ctx, 0)
-    rows, by_scale, plans, wants = {}, {}, {}, {}
 
+    @cache
     def hasse_row(r2, r4):
-        row = rows.get((r2, r4))
-        if row is None:
-            row = rows[r2, r4] = _row_hasse(ctx, r2, r4)
-        return row
+        return _row_hasse(ctx, r2, r4)
 
+    @cache
     def times(s):
         # the ranks s * a6 for every rank a6
-        perm = by_scale.get(s)
-        if perm is None:
-            perm = by_scale[s] = [mul(s, r6) for r6 in range(q)]
-        return perm
+        return [mul(s, r6) for r6 in range(q)]
 
+    @cache
     def plan(kinds):
         # (d, kind, scales, the class exponent the action adds) of every
         # twist a model with these kinds takes
-        if kinds not in plans:
-            plans[kinds] = [(d, kind, _twist_scales(ctx, d, kind),
-                             twist_class_action(one, FieldElement(ctx, d), kind).exp)
-                            for d in range(1, q) for kind in kinds]
-        return plans[kinds]
+        return [(d, kind, _twist_scales(ctx, d, kind),
+                 twist_class_action(one, FieldElement(ctx, d), kind).exp)
+                for d in range(1, q) for kind in kinds]
 
+    @cache
     def want(kinds, base):
         # the class exponents the action predicts, in plan order
-        if (kinds, base) not in wants:
-            wants[kinds, base] = [(base + act) % pm1 for *_, act in plan(kinds)]
-        return wants[kinds, base]
+        return [(base + act) % pm1 for *_, act in plan(kinds)]
+
+    @lru_cache(maxsize=2)
+    def targets(r2, r4, kinds):
+        # (twisted row, a6 scaling) of each twist in plan order: a row's
+        # models take at most two sets of kinds, a6 = 0 first
+        return [(hasse_row(mul(s2, r2), mul(s4, r4)), times(s6))
+                for _, _, (s2, s4, s6, _), _ in plan(kinds)]
 
     for r2, r4, _, singular in _iter_rows(ctx):
-        base_row, targets = hasse_row(r2, r4), {}
+        base_row = hasse_row(r2, r4)
         for r6 in filterfalse(singular.__contains__, range(q)):
             base = exps[base_row[r6]]
             if base < 0:
                 continue  # supersingular
             kinds = _twist_kinds(ctx, r4, r6)
-            if kinds not in targets:
-                targets[kinds] = [(hasse_row(mul(s2, r2), mul(s4, r4)), times(s6))
-                                  for _, _, (s2, s4, s6, _), _ in plan(kinds)]
-            got = [exps[row[perm[r6]]] for row, perm in targets[kinds]]
+            got = [exps[row[perm[r6]]] for row, perm in targets(r2, r4, kinds)]
             expected = want(kinds, base)
             if got == expected:
                 res.cases += len(got)
@@ -297,7 +291,7 @@ def _suite_etale(res: SuiteResult, ctx: FieldCtx) -> None:
     supersingular ones; a row with a new or failing value walks its
     models one by one, each check in enumeration order.
     """
-    p, q, exps = ctx.p, ctx.q, _class_exps(ctx)
+    p, q, exps = ctx.p, ctx.q, _rank_classes(ctx)[0]
     degree_cache: dict[int, tuple[int, ...]] = {}
     # 0 and every value of A_p that passed both checks: a value joins on its
     # first model, if ptorsion_description agrees there (agrees) and the

@@ -23,6 +23,7 @@ from hasseforms import (
 )
 from hasseforms import cli
 from hasseforms.cli import main
+from hasseforms.errors import InconsistencyError
 
 
 def run_cli(*args):
@@ -160,6 +161,19 @@ def test_search_h_flag_is_the_residue():
     rc, out, _ = run_cli("search", "--help")
     assert rc == 0
     assert "residue" in out or "class" in out
+
+
+def test_verification_failure_exits_1_on_stderr_alone(monkeypatch):
+    # an InconsistencyError from a handler prints nothing on stdout and its
+    # message on stderr, and exits 1, --json or not
+    message = "witness for class 2 is singular: (a2, a4, a6) = ((0,), (1,), (5,)) over F_7"
+
+    def inconsistent(curve, h):
+        raise InconsistencyError(message)
+
+    monkeypatch.setattr(cli, "describe_witness", inconsistent)
+    rc, out, err = run_cli("search", "-p", "7", "-h", "2", "--json")
+    assert (rc, out, err) == (1, "", f"verification failure: {message}\n")
 
 
 def test_verify_range_form():

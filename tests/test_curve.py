@@ -13,6 +13,7 @@ from itertools import chain, zip_longest
 
 import pytest
 
+import hasseforms.curve as curve_module
 from hasseforms import (
     hasse_invariant,
     is_ordinary,
@@ -27,6 +28,7 @@ from hasseforms.curve import (
     WeierstrassCurve,
     _count_at,
     _count_mestre,
+    _disc_at,
     _disc_row,
     _ec_add,
     _hasse_at,
@@ -36,8 +38,8 @@ from hasseforms.curve import (
     _row_counts,
     _row_hasse,
     _row_hist,
+    _singular_a6,
     _sqrt,
-    _trace,
     _twist_kinds,
     _twist_scales,
     _zech_operand,
@@ -53,7 +55,6 @@ from hasseforms.errors import (
 )
 from hasseforms.gf import _power, _prime_factors
 from hasseforms.poly import _pack, _slot_width
-from hasseforms.search import _singular_a6
 
 
 @pytest.fixture(scope="module")
@@ -126,14 +127,17 @@ def test_f_polynomial(f5):
 
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1), (7, 1), (5, 2)])
 def test_discriminant_two_routes(p, n):
-    """The specialized discriminant agrees with the generic formula, and
-    a model is constructible exactly when the generic formula is nonzero."""
+    """The specialized discriminant agrees with the generic formula, on
+    whole rows (_disc_at on every a6 rank) too, and a model is
+    constructible exactly when the generic formula is nonzero."""
     ctx = make_field(p, n)
     a2_values = list(ctx.iter_elements()) if p == 3 else [ctx.zero]
     for a2 in a2_values:
         for a4 in ctx.iter_elements():
+            row = _disc_at(ctx, _disc_row(ctx, a2.rank, a4.rank), range(ctx.q))
             for a6 in ctx.iter_elements():
                 generic = discriminant_general(a2, a4, a6)
+                assert row[a6.rank] == generic.rank
                 if not generic:
                     with pytest.raises(SingularModelError):
                         WeierstrassCurve(ctx, a4, a6, a2)
@@ -425,13 +429,16 @@ def test_hasse_at_matches_hasse_invariant_on_shuffled_ranks(p, n):
                            for r6 in r6s]
 
 
-def test_trace_names_the_model_it_rejects():
-    # row callers hold ranks; the model is decoded for the message only
+def test_trace_names_the_model_it_rejects(monkeypatch):
+    # point_count checks the trace bound on the curve it holds and names it
     ctx = make_field(5)
-    assert _trace(ctx, 6, 0, 0, 1) == 0
-    with pytest.raises(RuntimeError, match=r"WeierstrassCurve\(y\^2 = x\^3 \+ 1 over F_5\): "
-                                           r"beta = -5, this is a bug"):
-        _trace(ctx, 11, 0, 0, 1)
+    curve = _curve(ctx, 0, 1)
+    assert point_count(curve).beta == 0
+    monkeypatch.setattr(curve_module, "_count_at", lambda *ranks: 11)
+    with pytest.raises(RuntimeError) as info:
+        point_count(curve)
+    assert str(info.value) == ("trace bound violated for WeierstrassCurve(y^2 = x^3 + 1 "
+                               "over F_5): beta = -5, this is a bug")
 
 
 def test_twist_frozen_example(f5):

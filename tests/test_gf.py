@@ -230,6 +230,12 @@ def test_int_coercion_rules(f9):
         int(t)
     assert 1 + t == t + 1
     assert 2 * t == t * 2
+    # the reflected difference and quotient against their left-hand forms
+    for ctx in (make_field(7), f9):
+        for x in ctx.iter_elements():
+            assert 3 - x == ctx(3) - x and (3 - x) + x == 3
+            if x:
+                assert 2 / x == ctx(2) / x and (2 / x) * x == 2
 
 
 def test_cross_field_operations_rejected():
@@ -579,7 +585,8 @@ def test_point_count_tabulates_each_row_once_in_norm_suite(monkeypatch):
 
 def test_contexts_are_collected_once_their_callers_drop_them(monkeypatch, capsys):
     # no memo outside a context holds one, so every table goes with its
-    # field once the census, the suite or the CLI call that built it returns
+    # field once the census, the suite or the CLI call that built it
+    # returns; the twists suite's local caches go with its run
     refs = []
 
     def tracked(p, n=1):
@@ -591,11 +598,12 @@ def test_contexts_are_collected_once_their_callers_drop_them(monkeypatch, capsys
     monkeypatch.setattr(cli, "make_field", tracked)
     found = [len(census(tracked(p, n)).realizable) for p, n in ((1009, 1), (31, 2))]
     oks = [run_suite("norm", 3, 3).ok, run_suite("bridge", 7, 2).ok]
+    oks += [run_suite(name, p, n).ok for name in ("twists", "etale") for p, n in ((3, 2), (13, 1))]
     codes = [cli.main([sub, "-p", "31", "-n", "2", "-a4", "1", "-a6", "2", "--json"])
              for sub in ("hasse", "ptorsion")]
-    assert all(found) and all(oks) and codes == [0, 0] and len(refs) == 6
+    assert all(found) and all(oks) and codes == [0, 0] and len(refs) == 10
     gc.collect()
-    assert [ref() for ref in refs] == [None] * 6
+    assert [ref() for ref in refs] == [None] * 10
 
 
 def test_tables_refused_beyond_sweep_guard():

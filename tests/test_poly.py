@@ -62,13 +62,20 @@ def test_frozen_square():
 
 
 def test_divmod_reconstructs():
-    ctx = make_field(5)
-    x = Polynomial.x(ctx)
-    f = (x ** 3 + x + 1) ** 2
-    for d in (x + 1, 2 * x + 1, x ** 2 + 3):
-        qt, r = divmod(f, d)
-        assert qt * d + r == f
-        assert r.degree < d.degree
+    # over F_5, F_7 and F_9; f // d and f % d are the two halves of
+    # divmod, and 2 - f, which Polynomial takes reflected, is its
+    # left-hand form
+    for p, n in ((5, 1), (7, 1), (3, 2)):
+        ctx = make_field(p, n)
+        x = Polynomial.x(ctx)
+        f = (x ** 3 + x + 1) ** 2
+        for d in (x + 1, 2 * x + 1, x ** 2 + 3):
+            qt, r = divmod(f, d)
+            assert qt * d + r == f
+            assert r.degree < d.degree
+            assert (f // d, f % d) == (qt, r)
+        assert 2 - f == Polynomial.const(ctx, ctx(2)) - f
+        assert (2 - f)[0] == ctx(1) and (2 - f)[6] == -ctx.one
 
 
 def test_derivative_and_char_p():

@@ -17,12 +17,13 @@ from hasseforms import (Polynomial, census, factor, kernel_of_frobenius, make_fi
                         point_count, ptorsion_description, unit_class_of)
 from hasseforms.curve import WeierstrassCurve, _row_hasse, _zech_mask, _zech_operand
 from hasseforms.errors import SingularModelError
+from hasseforms.forms import _rank_classes
 
 
 def _ctx_with_tables():
     # the generator, the log tables and every kind of memo slot
     ctx = make_field(3, 2)
-    _zech_mask(ctx), _zech_operand(ctx), _row_hasse(ctx, 1, 1)
+    _zech_mask(ctx), _zech_operand(ctx), _row_hasse(ctx, 1, 1), _rank_classes(ctx)
     census(ctx)
     return ctx
 
@@ -139,8 +140,8 @@ def test_value_types_round_trip(make):
         assert value[1].coeffs == (2, 3) and value[3] == 4
     if make is _ctx_with_tables:
         lazy = {"generator", "_log_tables"}
-        # all seven memoised builders hold a slot
-        assert lazy <= set(vars(value)) and len(value._memo) == len(value._builds) == 7
+        # all eight memoised builders hold a slot
+        assert lazy <= set(vars(value)) and len(value._memo) == len(value._builds) == 8
         for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value),
                       copy.deepcopy(value)):
             assert not lazy & set(vars(clone))

@@ -13,6 +13,7 @@ from hasseforms import (SUITE_NAMES, census, hasse_invariant, iter_curves, make_
                         run_suite, unit_class_of)
 from hasseforms.cli import main
 from hasseforms.curve import _hasse_row
+from hasseforms.errors import InconsistencyError
 from hasseforms.forms import UnitClass
 from hasseforms.search import ClassEntry, WitnessRecord
 from hasseforms.verify import SuiteResult
@@ -199,6 +200,27 @@ def test_etale_suite_bytes_equal_with_factor_logging(caplog):
     assert json.dumps(logged, sort_keys=True) == plain
     assert any(r.getMessage().startswith("read the degree pattern of a degree-16 polynomial")
                for r in caplog.records)
+
+
+def test_census_suite_reports_an_inconsistent_census_as_its_one_case(monkeypatch):
+    # a census that raises is the suite's single failed case, with no
+    # detail, and verify prints it as a FAIL line and exits 1
+    import hasseforms.verify as verify_mod
+
+    message = "census over F_7 found classes [1, 2] but the trace interval formula gives [1]"
+
+    def inconsistent(ctx):
+        raise InconsistencyError(message)
+
+    monkeypatch.setattr(verify_mod, "census", inconsistent)
+    res = run_suite("census", 7)
+    assert (res.cases, res.failures, res.detail) == (1, [message], None)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(["verify", "--suite", "census", "-p", "7"])
+    assert rc == 1
+    assert out.getvalue() == ("suite=census p=7 n=1 cases=1 failures=1 FAIL\n"
+                              f"  FAIL {message}\n")
 
 
 def _seed_census_witness(monkeypatch, ctx, h, curve):
