@@ -16,17 +16,16 @@ keys are sorted; only timing-ms varies between identical runs.
 Note: the search subcommand spells its target class -h, so its help
 lives on --help only.
 
-The grammar is written once, as data: GRAMMAR holds each subcommand's
-add_parser keywords and its options, each the keywords add_argument
-takes.  main reads a well-formed argv straight off it: argv[0] picks the
-subcommand, and _read reads the rest into the Namespace parse_args would
-give, with no parser built.  Only an argv it declines (help, version,
-abbreviations, "=" forms, usage errors, no subcommand) builds the
-argparse parser from the same grammar, once per process, on the first
-such call; parse_args reads that argv and every later declined one,
-leaves the parser unchanged and looks up sys.stdout and sys.stderr when
-it prints, so every caller gets argparse's bytes.  build_parser()
-returns a fresh parser each time it is called.
+Each subcommand is written once, as data: its GRAMMAR entry holds its
+handler, its add_parser keywords and its options, each the keywords
+add_argument takes.  main reads a well-formed argv straight off it:
+argv[0] picks the subcommand, and _read reads the rest into the
+Namespace parse_args would give, with no parser built.  Only an argv it
+declines (help, version, abbreviations, "=" forms, usage errors, no
+subcommand) builds the argparse parser from the same grammar, a fresh
+one for that call, so every caller gets argparse's bytes; main keeps no
+state between calls.  The envelope's params are the parsed options, less
+command, json and out.
 """
 
 from __future__ import annotations
@@ -116,9 +115,8 @@ def _curve_from_args(ctx: FieldCtx, args) -> WeierstrassCurve:
 
 
 # -- subcommand handlers -------------------------------------------------
-# each returns (params, result, lines, exit_code), where lines() builds the
-# human report; main calls it only when it prints the report, not under
-# --json
+# each returns (result, lines, exit_code), where lines() builds the human
+# report; main calls it only when it prints the report, not under --json
 
 def _cmd_hasse(args):
     ctx = make_field(args.p, args.n)
@@ -145,8 +143,7 @@ def _cmd_hasse(args):
         "class_exp": cls.exp if cls else None,
         "phi": residue,
     }
-    params = {"p": args.p, "n": args.n, "a2": args.a2, "a4": args.a4, "a6": args.a6}
-    return params, result, lambda: _field_lines(ctx) + [
+    return result, lambda: _field_lines(ctx) + [
         f"curve: {curve!r}",
         f"discriminant: {curve.discriminant}   j: {j}",
         f"A_p: {ap}   A_q: {aq}",
@@ -179,7 +176,7 @@ def _cmd_realizable(args):
         "missing": missing,
         "verdict": verdict,
     }
-    return {"p": args.p, "n": args.n}, result, lambda: [
+    return result, lambda: [
         f"classes over F_{q} allowed by the trace interval: {sorted(hit)}",
         f"missing: {missing}" if missing else "missing: none",
         f"verdict: {verdict}",
@@ -188,13 +185,12 @@ def _cmd_realizable(args):
 
 def _cmd_search(args):
     ctx = make_field(args.p, args.n)
-    h = args.target
+    h = args.h
     curve = find_curve_with_class(ctx, h,
                                   use_trace_shortcut=not args.no_shortcut)
-    params = {"p": args.p, "n": args.n, "h": h, "no_shortcut": args.no_shortcut}
     if curve is None:
         result = {**_field_header(ctx), "h": h, "realizable": False, "witness": None}
-        return params, result, lambda: _field_lines(ctx) + [
+        return result, lambda: _field_lines(ctx) + [
             f"class {h}: not realizable over F_{ctx.q}",
             "no admissible trace exists in the open interval (-2*sqrt(q), 2*sqrt(q))"
             if not args.no_shortcut else
@@ -203,7 +199,7 @@ def _cmd_search(args):
     witness = describe_witness(curve, h)
     result = {**_field_header(ctx), "h": h, "realizable": True,
               "witness": witness.to_dict()}
-    return params, result, lambda: _field_lines(ctx) + [
+    return result, lambda: _field_lines(ctx) + [
         f"class {h}: realizable over F_{ctx.q}",
         f"witness: {curve!r}",
         f"points: {witness.count}   beta: {witness.beta}   "
@@ -220,8 +216,7 @@ def _cmd_verify(args):
     results = [run_suite(args.suite, p, n) for p, n in fields]
     ok = all(r.ok for r in results)
     result = {"suites": [r.to_dict() for r in results], "ok": ok}
-    params = {"suite": args.suite, "p": args.p, "n": args.n}
-    return params, result, lambda: (
+    return result, lambda: (
         [r.summary_line() for r in results]
         + [f"  FAIL {failure}" for r in results for failure in r.failures]), 0 if ok else 1
 
@@ -230,12 +225,11 @@ def _cmd_ptorsion(args):
     ctx = make_field(args.p, args.n)
     curve = _curve_from_args(ctx, args)
     desc = ptorsion_description(curve)
-    params = {"p": args.p, "n": args.n, "a2": args.a2, "a4": args.a4, "a6": args.a6}
     if desc.supersingular:
         result = {**_field_header(ctx), "supersingular": True, "label": "M2",
                   "class_exp": None, "hasse": None, "j": None,
                   "etale_degrees": None, "j_p_root": None}
-        return params, result, lambda: _field_lines(ctx) + [
+        return result, lambda: _field_lines(ctx) + [
             f"curve: {curve!r}",
             "supersingular: E[p] is the non-split self-dual thickening M2",
         ], 0
@@ -249,7 +243,7 @@ def _cmd_ptorsion(args):
         "etale_degrees": list(desc.etale_degrees),
         "j_p_root": _elt_json(desc.j_p_root),
     }
-    return params, result, lambda: _field_lines(ctx) + [
+    return result, lambda: _field_lines(ctx) + [
         f"curve: {curve!r}",
         f"ordinary: multiplicative part twisted by class exp {desc.hasse_class.exp}",
         f"etale part: field factors of degrees {list(desc.etale_degrees)}",
@@ -257,18 +251,10 @@ def _cmd_ptorsion(args):
     ], 0
 
 
-HANDLERS = {
-    "hasse": _cmd_hasse,
-    "realizable": _cmd_realizable,
-    "search": _cmd_search,
-    "verify": _cmd_verify,
-    "ptorsion": _cmd_ptorsion,
-}
-
-
 # -- the grammar ---------------------------------------------------------
 # each option is its flag and the keywords add_argument takes; build_parser
-# feeds them to argparse, and _read reads a well-formed argv off them
+# feeds them to argparse, and _read reads a well-formed argv off them.  The
+# parsed options, less command, json and out, are the envelope's params
 
 _FIELD = (
     ("-p", dict(type=int, required=True, help="odd prime characteristic")),
@@ -286,24 +272,26 @@ _OUTPUT = (
                    help="write the report to FILE instead of stdout")),
 )
 
-# per subcommand, in HANDLERS' order: its add_parser keywords and options
+# per subcommand: its handler, its add_parser keywords and its options
 GRAMMAR = {
-    "hasse": (dict(help="invariants of one curve"), _FIELD + _CURVE + _OUTPUT),
-    "realizable": (dict(help="classes the trace interval allows"), _FIELD + _OUTPUT),
-    "search": (dict(add_help=False, help="first witness curve for one class"), (
+    "hasse": (_cmd_hasse, dict(help="invariants of one curve"), _FIELD + _CURVE + _OUTPUT),
+    "realizable": (_cmd_realizable, dict(help="classes the trace interval allows"),
+                   _FIELD + _OUTPUT),
+    "search": (_cmd_search, dict(add_help=False, help="first witness curve for one class"), (
         ("--help", dict(action="help", help="show this help and exit")),
         *_FIELD,
-        ("-h", dict(dest="target", type=int, required=True,
+        ("-h", dict(type=int, required=True, metavar="TARGET",
                     help="target class residue in 1..p-1")),
         ("--no-shortcut", dict(action="store_true",
                                help="sweep every curve instead of pruning by traces")),
         *_OUTPUT)),
-    "verify": (dict(help="run an exhaustive identity suite"), (
+    "verify": (_cmd_verify, dict(help="run an exhaustive identity suite"), (
         ("--suite", dict(required=True, choices=SUITE_NAMES)),
         ("-p", dict(required=True, help="prime, list 5,7,11 or range 3..23 (primes only)")),
         ("-n", dict(default="1", help="degree, list or range (default %(default)s)")),
         *_OUTPUT)),
-    "ptorsion": (dict(help="describe the p-torsion scheme"), _FIELD + _CURVE + _OUTPUT),
+    "ptorsion": (_cmd_ptorsion, dict(help="describe the p-torsion scheme"),
+                 _FIELD + _CURVE + _OUTPUT),
 }
 
 
@@ -314,14 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "over small finite fields, by exhaustive enumeration.")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command")
-    for name, (settings, options) in GRAMMAR.items():
+    for name, (_, settings, options) in GRAMMAR.items():
         sp = subs.add_parser(name, **settings)
         for flag, keywords in options:
             sp.add_argument(flag, **keywords)
     return parser
 
 
-_PARSER: argparse.ArgumentParser | None = None  # built on the first declined argv
 _COEFF_OPTIONS = ("-a2", "-a4", "-a6")
 
 
@@ -343,14 +330,14 @@ def _read(argv: list[str]) -> argparse.Namespace | None:
     once, by its exact flag, a value apart from its option, not starting
     with "-", of the option's type and in its choices, and every required
     option.  The rest take their defaults as parse_args fills them in,
-    under the dest argparse derives from the flag unless one is given; no
-    option has a string default that argparse would pass through its
+    under the dest argparse derives from the flag; no option names its
+    own dest or has a string default that argparse would pass through its
     type, as the grammar audit test checks.  Any other argv gives None,
     and parse_args reads it, so help, version, abbreviations, "=" forms
     and errors keep argparse's bytes."""
     if not argv or argv[0] not in GRAMMAR:
         return None
-    options = dict(GRAMMAR[argv[0]][1])
+    options = dict(GRAMMAR[argv[0]][2])
     given = {}
     tokens = iter(argv[1:])
     for flag in tokens:
@@ -381,27 +368,25 @@ def _read(argv: list[str]) -> argparse.Namespace | None:
             continue
         else:
             value = keywords.get("default", False if action == "store_true" else None)
-        setattr(args, keywords.get("dest", flag.lstrip("-").replace("-", "_")), value)
+        setattr(args, flag.lstrip("-").replace("-", "_"), value)
     return args
 
 
 def main(argv=None) -> int:
-    global _PARSER
     argv = _joined(sys.argv[1:] if argv is None else list(argv))
     args = _read(argv)
     if args is None:
-        if _PARSER is None:
-            _PARSER = build_parser()
+        parser = build_parser()
         try:
-            args = _PARSER.parse_args(argv)
+            args = parser.parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
         if args.command is None:
-            _PARSER.print_help()
+            parser.print_help()
             return 2
     started = time.monotonic()
     try:
-        params, result, lines, code = HANDLERS[args.command](args)
+        result, lines, code = GRAMMAR[args.command][0](args)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -412,7 +397,7 @@ def main(argv=None) -> int:
         envelope = {
             "tool-version": __version__,
             "command": args.command,
-            "params": params,
+            "params": {k: v for k, v in vars(args).items() if k not in ("command", "json", "out")},
             "result": result,
             "timing-ms": int((time.monotonic() - started) * 1000),
         }

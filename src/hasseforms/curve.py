@@ -53,8 +53,8 @@ F_p and the row suites.  Both read a6 = 0 as one parity sum of M
 (gf._ctx_memo: _row_hist, _x_logs, _hasse_row, _hasse_table and the Y
 tables _zech_mask and _zech_operand), so they go with the field; the
 whole rows, _row_counts and _row_hasse, do not, since no caller reads a
-row twice.  Only _hasse_terms and _nonsquare, on p alone, stay at module
-level.
+row twice.  Only _hasse_terms, on p alone, stays at module level;
+_nonsquare is found afresh for each Shanks-Mestre count.
 
 The twist kinds live in one table, _TWISTS, of degrees and weights.  A
 twist by d scales (a2, a4, a6) by d to the weights (_twist_scales), so
@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from functools import cache, lru_cache
+from functools import cache
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -309,7 +309,6 @@ def _count_at_zero(q: int, hist: bytearray) -> int:
 _MESTRE_P = 229
 
 
-@lru_cache(maxsize=1)
 def _nonsquare(p: int) -> int:
     # the least non-square mod an odd prime p, by Euler's criterion
     return next(d for d in range(2, p) if pow(d, (p - 1) // 2, p) == p - 1)

@@ -30,8 +30,9 @@ scan made one and curve._count_at elsewhere.  One exhaustive sweep on
 ranks (_first_hits), with residues by rank (forms._rank_classes), audits
 the scan: the no-shortcut search and the census suite both read it.
 Tests decode every model (iter_curves) to audit the sweep and every
-witness to audit the check.  The discriminant at a6 and its roots are
-curve's, and the class of a rank is forms': this module reads them.
+witness to audit the check.  The discriminant at a6, its roots and the
+trace bound are curve's, and the class of a rank is forms': this module
+reads them.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ from math import gcd, isqrt
 from typing import Iterator, NamedTuple, Sequence
 
 from .curve import (WeierstrassCurve, _count_at, _decode, _disc_at, _disc_row, _hasse_at,
-                    _hasse_row, _row_counts, _row_hasse, _singular_a6, point_count)
+                    _hasse_row, _in_trace_bound, _row_counts, _row_hasse, _singular_a6,
+                    point_count)
 from .errors import InconsistencyError
 from .forms import _class_residues, _field_order, _rank_classes, realizable_set
 from .gf import FieldCtx, FieldElement, smallest_prime_factor
@@ -346,7 +348,7 @@ def _check_row(ctx: FieldCtx, r2: int, r4: int, hits: Sequence[tuple[int, int]],
     curve._disc_at list) and ordinary, the class e = log A_p mod (p - 1)
     must have residue h (forms._class_residues, the exp table over F_p),
     and beta = q + 1 - count, with counts[i] for hit i, must be h mod p
-    with beta^2 < 4q; else raises
+    and inside the trace bound (curve._in_trace_bound); else raises
     InconsistencyError naming the class and the model.  A record is the
     tuple of its fields, built by tuple.__new__ with no Python-level
     constructor call.
@@ -364,7 +366,7 @@ def _check_row(ctx: FieldCtx, r2: int, r4: int, hits: Sequence[tuple[int, int]],
             fault = "is supersingular"
         elif by_class[e] != h:
             fault = f"has residue {by_class[e]} by phi"
-        elif beta % p != h or beta * beta >= 4 * q:
+        elif beta % p != h or not _in_trace_bound(ctx, beta):
             fault = f"breaks the trace check: beta = {beta}"
         else:
             records.append(_new(WitnessRecord, (a2, a4, coeffs(r6), count, beta, e, h)))

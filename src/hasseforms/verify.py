@@ -141,38 +141,33 @@ def _suite_bridge(res: SuiteResult, ctx: FieldCtx) -> None:
     g^lc at slot lc, a6 = 0 last): the residues of A_p off the closed
     form (_row_hasse, by the rank of a6) against beta mod p off the point
     counts (over F_p the kernel the census scan reads its residues off),
-    read through one table by count that holds -1, which no residue
-    equals, past the trace bound.  Rows that share a Hasse table share
-    its residue list.  The singular a6 of a row are compared too, and
-    send no sound row to the loop: the congruence beta = A_q mod p holds
-    for every cubic (#E is the character sum), and a singular cubic has
-    beta = 0 or +-1.  A row whose lists agree counts its nonsingular
-    models, q less the at most two singular a6 that _iter_rows names.
-    Only a row whose lists differ is checked model by model, on the other
-    a6, which names each failure and keeps the case count; a count past
-    the trace bound fails its model there.  A model is decoded only to
-    name it in a failure.  Over F_3^3 (728 rows, 18,954
-    models) the suite takes about 12 ms in process on 2 vCPU (min of
-    40), against 21 ms with the per-model loop on every row.
+    read through one dict of the counts inside the trace bound, so any
+    other count, a negative one included, reads None, which no residue
+    equals.  Rows that share a Hasse table share its residue list.  The
+    singular a6 of a row are compared too, and send no sound row to the
+    loop: the congruence beta = A_q mod p holds for every cubic (#E is
+    the character sum), and a singular cubic has beta = 0 or +-1.  A row
+    whose lists agree counts its nonsingular models, q less the at most
+    two singular a6 that _iter_rows names.  Only a row whose lists differ
+    is checked model by model, on the other a6, which names each failure
+    and keeps the case count; a count past the trace bound fails its
+    model there.  A model is decoded only to name it in a failure.  Over
+    F_3^3 (728 rows, 18,954 models) the suite takes about 12 ms in
+    process on 2 vCPU (min of 40), against 21 ms with the per-model loop
+    on every row.
     """
     p, q, residue, log = ctx.p, ctx.q, _rank_classes(ctx)[1], ctx._log_tables[1]
     by_slot = [*ctx._log_tables[0], 0]  # the rank of a6 at each slot
-    # beta mod p by #E, -1 (which no residue equals) past the trace bound;
-    # the -1 tail, as long as the rest, keeps a negative count from
-    # wrapping round onto a count in the bound
-    top = q + 1 + isqrt(4 * q)
-    beta_mod = [(q + 1 - c) % p if _in_trace_bound(ctx, q + 1 - c) else -1
-                for c in range(top + 1)] + [-1] * (top + 1)
+    # beta mod p by #E, for the counts inside the trace bound only
+    b = isqrt(4 * q)
+    beta_mod = {c: (q + 1 - c) % p for c in range(q + 1 - b, q + 2 + b)
+                if _in_trace_bound(ctx, q + 1 - c)}
     table = None
     for r2, r4, _, singular in _iter_rows(ctx):
         hasse, counts = _row_hasse(ctx, r2, r4), _row_counts(ctx, r2, r4)
         if hasse is not table:
             table, got = hasse, list(map(residue.__getitem__, map(hasse.__getitem__, by_slot)))
-        try:
-            want = list(map(beta_mod.__getitem__, counts))
-        except IndexError:  # a count of a W-bit slot past the table
-            want = None
-        if got == want:
+        if got == list(map(beta_mod.get, counts)):
             res.cases += q - len(singular)
             continue
         for r6 in filterfalse(singular.__contains__, range(q)):

@@ -156,6 +156,29 @@ def test_search_miss_is_an_answer_not_an_error():
     assert json.loads(out2)["params"]["no_shortcut"] is True
 
 
+@pytest.mark.parametrize("read_argv,parsed_argv,params", [
+    (("search", "-p", "7", "-h", "2", "--json"),
+     ("search", "-p=7", "-h", "2", "--json"),
+     {"h": 2, "n": 1, "no_shortcut": False, "p": 7}),
+    (("search", "-h", "3", "--no-shortcut", "-n", "2", "-p", "5", "--json"),
+     ("search", "-h=3", "--no-shortcut", "-n=2", "-p", "5", "--json"),
+     {"h": 3, "n": 2, "no_shortcut": True, "p": 5}),
+    (("verify", "--suite", "bridge", "-p", "3..5", "--json"),
+     ("verify", "--suite=bridge", "-p", "3..5", "--json"),
+     {"n": "1", "p": "3..5", "suite": "bridge"}),
+    (("verify", "--suite", "norm", "-p", "3", "-n", "1..2", "--json"),
+     ("verify", "--suite", "norm", "-p=3", "-n=1..2", "--json"),
+     {"n": "1..2", "p": "3", "suite": "norm"}),
+], ids=["search", "search-no-shortcut", "verify", "verify-degrees"])
+def test_envelope_params_are_the_parsed_options(read_argv, parsed_argv, params):
+    # the whole params object, the same whether main's reader or
+    # parse_args (on the "=" form it declines) reads the argv
+    assert _read(read_argv) is not None and _read(parsed_argv) is None
+    envelopes = [json.loads(run_cli(*argv)[1]) for argv in (read_argv, parsed_argv)]
+    assert [e["params"] for e in envelopes] == [params, params]
+    assert envelopes[0]["result"] == envelopes[1]["result"]
+
+
 def test_search_h_flag_is_the_residue():
     # -h is the class residue for this subcommand; --help still works
     rc, out, _ = run_cli("search", "--help")
@@ -549,14 +572,13 @@ def _masked(result):
 
 
 def test_reused_parser_gives_the_bytes_of_a_fresh_one(monkeypatch):
-    # reference: a freshly built parser for every call
-    fresh = []
-    for args in REUSE_SEQUENCE:
-        monkeypatch.setattr(cli, "_PARSER", None)
-        fresh.append(_masked(run_cli(*args)))
-    monkeypatch.setattr(cli, "_PARSER", None)
+    # main builds a fresh parser for each declined argv; one parser kept
+    # for every call gives the same bytes, since parse_args leaves it
+    # unchanged
+    fresh = [_masked(run_cli(*args)) for args in REUSE_SEQUENCE]
+    one = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: one)
     reused = [_masked(run_cli(*args)) for args in REUSE_SEQUENCE]
-    assert cli._PARSER is not None
     assert reused == fresh
     assert {rc for rc, _, _ in fresh} == {0, 2}
     assert all(out or err for _, out, err in fresh)
@@ -568,13 +590,11 @@ def _refuse_to_build():
 
 def test_well_formed_argv_build_no_parser(monkeypatch):
     monkeypatch.setattr(cli, "build_parser", _refuse_to_build)
-    monkeypatch.setattr(cli, "_PARSER", None)
     well_formed = [argv for argv in REUSE_SEQUENCE if _read(argv) is not None]
     assert len(well_formed) >= len(REUSE_SEQUENCE) // 2
     for argv in well_formed:
         rc, out, err = run_cli(*argv)
         assert out or err
-    assert cli._PARSER is None
 
 
 def _counted_build(monkeypatch):
@@ -586,27 +606,34 @@ def _counted_build(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(cli, "build_parser", counted)
-    monkeypatch.setattr(cli, "_PARSER", None)
     return built
 
 
 def test_first_declined_argv_builds_the_parser_once(monkeypatch):
     built = _counted_build(monkeypatch)
     run_cli("realizable", "-p", "19", "--json")
-    assert built == [] and cli._PARSER is None
+    assert built == []
     declined = ("realizable", "-p", "19", "--js")
     assert _read(declined) is None
     run_cli(*declined)
-    assert len(built) == 1 and cli._PARSER is built[0]
+    assert len(built) == 1
+    # and main keeps no parser for the next call
+    assert not hasattr(cli, "_PARSER")
 
 
-def test_later_declined_argv_reuse_the_parser(monkeypatch):
+def test_each_declined_argv_builds_one_parser(monkeypatch):
+    # main keeps no parser between calls: a declined argv builds a fresh
+    # one, a well-formed argv none, whatever came before
     built = _counted_build(monkeypatch)
-    for i in range(50):
-        run_cli(*REUSE_SEQUENCE[i % len(REUSE_SEQUENCE)])
-    assert len(built) == 1 and cli._PARSER is built[0]
-    # build_parser itself still returns a new parser on every call
-    assert cli.build_parser() is not cli.build_parser()
+    codes = set()
+    for argv in REUSE_SEQUENCE:
+        before = len(built)
+        rc, out, err = run_cli(*argv)
+        assert out or err
+        assert len(built) - before == (_read(argv) is None), argv
+        codes.add(rc)
+    assert codes == {0, 2}
+    assert len(set(map(id, built))) == len(built) > 0
 
 
 def _fuzz_coeffs(rng, n):
@@ -743,7 +770,7 @@ def test_grammar_audit_against_argparse_actions():
     parser = cli.build_parser()
     subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert subs.dest == "command"
-    assert list(subs.choices) == list(cli.GRAMMAR) == list(cli.HANDLERS)
+    assert list(subs.choices) == list(cli.GRAMMAR)
     for name, sp in subs.choices.items():
         stores = [a for a in sp._actions if type(a) is argparse._StoreAction]
         flags = [a for a in sp._actions if type(a) is argparse._StoreTrueAction]
@@ -828,7 +855,6 @@ def test_declined_argv_keep_the_bytes_of_parse_args(monkeypatch, argv):
     # fresh parser, then the handler
     assert _read(argv) is None
     got = _masked(run_cli(*argv))
-    monkeypatch.setattr(cli, "_PARSER", None)
     monkeypatch.setattr(cli, "_read", lambda argv: None)
     assert got == _masked(run_cli(*argv))
     if argv[-1] in ("extra", "--version"):

@@ -33,6 +33,7 @@ from hasseforms.curve import (
     _ec_add,
     _hasse_at,
     _hasse_row,
+    _hasse_terms,
     _log_hist,
     _nonsquare,
     _row_counts,
@@ -169,6 +170,22 @@ def test_hasse_invariant_two_routes(p, n):
                 f = curve.f_polynomial()
                 want = f.pow_truncated((size - 1) // 2, size - 1)[size - 1]
                 assert hasse_invariant(curve, level=level) == want
+
+
+def test_closed_form_has_one_term_exactly_for_p_up_to_11():
+    """The abstract's dividing line: A_p is a single monomial in (a4, a6)
+    for p <= 11 and has at least two terms from p = 13 on.  Each term of
+    _hasse_terms is (j, k, c) for c a4^j a6^k."""
+    odd_primes = [m for m in range(3, 200) if all(m % f for f in range(2, m))]
+    assert {p for p in odd_primes if len(_hasse_terms(p)) <= 1} == {3, 5, 7, 11}
+    # A_3 = a2, read off the row (_hasse_row), since the table is empty
+    assert _hasse_terms(3) == ()
+    ctx = make_field(3, 1)
+    assert all(hasse_invariant(curve) == curve.a2 for curve in iter_curves(ctx))
+    # A_5 = 2 a4, A_7 = 3 a6, A_11 = 9 a4 a6
+    assert [_hasse_terms(p) for p in (5, 7, 11)] == [((1, 0, 2),), ((0, 1, 3),), ((1, 1, 9),)]
+    # A_13 = 7 a4^3 + 2 a6^2
+    assert _hasse_terms(13) == ((3, 0, 7), (0, 2, 2))
 
 
 def test_trace_bound():
