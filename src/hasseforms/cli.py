@@ -19,21 +19,24 @@ lives on --help only.
 Each subcommand is written once, as data: its GRAMMAR entry holds its
 handler, its add_parser keywords and its options, each the keywords
 add_argument takes.  main reads a well-formed argv straight off it:
-argv[0] picks the subcommand, and _read reads the rest into the
-Namespace parse_args would give, with no parser built.  Only an argv it
-declines (help, version, abbreviations, "=" forms, usage errors, no
-subcommand) builds the argparse parser from the same grammar, a fresh
-one for that call, so every caller gets argparse's bytes; main keeps no
-state between calls.  The envelope's params are the parsed options, less
-command, json and out.
+argv[0] picks the subcommand, and _read reads the rest into a
+SimpleNamespace with the attributes parse_args would give, with no
+parser built.  Only an argv it declines (help, version, abbreviations,
+"=" forms, usage errors, no subcommand) builds the argparse parser from
+the same grammar, a fresh one for that call, so every caller gets
+argparse's bytes; main keeps no state between calls.  The envelope's
+params are the parsed options, less command, json and out.
+
+Importing this module loads neither argparse nor json: build_parser
+imports argparse, and main imports json only to write a --json
+envelope, so a well-formed text call loads neither.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
+from types import SimpleNamespace
 
 from . import __version__
 from .curve import WeierstrassCurve, hasse_invariant, point_count
@@ -295,7 +298,9 @@ GRAMMAR = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse  # only an argv the reader declines builds a parser
+
     parser = argparse.ArgumentParser(
         prog="hasseforms",
         description="Twisted forms of p-th roots of unity on elliptic curves "
@@ -324,17 +329,17 @@ def _joined(argv: list[str]) -> list[str]:
     return out
 
 
-def _read(argv: list[str]) -> argparse.Namespace | None:
-    """The Namespace parse_args gives for a well-formed argv: a subcommand
-    of GRAMMAR, then each of its store and store_true options at most
-    once, by its exact flag, a value apart from its option, not starting
-    with "-", of the option's type and in its choices, and every required
-    option.  The rest take their defaults as parse_args fills them in,
-    under the dest argparse derives from the flag; no option names its
-    own dest or has a string default that argparse would pass through its
-    type, as the grammar audit test checks.  Any other argv gives None,
-    and parse_args reads it, so help, version, abbreviations, "=" forms
-    and errors keep argparse's bytes."""
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes of the Namespace parse_args gives for a well-formed
+    argv, in a SimpleNamespace: a subcommand of GRAMMAR, then each of its
+    store and store_true options at most once, by its exact flag, a value
+    apart from its option, not starting with "-", of the option's type and
+    in its choices, and every required option.  The rest take their
+    defaults as parse_args fills them in, under the dest argparse derives
+    from the flag; no option names its own dest or has a string default
+    that argparse would pass through its type, as the grammar audit test
+    checks.  Any other argv gives None, and parse_args reads it, so help,
+    version, abbreviations, "=" forms and errors keep argparse's bytes."""
     if not argv or argv[0] not in GRAMMAR:
         return None
     options = dict(GRAMMAR[argv[0]][2])
@@ -357,7 +362,7 @@ def _read(argv: list[str]) -> argparse.Namespace | None:
         if value not in keywords.get("choices", (value,)):
             return None
         given[flag] = value
-    args = argparse.Namespace(command=argv[0])
+    args = SimpleNamespace(command=argv[0])
     for flag, keywords in options.items():
         action = keywords.get("action")
         if flag in given:
@@ -401,6 +406,8 @@ def main(argv=None) -> int:
             "result": result,
             "timing-ms": int((time.monotonic() - started) * 1000),
         }
+        import json  # a text call writes no JSON; timing-ms leaves out the import
+
         text = json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n"
     else:
         text = "\n".join(lines()) + "\n"

@@ -47,11 +47,19 @@ and residue rings, and the multiples of a curve point.
 Scale guard: a context refuses q = p**n > 2**20 before any modulus
 search, so every field that exists can build its tables.  None of this
 is constant time or meant for cryptographic use.
+
+Logging.  The package's DEBUG records (table builds here, factor and
+degree_pattern, census, run_suite) go through one logger object,
+gf.logger, that poly, search and verify import.  It never imports
+logging: until the program has imported it no handler can exist, so a
+record is dropped, and from then on it goes to the "hasseforms" logger
+with its caller's funcName and lineno.  Importing the package therefore
+loads no logging.
 """
 
 from __future__ import annotations
 
-import logging
+import sys
 import time
 from array import array
 from collections import Counter
@@ -70,7 +78,28 @@ from .errors import (
 
 SWEEP_MAX = 2**20       # the largest field order a context accepts
 
-logger = logging.getLogger("hasseforms")
+
+class _Logger:
+    """debug drops a record until the program has imported logging, and
+    then forwards it to logging.getLogger("hasseforms"), looked up once
+    since getLogger takes a lock, at the frame of debug's caller."""
+
+    __slots__ = ("_logger",)
+
+    def __init__(self) -> None:
+        self._logger = None
+
+    def debug(self, msg: str, *args) -> None:
+        log = self._logger
+        if log is None:
+            logging = sys.modules.get("logging")
+            if logging is None:
+                return
+            log = self._logger = logging.getLogger("hasseforms")
+        log.debug(msg, *args, stacklevel=2)
+
+
+logger = _Logger()
 
 CoeffsLike = Union[int, Sequence[int], "FieldElement"]
 

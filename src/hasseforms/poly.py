@@ -27,18 +27,16 @@ are sorted, so the output does not depend on that order.
 
 from __future__ import annotations
 
-import logging
 import sys
 import time
 from array import array
 from typing import NamedTuple
 
 from .errors import CtxMismatchError, ZeroPolynomialError
-from .gf import FieldCtx, FieldElement, _conv_ints, _gcd_ints, _monic_ints, _poly_str, _power
+from .gf import (FieldCtx, FieldElement, _conv_ints, _gcd_ints, _monic_ints, _poly_str,
+                 _power, logger)
 
 __all__ = ["Polynomial", "Factorization", "gcd", "factor", "degree_pattern"]
-
-logger = logging.getLogger("hasseforms")
 
 
 class Polynomial:

@@ -37,7 +37,6 @@ reads them.
 
 from __future__ import annotations
 
-import logging
 import time
 from collections import Counter, defaultdict
 from itertools import filterfalse, islice, repeat
@@ -49,12 +48,11 @@ from .curve import (WeierstrassCurve, _count_at, _decode, _disc_at, _disc_row, _
                     point_count)
 from .errors import InconsistencyError
 from .forms import _class_residues, _field_order, _rank_classes, realizable_set
-from .gf import FieldCtx, FieldElement, smallest_prime_factor
+from .gf import FieldCtx, FieldElement, logger, smallest_prime_factor
 
 __all__ = ["admissible_traces", "iter_curves", "find_curve_with_class", "describe_witness",
            "WitnessRecord", "ClassEntry", "RealizabilityReport", "census"]
 
-logger = logging.getLogger("hasseforms")
 
 # builds a NamedTuple record from the tuple of its fields at C level, with
 # no call of its generated Python __new__

@@ -8,7 +8,6 @@ is reproducible verbatim.
 
 from __future__ import annotations
 
-import logging
 import time
 from functools import cache, lru_cache
 from itertools import compress, filterfalse
@@ -16,7 +15,9 @@ from math import gcd, isqrt
 from operator import not_
 
 from .curve import (
+    WeierstrassCurve,
     _decode,
+    _disc_at,
     _in_trace_bound,
     _row_counts,
     _row_hasse,
@@ -34,13 +35,11 @@ from .forms import (
     realizable_set,
     twist_class_action,
 )
-from .gf import FieldCtx, FieldElement, make_field
+from .gf import FieldCtx, FieldElement, logger, make_field
 from .poly import Polynomial, degree_pattern
 from .search import _first_hits, _iter_rows, census, iter_curves
 
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_suite"]
-
-logger = logging.getLogger("hasseforms")
 
 
 class SuiteResult:
@@ -278,13 +277,14 @@ def _suite_etale(res: SuiteResult, ctx: FieldCtx) -> None:
     products of the factors of each degree, so the equal-degree split is
     not needed (factor's tests audit it).  ptorsion_description reads the
     degrees off the class order instead.  A_p and its class are read off
-    the row table _row_hasse; a model is decoded for ptorsion_description
+    the row table _row_hasse; a model is built for ptorsion_description
     (once per value of A_p, and on every supersingular model) and to name
-    it in a failure.  Both checks of an ordinary model depend on A_p
-    alone, so a row whose every nonzero A_p has passed them already adds
-    its ordinary models as cases at once and checks only its
-    supersingular ones; a row with a new or failing value walks its
-    models one by one, each check in enumeration order.
+    it in a failure, unchecked, with its discriminant off the row.  Both
+    checks of an ordinary model depend on A_p alone, so a row whose every
+    nonzero A_p has passed them already adds its ordinary models as cases
+    at once and checks only its supersingular ones; a row with a new or
+    failing value walks its models one by one, each check in enumeration
+    order.
     """
     p, q, exps = ctx.p, ctx.q, _rank_classes(ctx)[0]
     degree_cache: dict[int, tuple[int, ...]] = {}
@@ -292,30 +292,36 @@ def _suite_etale(res: SuiteResult, ctx: FieldCtx) -> None:
     # first model, if ptorsion_description agrees there (agrees) and the
     # degrees match the class order
     passed = {0}
+    unchecked, from_rank = WeierstrassCurve._unchecked, ctx.from_rank
 
-    def supersingular(r2, r4, r6):
-        curve = _decode(ctx, r2, r4, r6)
+    def model(r2, r4, d, r6):
+        # a model the row walk knows is nonsingular
+        return unchecked(ctx, from_rank(r2), from_rank(r4), from_rank(r6),
+                         FieldElement(ctx, _disc_at(ctx, d, (r6,))[0]))
+
+    def supersingular(r2, r4, d, r6):
+        curve = model(r2, r4, d, r6)
         desc = ptorsion_description(curve)
         res.check(desc.supersingular and desc.label == "M2",
                   "%r: supersingular but described as %r", curve, desc)
 
-    for r2, r4, _, singular in _iter_rows(ctx):
+    for r2, r4, d, singular in _iter_rows(ctx):
         hasse = _row_hasse(ctx, r2, r4)
         if passed.issuperset(hasse):
             zeros = [r6 for r6 in compress(range(q), map(not_, hasse)) if r6 not in singular]
             res.cases += q - len(singular) - len(zeros)
             for r6 in zeros:
-                supersingular(r2, r4, r6)
+                supersingular(r2, r4, d, r6)
             continue
         for r6 in filterfalse(singular.__contains__, range(q)):
             a = hasse[r6]
             if not a:
-                supersingular(r2, r4, r6)
+                supersingular(r2, r4, d, r6)
                 continue
             if a in degree_cache:
                 degrees, agrees = degree_cache[a], False
             else:
-                curve = _decode(ctx, r2, r4, r6)
+                curve = model(r2, r4, d, r6)
                 desc = ptorsion_description(curve)
                 binomial = [ctx._neg(a)] + [0] * (p - 2) + [ctx.one.rank]
                 degrees = degree_pattern(Polynomial.from_ranks(ctx, binomial))
@@ -324,14 +330,14 @@ def _suite_etale(res: SuiteResult, ctx: FieldCtx) -> None:
                 res.check(agrees,
                           "%r: p-th root of j or etale degrees %r disagree with factor() %r",
                           curve, desc.etale_degrees, degrees)
-            d = (p - 1) // gcd(exps[a], p - 1)  # the order of the class
-            if sum(degrees) == p - 1 and set(degrees) == {d}:
+            order = (p - 1) // gcd(exps[a], p - 1)  # the order of the class
+            if sum(degrees) == p - 1 and set(degrees) == {order}:
                 res.cases += 1
                 if agrees:
                     passed.add(a)
             else:
                 res.check(False, "%r: etale degrees %r but class order %d",
-                          _decode(ctx, r2, r4, r6), degrees, d)
+                          model(r2, r4, d, r6), degrees, order)
 
 
 def _suite_census(res: SuiteResult, ctx: FieldCtx) -> None:

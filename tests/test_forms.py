@@ -25,6 +25,7 @@ from hasseforms.errors import (
     BadCongruenceError,
     CtxMismatchError,
     NotPrimeError,
+    SingularModelError,
     ZeroElementError,
     ZeroTwistParameterError,
 )
@@ -343,3 +344,40 @@ def test_unit_class_operators_match_field_elements():
             assert x.__pow__(2.5) is NotImplemented
             with pytest.raises(TypeError, match="unsupported operand"):
                 x ** 2.5
+
+
+def _explicit_model(ctx, a):
+    # the model whose A_p is exactly a, for p <= 11, where A_p has one
+    # term: A_3 = a2, A_5 = 2 a4, A_7 = 3 a6 and A_11 = 9 a4 a6
+    p = ctx.p
+    if p == 3:
+        return WeierstrassCurve(ctx, 0, 1, a2=a)
+    if p == 5:
+        return WeierstrassCurve(ctx, 3 * a, 0)
+    if p == 7:
+        return WeierstrassCurve(ctx, 0, 5 * a)
+    for rank in range(1, ctx.q):  # p = 11: the first u != 0 that is nonsingular
+        u = ctx.from_rank(rank)
+        try:
+            return WeierstrassCurve(ctx, u, 5 * a / u)
+        except SingularModelError:
+            continue
+    raise AssertionError(f"no nonsingular (0, u, 5a/u) over {ctx} for a = {a}")
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p in (3, 5, 7, 11) for n in range(1, 10)
+                                 if p**n <= 20_000])
+def test_every_class_has_an_explicit_model_for_p_up_to_11(p, n):
+    # the abstract's "yes for p <= 11" on every field of characteristic 3,
+    # 5, 7 and 11 up to q = 20,000: for every class exponent e, a = g^e is
+    # the Hasse invariant of an explicit nonsingular model, by the term
+    # table and by truncated powering, and its point count has the class
+    # of a as its trace residue
+    ctx = make_field(p, n)
+    for e in range(p - 1):
+        a = ctx.generator ** e
+        curve = _explicit_model(ctx, a)
+        assert curve.discriminant
+        assert hasse_invariant(curve) == a
+        assert curve.f_polynomial().pow_truncated((p - 1) // 2, p - 1)[p - 1] == a
+        assert point_count(curve).beta % p == int(phi(unit_class_of(a)))

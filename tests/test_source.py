@@ -2,7 +2,7 @@
 module-level private name is read somewhere in the package, no
 module-level functools cache takes a context, every absolute import is
 of the standard library, and the CLI loads neither dataclasses nor
-inspect."""
+inspect, nor logging, argparse or json until a call uses them."""
 
 import ast
 import os
@@ -145,17 +145,86 @@ def test_modules_import_only_the_standard_library(path):
     assert _non_stdlib_imports(path.read_text()) == []
 
 
-def test_cli_import_loads_no_dataclasses_or_inspect():
-    # the records are NamedTuples and one slotted class, so a CLI process
-    # pays for neither dataclasses nor what it pulls in (inspect, ast,
-    # dis); measured against the modules loaded before the import, so a
-    # Python whose site loads them itself still passes
-    code = ("import sys; before = set(sys.modules); import hasseforms.cli; "
-            "print(*sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+def _fresh_python(code, *args):
+    # runs code in a fresh interpreter that imports the package from this tree
     src = str(Path(hasseforms.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    return proc
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # the records are NamedTuples and one slotted class, so a CLI process
+    # pays for neither dataclasses nor what it pulls in (inspect, ast,
+    # dis); nor for logging, argparse or json, which only a call that
+    # uses them imports.  Measured against the modules loaded before the
+    # import, so a Python whose site loads them itself still passes
+    code = ("import sys; before = set(sys.modules); import hasseforms.cli; "
+            "print(*sorted({'dataclasses', 'inspect', 'logging', 'argparse', 'json'} "
+            "& (set(sys.modules) - before)))")
+    assert _fresh_python(code).stdout.split() == []
+
+
+# one CLI call; its last line on stderr names the watched modules the
+# call added and those loaded before the import
+_CALL_LOADS = """\
+import sys
+watched = {"logging", "argparse", "json"}
+before = set(sys.modules)
+from hasseforms import cli
+code = cli.main(sys.argv[1:])
+sys.stdout.flush()
+added = watched & (set(sys.modules) - before)
+print(",".join(sorted(added)), ",".join(sorted(watched & before)), sep="|", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv,loads", [
+    (["hasse", "-p", "653", "-a4", "310", "-a6", "290"], set()),
+    (["hasse", "-p", "653", "-a4", "310", "-a6", "290", "--json"], {"json"}),
+    (["hasse", "--help"], {"argparse"}),
+], ids=["text", "json", "help"])
+def test_cli_call_loads_only_what_it_uses(argv, loads):
+    # a well-formed text call builds no parser, writes no JSON and has no
+    # handler to log to; --json needs json, and --help argparse's parser
+    proc = _fresh_python(_CALL_LOADS, *argv)
+    added, preloaded = (set(filter(None, part.split(",")))
+                        for part in proc.stderr.splitlines()[-1].split("|"))
+    assert added == loads - preloaded
+
+
+def test_handler_attached_after_import_gets_every_record():
+    # the package never imports logging, yet a handler the program attaches
+    # once it has imported logging itself gets the table-build, census and
+    # run_suite records, each at its caller's logger.debug line; records
+    # made before logging was imported are dropped
+    code = """\
+import os
+import hasseforms
+hasseforms.census(hasseforms.make_field(5))
+import logging
+records = []
+handler = logging.Handler()
+handler.emit = records.append
+log = logging.getLogger("hasseforms")
+log.addHandler(handler)
+log.setLevel(logging.DEBUG)
+hasseforms.census(hasseforms.make_field(7, 2))
+hasseforms.run_suite("closed-forms", 5)
+for r in records:
+    print(r.name, r.funcName, os.path.basename(r.pathname), r.lineno,
+          r.getMessage().split()[0], sep="|")
+"""
+    rows = [line.split("|") for line in _fresh_python(code).stdout.splitlines()]
+    assert {name for name, *_ in rows} == {"hasseforms"}
+    assert [(func, path, word) for _, func, path, _, word in rows] == [
+        ("_log_tables", "gf.py", "built"), ("census", "search.py", "census"),
+        ("_log_tables", "gf.py", "built"), ("run_suite", "verify.py", "suite")]
+    package = Path(hasseforms.__file__).parent
+    for _, _, path, lineno, _ in rows:
+        line = (package / path).read_text().splitlines()[int(lineno) - 1]
+        assert line.strip().startswith("logger.debug("), (path, lineno)
