@@ -31,14 +31,17 @@ The level-q variant A_q, the coefficient of x^(q-1) in the ((q-1)/2)
 power, is the norm A_p^((q-1)/(p-1)).  See Silverman, The Arithmetic of
 Elliptic Curves, section V.4.
 
-A_p and #E each come in two shapes, per curve and per row.  A_p has
-one evaluator, _hasse_at, off one table per (a2, a4) row (_hasse_row):
-Horner in a6^2, an int loop per a6 over F_p and list comprehensions on
-logs with Zech steps over F_q.  hasse_invariant is _hasse_at at one a6,
-_row_hasse is _hasse_at on every a6 of the row, and the census reads
-it on blocks of a6 (rows its scan reads by A_p) and on a row's
-witnesses; Polynomial.pow_truncated is the independent route that tests
-and the closed-forms suite hold it to.  #E of one curve over F_p with
+A_p and #E each come in two shapes, per curve and per row.  A_p of one
+curve over F_p with p >= 5 needs no table: hasse_invariant steps from
+term to term of the closed form by their ratio (_hasse_one).  Rows, and
+one curve over F_q or F_3, have one evaluator, _hasse_at, off one table
+per (a2, a4) row (_hasse_row): Horner in a6^2, an int loop per a6 over
+F_p and list comprehensions on logs with Zech steps over F_q.
+_row_hasse is _hasse_at on every a6 of the row, and the census reads it
+on blocks of a6 (rows its scan reads by A_p) and on a row's witnesses;
+tests hold the two evaluators to each other, and
+Polynomial.pow_truncated is the independent route that tests and the
+closed-forms suite hold both to.  #E of one curve over F_p with
 p > 229 needs no table: point_count takes baby and giant steps on the
 points of E and of its quadratic twist (_count_mestre).  Elsewhere, and
 for whole rows, #E has one table per row, the histogram M of the logs
@@ -53,8 +56,10 @@ F_p and the row suites.  Both read a6 = 0 as one parity sum of M
 (gf._ctx_memo: _row_hist, _x_logs, _hasse_row, _hasse_table and the Y
 tables _zech_mask and _zech_operand), so they go with the field; the
 whole rows, _row_counts and _row_hasse, do not, since no caller reads a
-row twice.  Only _hasse_terms, on p alone, stays at module level;
-_nonsquare is found afresh for each Shanks-Mestre count.
+row twice.  Only _hasse_terms, on p alone, stays at module level, for
+the row callers (the census, the suites and search), which reuse it
+across the fields of one characteristic; _nonsquare is found afresh for
+each Shanks-Mestre count.
 
 The twist kinds live in one table, _TWISTS, of degrees and weights.  A
 twist by d scales (a2, a4, a6) by d to the weights (_twist_scales), so
@@ -68,6 +73,7 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import cache
+from itertools import chain
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -701,18 +707,59 @@ def _hasse_table(ctx: FieldCtx, k: int, coeffs: tuple[int, ...]) -> array:
     return array("i", _hasse_at(ctx, k, coeffs, range(ctx.q)))
 
 
+def _hasse_one(p: int, a4: int, a6: int) -> int:
+    """A_p of y^2 = x^3 + a4 x + a6 over F_p, p >= 5, with no table.
+
+    The closed form's terms T_i = m!/(i! j! k!) a4^j a6^k run over
+    first = ceil(m/2) <= i <= last = floor((p-1)/3), with j = p - 1 - 3i
+    and k = 2i - m, and each is the one after it times the ratio
+    T_(i-1)/T_i = i k (k-1) a4^3 / ((j+1)(j+2)(j+3) a6^2).  Nested from
+    the first term out, 1 + r (1 + r' (...)), as one fraction u/v, the
+    sum is T_last u/v, so it takes no inverse but the last one.  The
+    anchor T_last is the term with the fewest factors, m - last = j + k
+    of them over j! k!, in one product loop.  Where a4 or a6 is 0 one
+    term is left, the one with j = 0 (i = last) or k = 0 (i = first),
+    and it is its own anchor: a zero to a positive power reads 0 where
+    no term is left.  About p/12 ratio steps and p/6 anchor factor
+    pairs: a median 87 ms at p = 1048573 on 2 vCPU, against 226 ms for
+    _hasse_at off a cold term table (_hasse_terms), which this builds
+    none of.  Tests hold it to _hasse_at off _hasse_row on every model of
+    every F_p, 5 <= p <= 233.
+    """
+    m = (p - 1) // 2
+    first, last = (m + 1) // 2, (p - 1) // 3
+    i = first if a4 and not a6 else last
+    j, k = p - 1 - 3 * i, 2 * i - m
+    u = v = 1
+    if a4 and a6:
+        cube, square = a4 * a4 * a4 % p, a6 * a6 % p
+        for s in range(first + 1, last + 1):
+            t, r = p - 3 * s, 2 * s - m  # j + 1 and k at term s
+            d = t * (t + 1) * (t + 2) * square
+            u = (d * v + s * r * (r - 1) * cube * u) % p
+            v = d * v % p
+    num = den = 1
+    for a, b in zip(range(i + 1, m + 1), chain(range(1, j + 1), range(1, k + 1))):
+        num = num * a % p
+        den = den * b % p
+    return num * u * pow(a4, j, p) * pow(a6, k, p) * pow(den * v, -1, p) % p
+
+
 def hasse_invariant(curve: WeierstrassCurve, level: str = "p") -> FieldElement:
     """Coefficient of x^(p-1) in f^((p-1)/2), or of x^(q-1) at level "q".
 
-    Level p is A_p = a6^k P(a6^2) off the (a2, a4) row (_hasse_row,
-    A_3 = a2 included), _hasse_at at this one a6.  Level q is the norm
-    A_p^((q-1)/(p-1)) (Silverman, AEC section V.4).  Tests pin both
-    levels, and the closed-forms suite level p, against
-    f_polynomial().pow_truncated.
+    Level p over F_p with p >= 5 is _hasse_one, by term ratios with no
+    table; over F_q with n > 1, and at p = 3 (A_3 = a2), it is
+    A_p = a6^k P(a6^2) off the (a2, a4) row (_hasse_row), _hasse_at at
+    this one a6.  Level q is the norm A_p^((q-1)/(p-1)) (Silverman, AEC
+    section V.4).  Tests pin both levels, and the closed-forms suite
+    level p, against f_polynomial().pow_truncated.
     """
     ctx = curve.ctx
     if level not in ("p", "q"):
         raise ValueError(f'level must be "p" or "q", got {level!r}')
+    if ctx.n == 1 and ctx.p > 3:  # q = p, so level q is level p
+        return FieldElement(ctx, _hasse_one(ctx.p, curve.a4.rank, curve.a6.rank))
     row = _hasse_row(ctx, curve.a2.rank, curve.a4.rank)
     a = FieldElement(ctx, _hasse_at(ctx, *row, (curve.a6.rank,))[0])
     return a if level == "p" else a ** ((ctx.q - 1) // (ctx.p - 1))

@@ -256,10 +256,11 @@ def _suite_twists(res: SuiteResult, ctx: FieldCtx) -> None:
 def _suite_closed_forms(res: SuiteResult, ctx: FieldCtx) -> None:
     """The closed form for A_p against full truncated powering.
 
-    On every model, hasse_invariant, the one closed-form evaluator
-    curve._hasse_at at one a6, must equal the coefficient of x^(p-1) in
-    f^((p-1)/2), computed by Polynomial.pow_truncated, which knows
-    nothing of the term table.
+    On every model, hasse_invariant, the closed form by term ratios over
+    F_p with p >= 5 (curve._hasse_one) and curve._hasse_at at one a6
+    elsewhere, must equal the coefficient of x^(p-1) in f^((p-1)/2),
+    computed by Polynomial.pow_truncated, which knows nothing of the
+    closed form.
     """
     p = ctx.p
     for curve in iter_curves(ctx):

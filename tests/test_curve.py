@@ -32,6 +32,7 @@ from hasseforms.curve import (
     _disc_row,
     _ec_add,
     _hasse_at,
+    _hasse_one,
     _hasse_row,
     _hasse_terms,
     _log_hist,
@@ -157,7 +158,8 @@ _TWO_ROUTES_STRIDES = {(5, 2): (1, 7), (7, 2): (1, 29), (3, 3): (1, 13), (13, 2)
 def test_hasse_invariant_two_routes(p, n):
     """The closed form and its norm agree with full truncated powering
     of the defining cubic, at the p and q levels.  The closed form is
-    _hasse_at at one a6: an int loop over F_p, Horner on logs with Zech
+    _hasse_one by term ratios over F_p with p >= 5, and elsewhere
+    _hasse_at at one a6: A_3 = a2 over F_3, Horner on logs with Zech
     steps over F_q.  F_5^2, F_7^2 and F_3^3 take it over rows with a4 = 0
     (zero low coefficients folded into k), a6 = 0 and char-3 a2 slabs with
     n > 1, and F_13^2, the smallest of them with two terms, over a P of
@@ -405,7 +407,8 @@ def test_row_counts_match_count_at_every_a6(p, n):
 @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2), (3, 3),
                                  (7, 2), (13, 2)])
 def test_row_hasse_matches_hasse_invariant(p, n):
-    # the whole-row shape of _hasse_at against the per-curve one, which
+    # the whole-row shape of _hasse_at against hasse_invariant (over F_p
+    # with p >= 5 the term ratios of _hasse_one), which
     # test_hasse_invariant_two_routes holds to truncated powering, on
     # every model, a6 = 0 included: the a4 = 0 rows, where zero low
     # coefficients of P fold into k (over F_13 and F_13^2, whose P has two
@@ -427,7 +430,7 @@ def test_row_hasse_matches_hasse_invariant(p, n):
 
 @pytest.mark.parametrize("p,n", [(7, 1), (5, 2), (13, 2), (3, 3)])
 def test_hasse_at_matches_hasse_invariant_on_shuffled_ranks(p, n):
-    # the evaluator that hasse_invariant reads, on a shuffled sample of a6
+    # the row evaluator _hasse_at, on a shuffled sample of a6
     # ranks with rank 0 and the row's discriminant roots, on every row
     # (the char-3 a2 slabs too), against truncated powering of the cubic;
     # a singular model is built unchecked, since A_p is a polynomial in
@@ -444,6 +447,33 @@ def test_hasse_at_matches_hasse_invariant_on_shuffled_ranks(p, n):
             assert got == [WeierstrassCurve._unchecked(ctx, a2, a4, els[r6], ctx.zero)
                            .f_polynomial().pow_truncated((p - 1) // 2, p - 1)[p - 1].rank
                            for r6 in r6s]
+
+
+PRIMES_5_TO_233 = [m for m in range(5, 234) if all(m % d for d in range(2, m))]
+
+
+@pytest.mark.parametrize("p", PRIMES_5_TO_233)
+def test_hasse_one_matches_row_route_on_every_model(p):
+    # A_p by term ratios against the row route, _hasse_at off _hasse_row,
+    # on every (a4, a6), singular ones too.  The primes take both residues
+    # mod 3 and mod 4, so the a4 = 0 rows and the a6 = 0 column, where one
+    # term is left, or none (p = 2 mod 3, p = 3 mod 4), run both ways
+    ctx = make_field(p)
+    for a4 in range(p):
+        want = _hasse_at(ctx, *_hasse_row(ctx, 0, a4), range(p))
+        assert [_hasse_one(p, a4, a6) for a6 in range(p)] == want, a4
+
+
+@pytest.mark.parametrize("p", [65537, 1048573])
+def test_hasse_one_matches_row_route_on_seeded_models(p):
+    # a few rows, so that the row route builds few tables; 65537 = 2 mod 3
+    # leaves no term on the row a4 = 0, 1048573 = 1 mod 3 one
+    rng = random.Random(p)
+    ctx = make_field(p)
+    for a4 in (0, 1, rng.randrange(2, p)):
+        a6s = [0, 1] + [rng.randrange(2, p) for _ in range(3)]
+        want = _hasse_at(ctx, *_hasse_row(ctx, 0, a4), a6s)
+        assert [_hasse_one(p, a4, a6) for a6 in a6s] == want, a4
 
 
 def test_trace_names_the_model_it_rejects(monkeypatch):

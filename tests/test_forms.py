@@ -17,7 +17,7 @@ from hasseforms import (
     twist_class_action,
     unit_class_of,
 )
-from hasseforms.curve import TWIST_KINDS, WeierstrassCurve, point_count, twist
+from hasseforms.curve import TWIST_KINDS, WeierstrassCurve, _hasse_terms, point_count, twist
 from hasseforms.verify import run_suite
 from hasseforms.forms import UnitClass, _class_residues
 from hasseforms.gf import _is_prime
@@ -314,10 +314,12 @@ def _single_curve_answers(ctx):
 
 def test_single_curve_queries_over_fp_build_no_tables():
     bare = make_field(1009)
+    terms = _hasse_terms.cache_info().currsize
     answers = _single_curve_answers(bare)
     assert answers[0].ordinary
-    # the row's closed form, about p/12 coefficients, is the one memo
-    assert "_log_tables" not in vars(bare) and set(bare._builds) == {"_hasse_row"}
+    # A_p by term ratios (curve._hasse_one) builds no row and no term table
+    assert "_log_tables" not in vars(bare) and not bare._builds
+    assert _hasse_terms.cache_info().currsize == terms
     tabled = make_field(1009)
     tabled._log_tables
     assert _single_curve_answers(tabled) == answers
