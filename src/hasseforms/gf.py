@@ -37,10 +37,14 @@ Arithmetic.  Over F_p (n = 1) the rank is the value: built-in ints.  Over
 F_q with n > 1 products, powers and inverses act on logarithms,
 a + b = g^(log a + zech[log b - log a]), and negation adds (q-1)/2 to
 the logarithm.  F_p[x] runs on value lists, with one convolution,
-_conv_ints, reduced once per coefficient, and one reducer, _rem_ints.
-Their product _mulmod_ints serves the modulus and generator searches and
-the exp build, and, as _conv_mul and _conv_pow, is the reference the
-tests audit the tables against; poly.py's F_p[x] runs on them too.  One
+_conv_ints, reduced once per coefficient, and one long division,
+_divmod_ints, whose remainder the product _mulmod_ints, Euclid
+(_gcd_ints), Ben-Or's test and the norm read.  _mulmod_ints serves the
+modulus and generator searches and the exp build, and, as _conv_mul and
+_conv_pow, is the reference the tests audit the tables against; poly.py's
+F_p[x] runs on these kernels too.  One factorization of ints by trial
+division, _factor_int, gives the generator search its primes and the
+Pohlig-Hellman plan its prime powers.  One
 square-and-multiply, _power, takes _conv_pow, the powers of polynomials
 and residue rings, and the multiples of a curve point.
 
@@ -118,18 +122,20 @@ def _power(x, e: int, mul, one):
     return result
 
 
-def _prime_factors(m: int) -> tuple[int, ...]:
-    """Distinct prime divisors of m, ascending."""
-    out = []
-    f = 2
+def _factor_int(m: int) -> tuple[tuple[int, int], ...]:
+    """The factorization of m >= 1 by trial division: (prime, exponent)
+    pairs, the primes ascending."""
+    out, f = [], 2
     while f * f <= m:
-        if m % f == 0:
-            out.append(f)
-            while m % f == 0:
-                m //= f
+        k = 0
+        while m % f == 0:
+            m //= f
+            k += 1
+        if k:
+            out.append((f, k))
         f += 1 if f == 2 else 2
     if m > 1:
-        out.append(m)
+        out.append((m, 1))
     return tuple(out)
 
 
@@ -157,22 +163,30 @@ def _is_prime(m: int) -> bool:
     return m >= 2 and smallest_prime_factor(m) == m
 
 
-def _rem_ints(a: list[int], m, p: int) -> list[int]:
-    # a mod the monic m over F_p, on value lists low degree first, with no
-    # trailing zeros; a is overwritten.  An index loop, not a slice
-    # comprehension: on CPython 3.11 about 2x faster at the small degrees
-    # of the modulus search, and equal near degree 100
-    D = len(m) - 1
+def _divmod_ints(a: list[int], b, p: int) -> tuple[list[int], list[int]]:
+    # (quotient, remainder) of a by the nonzero b over F_p, on value lists
+    # low degree first, with no trailing zeros; a is overwritten and
+    # returned as the remainder.  An index loop, not a slice comprehension:
+    # on CPython 3.11 about 2x faster at the small degrees of the modulus
+    # search, and equal near degree 100.  One % p per update measured
+    # faster at degree 2 than one per leading coefficient.  A b that is
+    # not monic is divided out as b / lead(b), and the quotient scaled back
+    if b[-1] != 1:
+        inv = pow(b[-1], -1, p)
+        quo, rem = _divmod_ints(a, [c * inv % p for c in b], p)
+        return [c * inv % p for c in quo], rem
+    D = len(b) - 1
     for i in range(len(a) - 1, D - 1, -1):
         c = a[i]
         if c:
             off = i - D
             for j in range(D):
-                a[off + j] = (a[off + j] - c * m[j]) % p
+                a[off + j] = (a[off + j] - c * b[j]) % p
+    quo = a[D:]
     del a[D:]
     while a and not a[-1]:
         a.pop()
-    return a
+    return quo, a
 
 
 def _conv_ints(a: Sequence[int], b: Sequence[int], L: int) -> list[int]:
@@ -189,7 +203,7 @@ def _conv_ints(a: Sequence[int], b: Sequence[int], L: int) -> list[int]:
 def _mulmod_ints(a: Sequence[int], b: Sequence[int], m, p: int) -> list[int]:
     # a * b mod the monic m over F_p, on value lists low degree first: the
     # one polynomial product of the field construction
-    return _rem_ints([c % p for c in _conv_ints(a, b, len(a) + len(b) - 1)], m, p)
+    return _divmod_ints([c % p for c in _conv_ints(a, b, len(a) + len(b) - 1)], m, p)[1]
 
 
 def _monic_ints(a: list[int], p: int) -> list[int]:
@@ -205,7 +219,7 @@ def _gcd_ints(a: list[int], b: list[int], p: int) -> list[int]:
     # a and b may both be overwritten, and the result may be b itself
     while b:
         b = _monic_ints(b, p)
-        a, b = b, _rem_ints(a, b, p)
+        a, b = b, _divmod_ints(a, b, p)[1]
     return _monic_ints(a, p) if a else a
 
 
@@ -219,7 +233,7 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
     for i in range(1, n // 2 + 1):
         e = p**i
         low = max(0, e.bit_length() - n.bit_length())
-        h = _rem_ints([0] * (e >> low) + [1], f, p)
+        h = _divmod_ints([0] * (e >> low) + [1], f, p)[1]
         for b in range(low - 1, -1, -1):
             h = _mulmod_ints(h, [0] * (e >> b & 1) + h, f, p)
         h += [0] * (2 - len(h))
@@ -246,7 +260,7 @@ def _norm_ints(a: Sequence[int], m, p: int) -> int:
         if dA & dB & 1:
             res = -res % p
         B = _monic_ints(B, p)
-        A, B = B, _rem_ints(list(A), B, p)
+        A, B = B, _divmod_ints(list(A), B, p)[1]
 
 
 def _poly_str(coeffs: Sequence, var: str) -> str:
@@ -445,17 +459,26 @@ class FieldCtx:
         for rank in range(self.q):
             yield FieldElement(self, rank)
 
-    @cached_property
+    # zero, one and generator are built on each read: an element cached on
+    # its context would point back at it, and a context in a reference
+    # cycle keeps its tables until a full collection
+
+    @property
     def zero(self) -> "FieldElement":
         return FieldElement(self, 0)
 
-    @cached_property
+    @property
     def one(self) -> "FieldElement":
         return FieldElement(self, self._weights[0])
 
-    @cached_property
+    @property
     def generator(self) -> "FieldElement":
-        """The lex-smallest element of multiplicative order q - 1.
+        """The lex-smallest element of multiplicative order q - 1."""
+        return FieldElement(self, self._generator_rank)
+
+    @cached_property
+    def _generator_rank(self) -> int:
+        """The rank of the generator.
 
         x generates iff x^((q-1)/l) != 1 for every prime l | q - 1.  With
         N = (q-1)/(p-1) the norm c = x^N lies in F_p (Lidl and Niederreiter,
@@ -468,8 +491,8 @@ class FieldCtx:
         """
         p, n, m = self.p, self.n, self.modulus
         norm_exp = (self.q - 1) // (p - 1)
-        small = [(p - 1) // ell for ell in _prime_factors(p - 1)]
-        large = [norm_exp // ell for ell in _prime_factors(norm_exp) if (p - 1) % ell]
+        small = [(p - 1) // ell for ell, _ in _factor_int(p - 1)]
+        large = [norm_exp // ell for ell, _ in _factor_int(norm_exp) if (p - 1) % ell]
         conv_pow = self._conv_pow
         for rank in range(1, self.q):
             if n == 1:
@@ -480,7 +503,7 @@ class FieldCtx:
             # x^e lies in F_p iff its coefficients past the constant vanish
             if (all(pow(c, e, p) != 1 for e in small)
                     and all(any(conv_pow(x, e)[1:]) for e in large)):
-                return FieldElement(self, rank)
+                return rank
         raise RuntimeError("no generator found")  # unreachable in a field
 
     # -- cached sweep tables --------------------------------------------
@@ -756,7 +779,7 @@ def discrete_log(x: FieldElement) -> int:
         raise ZeroElementError("zero has no discrete logarithm")
     ctx = x.ctx
     if ctx.n == 1:
-        return _pohlig_hellman(ctx.generator.rank, x.rank, ctx.p)
+        return _pohlig_hellman(ctx._generator_rank, x.rank, ctx.p)
     return ctx._log_tables[1][x.rank]
 
 
@@ -795,14 +818,11 @@ def _pohlig_hellman(g: int, a: int, p: int) -> int:
 def _pohlig_hellman_plan(g: int, p: int) -> tuple:
     # (l, k, m, baby steps gamma^j -> j for j < m, giant step gamma^-m) for
     # each prime power l^k exactly dividing p - 1, gamma = g^((p-1)/l) and
-    # m = ceil(sqrt(l)); one slot, keyed on ints and so holding no context,
-    # since the logs of a run are taken in one field
+    # m = ceil(sqrt(l)), the l^k read off _factor_int, the factorization
+    # the generator search reads too; one slot, keyed on ints and so
+    # holding no context, since the logs of a run are taken in one field
     order, plan = p - 1, []
-    for ell in _prime_factors(order):
-        k, rest = 0, order
-        while rest % ell == 0:
-            rest //= ell
-            k += 1
+    for ell, k in _factor_int(order):
         gamma = pow(g, order // ell, p)
         m = isqrt(ell - 1) + 1
         baby, y = {}, 1

@@ -4,10 +4,11 @@ A polynomial stores the lex ranks of its coefficients (see gf.py), low
 degree first with trailing zeros stripped, so the zero polynomial has no
 ranks and degree -1.  Arithmetic runs on rank lists through one set of
 primitives, _mul_trunc, _divmod, _monic, _gcd and _derivative, that
-branch on the field: over F_p, where a rank is the value, on plain ints
-with inline % p and gf's int kernels, the convolution _conv_ints reduced
-once per output coefficient; over F_q with n > 1 through the FieldCtx
-rank kernels.  Polynomial's methods wrap them, and factor and
+branch on the field: over F_p, where a rank is the value, on gf's int
+kernels, the one convolution _conv_ints, reduced once per output
+coefficient, the one long division _divmod_ints and Euclid on it,
+_gcd_ints; over F_q with n > 1 on a loop of their own through the
+FieldCtx rank kernels.  Polynomial's methods wrap them, and factor and
 degree_pattern stay on rank lists from their entry to factor's output.
 _mul_trunc serves *, ** and pow_truncated, which drops every coefficient
 above a cap: the slow reference that tests and suites hold the closed
@@ -33,8 +34,8 @@ from array import array
 from typing import NamedTuple
 
 from .errors import CtxMismatchError, ZeroPolynomialError
-from .gf import (FieldCtx, FieldElement, _conv_ints, _gcd_ints, _monic_ints, _poly_str,
-                 _power, logger)
+from .gf import (FieldCtx, FieldElement, _conv_ints, _divmod_ints, _gcd_ints, _monic_ints,
+                 _poly_str, _power, logger)
 
 __all__ = ["Polynomial", "Factorization", "gcd", "factor", "degree_pattern"]
 
@@ -95,7 +96,7 @@ class Polynomial:
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.ranks) and self.ranks[-1] == self.ctx.one.rank
+        return bool(self.ranks) and self.ranks[-1] == self.ctx._weights[0]
 
     def __bool__(self) -> bool:
         return bool(self.ranks)
@@ -196,7 +197,7 @@ class Polynomial:
         ctx = self.ctx
         base = self.ranks[: None if cap is None else cap + 1]
         return Polynomial.from_ranks(
-            ctx, _power(base, e, lambda a, b: _mul_trunc(a, b, ctx, cap), [ctx.one.rank]))
+            ctx, _power(base, e, lambda a, b: _mul_trunc(a, b, ctx, cap), [ctx._weights[0]]))
 
     # -- helpers ---------------------------------------------------------
 
@@ -259,20 +260,19 @@ def _mul_trunc(a, b, ctx: FieldCtx, cap=None) -> list[int]:
 
 def _divmod(a: list[int], b, ctx: FieldCtx) -> tuple[list[int], list[int]]:
     # (quotient, remainder) of the stripped rank list a by the nonzero b,
-    # by long division; a is overwritten and returned as the remainder
-    D, p, prime = len(b) - 1, ctx.p, ctx.n == 1
+    # by long division, gf's _divmod_ints over F_p; a is overwritten and
+    # returned as the remainder
+    if ctx.n == 1:
+        return _divmod_ints(a, b, ctx.p)
+    D = len(b) - 1
     inv, mul, add, neg = ctx._inv(b[-1]), ctx._mul, ctx._add, ctx._neg
     for i in range(len(a) - 1, D - 1, -1):
-        c = a[i] = a[i] * inv % p if prime else mul(a[i], inv)
+        c = a[i] = mul(a[i], inv)
         if c:
+            c = neg(c)
             off = i - D
-            if prime:
-                for j in range(D):
-                    a[off + j] = (a[off + j] - c * b[j]) % p
-            else:
-                c = neg(c)
-                for j in range(D):
-                    a[off + j] = add(a[off + j], mul(c, b[j]))
+            for j in range(D):
+                a[off + j] = add(a[off + j], mul(c, b[j]))
     quo = a[D:]
     del a[D:]
     return quo, _strip(a)
@@ -296,7 +296,7 @@ def _gcd(a: list[int], b: list[int], ctx: FieldCtx) -> list[int]:
 
 
 def _derivative(a, ctx: FieldCtx) -> list[int]:
-    p, unit = ctx.p, ctx.one.rank
+    p, unit = ctx.p, ctx._weights[0]
     d = [i * c % p if ctx.n == 1 else ctx._mul(i % p * unit, c) for i, c in enumerate(a)]
     return _strip(d[1:])
 
@@ -304,7 +304,7 @@ def _derivative(a, ctx: FieldCtx) -> list[int]:
 def _minus_x_to(a: list[int], k: int, ctx: FieldCtx) -> list[int]:
     # a - x^k on the rank list a, which is overwritten
     a += [0] * (k + 1 - len(a))
-    a[k] = ctx._sub(a[k], ctx.one.rank)
+    a[k] = ctx._sub(a[k], ctx._weights[0])
     return _strip(a)
 
 
@@ -426,7 +426,7 @@ class _Residues:
             self._R = _reduction_table(mod, p, W)
             self.one = 1
         else:
-            self.one = [ctx.one.rank]
+            self.one = [ctx._weights[0]]
         self._xq = self._T = None
 
     def reduce(self, a):
@@ -463,7 +463,7 @@ class _Residues:
         each set bit, as gf._is_irreducible does.  Modulo the etale
         suite's binomials q = p < 2D, so it is one reduction."""
         if self._xq is None:
-            q, one = self.ctx.q, self.ctx.one.rank
+            q, one = self.ctx.q, self.ctx._weights[0]
             low = max(0, q.bit_length() - self.D.bit_length())
             h = self.reduce([0] * (q >> low) + [one])
             x = self.reduce([0, one])

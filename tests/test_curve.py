@@ -55,7 +55,7 @@ from hasseforms.errors import (
     WrongJInvariantError,
     ZeroTwistParameterError,
 )
-from hasseforms.gf import _power, _prime_factors
+from hasseforms.gf import _factor_int, _power
 from hasseforms.poly import _pack, _slot_width
 
 
@@ -734,10 +734,10 @@ def test_power_of_a_point_matches_repeated_addition(p):
     a = hasse_invariant(_curve(make_field(p), 1, 1)).rank
     order = p + 1 - (a if a < p // 2 else a - p)
     assert _power(P, order, add, None) is None
-    for ell in _prime_factors(order):
+    for ell, _ in _factor_int(order):
         while order % ell == 0 and _power(P, order // ell, add, None) is None:
             order //= ell
-    assert all(_power(P, order // ell, add, None) is not None for ell in _prime_factors(order))
+    assert all(_power(P, order // ell, add, None) is not None for ell, _ in _factor_int(order))
     assert _power(P, order + 1, add, None) == P
     if p < 1000:
         # small enough to walk: the first k with k P at infinity

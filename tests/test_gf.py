@@ -14,6 +14,7 @@ import random
 import re
 import time
 import weakref
+from math import isqrt, prod
 
 import pytest
 
@@ -31,8 +32,9 @@ from hasseforms import cli
 from hasseforms import verify as verify_mod
 from hasseforms.curve import WeierstrassCurve, _row_hist
 from hasseforms.forms import UnitClass
-from hasseforms.gf import (_is_irreducible, _is_prime, _mulmod_ints, _norm_ints,
-                           _pohlig_hellman, _pohlig_hellman_plan, _power, _rem_ints)
+from hasseforms.gf import (_conv_ints, _divmod_ints, _factor_int, _is_irreducible, _is_prime,
+                           _mulmod_ints, _norm_ints, _pohlig_hellman, _pohlig_hellman_plan,
+                           _power)
 from hasseforms.verify import run_suite
 from hasseforms.errors import (
     CtxMismatchError,
@@ -54,7 +56,7 @@ def _is_irreducible_ints(f, p):
     for d in range(1, n // 2 + 1):
         for rank in range(p**d):
             div = [(rank // p**i) % p for i in range(d)] + [1]
-            if not _rem_ints(list(f), div, p):
+            if not _divmod_ints(list(f), div, p)[1]:
                 return False
     return True
 
@@ -164,6 +166,60 @@ def test_mulmod_matches_polynomial_route(p):
         for b in ([0] + a, [rng.randrange(p) for _ in m]):
             want = poly(ctx, a) * poly(ctx, b) % poly(ctx, m)
             assert _mulmod_ints(a, b, m, p) == list(want.ranks), (a, b, m)
+
+
+@pytest.mark.parametrize("p", [3, 5, 65537, 1048573])
+def test_divmod_ints_is_long_division(p):
+    # a = quo * b + rem with deg rem < deg b, both stripped and reduced,
+    # for seeded value lists and divisors of degree 0 to 8, monic and not;
+    # the coefficients are drawn from 0, 1 and p - 1 half the time
+    rng = random.Random(p)
+
+    def coeff():
+        return rng.choice((0, 1, p - 1)) if rng.random() < 0.5 else rng.randrange(p)
+
+    monic = 0
+    for _ in range(300):
+        lead = rng.choice((1, p - 1, rng.randrange(1, p)))
+        b = [coeff() for _ in range(rng.randrange(9))] + [lead]
+        a = [coeff() for _ in range(rng.randrange(16))]
+        while a and not a[-1]:
+            a.pop()
+        want = list(a)
+        monic += lead == 1
+        quo, rem = _divmod_ints(a, b, p)
+        assert len(rem) < len(b) and len(quo) == max(0, len(want) - len(b) + 1)
+        assert all(0 <= c < p for c in quo + rem) and (not quo or quo[-1]) and (not rem or rem[-1])
+        got = [c % p for c in _conv_ints(quo, b, len(want))] if quo else [0] * len(want)
+        for i, c in enumerate(rem):
+            got[i] = (got[i] + c) % p
+        assert got == want, (a, b)
+    assert 0 < monic < 300
+
+
+def test_factor_int_matches_brute_force():
+    # every m <= 10^4 against a sieve, and seeded m < 2^21 against trial
+    # division: ascending primes, positive exponents, product m
+    top = 10**4
+    smallest = list(range(top + 1))
+    for f in range(2, isqrt(top) + 1):
+        for k in range(f * f, top + 1, f):
+            smallest[k] = min(smallest[k], f)
+    for m in range(1, top + 1):
+        want, rest = [], m
+        while rest > 1:
+            f, k = smallest[rest], 0
+            while rest % f == 0:
+                rest, k = rest // f, k + 1
+            want.append((f, k))
+        assert _factor_int(m) == tuple(want), m
+    rng = random.Random(2**21)
+    for m in [rng.randrange(1, 2**21) for _ in range(300)] + [2**20, 1048343 - 1, 1048573 - 1]:
+        pairs = _factor_int(m)
+        primes = [f for f, _ in pairs]
+        assert primes == sorted(set(primes)) and all(k > 0 for _, k in pairs)
+        assert all(all(f % d for d in range(2, isqrt(f) + 1)) for f in primes)
+        assert prod(f**k for f, k in pairs) == m
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (5, 4), (7, 2), (7, 3)])
@@ -584,9 +640,10 @@ def test_point_count_tabulates_each_row_once_in_norm_suite(monkeypatch):
 
 
 def test_contexts_are_collected_once_their_callers_drop_them(monkeypatch, capsys):
-    # no memo outside a context holds one, so every table goes with its
-    # field once the census, the suite or the CLI call that built it
-    # returns; the twists suite's local caches go with its run
+    # no memo outside a context holds one, and no context sits in a
+    # reference cycle, so every table goes with its field as soon as the
+    # census, the suite or the CLI call that built it returns, with the
+    # cycle collector off; the twists suite's local caches go with its run
     refs = []
 
     def tracked(p, n=1):
@@ -596,14 +653,20 @@ def test_contexts_are_collected_once_their_callers_drop_them(monkeypatch, capsys
 
     monkeypatch.setattr(verify_mod, "make_field", tracked)
     monkeypatch.setattr(cli, "make_field", tracked)
-    found = [len(census(tracked(p, n)).realizable) for p, n in ((1009, 1), (31, 2))]
-    oks = [run_suite("norm", 3, 3).ok, run_suite("bridge", 7, 2).ok]
-    oks += [run_suite(name, p, n).ok for name in ("twists", "etale") for p, n in ((3, 2), (13, 1))]
-    codes = [cli.main([sub, "-p", "31", "-n", "2", "-a4", "1", "-a6", "2", "--json"])
-             for sub in ("hasse", "ptorsion")]
-    assert all(found) and all(oks) and codes == [0, 0] and len(refs) == 10
-    gc.collect()
-    assert [ref() for ref in refs] == [None] * 10
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        found = [len(census(tracked(p, n)).realizable) for p, n in ((1009, 1), (31, 2))]
+        oks = [run_suite("norm", 3, 3).ok, run_suite("bridge", 7, 2).ok]
+        oks += [run_suite(name, p, n).ok
+                for name in ("twists", "etale") for p, n in ((3, 2), (13, 1))]
+        codes = [cli.main([sub, "-p", "31", "-n", "2", "-a4", "1", "-a6", "2", "--json"])
+                 for sub in ("hasse", "ptorsion")]
+        assert all(found) and all(oks) and codes == [0, 0] and len(refs) == 10
+        assert [ref() for ref in refs] == [None] * 10
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_tables_refused_beyond_sweep_guard():

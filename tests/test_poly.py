@@ -14,7 +14,7 @@ import pytest
 from hasseforms import make_field
 from hasseforms import poly as poly_module
 from hasseforms.errors import CtxMismatchError, ZeroPolynomialError
-from hasseforms.gf import _rem_ints
+from hasseforms.gf import _divmod_ints
 from hasseforms.poly import Polynomial, _Residues, degree_pattern, factor, gcd
 
 
@@ -431,7 +431,7 @@ def test_reduction_table_holds_reduced_powers_of_x(p, m):
     table = poly_module._reduction_table(m, p, W)
     assert len(table) == D - 1
     for j, packed in enumerate(table):
-        want = _rem_ints([0] * (D + j) + [1], m, p)
+        want = _divmod_ints([0] * (D + j) + [1], m, p)[1]
         assert list(poly_module._unpack(W, packed, D)) == want + [0] * (D - len(want))
 
 
