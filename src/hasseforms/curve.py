@@ -52,14 +52,12 @@ A_p: two popcounts of the planes against one rotated mask per context.
 _row_counts reads it at every a6 from one cyclic product over F_q^*, by
 the log of a6, for callers that walk whole rows: the census scan over
 F_p and the row suites.  Both read a6 = 0 as one parity sum of M
-(_count_at_zero).  The tables memoise on their context, one slot each
-(gf._ctx_memo: _row_hist, _x_logs, _hasse_row, _hasse_table and the Y
-tables _zech_mask and _zech_operand), so they go with the field; the
-whole rows, _row_counts and _row_hasse, do not, since no caller reads a
-row twice.  Only _hasse_terms, on p alone, stays at module level, for
-the row callers (the census, the suites and search), which reuse it
-across the fields of one characteristic; _nonsquare is found afresh for
-each Shanks-Mestre count.
+(_count_at_zero).  Which tables keep a memo follows the one rule of
+gf._ctx_memo's docstring.  _row_hist, _x_logs, _hasse_row, _hasse_table
+and the Y tables _zech_mask and _zech_operand keep one slot each on
+their context, so they go with the field; the whole rows, _row_counts
+and _row_hasse, keep none.  Only _hasse_terms, on p alone, stays at
+module level; _nonsquare is found afresh for each Shanks-Mestre count.
 
 The twist kinds live in one table, _TWISTS, of degrees and weights.  A
 twist by d scales (a2, a4, a6) by d to the weights (_twist_scales), so

@@ -130,14 +130,14 @@ def _class_residues(ctx: FieldCtx) -> array:
     return array("i", (r // unit for r in ranks))
 
 
-@_ctx_memo
 def _rank_classes(ctx: FieldCtx) -> tuple:
     # (class exponents, residues) by rank: the exponent log a mod (p - 1) of
     # each rank a (unit_class_of), -1 at zero, which has no class, and its
     # residue off _class_residues, 0 at zero: a model's residue, beta mod p
-    # by the bridge.  The sweep (_first_hits) and the row suites read it,
-    # per model, so both are lists: a list read takes about half the time
-    # of an array read and a third of a range's.  Over F_p the log table
+    # by the bridge.  The sweep (_first_hits) and the row suites take it
+    # once per sweep, so it keeps no memo (gf._ctx_memo), and read it per
+    # model, so both are lists: a list read takes about half the time of
+    # an array read and a third of a range's.  Over F_p the log table
     # holds the exponents (log 0 = -1) and phi is the identity, so a rank
     # is its own residue: two copies at C level, no Python loop
     log = ctx._log_tables[1]

@@ -298,7 +298,14 @@ def _ctx_memo(build):
     """build(ctx, *key) memoised on the context: ctx._memo holds one slot
     per builder, its last (key, value), and ctx._builds counts its builds.
     So a table lives exactly as long as its field, and a new context starts
-    cold whatever ran before it."""
+    cold whatever ran before it.
+
+    One rule holds every cache of the package: a builder takes this memo
+    only where some caller reads the same key twice on one context, and a
+    functools cache at module level, keyed on ints and never on a
+    context, only where it is re-read across the calls it serves.  A table
+    each caller reads once, as a whole row, is built afresh.
+    tests/test_source.py names, for each cache, a path that re-reads it."""
     name = build.__name__
 
     @wraps(build)

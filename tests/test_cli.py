@@ -154,6 +154,14 @@ def test_search_miss_is_an_answer_not_an_error():
     assert rc == 0
     assert json.loads(out2)["result"] == result
     assert json.loads(out2)["params"]["no_shortcut"] is True
+    # the text names the reason: the trace shortcut proves the miss, and
+    # the exhaustive sweep finds it
+    for flags, reason in [
+            ((), "no admissible trace exists in the open interval (-2*sqrt(q), 2*sqrt(q))"),
+            (("--no-shortcut",), "exhausted every curve without a hit")]:
+        rc, out, err = run_cli("search", "-p", "19", "-h", "9", *flags)
+        assert rc == 0 and err == ""
+        assert out == f"field: F_19 (p = 19, n = 1)\nclass 9: not realizable over F_19\n{reason}\n"
 
 
 @pytest.mark.parametrize("read_argv,parsed_argv,params", [

@@ -1,8 +1,9 @@
 """Source hygiene: every package module uses the names it imports, every
 module-level private name is read somewhere in the package, no
-module-level functools cache takes a context, every absolute import is
-of the standard library, and the CLI loads neither dataclasses nor
-inspect, nor logging, argparse or json until a call uses them."""
+module-level functools cache takes a context, every cache has a path
+that reads it more often than it builds it, every absolute import is of
+the standard library, and the CLI loads neither dataclasses nor inspect,
+nor logging, argparse or json until a call uses them."""
 
 import ast
 import os
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import hasseforms
+from hasseforms import census, iter_curves, make_field, point_count, run_suite
 
 MODULES = sorted(Path(hasseforms.__file__).parent.glob("*.py"))
 
@@ -74,21 +76,26 @@ def _unread_private_names(sources):
     return sorted(name for name in defined if name.partition(".")[2] not in read)
 
 
+def _cached_functions(source, decorators):
+    # module-level functions that one of decorators decorates, bare,
+    # called or through the module
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            for dec in node.decorator_list:
+                dec = dec.func if isinstance(dec, ast.Call) else dec
+                if (dec.attr if isinstance(dec, ast.Attribute)
+                        else getattr(dec, "id", None)) in decorators:
+                    yield node
+                    break
+
+
 def _ctx_keyed_caches(source):
     # module-level functions with a ctx parameter that functools.cache or
-    # lru_cache decorates, bare, called or through the module: such a memo
-    # would keep its last context, and every table on it, alive
-    found = []
-    for node in ast.parse(source).body:
-        if not isinstance(node, ast.FunctionDef):
-            continue
-        args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
-        for dec in node.decorator_list:
-            dec = dec.func if isinstance(dec, ast.Call) else dec
-            name = dec.attr if isinstance(dec, ast.Attribute) else getattr(dec, "id", None)
-            if name in ("cache", "lru_cache") and any(a.arg == "ctx" for a in args):
-                found.append(node.name)
-    return found
+    # lru_cache decorates: such a memo would keep its last context, and
+    # every table on it, alive
+    return [node.name for node in _cached_functions(source, ("cache", "lru_cache"))
+            if any(a.arg == "ctx" for a in
+                   node.args.posonlyargs + node.args.args + node.args.kwonlyargs)]
 
 
 def _non_stdlib_imports(source):
@@ -131,6 +138,81 @@ def test_ctx_cache_guard_sees_module_level_decorators():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_module_level_cache_holds_a_context(path):
     assert _ctx_keyed_caches(path.read_text()) == []
+
+
+# each cache of the package and the path that re-reads it, by the rule of
+# gf._ctx_memo's docstring: a builder memoised on the context reads the
+# same key twice on one context there, and a module-level functools cache
+# is re-read across the calls it serves
+_REREADERS = {
+    # the census scan and each witness check read the residues by class
+    "_class_residues": lambda: census(make_field(5, 2)),
+    # point_count counts the models of a row off one histogram, each
+    # count against the one rotated mask of the context
+    "_row_hist": lambda: [point_count(c) for c in iter_curves(make_field(7))],
+    "_zech_mask": lambda: [point_count(c) for c in iter_curves(make_field(7))],
+    # the q rows of a char-3 a2 slab share the logs of (x + a2) x
+    "_x_logs": lambda: run_suite("bridge", 3, 2),
+    # hasse_invariant re-reads the row for each model of it
+    "_hasse_row": lambda: run_suite("closed-forms", 5, 2),
+    # the rows of an a2 slab share one closed form, A_3 = a2
+    "_hasse_table": lambda: run_suite("bridge", 3, 2),
+    # the row product of every row reads the Y operand of the context
+    "_zech_operand": lambda: run_suite("bridge", 7),
+    # the row callers over the fields of one characteristic share the terms
+    "_hasse_terms": lambda: [census(make_field(7, n)) for n in (1, 2)],
+    # the twists suite takes a discrete log over F_p per twist of its plan
+    "_pohlig_hellman_plan": lambda: run_suite("twists", 7),
+}
+
+
+def _reads_and_builds(monkeypatch, name, path):
+    # (reads, builds) of the cached builder name over one run of path.  A
+    # functools cache counts both itself; a _ctx_memo builder is read
+    # through every module's binding, each wrapped to count, and built as
+    # often as the contexts it reads count (FieldCtx._builds)
+    modules = [m for key, m in sys.modules.items() if key.partition(".")[0] == "hasseforms"]
+    builder = next(vars(m)[name] for m in modules if name in vars(m))
+    if hasattr(builder, "cache_info"):
+        builder.cache_clear()
+        path()
+        info = builder.cache_info()
+        return info.hits + info.misses, info.misses
+    reads, before = 0, {}
+
+    def counted(ctx, *key):
+        nonlocal reads
+        reads += 1
+        before.setdefault(id(ctx), (ctx, ctx._builds[name]))
+        return builder(ctx, *key)
+    for m in modules:
+        if vars(m).get(name) is builder:
+            monkeypatch.setattr(m, name, counted)
+    path()
+    return reads, sum(ctx._builds[name] - n for ctx, n in before.values())
+
+
+def test_cache_guard_sees_every_decorator():
+    source = ("import functools\nfrom functools import cache, lru_cache\n"
+              "@lru_cache(maxsize=1)\ndef _a(p):\n    pass\n"
+              "@functools.cache\ndef _b(p):\n    pass\n"
+              "@_ctx_memo\ndef _c(ctx, r):\n    pass\n"
+              "@staticmethod\ndef _d(ctx):\n    pass\n"
+              "class K:\n    @cache\n    def m(self, p):\n        pass\n")
+    assert [node.name for node in _cached_functions(
+        source, ("cache", "lru_cache", "_ctx_memo"))] == ["_a", "_b", "_c"]
+
+
+def test_every_cache_names_a_rereader():
+    found = {node.name for path in MODULES
+             for node in _cached_functions(path.read_text(), ("cache", "lru_cache", "_ctx_memo"))}
+    assert found == set(_REREADERS)
+
+
+@pytest.mark.parametrize("name", sorted(_REREADERS))
+def test_rereader_reads_the_cache_more_often_than_it_builds_it(monkeypatch, name):
+    reads, builds = _reads_and_builds(monkeypatch, name, _REREADERS[name])
+    assert 0 < builds < reads, (reads, builds)
 
 
 def test_stdlib_guard_sees_absolute_imports_only():

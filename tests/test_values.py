@@ -1,5 +1,6 @@
-"""Value types survive pickle, copy.copy and copy.deepcopy, and the
-records keep their reprs.
+"""Value types survive pickle, copy.copy and copy.deepcopy, the records
+keep their reprs, and the public entry points refuse what they cannot
+take.
 
 Each type rebuilds through its constructor, and a field context rebuilds
 from (p, n) alone, so the lazy lookup tables and memo slots of a context
@@ -10,20 +11,22 @@ import copy
 import hashlib
 import pickle
 import random
+import re
 
 import pytest
 
-from hasseforms import (Polynomial, census, factor, kernel_of_frobenius, make_field,
-                        point_count, ptorsion_description, unit_class_of)
+from hasseforms import (FrobeniusKernelClass, Polynomial, census, factor, hasse_invariant,
+                        kernel_of_frobenius, make_field, point_count, ptorsion_description,
+                        unit_class_of)
 from hasseforms.curve import WeierstrassCurve, _row_hasse, _zech_mask, _zech_operand
 from hasseforms.errors import SingularModelError
-from hasseforms.forms import _rank_classes
+from hasseforms.gf import FieldCtx, smallest_prime_factor
 
 
 def _ctx_with_tables():
     # the generator, the log tables and every kind of memo slot
     ctx = make_field(3, 2)
-    _zech_mask(ctx), _zech_operand(ctx), _row_hasse(ctx, 1, 1), _rank_classes(ctx)
+    _zech_mask(ctx), _zech_operand(ctx), _row_hasse(ctx, 1, 1)
     census(ctx)
     return ctx
 
@@ -140,8 +143,8 @@ def test_value_types_round_trip(make):
         assert value[1].coeffs == (2, 3) and value[3] == 4
     if make is _ctx_with_tables:
         lazy = {"_generator_rank", "_log_tables"}
-        # all eight memoised builders hold a slot
-        assert lazy <= set(vars(value)) and len(value._memo) == len(value._builds) == 8
+        # all seven memoised builders hold a slot
+        assert lazy <= set(vars(value)) and len(value._memo) == len(value._builds) == 7
         for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value),
                       copy.deepcopy(value)):
             assert not lazy & set(vars(clone))
@@ -191,3 +194,38 @@ def test_printed_text_is_pinned():
     assert ")*x^2 + (" in text and "(t^4 + t^3 + t^2 + 1) is singular" in text
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "504b68c7b613ba3b8f8e6ad01c6311271fe783f9d613c8c775afaf02ef233075")
+
+
+# each public check a caller can trip: (call, the error it raises, a
+# fragment of its message); the supersingular kernel's repr, which no
+# check raises, is (call, None, the text it returns)
+_CHECKS = {
+    "FieldCtx-str": (lambda: FieldCtx("7"), TypeError, "plain integers"),
+    "from_rank-q": (lambda: make_field(7).from_rank(7), ValueError, "rank 7 out of range"),
+    "smallest_prime_factor-1": (lambda: smallest_prime_factor(1), ValueError,
+                                "1 has no prime factor"),
+    "pow_truncated-negative-cap": (lambda: _polynomial().pow_truncated(2, -1), ValueError,
+                                   "cap must be >= 0"),
+    "pow-negative": (lambda: _polynomial() ** -1, ValueError, "nonnegative int"),
+    "divmod-zero": (lambda: divmod(_polynomial(), Polynomial(make_field(7))),
+                    ZeroDivisionError, "division by zero"),
+    "hasse_invariant-level": (lambda: hasse_invariant(_curve(), "r"), ValueError,
+                              "level must be"),
+    "UnitClass-setattr": (lambda: setattr(_unit_class(), "exp", 0), AttributeError,
+                          "UnitClass is immutable"),
+    "Polynomial-setattr": (lambda: setattr(_polynomial(), "ranks", ()), AttributeError,
+                           "Polynomial is immutable"),
+    "FieldElement-plus-str": (lambda: _element() + "1", TypeError, "unsupported operand"),
+    "UnitClass-times-int": (lambda: _unit_class() * 2, TypeError, "unsupported operand"),
+    "FrobeniusKernelClass-supersingular-repr": (lambda: repr(FrobeniusKernelClass(None)),
+                                                None, "FrobeniusKernelClass(supersingular)"),
+}
+
+
+@pytest.mark.parametrize("call,error,text", _CHECKS.values(), ids=_CHECKS)
+def test_public_checks(call, error, text):
+    if error is None:
+        assert call() == text
+    else:
+        with pytest.raises(error, match=re.escape(text)):
+            call()
