@@ -38,10 +38,11 @@ one curve over F_q or F_3, have one evaluator, _hasse_at, off one table
 per (a2, a4) row (_hasse_row): Horner in a6^2, an int loop per a6 over
 F_p and list comprehensions on logs with Zech steps over F_q.
 _row_hasse is _hasse_at on every a6 of the row, and the census reads it
-on blocks of a6 (rows its scan reads by A_p) and on a row's witnesses;
-tests hold the two evaluators to each other, and
-Polynomial.pow_truncated is the independent route that tests and the
-closed-forms suite hold both to.  #E of one curve over F_p with
+on blocks of a6 (rows its scan reads by A_p) and on a row's witnesses.
+The audit table, tests/test_audits.py, holds the two evaluators to each
+other (row hasse_one) and both to Polynomial.pow_truncated, the
+independent route (rows hasse_invariant and hasse_at), as the
+closed-forms suite does.  #E of one curve over F_p with
 p > 229 needs no table: point_count takes baby and giant steps on the
 points of E and of its quadratic twist (_count_mestre).  Elsewhere, and
 for whole rows, #E has one table per row, the histogram M of the logs
@@ -176,8 +177,8 @@ def discriminant_general(a2, a4, a6) -> FieldElement:
 def _disc_row(ctx: FieldCtx, r2: int, r4: int) -> tuple[int, int, int]:
     # ranks (d0, d1, d2) with disc = d0 + d1 a6 + d2 a6^2 on the (a2, a4)
     # row: the general formula with the vanishing terms dropped, read at a6
-    # by _disc_at and solved by _singular_a6; tests pin it against
-    # discriminant_general exhaustively
+    # by _disc_at and solved by _singular_a6; the audit row discriminant
+    # pins it against discriminant_general on every model
     mul = ctx._mul
     s4 = mul(r4, r4)
     if ctx.p == 3:
@@ -266,8 +267,9 @@ def point_count(curve: WeierstrassCurve) -> FrobeniusData:
     with rot the mask rotated by lc: a shift, two ands and two popcounts
     over q/8 bytes.  On 2 vCPU a count takes about 0.4 ms at q = 1021^2.
     That is _count_at on ranks, which also counts the census's witnesses;
-    whole-row callers read _row_counts.  Tests hold the two routes to
-    each other on every model of F_233 and F_239.
+    whole-row callers read _row_counts.  The audit row mestre holds the
+    two routes to each other on every model of F_239, on crossed rows of
+    F_233 and on seeded rows at p = 65537 and 1048573.
     """
     ctx, r2, r4, r6 = curve.ctx, curve.a2.rank, curve.a4.rank, curve.a6.rank
     if ctx.n == 1 and ctx.p > _MESTRE_P:
@@ -652,8 +654,8 @@ def _hasse_at(ctx: FieldCtx, k: int, coeffs: tuple[int, ...], r6s) -> list[int]:
     (log -1) takes a unit's place there and reads P(0), the last
     coefficient, where k = 0.  A row with no coefficient, or one and
     k = 0 (A_3 = a2, A_5 = 2 a4), is constant.  hasse_invariant,
-    _row_hasse and the census scan's rows read by A_p call it; tests pin
-    it against Polynomial.pow_truncated.
+    _row_hasse and the census scan's rows read by A_p call it; the audit
+    row hasse_at pins it against Polynomial.pow_truncated.
     """
     if not coeffs or (len(coeffs) == 1 and not k):
         return [coeffs[0] if coeffs else 0] * len(r6s)
@@ -721,8 +723,8 @@ def _hasse_one(p: int, a4: int, a6: int) -> int:
     no term is left.  About p/12 ratio steps and p/6 anchor factor
     pairs: a median 87 ms at p = 1048573 on 2 vCPU, against 226 ms for
     _hasse_at off a cold term table (_hasse_terms), which this builds
-    none of.  Tests hold it to _hasse_at off _hasse_row on every model of
-    every F_p, 5 <= p <= 233.
+    none of.  The audit row hasse_one holds it to _hasse_at off _hasse_row
+    on every model of every F_p, 5 <= p <= 233.
     """
     m = (p - 1) // 2
     first, last = (m + 1) // 2, (p - 1) // 3
@@ -750,8 +752,8 @@ def hasse_invariant(curve: WeierstrassCurve, level: str = "p") -> FieldElement:
     table; over F_q with n > 1, and at p = 3 (A_3 = a2), it is
     A_p = a6^k P(a6^2) off the (a2, a4) row (_hasse_row), _hasse_at at
     this one a6.  Level q is the norm A_p^((q-1)/(p-1)) (Silverman, AEC
-    section V.4).  Tests pin both levels, and the closed-forms suite
-    level p, against f_polynomial().pow_truncated.
+    section V.4).  The audit row hasse_invariant pins both levels, and the
+    closed-forms suite level p, against f_polynomial().pow_truncated.
     """
     ctx = curve.ctx
     if level not in ("p", "q"):
@@ -807,11 +809,12 @@ def twist(curve: WeierstrassCurve, d, kind: str = "quadratic") -> WeierstrassCur
 
     The kinds live in _TWISTS.  The discriminant is weighted homogeneous
     of weight 6 in (a2, a4, a6) with weights (1, 2, 3), so the twist's is
-    d^6, d^3 or d^2 times the curve's (tests pin it against
-    discriminant_general): a twist of a nonsingular model by d != 0 is
-    nonsingular.  j is checked first, on ranks as in _twist_kinds: for
-    p >= 5 j = 1728 iff a6 = 0 and j = 0 iff a4 = 0, and for p = 3
-    j = 0 = 1728 iff a2 = 0; then p = 1 mod m (_twist_degree).
+    d^6, d^3 or d^2 times the curve's (test_twist_discriminant_is_scaled
+    pins it against discriminant_general): a twist of a nonsingular model
+    by d != 0 is nonsingular.  j is checked first, on ranks as in
+    _twist_kinds: for p >= 5 j = 1728 iff a6 = 0 and j = 0 iff a4 = 0,
+    and for p = 3 j = 0 = 1728 iff a2 = 0; then p = 1 mod m
+    (_twist_degree).
     """
     ctx = curve.ctx
     d = ctx.element(d)

@@ -41,7 +41,8 @@ _conv_ints, reduced once per coefficient, and one long division,
 _divmod_ints, whose remainder the product _mulmod_ints, Euclid
 (_gcd_ints), Ben-Or's test and the norm read.  _mulmod_ints serves the
 modulus and generator searches and the exp build, and, as _conv_mul and
-_conv_pow, is the reference the tests audit the tables against; poly.py's
+_conv_pow, is the reference that the audit rows table_arithmetic and
+log_tables (tests/test_audits.py) hold the tables to; poly.py's
 F_p[x] runs on these kernels too.  One factorization of ints by trial
 division, _factor_int, gives the generator search its primes and the
 Pohlig-Hellman plan its prime powers.  One

@@ -11,8 +11,9 @@ _gcd_ints; over F_q with n > 1 on a loop of their own through the
 FieldCtx rank kernels.  Polynomial's methods wrap them, and factor and
 degree_pattern stay on rank lists from their entry to factor's output.
 _mul_trunc serves *, ** and pow_truncated, which drops every coefficient
-above a cap: the slow reference that tests and suites hold the closed
-form for A_p in curve.py against, not a sweep kernel.
+above a cap: the slow reference that the closed-forms suite and the
+audit rows hasse_invariant and hasse_at (tests/test_audits.py) hold the
+closed form for A_p in curve.py to, not a sweep kernel.
 
 factor is deterministic and works in one residue ring F_q[x]/(m) per
 modulus m (_Residues).  The distinct-degree split (_distinct_degree)

@@ -19,7 +19,7 @@ from hasseforms import (
 )
 from hasseforms.curve import TWIST_KINDS, WeierstrassCurve, _hasse_terms, point_count, twist
 from hasseforms.verify import run_suite
-from hasseforms.forms import UnitClass, _class_residues
+from hasseforms.forms import UnitClass
 from hasseforms.gf import _is_prime
 from hasseforms.errors import (
     BadCongruenceError,
@@ -29,6 +29,12 @@ from hasseforms.errors import (
     ZeroElementError,
     ZeroTwistParameterError,
 )
+from test_audits import audit_test
+
+# a row of the audit table, tests/test_audits.py
+test_class_residues_match_phi_of_each_class = audit_test("class_residues")
+test_class_residues_over_prime_fields_are_phi_of_each_class = audit_test("class_residues",
+                                                                         "primes")
 
 
 def _curve(ctx, a4, a6, a2=0):
@@ -41,24 +47,6 @@ def test_class_count():
         classes = enumerate_classes(ctx)
         assert len(classes) == p - 1
         assert [c.exp for c in classes] == list(range(p - 1))
-
-
-@pytest.mark.parametrize("p,n", [(19, 1), (211, 1), (3, 4), (5, 4), (31, 2)])
-def test_class_residues_match_phi_of_each_class(p, n):
-    # the census reads residues off the exp table; phi on class objects is
-    # the audit route
-    ctx = make_field(p, n)
-    assert list(_class_residues(ctx)) == [int(phi(UnitClass(ctx, e))) for e in range(p - 1)]
-
-
-def test_class_residues_over_prime_fields_are_phi_of_each_class():
-    # over F_p phi is the identity, so the table is the exp table itself,
-    # built by no slice or check; phi on class objects is the audit route
-    for p in filter(_is_prime, range(3, 212)):
-        ctx = make_field(p)
-        assert _class_residues(ctx) is ctx._log_tables[0]
-        assert list(_class_residues(ctx)) == [int(phi(UnitClass(ctx, e)))
-                                              for e in range(p - 1)]
 
 
 def test_class_of_element():

@@ -24,14 +24,12 @@ from hasseforms import (
     discrete_log,
     make_field,
     norm_to_prime,
-    point_count,
     primitive_element,
     quadratic_character,
 )
 from hasseforms import cli
 from hasseforms import verify as verify_mod
-from hasseforms.curve import WeierstrassCurve, _row_hist
-from hasseforms.forms import UnitClass
+from hasseforms.curve import WeierstrassCurve
 from hasseforms.gf import (_conv_ints, _divmod_ints, _factor_int, _is_irreducible, _is_prime,
                            _mulmod_ints, _norm_ints, _pohlig_hellman, _pohlig_hellman_plan,
                            _power)
@@ -44,10 +42,18 @@ from hasseforms.errors import (
     SingularModelError,
     ZeroElementError,
 )
+from test_audits import TABLE_FIELDS, audit_test, euler_chi
 
-TABLE_FIELDS = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (5, 3)]
 EXTENSION_FIELDS_TO_3000 = [(p, n) for p in range(3, 55) if _is_prime(p)
                             for n in range(2, 8) if p**n <= 3000]
+
+# rows of the audit table, tests/test_audits.py
+test_table_arithmetic_matches_convolution = audit_test("table_arithmetic")
+test_log_tables_are_inverse_and_zech_matches_addition = audit_test("log_tables")
+test_point_count_matches_naive_count = audit_test("point_count")
+test_point_count_row_memo_against_naive_count = audit_test("point_count", "interleaved")
+test_untabled_logs_and_powers_match_the_tables = audit_test("discrete_log")
+test_logs_and_powers_over_fq_read_the_tables = audit_test("discrete_log", "tabled")
 
 
 def _is_irreducible_ints(f, p):
@@ -416,17 +422,6 @@ def test_elements_of_equal_contexts_mix():
 
 # -- rank kernels against the convolution route --------------------------
 
-def _euler_chi(ctx, t):
-    # Euler's criterion on the convolution route
-    if not any(t):
-        return 0
-    return 1 if ctx._conv_pow(t, (ctx.q - 1) // 2) == ctx.one.coeffs else -1
-
-
-def _add_coeffwise(ctx, a, b):
-    return tuple((x + y) % ctx.p for x, y in zip(a, b))
-
-
 def test_tuple_from_rank_matches_digit_formula():
     # over F_p a rank is its one digit, returned as (rank,) with no digit
     # loop; the lex digit formula is the route that shortcut skips
@@ -436,27 +431,6 @@ def test_tuple_from_rank_matches_digit_formula():
         for rank in range(ctx.q):
             want = tuple(rank // p ** (n - 1 - i) % p for i in range(n))
             assert ctx._tuple_from_rank(rank) == want
-
-
-@pytest.mark.parametrize("p,n", TABLE_FIELDS)
-def test_table_arithmetic_matches_convolution(p, n):
-    ctx = make_field(p, n)
-    tup = ctx._tuple_from_rank
-    for a in range(ctx.q):
-        ta = tup(a)
-        assert ctx._rank(ta) == a
-        assert tup(ctx._neg(a)) == tuple(-x % p for x in ta)
-        for b in range(ctx.q):
-            tb = tup(b)
-            assert tup(ctx._mul(a, b)) == ctx._conv_mul(ta, tb)
-            assert tup(ctx._add(a, b)) == _add_coeffwise(ctx, ta, tb)
-            assert tup(ctx._sub(a, b)) == tuple((x - y) % p for x, y in zip(ta, tb))
-        for e in (0, 1, 2, 3, 7, (ctx.q - 1) // 2, ctx.q - 2, ctx.q - 1, ctx.q, 3 * ctx.q + 5):
-            assert tup(ctx._pow(a, e)) == ctx._conv_pow(ta, e)
-        if a:
-            assert tup(ctx._inv(a)) == ctx._conv_pow(ta, ctx.q - 2)
-    with pytest.raises(ZeroDivisionError):
-        ctx._inv(0)
 
 
 PRIMES_3_TO_211 = [p for p in range(3, 212) if _is_prime(p)]
@@ -476,25 +450,6 @@ def test_generator_is_lex_first_on_convolution_route(p, n):
         if all(ctx._conv_pow(x, order // ell) != one for ell in primes):
             break
     assert ctx.generator.rank == rank
-
-
-# (3, 6) to (31, 2) run from one scaled block of walked powers (p = 3) to 29
-@pytest.mark.parametrize("p,n", TABLE_FIELDS + [(7, 3), (5, 4), (11, 2), (3, 6), (31, 2)])
-def test_log_tables_are_inverse_and_zech_matches_addition(p, n):
-    ctx = make_field(p, n)
-    exp, log, zech = ctx._log_tables
-    order = ctx.q - 1
-    assert len(exp) == len(zech) == order and len(log) == ctx.q and log[0] == -1
-    assert sorted(exp) == list(range(1, ctx.q))
-    assert all(exp[log[r]] == r for r in range(1, ctx.q))
-    assert all(log[exp[e]] == e for e in range(order))
-    g = ctx.generator.coeffs
-    x = ctx.one.coeffs
-    for e in range(order):
-        assert exp[e] == ctx._rank(x)
-        s = _add_coeffwise(ctx, ctx.one.coeffs, x)
-        assert zech[e] == (log[ctx._rank(s)] if any(s) else -1)
-        x = ctx._conv_mul(x, g)
 
 
 def test_table_build_logs_generator_and_walk(caplog):
@@ -526,99 +481,7 @@ def test_discrete_log_round_trips_and_chi_matches_euler(p, n):
         if x:
             e = discrete_log(x)
             assert ctx.generator ** e == x
-            assert 1 - 2 * (e & 1) == _euler_chi(ctx, x.coeffs)
-
-
-def _naive_count(ctx, curve, chi):
-    # every x, f(x) on the convolution route, chi by Euler's criterion
-    mul, add = ctx._conv_mul, lambda a, b: _add_coeffwise(ctx, a, b)
-    a2, a4, a6 = curve.a2.coeffs, curve.a4.coeffs, curve.a6.coeffs
-    total = 1
-    for r in range(ctx.q):
-        x = ctx._tuple_from_rank(r)
-        v = add(mul(add(mul(add(x, a2), x), a4), x), a6)
-        total += 1 + chi[v]
-    return total
-
-
-@pytest.mark.parametrize("p,n", TABLE_FIELDS + [(3, 1), (5, 1), (7, 1), (13, 1), (101, 1)])
-def test_point_count_matches_naive_count(p, n):
-    ctx = make_field(p, n)
-    chi = {t: _euler_chi(ctx, t)
-           for t in (ctx._tuple_from_rank(r) for r in range(ctx.q))}
-    # every model up to 1000 of them, else a fixed stride through
-    # (a2, a4, a6); a2 != 0 only in characteristic 3
-    total = (ctx.q if p == 3 else 1) * ctx.q * ctx.q
-    step = 1 if total <= 1000 else total // 300 + 1
-    seen = 0
-    for idx in range(0, total, step):
-        a2, rest = divmod(idx, ctx.q * ctx.q)
-        a4, a6 = divmod(rest, ctx.q)
-        try:
-            curve = WeierstrassCurve(ctx, ctx.from_rank(a4), ctx.from_rank(a6),
-                                     a2=ctx.from_rank(a2))
-        except SingularModelError:
-            continue
-        assert point_count(curve).count == _naive_count(ctx, curve, chi)
-        seen += 1
-    assert seen > total // step // 2
-
-
-def _memo_cases(ctx):
-    # (curve, naive count) on rows with a2 != 0 (char 3), a4 = 0, and
-    # a4 = -1, where h = x^3 + a2 x^2 + a4 x has the root 1; a6 = 0 among them
-    chi = {t: _euler_chi(ctx, t)
-           for t in (ctx._tuple_from_rank(r) for r in range(ctx.q))}
-    slabs = (0, 1, ctx.q - 1) if ctx.p == 3 else (0,)
-    cases = []
-    for a2 in slabs:
-        for a4 in (0, 1, ctx._neg(ctx.one.rank), ctx.q - 1):
-            for a6 in (0, ctx.one.rank, 2, ctx.q - 1):
-                try:
-                    curve = WeierstrassCurve(ctx, ctx.from_rank(a4), ctx.from_rank(a6),
-                                             a2=ctx.from_rank(a2))
-                except SingularModelError:
-                    continue
-                cases.append((curve, _naive_count(ctx, curve, chi)))
-    return cases
-
-
-def _row_changes(ctx, cases):
-    # the row histograms a slot on ctx builds while cases are counted in
-    # order: one per change of row, from the row the slot holds now
-    slot = ctx._memo.get("_row_hist")
-    last, changes = slot and slot[0], 0
-    for curve, _ in cases:
-        row = (curve.a2.rank, curve.a4.rank)
-        changes += row != last
-        last = row
-    return changes
-
-
-def test_point_count_row_memo_against_naive_count():
-    # F_9, F_25 and F_27 share ranks, and two distinct F_27 objects are
-    # equal: interleaved, every call changes the context or the row
-    k27 = make_field(3, 3)
-    fields = [make_field(3, 2), make_field(5, 2), k27, make_field(3, 3)]
-    assert fields[3] is not k27 and fields[3] == k27
-    per_field = [_memo_cases(ctx) for ctx in fields]
-    curves = [c for cases in per_field for c, _ in cases]
-    assert any(not c.a6 for c in curves) and any(c.a2 for c in curves)
-    assert any(sum(_row_hist(c.ctx, c.a2.rank, c.a4.rank)[0]) < c.ctx.q - 1
-               for c in curves)  # h has a root besides x = 0
-    steps = list(zip(*per_field))
-    for order, ran in ((steps, [cases[:len(steps)] for cases in per_field]),
-                       (per_field, per_field)):
-        # interleaved, then row by row: each context reuses its own slot
-        # where it repeats its last row, whatever the others counted in
-        # between, so the second F_27 object never reads the first's
-        want = [_row_changes(ctx, cases) for ctx, cases in zip(fields, ran)]
-        before = [ctx._builds["_row_hist"] for ctx in fields]
-        for cases in order:
-            for curve, count in cases:
-                assert point_count(curve).count == count
-        assert [ctx._builds["_row_hist"] - b for ctx, b in zip(fields, before)] == want
-    assert len(steps) > 10 and sum(want) < len(curves) and want[3] > 0
+            assert 1 - 2 * (e & 1) == euler_chi(p, n)[x.rank]
 
 
 def test_point_count_tabulates_each_row_once_in_norm_suite(monkeypatch):
@@ -676,55 +539,6 @@ def test_tables_refused_beyond_sweep_guard():
     for args in ((1031, 2), (3, 13), (1048583,)):
         with pytest.raises(FieldTooLargeError, match=r"2\*\*20"):
             make_field(*args)
-
-
-def _record_table_reads(ctx):
-    # swap the built exp, log and Zech tables of ctx for wrappers that
-    # record each index read; returns the tables and the list of reads
-    tables, reads = ctx._log_tables, []
-
-    class Recorded:
-        def __init__(self, table):
-            self.table = table
-
-        def __getitem__(self, i):
-            reads.append(i)
-            return self.table[i]
-
-    vars(ctx)["_log_tables"] = tuple(map(Recorded, tables))
-    return tables, reads
-
-
-def _logs_and_powers_match(ctx, exp, log):
-    order = ctx.q - 1
-    for a in range(1, ctx.q):
-        assert discrete_log(ctx.from_rank(a)) == log[a]
-    for e in range(-1, 2 * order):
-        assert (ctx.generator ** e).rank == exp[e % order]
-        assert UnitClass(ctx, e).rep.rank == exp[e % (ctx.p - 1)]
-
-
-@pytest.mark.parametrize("p", [19, 23, 101, 131, 211, 1009])
-def test_untabled_logs_and_powers_match_the_tables(p):
-    # over F_p the field picks the route: Pohlig-Hellman and int powers,
-    # which read no table even on a context that holds them; the
-    # census-ladder primes and F_1009 against the log and exp tables
-    ctx = make_field(p)
-    (exp, log, _), reads = _record_table_reads(ctx)
-    g = ctx.generator.rank
-    for a in range(1, p):
-        assert _pohlig_hellman(g, a, p) == log[a]
-    _logs_and_powers_match(ctx, exp, log)
-    assert not reads
-
-
-@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3)])
-def test_logs_and_powers_over_fq_read_the_tables(p, n):
-    # over F_q with n > 1 the same answers are read off the tables
-    ctx = make_field(p, n)
-    (exp, log, _), reads = _record_table_reads(ctx)
-    _logs_and_powers_match(ctx, exp, log)
-    assert reads
 
 
 def test_pohlig_hellman_at_a_safe_prime():

@@ -2,9 +2,7 @@
 
 import json
 import logging
-import pickle
 import time
-from array import array
 from collections import Counter, defaultdict
 from itertools import product
 from math import gcd, isqrt
@@ -16,16 +14,13 @@ from hasseforms import (
     admissible_traces,
     census,
     describe_witness,
-    discrete_log,
     find_curve_with_class,
     hasse_invariant,
     iter_curves,
     make_field,
-    phi,
     point_count,
     realizable_set,
     search,
-    unit_class_of,
 )
 from hasseforms import curve as curve_module
 from hasseforms import search as search_module
@@ -34,21 +29,21 @@ from hasseforms.curve import (
     _decode,
     _disc_row,
     _hasse_row,
-    _row_counts,
     _row_hasse,
     discriminant_general,
 )
-from hasseforms.errors import NotPrimeError, SingularModelError
+from hasseforms.errors import NotPrimeError
 from hasseforms.gf import _is_prime
-from hasseforms.search import (ClassEntry, WitnessRecord, _classified, _iter_rows,
-                               _row_orbits)
+from hasseforms.search import _iter_rows, _row_orbits
+from test_audits import (all_rows, audit_test, built_or_none, object_residue, row_counts,
+                         seed_count)
 
-
-def _hasse_residue(curve):
-    # the object route: 0 when supersingular, else phi([A_p]) of a built
-    # curve, beta mod p by the bridge
-    a = hasse_invariant(curve)
-    return int(phi(unit_class_of(a))) if a else 0
+# rows of the audit table, tests/test_audits.py
+test_no_shortcut_search_matches_object_route = audit_test("search")
+test_census_records_match_constructed_records = audit_test("census_records")
+test_census_witnesses_match_exhaustive_search = audit_test("census_witnesses")
+test_rank_scan_matches_object_route = audit_test("rank_scan")
+test_census_witnesses_audited_through_objects = audit_test("census_objects")
 
 
 def test_admissible_traces_frozen():
@@ -129,20 +124,6 @@ def test_iter_curves_counts_and_order():
     assert len(list(iter_curves(ctx3))) == 18  # a2 models included
 
 
-def _rank_triples(ctx):
-    # every (a2, a4, a6) rank triple in lex order; a2 = 0 unless p = 3
-    q = ctx.q
-    return product(range(q if ctx.p == 3 else 1), range(q), range(q))
-
-
-def _decode_or_none(ctx, triple):
-    # the model with these ranks, or None where it is singular
-    try:
-        return _decode(ctx, *triple)
-    except SingularModelError:
-        return None
-
-
 @pytest.mark.parametrize("p,n", [(3, 1), (7, 1), (3, 2), (3, 3), (5, 2), (13, 1)])
 def test_iter_curves_matches_index_decode(p, n):
     # the row-major sweep yields the decode of every rank triple, in lex
@@ -150,10 +131,11 @@ def test_iter_curves_matches_index_decode(p, n):
     # singular a6 ranks _iter_rows yields per row, which are singular, so
     # every row that _iter_rows yields holds a nonsingular model
     ctx = make_field(p, n)
-    decoded = [c for c in (_decode_or_none(ctx, t) for t in _rank_triples(ctx)) if c is not None]
+    decoded = [c for r2, r4 in all_rows(ctx) for r6 in range(ctx.q)
+               if (c := built_or_none(ctx, r2, r4, r6))]
     rows = list(_iter_rows(ctx))
     assert all(len(singular) <= 2 for _, _, _, singular in rows)
-    assert all(_decode_or_none(ctx, (r2, r4, r6)) is None
+    assert all(built_or_none(ctx, r2, r4, r6) is None
                for r2, r4, _, singular in rows for r6 in singular)
     from_rows = [_decode(ctx, r2, r4, r6) for r2, r4, _, singular in rows
                  for r6 in range(ctx.q) if r6 not in singular]
@@ -193,19 +175,6 @@ def test_find_curve_with_class_missing_residues():
         fast = find_curve_with_class(ctx, h)
         slow = find_curve_with_class(ctx, h, use_trace_shortcut=False)
         assert repr(fast) == repr(slow)
-
-
-@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (13, 1), (19, 1), (23, 1), (3, 2), (3, 3),
-                                 (5, 2)])
-def test_no_shortcut_search_matches_object_route(p, n):
-    # the exhaustive sweep on ranks, which also audits the census suite,
-    # against every built curve in enumeration order: the first model of
-    # each class, None where there is none (9 over F_19, 10..13 over F_23)
-    ctx = make_field(p, n)
-    for h in range(1, p):
-        want = next((c for c in iter_curves(ctx) if _hasse_residue(c) == h), None)
-        got = find_curve_with_class(ctx, h, use_trace_shortcut=False)
-        assert got == want and repr(got) == repr(want)
 
 
 def test_find_curve_with_class_validates_residue():
@@ -284,22 +253,6 @@ def test_check_row_faults_over_extension_field(p, n):
     for beta in (w.beta + 1, w.phi + 2 * p * isqrt(q)):
         with pytest.raises(InconsistencyError, match=f"trace check: beta = {beta}"):
             check(ctx, r2, r4, [(w.phi, r6)], [q + 1 - beta])
-
-
-@pytest.mark.parametrize("p,n", [(13, 1), (19, 1), (211, 1), (3, 2), (5, 2), (3, 3)])
-def test_census_records_match_constructed_records(p, n):
-    # the census builds its records from their field tuples with no call
-    # of the generated constructors: they are the constructed records in
-    # type, value and pickle
-    for entry in census(make_field(p, n)).entries:
-        assert type(entry) is ClassEntry
-        assert pickle.dumps(entry) == pickle.dumps(ClassEntry(*entry))
-        w = entry.witness
-        if w is not None:
-            built = WitnessRecord(*w)
-            assert type(w) is WitnessRecord and w == built
-            assert pickle.dumps(w) == pickle.dumps(built)
-            assert w._asdict() == built._asdict()
 
 
 def test_census_complete_field():
@@ -393,78 +346,6 @@ def test_char5_census_within_budget():
     assert elapsed < 2.0, f"census over F_5^6 took {elapsed:.2f}s, budget 2s"
 
 
-@pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3)])
-def test_census_witnesses_match_exhaustive_search(p, n):
-    ctx = make_field(p, n)
-    report = census(ctx)
-    for entry in report.entries:
-        slow = find_curve_with_class(ctx, entry.residue, use_trace_shortcut=False)
-        assert entry.witness is not None and slow is not None
-        w = entry.witness
-        assert (w.a2, w.a4, w.a6) == (slow.a2.coeffs, slow.a4.coeffs, slow.a6.coeffs)
-        assert find_curve_with_class(ctx, entry.residue) == slow
-
-
-def _monomial_row(ctx, row):
-    # True when A_p = c a6^k on the row's (ranks, A_p) models for some c != 0
-    # and k >= 1, by discrete logs: log A_p - k log a6 is one constant, with
-    # k read off two models at consecutive logs of a6 (a row misses at most
-    # the two a6 where its discriminant vanishes)
-    order, logs = ctx.q - 1, {}
-    for (_, _, r6), a in row:
-        a6 = ctx.from_rank(r6)
-        if bool(a) != bool(a6):
-            return False
-        if a6:
-            logs[discrete_log(a6)] = discrete_log(a)
-    e = next((e for e in logs if (e + 1) % order in logs), None)
-    if e is None:
-        return False
-    k = (logs[(e + 1) % order] - logs[e]) % order
-    return k > 0 and len({(la - k * e6) % order for e6, la in logs.items()}) == 1
-
-
-def _classified_on_objects(ctx):
-    # the scan's rules on curves: decode every rank triple, and keep only
-    # the first model of an a4 row on which A_p takes one value (A_3 = a2,
-    # A_5 = 2 a4 or A_p = 0); and on a row where A_p = c a6^k with k >= 1
-    # (the a2 = a4 = 0 row where p = 1 mod 3, every row of p = 7 and the
-    # a4 != 0 rows of p = 11), cut after the first model by which every
-    # residue of the whole row has appeared
-    q, out = ctx.q, []
-    triples = list(_rank_triples(ctx))
-    for base in range(0, len(triples), q):
-        row = [(t, hasse_invariant(c))
-               for t in triples[base:base + q] if (c := _decode_or_none(ctx, t))]
-        keep = row[:1] if len({a.rank for _, a in row}) == 1 else row
-        keep = [(*t, int(phi(unit_class_of(a))) if a else 0) for t, a in keep]
-        if _monomial_row(ctx, row):
-            reach, seen = {r for *_, r in keep if r}, set()
-            for cut, (*_, r) in enumerate(keep, 1):
-                seen.add(r)
-                if seen >= reach:
-                    keep = keep[:cut]
-                    break
-        out += keep
-    return out
-
-
-@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (13, 1), (19, 1), (23, 1),
-                                 (3, 2), (3, 3), (5, 2), (7, 2), (5, 3), (11, 2), (17, 2)])
-def test_rank_scan_matches_object_route(monkeypatch, p, n):
-    # the p = 3 rows of A_3 = a2, the p = 5 row, the A_p = 0 row a4 = 0
-    # where p = 2 mod 3, the rows of A_p = c a6^k that stop at their coset
-    # (k = 2 over F_13, 3 over F_19, 1 over F_7^2 and F_11^2), and the full
-    # scan, over F_p (the row product) and F_q (blocks of _hasse_at, past
-    # the first block of 64 at q = 121 and 289), on every row: the orbit
-    # rule is turned off here, every row listed with weight 1, and pinned
-    # by test_row_orbits_are_the_orbits_of_the_rows
-    monkeypatch.setattr(search_module, "_row_orbits",
-                        lambda ctx: [(r2, r4, 1) for r2, r4, _, _ in _iter_rows(ctx)])
-    ctx = make_field(p, n)
-    assert list(_classified(ctx)) == _classified_on_objects(ctx)
-
-
 @pytest.mark.parametrize("p,n", [(p, 1) for p in range(5, 102) if _is_prime(p)]
                          + [(5, 2), (7, 2)])
 def test_coset_rows_share_residues(p, n):
@@ -475,7 +356,7 @@ def test_coset_rows_share_residues(p, n):
     ctx = make_field(p, n)
     rows = defaultdict(Counter)
     for curve in iter_curves(ctx):
-        rows[curve.a4.rank][_hasse_residue(curve)] += 1
+        rows[curve.a4.rank][object_residue(curve)] += 1
     u4 = ctx.generator ** 4
     for a4 in ctx.iter_elements():
         assert rows[(u4 * a4).rank] == rows[a4.rank]
@@ -526,11 +407,10 @@ def test_row_orbits_are_the_orbits_of_the_rows(p, n):
 
 def _row_stats(ctx, r2, r4, singular):
     # (class exponent or -1, trace beta) of the row's models at every a6
-    # but the singular ones: A_p off _row_hasse, #E off _row_counts at the
-    # log of a6
+    # but the singular ones: A_p off _row_hasse, #E off the row product
     log, pm1 = ctx._log_tables[1], ctx.p - 1
-    hasse, counts = _row_hasse(ctx, r2, r4), _row_counts(ctx, r2, r4)
-    return Counter((log[hasse[r6]] % pm1 if hasse[r6] else -1, ctx.q + 1 - counts[log[r6]])
+    hasse, counts = _row_hasse(ctx, r2, r4), row_counts(ctx, r2, r4)
+    return Counter((log[hasse[r6]] % pm1 if hasse[r6] else -1, ctx.q + 1 - counts[r6])
                    for r6 in range(ctx.q) if r6 not in singular)
 
 
@@ -558,7 +438,7 @@ def test_char3_rows_of_one_orbit_share_residues_and_counts(n):
     ctx = make_field(3, n)
     rows = defaultdict(Counter)
     for curve in iter_curves(ctx):
-        rows[curve.a2.rank, curve.a4.rank][_hasse_residue(curve), point_count(curve).count] += 1
+        rows[curve.a2.rank, curve.a4.rank][object_residue(curve), point_count(curve).count] += 1
     u2 = ctx.generator ** 2
     for a2, a4 in product(ctx.iter_elements(), repeat=2):
         if a2:
@@ -604,12 +484,12 @@ def test_census_builds_one_point_count_row_per_witness_row(monkeypatch, p, n):
 
     def counted(ctx, r2, r4):
         products.append((r2, r4))
-        return row_counts(ctx, r2, r4)
+        return real(ctx, r2, r4)
 
     def no_point_count(curve):
         raise AssertionError(f"point_count called on {curve!r}")
 
-    row_counts = search_module._row_counts
+    real = search_module._row_counts
     monkeypatch.setattr(search_module, "_row_counts", counted)
     if n == 1:
         monkeypatch.setattr(search_module, "point_count", no_point_count)
@@ -638,7 +518,7 @@ def test_single_class_search_answers_row_a4_zero_with_no_row_product(monkeypatch
     # exhaustive route gives the same curves
     ctx = make_field(p)
     assert len(_hasse_row(ctx, 0, 0)[1]) == 1
-    assert {_hasse_residue(c) for c in iter_curves(ctx) if not c.a4} - {0} == coset
+    assert {object_residue(c) for c in iter_curves(ctx) if not c.a4} - {0} == coset
 
     def no_product(ctx, r2, r4):
         raise AssertionError(f"row product built for row {(r2, r4)}")
@@ -648,27 +528,6 @@ def test_single_class_search_answers_row_a4_zero_with_no_row_product(monkeypatch
         found = find_curve_with_class(ctx, h)
         assert found is not None and not found.a4
         assert found == find_curve_with_class(ctx, h, use_trace_shortcut=False)
-
-
-CENSUS_PRIME = [(19, 1), (23, 1), (101, 1), (131, 1), (211, 1)]
-CENSUS_EXT = [(19, 2), (7, 3), (5, 4), (31, 2), (3, 4)]
-
-
-@pytest.mark.parametrize("p,n", CENSUS_PRIME + CENSUS_EXT + [(1009, 1)])
-def test_census_witnesses_audited_through_objects(p, n):
-    # the census checks its witnesses on ranks; each one is decoded here
-    # and recomputed through the curve and class objects
-    ctx = make_field(p, n)
-    for entry in census(ctx).entries:
-        w = entry.witness
-        if w is None:
-            continue
-        curve = WeierstrassCurve(ctx, ctx(w.a4), ctx(w.a6), ctx(w.a2))
-        cls = unit_class_of(hasse_invariant(curve))
-        fd = point_count(curve)
-        assert (cls.exp, int(phi(cls)), fd.count, fd.beta) == (
-            w.class_exp, w.phi, w.count, w.beta)
-        assert w.phi == entry.residue
 
 
 def _witness_hit(ctx, h):
@@ -682,16 +541,7 @@ def test_census_catches_a_corrupted_count_over_prime_field(monkeypatch):
     # (1 - #E) mod p is unchanged, so the same witness wins, but its trace
     # breaks the bound
     ctx, h = make_field(101), 7
-    r2, r4, r6 = _witness_hit(ctx, h)
-    row_counts = search_module._row_counts
-
-    def corrupted(ctx, a2, a4):
-        row = array("i", row_counts(ctx, a2, a4))
-        if (a2, a4) == (r2, r4):
-            row[ctx._log_tables[1][r6]] += ctx.p * ctx.q
-        return row
-
-    monkeypatch.setattr(search_module, "_row_counts", corrupted)
+    seed_count(monkeypatch, search_module, _witness_hit(ctx, h), lambda c: c + ctx.p * ctx.q)
     with pytest.raises(InconsistencyError, match=f"class {h} breaks the trace"):
         census(ctx)
 

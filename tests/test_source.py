@@ -215,6 +215,67 @@ def test_rereader_reads_the_cache_more_often_than_it_builds_it(monkeypatch, name
     assert 0 < builds < reads, (reads, builds)
 
 
+# the private kernels the audit table, tests/test_audits.py, reads through
+# its adapters.  Elsewhere only a unit test of a kernel itself names one: it
+# times or logs a table build, counts memo slots and builds, or pins the
+# closed form, the Y operand's packing, a check's faults or the orbit rule
+_AUDIT_KERNELS = set("""_log_tables _hasse_row _row_hasse _hasse_table _hasse_at _hasse_one
+    _hasse_terms _row_counts _row_hist _log_hist _count_at _count_mestre _cyclic_mul _iter_rows
+    _disc_at _disc_row _zech_y _zech_operand _zech_mask _x_logs _classified _check_row
+    _builds""".split())
+_KERNEL_UNIT_TESTS = set("""
+    test_acceptance.py::test_ac15_large_field_tables_within_budget
+    test_curve.py::test_closed_form_has_one_term_exactly_for_p_up_to_11
+    test_curve.py::test_zech_operand_matches_packed_slots
+    test_curve.py::test_trace_names_the_model_it_rejects
+    test_forms.py::test_single_curve_queries_over_fp_build_no_tables
+    test_forms.py::test_classification_suite_builds_no_table_over_fp
+    test_gf.py::test_table_build_logs_generator_and_walk
+    test_gf.py::test_point_count_tabulates_each_row_once_in_norm_suite
+    test_gf.py::test_pohlig_hellman_at_a_safe_prime
+    test_search.py::test_census_cross_check_catches_residue_outside_interval
+    test_search.py::test_iter_curves_matches_index_decode
+    test_search.py::test_iter_curves_tabulates_the_discriminant_once_per_row
+    test_search.py::test_describe_witness_rejects_mismatch
+    test_search.py::test_describe_witness_raises_on_supersingular_and_trace_bound
+    test_search.py::test_check_row_faults_over_extension_field
+    test_search.py::_orbits_by_union test_search.py::_row_stats
+    test_search.py::test_row_orbits_weigh_up_to_every_row
+    test_search.py::test_census_builds_one_point_count_row_per_witness_row
+    test_search.py::test_single_class_search_answers_row_a4_zero_with_no_row_product
+    test_search.py::test_census_catches_a_corrupted_hasse_invariant_over_extension
+    test_search.py::test_census_stops_row_a4_zero_at_its_coset
+    test_source.py::_REREADERS test_source.py::_reads_and_builds
+    test_source.py::test_handler_attached_after_import_gets_every_record
+    test_values.py::_ctx_with_tables test_values.py::test_value_types_round_trip
+    test_verify.py::test_run_suite_logs_one_record_and_keeps_output""".split())
+
+
+def _kernels_named(path):
+    # {top-level name: the audit kernels it names as an identifier, an
+    # attribute, an import or a string} of a test module, imports under
+    # "<module>"
+    owners = {}
+    for node in ast.parse(path.read_text()).body:
+        owner = getattr(node, "name", None) or next(
+            (t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)), "<module>")
+        owners[owner] = owners.get(owner, set()) | _AUDIT_KERNELS & {
+            getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
+            or getattr(n, "value", None) for n in ast.walk(node)}
+    return {owner: kernels for owner, kernels in owners.items() if kernels}
+
+
+def test_audit_kernels_are_named_only_in_the_table():
+    named = set()
+    for path in Path(__file__).parent.glob("test_*.py"):
+        owners = _kernels_named(path) if path.name != "test_audits.py" else {}
+        listed = set().union(*(k for o, k in owners.items()
+                               if f"{path.name}::{o}" in _KERNEL_UNIT_TESTS))
+        named |= {f"{path.name}::{o}" for o in owners if o != "<module>"}
+        named |= {f"{path.name} imports {k}" for k in owners.get("<module>", set()) - listed}
+    assert sorted(named - _KERNEL_UNIT_TESTS) == [] and sorted(_KERNEL_UNIT_TESTS - named) == []
+
+
 def test_stdlib_guard_sees_absolute_imports_only():
     source = ("from __future__ import annotations\nimport os.path, numpy as np\n"
               "from collections import deque\nfrom . import gf\nfrom .gf import make_field\n"

@@ -21,6 +21,7 @@ from hasseforms import (FrobeniusKernelClass, Polynomial, census, factor, hasse_
 from hasseforms.curve import WeierstrassCurve, _row_hasse, _zech_mask, _zech_operand
 from hasseforms.errors import SingularModelError
 from hasseforms.gf import FieldCtx, smallest_prime_factor
+from hasseforms.poly import _Residues, _slot_width
 
 
 def _ctx_with_tables():
@@ -197,8 +198,9 @@ def test_printed_text_is_pinned():
 
 
 # each public check a caller can trip: (call, the error it raises, a
-# fragment of its message); the supersingular kernel's repr, which no
-# check raises, is (call, None, the text it returns)
+# fragment of its message); a call that raises nothing, as the
+# supersingular kernel's repr and == with a foreign operand, is (call,
+# None, the value it returns)
 _CHECKS = {
     "FieldCtx-str": (lambda: FieldCtx("7"), TypeError, "plain integers"),
     "from_rank-q": (lambda: make_field(7).from_rank(7), ValueError, "rank 7 out of range"),
@@ -219,6 +221,21 @@ _CHECKS = {
     "UnitClass-times-int": (lambda: _unit_class() * 2, TypeError, "unsupported operand"),
     "FrobeniusKernelClass-supersingular-repr": (lambda: repr(FrobeniusKernelClass(None)),
                                                 None, "FrobeniusKernelClass(supersingular)"),
+    "FieldCtx-eq-int": (lambda: make_field(7) == 1, None, False),
+    "FieldElement-minus-str": (lambda: _element() - "1", TypeError, "unsupported operand"),
+    "str-minus-FieldElement": (lambda: "1" - _element(), TypeError, "unsupported operand"),
+    "FieldElement-times-str": (lambda: _element() * "1", TypeError, "multiply sequence"),
+    "FieldElement-over-str": (lambda: _element() / "1", TypeError, "unsupported operand"),
+    "str-over-FieldElement": (lambda: "1" / _element(), TypeError, "unsupported operand"),
+    "FieldElement-eq-str": (lambda: _element() == "1", None, False),
+    "WeierstrassCurve-eq-int": (lambda: _curve() == 1, None, False),
+    "UnitClass-eq-int": (lambda: _unit_class() == 1, None, False),
+    "Polynomial-eq-str": (lambda: _polynomial() == "x", None, False),
+    "Polynomial-plus-str": (lambda: _polynomial() + "x", TypeError, "unsupported operand"),
+    "Polynomial-times-str": (lambda: _polynomial() * "x", TypeError, "multiply sequence"),
+    "divmod-str": (lambda: divmod(_polynomial(), "x"), TypeError, "unsupported operand"),
+    "_slot_width-2**64": (lambda: _slot_width(2**64), OverflowError, "no slot is wide enough"),
+    "_Residues-degree-0": (lambda: _Residues(make_field(7), [1]), ValueError, "degree >= 1"),
 }
 
 

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+import hasseforms.verify as verify_mod
 from hasseforms import (SUITE_NAMES, census, hasse_invariant, iter_curves, make_field, phi,
                         run_suite, unit_class_of)
 from hasseforms.cli import main
@@ -17,6 +18,7 @@ from hasseforms.errors import InconsistencyError
 from hasseforms.forms import UnitClass
 from hasseforms.search import ClassEntry, WitnessRecord
 from hasseforms.verify import SuiteResult
+from test_audits import seed_count, seed_hasse
 
 
 def test_suite_names_frozen():
@@ -118,8 +120,6 @@ def test_classification_suite_over_f4099_within_budget():
 def test_classification_suite_catches_seeded_regression(monkeypatch, seed, p, n, failures):
     # each seed fails the suite, and through the CLI prints FAIL and exits
     # 1, never the usage exit 2
-    import hasseforms.verify as verify_mod
-
     real_phi, real_mul = verify_mod.phi, UnitClass.__mul__
 
     def skip(c, other):
@@ -205,8 +205,6 @@ def test_etale_suite_bytes_equal_with_factor_logging(caplog):
 def test_census_suite_reports_an_inconsistent_census_as_its_one_case(monkeypatch):
     # a census that raises is the suite's single failed case, with no
     # detail, and verify prints it as a FAIL line and exits 1
-    import hasseforms.verify as verify_mod
-
     message = "census over F_7 found classes [1, 2] but the trace interval formula gives [1]"
 
     def inconsistent(ctx):
@@ -226,8 +224,6 @@ def test_census_suite_reports_an_inconsistent_census_as_its_one_case(monkeypatch
 def _seed_census_witness(monkeypatch, ctx, h, curve):
     # verify.census answers with the true report, save that class h's
     # witness is the given model
-    import hasseforms.verify as verify_mod
-
     report = census(ctx)
     entries = tuple(
         e if e.residue != h else ClassEntry(h, WitnessRecord(
@@ -289,24 +285,10 @@ def test_suite_result_check_is_lazy_and_counts():
 
 
 def test_bridge_suite_catches_seeded_regression(monkeypatch):
-    # the suite must actually look at the data: one corrupted count in
-    # the row kernel's output it reads has to flip the verdict to FAIL
-    import hasseforms.verify as verify_mod
-
-    real_row_counts = verify_mod._row_counts
-    state = {"armed": True}
-
-    def corrupted(ctx, r2, r4):
-        counts = list(real_row_counts(ctx, r2, r4))
-        if state["armed"]:
-            # y^2 = x^3 + 1 over F_5; beta moves by one towards 0, so the
-            # trace bound still holds and only the bridge can object
-            state["armed"] = False
-            at = ctx._log_tables[1][1]  # counts are kept by the log of a6
-            counts[at] += 1 if counts[at] < ctx.q + 1 else -1
-        return counts
-
-    monkeypatch.setattr(verify_mod, "_row_counts", corrupted)
+    # the suite must actually look at the data: one corrupted count in the
+    # row kernel's output it reads, y^2 = x^3 + 1 over F_5 moved towards
+    # beta = 0, where the trace bound still holds, has to flip the verdict
+    seed_count(monkeypatch, verify_mod, (0, 0, 1))
     result = run_suite("bridge", 5)
     assert not result.ok
     assert len(result.failures) == 1
@@ -315,54 +297,14 @@ def test_bridge_suite_catches_seeded_regression(monkeypatch):
 
 def test_norm_suite_catches_seeded_regression(monkeypatch):
     # A_q = phi([A_p]) is checked against the row kernel's count, the one
-    # route the suite holds that knows nothing of A_p: one corrupted count
-    # has to flip the verdict to FAIL
-    import hasseforms.verify as verify_mod
-
-    real_row_counts = verify_mod._row_counts
-    state = {"armed": True}
-
-    def corrupted(ctx, r2, r4):
-        counts = list(real_row_counts(ctx, r2, r4))
-        one = ctx.one.rank
-        if state["armed"] and r2 == 0 and r4 == one:
-            # y^2 = x^3 + x + 1 over F_9; the count moves by one towards
-            # q + 1, so the trace bound still holds and only A_p can object
-            state["armed"] = False
-            at = ctx._log_tables[1][one]  # counts are kept by the log of a6
-            counts[at] += 1 if counts[at] < ctx.q + 1 else -1
-        return counts
-
-    monkeypatch.setattr(verify_mod, "_row_counts", corrupted)
+    # route the suite holds that knows nothing of A_p: one corrupted count,
+    # y^2 = x^3 + x + 1 over F_9 moved towards q + 1, where the trace bound
+    # still holds, has to flip the verdict to FAIL
+    seen = seed_count(monkeypatch, verify_mod, (0, 3, 3))  # 1 has rank 3 in F_9
     result = run_suite("norm", 3, 2)
-    assert not state["armed"]
+    assert seen
     assert len(result.failures) == 1
     assert "x^3 + x + 1 over F_9" in result.failures[0]
-
-
-def _seed_row_count(monkeypatch, ranks, count):
-    # the suites' row product answers as the kernel does, save that the
-    # model at ranks (a2, a4, a6) reads the given count, or the true count
-    # moved by one towards q + 1 where count is None.  Returns the count
-    # the kernel gave there
-    import hasseforms.verify as verify_mod
-
-    real_row_counts = verify_mod._row_counts
-    seen = []
-
-    def corrupted(ctx, r2, r4):
-        counts = list(real_row_counts(ctx, r2, r4))
-        if (r2, r4) == ranks[:2]:
-            at = ctx._log_tables[1][ranks[2]]  # counts are kept by the log of a6
-            seen.append(counts[at])
-            if count is not None:
-                counts[at] = count
-            else:
-                counts[at] += 1 if counts[at] < ctx.q + 1 else -1
-        return counts
-
-    monkeypatch.setattr(verify_mod, "_row_counts", corrupted)
-    return seen
 
 
 @pytest.mark.parametrize("name", ["bridge", "norm"])
@@ -382,7 +324,8 @@ def test_bridge_suite_seeded_count_beside_a_singular_a6(monkeypatch, name, r6, f
     ctx = make_field(3, 2)
     t = ctx.element([0, 1]).rank
     assert (t, ctx.element([2, 1]).rank) == (1, 7)
-    seen = _seed_row_count(monkeypatch, (t, t, r6), None if failures else 2 * ctx.q + 1)
+    seen = seed_count(monkeypatch, verify_mod, (t, t, r6),
+                      None if failures else lambda count: 2 * ctx.q + 1)
     result = run_suite(name, 3, 2)
     assert seen and result.cases == 648 and result.failures == failures
 
@@ -395,7 +338,7 @@ def test_bridge_suite_reports_a_count_past_the_trace_bound(monkeypatch, name, co
     # slots of the row product over F_5 but no table of counts in the
     # interval; and -5, which a table read from its end would take for
     # #E = 6, beta = 0, the true count of this supersingular model
-    _seed_row_count(monkeypatch, (0, 0, 1), count)
+    seed_count(monkeypatch, verify_mod, (0, 0, 1), lambda _: count)
     failure = (f"WeierstrassCurve(y^2 = x^3 + 1 over F_5): #E = {count} puts "
                f"beta = {6 - count} past the trace bound")
     result = run_suite(name, 5)
@@ -412,56 +355,15 @@ def test_bridge_suite_reports_a_count_past_the_trace_bound(monkeypatch, name, co
 def test_bridge_suite_catches_seeded_hasse_regression(monkeypatch, name, p, n):
     # the other side of the bridge: one corrupted A_p in the closed-form
     # row table it reads has to flip the verdict to FAIL, with one text
-    # under both names, since A_q = phi([A_p]) makes norm the same check
-    import hasseforms.verify as verify_mod
-
-    real_row_hasse = verify_mod._row_hasse
-    state = {"armed": True}
-
-    def corrupted(ctx, r2, r4):
-        row = list(real_row_hasse(ctx, r2, r4))
-        if state["armed"]:
-            # y^2 = x^3 + 1 over F_5 is supersingular (A_5 = 2 a4 = 0);
-            # A_p = 1 claims the residue 1 against beta = 0 mod p
-            state["armed"] = False
-            assert row[1] == 0
-            row[1] = 1
-        return row
-
-    monkeypatch.setattr(verify_mod, "_row_hasse", corrupted)
+    # under both names, since A_q = phi([A_p]) makes norm the same check.
+    # y^2 = x^3 + 1 over F_5 is supersingular (A_5 = 2 a4 = 0); A_p = 1
+    # claims the residue 1 against beta = 0 mod p
+    seen = seed_hasse(monkeypatch, verify_mod, (0, 0, 1), lambda _: 1)
     result = run_suite(name, p, n)
-    assert not state["armed"]
+    assert seen[0] == 0
     assert len(result.failures) == 1
     assert result.failures[0] == ("WeierstrassCurve(y^2 = x^3 + 1 over F_5): Hasse residue "
                                   "1 (0 for A_p = 0) but beta = 0, 0 mod p")
-
-
-def _corrupt_one_hasse_read(monkeypatch, entry, read):
-    # patches the suites' row table so that one read, the given one of
-    # the A_p entry at ranks (a2, a4, a6), comes back moved to another
-    # class (the generator is no (p - 1)th power); every other read, and
-    # the row as stored, stays true.  Returns the read counter
-    import hasseforms.verify as verify_mod
-
-    real_row_hasse = verify_mod._row_hasse
-    state = {"reads": 0}
-
-    class Row(list):
-        def __getitem__(self, r6):
-            a = super().__getitem__(r6)
-            if self.ranks + (r6,) == entry:
-                state["reads"] += 1
-                if state["reads"] == read:
-                    return self.ctx._mul(a, self.ctx.generator.rank)
-            return a
-
-    def watched(ctx, r2, r4):
-        row = Row(real_row_hasse(ctx, r2, r4))
-        row.ctx, row.ranks = ctx, (r2, r4)
-        return row
-
-    monkeypatch.setattr(verify_mod, "_row_hasse", watched)
-    return state
 
 
 def test_twists_suite_catches_seeded_regression(monkeypatch):
@@ -471,9 +373,9 @@ def test_twists_suite_catches_seeded_regression(monkeypatch):
     # FAIL.  The entry of y^2 = x^3 + x + 1 over F_5 is read first as its
     # own class, then as its twist by 1, then as the twist by 4 of
     # y^2 = x^3 + x + 4
-    state = _corrupt_one_hasse_read(monkeypatch, (0, 1, 1), 3)
+    seen = seed_hasse(monkeypatch, verify_mod, (0, 1, 1), lambda a: 2 * a % 5, read=3)
     result = run_suite("twists", 5)
-    assert state["reads"] == 5  # once as a base, once per d as a twist
+    assert len(seen) == 5  # once as a base, once per d as a twist
     assert result.failures == [
         "quadratic twist of WeierstrassCurve(y^2 = x^3 + x + 4 over F_5) by 4: "
         "class exp 2, action predicts 1"]
@@ -491,31 +393,18 @@ def test_twists_suite_catches_seeded_sextic_and_quartic_regression(monkeypatch, 
                                                                    failure):
     # over F_13, p = 1 mod 12, both extra kinds apply: one corrupted read
     # of a sextic or quartic twist's A_p gives exactly that one failure
-    _corrupt_one_hasse_read(monkeypatch, entry, read)
+    seed_hasse(monkeypatch, verify_mod, entry, lambda a: 2 * a % 13, read=read)
     assert run_suite("twists", 13).failures == [failure]
 
 
 def test_etale_suite_catches_seeded_regression(monkeypatch):
     # one ordinary model whose A_p reads 0 off the row table has to flip
     # the verdict to FAIL: ptorsion_description, which computes its own
-    # A_p, describes it as ordinary
-    import hasseforms.verify as verify_mod
-
-    real_row_hasse = verify_mod._row_hasse
-    state = {"armed": True}
-
-    def corrupted(ctx, r2, r4):
-        row = list(real_row_hasse(ctx, r2, r4))
-        if state["armed"] and (r2, r4) == (0, 1):
-            # y^2 = x^3 + x + 2 over F_5, where A_5 = 2 a4 = 2
-            state["armed"] = False
-            assert row[2] == 2
-            row[2] = 0
-        return row
-
-    monkeypatch.setattr(verify_mod, "_row_hasse", corrupted)
+    # A_p, describes it as ordinary.  y^2 = x^3 + x + 2 over F_5, where
+    # A_5 = 2 a4 = 2
+    seen = seed_hasse(monkeypatch, verify_mod, (0, 1, 2), lambda _: 0)
     result = run_suite("etale", 5)
-    assert not state["armed"]
+    assert seen[0] == 2
     assert len(result.failures) == 1
     assert result.failures[0].startswith(
         "WeierstrassCurve(y^2 = x^3 + x + 2 over F_5): supersingular but described as ")
@@ -527,8 +416,6 @@ def test_etale_suite_catches_wrong_degree_pattern(monkeypatch):
     # model with that A_p, where the pattern is read, and once against the
     # class order on every model with that A_p, since the pattern is
     # cached per value of A_p.  Every other model passes
-    import hasseforms.verify as verify_mod
-
     ctx = make_field(7)
     real = verify_mod.degree_pattern
     calls = []
@@ -548,35 +435,22 @@ def test_etale_suite_catches_wrong_degree_pattern(monkeypatch):
 
 
 def test_etale_suite_row_of_passed_values_still_checks_supersingular(monkeypatch):
-    # by the last row of F_7 every value of A_p on it has passed, so the
-    # row adds its ordinary models at once and checks only the models that
-    # read A_p = 0: one ordinary model seeded to read 0 there has to fail
-    # as supersingular, and the case count stays that of the clean run
-    import hasseforms.verify as verify_mod
-    from hasseforms.curve import _decode
-    from hasseforms.search import _iter_rows
-
+    # by the last row of F_7, a4 = 6, every value of A_p = 3 a6 on it has
+    # passed, so the row adds its ordinary models at once and checks only
+    # the models that read A_p = 0: y^2 = x^3 + 6x + 1 seeded to read 0
+    # there has to fail as supersingular, and the case count stays that of
+    # the clean run
     ctx = make_field(7)
     clean = run_suite("etale", 7)
-    real_row_hasse = verify_mod._row_hasse
-    *earlier, (r2, r4, _, singular) = _iter_rows(ctx)
-    seen = {a for a2, a4, _, _ in earlier for a in real_row_hasse(ctx, a2, a4)}
-    row = real_row_hasse(ctx, r2, r4)
-    assert seen.issuperset(row)
-    r6 = next(a6 for a6 in range(ctx.q) if a6 not in singular and row[a6])
-
-    def corrupted(ctx, a2, a4):
-        out = list(real_row_hasse(ctx, a2, a4))
-        if (a2, a4) == (r2, r4):
-            out[r6] = 0
-        return out
-
-    monkeypatch.setattr(verify_mod, "_row_hasse", corrupted)
+    earlier, last = ({hasse_invariant(c) for c in iter_curves(ctx) if (c.a4 == 6) == on_last}
+                     for on_last in (False, True))
+    assert earlier >= last
+    seen = seed_hasse(monkeypatch, verify_mod, (0, 6, 1), lambda _: 0)
     result = run_suite("etale", 7)
-    assert clean.ok and result.cases == clean.cases
+    assert seen[0] == 3 and clean.ok and result.cases == clean.cases
     assert len(result.failures) == 1
     assert result.failures[0].startswith(
-        f"{_decode(ctx, r2, r4, r6)!r}: supersingular but described as ")
+        "WeierstrassCurve(y^2 = x^3 + 6*x + 1 over F_7): supersingular but described as ")
 
 
 def test_run_suite_logs_one_record_and_keeps_output(caplog):
