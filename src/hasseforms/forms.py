@@ -118,9 +118,9 @@ def _class_residues(ctx: FieldCtx) -> array:
     # an array, since p - 1 int objects would cost 2 MB at p = 65537.
     # A nonzero rank a has class log a mod (p - 1); the census scan and its
     # witness check read this by class, _rank_classes by rank, and the
-    # audit row class_residues pins it against phi(UnitClass).  Over F_p phi is the identity and
-    # N = 1, so it is the exp table itself, shared with the context: its
-    # readers do not write it
+    # audit row class_residues pins it against phi(UnitClass).  Over F_p
+    # phi is the identity and N = 1, so it is the exp table itself, shared
+    # with the context: its readers do not write it
     if ctx.n == 1:
         return ctx._log_tables[0]
     unit = ctx._weights[0]

@@ -4,21 +4,20 @@ AUDITS holds one row per (fast route, audit route) pair: the two routes,
 by their names in src/hasseforms; its ladders of cases, each with the
 function that runs both routes on a case and yields (model or slot, fast
 value, slow value); and one seeded fault, which corrupts the fast route at
-one model or slot.  A kernel's output shape is read here alone, by
-row_counts, seed_count and seed_hasse, and each kind of slow route is one
-function: euler_counts for #E, walked_logs for logs and truncated_hasse
-for A_p.  audit_test binds a ladder to the test that held the audit
-before, in its module, so test ids stay.
+one model or slot.  The private kernels of src/ are named in tests only
+here and in their own unit tests; the row product is read and written by
+slot only through row_counts and seed_count, and an A_p row written only
+through seed_hasse.  Each kind of slow route is one function: euler_counts
+for #E, walked_logs for logs and truncated_hasse for A_p.  Each ladder is keyed by the test that runs it, module and
+name: audit_tests(module) gives a module its ladders as tests.
 """
 
-import ast
 import pickle
 import random
 from collections import Counter
 from contextlib import closing
 from functools import cache, cached_property
 from itertools import chain, count, islice, zip_longest
-from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -118,6 +117,11 @@ def _walked_hist(ctx, r2, r4):
     for h in filter(None, _h(ctx, r2, r4)[1:]):
         want[log[h]] += 1
     return want
+
+
+def hasse_row_at(ctx, r2, r4, r6s):
+    # A_p at each a6 of r6s off the row's closed form, P(a6) a6^k
+    return curve._hasse_at(ctx, *curve._hasse_row(ctx, r2, r4), r6s)
 
 
 def truncated_hasse(ctx, r2, r4, r6, size):
@@ -221,7 +225,7 @@ def _row_memos(fields):
         walks.append([(ctx, row) for row in rows])
     for ctx, (r2, r4) in filter(None, chain.from_iterable(zip_longest(*walks))):
         got = list(curve._log_hist(ctx, r2, r4)), list(curve._row_hasse(ctx, r2, r4))
-        hasse = curve._hasse_at(ctx, *curve._hasse_row(ctx, r2, r4), range(ctx.q))
+        hasse = hasse_row_at(ctx, r2, r4, range(ctx.q))
         yield (ctx.q, r2, r4), got, (_walked_hist(ctx, r2, r4), hasse)
 
 
@@ -276,7 +280,7 @@ def _hasse_at(p, n):
         roots = curve._singular_a6(ctx, curve._disc_row(ctx, r2, r4))
         r6s = list({0, *roots, *rng.sample(range(ctx.q), ctx.q // 2)})
         rng.shuffle(r6s)
-        got = curve._hasse_at(ctx, *curve._hasse_row(ctx, r2, r4), r6s)
+        got = hasse_row_at(ctx, r2, r4, r6s)
         yield (r2, r4), got, [truncated_hasse(ctx, r2, r4, r6, p) for r6 in r6s]
 
 
@@ -289,7 +293,7 @@ def _hasse_one(p, seeded=False):
         (a4, [0, 1] + [rng.randrange(2, p) for _ in range(3)])
         for a4 in (0, 1, rng.randrange(2, p))]
     for a4, a6s in rows:
-        want = curve._hasse_at(ctx, *curve._hasse_row(ctx, 0, a4), a6s)
+        want = hasse_row_at(ctx, 0, a4, a6s)
         yield a4, [curve._hasse_one(p, a4, a6) for a6 in a6s], want
 
 
@@ -432,10 +436,15 @@ def _discrete_log(p, n=1):
     ctx = make_field(p, n)
     (exp, log), g, order, reads = walked_logs(p, n), ctx.generator.rank, ctx.q - 1, []
 
-    class Recorded(list):
+    class Recorded:
+        # a table whose only access is an index read, which is recorded;
+        # iteration and `in` go through it, anything else raises
+        def __init__(self, table):
+            self.table = table
+
         def __getitem__(self, i):
             reads.append(i)
-            return super().__getitem__(i)
+            return self.table[i]
 
     vars(ctx)["_log_tables"] = tuple(map(Recorded, ctx._log_tables))
     for a in range(1, ctx.q):
@@ -583,8 +592,8 @@ def _edited_witness(**change):
 class Audit(NamedTuple):
     fast: str      # the fast route, by its name in src/hasseforms
     slow: str      # the audit route: a name in src/hasseforms, or one here
-    ladders: dict  # ladder -> (argnames, cases, pairs)
-    fault: tuple   # (ladder, case, install(monkeypatch))
+    ladders: dict  # "module::test" -> (argnames, cases, pairs)
+    fault: tuple   # (case of the first ladder, install(monkeypatch))
 
 
 HIST_FIELDS = [(7, 1), (13, 1), (3, 2), (5, 2), (3, 3)]
@@ -593,95 +602,121 @@ _PN = "p,n"
 
 AUDITS = {
     "discriminant": Audit("curve._disc_at", "curve.discriminant_general", {
-        "exhaustive": (_PN, [(3, 1), (3, 2), (5, 1), (7, 1), (5, 2)], _discriminant),
-    }, ("exhaustive", (5, 1), _fault(curve, "_disc_at", lambda *a: len(a[2]) > 1, _slot(1)))),
+        "test_curve::test_discriminant_two_routes":
+            (_PN, [(3, 1), (3, 2), (5, 1), (7, 1), (5, 2)], _discriminant),
+    }, ((5, 1), _fault(curve, "_disc_at", lambda *a: len(a[2]) > 1, _slot(1)))),
     "hasse_invariant": Audit("curve.hasse_invariant", "poly.Polynomial.pow_truncated", {
-        "exhaustive": (_PN, [(3, 2), (5, 1), (7, 1), (11, 1), (13, 1), (19, 1), (5, 2), (7, 2),
-                             (3, 3), (13, 2)], _hasse_invariant),
-    }, ("exhaustive", (5, 1), _fault(curve, "_hasse_one", lambda p, *m: m == (1, 1)))),
+        "test_curve::test_hasse_invariant_two_routes":
+            (_PN, [(3, 2), (5, 1), (7, 1), (11, 1), (13, 1), (19, 1), (5, 2), (7, 2),
+             (3, 3), (13, 2)], _hasse_invariant),
+    }, ((5, 1), _fault(curve, "_hasse_one", lambda p, *m: m == (1, 1)))),
     "row_counts": Audit("curve._row_counts", "curve.point_count, euler_counts", {
-        "exhaustive": (_PN, [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (31, 1), (3, 2), (5, 2),
-                             (7, 2), (3, 3), (3, 4), (5, 3), (11, 2)], _row_counts),
-        "large": (_PN, HIST_FIELDS + [(131, 1), (13, 2)], _row_counts),
-    }, ("exhaustive", (5, 1), lambda mp: seed_count(mp, curve, (0, 1, 1)))),
+        "test_curve::test_row_counts_match_point_count":
+            (_PN, [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (31, 1), (3, 2), (5, 2),
+             (7, 2), (3, 3), (3, 4), (5, 3), (11, 2)], _row_counts),
+        "test_curve::test_row_counts_match_count_at_every_a6":
+            (_PN, HIST_FIELDS + [(131, 1), (13, 2)], _row_counts),
+    }, ((5, 1), lambda mp: seed_count(mp, curve, (0, 1, 1)))),
     "row_hist": Audit("curve._row_hist", "walked_logs", {
-        "exhaustive": (_PN, HIST_FIELDS, _row_hist),
-    }, ("exhaustive", (7, 1), _fault(curve, "_log_hist", _on_row01, _slot(0, bytearray)))),
+        "test_curve::test_row_hist_matches_direct_log_count":
+            (_PN, HIST_FIELDS, _row_hist),
+    }, ((7, 1), _fault(curve, "_log_hist", _on_row01, _slot(0, bytearray)))),
     "row_memos": Audit("curve._log_hist, curve._row_hasse", "walked_logs, curve._hasse_at", {
-        "shuffled": ("fields", [(((3, 2), (3, 3)),), (((5, 2), (13, 1)),)], _row_memos),
-    }, ("shuffled", (((3, 2), (3, 3)),), _fault(curve, "_log_hist", _on_row01, _slot(0)))),
+        "test_curve::test_row_memos_match_direct_routes_out_of_order":
+            ("fields", [(((3, 2), (3, 3)),), (((5, 2), (13, 1)),)], _row_memos),
+    }, ((((3, 2), (3, 3)),), _fault(curve, "_log_hist", _on_row01, _slot(0)))),
     "count_at": Audit("curve._count_at", "euler_counts", {
-        "exhaustive": (_PN, HIST_FIELDS + [(31, 2), (3, 4)], _count_at),
-    }, ("exhaustive", (7, 1), _fault(curve, "_count_at", lambda ctx, *r: r == (0, 1, 1)))),
+        "test_curve::test_count_at_matches_naive_count_at_every_a6":
+            (_PN, HIST_FIELDS + [(31, 2), (3, 4)], _count_at),
+    }, ((7, 1), _fault(curve, "_count_at", lambda ctx, *r: r == (0, 1, 1)))),
     "zech_y": Audit("curve._zech_y", "euler_chi", {
-        "exhaustive": (_PN, [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (5, 3),
-                             (7, 3), (5, 4), (11, 2), (3, 6), (31, 2)], _zech_y),
-    }, ("exhaustive", (3, 2), _fault(curve, "_zech_y", lambda *a: True, _slot(0)))),
+        "test_curve::test_zech_y_is_one_minus_chi_of_one_plus_g_power":
+            (_PN, [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (5, 3),
+             (7, 3), (5, 4), (11, 2), (3, 6), (31, 2)], _zech_y),
+    }, ((3, 2), _fault(curve, "_zech_y", lambda *a: True, _slot(0)))),
     "row_hasse": Audit("curve._row_hasse", "curve.hasse_invariant", {
-        "exhaustive": (_PN, [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2), (3, 3), (7, 2),
-                             (13, 2)], _row_hasse),
-    }, ("exhaustive", (5, 1), lambda mp: seed_hasse(mp, curve, (0, 1, 1), lambda a: a + 1))),
+        "test_curve::test_row_hasse_matches_hasse_invariant":
+            (_PN, [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2), (3, 3), (7, 2),
+             (13, 2)], _row_hasse),
+    }, ((5, 1), lambda mp: seed_hasse(mp, curve, (0, 1, 1), lambda a: a + 1))),
     "hasse_at": Audit("curve._hasse_at", "truncated_hasse", {
-        "shuffled": (_PN, [(7, 1), (5, 2), (13, 2), (3, 3)], _hasse_at),
-    }, ("shuffled", (7, 1), _fault(curve, "_hasse_at", lambda *a: len(a[3]) > 1, _slot(0)))),
+        "test_curve::test_hasse_at_matches_hasse_invariant_on_shuffled_ranks":
+            (_PN, [(7, 1), (5, 2), (13, 2), (3, 3)], _hasse_at),
+    }, ((7, 1), _fault(curve, "_hasse_at", lambda *a: len(a[3]) > 1, _slot(0)))),
     "hasse_one": Audit("curve._hasse_one", "curve._hasse_at", {
-        "exhaustive": ("p", [(p,) for p in range(5, 234) if _is_prime(p)], _hasse_one),
-        "seeded": ("p", [(65537, True), (1048573, True)], _hasse_one),
-    }, ("exhaustive", (5,), _fault(curve, "_hasse_one", lambda p, *m: m == (1, 1)))),
+        "test_curve::test_hasse_one_matches_row_route_on_every_model":
+            ("p", [(p,) for p in range(5, 234) if _is_prime(p)], _hasse_one),
+        "test_curve::test_hasse_one_matches_row_route_on_seeded_models":
+            ("p", [(65537, True), (1048573, True)], _hasse_one),
+    }, ((5,), _fault(curve, "_hasse_one", lambda p, *m: m == (1, 1)))),
     "mestre": Audit("curve._count_mestre", "curve._count_at", {
-        "exhaustive": (None, [(239,)], _mestre),
-        "crossed": (None, [(233, "crossed")], _mestre),
-        "seeded": ("p", [(65537, "seeded"), (1048573, "seeded")], _mestre),
-    }, ("exhaustive", (239,), _fault(curve, "_count_mestre", lambda p, *m: m == (1, 1)))),
+        "test_curve::test_mestre_count_matches_count_at_on_every_model":
+            (None, [(239,)], _mestre),
+        "test_curve::test_mestre_count_matches_count_at_on_crossed_rows":
+            (None, [(233, "crossed")], _mestre),
+        "test_curve::test_mestre_count_matches_count_at_on_seeded_models":
+            ("p", [(65537, "seeded"), (1048573, "seeded")], _mestre),
+    }, ((239,), _fault(curve, "_count_mestre", lambda p, *m: m == (1, 1)))),
     "twist_kinds": Audit("curve._twist_kinds", "WeierstrassCurve.j_invariant", {
-        "exhaustive": (_PN, [(5, 1), (7, 1), (13, 1), (3, 2), (5, 2)], _twist_kinds),
-    }, ("exhaustive", (7, 1), _fault(curve, "_twist_kinds", lambda ctx, *m: m == (0, 1),
-                                     lambda kinds: kinds[:1]))),
+        "test_curve::test_twist_kinds_on_ranks_match_j":
+            (_PN, [(5, 1), (7, 1), (13, 1), (3, 2), (5, 2)], _twist_kinds),
+    }, ((7, 1), _fault(curve, "_twist_kinds", lambda ctx, *m: m == (0, 1),
+                       lambda kinds: kinds[:1]))),
     "twist_scales": Audit("curve._twist_scales", "curve.twist", {
-        "exhaustive": (_PN, [(5, 1), (7, 1), (13, 1), (3, 2), (5, 2)], _twist_scales),
-    }, ("exhaustive", (5, 1), _fault(curve, "_twist_scales", lambda *a: a[1] == 2, _slot(1)))),
+        "test_curve::test_twist_scales_match_twist_and_field_arithmetic":
+            (_PN, [(5, 1), (7, 1), (13, 1), (3, 2), (5, 2)], _twist_scales),
+    }, ((5, 1), _fault(curve, "_twist_scales", lambda *a: a[1] == 2, _slot(1)))),
     "table_arithmetic": Audit("gf.FieldCtx._mul, _add, _sub, _neg, _pow, _inv",
                               "gf.FieldCtx._conv_mul", {
-        "exhaustive": (_PN, TABLE_FIELDS, _table_arithmetic),
-    }, ("exhaustive", (3, 2), _fault(FieldCtx, "_mul", lambda ctx, *ab: ab == (2, 3)))),
+        "test_gf::test_table_arithmetic_matches_convolution":
+            (_PN, TABLE_FIELDS, _table_arithmetic),
+    }, ((3, 2), _fault(FieldCtx, "_mul", lambda ctx, *ab: ab == (2, 3)))),
     "log_tables": Audit("gf.FieldCtx._log_tables", "walked_logs", {
-        "exhaustive": (_PN, TABLE_FIELDS + [(7, 3), (5, 4), (11, 2), (3, 6), (31, 2)],
-                       _log_tables),
-    }, ("exhaustive", (3, 2), _moved_zech)),
+        "test_gf::test_log_tables_are_inverse_and_zech_matches_addition":
+            (_PN, TABLE_FIELDS + [(7, 3), (5, 4), (11, 2), (3, 6), (31, 2)], _log_tables),
+    }, ((3, 2), _moved_zech)),
     "point_count": Audit("curve.point_count", "euler_counts", {
-        "exhaustive": (_PN, TABLE_FIELDS + [(3, 1), (5, 1), (7, 1), (13, 1), (101, 1)],
-                       _point_count),
-        "interleaved": (None, [()], _point_count_interleaved),
-    }, ("exhaustive", (5, 1), _fault(curve, "_count_at", lambda ctx, *r: r == (0, 1, 1)))),
+        "test_gf::test_point_count_matches_naive_count":
+            (_PN, TABLE_FIELDS + [(3, 1), (5, 1), (7, 1), (13, 1), (101, 1)], _point_count),
+        "test_gf::test_point_count_row_memo_against_naive_count":
+            (None, [()], _point_count_interleaved),
+    }, ((5, 1), _fault(curve, "_count_at", lambda ctx, *r: r == (0, 1, 1)))),
     "discrete_log": Audit("gf.discrete_log, gf._pohlig_hellman", "walked_logs", {
-        "exhaustive": ("p", [(19,), (23,), (101,), (131,), (211,), (1009,)], _discrete_log),
-        "tabled": (_PN, [(3, 2), (5, 2), (3, 3)], _discrete_log),
-    }, ("exhaustive", (19,), _fault(gf, "_pohlig_hellman", lambda g, a, p: a == 2))),
+        "test_gf::test_untabled_logs_and_powers_match_the_tables":
+            ("p", [(19,), (23,), (101,), (131,), (211,), (1009,)], _discrete_log),
+        "test_gf::test_logs_and_powers_over_fq_read_the_tables":
+            (_PN, [(3, 2), (5, 2), (3, 3)], _discrete_log),
+    }, ((19,), _fault(gf, "_pohlig_hellman", lambda g, a, p: a == 2))),
     "class_residues": Audit("forms._class_residues", "forms.phi", {
-        "exhaustive": (_PN, [(19, 1), (211, 1), (3, 4), (5, 4), (31, 2)], _class_residues),
-        "primes": (None, [()], lambda: (pair for p in filter(_is_prime, range(3, 212))
-                                         for pair in _class_residues(p, 1))),
-    }, ("exhaustive", (3, 4), _fault(forms, "_class_residues", lambda *a: True, _slot(1)))),
+        "test_forms::test_class_residues_match_phi_of_each_class":
+            (_PN, [(19, 1), (211, 1), (3, 4), (5, 4), (31, 2)], _class_residues),
+        "test_forms::test_class_residues_over_prime_fields_are_phi_of_each_class":
+            (None, [()], lambda: (pair for p in filter(_is_prime, range(3, 212))
+                                  for pair in _class_residues(p, 1))),
+    }, ((3, 4), _fault(forms, "_class_residues", lambda *a: True, _slot(1)))),
     "search": Audit("search._first_hits", "curve.hasse_invariant", {
-        "exhaustive": (_PN, [(3, 1), (5, 1), (13, 1), (19, 1), (23, 1), (3, 2), (3, 3), (5, 2)],
-                       _search),
-    }, ("exhaustive", (5, 1), _fault(search, "_first_hits", lambda ctx, h: 2 in h, lambda _: {}))),
+        "test_search::test_no_shortcut_search_matches_object_route":
+            (_PN, [(3, 1), (5, 1), (13, 1), (19, 1), (23, 1), (3, 2), (3, 3), (5, 2)], _search),
+    }, ((5, 1), _fault(search, "_first_hits", lambda ctx, h: 2 in h, lambda _: {}))),
     "census_records": Audit("search._new", "search.ClassEntry, search.WitnessRecord", {
-        "exhaustive": (_PN, [(13, 1), (19, 1), (211, 1), (3, 2), (5, 2), (3, 3)],
-                       _census_records),
-    }, ("exhaustive", (13, 1), _fault(search, "_new", lambda cls, f: cls is ClassEntry, tuple))),
+        "test_search::test_census_records_match_constructed_records":
+            (_PN, [(13, 1), (19, 1), (211, 1), (3, 2), (5, 2), (3, 3)], _census_records),
+    }, ((13, 1), _fault(search, "_new", lambda cls, f: cls is ClassEntry, tuple))),
     "census_witnesses": Audit("search.census", "search._first_hits", {
-        "exhaustive": (_PN, [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3)], _census_witnesses),
-    }, ("exhaustive", (3, 2), _edited_witness(a6=lambda a6: a6 + (0,)))),
+        "test_search::test_census_witnesses_match_exhaustive_search":
+            (_PN, [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3)], _census_witnesses),
+    }, ((3, 2), _edited_witness(a6=lambda a6: a6 + (0,)))),
     "rank_scan": Audit("search._classified", "curve.hasse_invariant", {
-        "exhaustive": (_PN, [(3, 1), (5, 1), (7, 1), (13, 1), (19, 1), (23, 1), (3, 2), (3, 3),
-                             (5, 2), (7, 2), (5, 3), (11, 2), (17, 2)], _rank_scan),
-    }, ("exhaustive", (3, 1), _fault(search, "_classified", lambda *a: True,
-                                     lambda hits: islice(hits, 1, None)))),
+        "test_search::test_rank_scan_matches_object_route":
+            (_PN, [(3, 1), (5, 1), (7, 1), (13, 1), (19, 1), (23, 1), (3, 2), (3, 3),
+             (5, 2), (7, 2), (5, 3), (11, 2), (17, 2)], _rank_scan),
+    }, ((3, 1), _fault(search, "_classified", lambda *a: True,
+                       lambda hits: islice(hits, 1, None)))),
     "census_objects": Audit("search._check_row", "curve.point_count, forms.unit_class_of", {
-        "exhaustive": (_PN, [(19, 1), (23, 1), (101, 1), (131, 1), (211, 1), (19, 2), (7, 3),
-                             (5, 4), (31, 2), (3, 4), (1009, 1)], _census_objects),
-    }, ("exhaustive", (19, 1), _edited_witness(count=lambda c: c + 1))),
+        "test_search::test_census_witnesses_audited_through_objects":
+            (_PN, [(19, 1), (23, 1), (101, 1), (131, 1), (211, 1), (19, 2), (7, 3),
+             (5, 4), (31, 2), (3, 4), (1009, 1)], _census_objects),
+    }, ((19, 1), _edited_witness(count=lambda c: c + 1))),
 }
 
 
@@ -692,10 +727,8 @@ def _check(audit, pairs):
             assert fast == slow, f"{audit.fast} disagrees with {audit.slow} at {model}"
 
 
-def audit_test(name, ladder="exhaustive"):
-    """The test of one ladder of a row, its cases under their former ids."""
-    audit = AUDITS[name]
-    argnames, cases, pairs = audit.ladders[ladder]
+def _ladder_test(audit, argnames, cases, pairs):
+    # one ladder as a test, each case under the id its test had before the table
     if argnames is None:
         return lambda: _check(audit, pairs(*cases[0]))
     ids = [f"fields{i}" if argnames == "fields" else
@@ -707,13 +740,19 @@ def audit_test(name, ladder="exhaustive"):
     return test
 
 
+def audit_tests(module):
+    """The ladders that module runs, each as a test under its name in the table."""
+    return {key.partition("::")[2]: _ladder_test(audit, *ladder) for audit in AUDITS.values()
+            for key, ladder in audit.ladders.items() if key.startswith(module + "::")}
+
+
 @pytest.mark.parametrize("name", AUDITS)
 def test_seeded_fault_fails_its_audit(monkeypatch, name):
     audit = AUDITS[name]
-    ladder, case, install = audit.fault
+    case, install = audit.fault
     install(monkeypatch)
     with pytest.raises(AssertionError, match="disagrees with"):
-        _check(audit, audit.ladders[ladder][2](*case))
+        _check(audit, next(iter(audit.ladders.values()))[2](*case))
 
 
 def _tampered_f9():
@@ -755,15 +794,3 @@ def test_self_check_raises_its_named_error(monkeypatch, name):
     with pytest.raises(error, match=text):
         run(monkeypatch)
 
-
-def test_every_ladder_is_bound_to_one_test():
-    # each (row, ladder) is one audit_test call in tests/, bound to a test
-    bound = Counter()
-    for path in Path(__file__).parent.glob("test_*.py"):
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) \
-                    and getattr(node.value.func, "id", None) == "audit_test":
-                assert node.targets[0].id.startswith("test_")
-                name, *ladder = (ast.literal_eval(a) for a in node.value.args)
-                bound[name, ladder[0] if ladder else "exhaustive"] += 1
-    assert bound == Counter((name, ladder) for name in AUDITS for ladder in AUDITS[name].ladders)

@@ -36,26 +36,10 @@ from hasseforms.errors import (
 )
 from hasseforms.gf import _factor_int, _power
 from hasseforms.poly import _pack, _slot_width
-from test_audits import audit_test
+from test_audits import audit_tests
 
-# rows of the audit table, tests/test_audits.py
-test_discriminant_two_routes = audit_test("discriminant")
-test_hasse_invariant_two_routes = audit_test("hasse_invariant")
-test_row_counts_match_point_count = audit_test("row_counts")
-test_row_hist_matches_direct_log_count = audit_test("row_hist")
-test_row_memos_match_direct_routes_out_of_order = audit_test("row_memos", "shuffled")
-test_count_at_matches_naive_count_at_every_a6 = audit_test("count_at")
-test_zech_y_is_one_minus_chi_of_one_plus_g_power = audit_test("zech_y")
-test_row_counts_match_count_at_every_a6 = audit_test("row_counts", "large")
-test_row_hasse_matches_hasse_invariant = audit_test("row_hasse")
-test_hasse_at_matches_hasse_invariant_on_shuffled_ranks = audit_test("hasse_at", "shuffled")
-test_hasse_one_matches_row_route_on_every_model = audit_test("hasse_one")
-test_hasse_one_matches_row_route_on_seeded_models = audit_test("hasse_one", "seeded")
-test_twist_kinds_on_ranks_match_j = audit_test("twist_kinds")
-test_twist_scales_match_twist_and_field_arithmetic = audit_test("twist_scales")
-test_mestre_count_matches_count_at_on_every_model = audit_test("mestre")
-test_mestre_count_matches_count_at_on_crossed_rows = audit_test("mestre", "crossed")
-test_mestre_count_matches_count_at_on_seeded_models = audit_test("mestre", "seeded")
+# the ladders of the audit table that run here, tests/test_audits.py
+globals().update(audit_tests("test_curve"))
 
 
 @pytest.fixture(scope="module")

@@ -29,12 +29,10 @@ from hasseforms.errors import (
     ZeroElementError,
     ZeroTwistParameterError,
 )
-from test_audits import audit_test
+from test_audits import audit_tests
 
-# a row of the audit table, tests/test_audits.py
-test_class_residues_match_phi_of_each_class = audit_test("class_residues")
-test_class_residues_over_prime_fields_are_phi_of_each_class = audit_test("class_residues",
-                                                                         "primes")
+# the ladders of the audit table that run here, tests/test_audits.py
+globals().update(audit_tests("test_forms"))
 
 
 def _curve(ctx, a4, a6, a2=0):

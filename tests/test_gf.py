@@ -42,18 +42,13 @@ from hasseforms.errors import (
     SingularModelError,
     ZeroElementError,
 )
-from test_audits import TABLE_FIELDS, audit_test, euler_chi
+from test_audits import TABLE_FIELDS, audit_tests, euler_chi
 
 EXTENSION_FIELDS_TO_3000 = [(p, n) for p in range(3, 55) if _is_prime(p)
                             for n in range(2, 8) if p**n <= 3000]
 
-# rows of the audit table, tests/test_audits.py
-test_table_arithmetic_matches_convolution = audit_test("table_arithmetic")
-test_log_tables_are_inverse_and_zech_matches_addition = audit_test("log_tables")
-test_point_count_matches_naive_count = audit_test("point_count")
-test_point_count_row_memo_against_naive_count = audit_test("point_count", "interleaved")
-test_untabled_logs_and_powers_match_the_tables = audit_test("discrete_log")
-test_logs_and_powers_over_fq_read_the_tables = audit_test("discrete_log", "tabled")
+# the ladders of the audit table that run here, tests/test_audits.py
+globals().update(audit_tests("test_gf"))
 
 
 def _is_irreducible_ints(f, p):

@@ -35,15 +35,11 @@ from hasseforms.curve import (
 from hasseforms.errors import NotPrimeError
 from hasseforms.gf import _is_prime
 from hasseforms.search import _iter_rows, _row_orbits
-from test_audits import (all_rows, audit_test, built_or_none, object_residue, row_counts,
+from test_audits import (all_rows, audit_tests, built_or_none, object_residue, row_counts,
                          seed_count)
 
-# rows of the audit table, tests/test_audits.py
-test_no_shortcut_search_matches_object_route = audit_test("search")
-test_census_records_match_constructed_records = audit_test("census_records")
-test_census_witnesses_match_exhaustive_search = audit_test("census_witnesses")
-test_rank_scan_matches_object_route = audit_test("rank_scan")
-test_census_witnesses_audited_through_objects = audit_test("census_objects")
+# the ladders of the audit table that run here, tests/test_audits.py
+globals().update(audit_tests("test_search"))
 
 
 def test_admissible_traces_frozen():
