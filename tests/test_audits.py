@@ -8,8 +8,9 @@ one model or slot.  The private kernels of src/ are named in tests only
 here and in their own unit tests; the row product is read and written by
 slot only through row_counts and seed_count, and an A_p row written only
 through seed_hasse.  Each kind of slow route is one function: euler_counts
-for #E, walked_logs for logs and truncated_hasse for A_p.  Each ladder is keyed by the test that runs it, module and
-name: audit_tests(module) gives a module its ladders as tests.
+for #E, walked_logs for logs and truncated_hasse for A_p.  Each ladder is
+keyed by the test that runs it, module and name: audit_tests(module)
+gives a module its ladders as tests.
 """
 
 import pickle
