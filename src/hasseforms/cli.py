@@ -314,7 +314,7 @@ def build_parser():
     return parser
 
 
-_COEFF_OPTIONS = ("-a2", "-a4", "-a6")
+_COEFF_OPTIONS = tuple(flag for flag, _ in _CURVE)
 
 
 def _joined(argv: list[str]) -> list[str]:

@@ -5,6 +5,11 @@ callers can catch one thing; the dedicated subclasses exist for callers
 (and tests) that want to distinguish the precise failure.
 """
 
+__all__ = ["NotPrimeError", "EvenCharacteristicError", "FieldTooLargeError", "CtxMismatchError",
+           "ZeroPolynomialError", "SingularModelError", "ZeroElementError",
+           "ZeroTwistParameterError", "WrongJInvariantError", "BadCongruenceError",
+           "InconsistencyError"]
+
 
 class NotPrimeError(ValueError):
     """The requested characteristic is not a prime number."""

@@ -81,6 +81,9 @@ from .errors import (
     ZeroElementError,
 )
 
+__all__ = ["FieldCtx", "FieldElement", "make_field", "norm_to_prime", "quadratic_character",
+           "primitive_element", "discrete_log"]
+
 SWEEP_MAX = 2**20       # the largest field order a context accepts
 
 

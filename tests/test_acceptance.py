@@ -15,6 +15,7 @@ that were derived by hand.
 import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -257,48 +258,42 @@ def test_ac13_census_determinism(tmp_path):
     _report(13, "census-determinism", time.perf_counter() - t0, 30.0, ok)
 
 
-# sha256 of the compact sorted JSON of each report, frozen from the
-# term-by-term census that classified every scanned model as a curve
-# (F_65537 by the Horner-per-a6 scan, 96-104 s on 2 vCPU), and the
-# budget of each cold census in seconds.  Row a4 = 0 has one coefficient,
-# A_p = c a6^k, over F_1009 and F_4099 (p = 1 mod 3) and A_p = 0 over
-# F_65537 (p = 2 mod 3): the scan reads it by A_p, and every other row by
-# the row product
-LARGE_PRIME_CENSUS_SHA256 = {
-    1009: "1615498f859ccb2cf89cbee0867f1e8c114dd7ded74c10050e072da7370e385c",
-    4099: "ba9f7536471c039f3face696ffbacc1db5f84e5af9f3034a91be689a6bcc0bf1",
-    65537: "fb2db541bb2b344eceb4b918581fefb669da258ac116a1e78ff977ede010428d",
-}
+# sha256 of the compact sorted JSON of each census report, by (p, n),
+# from the one table of cold-census digests, which CI's cold census step
+# also reads
+CENSUS_SHA256 = {(int(p), int(n)): digest for p, n, digest in (
+    line.split() for line in (Path(__file__).parent / "census_digests.txt").read_text().splitlines()
+    if line and not line.startswith("#"))}
+
+# the budget of each cold census in seconds.  Row a4 = 0 has one
+# coefficient, A_p = c a6^k, over F_1009 and F_4099 (p = 1 mod 3) and
+# A_p = 0 over F_65537 (p = 2 mod 3): the scan reads it by A_p, and every
+# other row by the row product
 LARGE_PRIME_CENSUS_BUDGET_S = {1009: 5.0, 4099: 5.0, 65537: 10.0}
 
 
-@pytest.mark.parametrize("p", sorted(LARGE_PRIME_CENSUS_SHA256))
+@pytest.mark.parametrize("p", sorted(LARGE_PRIME_CENSUS_BUDGET_S))
 def test_ac14_large_prime_census_within_budget(p):
     """Cold census over F_1009, F_4099 and F_65537: the frozen report bytes in budget."""
     t0 = time.perf_counter()
     report = census(make_field(p))
     blob = json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":"))
-    ok = hashlib.sha256(blob.encode()).hexdigest() == LARGE_PRIME_CENSUS_SHA256[p]
+    ok = hashlib.sha256(blob.encode()).hexdigest() == CENSUS_SHA256[p, 1]
     _report(14, f"census-{p}-digest", time.perf_counter() - t0,
             LARGE_PRIME_CENSUS_BUDGET_S[p], ok)
 
 
-# sha256 of ",".join(map(str, exp)) for the exp table of each field, and of
-# the compact sorted JSON of each census report (as in ac14), frozen from
-# the build that walked all q - 1 powers of the generator and tested
-# generators on the convolution route; the budgets are 3 s per cold table
-# build and 5 s per cold census
+# sha256 of ",".join(map(str, exp)) for the exp table of each field,
+# frozen from the build that walked all q - 1 powers of the generator and
+# tested generators on the convolution route; the budgets are 3 s per cold
+# table build and 5 s per cold census of LARGE_EXTENSIONS
 LARGE_FIELD_EXP_SHA256 = {
     (3, 12): "64b88d2991eaddd1e1abad1424b271223029fca5439f71ae0f7b62f6410b8771",
     (7, 7): "722378d56f6511ddea948ee29a80fd469c416fdf3ae14ab0f4b0267a3b36d01e",
     (31, 4): "0efa320298ca7ba9a6e7b6ed96c5669bfc7f95984764f684848803e435e0515d",
     (1021, 2): "e2b1937d3b16d84676bf06c2a4540b1c48e3564ead73ea836a59cc35f0491795",
 }
-LARGE_EXTENSION_CENSUS_SHA256 = {
-    (3, 12): "1364ea6288137417c6031953ca1e0f83e593923d35310b4dee9beccb2f85a907",
-    (5, 8): "681f85f6e7ce550c069106785165967f81855e526cb76a4a2bb21cb185de625f",
-    (7, 7): "0392eb19e35ab9c5768a1aa41c0259b371c28e6122fda16d453fa0a14a9bc604",
-}
+LARGE_EXTENSIONS = ((3, 12), (5, 8), (7, 7))
 
 
 @pytest.mark.parametrize("p,n", sorted(LARGE_FIELD_EXP_SHA256))
@@ -312,13 +307,13 @@ def test_ac15_large_field_tables_within_budget(p, n):
             digest == LARGE_FIELD_EXP_SHA256[p, n])
 
 
-@pytest.mark.parametrize("p,n", sorted(LARGE_EXTENSION_CENSUS_SHA256))
+@pytest.mark.parametrize("p,n", LARGE_EXTENSIONS)
 def test_ac16_large_extension_census_within_budget(p, n):
     """Cold census over F_3^12, F_5^8 and F_7^7: the frozen report bytes in budget."""
     t0 = time.perf_counter()
     report = census(make_field(p, n))
     blob = json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":"))
-    ok = hashlib.sha256(blob.encode()).hexdigest() == LARGE_EXTENSION_CENSUS_SHA256[p, n]
+    ok = hashlib.sha256(blob.encode()).hexdigest() == CENSUS_SHA256[p, n]
     _report(16, f"census-{p}^{n}-digest", time.perf_counter() - t0, 5.0, ok)
 
 

@@ -1,5 +1,6 @@
-"""Source hygiene: every package module uses the names it imports, every
-module-level private name is read somewhere in the package, no
+"""Source hygiene: every package module uses the names it imports, the
+package exports exactly its modules' __all__ lists, every module-level
+private name is read somewhere in the package, no
 module-level functools cache takes a context, every cache has a path
 that reads it more often than it builds it, every absolute import is of
 the standard library, and the CLI loads neither dataclasses nor inspect,
@@ -19,21 +20,30 @@ from hasseforms import census, iter_curves, make_field, point_count, run_suite
 MODULES = sorted(Path(hasseforms.__file__).parent.glob("*.py"))
 
 
-def _unused_imports(source):
+def _unused_imports(source, init=False):
     # the names a module binds by import and neither reads nor lists in
-    # __all__; `from __future__` imports bind nothing
+    # __all__; `from __future__` imports bind nothing.  `from .m import *`
+    # binds "*m", which only an `*m.__all__` entry of the __all__ of a
+    # package's __init__ (init) reads: anywhere else it is reported
     tree = ast.parse(source)
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported.update(a.asname or a.name.split(".")[0] for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            imported.update(a.asname or a.name for a in node.names)
+            imported.update(a.asname or (f"*{node.module}" if a.name == "*" else a.name)
+                            for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used.update(ast.literal_eval(node.value))
+            for entry in node.value.elts:
+                star = getattr(entry, "value", None)
+                if (init and isinstance(entry, ast.Starred) and isinstance(star, ast.Attribute)
+                        and star.attr == "__all__" and isinstance(star.value, ast.Name)):
+                    used.add(f"*{star.value.id}")
+                else:  # a string, or ValueError
+                    used.add(ast.literal_eval(entry))
     return sorted(imported - used)
 
 
@@ -42,11 +52,46 @@ def test_unused_import_guard_sees_reads_and_exports():
               "from math import gcd, isqrt as root\nfrom .gf import FieldCtx, make_field\n"
               "__all__ = ['make_field']\n\ndef f(n) -> FieldCtx:\n    return os.sep, root(n)\n")
     assert _unused_imports(source) == ["gcd", "sys"]
+    # a star import outside __init__.py, and one __init__.py does not
+    # republish, are reported, as is an unused explicit import beside them
+    source = "from .gf import *\nfrom .poly import *\nfrom .curve import twist\n"
+    assert _unused_imports(source + "__all__ = ['x']\n") == ["*gf", "*poly", "twist"]
+    assert _unused_imports(source + "__all__ = [*gf.__all__]\n", init=True) == [
+        "*poly", "twist"]
+    with pytest.raises(ValueError):
+        _unused_imports(source + "__all__ = [*gf.__all__]\n")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_modules_use_what_they_import(path):
-    assert _unused_imports(path.read_text()) == []
+    assert _unused_imports(path.read_text(), init=path.name == "__init__.py") == []
+
+
+# the names the package exported before each module's __all__ became the
+# one list of its public names; every one stays exported
+_EXPORTED = """__version__ FieldCtx FieldElement make_field norm_to_prime
+    quadratic_character primitive_element discrete_log Polynomial Factorization factor
+    degree_pattern WeierstrassCurve FrobeniusData point_count hasse_invariant is_ordinary
+    twist UnitClass unit_class_of enumerate_classes phi realizable_set twist_class_action
+    FrobeniusKernelClass kernel_of_frobenius PTorsionDescription ptorsion_description
+    admissible_traces iter_curves find_curve_with_class describe_witness WitnessRecord
+    RealizabilityReport census SuiteResult SUITE_NAMES run_suite NotPrimeError
+    EvenCharacteristicError FieldTooLargeError CtxMismatchError ZeroPolynomialError
+    SingularModelError ZeroElementError ZeroTwistParameterError WrongJInvariantError
+    BadCongruenceError InconsistencyError""".split()
+
+
+def test_package_exports_each_modules_all():
+    from hasseforms import curve, errors, forms, gf, poly, search, verify
+
+    modules = (gf, poly, curve, forms, search, verify, errors)
+    names = hasseforms.__all__
+    assert len(_EXPORTED) == 49 and len(set(names)) == len(names)
+    assert names == ["__version__", *(name for m in modules for name in m.__all__)]
+    assert set(_EXPORTED) <= set(names)
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(hasseforms, name) is vars(m)[name], (m.__name__, name)
 
 
 def _unread_private_names(sources):
