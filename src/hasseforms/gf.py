@@ -70,7 +70,7 @@ from array import array
 from collections import Counter
 from functools import cached_property, lru_cache, wraps
 from math import isqrt
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterator, Sequence, Union
 
 from .errors import (
@@ -595,9 +595,9 @@ class FieldCtx:
         for e, r in enumerate(exp):
             log[r] = e
         # the constant term is the most significant lex digit, so adding 1
-        # to an element moves its rank by one step of that digit
-        top = (p - 1) * unit
-        zech = array("i", [log[r + unit] if r < top else log[r - top] for r in exp])
+        # to an element moves its rank by one step of that digit: log
+        # rotated by that step, gathered at each power
+        zech = array("i", itemgetter(*exp)(log[unit:] + log[:unit]))
         t2 = time.perf_counter()
         # the search tried every nonzero rank up to the generator's
         logger.debug("built log tables for F_%d^%d (q = %d): generator rank %d "

@@ -8,9 +8,12 @@ one model or slot.  The private kernels of src/ are named in tests only
 here and in their own unit tests; the row product is read and written by
 slot only through row_counts and seed_count, and an A_p row written only
 through seed_hasse.  Each kind of slow route is one function: euler_counts
-for #E, walked_logs for logs and truncated_hasse for A_p.  Each ladder is
-keyed by the test that runs it, module and name: audit_tests(module)
-gives a module its ladders as tests.
+for #E, walked_logs for logs, truncated_hasse for A_p, _is_irreducible_ints
+(trial division) for irreducibility, _pow_mod_reference for powers modulo
+a polynomial, _gcd_reference (plain Euclid) for gcds, and element_product
+and element_value for polynomial arithmetic written out in FieldElement
+arithmetic.  Each ladder is keyed by the test that runs it, module and
+name: audit_tests(module) gives a module its ladders as tests.
 """
 
 import pickle
@@ -18,13 +21,15 @@ import random
 from collections import Counter
 from contextlib import closing
 from functools import cache, cached_property
-from itertools import chain, count, islice, zip_longest
+from itertools import chain, count, islice, product, zip_longest
+from math import isqrt, prod
 from typing import NamedTuple
 
 import pytest
 
 from hasseforms import (census, discrete_log, find_curve_with_class, hasse_invariant,
-                        iter_curves, make_field, phi, point_count, twist, unit_class_of)
+                        iter_curves, make_field, norm_to_prime, phi, point_count, twist,
+                        unit_class_of)
 from hasseforms import curve, forms, gf, poly, search
 from hasseforms.curve import WeierstrassCurve, discriminant_general
 from hasseforms.errors import SingularModelError
@@ -376,7 +381,7 @@ def _table_arithmetic(p, n):
 def _log_tables(p, n):
     # exp, log and Zech, zech[e] = log(1 + g^e) added coefficientwise;
     # (3, 6) to (31, 2) run from one scaled block of walked powers (p = 3)
-    # to 29
+    # to 29, and over F_p exp is one int walk
     ctx = make_field(p, n)
     exp, log = walked_logs(p, n)
     assert sorted(exp) == list(range(1, ctx.q))  # the generator generates
@@ -554,6 +559,335 @@ def _census_objects(p, n):
             (cls.exp, int(phi(cls)), fd.count, fd.beta, h)
 
 
+def _is_irreducible_ints(f, p):
+    # trial division of the monic value list f over F_p by every monic
+    # divisor of degree up to half its own
+    return all(gf._divmod_ints(list(f), [r // p**i % p for i in range(d)] + [1], p)[1]
+               for d in range(1, (len(f) - 1) // 2 + 1) for r in range(p**d))
+
+
+def _pow_mod_reference(base, e, mod):
+    # base^e mod mod by square-and-multiply on Polynomial with %, never
+    # through the residue ring
+    result, base = Polynomial(base.ctx, (1,)), base % mod
+    while e:
+        if e & 1:
+            result = result * base % mod
+        base, e = base * base % mod, e >> 1
+    return result
+
+
+def _gcd_reference(f, g):
+    # the monic gcd by plain Euclid on Polynomial with %
+    while g:
+        f, g = g, f % g
+    return f.monic()[1]
+
+
+def element_value(f, x):
+    # f(x) by Horner's rule in FieldElement arithmetic
+    acc = x.ctx.zero
+    for c in reversed(f.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def element_product(ctx, f, g):
+    # the product of two coefficient sequences over ctx in FieldElement
+    # arithmetic
+    total = [ctx.zero] * (len(f) + len(g) - 1)
+    for i, fi in enumerate(f):
+        for j, gj in enumerate(g):
+            total[i + j] = total[i + j] + fi * gj
+    return total
+
+
+def monic_polys(ctx, degree):
+    # every monic polynomial of the degree over ctx, in rank order
+    q = ctx.q
+    for r in range(q**degree):
+        yield Polynomial.from_ranks(ctx, [r // q**i % q for i in range(degree)] + [ctx.one.rank])
+
+
+def _residue(ring, a):
+    # a residue of the ring as a Polynomial, from its rank list
+    return Polynomial.from_ranks(ring.ctx, ring.poly(a))
+
+
+def _is_irreducible(p, degrees):
+    # Ben-Or's test on every monic f of the degrees over F_p
+    for f in (free + (1,) for n in degrees for free in product(range(p), repeat=n)):
+        yield f, gf._is_irreducible(f, p), _is_irreducible_ints(f, p)
+
+
+def _find_modulus(p, n):
+    # the first irreducible from lex rank 0, constant term most
+    # significant, with no block of candidates skipped
+    cands = (tuple(r // p ** (n - 1 - i) % p for i in range(n)) + (1,) for r in range(p**n))
+    yield (p, n), make_field(p, n).modulus, next(f for f in cands if _is_irreducible_ints(f, p))
+
+
+def _mulmod_ints(p):
+    # the one value-list product against Polynomial * and %, which run on
+    # rank kernels, modulo every monic m of degree 1 to 3 and a sample of
+    # degree 4, reducible ones included (Ben-Or squares modulo every
+    # candidate); operands below the degree of m and, as in Ben-Or's
+    # step h * (x h), one of them at it.  Over F_p ranks are values
+    ctx, rng, from_ranks = make_field(p), random.Random(p), Polynomial.from_ranks
+    moduli = [list(free) + [1] for d in (1, 2, 3) for free in product(range(p), repeat=d)]
+    moduli += [[r // p**i % p for i in range(4)] + [1]
+               for r in rng.sample(range(p**4), min(p**4, 400))]
+    for m in moduli:
+        a = [rng.randrange(p) for _ in range(len(m) - 1)]
+        for b in ([0] + a, [rng.randrange(p) for _ in m]):
+            want = from_ranks(ctx, a) * from_ranks(ctx, b) % from_ranks(ctx, m)
+            yield (a, b, m), gf._mulmod_ints(a, b, m, p), list(want.ranks)
+
+
+def _divmod_ints(p):
+    # a = quo * b + rem with deg rem < deg b, both stripped and reduced,
+    # for seeded value lists and divisors of degree 0 to 8, monic and not;
+    # the coefficients are drawn from 0, 1 and p - 1 half the time
+    rng, monic = random.Random(p), 0
+
+    def coeff():
+        return rng.choice((0, 1, p - 1)) if rng.random() < 0.5 else rng.randrange(p)
+
+    for _ in range(300):
+        lead = rng.choice((1, p - 1, rng.randrange(1, p)))
+        b = [coeff() for _ in range(rng.randrange(9))] + [lead]
+        a = [coeff() for _ in range(rng.randrange(16))]
+        while a and not a[-1]:
+            a.pop()
+        monic += lead == 1
+        quo, rem = gf._divmod_ints(list(a), b, p)
+        got = [c % p for c in gf._conv_ints(quo, b, len(a))] if quo else [0] * len(a)
+        for i, c in enumerate(rem):
+            got[i] = (got[i] + c) % p
+        yield (a, b), (got, len(rem) < len(b), len(quo), all(0 <= c < p for c in quo + rem),
+                       [0] not in (quo[-1:], rem[-1:])), \
+            (a, True, max(0, len(a) - len(b) + 1), True, True)
+    assert 0 < monic < 300
+
+
+def _factor_int():
+    # every m <= 10^4 against a sieve, and seeded m < 2^21 against trial
+    # division: ascending primes, positive exponents, product m
+    top = 10**4
+    smallest = list(range(top + 1))
+    for f in range(2, isqrt(top) + 1):
+        for k in range(f * f, top + 1, f):
+            smallest[k] = min(smallest[k], f)
+    for m in range(1, top + 1):
+        want, rest = [], m
+        while rest > 1:
+            f, k = smallest[rest], 0
+            while rest % f == 0:
+                rest, k = rest // f, k + 1
+            want.append((f, k))
+        yield m, gf._factor_int(m), tuple(want)
+    rng = random.Random(2**21)
+    for m in [rng.randrange(1, 2**21) for _ in range(300)] + [2**20, 1048343 - 1, 1048573 - 1]:
+        pairs = gf._factor_int(m)
+        primes = [f for f, _ in pairs]
+        yield m, (primes, all(k > 0 for _, k in pairs), prod(f**k for f, k in pairs),
+                  all(all(f % d for d in range(2, isqrt(f) + 1)) for f in primes)), \
+            (sorted(set(primes)), True, m, True)
+
+
+def _norm_ints(p, n):
+    # the resultant against x^((q-1)/(p-1)) in table arithmetic
+    ctx = make_field(p, n)
+    for x in islice(ctx.iter_elements(), 1, None):
+        yield x, gf._norm_ints(x.coeffs, ctx.modulus, p), int(norm_to_prime(x))
+
+
+def _generator_rank(p, n):
+    # the order test on coefficient tuples, x^((q-1)/l) != 1 for every
+    # prime l | q - 1, with no norm and no subfield shortcut
+    ctx = make_field(p, n)
+    order, one = ctx.q - 1, ctx.one.coeffs
+    primes = [ell for ell in range(2, order + 1) if order % ell == 0 and _is_prime(ell)]
+    yield ctx, ctx.generator.rank, next(
+        r for r in range(1, ctx.q)
+        if all(ctx._conv_pow(ctx._tuple_from_rank(r), order // ell) != one for ell in primes))
+
+
+def _power():
+    # the one square-and-multiply, on ints mod p, against pow; at e = 0 it
+    # returns the identity and never calls mul; and under any associative
+    # mul, strings under concatenation
+    p, x, calls = 1048573, 12345, []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return a * b % p
+
+    for e in list(range(65)) + [2**200 + 12345]:
+        yield e, gf._power(x, e, mul, 1), pow(x, e, p)
+    calls.clear()
+    yield 0, (gf._power(x, 0, mul, "one"), calls), ("one", [])
+    yield "ab", gf._power("ab", 5, str.__add__, ""), "ab" * 5
+
+
+def _rank_kernels(p, n):
+    # divmod, evaluate, derivative, * and pow_truncated, which run on int
+    # lists over F_p and on the rank kernels over F_q with n > 1, against
+    # FieldElement arithmetic: coefficient by coefficient, and by Horner's
+    # rule at every point of a field of at most 101 elements, at seeded
+    # points of larger ones.  The densest operands have every coefficient
+    # p - 1 up to degree 40
+    ctx = make_field(p, n)
+    rng = random.Random(ctx.q)
+    points = (list(ctx.iter_elements()) if ctx.q <= 101
+              else [ctx.from_rank(rng.randrange(ctx.q)) for _ in range(16)])
+
+    def random_poly(degree):
+        low = [ctx.from_rank(rng.randrange(ctx.q)) for _ in range(degree)]
+        return Polynomial(ctx, low + [ctx.from_rank(rng.randrange(1, ctx.q))])
+
+    top = Polynomial.from_ranks(ctx, [ctx.q - 1] * 41)
+    pairs = [(random_poly(rng.randrange(12)), random_poly(rng.randrange(6))) for _ in range(40)]
+    pairs += [(top, top), (top * random_poly(3), top), (random_poly(40), top), (top, random_poly(7))]
+    for k, (a, b) in enumerate(pairs):
+        quo, rem = divmod(a, b)
+        total = element_product(ctx, quo.coeffs, b.coeffs) + [ctx.zero]
+        for i, ri in enumerate(rem.coeffs):
+            total[i] = total[i] + ri
+        yield (k, "divmod"), (Polynomial(ctx, total), rem.degree < b.degree), (a, True)
+        ab, d = a * b, a.derivative()
+        yield (k, "*"), ab, Polynomial(ctx, element_product(ctx, a.coeffs, b.coeffs))
+        yield (k, "points"), [(element_value(quo, x) * element_value(b, x) + element_value(rem, x),
+                               element_value(ab, x), a.evaluate(x)) for x in points], \
+            [(v, v * element_value(b, x), v) for x, v in ((x, element_value(a, x)) for x in points)]
+        yield (k, "derivative"), (d, d.degree < a.degree), \
+            (Polynomial(ctx, [(i + 1) * a[i + 1] for i in range(a.degree)]), True)
+        for e in (2, 3) if k % 4 == 0 or a == top else ():
+            full = [ctx.one]
+            for _ in range(e):
+                full = element_product(ctx, full, a.coeffs)
+            got, cap = a.pow_truncated(e, e * a.degree), rng.randrange(e * a.degree + 1)
+            yield (k, e), (got, [element_value(got, x) for x in points], a.pow_truncated(e, cap)), \
+                (Polynomial(ctx, full), [element_value(a, x) ** e for x in points],
+                 Polynomial(ctx, full[:cap + 1]))
+
+
+def _pow_truncated(p):
+    # every monic cubic over F_p to each power up to (p-1)/2, truncated at
+    # degree p - 1, against the full power
+    ctx, cap = make_field(p), p - 1
+    for f in monic_polys(ctx, 3):
+        for e in range(1, (p - 1) // 2 + 1):
+            full = f ** e
+            yield (f, e), f.pow_truncated(e, cap), Polynomial(ctx, [full[i] for i in range(cap + 1)])
+
+
+def _residues_pow(p):
+    # the packed-int residue ring against square-and-multiply on
+    # Polynomial with %, up to the widest slots: p just below 2**20,
+    # coefficients p - 1
+    ctx, rng = make_field(p), random.Random(p)
+    for degree in (1, 2, 7, 23, 40):
+        top = [p - 1] * degree
+        mods = [Polynomial(ctx, top + [1]),
+                Polynomial(ctx, [rng.randrange(p) for _ in range(degree)] + [2])]
+        bases = [Polynomial(ctx, [p - 1] * degree),
+                 Polynomial(ctx, [rng.randrange(p) for _ in range(degree + 3)])]
+        for mod in mods:
+            ring = poly._Residues(ctx, mod.ranks)
+            for base, e in ((base, e) for base in bases for e in (0, 1, 2, 5, 97)):
+                yield (mod, base, e), _residue(ring, ring.pow(ring.reduce(base.ranks), e)), \
+                    _pow_mod_reference(base, e, mod)
+
+
+def _frob(p, n):
+    # frob(a) = sum a_i x^(iq) mod m against plain powering by q with %,
+    # for random a and m; over F_p up to the widest slots, and over F_q
+    # with n > 1, where the ring holds rank lists
+    ctx = make_field(p, n)
+    rng = random.Random(ctx.q)
+
+    def random_poly(degree, lead):
+        return Polynomial.from_ranks(ctx, [rng.randrange(ctx.q) for _ in range(degree)] + [lead])
+
+    for degree in (1, 2, 7, 23, 40):
+        for lead in (1, 1 + rng.randrange(ctx.q - 1)):
+            mod = random_poly(degree, lead)
+            ring = poly._Residues(ctx, mod.ranks)
+            yield (mod, "x_q"), _residue(ring, ring.x_q()), \
+                _pow_mod_reference(Polynomial.x(ctx), ctx.q, mod)
+            for a in (random_poly(degree + 2, 1 + rng.randrange(ctx.q - 1)),
+                      Polynomial.from_ranks(ctx, [ctx.q - 1] * degree)):
+                a_q, frob = _pow_mod_reference(a, ctx.q, mod), ring.frob(ring.reduce(a.ranks))
+                yield (mod, a), (_residue(ring, frob), _residue(ring, ring.frob(frob))), \
+                    (a_q, _pow_mod_reference(a_q, ctx.q, mod))
+
+
+def _reduction_table(p, m):
+    # R[j] = x^(D+j) mod m, packed, against the plain int remainder, for
+    # every j the ring reads
+    D = len(m) - 1
+    W = poly._slot_width(2 * D * (p - 1) ** 2)
+    table = poly._reduction_table(m, p, W)
+    yield "size", len(table), D - 1
+    for j, packed in enumerate(table):
+        want = gf._divmod_ints([0] * (D + j) + [1], m, p)[1]
+        yield j, list(poly._unpack(W, packed, D)), want + [0] * (D - len(want))
+
+
+def _binomial_patterns():
+    # the etale suite's polynomials, y^(p-1) - h for every unit rank h
+    for p, n in [(p, 1) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)] + [(3, 2), (5, 2), (7, 2)]:
+        ctx = make_field(p, n)
+        y = Polynomial.x(ctx)
+        for h in range(1, ctx.q):
+            f = y ** (p - 1) - Polynomial.from_ranks(ctx, [h])
+            yield (p, n, h), poly.degree_pattern(f), poly.factor(f).degree_multiset
+
+
+def _random_patterns(p, n):
+    # seeded random polynomials, some squared and, where p is small
+    # enough, some times a p-th power, whose derivative is zero
+    ctx = make_field(p, n)
+    rng = random.Random(ctx.q)
+
+    def random_poly(degree):
+        return Polynomial.from_ranks(
+            ctx, [rng.randrange(ctx.q) for _ in range(degree)] + [1 + rng.randrange(ctx.q - 1)])
+
+    for _ in range(25):
+        f = random_poly(rng.randrange(1, 25))
+        if rng.random() < 0.3:
+            f = f * f
+        if p <= 101 and rng.random() < 0.3:
+            f = f * random_poly(rng.randrange(1, 3)) ** p
+        yield f, poly.degree_pattern(f), poly.factor(f).degree_multiset
+
+
+def _rabin(p):
+    # every factor g of a seeded random corpus, some inputs squared, has
+    # gcd(g, x^(q^i) - x) = 1 for i <= deg g / 2, so no factor of degree
+    # i divides it; the powers come from plain powering with %, never
+    # from the residue ring, and the gcd from plain Euclid
+    ctx, rng = make_field(p), random.Random(p)
+    x, checked = Polynomial.x(ctx), 0
+    for _ in range(12):
+        degree = rng.randrange(1, 31)
+        f = Polynomial.from_ranks(ctx, [rng.randrange(p) for _ in range(degree)]
+                                  + [1 + rng.randrange(p - 1)])
+        if rng.random() < 0.3:
+            f = f * f
+        fac = poly.factor(f)
+        yield f, fac.expand(), f
+        for g, _ in fac.factors:
+            power = x
+            for i in range(1, g.degree // 2 + 1):
+                power = _pow_mod_reference(power, p, g)
+                yield (f, g, i), _gcd_reference(g, power - x).degree, 0
+                checked += 1
+    assert checked > 20
+
+
 def _fault(owner, name, where, change=lambda out: out + 1):
     # owner.name, whose output is changed where where(*args) holds
     real = getattr(owner, name)
@@ -570,16 +904,24 @@ def _slot(i, wrap=list):
     return lambda out: wrap(v + (j == i) for j, v in enumerate(out))
 
 
-def _moved_zech(mp):
-    # Zech's first entry moved on every context built while it holds
-    real = FieldCtx.__dict__["_log_tables"]
+def _changed(name, change):
+    # FieldCtx.name, a cached property, changed on every context built
+    # while it holds
+    real = FieldCtx.__dict__[name]
+    prop = cached_property(lambda ctx: change(real.func(ctx)))
+    prop.__set_name__(FieldCtx, name)
+    return lambda mp: mp.setattr(FieldCtx, name, prop)
 
-    def corrupted(ctx):
-        exp, log, zech = real.func(ctx)
-        return exp, log, type(zech)(zech.typecode, [zech[0] + 1]) + zech[1:]
-    prop = cached_property(corrupted)
-    prop.__set_name__(FieldCtx, "_log_tables")
-    mp.setattr(FieldCtx, "_log_tables", prop)
+
+def _moved_zech(tables):
+    # Zech's first entry moved by one
+    tables[2][0] += 1
+    return tables
+
+
+def _one_factor(fac):
+    # the factorization with its factors multiplied back into one
+    return fac._replace(factors=((fac.expand().monic()[1], 1),))
 
 
 def _edited_witness(**change):
@@ -599,6 +941,12 @@ class Audit(NamedTuple):
 
 HIST_FIELDS = [(7, 1), (13, 1), (3, 2), (5, 2), (3, 3)]
 TABLE_FIELDS = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (5, 3)]
+EXTENSION_FIELDS_TO_3000 = [(p, n) for p in range(3, 55) if _is_prime(p)
+                            for n in range(2, 8) if p**n <= 3000]
+# (p, m): a binomial y^210 - A, whose shifted-out top slot is always zero,
+# so no reductions; a trinomial, where it sometimes is; and a dense m
+_REDUCTION_MODULI = [(211, [3] + [0] * 209 + [1]), (7, [2, 0, 0, 5, 0, 0, 0, 1]),
+                     (13, [4, 11, 7, 2, 9, 12, 3, 6, 5, 1])]
 _PN = "p,n"
 
 AUDITS = {
@@ -674,8 +1022,9 @@ AUDITS = {
     }, ((3, 2), _fault(FieldCtx, "_mul", lambda ctx, *ab: ab == (2, 3)))),
     "log_tables": Audit("gf.FieldCtx._log_tables", "walked_logs", {
         "test_gf::test_log_tables_are_inverse_and_zech_matches_addition":
-            (_PN, TABLE_FIELDS + [(7, 3), (5, 4), (11, 2), (3, 6), (31, 2)], _log_tables),
-    }, ((3, 2), _moved_zech)),
+            (_PN, TABLE_FIELDS + [(7, 3), (5, 4), (11, 2), (3, 6), (31, 2), (3, 1), (5, 1),
+                                  (7, 1), (101, 1)], _log_tables),
+    }, ((3, 2), _changed("_log_tables", _moved_zech))),
     "point_count": Audit("curve.point_count", "euler_counts", {
         "test_gf::test_point_count_matches_naive_count":
             (_PN, TABLE_FIELDS + [(3, 1), (5, 1), (7, 1), (13, 1), (101, 1)], _point_count),
@@ -718,6 +1067,70 @@ AUDITS = {
             (_PN, [(19, 1), (23, 1), (101, 1), (131, 1), (211, 1), (19, 2), (7, 3),
              (5, 4), (31, 2), (3, 4), (1009, 1)], _census_objects),
     }, ((19, 1), _edited_witness(count=lambda c: c + 1))),
+    "is_irreducible": Audit("gf._is_irreducible, gf.FieldCtx._find_modulus",
+                            "_is_irreducible_ints", {
+        "test_gf::test_ben_or_matches_trial_division":
+            ("p,degrees", [(3, (1, 2, 3, 4)), (5, (1, 2, 3, 4)), (7, (1, 2, 3, 4)), (31, (2,))],
+             _is_irreducible),
+        "test_gf::test_modulus_matches_full_lex_scan":
+            (_PN, EXTENSION_FIELDS_TO_3000, _find_modulus),
+    }, ((3, (1, 2, 3, 4)), _fault(gf, "_is_irreducible", lambda f, p: f == (1, 0, 1),
+                                  lambda irreducible: not irreducible))),
+    "mulmod": Audit("gf._mulmod_ints", "poly.Polynomial * and %", {
+        "test_gf::test_mulmod_matches_polynomial_route":
+            ("p", [(3,), (5,), (7,), (31,)], _mulmod_ints),
+    }, ((3,), _fault(gf, "_mulmod_ints", lambda a, b, m, p: len(m) == 3, lambda r: r + [1]))),
+    "divmod": Audit("gf._divmod_ints", "gf._conv_ints", {
+        "test_gf::test_divmod_ints_is_long_division":
+            ("p", [(3,), (5,), (65537,), (1048573,)], _divmod_ints),
+    }, ((3,), _fault(gf, "_divmod_ints", lambda a, b, p: len(b) > 1,
+                     lambda qr: (_slot(0)(qr[0]), qr[1])))),
+    "factor_int": Audit("gf._factor_int", "a sieve, trial division", {
+        "test_gf::test_factor_int_matches_brute_force": (None, [()], _factor_int),
+    }, ((), _fault(gf, "_factor_int", lambda m: m == 12, lambda pairs: pairs[:1]))),
+    "norm": Audit("gf._norm_ints", "gf.norm_to_prime", {
+        "test_gf::test_resultant_norm_matches_power_norm":
+            (_PN, [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (5, 4), (7, 2), (7, 3)], _norm_ints),
+    }, ((3, 2), _fault(gf, "_norm_ints", lambda a, m, p: tuple(a) == (1, 1)))),
+    "generator": Audit("gf.FieldCtx._generator_rank", "gf.FieldCtx._conv_pow", {
+        "test_gf::test_generator_is_lex_first_on_convolution_route":
+            (_PN, sorted(set(TABLE_FIELDS + EXTENSION_FIELDS_TO_3000))
+             + [(p, 1) for p in range(3, 212) if _is_prime(p)] + [(1009, 1)], _generator_rank),
+    }, ((3, 2), _changed("_generator_rank", lambda rank: rank + 1))),
+    "power": Audit("gf._power", "pow", {
+        "test_gf::test_power_matches_builtin_pow": (None, [()], _power),
+    }, ((), _fault(gf, "_power", lambda x, e, *_: e == 3))),
+    "rank_kernels": Audit("poly._mul_trunc, _divmod, _derivative, Polynomial.evaluate",
+                          "element_product, element_value", {
+        "test_poly::test_rank_kernels_against_element_arithmetic":
+            (_PN, [(3, 2), (5, 2), (3, 3), (7, 2), (3, 1), (13, 1), (101, 1), (1048573, 1)],
+             _rank_kernels),
+    }, ((3, 2), _fault(poly, "_mul_trunc", lambda *a: True, lambda out: out[1:]))),
+    "pow_truncated": Audit("poly.Polynomial.pow_truncated", "poly.Polynomial.__pow__", {
+        "test_poly::test_truncated_power_agrees_with_full_power":
+            ("p", [(3,), (5,), (7,)], _pow_truncated),
+    }, ((3,), _fault(Polynomial, "pow_truncated", lambda f, e, cap: e == 1, lambda g: g + 1))),
+    "residues_pow": Audit("poly._Residues.mul, _Residues.pow", "_pow_mod_reference", {
+        "test_poly::test_pow_mod_packed_matches_plain_powering":
+            ("p", [(3,), (13,), (1009,), (65537,), (1048573,)], _residues_pow),
+    }, ((3,), _fault(poly._Residues, "mul", lambda *a: True))),
+    "frobenius": Audit("poly._Residues.frob, _Residues.x_q", "_pow_mod_reference", {
+        "test_poly::test_frobenius_table_matches_powering_by_q":
+            (_PN, [(3, 1), (13, 1), (1009, 1), (1048573, 1), (3, 2), (5, 3)], _frob),
+    }, ((3, 1), _fault(poly._Residues, "frob", lambda *a: True))),
+    "reduction_table": Audit("poly._reduction_table", "gf._divmod_ints", {
+        "test_poly::test_reduction_table_holds_reduced_powers_of_x":
+            ("p,m", _REDUCTION_MODULI, _reduction_table),
+    }, (_REDUCTION_MODULI[0], _fault(poly, "_reduction_table", lambda *a: True, _slot(0)))),
+    "degree_pattern": Audit("poly.degree_pattern", "poly.factor", {
+        "test_poly::test_degree_pattern_matches_factor_on_binomials":
+            (None, [()], _binomial_patterns),
+        "test_poly::test_degree_pattern_matches_factor_on_random_polynomials":
+            (_PN, [(3, 1), (5, 1), (101, 1), (65537, 1), (3, 2), (7, 3)], _random_patterns),
+    }, ((), _fault(poly, "degree_pattern", lambda f: True, lambda degrees: degrees[1:]))),
+    "rabin": Audit("poly.factor", "_pow_mod_reference, _gcd_reference", {
+        "test_poly::test_factors_pass_rabin_check": ("p", [(101,), (65537,)], _rabin),
+    }, ((101,), _fault(poly, "factor", lambda f: True, _one_factor))),
 }
 
 
@@ -732,8 +1145,8 @@ def _ladder_test(audit, argnames, cases, pairs):
     # one ladder as a test, each case under the id its test had before the table
     if argnames is None:
         return lambda: _check(audit, pairs(*cases[0]))
-    ids = [f"fields{i}" if argnames == "fields" else
-           "-".join(map(str, case[:len(argnames.split(","))])) for i, case in enumerate(cases)]
+    ids = ["-".join(str(v) if isinstance(v, (int, str)) else f"{name}{i}"
+                    for name, v in zip(argnames.split(","), case)) for i, case in enumerate(cases)]
 
     @pytest.mark.parametrize("case", cases, ids=ids)
     def test(case):

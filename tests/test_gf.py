@@ -2,24 +2,23 @@
 
 Frozen constants in this file were derived by hand from the stored
 modulus: F_9 = F_3[t]/(t^2 + 1) and F_25 = F_5[t]/(t^2 + t + 1), so for
-example (t+1)^2 = 2t and (t+1)^4 = 2 in F_9.
+example (t+1)^2 = 2t and (t+1)^4 = 2 in F_9.  The integer kernels and
+the fast routes of gf.py are held to their slow routes by the audit
+table, tests/test_audits.py.
 """
 
 import gc
 import hashlib
-import itertools
 import json
 import logging
 import random
 import re
 import time
 import weakref
-from math import isqrt, prod
 
 import pytest
 
 from hasseforms import (
-    Polynomial,
     census,
     discrete_log,
     make_field,
@@ -30,9 +29,7 @@ from hasseforms import (
 from hasseforms import cli
 from hasseforms import verify as verify_mod
 from hasseforms.curve import WeierstrassCurve
-from hasseforms.gf import (_conv_ints, _divmod_ints, _factor_int, _is_irreducible, _is_prime,
-                           _mulmod_ints, _norm_ints, _pohlig_hellman, _pohlig_hellman_plan,
-                           _power)
+from hasseforms.gf import _is_prime, _pohlig_hellman, _pohlig_hellman_plan
 from hasseforms.verify import run_suite
 from hasseforms.errors import (
     CtxMismatchError,
@@ -44,22 +41,8 @@ from hasseforms.errors import (
 )
 from test_audits import TABLE_FIELDS, audit_tests, euler_chi
 
-EXTENSION_FIELDS_TO_3000 = [(p, n) for p in range(3, 55) if _is_prime(p)
-                            for n in range(2, 8) if p**n <= 3000]
-
 # the ladders of the audit table that run here, tests/test_audits.py
 globals().update(audit_tests("test_gf"))
-
-
-def _is_irreducible_ints(f, p):
-    """Trial division of a monic f by every monic divisor of degree <= deg/2."""
-    n = len(f) - 1
-    for d in range(1, n // 2 + 1):
-        for rank in range(p**d):
-            div = [(rank // p**i) % p for i in range(d)] + [1]
-            if not _divmod_ints(list(f), div, p)[1]:
-                return False
-    return True
 
 
 @pytest.fixture(scope="module")
@@ -131,106 +114,6 @@ def test_modulus_is_monic_without_roots(p, n):
         assert acc != 0
 
 
-@pytest.mark.parametrize("p,n", EXTENSION_FIELDS_TO_3000)
-def test_modulus_matches_full_lex_scan(p, n):
-    # reference: the first irreducible from lex rank 0, constant term most
-    # significant, with no block of candidates skipped
-    for rank in range(p**n):
-        cand = tuple(rank // p ** (n - 1 - i) % p for i in range(n)) + (1,)
-        if _is_irreducible_ints(cand, p):
-            break
-    assert make_field(p, n).modulus == cand
-
-
-@pytest.mark.parametrize("p,degrees", [(3, (1, 2, 3, 4)), (5, (1, 2, 3, 4)),
-                                        (7, (1, 2, 3, 4)), (31, (2,))])
-def test_ben_or_matches_trial_division(p, degrees):
-    for n in degrees:
-        for free in itertools.product(range(p), repeat=n):
-            f = free + (1,)
-            assert _is_irreducible(f, p) == _is_irreducible_ints(f, p), f
-
-
-@pytest.mark.parametrize("p", [3, 5, 7, 31])
-def test_mulmod_matches_polynomial_route(p):
-    # the one value-list product against Polynomial * and %, which run on
-    # rank kernels, modulo every monic m of degree 1 to 3 and a sample of
-    # degree 4, reducible ones included (Ben-Or squares modulo every
-    # candidate); operands below the degree of m and, as in Ben-Or's
-    # step h * (x h), one of them at it.  Over F_p ranks are values
-    ctx, rng, poly = make_field(p), random.Random(p), Polynomial.from_ranks
-    moduli = [list(free) + [1] for d in (1, 2, 3) for free in itertools.product(range(p), repeat=d)]
-    moduli += [[r // p**i % p for i in range(4)] + [1]
-               for r in rng.sample(range(p**4), min(p**4, 400))]
-    for m in moduli:
-        a = [rng.randrange(p) for _ in range(len(m) - 1)]
-        for b in ([0] + a, [rng.randrange(p) for _ in m]):
-            want = poly(ctx, a) * poly(ctx, b) % poly(ctx, m)
-            assert _mulmod_ints(a, b, m, p) == list(want.ranks), (a, b, m)
-
-
-@pytest.mark.parametrize("p", [3, 5, 65537, 1048573])
-def test_divmod_ints_is_long_division(p):
-    # a = quo * b + rem with deg rem < deg b, both stripped and reduced,
-    # for seeded value lists and divisors of degree 0 to 8, monic and not;
-    # the coefficients are drawn from 0, 1 and p - 1 half the time
-    rng = random.Random(p)
-
-    def coeff():
-        return rng.choice((0, 1, p - 1)) if rng.random() < 0.5 else rng.randrange(p)
-
-    monic = 0
-    for _ in range(300):
-        lead = rng.choice((1, p - 1, rng.randrange(1, p)))
-        b = [coeff() for _ in range(rng.randrange(9))] + [lead]
-        a = [coeff() for _ in range(rng.randrange(16))]
-        while a and not a[-1]:
-            a.pop()
-        want = list(a)
-        monic += lead == 1
-        quo, rem = _divmod_ints(a, b, p)
-        assert len(rem) < len(b) and len(quo) == max(0, len(want) - len(b) + 1)
-        assert all(0 <= c < p for c in quo + rem) and (not quo or quo[-1]) and (not rem or rem[-1])
-        got = [c % p for c in _conv_ints(quo, b, len(want))] if quo else [0] * len(want)
-        for i, c in enumerate(rem):
-            got[i] = (got[i] + c) % p
-        assert got == want, (a, b)
-    assert 0 < monic < 300
-
-
-def test_factor_int_matches_brute_force():
-    # every m <= 10^4 against a sieve, and seeded m < 2^21 against trial
-    # division: ascending primes, positive exponents, product m
-    top = 10**4
-    smallest = list(range(top + 1))
-    for f in range(2, isqrt(top) + 1):
-        for k in range(f * f, top + 1, f):
-            smallest[k] = min(smallest[k], f)
-    for m in range(1, top + 1):
-        want, rest = [], m
-        while rest > 1:
-            f, k = smallest[rest], 0
-            while rest % f == 0:
-                rest, k = rest // f, k + 1
-            want.append((f, k))
-        assert _factor_int(m) == tuple(want), m
-    rng = random.Random(2**21)
-    for m in [rng.randrange(1, 2**21) for _ in range(300)] + [2**20, 1048343 - 1, 1048573 - 1]:
-        pairs = _factor_int(m)
-        primes = [f for f, _ in pairs]
-        assert primes == sorted(set(primes)) and all(k > 0 for _, k in pairs)
-        assert all(all(f % d for d in range(2, isqrt(f) + 1)) for f in primes)
-        assert prod(f**k for f, k in pairs) == m
-
-
-@pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (5, 4), (7, 2), (7, 3)])
-def test_resultant_norm_matches_power_norm(p, n):
-    ctx = make_field(p, n)
-    for x in ctx.iter_elements():
-        if x:
-            assert _norm_ints(x.coeffs, ctx.modulus, p) == int(norm_to_prime(x))
-
-
 GUARD_EXTENSIONS = [(p, n) for p in range(3, 1024) if _is_prime(p)
                     for n in range(2, 21) if p**n <= 2**20]
 
@@ -247,6 +130,15 @@ def test_moduli_and_generators_pinned_across_the_guard():
     assert len(rows) == 223
     digest = hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
     assert digest == "432ffd6657e5adde46b8dad307aaa118a5cf8077b2179544a02f072d6196f086"
+
+
+def test_reading_a_generator_builds_no_tables():
+    # the search tests candidates on norms and the convolution route, so
+    # reading the generator of a large field leaves its q-sized tables
+    # unbuilt; the pin above reads 223 generators on this
+    for p, n in ((1021, 2), (3, 12)):
+        ctx = make_field(p, n)
+        assert ctx.generator.rank > 0 and "_log_tables" not in vars(ctx)
 
 
 def test_element_iteration_is_rank_order(f9, f25):
@@ -428,25 +320,6 @@ def test_tuple_from_rank_matches_digit_formula():
             assert ctx._tuple_from_rank(rank) == want
 
 
-PRIMES_3_TO_211 = [p for p in range(3, 212) if _is_prime(p)]
-
-
-@pytest.mark.parametrize("p,n", sorted(set(TABLE_FIELDS + EXTENSION_FIELDS_TO_3000))
-                         + [(p, 1) for p in PRIMES_3_TO_211 + [1009]])
-def test_generator_is_lex_first_on_convolution_route(p, n):
-    # reference: the order test on coefficient tuples, x^((q-1)/l) != 1
-    # for every prime l | q - 1, with no norm and no subfield shortcut
-    ctx = make_field(p, n)
-    order = ctx.q - 1
-    one = ctx.one.coeffs
-    primes = [ell for ell in range(2, order + 1) if order % ell == 0 and _is_prime(ell)]
-    for rank in range(1, ctx.q):
-        x = ctx._tuple_from_rank(rank)
-        if all(ctx._conv_pow(x, order // ell) != one for ell in primes):
-            break
-    assert ctx.generator.rank == rank
-
-
 def test_table_build_logs_generator_and_walk(caplog):
     # one DEBUG record per context: the generator's rank and candidates
     # tested, the powers walked of q - 1, generator and table seconds apart
@@ -559,20 +432,3 @@ def test_pohlig_hellman_plan_is_built_once_per_field():
         assert discrete_log(ctx.generator ** e) == e
     info = _pohlig_hellman_plan.cache_info()
     assert (info.misses, info.hits) == (1, 199)
-
-
-def test_power_matches_builtin_pow():
-    # the one square-and-multiply, on ints mod p, against pow; at e = 0 it
-    # returns the identity and never calls mul
-    p, x, calls = 1048573, 12345, []
-
-    def mul(a, b):
-        calls.append((a, b))
-        return a * b % p
-
-    for e in list(range(65)) + [2**200 + 12345]:
-        assert _power(x, e, mul, 1) == pow(x, e, p), e
-    calls.clear()
-    assert _power(x, 0, mul, "one") == "one" and not calls
-    # any associative mul: strings under concatenation
-    assert _power("ab", 5, str.__add__, "") == "ab" * 5

@@ -2,7 +2,9 @@
 
 The truncation and factoring routines are the backbone of every invariant
 computation, so they are checked against independent routes: full
-powering, brute-force reassembly, and trial division.
+powering, brute-force reassembly, and trial division.  The rank-list
+primitives, the residue ring and factor are held to their slow routes by
+the audit table, tests/test_audits.py.
 """
 
 import logging
@@ -14,21 +16,11 @@ import pytest
 from hasseforms import make_field
 from hasseforms import poly as poly_module
 from hasseforms.errors import CtxMismatchError, ZeroPolynomialError
-from hasseforms.gf import _divmod_ints
 from hasseforms.poly import Polynomial, _Residues, degree_pattern, factor, gcd
+from test_audits import _pow_mod_reference, _residue, audit_tests, monic_polys
 
-
-def _monic_polys(ctx, degree):
-    """All monic polynomials of exactly the given degree, rank order."""
-    q = ctx.q
-    total = q ** degree
-    for r in range(total):
-        coeffs = []
-        rem = r
-        for _ in range(degree):
-            rem, c = divmod(rem, q)
-            coeffs.append(ctx.from_rank(c))
-        yield Polynomial(ctx, coeffs + [ctx.one])
+# the ladders of the audit table that run here, tests/test_audits.py
+globals().update(audit_tests("test_poly"))
 
 
 def test_construction_normalizes():
@@ -105,17 +97,6 @@ def test_zeroth_power_is_one():
     assert f.pow_truncated(0, 10) == one
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_truncated_power_agrees_with_full_power(p):
-    ctx = make_field(p)
-    cap = p - 1
-    for f in _monic_polys(ctx, 3):
-        for e in range(1, (p - 1) // 2 + 1):
-            full = f ** e
-            trunc = f.pow_truncated(e, cap)
-            assert trunc == Polynomial(ctx, [full[i] for i in range(cap + 1)])
-
-
 def test_truncated_power_symbolic_rows():
     # coefficient of x^4 in (x^3+ax+b)^2 over F_5 is 2a; of x^6 in the
     # cube over F_7 it is 3b -- checked for every (a, b)
@@ -137,69 +118,6 @@ def test_truncated_power_over_extension_field():
     for e in (1, 2, 3, 4):
         full = f ** e
         assert f.pow_truncated(e, 8) == Polynomial(ctx, [full[i] for i in range(9)])
-
-
-@pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (3, 3), (7, 2),
-                                  (3, 1), (13, 1), (101, 1), (1048573, 1)])
-def test_rank_kernels_against_element_arithmetic(p, n):
-    # divmod, evaluate, derivative, * and pow_truncated, which run on int
-    # lists over F_p and on the rank kernels over F_q with n > 1, against
-    # FieldElement arithmetic written out here: coefficient by coefficient,
-    # and by Horner's rule at every point of a field of at most 101
-    # elements, at seeded points of larger ones.  The densest operands
-    # have every coefficient p - 1 up to degree 40
-    ctx = make_field(p, n)
-    rng = random.Random(ctx.q)
-    points = (list(ctx.iter_elements()) if ctx.q <= 101
-              else [ctx.from_rank(rng.randrange(ctx.q)) for _ in range(16)])
-
-    def random_poly(degree):
-        low = [ctx.from_rank(rng.randrange(ctx.q)) for _ in range(degree)]
-        return Polynomial(ctx, low + [ctx.from_rank(rng.randrange(1, ctx.q))])
-
-    def value(f, x):
-        acc = ctx.zero
-        for c in reversed(f.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def product(f, g):
-        total = [ctx.zero] * (len(f) + len(g) - 1)
-        for i, fi in enumerate(f):
-            for j, gj in enumerate(g):
-                total[i + j] = total[i + j] + fi * gj
-        return total
-
-    top = Polynomial.from_ranks(ctx, [ctx.q - 1] * 41)
-    pairs = [(random_poly(rng.randrange(12)), random_poly(rng.randrange(6))) for _ in range(40)]
-    pairs += [(top, top), (top * random_poly(3), top), (random_poly(40), top), (top, random_poly(7))]
-    for k, (a, b) in enumerate(pairs):
-        quo, rem = divmod(a, b)
-        assert rem.degree < b.degree
-        total = product(quo.coeffs, b.coeffs) + [ctx.zero]
-        for i, ri in enumerate(rem.coeffs):
-            total[i] = total[i] + ri
-        assert Polynomial(ctx, total) == a
-        ab = a * b
-        assert ab == Polynomial(ctx, product(a.coeffs, b.coeffs))
-        for x in points:
-            assert value(a, x) == value(quo, x) * value(b, x) + value(rem, x)
-            assert value(ab, x) == value(a, x) * value(b, x)
-            assert a.evaluate(x) == value(a, x)
-        d = a.derivative()
-        assert d.degree < a.degree
-        for i in range(a.degree + 1):
-            assert d[i] == (i + 1) * a[i + 1]
-        if k % 4 == 0 or a == top:
-            for e in (2, 3):
-                full = [ctx.one]
-                for _ in range(e):
-                    full = product(full, a.coeffs)
-                assert a.pow_truncated(e, e * a.degree) == Polynomial(ctx, full)
-                for x in points:
-                    assert value(a.pow_truncated(e, e * a.degree), x) == value(a, x) ** e
-                cap = rng.randrange(e * a.degree + 1)
-                assert a.pow_truncated(e, cap) == Polynomial(ctx, full[:cap + 1])
 
 
 def test_factor_frozen_examples():
@@ -256,14 +174,14 @@ def _assert_factor_contract(ctx, f, trial_division_cap=4):
             assert all(g.evaluate(x) for x in ctx.iter_elements())
             if g.degree <= trial_division_cap:
                 for d in range(1, g.degree // 2 + 1):
-                    assert not any(_is_divisible(g, cand) for cand in _monic_polys(ctx, d))
+                    assert not any(_is_divisible(g, cand) for cand in monic_polys(ctx, d))
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_factor_reassembles_all_low_degree(p):
     ctx = make_field(p)
     for degree in (1, 2, 3, 4):
-        for f in _monic_polys(ctx, degree):
+        for f in monic_polys(ctx, degree):
             _assert_factor_contract(ctx, f)
 
 
@@ -289,68 +207,6 @@ def test_factor_torsion_shapes_over_larger_fields():
             assert set(fac.degree_multiset) == {order}
             assert len(fac.factors) * order == p - 1
             _assert_factor_contract(ctx, y ** (p - 1) - h)
-
-
-def _pow_mod_reference(base, e, mod):
-    result = Polynomial(base.ctx, (1,))
-    base = base % mod
-    while e:
-        if e & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
-        e >>= 1
-    return result
-
-
-def _residue(ring, a):
-    # a residue of the ring as a Polynomial, from its rank list
-    return Polynomial.from_ranks(ring.ctx, ring.poly(a))
-
-
-@pytest.mark.parametrize("p", [3, 13, 1009, 65537, 1048573])
-def test_pow_mod_packed_matches_plain_powering(p):
-    # the packed-int residue ring against square-and-multiply on
-    # Polynomial with %, up to the widest slots: p just below 2**20,
-    # coefficients p - 1
-    ctx = make_field(p)
-    rng = random.Random(p)
-    for degree in (1, 2, 7, 23, 40):
-        top = [p - 1] * degree
-        mods = [Polynomial(ctx, top + [1]),
-                Polynomial(ctx, [rng.randrange(p) for _ in range(degree)] + [2])]
-        bases = [Polynomial(ctx, [p - 1] * degree),
-                 Polynomial(ctx, [rng.randrange(p) for _ in range(degree + 3)])]
-        for mod in mods:
-            ring = _Residues(ctx, mod.ranks)
-            for base in bases:
-                for e in (0, 1, 2, 5, 97):
-                    want = _pow_mod_reference(base, e, mod)
-                    assert _residue(ring, ring.pow(ring.reduce(base.ranks), e)) == want
-
-
-@pytest.mark.parametrize("p, n", [(3, 1), (13, 1), (1009, 1), (1048573, 1), (3, 2), (5, 3)])
-def test_frobenius_table_matches_powering_by_q(p, n):
-    # frob(a) = sum a_i x^(iq) mod m against plain powering by q with %,
-    # for random a and m; over F_p up to the widest slots, and over F_q
-    # with n > 1, where the ring holds Polynomials
-    ctx = make_field(p, n)
-    rng = random.Random(ctx.q)
-
-    def random_poly(degree, lead):
-        return Polynomial.from_ranks(ctx, [rng.randrange(ctx.q) for _ in range(degree)] + [lead])
-
-    for degree in (1, 2, 7, 23, 40):
-        for lead in (1, 1 + rng.randrange(ctx.q - 1)):
-            mod = random_poly(degree, lead)
-            ring = _Residues(ctx, mod.ranks)
-            x_q = _pow_mod_reference(Polynomial.x(ctx), ctx.q, mod)
-            assert _residue(ring, ring.x_q()) == x_q
-            for a in (random_poly(degree + 2, 1 + rng.randrange(ctx.q - 1)),
-                      Polynomial.from_ranks(ctx, [ctx.q - 1] * degree)):
-                a_q = _pow_mod_reference(a, ctx.q, mod)
-                frob = ring.frob(ring.reduce(a.ranks))
-                assert _residue(ring, frob) == a_q
-                assert _residue(ring, ring.frob(frob)) == _pow_mod_reference(a_q, ctx.q, mod)
 
 
 @pytest.mark.parametrize("p, n", [(13, 1), (1009, 1), (5, 3)])
@@ -383,56 +239,6 @@ def test_binomial_distinct_degree_builds_no_frobenius_table(p):
         assert rings and all(ring._T is None or len(ring._T) == 2 for ring in rings)
         stepped |= any(ring._T for ring in rings)
     assert stepped  # some binomial went past d = 1
-
-
-def _gcd_reference(f, g):
-    while g:
-        f, g = g, f % g
-    return f.monic()[1]
-
-
-@pytest.mark.parametrize("p", [101, 65537])
-def test_factors_pass_rabin_check(p):
-    # every factor g of a seeded random corpus, some inputs squared, has
-    # gcd(g, x^(q^i) - x) = 1 for i <= deg g / 2, so no factor of degree
-    # i divides it; the powers come from plain powering with %, never
-    # from the residue ring, and the gcd from plain Euclid
-    ctx = make_field(p)
-    rng = random.Random(p)
-    x = Polynomial.x(ctx)
-    checked = 0
-    for _ in range(12):
-        degree = rng.randrange(1, 31)
-        f = Polynomial.from_ranks(ctx, [rng.randrange(p) for _ in range(degree)] + [1 + rng.randrange(p - 1)])
-        if rng.random() < 0.3:
-            f = f * f
-        fac = factor(f)
-        assert fac.expand() == f
-        for g, _ in fac.factors:
-            power = x
-            for _ in range(g.degree // 2):
-                power = _pow_mod_reference(power, p, g)
-                assert _gcd_reference(g, power - x).degree == 0
-                checked += 1
-    assert checked > 20
-
-
-@pytest.mark.parametrize("p,m", [
-    (211, [3] + [0] * 209 + [1]),            # binomial y^210 - A: no reductions
-    (7, [2, 0, 0, 5, 0, 0, 0, 1]),           # trinomial
-    (13, [4, 11, 7, 2, 9, 12, 3, 6, 5, 1]),   # dense
-])
-def test_reduction_table_holds_reduced_powers_of_x(p, m):
-    # R[j] = x^(D+j) mod m, packed, against the plain int remainder, for
-    # every j the ring reads: moduli whose shifted-out top slot is zero,
-    # sometimes and always, and one where it is not
-    D = len(m) - 1
-    W = poly_module._slot_width(2 * D * (p - 1) ** 2)
-    table = poly_module._reduction_table(m, p, W)
-    assert len(table) == D - 1
-    for j, packed in enumerate(table):
-        want = _divmod_ints([0] * (D + j) + [1], m, p)[1]
-        assert list(poly_module._unpack(W, packed, D)) == want + [0] * (D - len(want))
 
 
 def test_factor_builds_one_reduction_table_per_modulus(monkeypatch, caplog):
@@ -485,36 +291,6 @@ def test_factor_with_repeated_squarefree_parts():
     assert fac.expand() == f
     assert sorted((g.to_str(), m) for g, m in fac.factors) == [
         ("x", 2), ("x + 1", 3), ("x^2 + 1", 1)]
-
-
-def test_degree_pattern_matches_factor_on_binomials():
-    # the etale suite's polynomials, y^(p-1) - h for every unit rank h
-    for p, n in [(p, 1) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)] + [(3, 2), (5, 2), (7, 2)]:
-        ctx = make_field(p, n)
-        y = Polynomial.x(ctx)
-        for h in range(1, ctx.q):
-            f = y ** (p - 1) - Polynomial.from_ranks(ctx, [h])
-            assert degree_pattern(f) == factor(f).degree_multiset, (p, n, h)
-
-
-@pytest.mark.parametrize("p, n", [(3, 1), (5, 1), (101, 1), (65537, 1), (3, 2), (7, 3)])
-def test_degree_pattern_matches_factor_on_random_polynomials(p, n):
-    # seeded random polynomials, some squared and, where p is small
-    # enough, some times a p-th power, whose derivative is zero
-    ctx = make_field(p, n)
-    rng = random.Random(ctx.q)
-
-    def random_poly(degree):
-        return Polynomial.from_ranks(
-            ctx, [rng.randrange(ctx.q) for _ in range(degree)] + [1 + rng.randrange(ctx.q - 1)])
-
-    for _ in range(25):
-        f = random_poly(rng.randrange(1, 25))
-        if rng.random() < 0.3:
-            f = f * f
-        if p <= 101 and rng.random() < 0.3:
-            f = f * random_poly(rng.randrange(1, 3)) ** p
-        assert degree_pattern(f) == factor(f).degree_multiset, f
 
 
 def test_degree_pattern_of_constants():

@@ -262,22 +262,29 @@ def test_rereader_reads_the_cache_more_often_than_it_builds_it(monkeypatch, name
 
 # the private kernels the audit table, tests/test_audits.py, reads through
 # its adapters.  Elsewhere only a unit test of a kernel itself names one: it
-# times or logs a table build, counts memo slots and builds, or pins the
-# closed form, the Y operand's packing, a check's faults or the orbit rule
+# times, logs or skips a table build, counts memo slots and builds, or pins
+# the closed form, the Y operand's packing, a check's faults or errors, the
+# orbit rule, the growth of the Frobenius table, the rings factor builds or
+# the powers of a point
 _AUDIT_KERNELS = set("""_log_tables _hasse_row _row_hasse _hasse_table _hasse_at _hasse_one
     _hasse_terms _row_counts _row_hist _log_hist _count_at _count_mestre _cyclic_mul _iter_rows
     _disc_at _disc_row _zech_y _zech_operand _zech_mask _x_logs _classified _check_row
-    _builds""".split())
+    _builds _is_irreducible _find_modulus _mulmod_ints _divmod_ints _factor_int _norm_ints
+    _generator_rank _power _mul_trunc _divmod _derivative _Residues _reduction_table""".split())
 _KERNEL_UNIT_TESTS = set("""
     test_acceptance.py::test_ac15_large_field_tables_within_budget
     test_curve.py::test_closed_form_has_one_term_exactly_for_p_up_to_11
     test_curve.py::test_zech_operand_matches_packed_slots
     test_curve.py::test_trace_names_the_model_it_rejects
+    test_curve.py::test_power_of_a_point_matches_repeated_addition
     test_forms.py::test_single_curve_queries_over_fp_build_no_tables
     test_forms.py::test_classification_suite_builds_no_table_over_fp
     test_gf.py::test_table_build_logs_generator_and_walk
     test_gf.py::test_point_count_tabulates_each_row_once_in_norm_suite
     test_gf.py::test_pohlig_hellman_at_a_safe_prime
+    test_gf.py::test_reading_a_generator_builds_no_tables
+    test_poly.py::test_frobenius_table_grows_only_to_the_top_coefficient
+    test_poly.py::test_factor_builds_one_reduction_table_per_modulus
     test_search.py::test_census_cross_check_catches_residue_outside_interval
     test_search.py::test_iter_curves_matches_index_decode
     test_search.py::test_iter_curves_tabulates_the_discriminant_once_per_row
@@ -293,6 +300,7 @@ _KERNEL_UNIT_TESTS = set("""
     test_source.py::_REREADERS test_source.py::_reads_and_builds
     test_source.py::test_handler_attached_after_import_gets_every_record
     test_values.py::_ctx_with_tables test_values.py::test_value_types_round_trip
+    test_values.py::_CHECKS
     test_verify.py::test_run_suite_logs_one_record_and_keeps_output""".split())
 
 
