@@ -563,7 +563,6 @@ REUSE_SEQUENCE = [
     ("hasse", "-p", "3", "-n", "2", "-a2", "0,1", "-a4", "1", "-a6", "1"),
     ("verify", "--suite", "bogus", "-p", "5"),
     ("realizable", "-p", "19", "--json"),
-    ("realizable", "-p", "19", "--js"),
     ("hasse", "--help"),
     ("search", "-p", "19", "-h", "9"),
     ("search", "-p", "5", "-h", "0", "--json"),
@@ -593,15 +592,47 @@ def test_reused_parser_gives_the_bytes_of_a_fresh_one(monkeypatch):
     assert all(out or err for _, out, err in fresh)
 
 
-def test_each_declined_argv_builds_one_parser(monkeypatch):
-    # main keeps no parser between calls: a declined argv, an abbreviation
-    # included, builds a fresh one, a well-formed argv none, whatever came
-    # before
-    built, real = [], cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(real()) or built[-1])
+def _refuse_to_build():
+    raise AssertionError("build_parser ran on a well-formed argv")
+
+
+def test_well_formed_argv_build_no_parser(monkeypatch):
+    monkeypatch.setattr(cli, "build_parser", _refuse_to_build)
     well_formed = [argv for argv in REUSE_SEQUENCE if _read(argv) is not None]
     assert len(well_formed) >= len(REUSE_SEQUENCE) // 2
-    assert ("realizable", "-p", "19", "--js") not in well_formed
+    for argv in well_formed:
+        rc, out, err = run_cli(*argv)
+        assert out or err
+
+
+def _counted_build(monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def counted():
+        built.append(real())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    return built
+
+
+def test_first_declined_argv_builds_the_parser_once(monkeypatch):
+    built = _counted_build(monkeypatch)
+    run_cli("realizable", "-p", "19", "--json")
+    assert built == []
+    declined = ("realizable", "-p", "19", "--js")
+    assert _read(declined) is None
+    run_cli(*declined)
+    assert len(built) == 1
+    # and main keeps no parser for the next call
+    assert not hasattr(cli, "_PARSER")
+
+
+def test_each_declined_argv_builds_one_parser(monkeypatch):
+    # main keeps no parser between calls: a declined argv builds a fresh
+    # one, a well-formed argv none, whatever came before
+    built = _counted_build(monkeypatch)
     codes = set()
     for argv in REUSE_SEQUENCE:
         before = len(built)
