@@ -3,8 +3,13 @@
 A FieldCtx models F_{p^n} as F_p[t] modulo the lexicographically smallest
 monic irreducible polynomial of degree n, so two contexts built from the
 same (p, n) agree coefficient for coefficient, print identically and hash
-identically.  The modulus search decides each candidate by Ben-Or's test
-on int lists (_is_irreducible).
+identically.  Over F_q with n > 1 the modulus and the canonical generator
+are read from _FIELD_TABLE, one entry for each extension field the size
+guard admits, as computer-algebra systems ship tables of Conway
+polynomials (Heath and Loehr, J. Symbolic Comput. 38, 2004).  No context
+searches: tests/test_audits.py re-derives every entry by the lex-first
+search, Ben-Or's test on each candidate modulus and norms on each
+candidate generator, and reads the table against that search.
 
 The lex order used throughout ranks an element by its coefficient tuple
 read from the constant term down, i.e. rank(x) = sum(c_i * p**(n-1-i)).
@@ -27,9 +32,7 @@ discrete logarithm and a power of g: over F_p they are Pohlig-Hellman and
 one int pow, whether or not the context holds the tables, so a single
 query over F_p builds none; over F_q with n > 1 they read the tables.
 The build leans on the norm N(x) = x^((q-1)/(p-1)), which lies in F_p
-(ibid., ch. 2): the generator search takes each candidate's norm as the
-resultant of the modulus and x (_norm_ints) and tests it with int
-powers, and since g^((q-1)/(p-1)) lies in F_p^*, only the first
+(ibid., ch. 2): since g^((q-1)/(p-1)) lies in F_p^*, only the first
 (q-1)/(p-1) powers of g are walked; the others are those scaled by F_p,
 digit by digit.
 
@@ -38,19 +41,18 @@ F_q with n > 1 products, powers and inverses act on logarithms,
 a + b = g^(log a + zech[log b - log a]), and negation adds (q-1)/2 to
 the logarithm.  F_p[x] runs on value lists, with one convolution,
 _conv_ints, reduced once per coefficient, and one long division,
-_divmod_ints, whose remainder the product _mulmod_ints, Euclid
-(_gcd_ints), Ben-Or's test and the norm read.  _mulmod_ints serves the
-modulus and generator searches and the exp build, and, as _conv_mul and
-_conv_pow, is the reference that the audit rows table_arithmetic and
+_divmod_ints, whose remainder the product _mulmod_ints and Euclid
+(_gcd_ints) read.  _mulmod_ints serves the exp build and, as _conv_mul
+and _conv_pow, is the reference that the audit rows table_arithmetic and
 log_tables (tests/test_audits.py) hold the tables to; poly.py's
 F_p[x] runs on these kernels too.  One factorization of ints by trial
-division, _factor_int, gives the generator search its primes and the
-Pohlig-Hellman plan its prime powers.  One
+division, _factor_int, gives the generator search over F_p its primes
+and the Pohlig-Hellman plan its prime powers.  One
 square-and-multiply, _power, takes _conv_pow, the powers of polynomials
 and residue rings, and the multiples of a curve point.
 
-Scale guard: a context refuses q = p**n > 2**20 before any modulus
-search, so every field that exists can build its tables.  None of this
+Scale guard: a context refuses q = p**n > 2**20 before it reads the
+field table, so every field that exists can build its tables.  None of this
 is constant time or meant for cryptographic use.
 
 Logging.  The package's DEBUG records (table builds here, factor and
@@ -171,8 +173,8 @@ def _divmod_ints(a: list[int], b, p: int) -> tuple[list[int], list[int]]:
     # (quotient, remainder) of a by the nonzero b over F_p, on value lists
     # low degree first, with no trailing zeros; a is overwritten and
     # returned as the remainder.  An index loop, not a slice comprehension:
-    # on CPython 3.11 about 2x faster at the small degrees of the modulus
-    # search, and equal near degree 100.  One % p per update measured
+    # on CPython 3.11 about 2x faster at the small degrees of a field's
+    # modulus, and equal near degree 100.  One % p per update measured
     # faster at degree 2 than one per leading coefficient.  A b that is
     # not monic is divided out as b / lead(b), and the quotient scaled back
     if b[-1] != 1:
@@ -227,46 +229,6 @@ def _gcd_ints(a: list[int], b: list[int], p: int) -> list[int]:
     return _monic_ints(a, p) if a else a
 
 
-def _is_irreducible(f: Sequence[int], p: int) -> bool:
-    """Ben-Or's test of a monic f of degree n over F_p (Proc. 22nd FOCS,
-    1981): f is irreducible iff gcd(f, x^(p^i) - x) = 1 for 1 <= i <= n/2.
-    Round i = 1 is the root test.  x^(p^i) mod f starts from the power of
-    x read off the top bits of p^i, of degree below 2n, then squares along
-    the low bits, times x on each set bit: h * (x h) there."""
-    n = len(f) - 1
-    for i in range(1, n // 2 + 1):
-        e = p**i
-        low = max(0, e.bit_length() - n.bit_length())
-        h = _divmod_ints([0] * (e >> low) + [1], f, p)[1]
-        for b in range(low - 1, -1, -1):
-            h = _mulmod_ints(h, [0] * (e >> b & 1) + h, f, p)
-        h += [0] * (2 - len(h))
-        h[1] = (h[1] - 1) % p
-        while h and not h[-1]:
-            h.pop()
-        if len(_gcd_ints(list(f), h, p)) > 1:
-            return False
-    return True
-
-
-def _norm_ints(a: Sequence[int], m, p: int) -> int:
-    """The norm of a nonzero a mod the monic irreducible m over F_p, as the
-    resultant Res(m, a) (Cohen, GTM 138, 3.3) by Euclid: with A monic,
-    Res(A, B) = (-1)^(deg A deg B) lead(B)^(deg A) Res(B/lead(B), A mod B)."""
-    res, A, B = 1, m, list(a)
-    while not B[-1]:
-        B.pop()
-    while True:
-        c, dA, dB = B[-1], len(A) - 1, len(B) - 1
-        res = res * pow(c, dA, p) % p
-        if not dB:
-            return res
-        if dA & dB & 1:
-            res = -res % p
-        B = _monic_ints(B, p)
-        A, B = B, _divmod_ints(list(A), B, p)[1]
-
-
 def _poly_str(coeffs: Sequence, var: str) -> str:
     """Coefficients low degree first, ints or elements, printed highest term
     first with zero terms dropped; a coefficient 1 before a power of var is
@@ -298,6 +260,46 @@ def _check_size(p: int, n: int) -> None:
             "for their log tables and sweeps")
 
 
+# the 223 extension fields F_p^n, n >= 2, that _check_size admits: for each
+# odd prime p with p^2 <= 2**20 the token " p:" and then one "o,g" per n
+# from 2 up, ";" apart.  The modulus is the monic polynomial of rank
+# p**(n-1) + o, the first irreducible one in lex order (lower ranks have
+# constant term 0), and g the rank of the lex-first generator.  Both come
+# from the lex-first search of tests/test_audits.py, which proves every
+# entry; a context does not re-prove them
+_FIELD_TABLE = (
+    " 3:0,4;2,2;4,4;2,2;4,4;5,2;12,4;21,2;6,34;5,2;28,11 5:1,8;1,2;6,6;4,2;6,6;1,2;30,6"
+    " 7:0,9;1,12;1,12;3,3;7,8;6,3 11:0,15;4,2;4,17;2,12 13:3,19;4,15;1,15;8,2 17:1,20;3,3;3,19"
+    " 19:0,22;1,22;6,20 23:0,25;3,5;4,24 29:1,34;2,2;3,31 31:0,35;3,32;1,34 37:3,41;5,38"
+    " 41:1,45;1,6 43:0,45;9,50 47:0,49;5,48 53:1,58;2,2 59:0,62;1,2 61:5,67;3,64 67:0,74;5,70"
+    " 71:0,79;1,7 73:3,77;7,76 79:0,85;2,87 83:0,93;3,2 89:1,92;4,3 97:3,101;1,100"
+    " 101:1,104;1,2 103:0,105 107:0,109 109:6,120 113:1,118 127:0,135 131:0,134 137:1,141"
+    " 139:0,143 149:1,157 151:0,160 157:3,161 163:0,170 167:0,169 173:1,176 179:0,182 181:5,193"
+    " 191:0,201 193:3,197 197:1,201 199:0,212 211:0,215 223:0,225 227:0,229 229:5,235 233:1,238"
+    " 239:0,247 241:5,247 251:0,256 257:1,260 263:0,265 269:1,272 271:0,276 277:3,281 281:1,285"
+    " 283:0,285 293:1,304 307:0,316 311:0,315 313:3,321 317:1,321 331:0,337 337:3,344 347:0,351"
+    " 349:5,355 353:1,359 359:0,370 367:0,370 373:3,377 379:0,382 383:0,385 389:1,396 397:3,401"
+    " 401:1,405 409:5,422 419:0,423 421:6,431 431:0,435 433:3,437 439:0,448 443:0,445 449:1,453"
+    " 457:3,465 461:1,475 463:0,465 467:0,469 479:0,483 487:0,490 491:0,496 499:0,502 503:0,509"
+    " 509:1,512 521:1,524 523:0,525 541:6,553 547:0,549 557:1,561 563:0,565 569:1,574 571:0,574"
+    " 577:3,581 587:0,593 593:1,596 599:0,610 601:5,607 607:0,609 613:3,617 617:1,627 619:0,622"
+    " 631:0,636 641:1,648 643:0,647 647:0,649 653:1,660 659:0,669 661:5,670 673:3,677 677:1,680"
+    " 683:0,685 691:0,695 701:1,709 709:6,717 719:0,723 727:0,729 733:3,743 739:0,748 743:0,745"
+    " 751:0,755 757:3,761 761:1,764 769:5,778 773:1,776 787:0,789 797:1,803 809:1,814 811:0,814"
+    " 821:1,826 823:0,826 827:0,831 829:5,838 839:0,843 853:3,858 857:1,860 859:0,865 863:0,868"
+    " 877:3,881 881:1,887 883:0,888 887:0,889 907:0,909 911:0,915 919:0,925 929:1,932 937:3,941"
+    " 941:1,944 947:0,953 953:1,960 967:0,969 971:0,974 977:1,981 983:0,985 991:0,1004"
+    " 997:3,1002 1009:9,1012 1013:1,1016 1019:0,1025 1021:5,1030 ")
+
+
+def _field_entry(p: int, n: int) -> tuple[int, int]:
+    # (modulus offset o, generator rank g) of F_p^n, n >= 2, off its token
+    start = _FIELD_TABLE.index(f" {p}:") + len(str(p)) + 2
+    entries = _FIELD_TABLE[start:_FIELD_TABLE.index(" ", start)].split(";")
+    o, g = entries[n - 2].split(",")
+    return int(o), int(g)
+
+
 def _ctx_memo(build):
     """build(ctx, *key) memoised on the context: ctx._memo holds one slot
     per builder, its last (key, value), and ctx._builds counts its builds.
@@ -325,8 +327,8 @@ def _ctx_memo(build):
 class FieldCtx:
     """Immutable description of F_{p^n} plus lazily built lookup tables.
 
-    Two contexts compare equal iff they have the same (p, n); the modulus
-    is then forced to be identical by the deterministic search.
+    Two contexts compare equal iff they have the same (p, n); both then
+    read one modulus and one generator off the field table.
 
     The kernels _add, _sub, _neg, _mul, _pow and _inv map lex ranks to
     lex ranks.  The first use of _log_tables (the exp/log/Zech tables,
@@ -361,15 +363,10 @@ class FieldCtx:
     # -- construction details -------------------------------------------
 
     def _find_modulus(self) -> tuple[int, ...]:
-        # first monic irreducible of degree n in lex order on
-        # (constant, ..., leading-1 coefficient), by Ben-Or's test; ranks
-        # below p**(n-1) have constant term 0, so t divides them
-        p, n = self.p, self.n
-        for rank in range(p ** (n - 1), p**n):
-            cand = self._tuple_from_rank(rank) + (1,)
-            if _is_irreducible(cand, p):
-                return cand
-        raise RuntimeError("no irreducible polynomial found")  # unreachable
+        # the first monic irreducible of degree n in lex order on
+        # (constant, ..., leading-1 coefficient), off the field table
+        rank = self._weights[0] + _field_entry(self.p, self.n)[0]
+        return self._tuple_from_rank(rank) + (1,)
 
     # -- construction and reference route on coefficient tuples ---------
 
@@ -489,33 +486,14 @@ class FieldCtx:
 
     @cached_property
     def _generator_rank(self) -> int:
-        """The rank of the generator.
-
-        x generates iff x^((q-1)/l) != 1 for every prime l | q - 1.  With
-        N = (q-1)/(p-1) the norm c = x^N lies in F_p (Lidl and Niederreiter,
-        ch. 2), and (q-1)/l = N (p-1)/l, so for l | p - 1 the test reads
-        c^((p-1)/l) != 1, an int pow on c = Res(modulus, x) (_norm_ints);
-        for the other l | N it reads x^(N/l) not in F_p on the convolution
-        route, as y^(p-1) = 1 exactly on y in F_p^*, and runs only once c
-        generates F_p^*.  Over F_p, N = 1 and every test is an int pow.
-        Candidates are tried in rank order, so the search tests rank(g).
-        """
-        p, n, m = self.p, self.n, self.modulus
-        norm_exp = (self.q - 1) // (p - 1)
+        """The rank of the generator: over F_q with n > 1 its entry in the
+        field table; over F_p the first c with c^((p-1)/l) != 1 for every
+        prime l | p - 1, one int pow each, so the search tests rank(g)."""
+        p = self.p
+        if self.n > 1:
+            return _field_entry(p, self.n)[1]
         small = [(p - 1) // ell for ell, _ in _factor_int(p - 1)]
-        large = [norm_exp // ell for ell, _ in _factor_int(norm_exp) if (p - 1) % ell]
-        conv_pow = self._conv_pow
-        for rank in range(1, self.q):
-            if n == 1:
-                c = rank
-            else:
-                x = self._tuple_from_rank(rank)
-                c = _norm_ints(x, m, p)
-            # x^e lies in F_p iff its coefficients past the constant vanish
-            if (all(pow(c, e, p) != 1 for e in small)
-                    and all(any(conv_pow(x, e)[1:]) for e in large)):
-                return rank
-        raise RuntimeError("no generator found")  # unreachable in a field
+        return next(c for c in range(1, p) if all(pow(c, e, p) != 1 for e in small))
 
     # -- cached sweep tables --------------------------------------------
 
@@ -599,10 +577,11 @@ class FieldCtx:
         # rotated by that step, gathered at each power
         zech = array("i", itemgetter(*exp)(log[unit:] + log[:unit]))
         t2 = time.perf_counter()
-        # the search tried every nonzero rank up to the generator's
+        # the F_p search tried every nonzero rank up to the generator's
+        found = "from the field table" if n > 1 else f"{g.rank} candidates tested"
         logger.debug("built log tables for F_%d^%d (q = %d): generator rank %d "
-                     "(%d candidates tested) in %.3f s, %d of %d powers walked, "
-                     "tables in %.3f s", p, n, q, g.rank, g.rank, t1 - t0,
+                     "(%s) in %.3f s, %d of %d powers walked, "
+                     "tables in %.3f s", p, n, q, g.rank, found, t1 - t0,
                      walked, order, t2 - t1)
         return exp, log, zech
 
@@ -830,7 +809,7 @@ def _pohlig_hellman_plan(g: int, p: int) -> tuple:
     # (l, k, m, baby steps gamma^j -> j for j < m, giant step gamma^-m) for
     # each prime power l^k exactly dividing p - 1, gamma = g^((p-1)/l) and
     # m = ceil(sqrt(l)), the l^k read off _factor_int, the factorization
-    # the generator search reads too; one slot, keyed on ints and so
+    # the generator search over F_p reads too; one slot, keyed on ints and so
     # holding no context, since the logs of a run are taken in one field
     order, plan = p - 1, []
     for ell, k in _factor_int(order):

@@ -461,7 +461,8 @@ class _Residues:
     def x_q(self):
         """The residue of x^q: the monomial x^(q >> low), of degree below
         2D, reduced once, then squared along the low bits of q, times x on
-        each set bit, as gf._is_irreducible does.  Modulo the etale
+        each set bit, as Ben-Or's test in tests/test_audits.py does for the
+        field table's moduli.  Modulo the etale
         suite's binomials q = p < 2D, so it is one reduction."""
         if self._xq is None:
             q, one = self.ctx.q, self.ctx._weights[0]

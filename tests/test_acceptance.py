@@ -250,7 +250,8 @@ def test_ac13_census_determinism(tmp_path):
                        "--json", "--out", str(out)])
         ok = ok and rc == 0
         payload = json.loads(out.read_text())
-        payload.pop("timing-ms")
+        timing = payload.pop("timing-ms")
+        ok = ok and isinstance(timing, int) and timing >= 0
         ok = ok and set(payload["params"]) == {"suite", "p", "n"}
         ok = ok and payload["result"]["suites"][0]["detail"] == report.to_dict()
         envelopes.append(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode())

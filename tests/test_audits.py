@@ -1,23 +1,27 @@
 """Every fast route of the package held to its one slow route, in one table.
 
 AUDITS holds one row per (fast route, audit route) pair: the two routes,
-by their names in src/hasseforms; its ladders of cases, each with the
-function that runs both routes on a case and yields (model or slot, fast
-value, slow value); and one seeded fault, which corrupts the fast route at
-one model or slot.  The private kernels of src/ are named in tests only
-here and in their own unit tests; the row product is read and written by
-slot only through row_counts and seed_count, and an A_p row written only
-through seed_hasse.  Each kind of slow route is one function: euler_counts
-for #E, walked_logs for logs, truncated_hasse for A_p, _is_irreducible_ints
-(trial division) for irreducibility, _pow_mod_reference for powers modulo
-a polynomial, _gcd_reference (plain Euclid) for gcds, and element_product
-and element_value for polynomial arithmetic written out in FieldElement
-arithmetic.  Each ladder is keyed by the test that runs it, module and
-name: audit_tests(module) gives a module its ladders as tests.
+by their names in src/hasseforms, or here for the search that proves the
+field table (lex_first_search, ben_or, resultant_norm); its ladders of
+cases, each with the function that runs both routes on a case and yields
+(model or slot, fast value, slow value); and one seeded fault, which
+corrupts the fast route at one model or slot.  The private kernels of
+src/ are named in tests only here and in their own unit tests; the row
+product is read and written by slot only through row_counts and
+seed_count, and an A_p row written only through seed_hasse.  Each kind of
+slow route is one function: euler_counts for #E, walked_logs for logs,
+truncated_hasse for A_p, lex_first_search for the field table,
+_is_irreducible_ints (trial division) for irreducibility,
+_pow_mod_reference for powers modulo a polynomial, _gcd_reference (plain
+Euclid) for gcds, and element_product and element_value for polynomial
+arithmetic written out in FieldElement arithmetic.  Each ladder is keyed
+by the test that runs it, module and name: audit_tests(module) gives a
+module its ladders as tests.
 """
 
 import pickle
 import random
+import sys
 from collections import Counter
 from contextlib import closing
 from functools import cache, cached_property
@@ -566,6 +570,77 @@ def _is_irreducible_ints(f, p):
                for d in range(1, (len(f) - 1) // 2 + 1) for r in range(p**d))
 
 
+def ben_or(f, p):
+    """Ben-Or's test of a monic value list f of degree n over F_p (Proc.
+    22nd FOCS, 1981): f is irreducible iff gcd(f, x^(p^i) - x) = 1 for
+    1 <= i <= n/2.  Round i = 1 is the root test.  x^(p^i) mod f starts
+    from the power of x read off the top bits of p^i, of degree below 2n,
+    then squares along the low bits, times x on each set bit: h * (x h)
+    there."""
+    n = len(f) - 1
+    for i in range(1, n // 2 + 1):
+        e = p**i
+        low = max(0, e.bit_length() - n.bit_length())
+        h = gf._divmod_ints([0] * (e >> low) + [1], f, p)[1]
+        for b in range(low - 1, -1, -1):
+            h = gf._mulmod_ints(h, [0] * (e >> b & 1) + h, f, p)
+        h += [0] * (2 - len(h))
+        h[1] = (h[1] - 1) % p
+        while h and not h[-1]:
+            h.pop()
+        if len(gf._gcd_ints(list(f), h, p)) > 1:
+            return False
+    return True
+
+
+def resultant_norm(a, m, p):
+    """The norm of a nonzero value list a mod the monic irreducible m over
+    F_p, as the resultant Res(m, a) (Cohen, GTM 138, 3.3) by Euclid: with
+    A monic, Res(A, B) = (-1)^(deg A deg B) lead(B)^(deg A) Res(B/lead(B),
+    A mod B)."""
+    res, A, B = 1, m, list(a)
+    while not B[-1]:
+        B.pop()
+    while True:
+        c, dA, dB = B[-1], len(A) - 1, len(B) - 1
+        res = res * pow(c, dA, p) % p
+        if not dB:
+            return res
+        if dA & dB & 1:
+            res = -res % p
+        B = gf._monic_ints(B, p)
+        A, B = B, gf._divmod_ints(list(A), B, p)[1]
+
+
+def lex_first_search(p, n):
+    """(m, g) of F_p^n, n >= 2, by a search in lex order: m the first monic
+    irreducible of degree n by Ben-Or's test, from rank p^(n-1) since
+    lower ranks have constant term 0, and g the rank of the first element
+    of order q - 1 modulo m.  x generates iff x^((q-1)/l) != 1 for every
+    prime l | q - 1.  With N = (q-1)/(p-1) the norm c = x^N lies in F_p
+    (Lidl and Niederreiter, ch. 2), and (q-1)/l = N (p-1)/l, so for
+    l | p - 1 the test reads c^((p-1)/l) != 1 on c = Res(m, x); for the
+    other l | N it reads x^(N/l) not in F_p, a residue of degree above 0."""
+    weights = [p ** (n - 1 - i) for i in range(n)]
+
+    def digits(rank):
+        return [rank // w % p for w in weights]
+    m = next(f for f in (digits(r) + [1] for r in count(weights[0])) if ben_or(f, p))
+    norm_exp = (p**n - 1) // (p - 1)
+    small = [(p - 1) // ell for ell, _ in gf._factor_int(p - 1)]
+    large = [norm_exp // ell for ell, _ in gf._factor_int(norm_exp) if (p - 1) % ell]
+
+    def mulmod(a, b):
+        return gf._mulmod_ints(a, b, m, p)
+
+    def generates(rank):
+        x = digits(rank)
+        c = resultant_norm(x, m, p)
+        return (all(pow(c, e, p) != 1 for e in small)
+                and all(len(gf._power(x, e, mulmod, [1])) > 1 for e in large))
+    return m, next(filter(generates, count(1)))
+
+
 def _pow_mod_reference(base, e, mod):
     # base^e mod mod by square-and-multiply on Polynomial with %, never
     # through the residue ring
@@ -614,10 +689,18 @@ def _residue(ring, a):
     return Polynomial.from_ranks(ring.ctx, ring.poly(a))
 
 
-def _is_irreducible(p, degrees):
+def _ben_or(p, degrees):
     # Ben-Or's test on every monic f of the degrees over F_p
     for f in (free + (1,) for n in degrees for free in product(range(p), repeat=n)):
-        yield f, gf._is_irreducible(f, p), _is_irreducible_ints(f, p)
+        yield f, ben_or(f, p), _is_irreducible_ints(f, p)
+
+
+def _field_table():
+    # every entry, as the modulus and generator a context reads, against
+    # the lex-first search
+    for p, n in GUARD_EXTENSIONS:
+        ctx, (m, g) = make_field(p, n), lex_first_search(p, n)
+        yield (p, n), (ctx.modulus, ctx.generator.rank), (tuple(m), g)
 
 
 def _find_modulus(p, n):
@@ -695,11 +778,11 @@ def _factor_int():
             (sorted(set(primes)), True, m, True)
 
 
-def _norm_ints(p, n):
+def _resultant_norm(p, n):
     # the resultant against x^((q-1)/(p-1)) in table arithmetic
     ctx = make_field(p, n)
     for x in islice(ctx.iter_elements(), 1, None):
-        yield x, gf._norm_ints(x.coeffs, ctx.modulus, p), int(norm_to_prime(x))
+        yield x, resultant_norm(x.coeffs, ctx.modulus, p), int(norm_to_prime(x))
 
 
 def _generator_rank(p, n):
@@ -933,7 +1016,7 @@ def _edited_witness(**change):
 
 
 class Audit(NamedTuple):
-    fast: str      # the fast route, by its name in src/hasseforms
+    fast: str      # the fast route, by its name in src/hasseforms or here
     slow: str      # the audit route: a name in src/hasseforms, or one here
     ladders: dict  # "module::test" -> (argnames, cases, pairs)
     fault: tuple   # (case of the first ladder, install(monkeypatch))
@@ -943,6 +1026,9 @@ HIST_FIELDS = [(7, 1), (13, 1), (3, 2), (5, 2), (3, 3)]
 TABLE_FIELDS = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (5, 3)]
 EXTENSION_FIELDS_TO_3000 = [(p, n) for p in range(3, 55) if _is_prime(p)
                             for n in range(2, 8) if p**n <= 3000]
+# the extension fields under the size guard, each with its field table entry
+GUARD_EXTENSIONS = [(p, n) for p in range(3, 1024) if _is_prime(p)
+                    for n in range(2, 21) if p**n <= 2**20]
 # (p, m): a binomial y^210 - A, whose shifted-out top slot is always zero,
 # so no reductions; a trinomial, where it sometimes is; and a dense m
 _REDUCTION_MODULI = [(211, [3] + [0] * 209 + [1]), (7, [2, 0, 0, 5, 0, 0, 0, 1]),
@@ -1067,14 +1153,17 @@ AUDITS = {
             (_PN, [(19, 1), (23, 1), (101, 1), (131, 1), (211, 1), (19, 2), (7, 3),
              (5, 4), (31, 2), (3, 4), (1009, 1)], _census_objects),
     }, ((19, 1), _edited_witness(count=lambda c: c + 1))),
-    "is_irreducible": Audit("gf._is_irreducible, gf.FieldCtx._find_modulus",
-                            "_is_irreducible_ints", {
-        "test_gf::test_ben_or_matches_trial_division":
-            ("p,degrees", [(3, (1, 2, 3, 4)), (5, (1, 2, 3, 4)), (7, (1, 2, 3, 4)), (31, (2,))],
-             _is_irreducible),
+    "field_table": Audit("gf._FIELD_TABLE, gf.FieldCtx._find_modulus, _generator_rank",
+                         "lex_first_search, _is_irreducible_ints", {
+        "test_gf::test_field_table_matches_lex_first_search": (None, [()], _field_table),
         "test_gf::test_modulus_matches_full_lex_scan":
             (_PN, EXTENSION_FIELDS_TO_3000, _find_modulus),
-    }, ((3, (1, 2, 3, 4)), _fault(gf, "_is_irreducible", lambda f, p: f == (1, 0, 1),
+    }, ((), lambda mp: mp.setattr(gf, "_FIELD_TABLE", gf._FIELD_TABLE.replace(" 3:0,", " 3:1,")))),
+    "is_irreducible": Audit("ben_or", "_is_irreducible_ints", {
+        "test_gf::test_ben_or_matches_trial_division":
+            ("p,degrees", [(3, (1, 2, 3, 4)), (5, (1, 2, 3, 4)), (7, (1, 2, 3, 4)), (31, (2,))],
+             _ben_or),
+    }, ((3, (1, 2, 3, 4)), _fault(sys.modules[__name__], "ben_or", lambda f, p: f == (1, 0, 1),
                                   lambda irreducible: not irreducible))),
     "mulmod": Audit("gf._mulmod_ints", "poly.Polynomial * and %", {
         "test_gf::test_mulmod_matches_polynomial_route":
@@ -1088,10 +1177,12 @@ AUDITS = {
     "factor_int": Audit("gf._factor_int", "a sieve, trial division", {
         "test_gf::test_factor_int_matches_brute_force": (None, [()], _factor_int),
     }, ((), _fault(gf, "_factor_int", lambda m: m == 12, lambda pairs: pairs[:1]))),
-    "norm": Audit("gf._norm_ints", "gf.norm_to_prime", {
+    "norm": Audit("resultant_norm", "gf.norm_to_prime", {
         "test_gf::test_resultant_norm_matches_power_norm":
-            (_PN, [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (5, 4), (7, 2), (7, 3)], _norm_ints),
-    }, ((3, 2), _fault(gf, "_norm_ints", lambda a, m, p: tuple(a) == (1, 1)))),
+            (_PN, [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (5, 4), (7, 2), (7, 3)],
+             _resultant_norm),
+    }, ((3, 2), _fault(sys.modules[__name__], "resultant_norm",
+                       lambda a, m, p: tuple(a) == (1, 1)))),
     "generator": Audit("gf.FieldCtx._generator_rank", "gf.FieldCtx._conv_pow", {
         "test_gf::test_generator_is_lex_first_on_convolution_route":
             (_PN, sorted(set(TABLE_FIELDS + EXTENSION_FIELDS_TO_3000))

@@ -314,7 +314,7 @@ def test_hasse_beyond_sweep_guard_fails_fast():
         "verify-p-range", "verify-n-range", "hasse-huge-n", "realizable-p-2^20",
         "realizable-p-huge"])
 def test_hasse_large_extension_fails_fast(args):
-    # q > 2**20: the field is refused before any modulus search, or p**n
+    # q > 2**20: the field is refused before it reads the field table, or p**n
     # is formed for a huge n; a verify range with a bound above 2**20
     # before any list is built; realizable's p before it is trial-divided
     rc, _, err, elapsed = _timed_cli(*args)
@@ -575,7 +575,9 @@ REUSE_SEQUENCE = [
 
 
 def _masked(result):
+    # timing-ms, a non-negative int wherever it appears, masked to 0
     rc, out, err = result
+    assert all(re.fullmatch(r"\d+", v) for v in re.findall(r'"timing-ms":([^,}]*)', out)), out
     return rc, re.sub(r'"timing-ms":\d+', '"timing-ms":0', out), err
 
 

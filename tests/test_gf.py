@@ -26,7 +26,7 @@ from hasseforms import (
     primitive_element,
     quadratic_character,
 )
-from hasseforms import cli
+from hasseforms import cli, gf
 from hasseforms import verify as verify_mod
 from hasseforms.curve import WeierstrassCurve
 from hasseforms.gf import _is_prime, _pohlig_hellman, _pohlig_hellman_plan
@@ -39,7 +39,7 @@ from hasseforms.errors import (
     SingularModelError,
     ZeroElementError,
 )
-from test_audits import TABLE_FIELDS, audit_tests, euler_chi
+from test_audits import GUARD_EXTENSIONS, TABLE_FIELDS, audit_tests, euler_chi
 
 # the ladders of the audit table that run here, tests/test_audits.py
 globals().update(audit_tests("test_gf"))
@@ -114,15 +114,33 @@ def test_modulus_is_monic_without_roots(p, n):
         assert acc != 0
 
 
-GUARD_EXTENSIONS = [(p, n) for p in range(3, 1024) if _is_prime(p)
-                    for n in range(2, 21) if p**n <= 2**20]
+def test_field_table_has_one_entry_per_admitted_extension():
+    # the table's tokens " p:o,g;o,g;...", entries from n = 2 up, against
+    # every (p, n) with n >= 2 that the size guard admits; p^2 > 2**20 past
+    # p = 1024, so no larger prime has an entry to miss
+    table = gf._FIELD_TABLE
+    assert table[0] == table[-1] == " " and "  " not in table
+    entries = []
+    for token in table.split():
+        p, _, rest = token.partition(":")
+        for n, entry in enumerate(rest.split(";"), 2):
+            assert re.fullmatch(r"\d+,\d+", entry), token
+            entries.append((int(p), n))
+    admitted = []
+    for p, n in ((p, n) for p in range(3, 2048) if _is_prime(p) for n in range(2, 22)):
+        try:
+            gf._check_size(p, n)
+        except FieldTooLargeError:
+            continue
+        admitted.append((p, n))
+    assert entries == admitted == GUARD_EXTENSIONS and len(entries) == 223
 
 
 def test_moduli_and_generators_pinned_across_the_guard():
     # sha256 over (p, n, modulus, generator rank) of every extension field
-    # the size guard admits, taken from trial division and norms as
-    # products of Frobenius images, a route independent of Ben-Or's test
-    # and of resultants
+    # the size guard admits, as the field table gives them; the digest was
+    # taken from trial division and norms as products of Frobenius images,
+    # a route independent of Ben-Or's test and of resultants
     rows = []
     for p, n in GUARD_EXTENSIONS:
         ctx = make_field(p, n)
@@ -133,9 +151,9 @@ def test_moduli_and_generators_pinned_across_the_guard():
 
 
 def test_reading_a_generator_builds_no_tables():
-    # the search tests candidates on norms and the convolution route, so
-    # reading the generator of a large field leaves its q-sized tables
-    # unbuilt; the pin above reads 223 generators on this
+    # the generator of an extension field is read off the field table, so
+    # reading it leaves the q-sized tables of a large field unbuilt; the
+    # pin above reads 223 generators on this
     for p, n in ((1021, 2), (3, 12)):
         ctx = make_field(p, n)
         assert ctx.generator.rank > 0 and "_log_tables" not in vars(ctx)
@@ -159,6 +177,14 @@ def test_frozen_f9_arithmetic(f9):
     assert s * s.inverse() == 1
     assert (s / s) == 1
     assert -s == 2 * t + 2
+
+
+@pytest.mark.parametrize("p,n", [(7, 1), (3, 2)])
+def test_zeroth_power_is_one(p, n):
+    # the empty product, at zero too, over F_p and over F_q
+    ctx = make_field(p, n)
+    for x in (ctx.zero, ctx.one, ctx.generator):
+        assert x ** 0 == ctx.one
 
 
 def test_unit_group_relations(f25):
@@ -321,8 +347,9 @@ def test_tuple_from_rank_matches_digit_formula():
 
 
 def test_table_build_logs_generator_and_walk(caplog):
-    # one DEBUG record per context: the generator's rank and candidates
-    # tested, the powers walked of q - 1, generator and table seconds apart
+    # one DEBUG record per context: the generator's rank, read off the
+    # field table over F_q and found by testing candidates over F_p, the
+    # powers walked of q - 1, generator and table seconds apart
     cases = [(31, 2, 35, 32), (3, 4, 4, 40), (101, 1, 2, 100)]
     with caplog.at_level(logging.DEBUG, logger="hasseforms"):
         for p, n, _, _ in cases:
@@ -331,9 +358,10 @@ def test_table_build_logs_generator_and_walk(caplog):
     records = [r for r in caplog.records if r.name == "hasseforms"]
     assert [r.levelno for r in records] == [logging.DEBUG] * len(cases)
     for record, (p, n, rank, walked) in zip(records, cases):
+        found = "from the field table" if n > 1 else f"{rank} candidates tested"
         assert re.fullmatch(
             rf"built log tables for F_{p}\^{n} \(q = {p**n}\): generator rank "
-            rf"{rank} \({rank} candidates tested\) in \d+\.\d{{3}} s, "
+            rf"{rank} \({found}\) in \d+\.\d{{3}} s, "
             rf"{walked} of {p**n - 1} powers walked, tables in \d+\.\d{{3}} s",
             record.getMessage())
 
@@ -402,7 +430,7 @@ def test_contexts_are_collected_once_their_callers_drop_them(monkeypatch, capsys
 
 def test_tables_refused_beyond_sweep_guard():
     # every field that can be built has its tables: the one size guard
-    # refuses the field itself, before any modulus search
+    # refuses the field itself, before it reads the field table
     assert make_field(1021, 2).q == 1042441  # the largest p^2 below 2**20
     for args in ((1031, 2), (3, 13), (1048583,)):
         with pytest.raises(FieldTooLargeError, match=r"2\*\*20"):

@@ -269,7 +269,7 @@ def test_rereader_reads_the_cache_more_often_than_it_builds_it(monkeypatch, name
 _AUDIT_KERNELS = set("""_log_tables _hasse_row _row_hasse _hasse_table _hasse_at _hasse_one
     _hasse_terms _row_counts _row_hist _log_hist _count_at _count_mestre _cyclic_mul _iter_rows
     _disc_at _disc_row _zech_y _zech_operand _zech_mask _x_logs _classified _check_row
-    _builds _is_irreducible _find_modulus _mulmod_ints _divmod_ints _factor_int _norm_ints
+    _builds _FIELD_TABLE _find_modulus _mulmod_ints _divmod_ints _factor_int
     _generator_rank _power _mul_trunc _divmod _derivative _Residues _reduction_table""".split())
 _KERNEL_UNIT_TESTS = set("""
     test_acceptance.py::test_ac15_large_field_tables_within_budget
@@ -280,6 +280,7 @@ _KERNEL_UNIT_TESTS = set("""
     test_forms.py::test_single_curve_queries_over_fp_build_no_tables
     test_forms.py::test_classification_suite_builds_no_table_over_fp
     test_gf.py::test_table_build_logs_generator_and_walk
+    test_gf.py::test_field_table_has_one_entry_per_admitted_extension
     test_gf.py::test_point_count_tabulates_each_row_once_in_norm_suite
     test_gf.py::test_pohlig_hellman_at_a_safe_prime
     test_gf.py::test_reading_a_generator_builds_no_tables

@@ -260,6 +260,14 @@ SUITE_FAULTS = {
     "classification-mul-misnames": SuiteFault("classification", (7, 1), _fault(
         UnitClass, "__mul__", lambda c, g: c.exp == 2, _misnamed), [
         "c_2 * [g] = c_4 with phi 6, want c_3 with phi 2 * 3 = 6 mod p"]),
+    # the classes of F_7 with c_5 lost: the count is one short, the five
+    # residues miss phi(c_5) = 5, and the last step wraps to c_0 at c_4;
+    # one check fewer of a residue and one step fewer, 12 cases of 14
+    "classification-count": SuiteFault("classification", (7, 1), _fault(
+        verify_mod, "enumerate_classes", lambda ctx: True, lambda classes: classes[:-1]), [
+        "expected 6 classes, got 5",
+        "phi is not injective on classes: [1, 3, 2, 6, 4]",
+        "c_4 * [g] = c_5 with phi 5, want c_0 with phi 4 * 3 = 5 mod p"], cases=12),
     # a census that raises is the suite's one failed case, with no detail
     "census-inconsistent": SuiteFault("census", (7, 1), _fault(
         verify_mod, "census", lambda ctx: True, _inconsistent), [_INCONSISTENT], cases=1),
