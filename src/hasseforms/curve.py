@@ -673,12 +673,11 @@ def _hasse_at(ctx: FieldCtx, k: int, coeffs: tuple[int, ...], r6s) -> list[int]:
     logs = [log[r] for r in r6s]
     lcs = [log[c] for c in coeffs]
     acc = [lcs[0]] * len(logs)  # logs of the partial P, None for zero
-    if len(lcs) > 1:
-        twice = [2 * e for e in logs]
-        for lc in lcs[1:]:
-            acc = [lc if a is None
-                   else None if (z := zech[(a + t - lc) % order]) < 0 else lc + z
-                   for a, t in zip(acc, twice)]
+    twice = [2 * e for e in logs]
+    for lc in lcs[1:]:
+        acc = [lc if a is None
+               else None if (z := zech[(a + t - lc) % order]) < 0 else lc + z
+               for a, t in zip(acc, twice)]
     at_zero = 0 if k else coeffs[-1]
     return [at_zero if e < 0 else 0 if a is None else exp[(a + k * e) % order]
             for a, e in zip(acc, logs)]

@@ -39,17 +39,16 @@ digit by digit.
 Arithmetic.  Over F_p (n = 1) the rank is the value: built-in ints.  Over
 F_q with n > 1 products, powers and inverses act on logarithms,
 a + b = g^(log a + zech[log b - log a]), and negation adds (q-1)/2 to
-the logarithm.  F_p[x] runs on value lists, with one convolution,
-_conv_ints, reduced once per coefficient, and one long division,
-_divmod_ints, whose remainder the product _mulmod_ints and Euclid
-(_gcd_ints) read.  _mulmod_ints serves the exp build and, as _conv_mul
-and _conv_pow, is the reference that the audit rows table_arithmetic and
-log_tables (tests/test_audits.py) hold the tables to; poly.py's
-F_p[x] runs on these kernels too.  One factorization of ints by trial
-division, _factor_int, gives the generator search over F_p its primes
-and the Pohlig-Hellman plan its prime powers.  One
-square-and-multiply, _power, takes _conv_pow, the powers of polynomials
-and residue rings, and the multiples of a curve point.
+the logarithm.  gf keeps elements only: polynomials over F_p and F_q are
+poly.py's, and the table build needs no product of polynomials, since
+each basis image g t^i is the one before it shifted by one digit, less
+its top digit times the modulus.  The audit rows table_arithmetic and
+log_tables (tests/test_audits.py) hold the tables to products of
+coefficient tuples by poly's F_p primitives.  One factorization of ints
+by trial division, _factor_int, gives the generator search over F_p its
+primes and the Pohlig-Hellman plan its prime powers.  One
+square-and-multiply, _power, takes the powers of polynomials and residue
+rings, and the multiples of a curve point.
 
 Scale guard: a context refuses q = p**n > 2**20 before it reads the
 field table, so every field that exists can build its tables.  None of this
@@ -167,66 +166,6 @@ def smallest_prime_factor(m: int) -> int:
 
 def _is_prime(m: int) -> bool:
     return m >= 2 and smallest_prime_factor(m) == m
-
-
-def _divmod_ints(a: list[int], b, p: int) -> tuple[list[int], list[int]]:
-    # (quotient, remainder) of a by the nonzero b over F_p, on value lists
-    # low degree first, with no trailing zeros; a is overwritten and
-    # returned as the remainder.  An index loop, not a slice comprehension:
-    # on CPython 3.11 about 2x faster at the small degrees of a field's
-    # modulus, and equal near degree 100.  One % p per update measured
-    # faster at degree 2 than one per leading coefficient.  A b that is
-    # not monic is divided out as b / lead(b), and the quotient scaled back
-    if b[-1] != 1:
-        inv = pow(b[-1], -1, p)
-        quo, rem = _divmod_ints(a, [c * inv % p for c in b], p)
-        return [c * inv % p for c in quo], rem
-    D = len(b) - 1
-    for i in range(len(a) - 1, D - 1, -1):
-        c = a[i]
-        if c:
-            off = i - D
-            for j in range(D):
-                a[off + j] = (a[off + j] - c * b[j]) % p
-    quo = a[D:]
-    del a[D:]
-    while a and not a[-1]:
-        a.pop()
-    return quo, a
-
-
-def _conv_ints(a: Sequence[int], b: Sequence[int], L: int) -> list[int]:
-    # the coefficients below x^L of a * b on int lists, unreduced: the one
-    # convolution of F_p[x], for _mulmod_ints and poly._mul_trunc
-    conv = [0] * L
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in zip(range(i, L), b):
-                conv[j] += ai * bj
-    return conv
-
-
-def _mulmod_ints(a: Sequence[int], b: Sequence[int], m, p: int) -> list[int]:
-    # a * b mod the monic m over F_p, on value lists low degree first: the
-    # one polynomial product of the field construction
-    return _divmod_ints([c % p for c in _conv_ints(a, b, len(a) + len(b) - 1)], m, p)[1]
-
-
-def _monic_ints(a: list[int], p: int) -> list[int]:
-    # a nonzero value list over F_p scaled to leading coefficient 1
-    if a[-1] == 1:
-        return a
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
-def _gcd_ints(a: list[int], b: list[int], p: int) -> list[int]:
-    # Euclid over F_p on value lists, the divisor made monic at each step;
-    # a and b may both be overwritten, and the result may be b itself
-    while b:
-        b = _monic_ints(b, p)
-        a, b = b, _divmod_ints(a, b, p)[1]
-    return _monic_ints(a, p) if a else a
 
 
 def _poly_str(coeffs: Sequence, var: str) -> str:
@@ -367,16 +306,6 @@ class FieldCtx:
         # (constant, ..., leading-1 coefficient), off the field table
         rank = self._weights[0] + _field_entry(self.p, self.n)[0]
         return self._tuple_from_rank(rank) + (1,)
-
-    # -- construction and reference route on coefficient tuples ---------
-
-    def _conv_mul(self, a, b):
-        # F_p is F_p[t]/(t), so prime fields reduce by t
-        r = _mulmod_ints(a, b, self.modulus or (0, 1), self.p)
-        return tuple(r) + (0,) * (self.n - len(r))
-
-    def _conv_pow(self, a, e: int):
-        return _power(a, e, self._conv_mul, (1,) + (0,) * (self.n - 1))
 
     def _rank(self, a) -> int:
         return sum(map(mul, a, self._weights))
@@ -537,7 +466,13 @@ class FieldCtx:
             # sum's digits taken mod p and written back in radix 2p - 1
             enc_lo = _digit_table(2 * p - 1, half, range(p))
             enc_hi = _digit_table(2 * p - 1, n - half, range(p))
-            basis = [self._conv_mul(self._tuple_from_rank(w), g.coeffs) for w in self._weights]
+            # basis[i] = g t^i, each one step of x -> t x: shift up one
+            # digit, then take the top digit times the monic modulus off
+            basis, x = [], list(g.coeffs)
+            for _ in range(n):
+                basis.append(x)
+                top = x[-1]
+                x = [(c - top * m) % p for c, m in zip([0] + x[:-1], self.modulus)]
 
             def images(digits):
                 table = [0]

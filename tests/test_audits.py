@@ -1,22 +1,24 @@
 """Every fast route of the package held to its one slow route, in one table.
 
 AUDITS holds one row per (fast route, audit route) pair: the two routes,
-by their names in src/hasseforms, or here for the search that proves the
-field table (lex_first_search, ben_or, resultant_norm); its ladders of
-cases, each with the function that runs both routes on a case and yields
-(model or slot, fast value, slow value); and one seeded fault, which
-corrupts the fast route at one model or slot.  The private kernels of
-src/ are named in tests only here and in their own unit tests; the row
-product is read and written by slot only through row_counts and
-seed_count, and an A_p row written only through seed_hasse.  Each kind of
-slow route is one function: euler_counts for #E, walked_logs for logs,
-truncated_hasse for A_p, lex_first_search for the field table,
-_is_irreducible_ints (trial division) for irreducibility,
-_pow_mod_reference for powers modulo a polynomial, _gcd_reference (plain
-Euclid) for gcds, and element_product and element_value for polynomial
-arithmetic written out in FieldElement arithmetic.  Each ladder is keyed
-by the test that runs it, module and name: audit_tests(module) gives a
-module its ladders as tests.
+by their names in src/hasseforms, or here for the element products with
+no table (conv_mul, conv_pow) and the search that proves the field table
+(lex_first_search, ben_or, resultant_norm); its ladders of cases, each
+with the function that runs both routes on a case and yields (model or
+slot, fast value, slow value); and one seeded fault, which corrupts the
+fast route at one model or slot.  The private kernels of src/ are named
+in tests only here and in their own unit tests; the row product is read
+and written by slot only through row_counts and seed_count, and an A_p
+row written only through seed_hasse.  Each kind of slow route is one
+function: euler_counts for #E, walked_logs for logs, conv_mul and
+conv_pow (coefficient tuples multiplied and reduced by poly's F_p
+primitives) for element arithmetic, truncated_hasse for A_p,
+lex_first_search for the field table, _is_irreducible_ints (trial
+division) for irreducibility, _pow_mod_reference for powers modulo a
+polynomial, _gcd_reference (plain Euclid) for gcds, and element_product
+and element_value for polynomial arithmetic written out in FieldElement
+arithmetic.  Each ladder is keyed by the test that runs it, module and
+name: audit_tests(module) gives a module its ladders as tests.
 """
 
 import pickle
@@ -88,11 +90,34 @@ def seed_hasse(mp, module, ranks, change, read=None):
 
 
 @cache
+def prime_field(p):
+    return make_field(p)
+
+
+def mulmod(a, b, m, p):
+    # a * b mod the monic m over F_p, on value lists low degree first, by
+    # poly's F_p product and long division
+    fp = prime_field(p)
+    return poly._divmod(poly._mul_trunc(a, b, fp), m, fp)[1]
+
+
+def conv_mul(ctx, a, b):
+    # the product of two coefficient tuples of ctx mod its modulus, with no
+    # table; F_p is F_p[t]/(t), so prime fields reduce by t
+    r = mulmod(a, b, ctx.modulus or (0, 1), ctx.p)
+    return tuple(r) + (0,) * (ctx.n - len(r))
+
+
+def conv_pow(ctx, a, e):
+    return gf._power(a, e, lambda x, y: conv_mul(ctx, x, y), (1,) + (0,) * (ctx.n - 1))
+
+
+@cache
 def euler_chi(p, n):
     # chi by rank: Euler's criterion on the convolution route, no table
     ctx = make_field(p, n)
     one, half = ctx.one.coeffs, (ctx.q - 1) // 2
-    return [0] + [1 if ctx._conv_pow(ctx._tuple_from_rank(r), half) == one else -1
+    return [0] + [1 if conv_pow(ctx, ctx._tuple_from_rank(r), half) == one else -1
                   for r in range(1, ctx.q)]
 
 
@@ -117,7 +142,7 @@ def walked_logs(p, n):
     exp, x, g, log = [], ctx.one.coeffs, ctx.generator.coeffs, [-1] * ctx.q
     for e in range(ctx.q - 1):
         exp.append(ctx._rank(x))
-        log[exp[-1]], x = e, ctx._conv_mul(x, g)
+        log[exp[-1]], x = e, conv_mul(ctx, x, g)
     return exp, log
 
 
@@ -373,11 +398,11 @@ def _table_arithmetic(p, n):
     for a, ta in ((a, tup(a)) for a in range(q)):
         yield a, (ctx._rank(ta), tup(ctx._neg(a)), [tup(ctx._pow(a, e)) for e in exps],
                   a and tup(ctx._inv(a))), \
-            (a, _coeffwise(ctx, zero, ta, -1), [ctx._conv_pow(ta, e) for e in exps],
-             a and ctx._conv_pow(ta, q - 2))
+            (a, _coeffwise(ctx, zero, ta, -1), [conv_pow(ctx, ta, e) for e in exps],
+             a and conv_pow(ctx, ta, q - 2))
         for b, tb in ((b, tup(b)) for b in range(q)):
             yield (a, b), (tup(ctx._mul(a, b)), tup(ctx._add(a, b)), tup(ctx._sub(a, b))), \
-                (ctx._conv_mul(ta, tb), _coeffwise(ctx, ta, tb), _coeffwise(ctx, ta, tb, -1))
+                (conv_mul(ctx, ta, tb), _coeffwise(ctx, ta, tb), _coeffwise(ctx, ta, tb, -1))
     with pytest.raises(ZeroDivisionError):
         ctx._inv(0)
 
@@ -566,7 +591,8 @@ def _census_objects(p, n):
 def _is_irreducible_ints(f, p):
     # trial division of the monic value list f over F_p by every monic
     # divisor of degree up to half its own
-    return all(gf._divmod_ints(list(f), [r // p**i % p for i in range(d)] + [1], p)[1]
+    fp = prime_field(p)
+    return all(poly._divmod(list(f), [r // p**i % p for i in range(d)] + [1], fp)[1]
                for d in range(1, (len(f) - 1) // 2 + 1) for r in range(p**d))
 
 
@@ -577,18 +603,18 @@ def ben_or(f, p):
     from the power of x read off the top bits of p^i, of degree below 2n,
     then squares along the low bits, times x on each set bit: h * (x h)
     there."""
-    n = len(f) - 1
+    n, fp = len(f) - 1, prime_field(p)
     for i in range(1, n // 2 + 1):
         e = p**i
         low = max(0, e.bit_length() - n.bit_length())
-        h = gf._divmod_ints([0] * (e >> low) + [1], f, p)[1]
+        h = poly._divmod([0] * (e >> low) + [1], f, fp)[1]
         for b in range(low - 1, -1, -1):
-            h = gf._mulmod_ints(h, [0] * (e >> b & 1) + h, f, p)
+            h = mulmod(h, [0] * (e >> b & 1) + h, f, p)
         h += [0] * (2 - len(h))
         h[1] = (h[1] - 1) % p
         while h and not h[-1]:
             h.pop()
-        if len(gf._gcd_ints(list(f), h, p)) > 1:
+        if len(poly._gcd(list(f), h, fp)) > 1:
             return False
     return True
 
@@ -598,7 +624,7 @@ def resultant_norm(a, m, p):
     F_p, as the resultant Res(m, a) (Cohen, GTM 138, 3.3) by Euclid: with
     A monic, Res(A, B) = (-1)^(deg A deg B) lead(B)^(deg A) Res(B/lead(B),
     A mod B)."""
-    res, A, B = 1, m, list(a)
+    res, A, B, fp = 1, m, list(a), prime_field(p)
     while not B[-1]:
         B.pop()
     while True:
@@ -608,8 +634,8 @@ def resultant_norm(a, m, p):
             return res
         if dA & dB & 1:
             res = -res % p
-        B = gf._monic_ints(B, p)
-        A, B = B, gf._divmod_ints(list(A), B, p)[1]
+        B = poly._monic(B, fp)
+        A, B = B, poly._divmod(list(A), B, fp)[1]
 
 
 def lex_first_search(p, n):
@@ -630,14 +656,12 @@ def lex_first_search(p, n):
     small = [(p - 1) // ell for ell, _ in gf._factor_int(p - 1)]
     large = [norm_exp // ell for ell, _ in gf._factor_int(norm_exp) if (p - 1) % ell]
 
-    def mulmod(a, b):
-        return gf._mulmod_ints(a, b, m, p)
-
     def generates(rank):
         x = digits(rank)
         c = resultant_norm(x, m, p)
         return (all(pow(c, e, p) != 1 for e in small)
-                and all(len(gf._power(x, e, mulmod, [1])) > 1 for e in large))
+                and all(len(gf._power(x, e, lambda a, b: mulmod(a, b, m, p), [1])) > 1
+                        for e in large))
     return m, next(filter(generates, count(1)))
 
 
@@ -710,28 +734,11 @@ def _find_modulus(p, n):
     yield (p, n), make_field(p, n).modulus, next(f for f in cands if _is_irreducible_ints(f, p))
 
 
-def _mulmod_ints(p):
-    # the one value-list product against Polynomial * and %, which run on
-    # rank kernels, modulo every monic m of degree 1 to 3 and a sample of
-    # degree 4, reducible ones included (Ben-Or squares modulo every
-    # candidate); operands below the degree of m and, as in Ben-Or's
-    # step h * (x h), one of them at it.  Over F_p ranks are values
-    ctx, rng, from_ranks = make_field(p), random.Random(p), Polynomial.from_ranks
-    moduli = [list(free) + [1] for d in (1, 2, 3) for free in product(range(p), repeat=d)]
-    moduli += [[r // p**i % p for i in range(4)] + [1]
-               for r in rng.sample(range(p**4), min(p**4, 400))]
-    for m in moduli:
-        a = [rng.randrange(p) for _ in range(len(m) - 1)]
-        for b in ([0] + a, [rng.randrange(p) for _ in m]):
-            want = from_ranks(ctx, a) * from_ranks(ctx, b) % from_ranks(ctx, m)
-            yield (a, b, m), gf._mulmod_ints(a, b, m, p), list(want.ranks)
-
-
-def _divmod_ints(p):
+def _divmod_fp(p):
     # a = quo * b + rem with deg rem < deg b, both stripped and reduced,
     # for seeded value lists and divisors of degree 0 to 8, monic and not;
     # the coefficients are drawn from 0, 1 and p - 1 half the time
-    rng, monic = random.Random(p), 0
+    rng, monic, fp = random.Random(p), 0, prime_field(p)
 
     def coeff():
         return rng.choice((0, 1, p - 1)) if rng.random() < 0.5 else rng.randrange(p)
@@ -743,8 +750,8 @@ def _divmod_ints(p):
         while a and not a[-1]:
             a.pop()
         monic += lead == 1
-        quo, rem = gf._divmod_ints(list(a), b, p)
-        got = [c % p for c in gf._conv_ints(quo, b, len(a))] if quo else [0] * len(a)
+        quo, rem = poly._divmod(list(a), b, fp)
+        got = poly._mul_trunc(quo, b, fp, len(a) - 1) if quo else [0] * len(a)
         for i, c in enumerate(rem):
             got[i] = (got[i] + c) % p
         yield (a, b), (got, len(rem) < len(b), len(quo), all(0 <= c < p for c in quo + rem),
@@ -793,7 +800,7 @@ def _generator_rank(p, n):
     primes = [ell for ell in range(2, order + 1) if order % ell == 0 and _is_prime(ell)]
     yield ctx, ctx.generator.rank, next(
         r for r in range(1, ctx.q)
-        if all(ctx._conv_pow(ctx._tuple_from_rank(r), order // ell) != one for ell in primes))
+        if all(conv_pow(ctx, ctx._tuple_from_rank(r), order // ell) != one for ell in primes))
 
 
 def _power():
@@ -914,7 +921,7 @@ def _reduction_table(p, m):
     table = poly._reduction_table(m, p, W)
     yield "size", len(table), D - 1
     for j, packed in enumerate(table):
-        want = gf._divmod_ints([0] * (D + j) + [1], m, p)[1]
+        want = poly._divmod([0] * (D + j) + [1], m, prime_field(p))[1]
         yield j, list(poly._unpack(W, packed, D)), want + [0] * (D - len(want))
 
 
@@ -1101,8 +1108,7 @@ AUDITS = {
         "test_curve::test_twist_scales_match_twist_and_field_arithmetic":
             (_PN, [(5, 1), (7, 1), (13, 1), (3, 2), (5, 2)], _twist_scales),
     }, ((5, 1), _fault(curve, "_twist_scales", lambda *a: a[1] == 2, _slot(1)))),
-    "table_arithmetic": Audit("gf.FieldCtx._mul, _add, _sub, _neg, _pow, _inv",
-                              "gf.FieldCtx._conv_mul", {
+    "table_arithmetic": Audit("gf.FieldCtx._mul, _add, _sub, _neg, _pow, _inv", "conv_mul", {
         "test_gf::test_table_arithmetic_matches_convolution":
             (_PN, TABLE_FIELDS, _table_arithmetic),
     }, ((3, 2), _fault(FieldCtx, "_mul", lambda ctx, *ab: ab == (2, 3)))),
@@ -1165,14 +1171,10 @@ AUDITS = {
              _ben_or),
     }, ((3, (1, 2, 3, 4)), _fault(sys.modules[__name__], "ben_or", lambda f, p: f == (1, 0, 1),
                                   lambda irreducible: not irreducible))),
-    "mulmod": Audit("gf._mulmod_ints", "poly.Polynomial * and %", {
-        "test_gf::test_mulmod_matches_polynomial_route":
-            ("p", [(3,), (5,), (7,), (31,)], _mulmod_ints),
-    }, ((3,), _fault(gf, "_mulmod_ints", lambda a, b, m, p: len(m) == 3, lambda r: r + [1]))),
-    "divmod": Audit("gf._divmod_ints", "gf._conv_ints", {
+    "divmod": Audit("poly._divmod over F_p", "poly._mul_trunc", {
         "test_gf::test_divmod_ints_is_long_division":
-            ("p", [(3,), (5,), (65537,), (1048573,)], _divmod_ints),
-    }, ((3,), _fault(gf, "_divmod_ints", lambda a, b, p: len(b) > 1,
+            ("p", [(3,), (5,), (65537,), (1048573,)], _divmod_fp),
+    }, ((3,), _fault(poly, "_divmod", lambda a, b, ctx: len(b) > 1,
                      lambda qr: (_slot(0)(qr[0]), qr[1])))),
     "factor_int": Audit("gf._factor_int", "a sieve, trial division", {
         "test_gf::test_factor_int_matches_brute_force": (None, [()], _factor_int),
@@ -1183,7 +1185,7 @@ AUDITS = {
              _resultant_norm),
     }, ((3, 2), _fault(sys.modules[__name__], "resultant_norm",
                        lambda a, m, p: tuple(a) == (1, 1)))),
-    "generator": Audit("gf.FieldCtx._generator_rank", "gf.FieldCtx._conv_pow", {
+    "generator": Audit("gf.FieldCtx._generator_rank", "conv_pow", {
         "test_gf::test_generator_is_lex_first_on_convolution_route":
             (_PN, sorted(set(TABLE_FIELDS + EXTENSION_FIELDS_TO_3000))
              + [(p, 1) for p in range(3, 212) if _is_prime(p)] + [(1009, 1)], _generator_rank),
@@ -1209,7 +1211,7 @@ AUDITS = {
         "test_poly::test_frobenius_table_matches_powering_by_q":
             (_PN, [(3, 1), (13, 1), (1009, 1), (1048573, 1), (3, 2), (5, 3)], _frob),
     }, ((3, 1), _fault(poly._Residues, "frob", lambda *a: True))),
-    "reduction_table": Audit("poly._reduction_table", "gf._divmod_ints", {
+    "reduction_table": Audit("poly._reduction_table", "poly._divmod over F_p", {
         "test_poly::test_reduction_table_holds_reduced_powers_of_x":
             ("p,m", _REDUCTION_MODULI, _reduction_table),
     }, (_REDUCTION_MODULI[0], _fault(poly, "_reduction_table", lambda *a: True, _slot(0)))),

@@ -341,6 +341,24 @@ def test_gcd_conventions():
     assert gcd(f, Polynomial(ctx)) == f.monic()[1]
     assert gcd(Polynomial(ctx), f) == f.monic()[1]
     assert gcd(3 * f, 2 * g) == d
+    # over F_9 and F_25 too, where Euclid makes each divisor monic by a
+    # unit outside the prime field: scaled and non-monic operands, a zero
+    # one, a coprime pair
+    for p, n in ((5, 1), (3, 2), (5, 2)):
+        ctx = make_field(p, n)
+        x, zero, one, u = Polynomial.x(ctx), Polynomial(ctx), Polynomial(ctx, [1]), ctx.generator
+        r = list(ctx.iter_elements())
+        f = (x - r[1]) * (x - r[2]) * (x - r[3])
+        h = (x - r[1]) * (x - r[2]) * (x - r[4])
+        d = (x - r[1]) * (x - r[2])
+        assert gcd(f, h) == gcd(h, f) == d
+        for a, b in ((u, 1), (1, u ** 2), (u, u ** 3), (2, -1)):
+            assert not (a * f).is_monic or not (b * h).is_monic
+            assert gcd(a * f, b * h) == gcd(b * h, a * f) == d
+            assert gcd(a * f, b * f * (x - r[4])) == f
+            assert gcd(a * f, zero) == gcd(zero, a * f) == f
+            assert gcd(a * f, b * (x - r[4])) == one
+        assert gcd(zero, zero) == zero
 
 
 def test_mixed_contexts_raise_ctx_mismatch():

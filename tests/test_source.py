@@ -269,8 +269,8 @@ def test_rereader_reads_the_cache_more_often_than_it_builds_it(monkeypatch, name
 _AUDIT_KERNELS = set("""_log_tables _hasse_row _row_hasse _hasse_table _hasse_at _hasse_one
     _hasse_terms _row_counts _row_hist _log_hist _count_at _count_mestre _cyclic_mul _iter_rows
     _disc_at _disc_row _zech_y _zech_operand _zech_mask _x_logs _classified _check_row
-    _builds _FIELD_TABLE _find_modulus _mulmod_ints _divmod_ints _factor_int
-    _generator_rank _power _mul_trunc _divmod _derivative _Residues _reduction_table""".split())
+    _builds _FIELD_TABLE _find_modulus _factor_int _generator_rank _power
+    _mul_trunc _divmod _monic _gcd _derivative _Residues _reduction_table""".split())
 _KERNEL_UNIT_TESTS = set("""
     test_acceptance.py::test_ac15_large_field_tables_within_budget
     test_curve.py::test_closed_form_has_one_term_exactly_for_p_up_to_11
